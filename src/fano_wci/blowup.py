@@ -54,9 +54,6 @@ class BlowupLattice:
         (valid when each center avoids the earlier exceptional divisors)."""
         return DivisorClass((Fraction(1), *(-e.discrepancy for e in self.exceptionals)))
 
-    def pullback_a(self) -> "DivisorClass":
-        return DivisorClass((Fraction(1),) + (Fraction(0),) * len(self.exceptionals))
-
     def exceptional_class(self, i: int = 0) -> "DivisorClass":
         coeffs = [Fraction(0)] * self.rank
         coeffs[1 + i] = Fraction(1)
@@ -129,13 +126,13 @@ def vanishing_order(support: MonomialSupport,
     """
     monos = support.monomials
     if eliminated is not None:
-        monos = frozenset(m for m in monos if m[eliminated] == 0)
+        monos = [m for m in monos if m[eliminated] == 0]
     if not monos:
         raise ValueError("vanishing order undefined: empty residual support")
-    return min(
-        sum((Fraction(e) * blowup_weights[i] for i, e in enumerate(m)), Fraction(0))
-        for m in monos
-    )
+    # integer sums over the weights' common denominator, one Fraction at the end
+    denominator = math.lcm(*(a.denominator for a in blowup_weights))
+    scaled = [a.numerator * (denominator // a.denominator) for a in blowup_weights]
+    return Fraction(min(sum(e * a for e, a in zip(m, scaled, strict=True)) for m in monos), denominator)
 
 
 @dataclass(frozen=True)

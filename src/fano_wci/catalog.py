@@ -13,8 +13,13 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from .wps import WeightSystem, anticanonical_cube, rat, rat_str
+from .wps import MonomialSupport, WeightSystem, anticanonical_cube, rat, rat_str
+
+if TYPE_CHECKING:
+    from .links import LinkData, StandardForm
+    from .singularities import CAxPoint, EquationShape, QuotientSingularity
 
 FAMILY_IDS = (17, 19, 23, 29, 30, 41, 42, 49, 50, 55, 69, 74, 77, 82)
 
@@ -77,7 +82,8 @@ class FamilyRecord:
 @dataclass(frozen=True)
 class GoldenRow:
     id: int
-    a_cube: Fraction
+    a_cube: Fraction  # stated for the Gprime record
+    g_a_cube: Fraction  # stated for the G record
     basket: tuple[BasketEntry, ...]
     link_column: tuple[LinkEntry, ...]
 
@@ -89,12 +95,43 @@ class FamilyPair:
     golden: GoldenRow
 
 
+@dataclass(frozen=True)
+class Member(FamilyPair):
+    """A family pair with the algebra derived from it: the hypersurface
+    member's equation shape, monomial support and singular locus, and the
+    codimension-2 model's standard form and link data.  Built once per family
+    and catalog load by `Catalog.member`; every layer reads it instead of
+    deriving the same data again."""
+
+    shape: EquationShape
+    support: MonomialSupport
+    quotients: tuple[QuotientSingularity, ...]
+    cax: CAxPoint
+    form: StandardForm
+    link_data: LinkData
+
+
+def derive_member(pair: FamilyPair) -> Member:
+    # imported here because both modules import this one
+    from . import links, singularities
+
+    form = links.to_standard_form(pair.g)
+    link_data = links.build_counterpart(pair.g, form)
+    shape = singularities.equation_shape(pair.gprime)
+    support = singularities.family_support(pair.gprime, shape)
+    quotients, cax = singularities.singular_locus(pair.gprime, support)
+    return Member(g=pair.g, gprime=pair.gprime, golden=pair.golden, shape=shape, support=support,
+                  quotients=tuple(quotients), cax=cax, form=form, link_data=link_data)
+
+
 class Catalog:
-    """All 14 family pairs, indexed by id; immutable after load."""
+    """All 14 family pairs, indexed by id; immutable after load apart from
+    the Members it derives on demand."""
 
     def __init__(self, pairs: list[FamilyPair]):
         self.pairs = sorted(pairs, key=lambda p: p.g.id)
         self._by_id = {p.g.id: p for p in self.pairs}
+        self._members: dict[int, Member] = {}
 
     def ids(self) -> tuple[int, ...]:
         return tuple(p.g.id for p in self.pairs)
@@ -112,6 +149,14 @@ class Catalog:
 
     def golden(self, family_id: int) -> GoldenRow:
         return self.pair(family_id).golden
+
+    def member(self, family_id: int) -> Member:
+        """The family's Member, derived on first request and kept as long as
+        this catalog, i.e. for one load."""
+        member = self._members.get(family_id)
+        if member is None:
+            member = self._members[family_id] = derive_member(self.pair(family_id))
+        return member
 
 
 def default_catalog_path() -> str:
@@ -166,7 +211,8 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
 
     g_records: dict[int, FamilyRecord] = {}
     gprime_records: dict[int, FamilyRecord] = {}
-    golden_rows: dict[int, GoldenRow] = {}
+    stated_a_cube: dict[tuple[str, int], Fraction] = {}
+    golden_columns: dict[int, tuple[tuple[BasketEntry, ...], tuple[LinkEntry, ...]]] = {}
     for k, obj in enumerate(raw):
         where = f"catalog entry #{k}"
         rec = _parse_record(obj, where)
@@ -183,6 +229,7 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
                 f"{where}: a_cube mismatch for family {rec.id} ({rec.kind}): "
                 f"file says {obj['a_cube']}, weights/degrees give {rat_str(rec.a_cube())}"
             )
+        stated_a_cube[rec.kind, rec.id] = a_cube
         if rec.kind == "Gprime":
             basket = tuple(
                 BasketEntry(type=b["type"], count=b["count"], locus=b["locus"])
@@ -200,7 +247,7 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
                     raise CatalogError(f"{where}: bad link tag {entry.tag!r} for family {rec.id}")
                 if entry.tag == "link" and entry.point != "p4":
                     raise CatalogError(f"{where}: link tag only at the cAx point p4 (family {rec.id})")
-            golden_rows[rec.id] = GoldenRow(id=rec.id, a_cube=a_cube, basket=basket, link_column=links)
+            golden_columns[rec.id] = basket, links
 
     missing_g = set(FAMILY_IDS) - set(g_records)
     missing_gp = set(FAMILY_IDS) - set(gprime_records)
@@ -209,7 +256,10 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
                            f"Gprime records {sorted(missing_gp)}")
 
     pairs = [
-        FamilyPair(g=g_records[i], gprime=gprime_records[i], golden=golden_rows[i])
+        FamilyPair(g=g_records[i], gprime=gprime_records[i],
+                   golden=GoldenRow(id=i, a_cube=stated_a_cube["Gprime", i],
+                                    g_a_cube=stated_a_cube["G", i],
+                                    basket=golden_columns[i][0], link_column=golden_columns[i][1]))
         for i in FAMILY_IDS
     ]
     return Catalog(pairs)

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from . import links
 from .catalog import Catalog, CatalogError, load_catalog
 from .report import build_report, render_json, render_markdown, verify_tables
 from .wps import rat_str, wps_str
@@ -49,14 +50,16 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_links(args) -> int:
-    from .links import build_counterpart, to_standard_form
+    # reads the G record alone: the Member would also derive the Gprime
+    # singular locus, which this command does not print and which fails on a
+    # Gprime record that disagrees with its G record
     catalog = _load(args)
     _require_family(catalog, args.family)
-    pair = catalog.pair(args.family)
-    form = to_standard_form(pair.g)
-    ld = build_counterpart(pair.g)
-    d1, d2 = pair.g.degrees
-    print(f"No.{args.family}: X_{{{d1},{d2}}} in {wps_str(pair.g.weights)}")
+    g = catalog.g(args.family)
+    form = links.to_standard_form(g)
+    ld = links.build_counterpart(g, form)
+    d1, d2 = g.degrees
+    print(f"No.{args.family}: X_{{{d1},{d2}}} in {wps_str(g.weights)}")
     print(f"standard form (a0..a5) = {form.role_weights}, b = {ld.b}")
     print(f"counterpart: X'_{ld.xprime_degree} in {wps_str(ld.display_weights())} [{ld.equation_shape}]")
     print(f"midpoint hypersurface degree: {ld.z_degree}")
@@ -64,17 +67,16 @@ def cmd_links(args) -> int:
 
 
 def cmd_basket(args) -> int:
-    from .singularities import singular_locus
     catalog = _load(args)
     _require_family(catalog, args.family)
-    quotients, cax = singular_locus(catalog.gprime(args.family))
-    gp = catalog.gprime(args.family)
+    member = catalog.member(args.family)
+    gp = member.gprime
     print(f"No.{args.family}: X'_{gp.degrees[0]} in {wps_str(gp.weights)}, "
           f"A^3 = {rat_str(gp.a_cube())}")
-    for q in quotients:
+    for q in member.quotients:
         prefix = f"{q.count} x " if q.count > 1 else ""
         print(f"  {q.locus} = {prefix}{q.type_str()}")
-    print(f"  p4 = {cax.type_str()}")
+    print(f"  p4 = {member.cax.type_str()}")
     return 0
 
 

@@ -16,9 +16,8 @@ from fractions import Fraction
 
 from .blowup import (BlowupLattice, DivisorClass, SectionLift, ambient_quadruple, b_cubed,
                      nef_bound_check, triple, vanishing_order)
-from .catalog import Catalog, FamilyPair, cax_modulus, load_catalog
-from .singularities import (CAxPoint, QuotientSingularity, family_support,
-                            singular_locus, support_with_point_at_vertex)
+from .catalog import Catalog, Member, cax_modulus, load_catalog, subfamily_of
+from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex
 from .wps import MonomialSupport, max_pair_lcm, rat_str
 
 
@@ -34,15 +33,14 @@ class UncoveredCaseError(ValueError):
 class Center:
     kind: str  # "curve" | "smooth-point" | "quotient-point" | "cax-point"
     degree: Fraction | None = None
-    gamma_sq_bound: Fraction | None = None
     quotient: QuotientSingularity | None = None
     cax: CAxPoint | None = None
 
     @classmethod
-    def curve(cls, degree: Fraction, gamma_sq_bound: Fraction | None = None) -> "Center":
+    def curve(cls, degree: Fraction) -> "Center":
         if degree <= 0:
             raise ValueError("curve degree must be positive")
-        return cls(kind="curve", degree=degree, gamma_sq_bound=gamma_sq_bound)
+        return cls(kind="curve", degree=degree)
 
     @classmethod
     def smooth_point(cls) -> "Center":
@@ -274,7 +272,7 @@ def infinite_curves_test(b_dot_c: Fraction, e_dot_c: Fraction) -> Verdict:
     return Verdict(excluded=b_dot_c <= 0 and e_dot_c > 0, method="infinite-curves", witness=b_dot_c)
 
 
-def gamma_polynomial(record) -> MonomialSupport:
+def gamma_polynomial(member: Member) -> MonomialSupport:
     """Support of the defining polynomial restricted to the two heaviest
     x-coordinates and w (the curve cut by the two lightest coordinate
     hyperplanes), as exponent triples (e2, e3, e_w).
@@ -282,9 +280,10 @@ def gamma_polynomial(record) -> MonomialSupport:
     Family 23 is stated in the normalized coordinates that put its edge point
     at the x2 vertex, which strikes the pure x2 power from the restriction.
     """
+    record = member.gprime
     if record.id not in GAMMA_FAMILIES:
         raise LookupError(f"family {record.id} has no restriction-curve row")
-    support = family_support(record)
+    support = member.support
     if record.id in GAMMA_NORMALIZED:
         support = support_with_point_at_vertex(support, vertex=2, weight=record.weights[2])
     restricted = frozenset(
@@ -297,11 +296,11 @@ GAMMA_FAMILIES = frozenset({23, 29, 42, 49, 50, 55, 74, 77, 82})
 GAMMA_NORMALIZED = frozenset({23})
 
 
-def qi_eligible(record, vertex: int) -> bool:
+def qi_eligible(member: Member, vertex: int) -> bool:
     """Structural eligibility for a quadratic involution at a quotient point:
     the defining polynomial contains x_v^2 x_j for some other coordinate j."""
-    support = family_support(record)
-    w = record.weights
+    support = member.support
+    w = member.gprime.weights
     d = support.degree
     for j in range(5):
         if j == vertex or d - 2 * w[vertex] != w[j]:
@@ -390,48 +389,42 @@ POINT_RULES: dict[int, dict[str, tuple[RuleBranch, ...]]] = {
 def minimal_curve_degree(family_id: int) -> Fraction:
     """Smallest curve degree not handled by a special certificate: curves
     through the cAx point have degree in (1/modulus) Z."""
-    step = Fraction(1, cax_modulus_of(family_id))
+    step = Fraction(1, cax_modulus(subfamily_of(family_id)))
     deg = step
     while deg == SPECIAL_CURVE_DEG.get(family_id):
         deg += step
     return deg
 
 
-def cax_modulus_of(family_id: int) -> int:
-    from .catalog import subfamily_of
-    return cax_modulus(subfamily_of(family_id))
-
-
 # ---------------------------------------------------------------------------
 # Certificate builders
 # ---------------------------------------------------------------------------
 
-def _basket_entry(pair: FamilyPair, locus: str) -> QuotientSingularity:
-    quotients, _ = singular_locus(pair.gprime)
-    for q in quotients:
+def _basket_entry(member: Member, locus: str) -> QuotientSingularity:
+    for q in member.quotients:
         if q.locus == locus:
             return q
-    raise UncoveredCaseError(f"family {pair.g.id} has no quotient point at {locus}")
+    raise UncoveredCaseError(f"family {member.g.id} has no quotient point at {locus}")
 
 
-def _surface_pair(pair: FamilyPair, locus: str, flag: bool) -> tuple[SurfacePair, Verdict]:
-    record = pair.gprime
-    q = _basket_entry(pair, locus)
+def _surface_pair(member: Member, locus: str, flag: bool) -> tuple[SurfacePair, Verdict]:
+    record = member.gprime
+    q = _basket_entry(member, locus)
     cert = SurfacePair(
         a1=record.weights[1],
         b_cube=b_cubed(record.a_cube(), q),
-        gamma_support=gamma_polynomial(record),
+        gamma_support=gamma_polynomial(member),
         irreducibility_flag=flag,
     )
     return cert, surface_pair_test(cert.a1, cert.b_cube, cert.gamma_support, cert.irreducibility_flag)
 
 
-def _nef_divisor(pair: FamilyPair, locus: str) -> tuple[NefDivisor, Verdict]:
-    record = pair.gprime
-    q = _basket_entry(pair, locus)
+def _nef_divisor(member: Member, locus: str) -> tuple[NefDivisor, Verdict]:
+    record = member.gprime
+    q = _basket_entry(member, locus)
     vertex, sections = NEF_DATA[record.id]
     w = record.weights
-    support = support_with_point_at_vertex(family_support(record), vertex, w[vertex])
+    support = support_with_point_at_vertex(member.support, vertex, w[vertex])
     local = tuple(
         Fraction(0) if i == vertex else Fraction(w[i] % q.r, q.r) for i in range(5)
     )
@@ -453,8 +446,9 @@ def _nef_divisor(pair: FamilyPair, locus: str) -> tuple[NefDivisor, Verdict]:
     return cert, verdict
 
 
-def _negdef_matrix(pair: FamilyPair, locus: str) -> tuple[NegDefMatrix, Verdict]:
-    record = pair.gprime
+def _negdef_matrix(member: Member, locus: str,
+                   earlier: tuple[Certificate, ...]) -> tuple[NegDefMatrix, Verdict]:
+    record = member.gprime
     w = record.weights
     if record.id != 50:
         raise UncoveredCaseError(f"no curve-pair matrix data for family {record.id} at {locus}")
@@ -462,9 +456,11 @@ def _negdef_matrix(pair: FamilyPair, locus: str) -> tuple[NegDefMatrix, Verdict]
         # half point: the residual curve misses the exceptional divisor and is
         # cut on the coordinate plane (x = z = 0) by the degree-(d - b) slot,
         # so it pairs with -K by bare degree; the pair sums to (M . B^2)
-        _, nef_verdict = _nef_divisor(pair, locus)
+        nef = next((c for c in earlier if isinstance(c, NefDivisor)), None)
+        if nef is None:
+            nef, _ = _nef_divisor(member, locus)
         alpha = Fraction(record.degrees[0] - w[4], w[1] * w[3] * w[4])
-        beta = nef_verdict.witness - alpha
+        beta = nef.m_b2 - alpha
         cert = NegDefMatrix(alpha=alpha, beta=beta, parameter_floor=Fraction(1))
     else:
         # third point: (B . Gamma) via the ambient weighted blowup of the
@@ -480,9 +476,9 @@ def _negdef_matrix(pair: FamilyPair, locus: str) -> tuple[NegDefMatrix, Verdict]
     return cert, Verdict(excluded=ok, method="negdef-matrix", witness=witness)
 
 
-def _infinite_curves(pair: FamilyPair, locus: str) -> tuple[InfiniteCurves, Verdict]:
-    record = pair.gprime
-    q = _basket_entry(pair, locus)
+def _infinite_curves(member: Member, locus: str) -> tuple[InfiniteCurves, Verdict]:
+    record = member.gprime
+    q = _basket_entry(member, locus)
     lattice = BlowupLattice.over(record.a_cube(), [q])
     b = lattice.anticanonical()
     e = lattice.exceptional_class()
@@ -511,8 +507,8 @@ def _infinite_curves(pair: FamilyPair, locus: str) -> tuple[InfiniteCurves, Verd
     return cert, infinite_curves_test(b_dot, e_dot)
 
 
-def _untwist(pair: FamilyPair, locus: str, tag: str, condition: str) -> tuple[Untwist, Verdict]:
-    record = pair.gprime
+def _untwist(member: Member, locus: str, tag: str, condition: str) -> tuple[Untwist, Verdict]:
+    record = member.gprime
     eligible = None
     if tag == "QI":
         w = record.weights
@@ -524,7 +520,7 @@ def _untwist(pair: FamilyPair, locus: str, tag: str, condition: str) -> tuple[Un
             vertex = i if w[i] == r else j
             if w[vertex] != r:
                 raise UncoveredCaseError(f"edge {locus} point cannot be moved to a vertex")
-        eligible = qi_eligible(record, vertex)
+        eligible = qi_eligible(member, vertex)
         if not eligible:
             raise UncoveredCaseError(f"family {record.id} {locus}: no x^2 y tangent monomial, "
                                      f"quadratic involution not available")
@@ -565,13 +561,17 @@ def _select_branch(branches: tuple[RuleBranch, ...], flags: frozenset[str],
 
 
 def dispatch(family_id: int, center: Center, condition_flags: frozenset[str] | set[str] = frozenset(),
-             catalog: Catalog | None = None) -> tuple[Certificate, Verdict]:
+             catalog: Catalog | None = None,
+             earlier: tuple[Certificate, ...] = ()) -> tuple[Certificate, Verdict]:
     """Select and evaluate the certificate assigned to a center of the general
-    member of a catalog family under the given condition flags."""
+    member of a catalog family under the given condition flags.
+
+    `earlier` holds the certificates already built for other branches of the
+    same center; a branch that rests on one of them reuses it."""
     catalog = catalog or _default_catalog()
-    pair = catalog.pair(family_id)
+    member = catalog.member(family_id)
     flags = frozenset(condition_flags)
-    record = pair.gprime
+    record = member.gprime
     a_cube = record.a_cube()
 
     if center.kind == "curve":
@@ -604,15 +604,15 @@ def dispatch(family_id: int, center: Center, condition_flags: frozenset[str] | s
             raise UncoveredCaseError(f"family {family_id} has no center at {locus}")
         branch = _select_branch(rules, flags, family_id, locus)
         if branch.method == "untwist":
-            return _untwist(pair, locus, branch.tag, branch.condition)
+            return _untwist(member, locus, branch.tag, branch.condition)
         if branch.method == "surface-pair":
-            return _surface_pair(pair, locus, flag=True)
+            return _surface_pair(member, locus, flag=True)
         if branch.method == "nef-divisor":
-            return _nef_divisor(pair, locus)
+            return _nef_divisor(member, locus)
         if branch.method == "negdef-matrix":
-            return _negdef_matrix(pair, locus)
+            return _negdef_matrix(member, locus, earlier)
         if branch.method == "infinite-curves":
-            return _infinite_curves(pair, locus)
+            return _infinite_curves(member, locus)
         raise UncoveredCaseError(f"family {family_id} {locus}: unknown method {branch.method}")
 
     raise UncoveredCaseError(f"unknown center kind {center.kind}")

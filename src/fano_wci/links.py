@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .catalog import FamilyPair, FamilyRecord, is_double_cover_shape
+from .catalog import FamilyRecord, Member, is_double_cover_shape
 from .exclusion import POINT_RULES, qi_eligible
 from .singularities import QuotientSingularity
 from .wps import WeightSystem
@@ -125,10 +125,12 @@ def to_standard_form(record: FamilyRecord) -> StandardForm:
     return form
 
 
-def build_counterpart(record: FamilyRecord) -> LinkData:
+def build_counterpart(record: FamilyRecord, form: StandardForm | None = None) -> LinkData:
     """The hypersurface counterpart of a codimension-2 member, with the
-    midpoint hypersurface degree."""
-    form = to_standard_form(record)
+    midpoint hypersurface degree.  `form` is the record's `to_standard_form`,
+    solved here when not given."""
+    if form is None:
+        form = to_standard_form(record)
     a0, a1, a2, a3, a4, a5 = form.role_weights
     d1, d2 = form.degrees
     b = form.b
@@ -159,7 +161,7 @@ def counterpart_inverse(gprime: FamilyRecord) -> tuple[WeightSystem, tuple[int, 
     return WeightSystem(weights), (d1, d2)
 
 
-def involution_inventory(pair: FamilyPair,
+def involution_inventory(member: Member,
                          basket: list[QuotientSingularity]) -> list[InvolutionTag]:
     """One tag per basket point plus the link entry at the distinguished point,
     with both branches of every conditional center.
@@ -167,7 +169,7 @@ def involution_inventory(pair: FamilyPair,
     Quadratic-involution entries are re-checked structurally: the defining
     polynomial must contain x_v^2 x_j at the point's vertex.
     """
-    record = pair.gprime
+    record = member.gprime
     rules = POINT_RULES[record.id]
     declared = set(rules) - {"p4"}
     found = {q.locus for q in basket}
@@ -179,7 +181,7 @@ def involution_inventory(pair: FamilyPair,
     for q in basket:
         for branch in rules[q.locus]:
             tag = branch.tag if branch.method == "untwist" else "none"
-            if tag == "QI" and not _qi_check(record, q):
+            if tag == "QI" and not _qi_check(member, q):
                 raise ValueError(f"family {record.id} {q.locus}: quadratic involution "
                                  f"claimed but no x^2 y monomial exists")
             out.append(InvolutionTag(point=q.locus, tag=tag, condition=branch.condition))
@@ -187,11 +189,11 @@ def involution_inventory(pair: FamilyPair,
     return out
 
 
-def _qi_check(record: FamilyRecord, q: QuotientSingularity) -> bool:
+def _qi_check(member: Member, q: QuotientSingularity) -> bool:
     locus = q.locus
     if locus.count("p") == 1:
         vertex = int(locus[1:])
     else:
         i, j = int(locus[1]), int(locus[3])
-        vertex = i if record.weights[i] == q.r else j
-    return qi_eligible(record, vertex)
+        vertex = i if member.gprime.weights[i] == q.r else j
+    return qi_eligible(member, vertex)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import blowup, exclusion, links, singularities
-from .catalog import Catalog, FamilyPair
+from .catalog import Catalog, FamilyPair, Member
 from .exclusion import Center, Certificate, Verdict
 from .wps import rat_str, wps_str
 
@@ -98,7 +98,7 @@ class Report:
     family_id: int
     pair: FamilyPair
     a_cube: Fraction
-    basket: list
+    basket: tuple[singularities.QuotientSingularity, ...]
     cax: singularities.CAxPoint
     link_data: links.LinkData
     extractions: singularities.ExtractionDescriptor
@@ -110,20 +110,16 @@ class Report:
         return "all-centers-resolved" if not self.uncovered else f"uncovered-cases({', '.join(self.uncovered)})"
 
 
-def _point_centers(pair: FamilyPair):
-    quotients, cax = singularities.singular_locus(pair.gprime)
-    out = [(Center.quotient_point(q), q.locus) for q in quotients]
-    out.append((Center.cax_point(cax), "p4"))
-    return quotients, cax, out
+def _point_centers(member: Member) -> list[tuple[Center, str]]:
+    out = [(Center.quotient_point(q), q.locus) for q in member.quotients]
+    out.append((Center.cax_point(member.cax), "p4"))
+    return out
 
 
 def build_report(catalog: Catalog, family_id: int) -> Report:
-    pair = catalog.pair(family_id)
-    record = pair.gprime
-    a_cube = record.a_cube()
-    quotients, cax, point_centers = _point_centers(pair)
-    link_data = links.build_counterpart(pair.g)
-    extractions = singularities.extractions_at_cax(cax, link_data)
+    member = catalog.member(family_id)
+    a_cube = member.gprime.a_cube()
+    extractions = singularities.extractions_at_cax(member.cax, member.link_data)
 
     centers: list[CenterReport] = []
     uncovered: list[str] = []
@@ -133,7 +129,9 @@ def build_report(catalog: Catalog, family_id: int) -> Report:
         for condition in branches:
             flags = frozenset({condition}) if condition else frozenset()
             try:
-                cert, verdict = exclusion.dispatch(family_id, center, flags, catalog=catalog)
+                earlier = tuple(br.certificate for br in results)
+                cert, verdict = exclusion.dispatch(family_id, center, flags, catalog=catalog,
+                                                   earlier=earlier)
                 results.append(BranchResult(condition=condition, tag=tags.get(condition, ""),
                                             certificate=cert, verdict=verdict))
                 if not verdict.resolved:
@@ -144,16 +142,14 @@ def build_report(catalog: Catalog, family_id: int) -> Report:
 
     run(Center.curve(exclusion.minimal_curve_degree(family_id)), [""], {})
     if family_id in exclusion.SPECIAL_CURVE_DEG:
-        deg = exclusion.SPECIAL_CURVE_DEG[family_id]
-        gamma = exclusion.CURVE_GAMMA_SQ.get(family_id)
-        run(Center.curve(deg, gamma), [""], {})
+        run(Center.curve(exclusion.SPECIAL_CURVE_DEG[family_id]), [""], {})
     run(Center.smooth_point(), [""], {})
-    for center, locus in point_centers:
+    for center, locus in _point_centers(member):
         rules = exclusion.POINT_RULES[family_id][locus]
         run(center, [br.condition for br in rules], {br.condition: br.tag for br in rules})
 
-    return Report(family_id=family_id, pair=pair, a_cube=a_cube, basket=quotients, cax=cax,
-                  link_data=link_data, extractions=extractions,
+    return Report(family_id=family_id, pair=member, a_cube=a_cube, basket=member.quotients,
+                  cax=member.cax, link_data=member.link_data, extractions=extractions,
                   centers=tuple(centers), uncovered=tuple(uncovered))
 
 
@@ -280,18 +276,23 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
         diff(f"A^3 computed {rat_str(a_cube)} != table {rat_str(GOLDEN.a_cube[family_id])}")
     if golden.a_cube != a_cube:
         diff(f"catalog a_cube {rat_str(golden.a_cube)} != computed {rat_str(a_cube)}")
+    g_a_cube = g.a_cube()
+    if golden.g_a_cube != g_a_cube:
+        diff(f"catalog G a_cube {rat_str(golden.g_a_cube)} != computed {rat_str(g_a_cube)}")
 
-    # link construction and round trip
-    ld = links.build_counterpart(g)
+    # link construction and round trip (the inverse reads only the Gprime
+    # record and runs before the Member is derived, so a corrupt Gprime record
+    # fails on it first)
+    back_weights, back_degrees = links.counterpart_inverse(gp)
+    member = catalog.member(family_id)
+    form, ld = member.form, member.link_data
     if ld.display_weights().weights != gp.weights.weights:
         diff(f"counterpart ambient {ld.display_weights().weights} != catalog {gp.weights.weights}")
     if ld.xprime_degree != gp.degrees[0]:
         diff(f"counterpart degree {ld.xprime_degree} != catalog {gp.degrees[0]}")
-    back_weights, back_degrees = links.counterpart_inverse(gp)
     if back_weights.weights != g.weights.weights or back_degrees != tuple(sorted(g.degrees)):
         diff(f"round trip gave {back_weights.weights} {back_degrees}, catalog has "
              f"{g.weights.weights} {g.degrees}")
-    form = links.to_standard_form(g)
     if ld.b != form.b or ld.b not in (2, 4):
         diff(f"b = {ld.b} inconsistent with standard form")
     a4, a5 = form.role_weights[4], form.role_weights[5]
@@ -301,9 +302,9 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
         diff(f"midpoint degree {ld.z_degree} fails its consistency identities")
 
     # basket
-    quotients, cax = singularities.singular_locus(gp)
+    quotients = member.quotients
     computed = sorted([(q.type_str(), q.count, q.locus) for q in quotients]
-                      + [(cax.type_str(), 1, "p4")])
+                      + [(member.cax.type_str(), 1, "p4")])
     stated = sorted((b.type, b.count, b.locus) for b in golden.basket)
     if computed != stated:
         diff(f"basket computed {computed} != catalog {stated}")
@@ -322,7 +323,7 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
 
     # involution inventory against the golden link column
     try:
-        inventory = links.involution_inventory(pair, quotients)
+        inventory = links.involution_inventory(member, quotients)
         got = sorted((t.point, t.tag, t.condition) for t in inventory)
         want = sorted((l.point, l.tag, l.condition) for l in golden.link_column)
         if got != want:
@@ -373,7 +374,7 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
 
     # restriction-curve supports
     if family_id in GOLDEN.gamma_rows:
-        support = exclusion.gamma_polynomial(gp)
+        support = exclusion.gamma_polynomial(member)
         if support.monomials != GOLDEN.gamma_rows[family_id]:
             diff(f"restriction curve support {sorted(support.monomials)} != table "
                  f"{sorted(GOLDEN.gamma_rows[family_id])}")

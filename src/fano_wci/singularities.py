@@ -55,18 +55,15 @@ class QuotientSingularity:
 
 @dataclass(frozen=True)
 class CAxPoint:
-    """The unique non-quotient point of a hypersurface member.
+    """The unique non-quotient point of a hypersurface member, at the w vertex.
 
-    `k`, the weight parameter of the extraction classification, is not
-    derivable from support data alone (it sits behind an analytic coordinate
-    change), so it is left unset; extraction weights come from the ambient
-    formula instead.
+    Extraction weights come from the ambient formula (`extractions_at_cax`),
+    not from the weight parameter of the extraction classification, which
+    support data alone cannot determine.
     """
 
     modulus: int  # 2 or 4
     square_type: bool
-    vertex: int = 4
-    k: int | None = None
 
     def type_str(self) -> str:
         return f"cAx/{self.modulus}"
@@ -166,15 +163,17 @@ def equation_shape(record: FamilyRecord) -> EquationShape:
     )
 
 
-def family_support(record: FamilyRecord) -> MonomialSupport:
+def family_support(record: FamilyRecord, shape: EquationShape | None = None) -> MonomialSupport:
     """Monomial support of a general member's defining polynomial.
 
     Double-cover shape:  w^2 x0 (x0 + f(x2,x3)) + w g + h,
     triple-cover shape:  w^3 x0^2 + w^2 x0 f + w g + h,
     with f, g, h generic of the forced degrees.  Exponent vectors are in
-    display coordinates (5 slots, w last).
+    display coordinates (5 slots, w last).  `shape` is the record's
+    `equation_shape`, derived here when not given.
     """
-    shape = equation_shape(record)
+    if shape is None:
+        shape = equation_shape(record)
     w = record.weights
     d = shape.degree
     b = shape.b
@@ -265,14 +264,17 @@ def vertex_on_member(support: MonomialSupport, w: WeightSystem, vertex: int) -> 
     return tuple(pure) not in support
 
 
-def vertex_singularities(record: FamilyRecord) -> list[QuotientSingularity | str]:
+def vertex_singularities(record: FamilyRecord,
+                         support: MonomialSupport | None = None) -> list[QuotientSingularity | str]:
     """Quotient types at the coordinate vertices of a general Gprime member.
 
     The w vertex is reported as the CAX_MARKER string, never as a quotient
     point.  Vertices of weight 1, and vertices missed by the general member,
-    contribute nothing.
+    contribute nothing.  `support` is the record's `family_support`, derived
+    here when not given.
     """
-    support = family_support(record)
+    if support is None:
+        support = family_support(record)
     w = record.weights
     out: list[QuotientSingularity | str] = []
     for i in range(4):
@@ -309,16 +311,19 @@ def edge_root_count(support: MonomialSupport, w: WeightSystem, i: int, j: int) -
     return interior // (p * q)
 
 
-def edge_singularities(record: FamilyRecord, edge: tuple[int, int]) -> QuotientSingularity | None:
+def edge_singularities(record: FamilyRecord, edge: tuple[int, int],
+                       support: MonomialSupport | None = None) -> QuotientSingularity | None:
     """Quotient points on one coordinate edge of a general Gprime member, with
     their multiplicity; None when the general member meets the edge only at
-    vertices."""
+    vertices.  `support` is the record's `family_support`, derived here when
+    not given."""
     i, j = sorted(edge)
     w = record.weights
     r = math.gcd(w[i], w[j])
     if r < 2:
         raise ValueError(f"edge p{i}p{j} has trivial stabilizer (gcd {r})")
-    support = family_support(record)
+    if support is None:
+        support = family_support(record)
     count = edge_root_count(support, w, i, j)
     if count == 0:
         return None
@@ -326,11 +331,16 @@ def edge_singularities(record: FamilyRecord, edge: tuple[int, int]) -> QuotientS
     return normalize_quotient(r, transverse, locus=f"p{i}p{j}", count=count)
 
 
-def singular_locus(record: FamilyRecord) -> tuple[list[QuotientSingularity], CAxPoint]:
+def singular_locus(record: FamilyRecord,
+                   support: MonomialSupport | None = None) -> tuple[list[QuotientSingularity], CAxPoint]:
     """The full basket of a general member: vertex points, edge points, and
-    the distinguished cAx point (square type, coefficients being generic)."""
+    the distinguished cAx point (square type, coefficients being generic).
+    `support` is the record's `family_support`, derived here once when not
+    given."""
+    if support is None:
+        support = family_support(record)
     quotients: list[QuotientSingularity] = []
-    for entry in vertex_singularities(record):
+    for entry in vertex_singularities(record, support):
         if entry != CAX_MARKER:
             quotients.append(entry)
     w = record.weights
@@ -338,7 +348,7 @@ def singular_locus(record: FamilyRecord) -> tuple[list[QuotientSingularity], CAx
         for j in range(i + 1, 5):
             if math.gcd(w[i], w[j]) < 2:
                 continue
-            found = edge_singularities(record, (i, j))
+            found = edge_singularities(record, (i, j), support)
             if found is not None:
                 quotients.append(found)
     quotients.sort(key=lambda q: (q.locus, q.r))

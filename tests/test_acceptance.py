@@ -139,7 +139,7 @@ def test_09_tower_numerics(catalog):
 def test_10_table_supports(catalog):
     assert len(GOLDEN.gamma_rows) == 9
     for fid, rows in GOLDEN.gamma_rows.items():
-        support = exclusion.gamma_polynomial(catalog.gprime(fid))
+        support = exclusion.gamma_polynomial(catalog.member(fid))
         assert support.monomials == rows, f"family {fid}"
     ok(10, "all 9 restriction-curve supports reproduced")
 

@@ -116,6 +116,20 @@ def test_vanishing_order_single_monomial():
     assert vanishing_order(support, weights) == Fraction(1, 3)
 
 
+def test_vanishing_order_matches_fraction_sums(catalog):
+    # the integer evaluation equals the minimum of the exact rational sums
+    rng = random.Random(5)
+    for fid in catalog.ids():
+        support = family_support(catalog.gprime(fid))
+        for _ in range(5):
+            weights = tuple(Fraction(rng.randrange(0, 12), rng.randrange(1, 7)) for _ in range(5))
+            want = min(sum((e * a for e, a in zip(m, weights)), Fraction(0)) for m in support.monomials)
+            assert vanishing_order(support, weights) == want
+            rest = [m for m in support.monomials if m[4] == 0]
+            want = min(sum((e * a for e, a in zip(m, weights)), Fraction(0)) for m in rest)
+            assert vanishing_order(support, weights, eliminated=4) == want
+
+
 def test_vanishing_order_empty_residual():
     support = MonomialSupport(degree=4, monomials=frozenset({(0, 0, 0, 0, 1)}))
     with pytest.raises(ValueError):

@@ -79,3 +79,18 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_verify_tables_flags_wrong_g_a_cube(capsys, tmp_path):
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    for obj in raw:
+        if obj["id"] == 29 and obj["kind"] == "G":
+            obj["a_cube"] = "7/3"
+    path = tmp_path / "g29.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
+    assert code == 1
+    assert "family 29: catalog G a_cube 7/3 != computed 1/3" in out.splitlines()
+    code, _, err = run(capsys, "--catalog", str(path), "basket", "--family", "29")
+    assert code == 2 and "a_cube mismatch" in err

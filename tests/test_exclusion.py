@@ -51,30 +51,30 @@ def test_isolation_examples(catalog):
 
 
 def test_surface_pair_examples(catalog):
-    gamma29 = gamma_polynomial(catalog.gprime(29))
+    gamma29 = gamma_polynomial(catalog.member(29))
     v = surface_pair_test(1, F(0), gamma29, True)
     assert v.excluded and v.witness == 0
-    gamma50 = gamma_polynomial(catalog.gprime(50))
+    gamma50 = gamma_polynomial(catalog.member(50))
     v = surface_pair_test(2, F(-1, 20), gamma50, True)
     assert v.excluded and v.witness == F(-1, 5)
     assert not surface_pair_test(1, F(1, 6), gamma29, True).excluded
 
 
 def test_surface_pair_flag_false_demands_fallback(catalog):
-    gamma = gamma_polynomial(catalog.gprime(50))
+    gamma = gamma_polynomial(catalog.member(50))
     with pytest.raises(UncoveredCaseError, match="family-specific"):
         surface_pair_test(2, F(-1, 20), gamma, False)
 
 
 def test_gamma_polynomial_examples(catalog):
-    assert gamma_polynomial(catalog.gprime(77)).monomials == {(2, 0, 3), (3, 0, 0), (0, 2, 0)}
-    assert gamma_polynomial(catalog.gprime(82)).monomials == {(2, 0, 3), (0, 2, 0)}
-    assert gamma_polynomial(catalog.gprime(42)).monomials == {(2, 0, 2), (0, 2, 1), (3, 0, 0)}
+    assert gamma_polynomial(catalog.member(77)).monomials == {(2, 0, 3), (3, 0, 0), (0, 2, 0)}
+    assert gamma_polynomial(catalog.member(82)).monomials == {(2, 0, 3), (0, 2, 0)}
+    assert gamma_polynomial(catalog.member(42)).monomials == {(2, 0, 2), (0, 2, 1), (3, 0, 0)}
 
 
 def test_gamma_polynomial_missing_row(catalog):
     with pytest.raises(LookupError):
-        gamma_polynomial(catalog.gprime(19))
+        gamma_polynomial(catalog.member(19))
 
 
 def test_negdef2_examples():
@@ -125,10 +125,10 @@ def test_infinite_curves_examples():
 
 
 def test_qi_eligibility(catalog):
-    assert qi_eligible(catalog.gprime(19), 3)
-    assert qi_eligible(catalog.gprime(30), 2)  # y^2 z in the generic member
-    assert qi_eligible(catalog.gprime(50), 3)
-    assert not qi_eligible(catalog.gprime(29), 3)  # z^2 x_j would need degree 0
+    assert qi_eligible(catalog.member(19), 3)
+    assert qi_eligible(catalog.member(30), 2)  # y^2 z in the generic member
+    assert qi_eligible(catalog.member(50), 3)
+    assert not qi_eligible(catalog.member(29), 3)  # z^2 x_j would need degree 0
 
 
 def test_dispatch_example_23(catalog):

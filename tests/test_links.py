@@ -89,13 +89,13 @@ def test_round_trip_is_identity(catalog):
 
 
 def test_involution_inventory_examples(catalog):
-    pair = catalog.pair(30)
+    pair = catalog.member(30)
     quotients, _ = singular_locus(pair.gprime)
     tags = involution_inventory(pair, quotients)
     p2 = {(t.condition, t.tag) for t in tags if t.point == "p2"}
     assert p2 == {("monomial-present(y^2 z)", "QI"), ("monomial-absent(y^2 z)", "none")}
 
-    pair = catalog.pair(19)
+    pair = catalog.member(19)
     quotients, _ = singular_locus(pair.gprime)
     tags = involution_inventory(pair, quotients)
     half = {(t.condition, t.tag) for t in tags if t.point == "p2p4"}
@@ -105,7 +105,7 @@ def test_involution_inventory_examples(catalog):
 
 def test_inventory_matches_golden(catalog):
     for fid in catalog.ids():
-        pair = catalog.pair(fid)
+        pair = catalog.member(fid)
         quotients, _ = singular_locus(pair.gprime)
         got = sorted((t.point, t.tag, t.condition) for t in involution_inventory(pair, quotients))
         want = sorted((l.point, l.tag, l.condition) for l in pair.golden.link_column)
@@ -113,7 +113,7 @@ def test_inventory_matches_golden(catalog):
 
 
 def test_inventory_rejects_mismatched_basket(catalog):
-    pair = catalog.pair(50)
+    pair = catalog.member(50)
     quotients, _ = singular_locus(catalog.gprime(29))
     with pytest.raises(ValueError, match="do not match"):
         involution_inventory(pair, quotients)

@@ -1,0 +1,58 @@
+"""Output snapshot: sha256 of (exit code, stdout) for every CLI command and
+family, checked in as `output_digests.json`.
+
+The digests were recorded before the per-load `Member` refactor, so a change
+that alters any byte of output fails here by name.  To re-record after an
+intended output change:
+
+    PYTHONPATH=src python tests/test_snapshot.py > tests/output_digests.json
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from fano_wci.catalog import ENV_CATALOG, FAMILY_IDS
+from fano_wci.cli import main
+
+DIGESTS = Path(__file__).with_name("output_digests.json")
+
+
+def argvs() -> list[list[str]]:
+    out = [["verify-tables"]]
+    for fid in FAMILY_IDS:
+        family = ["--family", str(fid)]
+        out += [["analyze", *family, "--format", "md"], ["analyze", *family, "--format", "json"],
+                ["links", *family], ["basket", *family]]
+    return out
+
+
+def digest(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return hashlib.sha256(f"{code}\n{buf.getvalue()}".encode()).hexdigest()
+
+
+def record() -> dict[str, str]:
+    return {" ".join(argv): digest(argv) for argv in argvs()}
+
+
+def test_output_matches_recorded_digests(monkeypatch):
+    monkeypatch.delenv(ENV_CATALOG, raising=False)
+    expected = json.loads(DIGESTS.read_text())
+    assert len(expected) == 57
+    got = record()
+    assert got.keys() == expected.keys()
+    changed = [argv for argv in expected if got[argv] != expected[argv]]
+    assert not changed, f"output changed for: {changed}"
+
+
+if __name__ == "__main__":
+    os.environ.pop(ENV_CATALOG, None)
+    json.dump(record(), sys.stdout, indent=1)
+    print()
