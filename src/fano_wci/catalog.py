@@ -12,7 +12,6 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import TYPE_CHECKING
 
 from .wps import MonomialSupport, WeightSystem, anticanonical_cube, rat, rat_str
@@ -163,10 +162,44 @@ def default_catalog_path() -> str:
     override = os.environ.get(ENV_CATALOG)
     if override:
         return override
-    return str(resources.files("fano_wci").joinpath("data/catalog.json"))
+    return os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+
+
+# the JSON type of each key of a basket or links entry
+BASKET_KEYS = {"type": str, "count": int, "locus": str}
+LINK_KEYS = {"point": str, "tag": str, "condition": str}
+
+
+def _weights_and_degrees(obj: dict, where: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The record's weights and degrees, checked to be lists of positive
+    integers (type() is exact: a JSON true is a bool, not an int)."""
+    weights, degrees = obj["weights"], obj["degrees"]
+    if type(weights) is list and type(degrees) is list:
+        both = weights + degrees
+        if {*map(type, both)} == {int} and min(both) >= 1:
+            return tuple(weights), tuple(degrees)
+    raise CatalogError(f"{where}: 'weights' and 'degrees' must be lists of positive integers, "
+                       f"got {weights!r} and {degrees!r}")
+
+
+def _entries(obj: dict, field: str, keys: dict[str, type], where: str) -> list[dict]:
+    """The objects of a basket or links array, each checked to hold every key
+    of `keys` with a value of that key's type."""
+    value = obj[field]
+    kinds = list(keys.values())
+    try:
+        ok = type(value) is list and [type(entry[key]) for entry in value for key in keys] == kinds * len(value)
+    except (KeyError, TypeError):  # an entry without a key, or not an object
+        ok = False
+    if not ok:
+        schema = ", ".join(f"{key} ({kind.__name__})" for key, kind in keys.items())
+        raise CatalogError(f"{where}: '{field}' must be a list of objects with {schema}, got {value!r}")
+    return value
 
 
 def _parse_record(obj: dict, where: str) -> FamilyRecord:
+    if type(obj) is not dict:
+        raise CatalogError(f"{where}: must be a JSON object")
     for field in ("id", "kind", "weights", "degrees", "subfamily", "a_cube", "basket", "links"):
         if field not in obj:
             raise CatalogError(f"{where}: missing field '{field}'")
@@ -174,20 +207,22 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
     kind = obj["kind"]
     if kind not in ("G", "Gprime"):
         raise CatalogError(f"{where}: kind must be 'G' or 'Gprime', got {kind!r}")
-    if fid not in FAMILY_IDS:
+    if type(fid) is not int or fid not in FAMILY_IDS:
         raise CatalogError(f"{where}: id {fid} is not one of the 14 catalog families")
     subfamily = obj["subfamily"]
-    if subfamily not in SUBFAMILIES:
+    if type(subfamily) is not str or subfamily not in SUBFAMILIES:
         raise CatalogError(f"{where}: unknown subfamily {subfamily!r}")
     if fid not in SUBFAMILIES[subfamily]:
         raise CatalogError(f"{where}: id {fid} is not in subfamily {subfamily}")
-    weights = WeightSystem(tuple(obj["weights"]))
-    degrees = tuple(obj["degrees"])
+    if type(obj["a_cube"]) is not str:
+        raise CatalogError(f"{where}: 'a_cube' must be a string \"p/q\", got {obj['a_cube']!r}")
+    weights, degrees = _weights_and_degrees(obj, where)
     if kind == "G" and (len(weights) != 6 or len(degrees) != 2):
         raise CatalogError(f"{where}: G records need 6 weights and 2 degrees")
     if kind == "Gprime" and (len(weights) != 5 or len(degrees) != 1):
         raise CatalogError(f"{where}: Gprime records need 5 weights and 1 degree")
-    return FamilyRecord(id=fid, kind=kind, weights=weights, degrees=degrees, subfamily=subfamily)
+    return FamilyRecord(id=fid, kind=kind, weights=WeightSystem(weights), degrees=degrees,
+                        subfamily=subfamily)
 
 
 def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
@@ -233,11 +268,11 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
         if rec.kind == "Gprime":
             basket = tuple(
                 BasketEntry(type=b["type"], count=b["count"], locus=b["locus"])
-                for b in obj["basket"]
+                for b in _entries(obj, "basket", BASKET_KEYS, where)
             )
             links = tuple(
                 LinkEntry(point=l["point"], tag=l["tag"], condition=l["condition"])
-                for l in obj["links"]
+                for l in _entries(obj, "links", LINK_KEYS, where)
             )
             for entry in basket:
                 if entry.count < 1:

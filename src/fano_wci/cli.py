@@ -89,26 +89,27 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full per-family report")
     p.add_argument("--family", type=int, required=True)
     p.add_argument("--format", choices=("md", "json"), default="md")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("verify-tables", help="recompute everything and diff against golden data")
-    p.set_defaults(func=cmd_verify_tables)
+    sub.add_parser("verify-tables", help="recompute everything and diff against golden data")
 
     p = sub.add_parser("links", help="standard form and counterpart of one family")
     p.add_argument("--family", type=int, required=True)
-    p.set_defaults(func=cmd_links)
 
     p = sub.add_parser("basket", help="singular locus of the hypersurface member")
     p.add_argument("--family", type=int, required=True)
-    p.set_defaults(func=cmd_basket)
     return parser
 
 
+PARSER = make_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
+    # looked up at call time, so a rebound cmd_* (a wrapper) is what runs
+    commands = {"analyze": cmd_analyze, "verify-tables": cmd_verify_tables,
+                "links": cmd_links, "basket": cmd_basket}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (CatalogError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

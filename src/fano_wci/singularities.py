@@ -294,15 +294,19 @@ def edge_root_count(support: MonomialSupport, w: WeightSystem, i: int, j: int) -
     The restriction of the support to the edge is a binary form; the count is
     its weighted degree after stripping the vanishing orders at both ends,
     divided by the degree of the reduced edge line.
+
+    A monomial lies on the edge when its x_i, x_j part alone has the
+    support's weighted degree: the support is homogeneous and the weights are
+    positive, so that holds exactly when every other exponent is zero.
     """
-    restricted = [m for m in support.monomials
-                  if all(m[t] == 0 for t in range(len(w)) if t not in (i, j))]
+    wi, wj, d = w[i], w[j], support.degree
+    restricted = [m for m in support.monomials if m[i] * wi + m[j] * wj == d]
     if not restricted:
         raise NonIsolatedSingularityError(
             f"edge p{i}p{j} lies inside the member: non-isolated singularity")
-    r = math.gcd(w[i], w[j])
-    p, q = w[i] // r, w[j] // r
-    big_d = support.degree // r
+    r = math.gcd(wi, wj)
+    p, q = wi // r, wj // r
+    big_d = d // r
     m_i = min(m[i] for m in restricted)
     m_j = min(m[j] for m in restricted)
     interior = big_d - p * m_i - q * m_j

@@ -6,7 +6,7 @@ not flake the way a wall time would."""
 import sys
 from collections import Counter
 
-from fano_wci import exclusion, singularities, wps
+from fano_wci import cli, exclusion, singularities, wps
 from fano_wci.catalog import FAMILY_IDS, load_catalog
 from fano_wci.report import build_report, verify_tables
 
@@ -50,3 +50,10 @@ def test_negdef_matrix_reuses_the_nef_divisor():
     half = next(cr for cr in report.centers if cr.center.describe().startswith("p1p4"))
     assert [br.verdict.method for br in half.branches] == ["nef-divisor", "negdef-matrix"]
     assert calls == {"nef": 1}
+
+
+def test_cli_builds_no_parser_per_command(capsys):
+    calls, code = count_calls({"make_parser": cli.make_parser},
+                              lambda: cli.main(["basket", "--family", "29"]))
+    assert code == 0 and "No.29" in capsys.readouterr().out
+    assert calls == {}

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fano_wci import cli
 from fano_wci.catalog import default_catalog_path, load_catalog
 from fano_wci.cli import main
 
@@ -94,3 +95,48 @@ def test_verify_tables_flags_wrong_g_a_cube(capsys, tmp_path):
     assert "family 29: catalog G a_cube 7/3 != computed 1/3" in out.splitlines()
     code, _, err = run(capsys, "--catalog", str(path), "basket", "--family", "29")
     assert code == 2 and "a_cube mismatch" in err
+
+
+def _gprime_29(raw):
+    return next(obj for obj in raw if obj["id"] == 29 and obj["kind"] == "Gprime")
+
+
+MALFORMED = {
+    "weights-float": lambda e: e.update(weights=[float(x) for x in e["weights"]]),
+    "weights-null": lambda e: e.update(weights=None),
+    "a_cube-number": lambda e: e.update(a_cube=0.5),
+    "degrees-int": lambda e: e.update(degrees=e["degrees"][0]),
+    "weights-zero": lambda e: e["weights"].__setitem__(0, 0),
+    "basket-no-count": lambda e: e["basket"][0].pop("count"),
+}
+
+
+@pytest.mark.parametrize("command", [["verify-tables"], ["analyze", "--family", "29"],
+                                     ["basket", "--family", "29"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("mutation", MALFORMED)
+def test_malformed_catalog_field_is_a_load_error(capsys, tmp_path, mutation, command):
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    MALFORMED[mutation](_gprime_29(raw))
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "--catalog", str(path), *command)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: catalog entry #")
+    assert "Traceback" not in err
+
+
+def test_main_dispatches_through_the_module_bindings(capsys, monkeypatch):
+    # a wrapper rebound at cli.cmd_basket after import must be what main runs
+    seen = []
+    original = cli.cmd_basket
+
+    def recording(args):
+        seen.append(args.family)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_basket", recording)
+    code, out, _ = run(capsys, "basket", "--family", "29")
+    assert code == 0 and "3 x 1/2(1,1,1)" in out
+    assert seen == [29]

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,8 @@ from fano_wci.singularities import (CAX_MARKER, ClassificationError, NotQuasismo
                                     NonIsolatedSingularityError, QuotientSingularity,
                                     cax_classify, edge_root_count, edge_singularities,
                                     equation_shape, extractions_at_cax, family_support,
-                                    normalize_quotient, singular_locus, tangent_coordinate,
-                                    vertex_singularities)
+                                    normalize_quotient, singular_locus, support_with_point_at_vertex,
+                                    tangent_coordinate, vertex_singularities)
 from fano_wci.wps import MonomialSupport, WeightSystem
 
 
@@ -132,3 +134,40 @@ def test_edge_inside_member_error():
     bare = MonomialSupport(degree=8, monomials=frozenset({(8, 0, 0, 0, 0)}))
     with pytest.raises(NonIsolatedSingularityError):
         edge_root_count(bare, w, 2, 4)
+
+
+def _edge_root_count_reference(support, w, i, j):
+    """edge_root_count with the edge found by its definition: every exponent
+    off the coordinates i, j is zero."""
+    restricted = [m for m in support.monomials
+                  if all(m[t] == 0 for t in range(len(w)) if t not in (i, j))]
+    if not restricted:
+        raise NonIsolatedSingularityError(f"edge p{i}p{j} lies inside the member")
+    r = math.gcd(w[i], w[j])
+    p, q = w[i] // r, w[j] // r
+    interior = support.degree // r - p * min(m[i] for m in restricted) - q * min(m[j] for m in restricted)
+    if interior % (p * q):
+        raise ValueError(f"edge p{i}p{j}: residual degree {interior} not divisible by {p * q}")
+    return interior // (p * q)
+
+
+def _outcome(count, *args):
+    try:
+        return count(*args)
+    except ValueError as exc:  # NonIsolatedSingularityError included
+        return type(exc)
+
+
+def test_edge_monomials_by_weighted_degree_match_the_definition(catalog):
+    inside = 0
+    for fid in catalog.ids():
+        record = catalog.gprime(fid)
+        w = record.weights
+        support = family_support(record)
+        supports = [support] + [support_with_point_at_vertex(support, v, w[v]) for v in range(5)]
+        for s in supports:
+            for i, j in itertools.combinations(range(5), 2):
+                expected = _outcome(_edge_root_count_reference, s, w, i, j)
+                assert _outcome(edge_root_count, s, w, i, j) == expected, (fid, i, j)
+                inside += expected is NonIsolatedSingularityError
+    assert inside  # some edges lie inside the member: the error branch is compared too
