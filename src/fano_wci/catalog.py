@@ -97,11 +97,12 @@ class FamilyPair:
 @dataclass(frozen=True)
 class Member(FamilyPair):
     """A family pair with the algebra derived from it: the hypersurface
-    member's equation shape, monomial support and singular locus, and the
-    codimension-2 model's standard form and link data.  Built once per family
+    member's (-K)^3, equation shape, monomial support and singular locus, and
+    the codimension-2 model's standard form and link data.  Built once per family
     and catalog load by `Catalog.member`; every layer reads it instead of
     deriving the same data again."""
 
+    a_cube: Fraction
     shape: EquationShape
     support: MonomialSupport
     quotients: tuple[QuotientSingularity, ...]
@@ -119,8 +120,9 @@ def derive_member(pair: FamilyPair) -> Member:
     shape = singularities.equation_shape(pair.gprime)
     support = singularities.family_support(pair.gprime, shape)
     quotients, cax = singularities.singular_locus(pair.gprime, support)
-    return Member(g=pair.g, gprime=pair.gprime, golden=pair.golden, shape=shape, support=support,
-                  quotients=tuple(quotients), cax=cax, form=form, link_data=link_data)
+    return Member(g=pair.g, gprime=pair.gprime, golden=pair.golden, a_cube=pair.gprime.a_cube(),
+                  shape=shape, support=support, quotients=tuple(quotients), cax=cax, form=form,
+                  link_data=link_data)
 
 
 class Catalog:
@@ -151,10 +153,16 @@ class Catalog:
 
     def member(self, family_id: int) -> Member:
         """The family's Member, derived on first request and kept as long as
-        this catalog, i.e. for one load."""
+        this catalog, i.e. for one load.  A record that admits no derivation
+        (no standard shape, a missing weight, wrong Fano index) raises
+        CatalogError with the derivation's message."""
         member = self._members.get(family_id)
         if member is None:
-            member = self._members[family_id] = derive_member(self.pair(family_id))
+            try:
+                member = derive_member(self.pair(family_id))
+            except ValueError as exc:
+                raise CatalogError(str(exc)) from exc
+            self._members[family_id] = member
         return member
 
 
@@ -259,11 +267,16 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
             a_cube = rat(obj["a_cube"])
         except (ValueError, ZeroDivisionError) as exc:
             raise CatalogError(f"{where}: bad a_cube {obj['a_cube']!r}: {exc}") from exc
-        if strict and a_cube != rec.a_cube():
-            raise CatalogError(
-                f"{where}: a_cube mismatch for family {rec.id} ({rec.kind}): "
-                f"file says {obj['a_cube']}, weights/degrees give {rat_str(rec.a_cube())}"
-            )
+        if strict:
+            try:
+                computed = rec.a_cube()
+            except ValueError as exc:  # weights and degrees of the wrong Fano index
+                raise CatalogError(f"{where}: {exc}") from exc
+            if a_cube != computed:
+                raise CatalogError(
+                    f"{where}: a_cube mismatch for family {rec.id} ({rec.kind}): "
+                    f"file says {obj['a_cube']}, weights/degrees give {rat_str(computed)}"
+                )
         stated_a_cube[rec.kind, rec.id] = a_cube
         if rec.kind == "Gprime":
             basket = tuple(

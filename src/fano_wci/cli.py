@@ -50,14 +50,19 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_links(args) -> int:
-    # reads the G record alone: the Member would also derive the Gprime
-    # singular locus, which this command does not print and which fails on a
-    # Gprime record that disagrees with its G record
+    # solves from the G record and only compares the Gprime record with the
+    # counterpart: the Member would also derive the Gprime singular locus,
+    # which this command does not print
     catalog = _load(args)
     _require_family(catalog, args.family)
-    g = catalog.g(args.family)
+    g, gp = catalog.g(args.family), catalog.gprime(args.family)
     form = links.to_standard_form(g)
     ld = links.build_counterpart(g, form)
+    counterpart = ld.display_weights()
+    if counterpart != gp.weights or ld.xprime_degree != gp.degrees[0]:
+        raise CatalogError(f"family {args.family}: Gprime record X'_{gp.degrees[0]} in {wps_str(gp.weights)} "
+                           f"is not the counterpart X'_{ld.xprime_degree} in {wps_str(counterpart)} "
+                           f"of its G record")
     d1, d2 = g.degrees
     print(f"No.{args.family}: X_{{{d1},{d2}}} in {wps_str(g.weights)}")
     print(f"standard form (a0..a5) = {form.role_weights}, b = {ld.b}")
@@ -72,7 +77,7 @@ def cmd_basket(args) -> int:
     member = catalog.member(args.family)
     gp = member.gprime
     print(f"No.{args.family}: X'_{gp.degrees[0]} in {wps_str(gp.weights)}, "
-          f"A^3 = {rat_str(gp.a_cube())}")
+          f"A^3 = {rat_str(member.a_cube)}")
     for q in member.quotients:
         prefix = f"{q.count} x " if q.count > 1 else ""
         print(f"  {q.locus} = {prefix}{q.type_str()}")

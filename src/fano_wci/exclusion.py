@@ -412,7 +412,7 @@ def _surface_pair(member: Member, locus: str, flag: bool) -> tuple[SurfacePair, 
     q = _basket_entry(member, locus)
     cert = SurfacePair(
         a1=record.weights[1],
-        b_cube=b_cubed(record.a_cube(), q),
+        b_cube=b_cubed(member.a_cube, q),
         gamma_support=gamma_polynomial(member),
         irreducibility_flag=flag,
     )
@@ -436,7 +436,7 @@ def _nef_divisor(member: Member, locus: str) -> tuple[NefDivisor, Verdict]:
             order = local[i]
         lifts.append(SectionLift.of(w[i], order, q.r))
     c, certified = nef_bound_check(lifts, q)
-    lattice = BlowupLattice.over(record.a_cube(), [q])
+    lattice = BlowupLattice.over(member.a_cube, [q])
     b_class = lattice.anticanonical()
     m_lift = max(lifts, key=lambda l: Fraction(l.class_e, l.class_b))
     m_class = m_lift.class_b * b_class + m_lift.class_e * lattice.exceptional_class()
@@ -479,7 +479,7 @@ def _negdef_matrix(member: Member, locus: str,
 def _infinite_curves(member: Member, locus: str) -> tuple[InfiniteCurves, Verdict]:
     record = member.gprime
     q = _basket_entry(member, locus)
-    lattice = BlowupLattice.over(record.a_cube(), [q])
+    lattice = BlowupLattice.over(member.a_cube, [q])
     b = lattice.anticanonical()
     e = lattice.exceptional_class()
     fid = record.id
@@ -572,7 +572,7 @@ def dispatch(family_id: int, center: Center, condition_flags: frozenset[str] | s
     member = catalog.member(family_id)
     flags = frozenset(condition_flags)
     record = member.gprime
-    a_cube = record.a_cube()
+    a_cube = member.a_cube
 
     if center.kind == "curve":
         deg = center.degree

@@ -97,33 +97,42 @@ def monomials_of_degree(d: int, w: WeightSystem, variables: tuple[int, ...] | No
     `variables` optionally restricts which coordinates may occur (all others
     get exponent zero); this is how supports of forms in a subset of the
     coordinates are enumerated.
+
+    The coordinates are visited largest weight first (a stable sort, so equal
+    weights keep their order), and the exponent of the last coordinate, of the
+    smallest weight a, is solved in closed form: the remaining degree r gives
+    the exponent r // a when a divides r, and no monomial otherwise.  When a
+    is 1, as for the x coordinates of every catalog record, every branch of
+    the search ends in a monomial.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    n = len(w)
-    allowed = tuple(range(n)) if variables is None else tuple(variables)
-    last = len(allowed) - 1
+    weights = w.weights
+    order = sorted(range(len(weights)) if variables is None else variables,
+                   key=weights.__getitem__, reverse=True)
     found: list[Monomial] = []
-    vec = [0] * n
+    vec = [0] * len(weights)
+    if not order:
+        if d == 0:
+            found.append(tuple(vec))
+        return MonomialSupport(degree=d, monomials=frozenset(found))
+    *head, last = order
+    a_last = weights[last]
+    depth = len(head)
 
     def extend(pos: int, remaining: int) -> None:
-        i = allowed[pos]
-        a = w[i]
-        if pos == last:
-            if remaining % a == 0:
-                vec[i] = remaining // a
+        if pos == depth:
+            if remaining % a_last == 0:
+                vec[last] = remaining // a_last
                 found.append(tuple(vec))
-                vec[i] = 0
             return
+        i = head[pos]
+        a = weights[i]
         for e in range(remaining // a + 1):
             vec[i] = e
             extend(pos + 1, remaining - e * a)
-        vec[i] = 0
 
-    if allowed:
-        extend(0, d)
-    elif d == 0:
-        found.append(tuple(vec))
+    extend(0, d)
     return MonomialSupport(degree=d, monomials=frozenset(found))
 
 

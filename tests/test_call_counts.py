@@ -42,6 +42,16 @@ def test_verify_tables_derives_each_member_once():
                      "singular_locus": families}
 
 
+def test_verify_tables_derives_a_cube_three_times_per_family():
+    catalog = load_catalog(strict=False)
+    calls, diffs = count_calls({"anticanonical_cube": wps.anticanonical_cube},
+                               lambda: verify_tables(catalog))
+    assert diffs == []
+    # per family: the G and Gprime checks of verify_family and the Member's
+    # (-K)^3; plus family 19's blowup tower
+    assert calls == {"anticanonical_cube": 3 * len(FAMILY_IDS) + 1}
+
+
 def test_negdef_matrix_reuses_the_nef_divisor():
     # family 50's half point has a nef-divisor branch and a negdef-matrix
     # branch resting on the same (M . B^2)

@@ -140,3 +140,54 @@ def test_main_dispatches_through_the_module_bindings(capsys, monkeypatch):
     code, out, _ = run(capsys, "basket", "--family", "29")
     assert code == 0 and "3 x 1/2(1,1,1)" in out
     assert seen == [29]
+
+
+def _bump_weight_2_of_29(raw):
+    _gprime_29(raw)["weights"][2] += 1
+
+
+def _swap_weights_0_4_of_17(raw):
+    w = next(obj for obj in raw if obj["id"] == 17 and obj["kind"] == "Gprime")["weights"]
+    w[0], w[4] = w[4], w[0]
+
+
+# (mutation, family, the line verify-tables prints for it)
+UNDERIVABLE = {
+    "wrong-index": (_bump_weight_2_of_29, 29,
+                    "family 29: record No.29/Gprime: not anticanonically embedded of index 1 "
+                    "(sum weights - sum degrees = 2)"),
+    "no-standard-shape": (_swap_weights_0_4_of_17, 17,
+                          "family 17: No.17: degree 8 and b=1 admit no standard shape"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "basket", "links"])
+@pytest.mark.parametrize("mutation", UNDERIVABLE)
+def test_underivable_gprime_record_is_a_load_error(capsys, tmp_path, mutation, command):
+    mutate, family, diff_line = UNDERIVABLE[mutation]
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    mutate(raw)
+    path = tmp_path / "underivable.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "--catalog", str(path), command, "--family", str(family))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
+    assert code == 1
+    assert out.splitlines() == [diff_line, "verify-tables: 1 mismatch(es)"]
+
+
+def test_verify_tables_reports_a_g19_record_of_wrong_index(capsys, tmp_path):
+    # family 19's G record also feeds the blowup-tower check
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    next(obj for obj in raw if obj["id"] == 19 and obj["kind"] == "G")["degrees"][0] += 1
+    path = tmp_path / "g19.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
+    assert code == 1
+    assert "family 19: blowup tower: record No.19/G: not anticanonically embedded of index 1 " \
+           "(sum weights - sum degrees = 0)" in out.splitlines()

@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fano_wci.wps import (MonomialSupport, WeightSystem, anticanonical_cube, max_pair_lcm,
                           monomials_of_degree, rat, rat_str, weighted_degree)
@@ -93,6 +96,28 @@ def test_monomials_vs_brute_force_all_catalog_systems(catalog):
 def test_monomials_restricted_variables():
     only = monomials_of_degree(4, W5, variables=(2, 4))
     assert only.monomials == {(0, 0, 2, 0, 0), (0, 0, 1, 0, 1), (0, 0, 0, 0, 2)}
+
+
+@st.composite
+def systems_degrees_variables(draw):
+    """Unsorted, repeated weights; a degree; None or an out-of-order subset
+    (possibly empty) of the coordinates."""
+    weights = draw(st.lists(st.integers(1, 9), min_size=2, max_size=6))
+    d = draw(st.integers(0, 30))
+    variables = draw(st.none() | st.permutations(range(len(weights))).flatmap(
+        lambda order: st.integers(0, len(order)).map(lambda k: tuple(order[:k]))))
+    return WeightSystem(tuple(weights)), d, variables
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems_degrees_variables())
+def test_monomials_vs_brute_force_random_systems(case):
+    w, d, variables = case
+    allowed = range(len(w)) if variables is None else variables
+    boxes = [range(d // a + 1) if i in allowed else range(1) for i, a in enumerate(w)]
+    assume(math.prod(map(len, boxes)) <= 2000)  # keeps the brute force small
+    brute = {exps for exps in itertools.product(*boxes) if weighted_degree(exps, w) == d}
+    assert monomials_of_degree(d, w, variables).monomials == brute
 
 
 def test_sorted_is_deterministic():
