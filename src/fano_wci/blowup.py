@@ -10,11 +10,10 @@ the caller's responsibility and enter as explicit coefficient vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .singularities import QuotientSingularity
-from .wps import MonomialSupport
+from .wps import MonomialSupport, record
 
 
 def kawamata_numbers(q: QuotientSingularity) -> tuple[Fraction, Fraction]:
@@ -22,14 +21,14 @@ def kawamata_numbers(q: QuotientSingularity) -> tuple[Fraction, Fraction]:
     return Fraction(1, q.r), Fraction(q.r * q.r, q.a * (q.r - q.a))
 
 
-@dataclass(frozen=True)
+@record
 class Exceptional:
     label: str
     e_cube: Fraction
     discrepancy: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class BlowupLattice:
     a_cube: Fraction
     exceptionals: tuple[Exceptional, ...] = ()
@@ -60,7 +59,7 @@ class BlowupLattice:
         return DivisorClass(tuple(coeffs))
 
 
-@dataclass(frozen=True)
+@record
 class DivisorClass:
     coefficients: tuple[Fraction, ...]
 
@@ -135,7 +134,7 @@ def vanishing_order(support: MonomialSupport,
     return Fraction(min(sum(e * a for e, a in zip(m, scaled, strict=True)) for m in monos), denominator)
 
 
-@dataclass(frozen=True)
+@record
 class SectionLift:
     """A section of degree d lifting to the class d*B + (d/r - order)*E."""
 

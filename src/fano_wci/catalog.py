@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .wps import MonomialSupport, WeightSystem, anticanonical_cube, rat, rat_str
+from .wps import MonomialSupport, WeightSystem, anticanonical_cube, rat, rat_str, record
 
 if TYPE_CHECKING:
     from .links import LinkData, StandardForm
@@ -52,21 +51,21 @@ def cax_modulus(subfamily: str) -> int:
     return 2 if subfamily in ("I'2", "I''2") else 4
 
 
-@dataclass(frozen=True)
+@record
 class BasketEntry:
     type: str  # "1/r(w1,w2,w3)" or "cAx/2" or "cAx/4"
     count: int
     locus: str  # vertex "p4" or edge "p2p4"
 
 
-@dataclass(frozen=True)
+@record
 class LinkEntry:
     point: str
     tag: str  # "none" | "QI" | "EI" | "II" | "link"
     condition: str  # machine-readable flag, "" when unconditional
 
 
-@dataclass(frozen=True)
+@record
 class FamilyRecord:
     id: int
     kind: str  # "G" | "Gprime"
@@ -78,7 +77,7 @@ class FamilyRecord:
         return anticanonical_cube(self.weights, self.degrees, label=f"No.{self.id}/{self.kind}")
 
 
-@dataclass(frozen=True)
+@record
 class GoldenRow:
     id: int
     a_cube: Fraction  # stated for the Gprime record
@@ -87,14 +86,14 @@ class GoldenRow:
     link_column: tuple[LinkEntry, ...]
 
 
-@dataclass(frozen=True)
+@record
 class FamilyPair:
     g: FamilyRecord
     gprime: FamilyRecord
     golden: GoldenRow
 
 
-@dataclass(frozen=True)
+@record
 class Member(FamilyPair):
     """A family pair with the algebra derived from it: the hypersurface
     member's (-K)^3, equation shape, monomial support and singular locus, and
@@ -236,10 +235,11 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
 def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     """Load and validate the catalog; any failure aborts the whole load.
 
-    With strict=True (the default for programmatic use) the stated a_cube of
-    every record must match its weights and degrees exactly.  verify-tables
-    loads non-strictly so that an injected golden fault surfaces as a
-    verification diff rather than a load error.
+    With strict=True (the default for programmatic use) the weights of every
+    record must be in the documented order (ascending for G, ascending
+    x-weights for Gprime) and its stated a_cube must match its weights and
+    degrees exactly.  verify-tables loads non-strictly so that an injected
+    golden fault surfaces as a verification diff rather than a load error.
     """
     path = path or default_catalog_path()
     try:
@@ -268,6 +268,11 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
         except (ValueError, ZeroDivisionError) as exc:
             raise CatalogError(f"{where}: bad a_cube {obj['a_cube']!r}: {exc}") from exc
         if strict:
+            ordered = rec.weights.weights if rec.kind == "G" else rec.weights.weights[:4]
+            if list(ordered) != sorted(ordered):
+                order = "ascending" if rec.kind == "G" else "ascending x-weights, then the distinguished weight"
+                raise CatalogError(f"{where}: 'weights' of family {rec.id} ({rec.kind}) must be {order}, "
+                                   f"got {list(rec.weights)}")
             try:
                 computed = rec.a_cube()
             except ValueError as exc:  # weights and degrees of the wrong Fano index

@@ -11,14 +11,13 @@ condition marks of the catalog's link column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .blowup import (BlowupLattice, DivisorClass, SectionLift, ambient_quadruple, b_cubed,
                      nef_bound_check, triple, vanishing_order)
 from .catalog import Catalog, Member, cax_modulus, load_catalog, subfamily_of
 from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex
-from .wps import MonomialSupport, max_pair_lcm, rat_str
+from .wps import MonomialSupport, max_pair_lcm, rat_str, record
 
 
 class UncoveredCaseError(ValueError):
@@ -29,7 +28,7 @@ class UncoveredCaseError(ValueError):
 # Centers, certificates, verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Center:
     kind: str  # "curve" | "smooth-point" | "quotient-point" | "cax-point"
     degree: Fraction | None = None
@@ -64,7 +63,7 @@ class Center:
         return f"p4 = {self.cax.type_str()}"
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     excluded: bool
     method: str
@@ -75,7 +74,7 @@ class Verdict:
         return self.excluded or self.method == "untwist"
 
 
-@dataclass(frozen=True)
+@record
 class CurveDegree:
     method = "curve-degree"
     deg: Fraction
@@ -85,7 +84,7 @@ class CurveDegree:
         return {"paper_method": self.method, "deg": rat_str(self.deg), "a_cube": rat_str(self.a_cube)}
 
 
-@dataclass(frozen=True)
+@record
 class CurveGamma:
     method = "curve-gamma"
     a_cube: Fraction
@@ -97,7 +96,7 @@ class CurveGamma:
                 "deg": rat_str(self.deg), "gamma_sq": rat_str(self.gamma_sq)}
 
 
-@dataclass(frozen=True)
+@record
 class CurveCycle:
     """A residual 1-cycle on the cutting surface meeting the curve at least as
     positively as the polarization does: (Gamma . Delta) >= (A . Delta) > 0."""
@@ -110,7 +109,7 @@ class CurveCycle:
                 "a_dot_delta": rat_str(self.a_dot_delta)}
 
 
-@dataclass(frozen=True)
+@record
 class Isolation:
     method = "isolation"
     bound: int
@@ -122,7 +121,7 @@ class Isolation:
                 "dropped_vertex": self.dropped_vertex}
 
 
-@dataclass(frozen=True)
+@record
 class SurfacePair:
     method = "surface-pair"
     a1: int
@@ -136,7 +135,7 @@ class SurfacePair:
                 "irreducibility_flag": self.irreducibility_flag}
 
 
-@dataclass(frozen=True)
+@record
 class NefDivisor:
     method = "nef-divisor"
     lifts: tuple[SectionLift, ...]
@@ -152,7 +151,7 @@ class NefDivisor:
                 "c": rat_str(self.c), "certified": self.certified}
 
 
-@dataclass(frozen=True)
+@record
 class NegDefMatrix:
     """Intersection matrix [[alpha - m, m], [m, beta - m]] of a curve pair,
     negative-definite for every rational m >= parameter_floor."""
@@ -171,7 +170,7 @@ class NegDefMatrix:
                 "alpha": rat_str(self.alpha), "beta": rat_str(self.beta)}
 
 
-@dataclass(frozen=True)
+@record
 class InfiniteCurves:
     method = "infinite-curves"
     b_dot_c: Fraction
@@ -182,7 +181,7 @@ class InfiniteCurves:
                 "e_dot_c": rat_str(self.e_dot_c)}
 
 
-@dataclass(frozen=True)
+@record
 class Untwist:
     method = "untwist"
     tag: str  # "QI" | "EI" | "II" | "link"
@@ -317,7 +316,7 @@ def qi_eligible(member: Member, vertex: int) -> bool:
 # Per-family dispatch data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RuleBranch:
     condition: str  # "" = unconditional
     method: str

@@ -16,12 +16,11 @@ distinguished coordinate w.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .catalog import FamilyRecord, Member, is_double_cover_shape
 from .exclusion import POINT_RULES, qi_eligible
 from .singularities import QuotientSingularity
-from .wps import WeightSystem
+from .wps import WeightSystem, record
 
 
 class StandardFormError(ValueError):
@@ -29,7 +28,7 @@ class StandardFormError(ValueError):
     weights: the record is corrupt."""
 
 
-@dataclass(frozen=True)
+@record
 class StandardForm:
     role_weights: tuple[int, int, int, int, int, int]  # (a0, a1, a2, a3, a4, a5)
     role_map: tuple[int, int, int, int, int, int]  # input position of each role
@@ -48,7 +47,7 @@ class StandardForm:
         return self.role_weights[4] - self.role_weights[0]
 
 
-@dataclass(frozen=True)
+@record
 class LinkData:
     b: int
     xprime_weights: WeightSystem  # role order (a0, a1, a2, a3, b)
@@ -61,7 +60,7 @@ class LinkData:
         return WeightSystem(tuple(sorted(self.xprime_weights.weights[:4])) + (self.b,))
 
 
-@dataclass(frozen=True)
+@record
 class InvolutionTag:
     point: str
     tag: str  # "none" | "QI" | "EI" | "II" | "link"

@@ -9,18 +9,17 @@ whole catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import blowup, exclusion, links, singularities
 from .catalog import Catalog, FamilyPair, Member
 from .exclusion import Center, Certificate, Verdict
-from .wps import rat_str, wps_str
+from .wps import rat_str, record, wps_str
 
 F = Fraction
 
 
-@dataclass(frozen=True)
+@record
 class GoldenNumbers:
     """Golden-table values, keyed by family (and locus)."""
 
@@ -79,7 +78,7 @@ GOLDEN = GoldenNumbers(
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class BranchResult:
     condition: str
     tag: str  # golden third-column tag, "" for curve/smooth rows
@@ -87,13 +86,13 @@ class BranchResult:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
+@record
 class CenterReport:
     center: Center
     branches: tuple[BranchResult, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     family_id: int
     pair: FamilyPair

@@ -12,11 +12,10 @@ on coordinate edges uses lowest/highest exponents only, never coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import FamilyRecord, cax_modulus, is_double_cover_shape
-from .wps import Monomial, MonomialSupport, WeightSystem, monomials_of_degree
+from .wps import Monomial, MonomialSupport, WeightSystem, monomials_of_degree, record
 
 
 class ClassificationError(ValueError):
@@ -31,7 +30,7 @@ class NonIsolatedSingularityError(ValueError):
     """A coordinate edge with non-trivial stabilizer lies inside the member."""
 
 
-@dataclass(frozen=True)
+@record
 class QuotientSingularity:
     """Terminal cyclic quotient point of type 1/r(1, a, r-a), gcd(a, r) = 1."""
 
@@ -53,7 +52,7 @@ class QuotientSingularity:
         return Fraction(1, self.r)
 
 
-@dataclass(frozen=True)
+@record
 class CAxPoint:
     """The unique non-quotient point of a hypersurface member, at the w vertex.
 
@@ -69,7 +68,7 @@ class CAxPoint:
         return f"cAx/{self.modulus}"
 
 
-@dataclass(frozen=True)
+@record
 class ExtractionDescriptor:
     count: int  # 2 for square type, else 1
     ambient_weights: tuple[Fraction, Fraction, Fraction, Fraction]
@@ -100,7 +99,7 @@ def normalize_quotient(r: int, raw: tuple[int, int, int], locus: str = "", count
 # Equation shape of a hypersurface family member
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class EquationShape:
     """Standard-shape data of a Gprime member, resolved against its display
     coordinates (ascending x-weights, w last).

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -34,7 +33,88 @@ def wps_str(weights) -> str:
     return "P(" + ",".join(str(a) for a in weights) + ")"
 
 
-@dataclass(frozen=True)
+def _values(self) -> tuple:
+    return tuple([getattr(self, name) for name in self.__record_fields__])
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return _values(self) == _values(other)
+    return NotImplemented
+
+
+def _record_hash(self) -> int:
+    return hash(_values(self))
+
+
+def _record_repr(self) -> str:
+    body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__record_fields__)
+    return f"{self.__class__.__qualname__}({body})"
+
+
+def _record_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+_RECORD_METHODS = {"__repr__": _record_repr, "__eq__": _record_eq, "__hash__": _record_hash,
+                   "__setattr__": _record_setattr, "__delattr__": _record_delattr}
+_NO_DEFAULT = object()
+
+
+def record(cls: type) -> type:
+    """Make `cls` an immutable record, as `dataclasses.dataclass(frozen=True)`
+    would, without importing `dataclasses` (and with it `inspect`).
+
+    The fields are the fields of a record base class, then the class's own
+    annotated names; a class attribute of a field's name is its default.
+    The generated `__init__` takes the fields by position or keyword, stores
+    them with `object.__setattr__` and then calls `__post_init__` when the
+    class has one.  Equality holds between instances of the same class with
+    equal field values; the hash is that of the tuple of field values; the
+    repr is `Name(a=1, b='x')`; setting or deleting an attribute raises
+    AttributeError.  Only `__init__` is compiled, once per class; the other
+    methods are the shared functions above, which read `__record_fields__`.
+    """
+    clash = [name for name in ("__init__", *_RECORD_METHODS) if name in vars(cls)]
+    if clash:
+        raise TypeError(f"record {cls.__qualname__} must not define {', '.join(clash)}")
+    inherited = getattr(cls, "__record_fields__", ())
+    own = cls.__annotations__
+    annotations = {**(cls.__init__.__annotations__ if inherited else {}), **own, "return": None}
+    fields = (*inherited, *(name for name in own if name not in inherited))
+    namespace = {"_set": object.__setattr__}
+    params = []
+    for name in fields:
+        default = getattr(cls, name, _NO_DEFAULT)
+        if default is not _NO_DEFAULT:
+            namespace[f"_default_{name}"] = default
+            params.append(f"{name}=_default_{name}")
+        elif params and "=" in params[-1]:
+            raise TypeError(f"record {cls.__qualname__}: field {name!r} without a default "
+                            f"follows a field with one")
+        else:
+            params.append(name)
+    body = [f"    _set(self, {name!r}, {name})" for name in fields]
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    source = f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass")
+    # a file name per class, so profiles tell the records' __init__s apart
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__annotations__ = annotations
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    cls.__record_fields__ = fields
+    for name, method in _RECORD_METHODS.items():
+        setattr(cls, name, method)
+    return cls
+
+
+@record
 class WeightSystem:
     """An ordered tuple of positive integer weights (a_0, ..., a_n)."""
 
@@ -65,7 +145,7 @@ class WeightSystem:
 Monomial = tuple[int, ...]  # exponent vector, one entry per coordinate
 
 
-@dataclass(frozen=True)
+@record
 class MonomialSupport:
     """The support of a homogeneous form: a set of exponent vectors of one
     weighted degree, with generic (unspecified) coefficients."""

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fano_wci import cli
-from fano_wci.catalog import default_catalog_path, load_catalog
+from fano_wci.catalog import FAMILY_IDS, default_catalog_path, load_catalog
 from fano_wci.cli import main
 
 
@@ -191,3 +191,29 @@ def test_verify_tables_reports_a_g19_record_of_wrong_index(capsys, tmp_path):
     assert code == 1
     assert "family 19: blowup tower: record No.19/G: not anticanonically embedded of index 1 " \
            "(sum weights - sum degrees = 0)" in out.splitlines()
+
+
+def _swap_first_unequal_g_weight(raw, family):
+    # weights[0] trades places with the first weight unequal to it
+    w = next(obj for obj in raw if obj["id"] == family and obj["kind"] == "G")["weights"]
+    j = next(j for j, a in enumerate(w) if a != w[0])
+    w[0], w[j] = w[j], w[0]
+
+
+@pytest.mark.parametrize("command", ["analyze", "basket", "links"])
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_unordered_g_weights_are_a_load_error(capsys, tmp_path, family, command):
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    _swap_first_unequal_g_weight(raw, family)
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "--catalog", str(path), command, "--family", str(family))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: catalog entry #")
+    assert f"'weights' of family {family} (G) must be ascending" in err
+    # verify-tables loads non-strictly and reports the swap as a mismatch
+    code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
+    assert code == 1
+    assert out.splitlines()[-1].endswith("mismatch(es)")
