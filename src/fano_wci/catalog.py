@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING
 from .wps import MonomialSupport, WeightSystem, anticanonical_cube, rat, rat_str, record
 
 if TYPE_CHECKING:
-    from .links import LinkData, StandardForm
-    from .singularities import CAxPoint, EquationShape, QuotientSingularity
+    from .links import LinkData
+    from .singularities import CAxPoint, QuotientSingularity, StandardForm
 
 FAMILY_IDS = (17, 19, 23, 29, 30, 41, 42, 49, 50, 55, 69, 74, 77, 82)
 
@@ -96,31 +96,33 @@ class FamilyPair:
 @record
 class Member(FamilyPair):
     """A family pair with the algebra derived from it: the hypersurface
-    member's (-K)^3, equation shape, monomial support and singular locus, and
-    the codimension-2 model's standard form and link data.  Built once per family
-    and catalog load by `Catalog.member`; every layer reads it instead of
+    member's (-K)^3, standard form, monomial support and singular locus, and
+    the link data of the codimension-2 model.  Built once per family and
+    catalog load by `Catalog.member`; every layer reads it instead of
     deriving the same data again."""
 
     a_cube: Fraction
-    shape: EquationShape
+    shape: StandardForm
     support: MonomialSupport
     quotients: tuple[QuotientSingularity, ...]
     cax: CAxPoint
-    form: StandardForm
     link_data: LinkData
 
 
 def derive_member(pair: FamilyPair) -> Member:
+    """Solve each record once and derive the rest from the Gprime record's
+    form; a Gprime record that is not its G record's counterpart raises
+    CatalogError."""
     # imported here because both modules import this one
     from . import links, singularities
 
-    form = links.to_standard_form(pair.g)
-    link_data = links.build_counterpart(pair.g, form)
+    link_data = links.build_counterpart(pair.g, links.to_standard_form(pair.g))
     shape = singularities.equation_shape(pair.gprime)
+    links.check_counterpart(pair.gprime, link_data)
     support = singularities.family_support(pair.gprime, shape)
     quotients, cax = singularities.singular_locus(pair.gprime, support)
     return Member(g=pair.g, gprime=pair.gprime, golden=pair.golden, a_cube=pair.gprime.a_cube(),
-                  shape=shape, support=support, quotients=tuple(quotients), cax=cax, form=form,
+                  shape=shape, support=support, quotients=tuple(quotients), cax=cax,
                   link_data=link_data)
 
 
@@ -153,8 +155,9 @@ class Catalog:
     def member(self, family_id: int) -> Member:
         """The family's Member, derived on first request and kept as long as
         this catalog, i.e. for one load.  A record that admits no derivation
-        (no standard shape, a missing weight, wrong Fano index) raises
-        CatalogError with the derivation's message."""
+        (no standard shape, a missing weight, wrong Fano index, a Gprime
+        record that is not its G record's counterpart) raises CatalogError
+        with the derivation's message."""
         member = self._members.get(family_id)
         if member is None:
             try:

@@ -55,14 +55,10 @@ def cmd_links(args) -> int:
     # which this command does not print
     catalog = _load(args)
     _require_family(catalog, args.family)
-    g, gp = catalog.g(args.family), catalog.gprime(args.family)
+    g = catalog.g(args.family)
     form = links.to_standard_form(g)
     ld = links.build_counterpart(g, form)
-    counterpart = ld.display_weights()
-    if counterpart != gp.weights or ld.xprime_degree != gp.degrees[0]:
-        raise CatalogError(f"family {args.family}: Gprime record X'_{gp.degrees[0]} in {wps_str(gp.weights)} "
-                           f"is not the counterpart X'_{ld.xprime_degree} in {wps_str(counterpart)} "
-                           f"of its G record")
+    links.check_counterpart(catalog.gprime(args.family), ld)
     d1, d2 = g.degrees
     print(f"No.{args.family}: X_{{{d1},{d2}}} in {wps_str(g.weights)}")
     print(f"standard form (a0..a5) = {form.role_weights}, b = {ld.b}")

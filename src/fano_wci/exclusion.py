@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .blowup import (BlowupLattice, DivisorClass, SectionLift, ambient_quadruple, b_cubed,
                      nef_bound_check, triple, vanishing_order)
-from .catalog import Catalog, Member, cax_modulus, load_catalog, subfamily_of
+from .catalog import Catalog, Member
 from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex
-from .wps import MonomialSupport, max_pair_lcm, rat_str, record
+from .wps import MonomialSupport, WeightSystem, max_pair_lcm, rat_str, record
 
 
 class UncoveredCaseError(ValueError):
@@ -80,9 +80,6 @@ class CurveDegree:
     deg: Fraction
     a_cube: Fraction
 
-    def to_json(self) -> dict:
-        return {"paper_method": self.method, "deg": rat_str(self.deg), "a_cube": rat_str(self.a_cube)}
-
 
 @record
 class CurveGamma:
@@ -90,10 +87,6 @@ class CurveGamma:
     a_cube: Fraction
     deg: Fraction
     gamma_sq: Fraction
-
-    def to_json(self) -> dict:
-        return {"paper_method": self.method, "a_cube": rat_str(self.a_cube),
-                "deg": rat_str(self.deg), "gamma_sq": rat_str(self.gamma_sq)}
 
 
 @record
@@ -104,10 +97,6 @@ class CurveCycle:
     gamma_dot_delta: Fraction
     a_dot_delta: Fraction
 
-    def to_json(self) -> dict:
-        return {"paper_method": self.method, "gamma_dot_delta": rat_str(self.gamma_dot_delta),
-                "a_dot_delta": rat_str(self.a_dot_delta)}
-
 
 @record
 class Isolation:
@@ -115,10 +104,6 @@ class Isolation:
     bound: int
     limit: Fraction
     dropped_vertex: int | None
-
-    def to_json(self) -> dict:
-        return {"paper_method": self.method, "bound": self.bound, "limit": rat_str(self.limit),
-                "dropped_vertex": self.dropped_vertex}
 
 
 @record
@@ -129,11 +114,6 @@ class SurfacePair:
     gamma_support: MonomialSupport
     irreducibility_flag: bool
 
-    def to_json(self) -> dict:
-        return {"paper_method": self.method, "a1": self.a1, "b_cube": rat_str(self.b_cube),
-                "gamma_support": [list(m) for m in self.gamma_support.sorted()],
-                "irreducibility_flag": self.irreducibility_flag}
-
 
 @record
 class NefDivisor:
@@ -143,12 +123,6 @@ class NefDivisor:
     m_b2: Fraction
     c: Fraction
     certified: bool
-
-    def to_json(self) -> dict:
-        return {"paper_method": self.method,
-                "lifts": [[l.class_b, rat_str(l.class_e)] for l in self.lifts],
-                "q": self.q.type_str(), "m_b2": rat_str(self.m_b2),
-                "c": rat_str(self.c), "certified": self.certified}
 
 
 @record
@@ -163,22 +137,12 @@ class NegDefMatrix:
     def entries_at(self, m: Fraction) -> list[list[Fraction]]:
         return [[self.alpha - m, m], [m, self.beta - m]]
 
-    def to_json(self) -> dict:
-        return {"paper_method": self.method,
-                "entries": [[rat_str(e) for e in row] for row in self.entries_at(self.parameter_floor)],
-                "parameter_floor": rat_str(self.parameter_floor),
-                "alpha": rat_str(self.alpha), "beta": rat_str(self.beta)}
-
 
 @record
 class InfiniteCurves:
     method = "infinite-curves"
     b_dot_c: Fraction
     e_dot_c: Fraction
-
-    def to_json(self) -> dict:
-        return {"paper_method": self.method, "b_dot_c": rat_str(self.b_dot_c),
-                "e_dot_c": rat_str(self.e_dot_c)}
 
 
 @record
@@ -190,14 +154,38 @@ class Untwist:
     counterpart_id: int | None = None
     eligible: bool | None = None
 
-    def to_json(self) -> dict:
-        return {"paper_method": self.method, "tag": self.tag, "point": self.point,
-                "condition": self.condition, "counterpart_id": self.counterpart_id,
-                "eligible": self.eligible}
-
 
 Certificate = (CurveDegree | CurveGamma | CurveCycle | Isolation | SurfacePair
                | NefDivisor | NegDefMatrix | InfiniteCurves | Untwist)
+
+
+def certificate_json(cert: Certificate) -> dict:
+    """A certificate as a JSON object: its method as "paper_method" and one
+    key per record field; a NegDefMatrix adds its entries at the parameter
+    floor."""
+    blob = {"paper_method": cert.method}
+    for name in cert.__record_fields__:
+        blob[name] = _json_value(getattr(cert, name))
+    if isinstance(cert, NegDefMatrix):
+        blob["entries"] = _json_value(cert.entries_at(cert.parameter_floor))
+    return blob
+
+
+def _json_value(value):
+    """Fractions as "p/q", a support as its sorted exponent lists, a quotient
+    point as its type, a section lift as [class_b, class_e], sequences
+    element-wise; ints, flags, strings and None as they are."""
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, MonomialSupport):
+        return [list(m) for m in value.sorted()]
+    if isinstance(value, QuotientSingularity):
+        return value.type_str()
+    if isinstance(value, SectionLift):
+        return [value.class_b, rat_str(value.class_e)]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +283,28 @@ GAMMA_FAMILIES = frozenset({23, 29, 42, 49, 50, 55, 74, 77, 82})
 GAMMA_NORMALIZED = frozenset({23})
 
 
-def qi_eligible(member: Member, vertex: int) -> bool:
-    """Structural eligibility for a quadratic involution at a quotient point:
-    the defining polynomial contains x_v^2 x_j for some other coordinate j."""
+def qi_vertex(weights: WeightSystem, locus: str) -> int:
+    """The vertex at which a quadratic involution of the quotient point at
+    `locus` is read: a vertex point's own vertex; for an edge point pIpJ, the
+    end whose weight is the edge's stabilizer order gcd(w_I, w_J), to which
+    the point moves."""
+    if locus.count("p") == 1:
+        return int(locus[1:])
+    i, j = int(locus[1]), int(locus[3])
+    r = math.gcd(weights[i], weights[j])
+    vertex = i if weights[i] == r else j
+    if weights[vertex] != r:
+        raise UncoveredCaseError(f"edge {locus} point cannot be moved to a vertex")
+    return vertex
+
+
+def qi_eligible(member: Member, locus: str) -> bool:
+    """Structural eligibility for a quadratic involution at the quotient
+    point at `locus`: at its vertex v (`qi_vertex`) the defining polynomial
+    contains x_v^2 x_j for some other coordinate j."""
     support = member.support
     w = member.gprime.weights
+    vertex = qi_vertex(w, locus)
     d = support.degree
     for j in range(5):
         if j == vertex or d - 2 * w[vertex] != w[j]:
@@ -385,12 +390,12 @@ POINT_RULES: dict[int, dict[str, tuple[RuleBranch, ...]]] = {
 }
 
 
-def minimal_curve_degree(family_id: int) -> Fraction:
+def minimal_curve_degree(member: Member) -> Fraction:
     """Smallest curve degree not handled by a special certificate: curves
     through the cAx point have degree in (1/modulus) Z."""
-    step = Fraction(1, cax_modulus(subfamily_of(family_id)))
+    step = Fraction(1, member.cax.modulus)
     deg = step
-    while deg == SPECIAL_CURVE_DEG.get(family_id):
+    while deg == SPECIAL_CURVE_DEG.get(member.g.id):
         deg += step
     return deg
 
@@ -510,16 +515,7 @@ def _untwist(member: Member, locus: str, tag: str, condition: str) -> tuple[Untw
     record = member.gprime
     eligible = None
     if tag == "QI":
-        w = record.weights
-        if locus.count("p") == 1:
-            vertex = int(locus[1:])
-        else:
-            i, j = int(locus[1]), int(locus[3])
-            r = math.gcd(w[i], w[j])
-            vertex = i if w[i] == r else j
-            if w[vertex] != r:
-                raise UncoveredCaseError(f"edge {locus} point cannot be moved to a vertex")
-        eligible = qi_eligible(member, vertex)
+        eligible = qi_eligible(member, locus)
         if not eligible:
             raise UncoveredCaseError(f"family {record.id} {locus}: no x^2 y tangent monomial, "
                                      f"quadratic involution not available")
@@ -532,16 +528,6 @@ def _untwist(member: Member, locus: str, tag: str, condition: str) -> tuple[Untw
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
-
-_CATALOG_CACHE: Catalog | None = None
-
-
-def _default_catalog() -> Catalog:
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is None:
-        _CATALOG_CACHE = load_catalog()
-    return _CATALOG_CACHE
-
 
 def _select_branch(branches: tuple[RuleBranch, ...], flags: frozenset[str],
                    family_id: int, where: str) -> RuleBranch:
@@ -560,14 +546,14 @@ def _select_branch(branches: tuple[RuleBranch, ...], flags: frozenset[str],
 
 
 def dispatch(family_id: int, center: Center, condition_flags: frozenset[str] | set[str] = frozenset(),
-             catalog: Catalog | None = None,
+             *, catalog: Catalog,
              earlier: tuple[Certificate, ...] = ()) -> tuple[Certificate, Verdict]:
     """Select and evaluate the certificate assigned to a center of the general
-    member of a catalog family under the given condition flags.
+    member of a catalog family under the given condition flags; `catalog`
+    holds the family's Member.
 
     `earlier` holds the certificates already built for other branches of the
     same center; a branch that rests on one of them reuses it."""
-    catalog = catalog or _default_catalog()
     member = catalog.member(family_id)
     flags = frozenset(condition_flags)
     record = member.gprime

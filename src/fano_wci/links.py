@@ -1,50 +1,15 @@
-"""Standard forms of the codimension-2 families and the data of their links:
-the birational hypersurface counterpart, the midpoint hypersurface, and the
-per-point involution inventory.
-
-A standard form reorders the six ambient weights (a0, ..., a5) so that the
-defining equations take the shape
-
-    v x0 + u (x0 + f) + g = v u - h = 0        (double-cover shape, I')
-    v x0 + u^2 + u f + g = v u - h = 0         (triple-cover shape, I'')
-
-with d1 = a0 + a5 and d2 = a4 + a5; the counterpart hypersurface lives in
-P(a0, a1, a2, a3, b) with b = a4 - a0 and eliminates u, v in favour of the
-distinguished coordinate w.
+"""The data of the codimension-2 families' links: the birational hypersurface
+counterpart, the midpoint hypersurface, and the per-point involution
+inventory.  Both records of a family solve to one standard form,
+`singularities.equation_shape`; a G record's form builds its counterpart.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .catalog import FamilyRecord, Member, is_double_cover_shape
+from .catalog import CatalogError, FamilyRecord, Member, is_double_cover_shape
 from .exclusion import POINT_RULES, qi_eligible
-from .singularities import QuotientSingularity
-from .wps import WeightSystem, record
-
-
-class StandardFormError(ValueError):
-    """The constraint system of the subfamily has no solution in the record's
-    weights: the record is corrupt."""
-
-
-@record
-class StandardForm:
-    role_weights: tuple[int, int, int, int, int, int]  # (a0, a1, a2, a3, a4, a5)
-    role_map: tuple[int, int, int, int, int, int]  # input position of each role
-    degrees: tuple[int, int]
-
-    @property
-    def a0(self) -> int:
-        return self.role_weights[0]
-
-    @property
-    def a4(self) -> int:
-        return self.role_weights[4]
-
-    @property
-    def b(self) -> int:
-        return self.role_weights[4] - self.role_weights[0]
+from .singularities import QuotientSingularity, StandardForm, StandardFormError, equation_shape
+from .wps import WeightSystem, record, wps_str
 
 
 @record
@@ -68,60 +33,10 @@ class InvolutionTag:
 
 
 def to_standard_form(record: FamilyRecord) -> StandardForm:
-    """Solve the subfamily's constraint system for the role assignment.
-
-    Double-cover shape: a5 = a4 = d2/2, a1 = d1/2, a0 = d1 - a5.
-    Triple-cover shape: a5 = max, a0 = d1 - a5, a4 = d1/2, a1 = d2/2.
-    In both, the two remaining weights are (a2, a3) with a2 <= a3.
-    """
+    """The standard form of a G record (see `equation_shape`)."""
     if record.kind != "G":
         raise StandardFormError(f"standard forms are defined for G records, got {record.kind}")
-    d1, d2 = sorted(record.degrees)
-    pool = Counter(record.weights.weights)
-
-    def take(value: int, what: str) -> int:
-        if value <= 0 or pool[value] == 0:
-            raise StandardFormError(
-                f"No.{record.id}: standard form unsolvable, needs {what} = {value} "
-                f"in weights {record.weights.weights}")
-        pool[value] -= 1
-        return value
-
-    if is_double_cover_shape(record.subfamily):
-        if d2 % 2 or d1 % 2:
-            raise StandardFormError(f"No.{record.id}: odd degrees {d1}, {d2}")
-        a5 = take(d2 // 2, "a5 = d2/2")
-        a4 = take(d2 // 2, "a4 = d2/2")
-        a1 = take(d1 // 2, "a1 = d1/2")
-        a0 = take(d1 - a5, "a0 = d1 - a5")
-    else:
-        a5 = max(record.weights)
-        if list(record.weights).count(a5) != 1:
-            raise StandardFormError(f"No.{record.id}: the top weight must be unique")
-        take(a5, "a5 = max weight")
-        if d1 % 2 or d2 % 2:
-            raise StandardFormError(f"No.{record.id}: odd degrees {d1}, {d2}")
-        if d1 != a5 + (d1 - a5):
-            raise StandardFormError(f"No.{record.id}: inconsistent degrees")
-        a0 = take(d1 - a5, "a0 = d1 - a5")
-        a4 = take(d1 // 2, "a4 = d1/2")
-        a1 = take(d2 // 2, "a1 = d2/2")
-        if a4 + a5 != d2:
-            raise StandardFormError(f"No.{record.id}: d2 != a4 + a5")
-    rest = sorted(pool.elements())
-    if len(rest) != 2:
-        raise StandardFormError(f"No.{record.id}: leftover weights {rest}")
-    a2, a3 = rest
-
-    role_weights = (a0, a1, a2, a3, a4, a5)
-    taken: list[int] = []
-    for value in role_weights:
-        pos = next(i for i, a in enumerate(record.weights) if a == value and i not in taken)
-        taken.append(pos)
-    form = StandardForm(role_weights=role_weights, role_map=tuple(taken), degrees=(d1, d2))
-    if form.b <= 0:
-        raise StandardFormError(f"No.{record.id}: b = a4 - a0 = {form.b} is not positive")
-    return form
+    return equation_shape(record)
 
 
 def build_counterpart(record: FamilyRecord, form: StandardForm | None = None) -> LinkData:
@@ -130,34 +45,34 @@ def build_counterpart(record: FamilyRecord, form: StandardForm | None = None) ->
     solved here when not given."""
     if form is None:
         form = to_standard_form(record)
-    a0, a1, a2, a3, a4, a5 = form.role_weights
+    a0, a1, a2, a3, _, a5 = form.role_weights
     d1, d2 = form.degrees
-    b = form.b
     double = is_double_cover_shape(record.subfamily)
-    xprime_degree = 2 * b + 2 * a0 if double else 3 * b + 2 * a0
     return LinkData(
-        b=b,
-        xprime_weights=WeightSystem((a0, a1, a2, a3, b)),
-        xprime_degree=xprime_degree,
+        b=form.b,
+        xprime_weights=WeightSystem((a0, a1, a2, a3, form.b)),
+        xprime_degree=d2,
         z_degree=d1 + d2 - a5,
         equation_shape="I'-shape" if double else "I''-shape",
     )
 
 
-def counterpart_inverse(gprime: FamilyRecord) -> tuple[WeightSystem, tuple[int, int]]:
-    """Reconstruct the codimension-2 record from its hypersurface counterpart:
-    a4 = a0 + b and a5 = d - a4.  Returns ascending weights and degrees."""
-    if gprime.kind != "Gprime":
-        raise ValueError(f"expected a Gprime record, got {gprime.kind}")
-    d = gprime.degrees[0]
-    b = gprime.weights[4]
-    double = is_double_cover_shape(gprime.subfamily)
-    a0 = (d - 2 * b) // 2 if double else (d - 3 * b) // 2
-    a4 = a0 + b
-    a5 = d - a4
-    d1, d2 = sorted((a0 + a5, a4 + a5))
-    weights = tuple(sorted(gprime.weights.weights[:4] + (a4, a5)))
-    return WeightSystem(weights), (d1, d2)
+def check_counterpart(gprime: FamilyRecord, link_data: LinkData) -> None:
+    """Raise CatalogError unless the Gprime record states the counterpart of
+    its G record, whose `build_counterpart` is `link_data`: the same weights
+    in display order and the same degree."""
+    counterpart = link_data.display_weights()
+    if counterpart != gprime.weights or link_data.xprime_degree != gprime.degrees[0]:
+        raise CatalogError(f"No.{gprime.id}: Gprime record X'_{gprime.degrees[0]} in {wps_str(gprime.weights)} "
+                           f"is not the counterpart X'_{link_data.xprime_degree} in {wps_str(counterpart)} "
+                           f"of its G record")
+
+
+def counterpart_inverse(form: StandardForm) -> tuple[WeightSystem, tuple[int, int]]:
+    """The codimension-2 model of a standard form: its ascending weights and
+    its degrees.  For the form of a Gprime record this inverts
+    `build_counterpart`."""
+    return WeightSystem(tuple(sorted(form.role_weights))), form.degrees
 
 
 def involution_inventory(member: Member,
@@ -180,19 +95,10 @@ def involution_inventory(member: Member,
     for q in basket:
         for branch in rules[q.locus]:
             tag = branch.tag if branch.method == "untwist" else "none"
-            if tag == "QI" and not _qi_check(member, q):
+            if tag == "QI" and not qi_eligible(member, q.locus):
                 raise ValueError(f"family {record.id} {q.locus}: quadratic involution "
                                  f"claimed but no x^2 y monomial exists")
             out.append(InvolutionTag(point=q.locus, tag=tag, condition=branch.condition))
     out.append(InvolutionTag(point="p4", tag="link", condition=""))
     return out
 
-
-def _qi_check(member: Member, q: QuotientSingularity) -> bool:
-    locus = q.locus
-    if locus.count("p") == 1:
-        vertex = int(locus[1:])
-    else:
-        i, j = int(locus[1]), int(locus[3])
-        vertex = i if member.gprime.weights[i] == q.r else j
-    return qi_eligible(member, vertex)

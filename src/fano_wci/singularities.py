@@ -1,8 +1,10 @@
 """Singular locus of a general hypersurface-family member: terminal quotient
 points on coordinate vertices and edges, the distinguished non-quotient point,
-and the divisorial extractions centered there.
+and the divisorial extractions centered there; and the standard form that both
+records of a family solve to (`equation_shape`), which fixes the member's
+equation shape.
 
-Everything here is support-based.  A general member is modeled by the set of
+Everything else here is support-based.  A general member is modeled by the set of
 monomials its defining polynomial may contain (generic coefficients): the
 powers of the distinguished last coordinate w are capped at 2 or 3 by the
 family's equation shape, all other slots are generically full.  Root counting
@@ -12,6 +14,7 @@ on coordinate edges uses lowest/highest exponents only, never coefficients.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .catalog import FamilyRecord, cax_modulus, is_double_cover_shape
@@ -96,73 +99,104 @@ def normalize_quotient(r: int, raw: tuple[int, int, int], locus: str = "", count
 
 
 # ---------------------------------------------------------------------------
-# Equation shape of a hypersurface family member
+# Standard form of a family record
 # ---------------------------------------------------------------------------
 
+class StandardFormError(ValueError):
+    """The record's weights and degrees admit no standard form: the record is
+    corrupt."""
+
+
 @record
-class EquationShape:
-    """Standard-shape data of a Gprime member, resolved against its display
-    coordinates (ascending x-weights, w last).
+class StandardForm:
+    """A record's weights in role order, its degrees, and where each role
+    sits in the record's (lifted) weights; see `equation_shape`."""
 
-    role_to_display maps the four shape slots x0..x3 to display positions;
-    the w slot is always display position 4.
+    role_weights: tuple[int, int, int, int, int, int]  # (a0, a1, a2, a3, a4, a5)
+    degrees: tuple[int, int]  # (d1, d2) = (a0 + a5, a4 + a5)
+    positions: tuple[int, int, int, int, int, int]  # coordinate of each role
+
+    @property
+    def b(self) -> int:
+        return self.role_weights[4] - self.role_weights[0]
+
+
+def equation_shape(record: FamilyRecord) -> StandardForm:
+    """Solve the subfamily's constraint system for the standard form of a G or
+    Gprime record.
+
+    A standard form orders the six ambient weights (a0, ..., a5) of the
+    codimension-2 model so that its defining equations take the shape
+
+        v x0 + u (x0 + f) + g = v u - h = 0        (double-cover shape, I')
+        v x0 + u^2 + u f + g = v u - h = 0         (triple-cover shape, I'')
+
+    with d1 = a0 + a5 and d2 = a4 + a5.  The counterpart hypersurface X'_d,
+    d = d2, lives in P(a0, a1, a2, a3, b) with b = a4 - a0 and eliminates u, v
+    in favour of the distinguished coordinate w.
+
+    A Gprime record X'_d in P(x0, x1, x2, x3, b) is first lifted to the six
+    weights (x0, x1, x2, x3, a4, a5) and the degrees (d - b, d), with
+    a0 = (d - 2b)/2 for I' or (d - 3b)/2 for I'', a4 = a0 + b and a5 = d - a4.
+    Both kinds then solve, with d1 <= d2 and both even:
+
+    - double-cover shape: a5 = a4 = d2/2, a1 = d1/2, a0 = d1 - a5;
+    - triple-cover shape: a5 = the unique top weight, a0 = d1 - a5,
+      a4 = d1/2, a1 = d2/2 and d2 = a4 + a5.
+
+    The two weights left are (a2, a3) with a2 <= a3, and b must be positive.
+    `positions` holds each role's coordinate in the (lifted) weights, the
+    first free one of its value; a Gprime's a0..a3 land on its x coordinates.
     """
-
-    subfamily: str
-    degree: int
-    b: int
-    role_weights: tuple[int, int, int, int]  # (a0, a1, a2, a3)
-    role_to_display: tuple[int, int, int, int]
-
-    @property
-    def a0(self) -> int:
-        return self.role_weights[0]
-
-    @property
-    def a4(self) -> int:
-        return self.a0 + self.b
-
-
-def equation_shape(record: FamilyRecord) -> EquationShape:
-    """Recover (a0, a1, a2, a3) and their display positions from a Gprime record."""
-    if record.kind != "Gprime":
-        raise ValueError(f"equation shape is defined for Gprime records, got {record.kind}")
-    w = record.weights
-    d = record.degrees[0]
-    b = w[4]
+    weights, degrees = record.weights.weights, record.degrees
     double_cover = is_double_cover_shape(record.subfamily)
-    twice_a0 = d - 2 * b if double_cover else d - 3 * b
-    if twice_a0 <= 0 or twice_a0 % 2:
-        raise ValueError(f"No.{record.id}: degree {d} and b={b} admit no standard shape")
-    a0 = twice_a0 // 2
-    a4 = a0 + b
-    a5 = d - a4
-    a1 = (a0 + a5) // 2 if double_cover else (a4 + a5) // 2
-    pool = list(w.weights[:4])
-    for needed in (a0, a1):
-        if needed not in pool:
-            raise ValueError(f"No.{record.id}: weight {needed} missing from ambient {w.weights}")
-        pool.remove(needed)
-    a2, a3 = sorted(pool)
+    if record.kind == "Gprime":
+        d, b = degrees[0], weights[4]
+        twice_a0 = d - 2 * b if double_cover else d - 3 * b
+        if twice_a0 <= 0 or twice_a0 % 2:
+            raise StandardFormError(f"No.{record.id}: degree {d} and b={b} admit no standard shape")
+        a4 = twice_a0 // 2 + b
+        weights = weights[:4] + (a4, d - a4)
+        degrees = (d - b, d)
+    d1, d2 = sorted(degrees)
+    if d1 % 2 or d2 % 2:
+        raise StandardFormError(f"No.{record.id}: standard form degrees d1, d2 = {d1}, {d2} "
+                                f"are not both even")
+    pool = Counter(weights)
 
-    taken: list[int] = []
-    role_to_display: list[int] = []
-    for needed in (a0, a1, a2, a3):
-        for i in range(4):
-            if i not in taken and w[i] == needed:
-                taken.append(i)
-                role_to_display.append(i)
-                break
-    return EquationShape(
-        subfamily=record.subfamily,
-        degree=d,
-        b=b,
-        role_weights=(a0, a1, a2, a3),
-        role_to_display=tuple(role_to_display),
-    )
+    def take(value: int, what: str) -> int:
+        if value <= 0 or pool[value] == 0:
+            raise StandardFormError(f"No.{record.id}: standard form unsolvable, needs {what} = {value} "
+                                    f"in weights {weights}")
+        pool[value] -= 1
+        return value
+
+    if double_cover:
+        a5 = take(d2 // 2, "a5 = d2/2")
+        a4 = take(d2 // 2, "a4 = d2/2")
+        a1 = take(d1 // 2, "a1 = d1/2")
+        a0 = take(d1 - a5, "a0 = d1 - a5")
+    else:
+        a5 = take(max(weights), "a5 = max weight")
+        if pool[a5]:
+            raise StandardFormError(f"No.{record.id}: the top weight must be unique")
+        a0 = take(d1 - a5, "a0 = d1 - a5")
+        a4 = take(d1 // 2, "a4 = d1/2")
+        a1 = take(d2 // 2, "a1 = d2/2")
+        if a4 + a5 != d2:
+            raise StandardFormError(f"No.{record.id}: d2 != a4 + a5")
+    if a4 <= a0:
+        raise StandardFormError(f"No.{record.id}: b = a4 - a0 = {a4 - a0} is not positive")
+    a2, a3 = sorted(pool.elements())
+
+    role_weights = (a0, a1, a2, a3, a4, a5)
+    positions: list[int] = []
+    for value in role_weights:
+        positions.append(next(i for i, a in enumerate(weights) if a == value and i not in positions))
+    return StandardForm(role_weights=role_weights, degrees=(d1, d2), positions=tuple(positions))
 
 
-def family_support(record: FamilyRecord, shape: EquationShape | None = None) -> MonomialSupport:
+def family_support(record: FamilyRecord, shape: StandardForm | None = None) -> MonomialSupport:
     """Monomial support of a general member's defining polynomial.
 
     Double-cover shape:  w^2 x0 (x0 + f(x2,x3)) + w g + h,
@@ -174,9 +208,10 @@ def family_support(record: FamilyRecord, shape: EquationShape | None = None) -> 
     if shape is None:
         shape = equation_shape(record)
     w = record.weights
-    d = shape.degree
+    d = record.degrees[0]
     b = shape.b
-    i0 = shape.role_to_display[0]
+    a0, a4 = shape.role_weights[0], shape.role_weights[4]
+    i0, _, i2, i3 = shape.positions[:4]
     x_vars = (0, 1, 2, 3)
 
     def shift(ms: MonomialSupport, extra: dict[int, int]) -> set[Monomial]:
@@ -195,15 +230,14 @@ def family_support(record: FamilyRecord, shape: EquationShape | None = None) -> 
         lead[i0] = 2
         lead[4] = 2
         monos.add(tuple(lead))
-        f_vars = (shape.role_to_display[2], shape.role_to_display[3])
-        f_supp = monomials_of_degree(shape.a0, w, variables=f_vars)
+        f_supp = monomials_of_degree(a0, w, variables=(i2, i3))
         monos |= shift(f_supp, {i0: 1, 4: 2})
     else:
         lead = [0] * 5
         lead[i0] = 2
         lead[4] = 3
         monos.add(tuple(lead))
-        f_supp = monomials_of_degree(shape.a4, w, variables=x_vars)
+        f_supp = monomials_of_degree(a4, w, variables=x_vars)
         monos |= shift(f_supp, {i0: 1, 4: 2})
     g_supp = monomials_of_degree(d - b, w, variables=x_vars)
     monos |= shift(g_supp, {4: 1})
@@ -228,9 +262,6 @@ def support_with_point_at_vertex(support: MonomialSupport, vertex: int, weight: 
 # ---------------------------------------------------------------------------
 # Vertex and edge analysis
 # ---------------------------------------------------------------------------
-
-CAX_MARKER = "cAx"
-
 
 def tangent_coordinate(support: MonomialSupport, w: WeightSystem, vertex: int) -> int:
     """The coordinate j eliminated at a vertex on the member: x_vertex^k x_j is
@@ -264,25 +295,24 @@ def vertex_on_member(support: MonomialSupport, w: WeightSystem, vertex: int) -> 
 
 
 def vertex_singularities(record: FamilyRecord,
-                         support: MonomialSupport | None = None) -> list[QuotientSingularity | str]:
-    """Quotient types at the coordinate vertices of a general Gprime member.
+                         support: MonomialSupport | None = None) -> list[QuotientSingularity]:
+    """Quotient types at the x vertices of a general Gprime member.
 
-    The w vertex is reported as the CAX_MARKER string, never as a quotient
-    point.  Vertices of weight 1, and vertices missed by the general member,
-    contribute nothing.  `support` is the record's `family_support`, derived
-    here when not given.
+    The w vertex, the distinguished non-quotient point, is not among them
+    (see `cax_classify`).  Vertices of weight 1, and vertices missed by the
+    general member, contribute nothing.  `support` is the record's
+    `family_support`, derived here when not given.
     """
     if support is None:
         support = family_support(record)
     w = record.weights
-    out: list[QuotientSingularity | str] = []
+    out: list[QuotientSingularity] = []
     for i in range(4):
         if w[i] < 2 or not vertex_on_member(support, w, i):
             continue
         j = tangent_coordinate(support, w, i)
         transverse = tuple(w[m] for m in range(5) if m not in (i, j))
         out.append(normalize_quotient(w[i], transverse, locus=f"p{i}"))
-    out.append(CAX_MARKER)
     return out
 
 
@@ -342,10 +372,7 @@ def singular_locus(record: FamilyRecord,
     given."""
     if support is None:
         support = family_support(record)
-    quotients: list[QuotientSingularity] = []
-    for entry in vertex_singularities(record, support):
-        if entry != CAX_MARKER:
-            quotients.append(entry)
+    quotients = vertex_singularities(record, support)
     w = record.weights
     for i in range(5):
         for j in range(i + 1, 5):

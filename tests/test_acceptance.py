@@ -38,7 +38,7 @@ def test_02_link_construction(catalog):
         assert ld.b == form.role_weights[4] - form.role_weights[0]
         assert ld.display_weights().weights == gp.weights.weights
         assert ld.xprime_degree == gp.degrees[0]
-        back_w, back_d = links.counterpart_inverse(gp)
+        back_w, back_d = links.counterpart_inverse(catalog.member(fid).shape)
         assert back_w.weights == g.weights.weights and back_d == tuple(sorted(g.degrees))
     assert links.build_counterpart(catalog.g(82)).display_weights().weights == (1, 2, 5, 11, 4)
     ok(2, "all 14 counterparts and degrees match; round trip G -> G' -> G is the identity")

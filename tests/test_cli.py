@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +154,14 @@ def _swap_weights_0_4_of_17(raw):
     w[0], w[4] = w[4], w[0]
 
 
+def _gprime_weights(family, weights):
+    # a swap of the distinguished weight with an x-weight that keeps the
+    # x-weights ascending, so the strict load accepts the record
+    def mutate(raw):
+        next(obj for obj in raw if obj["id"] == family and obj["kind"] == "Gprime")["weights"] = weights
+    return mutate
+
+
 # (mutation, family, the line verify-tables prints for it)
 UNDERIVABLE = {
     "wrong-index": (_bump_weight_2_of_29, 29,
@@ -158,6 +169,11 @@ UNDERIVABLE = {
                     "(sum weights - sum degrees = 2)"),
     "no-standard-shape": (_swap_weights_0_4_of_17, 17,
                           "family 17: No.17: degree 8 and b=1 admit no standard shape"),
+    "swap-odd-degrees": (_gprime_weights(19, [1, 1, 2, 2, 3]), 19,
+                         "family 19: No.19: standard form degrees d1, d2 = 5, 8 are not both even"),
+    "swap-not-counterpart": (_gprime_weights(55, [1, 1, 2, 7, 4]), 55,
+                             "family 55: No.55: Gprime record X'_14 in P(1,1,2,7,4) is not the "
+                             "counterpart X'_14 in P(1,1,4,7,2) of its G record"),
 }
 
 
@@ -217,3 +233,31 @@ def test_unordered_g_weights_are_a_load_error(capsys, tmp_path, family, command)
     code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
     assert code == 1
     assert out.splitlines()[-1].endswith("mismatch(es)")
+
+
+def _perfbench_mutations(monkeypatch):
+    """perfbench/mutations.py, loaded read-only by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "mutations.py"
+    spec = importlib.util.spec_from_file_location("perfbench_mutations", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutated_catalogs_keep_the_exit_code_contract(capsys, tmp_path, monkeypatch):
+    # the benchmark's seeded single-field mutations, every class five times:
+    # no command raises, every exit code is 0, 1 or 2, and verify-tables
+    # notices every mutation
+    mutations = _perfbench_mutations(monkeypatch)
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        entries = json.load(fh)
+    path = tmp_path / "mutated.json"
+    for k, mutation in enumerate(mutations.generate(entries, seed=11, count=80)):
+        path.write_text(mutation.text, encoding="utf-8")
+        family = ["--family", str(mutation.family)]
+        for command in (["verify-tables"], ["analyze", *family, "--format", "json"],
+                        ["basket", *family], ["links", *family]):
+            code, _, _ = run(capsys, "--catalog", str(path), *command)
+            assert code in (0, 1, 2), (k, mutation.cls, command)
+            assert code != 0 or command != ["verify-tables"], (k, mutation.cls)

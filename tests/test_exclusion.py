@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from fano_wci.exclusion import (Center, CurveGamma, InfiniteCurves, NegDefMatrix, SurfacePair,
-                                UncoveredCaseError, Untwist, curve_cycle_test, curve_degree_test,
-                                curve_gamma_test, dispatch, gamma_polynomial, infinite_curves_test,
-                                isolation_test, negdef2, negdef_for_all, qi_eligible,
-                                surface_pair_test)
+                                UncoveredCaseError, Untwist, certificate_json, curve_cycle_test,
+                                curve_degree_test, curve_gamma_test, dispatch, gamma_polynomial,
+                                infinite_curves_test, isolation_test, negdef2, negdef_for_all,
+                                qi_eligible, surface_pair_test)
 from fano_wci.singularities import QuotientSingularity
 from fano_wci.wps import MonomialSupport
 
@@ -125,52 +125,54 @@ def test_infinite_curves_examples():
 
 
 def test_qi_eligibility(catalog):
-    assert qi_eligible(catalog.member(19), 3)
-    assert qi_eligible(catalog.member(30), 2)  # y^2 z in the generic member
-    assert qi_eligible(catalog.member(50), 3)
-    assert not qi_eligible(catalog.member(29), 3)  # z^2 x_j would need degree 0
+    assert qi_eligible(catalog.member(19), "p3")
+    assert qi_eligible(catalog.member(30), "p2")  # y^2 z in the generic member
+    assert qi_eligible(catalog.member(50), "p3")
+    assert qi_eligible(catalog.member(41), "p2p3")  # the edge point moves to the weight-3 vertex
+    assert not qi_eligible(catalog.member(29), "p3")  # z^2 x_j would need degree 0
 
 
 def test_dispatch_example_23(catalog):
     q = QuotientSingularity(2, 1, locus="p2p4")
-    cert, verdict = dispatch(23, Center.quotient_point(q), {"not-exists-wci(1,1,4)"})
+    cert, verdict = dispatch(23, Center.quotient_point(q), {"not-exists-wci(1,1,4)"}, catalog=catalog)
     assert isinstance(cert, SurfacePair) and verdict.excluded
-    cert, verdict = dispatch(23, Center.quotient_point(q), {"exists-wci(1,1,4)"})
+    cert, verdict = dispatch(23, Center.quotient_point(q), {"exists-wci(1,1,4)"}, catalog=catalog)
     assert isinstance(cert, InfiniteCurves) and verdict.excluded
 
 
 def test_dispatch_example_19_third_point(catalog):
     q = QuotientSingularity(3, 1, locus="p3")
-    cert, verdict = dispatch(19, Center.quotient_point(q), set())
+    cert, verdict = dispatch(19, Center.quotient_point(q), set(), catalog=catalog)
     assert isinstance(cert, Untwist) and cert.tag == "QI"
     assert not verdict.excluded and verdict.resolved
 
 
 def test_dispatch_curve_special(catalog):
-    cert, verdict = dispatch(19, Center.curve(F(1, 2)))
+    cert, verdict = dispatch(19, Center.curve(F(1, 2)), catalog=catalog)
     assert isinstance(cert, CurveGamma) and verdict.witness == F(-1, 2)
-    cert, verdict = dispatch(17, Center.curve(F(1, 2)))
+    cert, verdict = dispatch(17, Center.curve(F(1, 2)), catalog=catalog)
     assert cert.method == "curve-cycle" and verdict.excluded
 
 
 def test_dispatch_uncovered_cases(catalog):
     q = QuotientSingularity(2, 1, locus="p2p4")
     with pytest.raises(UncoveredCaseError, match="not-exists-wci"):
-        dispatch(23, Center.quotient_point(q), set())
+        dispatch(23, Center.quotient_point(q), set(), catalog=catalog)
     with pytest.raises(UncoveredCaseError, match="contradictory"):
-        dispatch(23, Center.quotient_point(q), {"not-exists-wci(1,1,4)", "exists-wci(1,1,4)"})
+        dispatch(23, Center.quotient_point(q), {"not-exists-wci(1,1,4)", "exists-wci(1,1,4)"},
+                 catalog=catalog)
     with pytest.raises(UncoveredCaseError, match="no center"):
-        dispatch(17, Center.quotient_point(QuotientSingularity(2, 1, locus="p1p2")), set())
+        dispatch(17, Center.quotient_point(QuotientSingularity(2, 1, locus="p1p2")), set(), catalog=catalog)
     with pytest.raises(UncoveredCaseError, match="below"):
-        dispatch(17, Center.curve(F(1, 4)))
+        dispatch(17, Center.curve(F(1, 4)), catalog=catalog)
 
 
 def test_verdict_witness_reverifies(catalog):
     # recomputing a verdict's witness from the certificate inputs reproduces it
     q = QuotientSingularity(2, 1, locus="p2p4")
-    cert, verdict = dispatch(23, Center.quotient_point(q), {"not-exists-wci(1,1,4)"})
+    cert, verdict = dispatch(23, Center.quotient_point(q), {"not-exists-wci(1,1,4)"}, catalog=catalog)
     assert verdict.witness == cert.a1 ** 2 * cert.b_cube
-    cert, verdict = dispatch(19, Center.curve(F(1, 2)))
+    cert, verdict = dispatch(19, Center.curve(F(1, 2)), catalog=catalog)
     assert verdict.witness == 3 * cert.a_cube - 2 * cert.deg + cert.gamma_sq
 
 
@@ -213,6 +215,6 @@ def test_all_excluded_witnesses_reverify(catalog):
 def test_certificates_serialize(catalog):
     q = QuotientSingularity(2, 1, locus="p1p4")
     for flags in ({"not-exists-wci(1,3,4)"}, {"exists-wci(1,3,4)"}):
-        cert, _ = dispatch(50, Center.quotient_point(q), flags)
-        blob = cert.to_json()
+        cert, _ = dispatch(50, Center.quotient_point(q), flags, catalog=catalog)
+        blob = certificate_json(cert)
         assert blob["paper_method"] == cert.method

@@ -1,9 +1,8 @@
 import pytest
 
 from fano_wci.catalog import FamilyRecord, is_double_cover_shape
-from fano_wci.links import (StandardFormError, build_counterpart, counterpart_inverse,
-                            involution_inventory, to_standard_form)
-from fano_wci.singularities import singular_locus
+from fano_wci.links import build_counterpart, counterpart_inverse, involution_inventory, to_standard_form
+from fano_wci.singularities import StandardFormError, equation_shape, singular_locus
 from fano_wci.wps import WeightSystem
 
 
@@ -74,16 +73,16 @@ def test_z_degree_identities(catalog):
 
 
 def test_counterpart_inverse_examples(catalog):
-    weights, degrees = counterpart_inverse(catalog.gprime(19))
+    weights, degrees = counterpart_inverse(equation_shape(catalog.gprime(19)))
     assert weights.weights == (1, 1, 2, 3, 4, 4) and degrees == (6, 8)
-    weights, degrees = counterpart_inverse(catalog.gprime(82))
+    weights, degrees = counterpart_inverse(equation_shape(catalog.gprime(82)))
     assert weights.weights == (1, 2, 5, 9, 11, 13) and degrees == (18, 22)
 
 
 def test_round_trip_is_identity(catalog):
     for fid in catalog.ids():
         g = catalog.g(fid)
-        weights, degrees = counterpart_inverse(catalog.gprime(fid))
+        weights, degrees = counterpart_inverse(equation_shape(catalog.gprime(fid)))
         assert weights.weights == g.weights.weights
         assert degrees == tuple(sorted(g.degrees))
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fano_wci.singularities import (CAX_MARKER, ClassificationError, NotQuasismoothError,
+from fano_wci.singularities import (ClassificationError, NotQuasismoothError,
                                     NonIsolatedSingularityError, QuotientSingularity,
                                     cax_classify, edge_root_count, edge_singularities,
                                     equation_shape, extractions_at_cax, family_support,
@@ -39,20 +39,13 @@ def test_normalize_quotient_rejects_non_terminal():
 
 def test_vertex_examples(catalog):
     # weight-3 vertex of No.23 carries 1/3(1,1,2)
-    entries = vertex_singularities(catalog.gprime(23))
-    quotients = [e for e in entries if e != CAX_MARKER]
+    quotients = vertex_singularities(catalog.gprime(23))
     assert [(q.locus, q.type_str()) for q in quotients] == [("p3", "1/3(1,1,2)")]
     # weight-4 vertex of No.30 carries 1/4(1,1,3)
-    entries = vertex_singularities(catalog.gprime(30))
-    quotients = {q.locus: q.type_str() for q in entries if e_is_quotient(q)}
+    quotients = {q.locus: q.type_str() for q in vertex_singularities(catalog.gprime(30))}
     assert quotients == {"p2": "1/3(1,1,2)", "p3": "1/4(1,1,3)"}
     # No.17 has only the distinguished point
-    entries = vertex_singularities(catalog.gprime(17))
-    assert entries == [CAX_MARKER]
-
-
-def e_is_quotient(entry):
-    return entry != CAX_MARKER
+    assert vertex_singularities(catalog.gprime(17)) == []
 
 
 def test_edge_examples(catalog):
@@ -104,12 +97,14 @@ def test_extractions_at_cax(catalog):
 
 
 def test_equation_shape_resolves_roles(catalog):
+    # a Gprime record's a0..a3 land on its x coordinates, a4 and a5 on the
+    # lifted slots 4 and 5
     shape = equation_shape(catalog.gprime(29))
-    assert shape.role_weights == (2, 5, 1, 1)
-    assert shape.role_to_display == (2, 3, 0, 1)
+    assert shape.role_weights[:4] == (2, 5, 1, 1)
+    assert shape.positions == (2, 3, 0, 1, 4, 5)
     shape = equation_shape(catalog.gprime(49))
-    assert shape.role_weights == (1, 7, 1, 2)
-    assert shape.role_to_display == (0, 3, 1, 2)
+    assert shape.role_weights[:4] == (1, 7, 1, 2)
+    assert shape.positions == (0, 3, 1, 2, 4, 5)
 
 
 def test_family_support_has_capped_w_powers(catalog):
