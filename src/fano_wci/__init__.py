@@ -3,10 +3,10 @@ complete intersections: singularity baskets, Kawamata-blowup intersection
 numbers, exclusion certificates and Sarkisov-link data, verified against
 golden classification tables."""
 
-from .catalog import Catalog, load_catalog, subfamily_of
+from .catalog import Catalog, load_catalog
 from .report import build_report, verify_tables
 from .wps import Rational
 
 __version__ = "0.1.0"
 
-__all__ = ["Catalog", "load_catalog", "subfamily_of", "build_report", "verify_tables", "Rational"]
+__all__ = ["Catalog", "load_catalog", "build_report", "verify_tables", "Rational"]

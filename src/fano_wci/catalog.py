@@ -21,34 +21,11 @@ if TYPE_CHECKING:
 
 FAMILY_IDS = (17, 19, 23, 29, 30, 41, 42, 49, 50, 55, 69, 74, 77, 82)
 
-SUBFAMILIES = {
-    "I'2": frozenset({19, 30, 42}),
-    "I''2": frozenset({17, 29, 41, 55, 69, 77}),
-    "I'4": frozenset({23, 50}),
-    "I''4": frozenset({49, 74, 82}),
-}
-
 ENV_CATALOG = "FANO_WCI_CATALOG"
 
 
 class CatalogError(ValueError):
     """Raised when the catalog file fails to parse or violates an invariant."""
-
-
-def subfamily_of(family_id: int) -> str:
-    for tag, ids in SUBFAMILIES.items():
-        if family_id in ids:
-            return tag
-    raise LookupError(f"unknown family id {family_id}")
-
-
-def is_double_cover_shape(subfamily: str) -> bool:
-    """True for the I' equation shape (w^2 x0 (x0+f) + w g + h), False for I''."""
-    return subfamily in ("I'2", "I'4")
-
-
-def cax_modulus(subfamily: str) -> int:
-    return 2 if subfamily in ("I'2", "I''2") else 4
 
 
 @record
@@ -71,7 +48,6 @@ class FamilyRecord:
     kind: str  # "G" | "Gprime"
     weights: WeightSystem
     degrees: tuple[int, ...]
-    subfamily: str
 
     def a_cube(self) -> Fraction:
         return anticanonical_cube(self.weights, self.degrees, label=f"No.{self.id}/{self.kind}")
@@ -80,6 +56,7 @@ class FamilyRecord:
 @record
 class GoldenRow:
     id: int
+    subfamily: str  # stated alike for both records: "I'" or "I''", then b
     a_cube: Fraction  # stated for the Gprime record
     g_a_cube: Fraction  # stated for the G record
     basket: tuple[BasketEntry, ...]
@@ -111,16 +88,16 @@ class Member(FamilyPair):
 
 def derive_member(pair: FamilyPair) -> Member:
     """Solve each record once and derive the rest from the Gprime record's
-    form; a Gprime record that is not its G record's counterpart raises
-    CatalogError."""
+    form; a record whose form is not of the stated subfamily, or a Gprime
+    record that is not its G record's counterpart, raises CatalogError."""
     # imported here because both modules import this one
     from . import links, singularities
 
-    link_data = links.build_counterpart(pair.g, links.to_standard_form(pair.g))
-    shape = singularities.equation_shape(pair.gprime)
+    link_data = links.build_counterpart(links.to_standard_form(pair.g, pair.golden.subfamily))
+    shape = links.to_standard_form(pair.gprime, pair.golden.subfamily)
     links.check_counterpart(pair.gprime, link_data)
     support = singularities.family_support(pair.gprime, shape)
-    quotients, cax = singularities.singular_locus(pair.gprime, support)
+    quotients, cax = singularities.singular_locus(pair.gprime, shape, support)
     return Member(g=pair.g, gprime=pair.gprime, golden=pair.golden, a_cube=pair.gprime.a_cube(),
                   shape=shape, support=support, quotients=tuple(quotients), cax=cax,
                   link_data=link_data)
@@ -155,9 +132,9 @@ class Catalog:
     def member(self, family_id: int) -> Member:
         """The family's Member, derived on first request and kept as long as
         this catalog, i.e. for one load.  A record that admits no derivation
-        (no standard shape, a missing weight, wrong Fano index, a Gprime
-        record that is not its G record's counterpart) raises CatalogError
-        with the derivation's message."""
+        (no standard shape or one of another subfamily, a missing weight,
+        wrong Fano index, a Gprime record that is not its G record's
+        counterpart) raises CatalogError with the derivation's message."""
         member = self._members.get(family_id)
         if member is None:
             try:
@@ -219,11 +196,8 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
         raise CatalogError(f"{where}: kind must be 'G' or 'Gprime', got {kind!r}")
     if type(fid) is not int or fid not in FAMILY_IDS:
         raise CatalogError(f"{where}: id {fid} is not one of the 14 catalog families")
-    subfamily = obj["subfamily"]
-    if type(subfamily) is not str or subfamily not in SUBFAMILIES:
-        raise CatalogError(f"{where}: unknown subfamily {subfamily!r}")
-    if fid not in SUBFAMILIES[subfamily]:
-        raise CatalogError(f"{where}: id {fid} is not in subfamily {subfamily}")
+    if type(obj["subfamily"]) is not str:
+        raise CatalogError(f"{where}: 'subfamily' must be a string, got {obj['subfamily']!r}")
     if type(obj["a_cube"]) is not str:
         raise CatalogError(f"{where}: 'a_cube' must be a string \"p/q\", got {obj['a_cube']!r}")
     weights, degrees = _weights_and_degrees(obj, where)
@@ -231,8 +205,7 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
         raise CatalogError(f"{where}: G records need 6 weights and 2 degrees")
     if kind == "Gprime" and (len(weights) != 5 or len(degrees) != 1):
         raise CatalogError(f"{where}: Gprime records need 5 weights and 1 degree")
-    return FamilyRecord(id=fid, kind=kind, weights=WeightSystem(weights), degrees=degrees,
-                        subfamily=subfamily)
+    return FamilyRecord(id=fid, kind=kind, weights=WeightSystem(weights), degrees=degrees)
 
 
 def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
@@ -258,6 +231,7 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     g_records: dict[int, FamilyRecord] = {}
     gprime_records: dict[int, FamilyRecord] = {}
     stated_a_cube: dict[tuple[str, int], Fraction] = {}
+    stated_subfamily: dict[int, str] = {}
     golden_columns: dict[int, tuple[tuple[BasketEntry, ...], tuple[LinkEntry, ...]]] = {}
     for k, obj in enumerate(raw):
         where = f"catalog entry #{k}"
@@ -266,6 +240,10 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
         if rec.id in bucket:
             raise CatalogError(f"{where}: duplicate {rec.kind} record for id {rec.id}")
         bucket[rec.id] = rec
+        subfamily = stated_subfamily.setdefault(rec.id, obj["subfamily"])
+        if obj["subfamily"] != subfamily:
+            raise CatalogError(f"{where}: subfamily {obj['subfamily']!r} of family {rec.id} ({rec.kind}) "
+                               f"differs from {subfamily!r}, stated by its other record")
         try:
             a_cube = rat(obj["a_cube"])
         except (ValueError, ZeroDivisionError) as exc:
@@ -313,8 +291,8 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
 
     pairs = [
         FamilyPair(g=g_records[i], gprime=gprime_records[i],
-                   golden=GoldenRow(id=i, a_cube=stated_a_cube["Gprime", i],
-                                    g_a_cube=stated_a_cube["G", i],
+                   golden=GoldenRow(id=i, subfamily=stated_subfamily[i],
+                                    a_cube=stated_a_cube["Gprime", i], g_a_cube=stated_a_cube["G", i],
                                     basket=golden_columns[i][0], link_column=golden_columns[i][1]))
         for i in FAMILY_IDS
     ]

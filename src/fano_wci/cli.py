@@ -56,8 +56,8 @@ def cmd_links(args) -> int:
     catalog = _load(args)
     _require_family(catalog, args.family)
     g = catalog.g(args.family)
-    form = links.to_standard_form(g)
-    ld = links.build_counterpart(g, form)
+    form = links.to_standard_form(g, catalog.golden(args.family).subfamily)
+    ld = links.build_counterpart(form)
     links.check_counterpart(catalog.gprime(args.family), ld)
     d1, d2 = g.degrees
     print(f"No.{args.family}: X_{{{d1},{d2}}} in {wps_str(g.weights)}")

@@ -268,8 +268,6 @@ def gamma_polynomial(member: Member) -> MonomialSupport:
     at the x2 vertex, which strikes the pure x2 power from the restriction.
     """
     record = member.gprime
-    if record.id not in GAMMA_FAMILIES:
-        raise LookupError(f"family {record.id} has no restriction-curve row")
     support = member.support
     if record.id in GAMMA_NORMALIZED:
         support = support_with_point_at_vertex(support, vertex=2, weight=record.weights[2])
@@ -279,15 +277,14 @@ def gamma_polynomial(member: Member) -> MonomialSupport:
     return MonomialSupport(degree=support.degree, monomials=restricted)
 
 
-GAMMA_FAMILIES = frozenset({23, 29, 42, 49, 50, 55, 74, 77, 82})
 GAMMA_NORMALIZED = frozenset({23})
 
 
-def qi_vertex(weights: WeightSystem, locus: str) -> int:
-    """The vertex at which a quadratic involution of the quotient point at
-    `locus` is read: a vertex point's own vertex; for an edge point pIpJ, the
-    end whose weight is the edge's stabilizer order gcd(w_I, w_J), to which
-    the point moves."""
+def point_vertex(weights: WeightSystem, locus: str) -> int:
+    """The vertex at which the local data of the quotient point at `locus`
+    (a quadratic involution, a nef divisor's sections) are read: a vertex
+    point's own vertex; for an edge point pIpJ, the end whose weight is the
+    edge's stabilizer order gcd(w_I, w_J), to which the point moves."""
     if locus.count("p") == 1:
         return int(locus[1:])
     i, j = int(locus[1]), int(locus[3])
@@ -300,11 +297,11 @@ def qi_vertex(weights: WeightSystem, locus: str) -> int:
 
 def qi_eligible(member: Member, locus: str) -> bool:
     """Structural eligibility for a quadratic involution at the quotient
-    point at `locus`: at its vertex v (`qi_vertex`) the defining polynomial
+    point at `locus`: at its vertex v (`point_vertex`) the defining polynomial
     contains x_v^2 x_j for some other coordinate j."""
     support = member.support
     w = member.gprime.weights
-    vertex = qi_vertex(w, locus)
+    vertex = point_vertex(w, locus)
     d = support.degree
     for j in range(5):
         if j == vertex or d - 2 * w[vertex] != w[j]:
@@ -341,8 +338,8 @@ CURVE_GAMMA_SQ = {19: Fraction(-3, 2), 23: Fraction(-1)}
 # worst-case (Gamma . Delta) and deg Delta of the residual curve pair, family 17
 CURVE_CYCLE_DATA = {17: (Fraction(1), Fraction(1, 2))}
 
-# half-point with a nef divisor certificate: (vertex index, section coordinate indices)
-NEF_DATA = {50: (1, (0, 2, 4)), 74: (1, (0, 2, 4)), 82: (1, (0, 2, 4))}
+# coordinates whose sections lift to the nef divisor certificate's classes
+NEF_SECTIONS = (0, 2, 4)
 
 POINT_RULES: dict[int, dict[str, tuple[RuleBranch, ...]]] = {
     17: {"p4": (RuleBranch("", "untwist", "link"),)},
@@ -424,16 +421,15 @@ def _surface_pair(member: Member, locus: str, flag: bool) -> tuple[SurfacePair, 
 
 
 def _nef_divisor(member: Member, locus: str) -> tuple[NefDivisor, Verdict]:
-    record = member.gprime
     q = _basket_entry(member, locus)
-    vertex, sections = NEF_DATA[record.id]
-    w = record.weights
+    w = member.gprime.weights
+    vertex = point_vertex(w, locus)
     support = support_with_point_at_vertex(member.support, vertex, w[vertex])
     local = tuple(
         Fraction(0) if i == vertex else Fraction(w[i] % q.r, q.r) for i in range(5)
     )
     lifts = []
-    for i in sections:
+    for i in NEF_SECTIONS:
         if i == 4:
             order = vanishing_order(support, local, eliminated=4)
         else:

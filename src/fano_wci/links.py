@@ -1,14 +1,15 @@
 """The data of the codimension-2 families' links: the birational hypersurface
 counterpart, the midpoint hypersurface, and the per-point involution
 inventory.  Both records of a family solve to one standard form,
-`singularities.equation_shape`; a G record's form builds its counterpart.
+`singularities.equation_shape`, of the catalog's stated subfamily; a G
+record's form builds its counterpart.
 """
 
 from __future__ import annotations
 
-from .catalog import CatalogError, FamilyRecord, Member, is_double_cover_shape
+from .catalog import CatalogError, FamilyRecord, Member
 from .exclusion import POINT_RULES, qi_eligible
-from .singularities import QuotientSingularity, StandardForm, StandardFormError, equation_shape
+from .singularities import QuotientSingularity, StandardForm, equation_shape
 from .wps import WeightSystem, record, wps_str
 
 
@@ -32,28 +33,28 @@ class InvolutionTag:
     condition: str
 
 
-def to_standard_form(record: FamilyRecord) -> StandardForm:
-    """The standard form of a G record (see `equation_shape`)."""
-    if record.kind != "G":
-        raise StandardFormError(f"standard forms are defined for G records, got {record.kind}")
-    return equation_shape(record)
+def to_standard_form(record: FamilyRecord, subfamily: str) -> StandardForm:
+    """The standard form of a G or Gprime record (see `equation_shape`);
+    raises CatalogError unless its subfamily tag is the catalog's stated
+    `subfamily`."""
+    form = equation_shape(record)
+    if form.subfamily != subfamily:
+        raise CatalogError(f"No.{record.id}: the {record.kind} record solves to subfamily "
+                           f"{form.subfamily}, the catalog states {subfamily}")
+    return form
 
 
-def build_counterpart(record: FamilyRecord, form: StandardForm | None = None) -> LinkData:
-    """The hypersurface counterpart of a codimension-2 member, with the
-    midpoint hypersurface degree.  `form` is the record's `to_standard_form`,
-    solved here when not given."""
-    if form is None:
-        form = to_standard_form(record)
+def build_counterpart(form: StandardForm) -> LinkData:
+    """The hypersurface counterpart of the codimension-2 member of standard
+    form `form`, with the midpoint hypersurface degree."""
     a0, a1, a2, a3, _, a5 = form.role_weights
     d1, d2 = form.degrees
-    double = is_double_cover_shape(record.subfamily)
     return LinkData(
         b=form.b,
         xprime_weights=WeightSystem((a0, a1, a2, a3, form.b)),
         xprime_degree=d2,
         z_degree=d1 + d2 - a5,
-        equation_shape="I'-shape" if double else "I''-shape",
+        equation_shape="I'-shape" if form.double_cover else "I''-shape",
     )
 
 

@@ -2,7 +2,7 @@
 points on coordinate vertices and edges, the distinguished non-quotient point,
 and the divisorial extractions centered there; and the standard form that both
 records of a family solve to (`equation_shape`), which fixes the member's
-equation shape.
+equation shape and subfamily tag.
 
 Everything else here is support-based.  A general member is modeled by the set of
 monomials its defining polynomial may contain (generic coefficients): the
@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .catalog import FamilyRecord, cax_modulus, is_double_cover_shape
+from .catalog import FamilyRecord
 from .wps import Monomial, MonomialSupport, WeightSystem, monomials_of_degree, record
 
 
@@ -64,7 +64,7 @@ class CAxPoint:
     support data alone cannot determine.
     """
 
-    modulus: int  # 2 or 4
+    modulus: int  # b of the standard form: 2 or 4 in the catalog
     square_type: bool
 
     def type_str(self) -> str:
@@ -120,10 +120,22 @@ class StandardForm:
     def b(self) -> int:
         return self.role_weights[4] - self.role_weights[0]
 
+    @property
+    def double_cover(self) -> bool:
+        """True for the I' shape, whose a4 = a5; the I'' shape has a unique
+        top weight a5."""
+        return self.role_weights[4] == self.role_weights[5]
+
+    @property
+    def subfamily(self) -> str:
+        """The paper's subfamily tag: the shape, then b, the modulus of the
+        cAx/b point."""
+        return ("I'" if self.double_cover else "I''") + str(self.b)
+
 
 def equation_shape(record: FamilyRecord) -> StandardForm:
-    """Solve the subfamily's constraint system for the standard form of a G or
-    Gprime record.
+    """The standard form of a G or Gprime record: the one equation shape
+    whose constraint system the record's weights and degrees solve.
 
     A standard form orders the six ambient weights (a0, ..., a5) of the
     codimension-2 model so that its defining equations take the shape
@@ -134,6 +146,26 @@ def equation_shape(record: FamilyRecord) -> StandardForm:
     with d1 = a0 + a5 and d2 = a4 + a5.  The counterpart hypersurface X'_d,
     d = d2, lives in P(a0, a1, a2, a3, b) with b = a4 - a0 and eliminates u, v
     in favour of the distinguished coordinate w.
+
+    A record that solves in neither shape, or in both, raises
+    StandardFormError; see `_solve` for the two systems.
+    """
+    forms, reasons = [], []
+    for double_cover, name in ((True, "I'"), (False, "I''")):
+        try:
+            forms.append(_solve(record, double_cover))
+        except StandardFormError as exc:
+            reasons.append(f"{name} shape: {exc}")
+    if len(forms) == 2:
+        raise StandardFormError(f"No.{record.id}: solves in both the I' and the I'' shape")
+    if not forms:
+        raise StandardFormError(f"No.{record.id}: no standard form ({'; '.join(reasons)})")
+    return forms[0]
+
+
+def _solve(record: FamilyRecord, double_cover: bool) -> StandardForm:
+    """Solve one shape's constraint system for the standard form of a G or
+    Gprime record.
 
     A Gprime record X'_d in P(x0, x1, x2, x3, b) is first lifted to the six
     weights (x0, x1, x2, x3, a4, a5) and the degrees (d - b, d), with
@@ -149,25 +181,22 @@ def equation_shape(record: FamilyRecord) -> StandardForm:
     first free one of its value; a Gprime's a0..a3 land on its x coordinates.
     """
     weights, degrees = record.weights.weights, record.degrees
-    double_cover = is_double_cover_shape(record.subfamily)
     if record.kind == "Gprime":
         d, b = degrees[0], weights[4]
         twice_a0 = d - 2 * b if double_cover else d - 3 * b
         if twice_a0 <= 0 or twice_a0 % 2:
-            raise StandardFormError(f"No.{record.id}: degree {d} and b={b} admit no standard shape")
+            raise StandardFormError(f"degree {d} and b={b} admit no lift to six weights")
         a4 = twice_a0 // 2 + b
         weights = weights[:4] + (a4, d - a4)
         degrees = (d - b, d)
     d1, d2 = sorted(degrees)
     if d1 % 2 or d2 % 2:
-        raise StandardFormError(f"No.{record.id}: standard form degrees d1, d2 = {d1}, {d2} "
-                                f"are not both even")
+        raise StandardFormError(f"degrees d1, d2 = {d1}, {d2} are not both even")
     pool = Counter(weights)
 
     def take(value: int, what: str) -> int:
         if value <= 0 or pool[value] == 0:
-            raise StandardFormError(f"No.{record.id}: standard form unsolvable, needs {what} = {value} "
-                                    f"in weights {weights}")
+            raise StandardFormError(f"needs {what} = {value} in weights {weights}")
         pool[value] -= 1
         return value
 
@@ -179,14 +208,14 @@ def equation_shape(record: FamilyRecord) -> StandardForm:
     else:
         a5 = take(max(weights), "a5 = max weight")
         if pool[a5]:
-            raise StandardFormError(f"No.{record.id}: the top weight must be unique")
+            raise StandardFormError("the top weight must be unique")
         a0 = take(d1 - a5, "a0 = d1 - a5")
         a4 = take(d1 // 2, "a4 = d1/2")
         a1 = take(d2 // 2, "a1 = d2/2")
         if a4 + a5 != d2:
-            raise StandardFormError(f"No.{record.id}: d2 != a4 + a5")
+            raise StandardFormError("d2 != a4 + a5")
     if a4 <= a0:
-        raise StandardFormError(f"No.{record.id}: b = a4 - a0 = {a4 - a0} is not positive")
+        raise StandardFormError(f"b = a4 - a0 = {a4 - a0} is not positive")
     a2, a3 = sorted(pool.elements())
 
     role_weights = (a0, a1, a2, a3, a4, a5)
@@ -196,17 +225,15 @@ def equation_shape(record: FamilyRecord) -> StandardForm:
     return StandardForm(role_weights=role_weights, degrees=(d1, d2), positions=tuple(positions))
 
 
-def family_support(record: FamilyRecord, shape: StandardForm | None = None) -> MonomialSupport:
+def family_support(record: FamilyRecord, shape: StandardForm) -> MonomialSupport:
     """Monomial support of a general member's defining polynomial.
 
     Double-cover shape:  w^2 x0 (x0 + f(x2,x3)) + w g + h,
     triple-cover shape:  w^3 x0^2 + w^2 x0 f + w g + h,
     with f, g, h generic of the forced degrees.  Exponent vectors are in
     display coordinates (5 slots, w last).  `shape` is the record's
-    `equation_shape`, derived here when not given.
+    `equation_shape`.
     """
-    if shape is None:
-        shape = equation_shape(record)
     w = record.weights
     d = record.degrees[0]
     b = shape.b
@@ -224,7 +251,7 @@ def family_support(record: FamilyRecord, shape: StandardForm | None = None) -> M
         return out
 
     monos: set[Monomial] = set()
-    if is_double_cover_shape(record.subfamily):
+    if shape.double_cover:
         # w^2 x0^2 and w^2 x0 * f with f of degree a0 in the x2, x3 slots
         lead = [0] * 5
         lead[i0] = 2
@@ -294,17 +321,14 @@ def vertex_on_member(support: MonomialSupport, w: WeightSystem, vertex: int) -> 
     return tuple(pure) not in support
 
 
-def vertex_singularities(record: FamilyRecord,
-                         support: MonomialSupport | None = None) -> list[QuotientSingularity]:
+def vertex_singularities(record: FamilyRecord, support: MonomialSupport) -> list[QuotientSingularity]:
     """Quotient types at the x vertices of a general Gprime member.
 
     The w vertex, the distinguished non-quotient point, is not among them
     (see `cax_classify`).  Vertices of weight 1, and vertices missed by the
     general member, contribute nothing.  `support` is the record's
-    `family_support`, derived here when not given.
+    `family_support`.
     """
-    if support is None:
-        support = family_support(record)
     w = record.weights
     out: list[QuotientSingularity] = []
     for i in range(4):
@@ -345,18 +369,15 @@ def edge_root_count(support: MonomialSupport, w: WeightSystem, i: int, j: int) -
 
 
 def edge_singularities(record: FamilyRecord, edge: tuple[int, int],
-                       support: MonomialSupport | None = None) -> QuotientSingularity | None:
+                       support: MonomialSupport) -> QuotientSingularity | None:
     """Quotient points on one coordinate edge of a general Gprime member, with
     their multiplicity; None when the general member meets the edge only at
-    vertices.  `support` is the record's `family_support`, derived here when
-    not given."""
+    vertices.  `support` is the record's `family_support`."""
     i, j = sorted(edge)
     w = record.weights
     r = math.gcd(w[i], w[j])
     if r < 2:
         raise ValueError(f"edge p{i}p{j} has trivial stabilizer (gcd {r})")
-    if support is None:
-        support = family_support(record)
     count = edge_root_count(support, w, i, j)
     if count == 0:
         return None
@@ -364,14 +385,12 @@ def edge_singularities(record: FamilyRecord, edge: tuple[int, int],
     return normalize_quotient(r, transverse, locus=f"p{i}p{j}", count=count)
 
 
-def singular_locus(record: FamilyRecord,
-                   support: MonomialSupport | None = None) -> tuple[list[QuotientSingularity], CAxPoint]:
+def singular_locus(record: FamilyRecord, shape: StandardForm,
+                   support: MonomialSupport) -> tuple[list[QuotientSingularity], CAxPoint]:
     """The full basket of a general member: vertex points, edge points, and
     the distinguished cAx point (square type, coefficients being generic).
-    `support` is the record's `family_support`, derived here once when not
-    given."""
-    if support is None:
-        support = family_support(record)
+    `shape` and `support` are the record's `equation_shape` and
+    `family_support`."""
     quotients = vertex_singularities(record, support)
     w = record.weights
     for i in range(5):
@@ -382,22 +401,19 @@ def singular_locus(record: FamilyRecord,
             if found is not None:
                 quotients.append(found)
     quotients.sort(key=lambda q: (q.locus, q.r))
-    return quotients, cax_classify(record, f_is_zero=False, g1_is_zero=False)
+    return quotients, cax_classify(shape, f_is_zero=False, g1_is_zero=False)
 
 
-def cax_classify(record: FamilyRecord, f_is_zero: bool, g1_is_zero: bool) -> CAxPoint:
-    """Type and square/non-square classification of the distinguished point.
+def cax_classify(shape: StandardForm, f_is_zero: bool, g1_is_zero: bool) -> CAxPoint:
+    """Type and square/non-square classification of the distinguished point
+    of a member of standard form `shape`: cAx/b.
 
     For the double-cover shape the point is of non-square type exactly when
     f = 0; for the triple-cover shape, exactly when the x1-derivative of g
     restricted to the x2, x3 slots vanishes.
     """
-    modulus = cax_modulus(record.subfamily)
-    if is_double_cover_shape(record.subfamily):
-        square = not f_is_zero
-    else:
-        square = not g1_is_zero
-    return CAxPoint(modulus=modulus, square_type=square)
+    square = not (f_is_zero if shape.double_cover else g1_is_zero)
+    return CAxPoint(modulus=shape.b, square_type=square)
 
 
 def extractions_at_cax(point: CAxPoint, link_data) -> ExtractionDescriptor:

@@ -14,7 +14,7 @@ from fano_wci.catalog import default_catalog_path, load_catalog
 from fano_wci.cli import main
 from fano_wci.exclusion import Center, dispatch, negdef2, negdef_for_all, NegDefMatrix
 from fano_wci.report import GOLDEN, build_report, verify_tables
-from fano_wci.singularities import QuotientSingularity, normalize_quotient, singular_locus
+from fano_wci.singularities import QuotientSingularity, normalize_quotient
 from fano_wci.wps import WeightSystem, monomials_of_degree, rat_str
 
 F = Fraction
@@ -33,36 +33,36 @@ def test_01_a_cube_table(catalog):
 def test_02_link_construction(catalog):
     for fid in catalog.ids():
         g, gp = catalog.g(fid), catalog.gprime(fid)
-        ld = links.build_counterpart(g)
-        form = links.to_standard_form(g)
+        form = links.to_standard_form(g, catalog.golden(fid).subfamily)
+        ld = links.build_counterpart(form)
         assert ld.b == form.role_weights[4] - form.role_weights[0]
         assert ld.display_weights().weights == gp.weights.weights
         assert ld.xprime_degree == gp.degrees[0]
         back_w, back_d = links.counterpart_inverse(catalog.member(fid).shape)
         assert back_w.weights == g.weights.weights and back_d == tuple(sorted(g.degrees))
-    assert links.build_counterpart(catalog.g(82)).display_weights().weights == (1, 2, 5, 11, 4)
+    assert catalog.member(82).link_data.display_weights().weights == (1, 2, 5, 11, 4)
     ok(2, "all 14 counterparts and degrees match; round trip G -> G' -> G is the identity")
 
 
 def test_03_baskets(catalog):
     for fid in catalog.ids():
-        quotients, cax = singular_locus(catalog.gprime(fid))
+        member = catalog.member(fid)
+        quotients, cax = member.quotients, member.cax
         computed = sorted([(q.type_str(), q.count, q.locus) for q in quotients]
                           + [(cax.type_str(), 1, "p4")])
         golden = sorted((b.type, b.count, b.locus) for b in catalog.golden(fid).basket)
         assert computed == golden, f"family {fid}"
-    q29 = [q for q in singular_locus(catalog.gprime(29))[0] if q.locus == "p2p4"]
+    q29 = [q for q in catalog.member(29).quotients if q.locus == "p2p4"]
     assert q29[0].count == 3
     for fid in (41, 74):
-        counts = [q.count for q in singular_locus(catalog.gprime(fid))[0] if q.r == 3]
+        counts = [q.count for q in catalog.member(fid).quotients if q.r == 3]
         assert counts == [2], f"family {fid}"
     ok(3, "all 14 baskets (vertex + edge counting) equal the golden first columns")
 
 
 def test_04_b_cube_signs(catalog):
     for (fid, locus), sign in GOLDEN.b_cube_signs.items():
-        quotients, _ = singular_locus(catalog.gprime(fid))
-        q = next(q for q in quotients if q.locus == locus)
+        q = next(q for q in catalog.member(fid).quotients if q.locus == locus)
         val = blowup.b_cubed(catalog.gprime(fid).a_cube(), q)
         assert (val > 0) - (val < 0) == sign, f"family {fid} at {locus}"
     positives = [(fid, locus) for (fid, locus), s in GOLDEN.b_cube_signs.items() if s > 0]
@@ -111,7 +111,7 @@ def test_08_matrices(catalog):
         cert = NegDefMatrix(alpha=alpha, beta=beta, parameter_floor=floor)
         assert negdef2(cert.entries_at(floor))
         assert negdef_for_all(cert)
-        q = next(q for q in singular_locus(catalog.gprime(fid))[0] if q.locus == locus)
+        q = next(q for q in catalog.member(fid).quotients if q.locus == locus)
         flag = "exists-wci(1,3,4)" if locus == "p1p4" else "monomial-absent(z^3 t)"
         got, verdict = dispatch(fid, Center.quotient_point(q), {flag}, catalog=catalog)
         assert (got.alpha, got.beta, got.parameter_floor) == (alpha, beta, floor)

@@ -86,9 +86,10 @@ def test_ambient_quadruple_half_point_pairing():
 
 
 def section_orders(catalog, fid, vertex, sections):
-    record = catalog.gprime(fid)
+    member = catalog.member(fid)
+    record = member.gprime
     w = record.weights
-    support = support_with_point_at_vertex(family_support(record), vertex, w[vertex])
+    support = support_with_point_at_vertex(family_support(record, member.shape), vertex, w[vertex])
     local = tuple(Fraction(0) if i == vertex else Fraction(w[i] % 2, 2) for i in range(5))
     out = {}
     for i in sections:
@@ -120,7 +121,7 @@ def test_vanishing_order_matches_fraction_sums(catalog):
     # the integer evaluation equals the minimum of the exact rational sums
     rng = random.Random(5)
     for fid in catalog.ids():
-        support = family_support(catalog.gprime(fid))
+        support = catalog.member(fid).support
         for _ in range(5):
             weights = tuple(Fraction(rng.randrange(0, 12), rng.randrange(1, 7)) for _ in range(5))
             want = min(sum((e * a for e, a in zip(m, weights)), Fraction(0)) for m in support.monomials)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fano_wci.catalog import (FAMILY_IDS, SUBFAMILIES, CatalogError, load_catalog, subfamily_of)
+from fano_wci.catalog import FAMILY_IDS, CatalogError, load_catalog
+from fano_wci.singularities import equation_shape
 
 
 def test_shipped_catalog_loads(catalog):
@@ -23,23 +24,22 @@ def test_record_74(catalog):
     g = catalog.g(74)
     assert g.weights.weights == (1, 2, 3, 7, 9, 11)
     assert g.degrees == (14, 18)
-    assert g.subfamily == "I''4"
+    assert catalog.golden(74).subfamily == "I''4"
 
 
-def test_subfamily_of():
-    assert subfamily_of(19) == "I'2"
-    assert subfamily_of(82) == "I''4"
-    assert subfamily_of(23) == "I'4"
-    with pytest.raises(LookupError):
-        subfamily_of(18)
+def test_derived_subfamily_is_the_stated_tag(catalog):
+    for fid in catalog.ids():
+        stated = catalog.golden(fid).subfamily
+        assert catalog.member(fid).shape.subfamily == stated, f"family {fid}"
+        assert equation_shape(catalog.g(fid)).subfamily == stated, f"family {fid}"
 
 
-def test_subfamilies_cover_disjointly():
-    union = set()
-    for ids in SUBFAMILIES.values():
-        assert not (union & ids)
-        union |= ids
-    assert union == set(FAMILY_IDS)
+def test_derived_subfamilies_are_the_papers_split(catalog):
+    split = {}
+    for fid in catalog.ids():
+        split.setdefault(catalog.member(fid).shape.subfamily, set()).add(fid)
+    assert split == {"I'2": {19, 30, 42}, "I''2": {17, 29, 41, 55, 69, 77},
+                     "I'4": {23, 50}, "I''4": {49, 74, 82}}
 
 
 def test_golden_a_cube_matches_record(catalog):
@@ -107,3 +107,15 @@ def test_load_rejects_missing_record(tmp_path):
     path = _tamper(tmp_path, mutate)
     with pytest.raises(CatalogError, match="missing"):
         load_catalog(path)
+
+
+def test_load_rejects_disagreeing_subfamily_tags(tmp_path):
+    def mutate(raw):
+        next(obj for obj in raw if obj["id"] == 42 and obj["kind"] == "Gprime")["subfamily"] = "I'4"
+    with pytest.raises(CatalogError, match="of family 42 \\(Gprime\\) differs from \"I'2\""):
+        load_catalog(_tamper(tmp_path, mutate), strict=False)
+
+    def mutate(raw):
+        next(obj for obj in raw if obj["id"] == 42 and obj["kind"] == "G")["subfamily"] = 2
+    with pytest.raises(CatalogError, match="'subfamily' must be a string"):
+        load_catalog(_tamper(tmp_path, mutate), strict=False)

@@ -162,18 +162,36 @@ def _gprime_weights(family, weights):
     return mutate
 
 
+def _stated_subfamily(family, subfamily):
+    # both records state the tag, so the load accepts it
+    def mutate(raw):
+        for obj in raw:
+            if obj["id"] == family:
+                obj["subfamily"] = subfamily
+    return mutate
+
+
 # (mutation, family, the line verify-tables prints for it)
 UNDERIVABLE = {
     "wrong-index": (_bump_weight_2_of_29, 29,
                     "family 29: record No.29/Gprime: not anticanonically embedded of index 1 "
                     "(sum weights - sum degrees = 2)"),
     "no-standard-shape": (_swap_weights_0_4_of_17, 17,
-                          "family 17: No.17: degree 8 and b=1 admit no standard shape"),
+                          "family 17: No.17: no standard form (I' shape: degrees d1, d2 = 7, 8 are not "
+                          "both even; I'' shape: degree 8 and b=1 admit no lift to six weights)"),
     "swap-odd-degrees": (_gprime_weights(19, [1, 1, 2, 2, 3]), 19,
-                         "family 19: No.19: standard form degrees d1, d2 = 5, 8 are not both even"),
+                         "family 19: No.19: no standard form (I' shape: degrees d1, d2 = 5, 8 are not "
+                         "both even; I'' shape: degree 8 and b=3 admit no lift to six weights)"),
+    # the record solves, as X'_14 in P(1,1,2,7,4) with b = 4, to I''4
     "swap-not-counterpart": (_gprime_weights(55, [1, 1, 2, 7, 4]), 55,
-                             "family 55: No.55: Gprime record X'_14 in P(1,1,2,7,4) is not the "
-                             "counterpart X'_14 in P(1,1,4,7,2) of its G record"),
+                             "family 55: No.55: the Gprime record solves to subfamily I''4, "
+                             "the catalog states I''2"),
+    # the load checks the order of the x-weights only when strict
+    "unordered-not-counterpart": (_gprime_weights(19, [1, 2, 1, 3, 2]), 19,
+                                  "family 19: No.19: Gprime record X'_8 in P(1,2,1,3,2) is not the "
+                                  "counterpart X'_8 in P(1,1,2,3,2) of its G record"),
+    "stated-subfamily": (_stated_subfamily(19, "I''2"), 19,
+                         "family 19: No.19: the G record solves to subfamily I'2, the catalog states I''2"),
 }
 
 
@@ -194,6 +212,25 @@ def test_underivable_gprime_record_is_a_load_error(capsys, tmp_path, mutation, c
     code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
     assert code == 1
     assert out.splitlines() == [diff_line, "verify-tables: 1 mismatch(es)"]
+
+
+@pytest.mark.parametrize("kind", ["G", "Gprime"])
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_one_changed_subfamily_tag_is_a_load_error(capsys, tmp_path, family, kind):
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    entry = next(obj for obj in raw if obj["id"] == family and obj["kind"] == kind)
+    entry["subfamily"] = "I''4" if entry["subfamily"] == "I'2" else "I'2"
+    path = tmp_path / "tag.json"
+    path.write_text(json.dumps(raw))
+    chosen = ["--family", str(family)]
+    for command in (["verify-tables"], ["analyze", *chosen, "--format", "json"], ["analyze", *chosen],
+                    ["basket", *chosen], ["links", *chosen]):
+        code, out, err = run(capsys, "--catalog", str(path), *command)
+        assert code == 2, command
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: catalog entry #")
+        assert f"of family {family} (" in err and "stated by its other record" in err
 
 
 def test_verify_tables_reports_a_g19_record_of_wrong_index(capsys, tmp_path):

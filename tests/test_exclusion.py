@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from fano_wci.exclusion import (Center, CurveGamma, InfiniteCurves, NegDefMatrix, SurfacePair,
-                                UncoveredCaseError, Untwist, certificate_json, curve_cycle_test,
-                                curve_degree_test, curve_gamma_test, dispatch, gamma_polynomial,
-                                infinite_curves_test, isolation_test, negdef2, negdef_for_all,
-                                qi_eligible, surface_pair_test)
+from fano_wci.exclusion import (POINT_RULES, Center, CurveGamma, InfiniteCurves, NegDefMatrix,
+                                SurfacePair, UncoveredCaseError, Untwist, certificate_json,
+                                curve_cycle_test, curve_degree_test, curve_gamma_test, dispatch,
+                                gamma_polynomial, infinite_curves_test, isolation_test, negdef2,
+                                negdef_for_all, point_vertex, qi_eligible, surface_pair_test)
+from fano_wci.report import GOLDEN
 from fano_wci.singularities import QuotientSingularity
 from fano_wci.wps import MonomialSupport
 
@@ -72,9 +73,20 @@ def test_gamma_polynomial_examples(catalog):
     assert gamma_polynomial(catalog.member(42)).monomials == {(2, 0, 2), (0, 2, 1), (3, 0, 0)}
 
 
-def test_gamma_polynomial_missing_row(catalog):
-    with pytest.raises(LookupError):
-        gamma_polynomial(catalog.member(19))
+def test_gamma_rows_are_the_surface_pair_families():
+    # gamma_polynomial serves the surface-pair certificate and the golden
+    # gamma_rows check, so both reach it for the same nine families
+    surface_pair = {fid for fid, rules in POINT_RULES.items()
+                    if any(br.method == "surface-pair" for branches in rules.values() for br in branches)}
+    assert surface_pair == set(GOLDEN.gamma_rows) == {23, 29, 42, 49, 50, 55, 74, 77, 82}
+
+
+def test_nef_divisor_points_move_to_vertex_1(catalog):
+    # the half points p1p4 of the nef-divisor families sit at the weight-2 end
+    nef = [fid for fid, rules in POINT_RULES.items()
+           if any(br.method == "nef-divisor" for branches in rules.values() for br in branches)]
+    assert nef == [50, 74, 82]
+    assert [point_vertex(catalog.gprime(fid).weights, "p1p4") for fid in nef] == [1, 1, 1]
 
 
 def test_negdef2_examples():

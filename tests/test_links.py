@@ -1,24 +1,29 @@
 import pytest
 
-from fano_wci.catalog import FamilyRecord, is_double_cover_shape
+from fano_wci.catalog import CatalogError, FamilyRecord
 from fano_wci.links import build_counterpart, counterpart_inverse, involution_inventory, to_standard_form
-from fano_wci.singularities import StandardFormError, equation_shape, singular_locus
+from fano_wci.singularities import StandardFormError, equation_shape
 from fano_wci.wps import WeightSystem
 
 
+def form(catalog, fid):
+    """The standard form of family `fid`'s G record."""
+    return to_standard_form(catalog.g(fid), catalog.golden(fid).subfamily)
+
+
 def test_standard_forms(catalog):
-    assert to_standard_form(catalog.g(17)).role_weights == (1, 4, 1, 1, 3, 5)
-    assert to_standard_form(catalog.g(19)).role_weights == (2, 3, 1, 1, 4, 4)
-    assert to_standard_form(catalog.g(82)).role_weights == (5, 11, 1, 2, 9, 13)
+    assert form(catalog, 17).role_weights == (1, 4, 1, 1, 3, 5)
+    assert form(catalog, 19).role_weights == (2, 3, 1, 1, 4, 4)
+    assert form(catalog, 82).role_weights == (5, 11, 1, 2, 9, 13)
 
 
 def test_standard_form_constraints(catalog):
     for fid in catalog.ids():
-        form = to_standard_form(catalog.g(fid))
-        a0, a1, a2, a3, a4, a5 = form.role_weights
-        d1, d2 = form.degrees
+        shape = form(catalog, fid)
+        a0, a1, a2, a3, a4, a5 = shape.role_weights
+        d1, d2 = shape.degrees
         assert a2 <= a3
-        if is_double_cover_shape(catalog.g(fid).subfamily):
+        if shape.double_cover:
             assert a5 == a4 and d1 == a0 + a5 == 2 * a1 and d2 == a4 + a5 == 2 * a4
         else:
             assert all(a5 > a for a in (a0, a1, a2, a3, a4))
@@ -26,26 +31,41 @@ def test_standard_form_constraints(catalog):
 
 
 def test_standard_form_unsolvable():
-    broken = FamilyRecord(id=19, kind="G", weights=WeightSystem((1, 1, 2, 3, 4, 5)),
-                          degrees=(6, 8), subfamily="I'2")
-    with pytest.raises(StandardFormError):
-        to_standard_form(broken)
+    # d2/2 = 5 must fill a4 = a5 (I') or a1 beside the top weight a5 = 5 (I''): one 5 does neither
+    broken = FamilyRecord(id=19, kind="G", weights=WeightSystem((1, 1, 2, 3, 4, 5)), degrees=(6, 10))
+    with pytest.raises(StandardFormError, match="no standard form \\(I' shape: .*; I'' shape: .*a1 = d2/2 = 5"):
+        equation_shape(broken)
+
+
+def test_standard_form_in_both_shapes_is_an_error():
+    # (a0..a5) = (2, 3, 1, 5, 4, 4) in the I' shape and (1, 4, 2, 4, 3, 5) in
+    # the I'' shape; no G record of Fano index 1 solves both
+    both = FamilyRecord(id=19, kind="G", weights=WeightSystem((1, 2, 3, 4, 4, 5)), degrees=(6, 8))
+    with pytest.raises(StandardFormError, match="solves in both the I' and the I'' shape"):
+        equation_shape(both)
+
+
+def test_standard_form_of_another_subfamily(catalog):
+    with pytest.raises(CatalogError, match="the G record solves to subfamily I'2, the catalog states I''2"):
+        to_standard_form(catalog.g(19), "I''2")
+    with pytest.raises(CatalogError, match="the Gprime record solves to subfamily I''4, the catalog states I''2"):
+        to_standard_form(catalog.gprime(82), "I''2")
 
 
 def test_counterparts(catalog):
-    ld = build_counterpart(catalog.g(17))
+    ld = build_counterpart(form(catalog, 17))
     assert ld.b == 2
     assert ld.display_weights().weights == (1, 1, 1, 4, 2) and ld.xprime_degree == 8
-    ld = build_counterpart(catalog.g(50))
+    ld = build_counterpart(form(catalog, 50))
     assert ld.b == 4
     assert ld.display_weights().weights == (1, 2, 3, 5, 4) and ld.xprime_degree == 14
-    ld = build_counterpart(catalog.g(19))
+    ld = build_counterpart(form(catalog, 19))
     assert ld.z_degree == 6 + 8 - 4
 
 
 def test_counterparts_match_catalog(catalog):
     for fid in catalog.ids():
-        ld = build_counterpart(catalog.g(fid))
+        ld = build_counterpart(form(catalog, fid))
         gp = catalog.gprime(fid)
         assert ld.display_weights().weights == gp.weights.weights, f"family {fid}"
         assert sorted(ld.xprime_weights.weights) == sorted(gp.weights.weights)
@@ -54,17 +74,16 @@ def test_counterparts_match_catalog(catalog):
 
 def test_b_matches_subfamily(catalog):
     for fid in catalog.ids():
-        ld = build_counterpart(catalog.g(fid))
-        expected = 2 if catalog.g(fid).subfamily in ("I'2", "I''2") else 4
-        assert ld.b == expected
+        ld = build_counterpart(form(catalog, fid))
+        assert str(ld.b) == catalog.golden(fid).subfamily.lstrip("I'")
 
 
 def test_z_degree_identities(catalog):
     for fid in catalog.ids():
-        form = to_standard_form(catalog.g(fid))
-        ld = build_counterpart(catalog.g(fid))
-        d1, d2 = form.degrees
-        a4, a5 = form.role_weights[4], form.role_weights[5]
+        shape = form(catalog, fid)
+        ld = build_counterpart(shape)
+        d1, d2 = shape.degrees
+        a4, a5 = shape.role_weights[4], shape.role_weights[5]
         assert ld.z_degree == d1 + d2 - a5
         if ld.equation_shape == "I'-shape":
             assert ld.z_degree == a4 + d1
@@ -89,14 +108,12 @@ def test_round_trip_is_identity(catalog):
 
 def test_involution_inventory_examples(catalog):
     pair = catalog.member(30)
-    quotients, _ = singular_locus(pair.gprime)
-    tags = involution_inventory(pair, quotients)
+    tags = involution_inventory(pair, list(pair.quotients))
     p2 = {(t.condition, t.tag) for t in tags if t.point == "p2"}
     assert p2 == {("monomial-present(y^2 z)", "QI"), ("monomial-absent(y^2 z)", "none")}
 
     pair = catalog.member(19)
-    quotients, _ = singular_locus(pair.gprime)
-    tags = involution_inventory(pair, quotients)
+    tags = involution_inventory(pair, list(pair.quotients))
     half = {(t.condition, t.tag) for t in tags if t.point == "p2p4"}
     assert half == {("not-exists-wci(1,1,2)", "EI"), ("exists-wci(1,1,2)", "II")}
     assert any(t.point == "p4" and t.tag == "link" for t in tags)
@@ -105,14 +122,13 @@ def test_involution_inventory_examples(catalog):
 def test_inventory_matches_golden(catalog):
     for fid in catalog.ids():
         pair = catalog.member(fid)
-        quotients, _ = singular_locus(pair.gprime)
-        got = sorted((t.point, t.tag, t.condition) for t in involution_inventory(pair, quotients))
+        got = sorted((t.point, t.tag, t.condition) for t in involution_inventory(pair, list(pair.quotients)))
         want = sorted((l.point, l.tag, l.condition) for l in pair.golden.link_column)
         assert got == want, f"family {fid}"
 
 
 def test_inventory_rejects_mismatched_basket(catalog):
     pair = catalog.member(50)
-    quotients, _ = singular_locus(catalog.gprime(29))
+    quotients = list(catalog.member(29).quotients)
     with pytest.raises(ValueError, match="do not match"):
         involution_inventory(pair, quotients)

@@ -37,34 +37,44 @@ def test_normalize_quotient_rejects_non_terminal():
         normalize_quotient(3, (1, 3, 2))  # zero weight mod 3
 
 
+def record_and_support(catalog, fid):
+    member = catalog.member(fid)
+    return member.gprime, member.support
+
+
 def test_vertex_examples(catalog):
     # weight-3 vertex of No.23 carries 1/3(1,1,2)
-    quotients = vertex_singularities(catalog.gprime(23))
+    quotients = vertex_singularities(*record_and_support(catalog, 23))
     assert [(q.locus, q.type_str()) for q in quotients] == [("p3", "1/3(1,1,2)")]
     # weight-4 vertex of No.30 carries 1/4(1,1,3)
-    quotients = {q.locus: q.type_str() for q in vertex_singularities(catalog.gprime(30))}
+    quotients = {q.locus: q.type_str() for q in vertex_singularities(*record_and_support(catalog, 30))}
     assert quotients == {"p2": "1/3(1,1,2)", "p3": "1/4(1,1,3)"}
     # No.17 has only the distinguished point
-    assert vertex_singularities(catalog.gprime(17)) == []
+    assert vertex_singularities(*record_and_support(catalog, 17)) == []
 
 
 def test_edge_examples(catalog):
-    q29 = edge_singularities(catalog.gprime(29), (2, 4))
+    record, support = record_and_support(catalog, 29)
+    q29 = edge_singularities(record, (2, 4), support)
     assert (q29.type_str(), q29.count) == ("1/2(1,1,1)", 3)
-    q23 = edge_singularities(catalog.gprime(23), (2, 4))
+    record, support = record_and_support(catalog, 23)
+    q23 = edge_singularities(record, (2, 4), support)
     assert (q23.type_str(), q23.count) == ("1/2(1,1,1)", 1)
-    q19 = edge_singularities(catalog.gprime(19), (2, 4))
+    record, support = record_and_support(catalog, 19)
+    q19 = edge_singularities(record, (2, 4), support)
     assert (q19.type_str(), q19.count) == ("1/2(1,1,1)", 2)
 
 
 def test_edge_count_zero_when_member_avoids_interior(catalog):
     # the (z, w) edge of No.30 meets the member only at vertices
-    assert edge_singularities(catalog.gprime(30), (3, 4)) is None
+    record, support = record_and_support(catalog, 30)
+    assert edge_singularities(record, (3, 4), support) is None
 
 
 def test_baskets_match_golden(catalog):
     for fid in catalog.ids():
-        quotients, cax = singular_locus(catalog.gprime(fid))
+        member = catalog.member(fid)
+        quotients, cax = singular_locus(member.gprime, member.shape, member.support)
         computed = sorted([(q.type_str(), q.count, q.locus) for q in quotients]
                           + [(cax.type_str(), 1, "p4")])
         golden = sorted((b.type, b.count, b.locus) for b in catalog.golden(fid).basket)
@@ -72,26 +82,26 @@ def test_baskets_match_golden(catalog):
 
 
 def test_cax_classify(catalog):
-    p = cax_classify(catalog.gprime(19), f_is_zero=False, g1_is_zero=False)
+    shape19, shape49 = catalog.member(19).shape, catalog.member(49).shape
+    p = cax_classify(shape19, f_is_zero=False, g1_is_zero=False)
     assert (p.modulus, p.square_type) == (2, True)
-    p = cax_classify(catalog.gprime(19), f_is_zero=True, g1_is_zero=False)
+    p = cax_classify(shape19, f_is_zero=True, g1_is_zero=False)
     assert (p.modulus, p.square_type) == (2, False)
-    p = cax_classify(catalog.gprime(49), f_is_zero=False, g1_is_zero=True)
+    p = cax_classify(shape49, f_is_zero=False, g1_is_zero=True)
     assert (p.modulus, p.square_type) == (4, False)
 
 
 def test_extractions_at_cax(catalog):
-    from fano_wci.links import build_counterpart
     # No.17: weights (a4, a1, a2, a3)/b = (3, 4, 1, 1)/2
-    ld = build_counterpart(catalog.g(17))
-    p = cax_classify(catalog.gprime(17), False, False)
+    ld = catalog.member(17).link_data
+    p = cax_classify(catalog.member(17).shape, False, False)
     ext = extractions_at_cax(p, ld)
     assert ext.ambient_weights == (Fraction(3, 2), Fraction(2), Fraction(1, 2), Fraction(1, 2))
     assert ext.count == 2 and ext.discrepancy == Fraction(1, 2)
     # square vs non-square switches the number of extractions
-    ld19 = build_counterpart(catalog.g(19))
-    square = cax_classify(catalog.gprime(19), f_is_zero=False, g1_is_zero=False)
-    nonsquare = cax_classify(catalog.gprime(19), f_is_zero=True, g1_is_zero=False)
+    ld19 = catalog.member(19).link_data
+    square = cax_classify(catalog.member(19).shape, f_is_zero=False, g1_is_zero=False)
+    nonsquare = cax_classify(catalog.member(19).shape, f_is_zero=True, g1_is_zero=False)
     assert extractions_at_cax(square, ld19).count == 2
     assert extractions_at_cax(nonsquare, ld19).count == 1
 
@@ -109,9 +119,9 @@ def test_equation_shape_resolves_roles(catalog):
 
 def test_family_support_has_capped_w_powers(catalog):
     for fid in catalog.ids():
-        record = catalog.gprime(fid)
-        support = family_support(record)
-        cap = 2 if record.subfamily in ("I'2", "I'4") else 3
+        member = catalog.member(fid)
+        record, support = member.gprime, family_support(member.gprime, member.shape)
+        cap = 3 if "''" in member.golden.subfamily else 2  # I'' is the triple-cover shape
         assert max(m[4] for m in support.monomials) == cap
         assert all(sum(e * a for e, a in zip(m, record.weights)) == support.degree
                    for m in support.monomials)
@@ -156,9 +166,8 @@ def _outcome(count, *args):
 def test_edge_monomials_by_weighted_degree_match_the_definition(catalog):
     inside = 0
     for fid in catalog.ids():
-        record = catalog.gprime(fid)
+        record, support = record_and_support(catalog, fid)
         w = record.weights
-        support = family_support(record)
         supports = [support] + [support_with_point_at_vertex(support, v, w[v]) for v in range(5)]
         for s in supports:
             for i, j in itertools.combinations(range(5), 2):
