@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from math import prod
 from typing import TYPE_CHECKING
 
 from .wps import MonomialSupport, WeightSystem, anticanonical_cube, rat, rat_str, record
@@ -169,19 +170,22 @@ def _weights_and_degrees(obj: dict, where: str) -> tuple[tuple[int, ...], tuple[
                        f"got {weights!r} and {degrees!r}")
 
 
-def _entries(obj: dict, field: str, keys: dict[str, type], where: str) -> list[dict]:
-    """The objects of a basket or links array, each checked to hold every key
-    of `keys` with a value of that key's type."""
+def _entries(obj: dict, field: str, keys: dict[str, type], cls: type, where: str) -> tuple:
+    """The objects of a basket or links array as `cls` records, each object
+    checked to hold every key of `keys` with a value of that key's type."""
     value = obj[field]
-    kinds = list(keys.values())
-    try:
-        ok = type(value) is list and [type(entry[key]) for entry in value for key in keys] == kinds * len(value)
-    except (KeyError, TypeError):  # an entry without a key, or not an object
-        ok = False
-    if not ok:
-        schema = ", ".join(f"{key} ({kind.__name__})" for key, kind in keys.items())
-        raise CatalogError(f"{where}: '{field}' must be a list of objects with {schema}, got {value!r}")
-    return value
+    kinds = [*keys.values()]
+    if type(value) is list:
+        out = []
+        for entry in value:
+            fields = [*map(entry.get, keys)] if type(entry) is dict else None
+            if fields is None or [*map(type, fields)] != kinds:
+                break
+            out.append(cls(*fields))
+        else:
+            return tuple(out)
+    schema = ", ".join(f"{key} ({kind.__name__})" for key, kind in keys.items())
+    raise CatalogError(f"{where}: '{field}' must be a list of objects with {schema}, got {value!r}")
 
 
 def _parse_record(obj: dict, where: str) -> FamilyRecord:
@@ -205,7 +209,7 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
         raise CatalogError(f"{where}: G records need 6 weights and 2 degrees")
     if kind == "Gprime" and (len(weights) != 5 or len(degrees) != 1):
         raise CatalogError(f"{where}: Gprime records need 5 weights and 1 degree")
-    return FamilyRecord(id=fid, kind=kind, weights=WeightSystem(weights), degrees=degrees)
+    return FamilyRecord(fid, kind, WeightSystem(weights), degrees)
 
 
 def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
@@ -249,30 +253,27 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
         except (ValueError, ZeroDivisionError) as exc:
             raise CatalogError(f"{where}: bad a_cube {obj['a_cube']!r}: {exc}") from exc
         if strict:
-            ordered = rec.weights.weights if rec.kind == "G" else rec.weights.weights[:4]
+            weights, degrees = rec.weights.weights, rec.degrees
+            ordered = weights if rec.kind == "G" else weights[:4]
             if list(ordered) != sorted(ordered):
                 order = "ascending" if rec.kind == "G" else "ascending x-weights, then the distinguished weight"
                 raise CatalogError(f"{where}: 'weights' of family {rec.id} ({rec.kind}) must be {order}, "
                                    f"got {list(rec.weights)}")
-            try:
-                computed = rec.a_cube()
-            except ValueError as exc:  # weights and degrees of the wrong Fano index
-                raise CatalogError(f"{where}: {exc}") from exc
-            if a_cube != computed:
+            # (-K)^3 = prod(degrees) / prod(weights) at index 1, in integers; a_cube() words the error
+            if (sum(weights) - sum(degrees) != 1
+                    or a_cube.numerator * prod(weights) != a_cube.denominator * prod(degrees)):
+                try:
+                    computed = rec.a_cube()
+                except ValueError as exc:  # weights and degrees of the wrong Fano index
+                    raise CatalogError(f"{where}: {exc}") from exc
                 raise CatalogError(
                     f"{where}: a_cube mismatch for family {rec.id} ({rec.kind}): "
                     f"file says {obj['a_cube']}, weights/degrees give {rat_str(computed)}"
                 )
         stated_a_cube[rec.kind, rec.id] = a_cube
         if rec.kind == "Gprime":
-            basket = tuple(
-                BasketEntry(type=b["type"], count=b["count"], locus=b["locus"])
-                for b in _entries(obj, "basket", BASKET_KEYS, where)
-            )
-            links = tuple(
-                LinkEntry(point=l["point"], tag=l["tag"], condition=l["condition"])
-                for l in _entries(obj, "links", LINK_KEYS, where)
-            )
+            basket = _entries(obj, "basket", BASKET_KEYS, BasketEntry, where)
+            links = _entries(obj, "links", LINK_KEYS, LinkEntry, where)
             for entry in basket:
                 if entry.count < 1:
                     raise CatalogError(f"{where}: basket count must be >= 1 for family {rec.id}")
@@ -283,17 +284,13 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
                     raise CatalogError(f"{where}: link tag only at the cAx point p4 (family {rec.id})")
             golden_columns[rec.id] = basket, links
 
-    missing_g = set(FAMILY_IDS) - set(g_records)
-    missing_gp = set(FAMILY_IDS) - set(gprime_records)
-    if missing_g or missing_gp:
-        raise CatalogError(f"catalog incomplete: missing G records {sorted(missing_g)}, "
-                           f"Gprime records {sorted(missing_gp)}")
+    # every id is one of FAMILY_IDS and none repeats, so a full count is a full catalog
+    if len(g_records) + len(gprime_records) != 2 * len(FAMILY_IDS):
+        raise CatalogError(f"catalog incomplete: missing G records {sorted(set(FAMILY_IDS) - set(g_records))}, "
+                           f"Gprime records {sorted(set(FAMILY_IDS) - set(gprime_records))}")
 
-    pairs = [
-        FamilyPair(g=g_records[i], gprime=gprime_records[i],
-                   golden=GoldenRow(id=i, subfamily=stated_subfamily[i],
-                                    a_cube=stated_a_cube["Gprime", i], g_a_cube=stated_a_cube["G", i],
-                                    basket=golden_columns[i][0], link_column=golden_columns[i][1]))
-        for i in FAMILY_IDS
-    ]
+    pairs = [FamilyPair(g_records[i], gprime_records[i],
+                        GoldenRow(i, stated_subfamily[i], stated_a_cube["Gprime", i], stated_a_cube["G", i],
+                                  *golden_columns[i]))
+             for i in FAMILY_IDS]
     return Catalog(pairs)

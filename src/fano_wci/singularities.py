@@ -14,7 +14,6 @@ on coordinate edges uses lowest/highest exponents only, never coefficients.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 from .catalog import FamilyRecord
@@ -152,10 +151,11 @@ def equation_shape(record: FamilyRecord) -> StandardForm:
     """
     forms, reasons = [], []
     for double_cover, name in ((True, "I'"), (False, "I''")):
-        try:
-            forms.append(_solve(record, double_cover))
-        except StandardFormError as exc:
-            reasons.append(f"{name} shape: {exc}")
+        solved = _solve(record, double_cover)
+        if type(solved) is str:
+            reasons.append(f"{name} shape: {solved}")
+        else:
+            forms.append(solved)
     if len(forms) == 2:
         raise StandardFormError(f"No.{record.id}: solves in both the I' and the I'' shape")
     if not forms:
@@ -163,9 +163,9 @@ def equation_shape(record: FamilyRecord) -> StandardForm:
     return forms[0]
 
 
-def _solve(record: FamilyRecord, double_cover: bool) -> StandardForm:
+def _solve(record: FamilyRecord, double_cover: bool) -> StandardForm | str:
     """Solve one shape's constraint system for the standard form of a G or
-    Gprime record.
+    Gprime record; return the form, or the reason the system has no solution.
 
     A Gprime record X'_d in P(x0, x1, x2, x3, b) is first lifted to the six
     weights (x0, x1, x2, x3, a4, a5) and the degrees (d - b, d), with
@@ -176,7 +176,8 @@ def _solve(record: FamilyRecord, double_cover: bool) -> StandardForm:
     - triple-cover shape: a5 = the unique top weight, a0 = d1 - a5,
       a4 = d1/2, a1 = d2/2 and d2 = a4 + a5.
 
-    The two weights left are (a2, a3) with a2 <= a3, and b must be positive.
+    Each role takes one weight of its value, in the order listed; the two
+    weights left are (a2, a3) with a2 <= a3, and b must be positive.
     `positions` holds each role's coordinate in the (lifted) weights, the
     first free one of its value; a Gprime's a0..a3 land on its x coordinates.
     """
@@ -185,44 +186,42 @@ def _solve(record: FamilyRecord, double_cover: bool) -> StandardForm:
         d, b = degrees[0], weights[4]
         twice_a0 = d - 2 * b if double_cover else d - 3 * b
         if twice_a0 <= 0 or twice_a0 % 2:
-            raise StandardFormError(f"degree {d} and b={b} admit no lift to six weights")
+            return f"degree {d} and b={b} admit no lift to six weights"
         a4 = twice_a0 // 2 + b
         weights = weights[:4] + (a4, d - a4)
         degrees = (d - b, d)
     d1, d2 = sorted(degrees)
     if d1 % 2 or d2 % 2:
-        raise StandardFormError(f"degrees d1, d2 = {d1}, {d2} are not both even")
-    pool = Counter(weights)
-
-    def take(value: int, what: str) -> int:
-        if value <= 0 or pool[value] == 0:
-            raise StandardFormError(f"needs {what} = {value} in weights {weights}")
-        pool[value] -= 1
-        return value
-
+        return f"degrees d1, d2 = {d1}, {d2} are not both even"
     if double_cover:
-        a5 = take(d2 // 2, "a5 = d2/2")
-        a4 = take(d2 // 2, "a4 = d2/2")
-        a1 = take(d1 // 2, "a1 = d1/2")
-        a0 = take(d1 - a5, "a0 = d1 - a5")
+        a5 = a4 = d2 // 2
+        a0, a1 = d1 - a5, d1 // 2
+        roles = ((a5, "a5 = d2/2"), (a4, "a4 = d2/2"), (a1, "a1 = d1/2"), (a0, "a0 = d1 - a5"))
     else:
-        a5 = take(max(weights), "a5 = max weight")
-        if pool[a5]:
-            raise StandardFormError("the top weight must be unique")
-        a0 = take(d1 - a5, "a0 = d1 - a5")
-        a4 = take(d1 // 2, "a4 = d1/2")
-        a1 = take(d2 // 2, "a1 = d2/2")
-        if a4 + a5 != d2:
-            raise StandardFormError("d2 != a4 + a5")
+        a5 = max(weights)
+        if weights.count(a5) > 1:
+            return "the top weight must be unique"
+        a0, a4, a1 = d1 - a5, d1 // 2, d2 // 2
+        roles = ((a5, "a5 = max weight"), (a0, "a0 = d1 - a5"), (a4, "a4 = d1/2"), (a1, "a1 = d2/2"))
+    pool = list(weights)
+    for value, what in roles:
+        if value <= 0 or value not in pool:
+            return f"needs {what} = {value} in weights {weights}"
+        pool.remove(value)
+    if a4 + a5 != d2:  # holds by construction in the double-cover shape
+        return "d2 != a4 + a5"
     if a4 <= a0:
-        raise StandardFormError(f"b = a4 - a0 = {a4 - a0} is not positive")
-    a2, a3 = sorted(pool.elements())
+        return f"b = a4 - a0 = {a4 - a0} is not positive"
+    a2, a3 = sorted(pool)
 
     role_weights = (a0, a1, a2, a3, a4, a5)
-    positions: list[int] = []
+    free = list(weights)  # a taken coordinate is marked 0, which no weight is
+    positions = []
     for value in role_weights:
-        positions.append(next(i for i, a in enumerate(weights) if a == value and i not in positions))
-    return StandardForm(role_weights=role_weights, degrees=(d1, d2), positions=tuple(positions))
+        i = free.index(value)
+        free[i] = 0
+        positions.append(i)
+    return StandardForm(role_weights, (d1, d2), tuple(positions))
 
 
 def family_support(record: FamilyRecord, shape: StandardForm) -> MonomialSupport:
@@ -419,12 +418,11 @@ def cax_classify(shape: StandardForm, f_is_zero: bool, g1_is_zero: bool) -> CAxP
 def extractions_at_cax(point: CAxPoint, link_data) -> ExtractionDescriptor:
     """Divisorial extractions centered at the cAx point: two for square type,
     one otherwise, with ambient blowup weights (a4, a1, a2, a3) / b taken from
-    the family's link data."""
+    the family's link data, whose b is the point's modulus: `derive_member`
+    accepts a Gprime record only as the counterpart of its G record."""
     b = link_data.b
     a0, a1, a2, a3 = link_data.xprime_weights.weights[:4]
     a4 = a0 + b
-    if b != point.modulus:
-        raise ValueError(f"blowup weight denominator {b} does not match cAx/{point.modulus}")
     return ExtractionDescriptor(
         count=2 if point.square_type else 1,
         ambient_weights=(Fraction(a4, b), Fraction(a1, b), Fraction(a2, b), Fraction(a3, b)),

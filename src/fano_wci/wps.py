@@ -15,9 +15,13 @@ Rational = Fraction
 
 
 def rat(text: str | int) -> Fraction:
-    """Parse an exact rational from an int or a "p/q" / "p" string."""
+    """Parse an exact rational from an int or a "p/q" / "p" string; ASCII
+    digits are read with int(), any other string by Fraction, errors and all."""
     if isinstance(text, int):
         return Fraction(text)
+    num, slash, den = text.partition("/")
+    if num.isdigit() and (den.isdigit() or not slash) and text.isascii():
+        return Fraction(int(num), int(den) if slash else 1)
     return Fraction(text.strip())
 
 
@@ -123,7 +127,7 @@ class WeightSystem:
     def __post_init__(self) -> None:
         if len(self.weights) < 2:
             raise ValueError(f"need at least 2 weights, got {self.weights}")
-        if any(a < 1 for a in self.weights):
+        if min(self.weights) < 1:
             raise ValueError(f"weights must be >= 1, got {self.weights}")
 
     def __len__(self) -> int:

@@ -42,6 +42,16 @@ def test_verify_tables_derives_each_member_once():
                      "singular_locus": families}
 
 
+def test_verify_tables_loads_once_and_solves_each_record_once():
+    # one load, and one standard-form solve per record (G and Gprime): a
+    # load or a solve that re-derives what it already holds fails here
+    calls, diffs = count_calls({"load_catalog": load_catalog,
+                                "equation_shape": singularities.equation_shape},
+                               lambda: verify_tables(load_catalog(strict=False)))
+    assert diffs == []
+    assert calls == {"load_catalog": 1, "equation_shape": 2 * len(FAMILY_IDS)}
+
+
 def test_verify_tables_derives_a_cube_three_times_per_family():
     catalog = load_catalog(strict=False)
     calls, diffs = count_calls({"anticanonical_cube": wps.anticanonical_cube},

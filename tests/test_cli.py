@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from fano_wci import cli
 from fano_wci.catalog import FAMILY_IDS, default_catalog_path, load_catalog
 from fano_wci.cli import main
+from fano_wci.wps import rat_str
 
 
 def run(capsys, *argv):
@@ -212,6 +215,41 @@ def test_underivable_gprime_record_is_a_load_error(capsys, tmp_path, mutation, c
     code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
     assert code == 1
     assert out.splitlines() == [diff_line, "verify-tables: 1 mismatch(es)"]
+
+
+def _gprimes_with_another_b(entry):
+    """Gprime records that a strict load accepts (ascending x-weights, Fano
+    index one, the true a_cube) and whose distinguished weight is not the
+    entry's: b moves to each b' in 1..8 and one x-weight takes up the
+    difference."""
+    *x, b = entry["weights"]
+    for other in range(1, 9):
+        for i in range(4):
+            xs = x[:i] + [x[i] + b - other] + x[i + 1:]
+            if other != b and min(xs) >= 1 and xs == sorted(xs):
+                weights = xs + [other]
+                yield weights, rat_str(Fraction(entry["degrees"][0], math.prod(weights)))
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_gprime_record_with_another_b_is_a_load_error(capsys, tmp_path, family):
+    # a G record and its Gprime record agree on b, the modulus of the cAx
+    # point; that is why the extraction weights can be read off the G
+    # record's link data
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    entry = next(obj for obj in raw if obj["id"] == family and obj["kind"] == "Gprime")
+    path = tmp_path / "another-b.json"
+    candidates = list(_gprimes_with_another_b(entry))
+    assert candidates
+    for weights, a_cube in candidates:
+        entry.update(weights=weights, a_cube=a_cube)
+        path.write_text(json.dumps(raw))
+        load_catalog(str(path))  # the strict load accepts the record
+        code, out, err = run(capsys, "--catalog", str(path), "analyze", "--family", str(family))
+        assert code == 2, weights
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: No.{family}: "), err
 
 
 @pytest.mark.parametrize("kind", ["G", "Gprime"])

@@ -1,0 +1,148 @@
+"""The load-and-solve fast paths against slow references that state the
+same rule directly.
+
+`equation_shape` solves without raising inside and tracks the weights left
+on a plain list; `reference_equation_shape` below is the Counter-and-raise
+solve it replaced, kept verbatim apart from names.  `rat` reads ASCII digits
+with int(); the reference is `Fraction(text.strip())`.  Each pair must agree
+on the value, or on the exception's type and message.
+"""
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fano_wci.catalog import FamilyRecord
+from fano_wci.links import build_counterpart
+from fano_wci.singularities import StandardForm, StandardFormError, equation_shape
+from fano_wci.wps import WeightSystem, rat
+
+
+def reference_equation_shape(record):
+    forms, reasons = [], []
+    for double_cover, name in ((True, "I'"), (False, "I''")):
+        try:
+            forms.append(reference_solve(record, double_cover))
+        except StandardFormError as exc:
+            reasons.append(f"{name} shape: {exc}")
+    if len(forms) == 2:
+        raise StandardFormError(f"No.{record.id}: solves in both the I' and the I'' shape")
+    if not forms:
+        raise StandardFormError(f"No.{record.id}: no standard form ({'; '.join(reasons)})")
+    return forms[0]
+
+
+def reference_solve(record, double_cover):
+    weights, degrees = record.weights.weights, record.degrees
+    if record.kind == "Gprime":
+        d, b = degrees[0], weights[4]
+        twice_a0 = d - 2 * b if double_cover else d - 3 * b
+        if twice_a0 <= 0 or twice_a0 % 2:
+            raise StandardFormError(f"degree {d} and b={b} admit no lift to six weights")
+        a4 = twice_a0 // 2 + b
+        weights = weights[:4] + (a4, d - a4)
+        degrees = (d - b, d)
+    d1, d2 = sorted(degrees)
+    if d1 % 2 or d2 % 2:
+        raise StandardFormError(f"degrees d1, d2 = {d1}, {d2} are not both even")
+    pool = Counter(weights)
+
+    def take(value, what):
+        if value <= 0 or pool[value] == 0:
+            raise StandardFormError(f"needs {what} = {value} in weights {weights}")
+        pool[value] -= 1
+        return value
+
+    if double_cover:
+        a5 = take(d2 // 2, "a5 = d2/2")
+        a4 = take(d2 // 2, "a4 = d2/2")
+        a1 = take(d1 // 2, "a1 = d1/2")
+        a0 = take(d1 - a5, "a0 = d1 - a5")
+    else:
+        a5 = take(max(weights), "a5 = max weight")
+        if pool[a5]:
+            raise StandardFormError("the top weight must be unique")
+        a0 = take(d1 - a5, "a0 = d1 - a5")
+        a4 = take(d1 // 2, "a4 = d1/2")
+        a1 = take(d2 // 2, "a1 = d2/2")
+        if a4 + a5 != d2:
+            raise StandardFormError("d2 != a4 + a5")
+    if a4 <= a0:
+        raise StandardFormError(f"b = a4 - a0 = {a4 - a0} is not positive")
+    a2, a3 = sorted(pool.elements())
+
+    role_weights = (a0, a1, a2, a3, a4, a5)
+    positions = []
+    for value in role_weights:
+        positions.append(next(i for i, a in enumerate(weights) if a == value and i not in positions))
+    return StandardForm(role_weights=role_weights, degrees=(d1, d2), positions=tuple(positions))
+
+
+def outcome(function, *args):
+    try:
+        return "value", function(*args)
+    except Exception as exc:  # the type and the text are what is compared
+        return type(exc), str(exc)
+
+
+def index_one_g_records(max_weight):
+    """Every G record with ascending weights at most `max_weight` and degrees
+    d1 <= d2 of Fano index one; the degrees run in steps of two from the
+    even split, and the odd splits go in once per weight system."""
+    for weights in itertools.combinations_with_replacement(range(1, max_weight + 1), 6):
+        total = sum(weights) - 1
+        splits = [(d1, total - d1) for d1 in range(2 - total % 2, total // 2 + 1, 2)]
+        if total % 2 == 0 and total >= 4:
+            splits.append((1, total - 1))  # odd degrees
+        for degrees in splits:
+            yield FamilyRecord(0, "G", WeightSystem(weights), degrees)
+
+
+def test_equation_shape_matches_the_reference_on_a_grid():
+    solved = checked = 0
+    for g in index_one_g_records(12):
+        expected = outcome(reference_equation_shape, g)
+        assert outcome(equation_shape, g) == expected, g
+        checked += 1
+        if expected[0] != "value":
+            continue
+        solved += 1
+        # the G record's Gprime lift: its counterpart, in display order
+        ld = build_counterpart(expected[1])
+        gprime = FamilyRecord(0, "Gprime", ld.display_weights(), (ld.xprime_degree,))
+        assert outcome(equation_shape, gprime) == outcome(reference_equation_shape, gprime), gprime
+        # and the same weights with b among the x-weights, which rarely solve
+        *x, b = gprime.weights
+        for i in range(4):
+            swapped = x[:i] + [b] + x[i + 1:] + [x[i]]
+            other = FamilyRecord(0, "Gprime", WeightSystem(tuple(swapped)), gprime.degrees)
+            assert outcome(equation_shape, other) == outcome(reference_equation_shape, other), other
+    # few weight systems of index one solve: 56 in this grid
+    assert checked > 100_000 and solved == 56
+
+
+def test_equation_shape_matches_the_reference_at_any_index():
+    # a non-strict load lets a record of the wrong Fano index reach the
+    # solve, so small weights meet every pair of degrees up to 12 (G) and
+    # every degree up to 20 (Gprime)
+    for weights in itertools.combinations_with_replacement(range(1, 6), 6):
+        for degrees in itertools.combinations_with_replacement(range(1, 13), 2):
+            g = FamilyRecord(0, "G", WeightSystem(weights), degrees)
+            assert outcome(equation_shape, g) == outcome(reference_equation_shape, g), g
+    for x in itertools.combinations_with_replacement(range(1, 6), 4):
+        for b in range(1, 6):
+            for d in range(1, 21):
+                gprime = FamilyRecord(0, "Gprime", WeightSystem((*x, b)), (d,))
+                assert outcome(equation_shape, gprime) == outcome(reference_equation_shape, gprime), gprime
+
+
+RATIONAL_TEXT = st.text(alphabet="0123456789/+-.e_ \t٣²", max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(RATIONAL_TEXT, st.from_regex(r"\A[0-9]{1,6}(/[0-9]{1,6})?\Z")))
+def test_rat_matches_fraction(text):
+    assert outcome(rat, text) == outcome(lambda t: Fraction(t.strip()), text)
