@@ -283,6 +283,10 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
                 if entry.tag == "link" and entry.point != "p4":
                     raise CatalogError(f"{where}: link tag only at the cAx point p4 (family {rec.id})")
             golden_columns[rec.id] = basket, links
+        else:  # the golden columns belong to the Gprime record
+            for field in ("basket", "links"):
+                if obj[field] != []:
+                    raise CatalogError(f"{where}: '{field}' of a G record must be [], got {obj[field]!r}")
 
     # every id is one of FAMILY_IDS and none repeats, so a full count is a full catalog
     if len(g_records) + len(gprime_records) != 2 * len(FAMILY_IDS):

@@ -319,46 +319,47 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
     except ValueError as exc:
         diff(str(exc))
 
-    # every center of the report resolves, and witnesses match the table
+    # every center of the report resolves, and each witness entry of the
+    # family in the golden tables is compared with a certificate of its method
     report = build_report(catalog, family_id)
     if report.uncovered:
         diff(f"uncovered centers: {report.birigid_summary}")
+    entries = _witness_entries(family_id)
+    unchecked = dict(entries)
     for cr in report.centers:
         for br in cr.branches:
-            v = br.verdict
-            if v.method == "nef-divisor" and family_id in GOLDEN.nef_witness:
-                if v.witness != GOLDEN.nef_witness[family_id]:
-                    diff(f"nef witness {rat_str(v.witness)} != table "
-                         f"{rat_str(GOLDEN.nef_witness[family_id])}")
-                if not br.certificate.certified:
+            v, cert = br.verdict, br.certificate
+            table = WITNESS_TABLES.get(v.method)
+            key = (family_id, _locus_of(cr.center)) if table in LOCUS_TABLES else family_id
+            if (table, key) not in entries:
+                continue
+            unchecked.pop((table, key), None)
+            want = getattr(GOLDEN, table)[key]
+            if table == "nef_witness":
+                if v.witness != want:
+                    diff(f"nef witness {rat_str(v.witness)} != table {rat_str(want)}")
+                if not cert.certified:
                     diff("nef divisor not certified")
-            if v.method == "negdef-matrix":
-                key = (family_id, _locus_of(cr.center))
-                if key in GOLDEN.matrices:
-                    alpha, beta, floor = GOLDEN.matrices[key]
-                    cert = br.certificate
-                    if (cert.alpha, cert.beta, cert.parameter_floor) != (alpha, beta, floor):
-                        diff(f"matrix data ({rat_str(cert.alpha)}, {rat_str(cert.beta)}, "
-                             f"{rat_str(cert.parameter_floor)}) != table "
-                             f"({rat_str(alpha)}, {rat_str(beta)}, {rat_str(floor)})")
-            if v.method == "infinite-curves":
-                key = (family_id, _locus_of(cr.center))
-                if key in GOLDEN.infinite_curves:
-                    b_dot, e_dot = GOLDEN.infinite_curves[key]
-                    cert = br.certificate
-                    if (cert.b_dot_c, cert.e_dot_c) != (b_dot, e_dot):
-                        diff(f"infinite-curves data ({rat_str(cert.b_dot_c)}, "
-                             f"{rat_str(cert.e_dot_c)}) != table ({rat_str(b_dot)}, {rat_str(e_dot)})")
-            if v.method == "isolation" and family_id in GOLDEN.isolation:
-                bound, limit = GOLDEN.isolation[family_id]
-                cert = br.certificate
-                if (cert.bound, cert.limit) != (bound, limit):
+            elif table == "matrices":
+                alpha, beta, floor = want
+                if (cert.alpha, cert.beta, cert.parameter_floor) != want:
+                    diff(f"matrix data ({rat_str(cert.alpha)}, {rat_str(cert.beta)}, "
+                         f"{rat_str(cert.parameter_floor)}) != table "
+                         f"({rat_str(alpha)}, {rat_str(beta)}, {rat_str(floor)})")
+            elif table == "infinite_curves":
+                b_dot, e_dot = want
+                if (cert.b_dot_c, cert.e_dot_c) != want:
+                    diff(f"infinite-curves data ({rat_str(cert.b_dot_c)}, "
+                         f"{rat_str(cert.e_dot_c)}) != table ({rat_str(b_dot)}, {rat_str(e_dot)})")
+            elif table == "isolation":
+                bound, limit = want
+                if (cert.bound, cert.limit) != want:
                     diff(f"isolation ({cert.bound}, {rat_str(cert.limit)}) != table "
                          f"({bound}, {rat_str(limit)})")
-            if v.method == "curve-gamma" and family_id in GOLDEN.curve_witness:
-                if v.witness != GOLDEN.curve_witness[family_id]:
-                    diff(f"curve witness {rat_str(v.witness)} != table "
-                         f"{rat_str(GOLDEN.curve_witness[family_id])}")
+            elif v.witness != want:  # curve_witness
+                diff(f"curve witness {rat_str(v.witness)} != table {rat_str(want)}")
+    for (table, key), method in unchecked.items():
+        diff(f"table {table}[{key!r}] unchecked: no {method} certificate ran")
 
     # restriction-curve supports
     if family_id in GOLDEN.gamma_rows:
@@ -367,6 +368,24 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
             diff(f"restriction curve support {sorted(support.monomials)} != table "
                  f"{sorted(GOLDEN.gamma_rows[family_id])}")
     return diffs
+
+
+# the golden table of each certificate method's witness; the tables in
+# LOCUS_TABLES are keyed by (family, locus), the others by family
+WITNESS_TABLES = {"nef-divisor": "nef_witness", "negdef-matrix": "matrices",
+                  "infinite-curves": "infinite_curves", "isolation": "isolation",
+                  "curve-gamma": "curve_witness"}
+LOCUS_TABLES = ("matrices", "infinite_curves")
+
+
+def _witness_entries(family_id: int) -> dict[tuple[str, object], str]:
+    """(table, key) -> method for every witness entry of one family."""
+    entries = {}
+    for method, table in WITNESS_TABLES.items():
+        for key in getattr(GOLDEN, table):
+            if (key[0] if table in LOCUS_TABLES else key) == family_id:
+                entries[table, key] = method
+    return entries
 
 
 def _locus_of(center: Center) -> str:

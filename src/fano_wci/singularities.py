@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .catalog import FamilyRecord
-from .wps import Monomial, MonomialSupport, WeightSystem, monomials_of_degree, record
+from .wps import MonomialSupport, WeightSystem, monomials_of_degree, record
 
 
 class ClassificationError(ValueError):
@@ -230,45 +230,26 @@ def family_support(record: FamilyRecord, shape: StandardForm) -> MonomialSupport
     Double-cover shape:  w^2 x0 (x0 + f(x2,x3)) + w g + h,
     triple-cover shape:  w^3 x0^2 + w^2 x0 f + w g + h,
     with f, g, h generic of the forced degrees.  Exponent vectors are in
-    display coordinates (5 slots, w last).  `shape` is the record's
-    `equation_shape`.
+    display coordinates (5 slots, w last); each of f, g, h is enumerated
+    with its fixed factor (w^2 x0, w, 1) as the offset.  `shape` is the
+    record's `equation_shape`.
     """
     w = record.weights
     d = record.degrees[0]
-    b = shape.b
     a0, a4 = shape.role_weights[0], shape.role_weights[4]
     i0, _, i2, i3 = shape.positions[:4]
     x_vars = (0, 1, 2, 3)
-
-    def shift(ms: MonomialSupport, extra: dict[int, int]) -> set[Monomial]:
-        out = set()
-        for m in ms.monomials:
-            vec = list(m)
-            for pos, e in extra.items():
-                vec[pos] += e
-            out.add(tuple(vec))
-        return out
-
-    monos: set[Monomial] = set()
-    if shape.double_cover:
-        # w^2 x0^2 and w^2 x0 * f with f of degree a0 in the x2, x3 slots
-        lead = [0] * 5
-        lead[i0] = 2
-        lead[4] = 2
-        monos.add(tuple(lead))
-        f_supp = monomials_of_degree(a0, w, variables=(i2, i3))
-        monos |= shift(f_supp, {i0: 1, 4: 2})
-    else:
-        lead = [0] * 5
-        lead[i0] = 2
-        lead[4] = 3
-        monos.add(tuple(lead))
-        f_supp = monomials_of_degree(a4, w, variables=x_vars)
-        monos |= shift(f_supp, {i0: 1, 4: 2})
-    g_supp = monomials_of_degree(d - b, w, variables=x_vars)
-    monos |= shift(g_supp, {4: 1})
-    monos |= monomials_of_degree(d, w, variables=x_vars).monomials
-    return MonomialSupport(degree=d, monomials=frozenset(monos))
+    lead = [0, 0, 0, 0, 2 if shape.double_cover else 3]  # w^2 x0^2 or w^3 x0^2
+    lead[i0] = 2
+    w2_x0 = [0, 0, 0, 0, 2]
+    w2_x0[i0] = 1
+    # f is of degree a0 in the x2, x3 slots, or of degree a4 in all x slots
+    f_degree, f_vars = (a0, (i2, i3)) if shape.double_cover else (a4, x_vars)
+    f_supp = monomials_of_degree(f_degree, w, f_vars, tuple(w2_x0))
+    g_supp = monomials_of_degree(d - shape.b, w, x_vars, (0, 0, 0, 0, 1))
+    h_supp = monomials_of_degree(d, w, x_vars)
+    monos = f_supp.monomials.union(g_supp.monomials, h_supp.monomials, (tuple(lead),))
+    return MonomialSupport(degree=d, monomials=monos)
 
 
 def support_with_point_at_vertex(support: MonomialSupport, vertex: int, weight: int) -> MonomialSupport:
@@ -279,10 +260,7 @@ def support_with_point_at_vertex(support: MonomialSupport, vertex: int, weight: 
         return support
     pure = [0] * 5
     pure[vertex] = support.degree // weight
-    return MonomialSupport(
-        degree=support.degree,
-        monomials=frozenset(m for m in support.monomials if m != tuple(pure)),
-    )
+    return MonomialSupport(degree=support.degree, monomials=support.monomials - {tuple(pure)})
 
 
 # ---------------------------------------------------------------------------

@@ -175,49 +175,73 @@ def weighted_degree(m: Monomial, w: WeightSystem) -> int:
     return sum(e * a for e, a in zip(m, w))
 
 
-def monomials_of_degree(d: int, w: WeightSystem, variables: tuple[int, ...] | None = None) -> MonomialSupport:
-    """All exponent vectors of weighted degree d.
+def monomials_of_degree(d: int, w: WeightSystem, variables: tuple[int, ...] | None = None,
+                        offset: Monomial | None = None) -> MonomialSupport:
+    """All exponent vectors of weighted degree d, each plus `offset`.
 
     `variables` optionally restricts which coordinates may occur (all others
     get exponent zero); this is how supports of forms in a subset of the
-    coordinates are enumerated.
+    coordinates are enumerated.  `offset`, an exponent vector of w, is added
+    to every vector: the support of `m * f` for a monomial m and a form f of
+    degree d.  The result's degree is d plus the weighted degree of `offset`.
 
-    The coordinates are visited largest weight first (a stable sort, so equal
-    weights keep their order), and the exponent of the last coordinate, of the
+    The coordinates are ordered largest weight first (a stable sort, so equal
+    weights keep their order).  The exponent of the last coordinate, of the
     smallest weight a, is solved in closed form: the remaining degree r gives
     the exponent r // a when a divides r, and no monomial otherwise.  When a
-    is 1, as for the x coordinates of every catalog record, every branch of
-    the search ends in a monomial.
+    is 1, as for the x coordinates of every catalog record, every exponent of
+    the other coordinates gives one monomial.  The next-to-last coordinate's
+    exponent is the inner loop, and the ones before it advance like an
+    odometer, the last of them fastest, on plain locals: each tuple is built
+    once, already offset, with no Python call per partial vector.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
     weights = w.weights
+    vec = [0] * len(weights) if offset is None else list(offset)
+    if len(vec) != len(weights):
+        raise ValueError(f"offset {offset} does not match weights {weights}")
+    degree = d if offset is None else d + sum([e * a for e, a in zip(vec, weights)])
     order = sorted(range(len(weights)) if variables is None else variables,
                    key=weights.__getitem__, reverse=True)
     found: list[Monomial] = []
-    vec = [0] * len(weights)
     if not order:
         if d == 0:
             found.append(tuple(vec))
-        return MonomialSupport(degree=d, monomials=frozenset(found))
-    *head, last = order
-    a_last = weights[last]
-    depth = len(head)
-
-    def extend(pos: int, remaining: int) -> None:
-        if pos == depth:
-            if remaining % a_last == 0:
-                vec[last] = remaining // a_last
-                found.append(tuple(vec))
-            return
-        i = head[pos]
-        a = weights[i]
-        for e in range(remaining // a + 1):
-            vec[i] = e
-            extend(pos + 1, remaining - e * a)
-
-    extend(0, d)
-    return MonomialSupport(degree=d, monomials=frozenset(found))
+        return MonomialSupport(degree=degree, monomials=frozenset(found))
+    append = found.append
+    base = vec[:]
+    last = order.pop()
+    a_last, base_last = weights[last], base[last]
+    # a lone coordinate is also the inner one, with a step above d: the inner
+    # loop then runs once and the closed form sets its exponent
+    inner = order.pop() if order else last
+    a_inner = weights[inner] if inner != last else d + 1
+    base_inner = base[inner]
+    outer = len(order)  # the coordinates left in order advance as an odometer
+    r = d  # the degree left for the inner and last coordinates
+    while True:
+        left, e = r, base_inner
+        while left >= 0:
+            if left % a_last == 0:
+                vec[inner] = e
+                vec[last] = base_last + left // a_last
+                append(tuple(vec))
+            left -= a_inner
+            e += 1
+        k = outer
+        while k:
+            k -= 1
+            i = order[k]
+            a = weights[i]
+            if r >= a:
+                vec[i] += 1
+                r -= a
+                break
+            r += (vec[i] - base[i]) * a
+            vec[i] = base[i]
+        else:
+            return MonomialSupport(degree=degree, monomials=frozenset(found))
 
 
 def anticanonical_cube(weights: WeightSystem, degrees: tuple[int, ...], label: str = "") -> Fraction:

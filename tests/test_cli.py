@@ -133,6 +133,37 @@ def test_malformed_catalog_field_is_a_load_error(capsys, tmp_path, mutation, com
     assert "Traceback" not in err
 
 
+G_ARRAYS = {
+    "links-string": ("links", lambda gprime: "garbage"),
+    "links-null": ("links", lambda gprime: None),
+    "links-gprime": ("links", lambda gprime: gprime["links"]),
+    "basket-object": ("basket", lambda gprime: {}),
+    "basket-gprime": ("basket", lambda gprime: gprime["basket"]),
+    "basket-bad-entry": ("basket", lambda gprime: [{"type": 1}]),
+}
+
+
+@pytest.mark.parametrize("change", G_ARRAYS)
+def test_g_record_with_a_basket_or_links_is_a_load_error(capsys, tmp_path, change):
+    # the golden basket and link column belong to the Gprime record; a G
+    # record's arrays must be empty
+    field, value = G_ARRAYS[change]
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    index, g = next((k, obj) for k, obj in enumerate(raw) if obj["id"] == 29 and obj["kind"] == "G")
+    g[field] = value(_gprime_29(raw))
+    path = tmp_path / "g_arrays.json"
+    path.write_text(json.dumps(raw))
+    chosen = ["--family", "29"]
+    for command in (["verify-tables"], ["analyze", *chosen, "--format", "json"], ["analyze", *chosen],
+                    ["basket", *chosen], ["links", *chosen]):
+        code, out, err = run(capsys, "--catalog", str(path), *command)
+        assert code == 2, command
+        assert out == ""
+        assert err.splitlines() == [f"error: catalog entry #{index}: '{field}' of a G record must be [], "
+                                    f"got {g[field]!r}"]
+
+
 def test_main_dispatches_through_the_module_bindings(capsys, monkeypatch):
     # a wrapper rebound at cli.cmd_basket after import must be what main runs
     seen = []

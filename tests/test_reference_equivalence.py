@@ -1,11 +1,16 @@
-"""The load-and-solve fast paths against slow references that state the
-same rule directly.
+"""The load-and-solve and support fast paths against slow references that
+state the same rule directly.
 
 `equation_shape` solves without raising inside and tracks the weights left
 on a plain list; `reference_equation_shape` below is the Counter-and-raise
 solve it replaced, kept verbatim apart from names.  `rat` reads ASCII digits
 with int(); the reference is `Fraction(text.strip())`.  Each pair must agree
 on the value, or on the exception's type and message.
+
+`family_support` takes its f, g and h pieces from the loop kernel of
+`monomials_of_degree`, already offset by their fixed factors;
+`reference_family_support` is the recursive enumeration and the shift pass
+they replaced, kept verbatim apart from names and annotations.
 """
 
 import itertools
@@ -17,8 +22,8 @@ from hypothesis import strategies as st
 
 from fano_wci.catalog import FamilyRecord
 from fano_wci.links import build_counterpart
-from fano_wci.singularities import StandardForm, StandardFormError, equation_shape
-from fano_wci.wps import WeightSystem, rat
+from fano_wci.singularities import StandardForm, StandardFormError, equation_shape, family_support
+from fano_wci.wps import MonomialSupport, WeightSystem, rat
 
 
 def reference_equation_shape(record):
@@ -81,6 +86,76 @@ def reference_solve(record, double_cover):
     return StandardForm(role_weights=role_weights, degrees=(d1, d2), positions=tuple(positions))
 
 
+def reference_monomials_of_degree(d, w, variables=None):
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
+    weights = w.weights
+    order = sorted(range(len(weights)) if variables is None else variables,
+                   key=weights.__getitem__, reverse=True)
+    found = []
+    vec = [0] * len(weights)
+    if not order:
+        if d == 0:
+            found.append(tuple(vec))
+        return MonomialSupport(degree=d, monomials=frozenset(found))
+    *head, last = order
+    a_last = weights[last]
+    depth = len(head)
+
+    def extend(pos, remaining):
+        if pos == depth:
+            if remaining % a_last == 0:
+                vec[last] = remaining // a_last
+                found.append(tuple(vec))
+            return
+        i = head[pos]
+        a = weights[i]
+        for e in range(remaining // a + 1):
+            vec[i] = e
+            extend(pos + 1, remaining - e * a)
+
+    extend(0, d)
+    return MonomialSupport(degree=d, monomials=frozenset(found))
+
+
+def reference_family_support(record, shape):
+    w = record.weights
+    d = record.degrees[0]
+    b = shape.b
+    a0, a4 = shape.role_weights[0], shape.role_weights[4]
+    i0, _, i2, i3 = shape.positions[:4]
+    x_vars = (0, 1, 2, 3)
+
+    def shift(ms, extra):
+        out = set()
+        for m in ms.monomials:
+            vec = list(m)
+            for pos, e in extra.items():
+                vec[pos] += e
+            out.add(tuple(vec))
+        return out
+
+    monos = set()
+    if shape.double_cover:
+        lead = [0] * 5
+        lead[i0] = 2
+        lead[4] = 2
+        monos.add(tuple(lead))
+        f_supp = reference_monomials_of_degree(a0, w, variables=(i2, i3))
+        monos |= shift(f_supp, {i0: 1, 4: 2})
+    else:
+        lead = [0] * 5
+        lead[i0] = 2
+        lead[4] = 3
+        monos.add(tuple(lead))
+        f_supp = reference_monomials_of_degree(a4, w, variables=x_vars)
+        monos |= shift(f_supp, {i0: 1, 4: 2})
+    g_supp = reference_monomials_of_degree(d - b, w, variables=x_vars)
+    monos |= shift(g_supp, {4: 1})
+    monos |= reference_monomials_of_degree(d, w, variables=x_vars).monomials
+    return MonomialSupport(degree=d, monomials=frozenset(monos))
+
+
 def outcome(function, *args):
     try:
         return "value", function(*args)
@@ -137,6 +212,22 @@ def test_equation_shape_matches_the_reference_at_any_index():
             for d in range(1, 21):
                 gprime = FamilyRecord(0, "Gprime", WeightSystem((*x, b)), (d,))
                 assert outcome(equation_shape, gprime) == outcome(reference_equation_shape, gprime), gprime
+
+
+def test_family_support_matches_the_reference(catalog):
+    gprimes = [catalog.gprime(i) for i in catalog.ids()]
+    # the Gprime counterparts of the solvable G records of the grid above
+    for g in index_one_g_records(12):
+        solved = outcome(equation_shape, g)
+        if solved[0] == "value":
+            ld = build_counterpart(solved[1])
+            gprimes.append(FamilyRecord(0, "Gprime", ld.display_weights(), (ld.xprime_degree,)))
+    assert len(gprimes) == 14 + 56
+    for gprime in gprimes:
+        shape = equation_shape(gprime)
+        support = family_support(gprime, shape)
+        assert support == reference_family_support(gprime, shape), gprime
+        assert type(support.monomials) is frozenset
 
 
 RATIONAL_TEXT = st.text(alphabet="0123456789/+-.e_ \t٣²", max_size=12)

@@ -101,23 +101,56 @@ def test_monomials_restricted_variables():
 @st.composite
 def systems_degrees_variables(draw):
     """Unsorted, repeated weights; a degree; None or an out-of-order subset
-    (possibly empty) of the coordinates."""
+    (possibly empty) of the coordinates; None or an offset vector."""
     weights = draw(st.lists(st.integers(1, 9), min_size=2, max_size=6))
     d = draw(st.integers(0, 30))
     variables = draw(st.none() | st.permutations(range(len(weights))).flatmap(
         lambda order: st.integers(0, len(order)).map(lambda k: tuple(order[:k]))))
-    return WeightSystem(tuple(weights)), d, variables
+    offset = draw(st.none() | st.lists(st.integers(0, 3), min_size=len(weights),
+                                       max_size=len(weights)).map(tuple))
+    return WeightSystem(tuple(weights)), d, variables, offset
 
 
-@settings(max_examples=100, deadline=None)
-@given(systems_degrees_variables())
-def test_monomials_vs_brute_force_random_systems(case):
-    w, d, variables = case
+def brute_force_support(d, w, variables, offset, limit=2000):
+    """Every vector of the exponent box of the allowed coordinates with
+    weighted degree d, plus the offset; None when the box holds more than
+    `limit` vectors."""
     allowed = range(len(w)) if variables is None else variables
     boxes = [range(d // a + 1) if i in allowed else range(1) for i, a in enumerate(w)]
-    assume(math.prod(map(len, boxes)) <= 2000)  # keeps the brute force small
-    brute = {exps for exps in itertools.product(*boxes) if weighted_degree(exps, w) == d}
-    assert monomials_of_degree(d, w, variables).monomials == brute
+    if math.prod(map(len, boxes)) > limit:  # keeps the brute force small
+        return None
+    shift = offset or (0,) * len(w)
+    return {tuple(e + s for e, s in zip(exps, shift))
+            for exps in itertools.product(*boxes) if weighted_degree(exps, w) == d}
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_degrees_variables())
+def test_monomials_vs_brute_force_random_systems(case):
+    w, d, variables, offset = case
+    brute = brute_force_support(d, w, variables, offset)
+    assume(brute is not None)
+    support = monomials_of_degree(d, w, variables, offset)
+    assert support.monomials == brute
+    assert support.degree == d + (0 if offset is None else weighted_degree(offset, w))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_monomials_vs_brute_force_on_1_to_5_coordinates(count):
+    # the enumerated coordinates are the first `count` of six, in reverse
+    # order, so a sixth coordinate is always left out; with and without an
+    # offset on every coordinate
+    w = WeightSystem((2, 1, 3, 1, 4, 2))
+    variables = tuple(reversed(range(count)))
+    for offset in (None, (1, 0, 2, 0, 3, 1)):
+        for d in range(0, 13):
+            expected = brute_force_support(d, w, variables, offset, limit=30_000)
+            assert monomials_of_degree(d, w, variables, offset).monomials == expected, (d, offset)
+
+
+def test_monomials_offset_must_match_the_weights():
+    with pytest.raises(ValueError, match="does not match"):
+        monomials_of_degree(2, W5, offset=(1, 0))
 
 
 def test_sorted_is_deterministic():
