@@ -1,11 +1,12 @@
 """Per-center certificates: the numerical tests that exclude a center as a
 maximal center, or tag the birational involution / link that untwists it.
 
-`dispatch` knows, for every catalog family and every center of its general
-member, which certificate applies under which condition flags, evaluates it,
-and returns certificate and verdict together.  Flags are machine-readable
-strings such as "exists-wci(1,1,2)" or "monomial-absent(y^2 z)" mirroring the
-condition marks of the catalog's link column.
+`POINT_RULES` states, for every catalog family and every point center of its
+general member, which certificate applies under which condition; `dispatch`
+evaluates the branch of one condition and returns certificate and verdict
+together.  Conditions are machine-readable strings such as
+"exists-wci(1,1,2)" or "monomial-absent(y^2 z)", mirroring the condition
+marks of the catalog's link column; "" marks an unconditional branch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .wps import MonomialSupport, WeightSystem, max_pair_lcm, rat_str, record
 
 
 class UncoveredCaseError(ValueError):
-    """No certificate covers the requested center under the given flags."""
+    """No certificate covers the requested center under the given condition."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +53,11 @@ class Center:
     @classmethod
     def cax_point(cls, p: CAxPoint) -> "Center":
         return cls(kind="cax-point", cax=p)
+
+    @property
+    def locus(self) -> str:
+        """The point's locus: "p4" for the cAx point, else the quotient point's."""
+        return "p4" if self.kind == "cax-point" else self.quotient.locus
 
     def describe(self) -> str:
         if self.kind == "curve":
@@ -525,33 +531,16 @@ def _untwist(member: Member, locus: str, tag: str, condition: str) -> tuple[Untw
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def _select_branch(branches: tuple[RuleBranch, ...], flags: frozenset[str],
-                   family_id: int, where: str) -> RuleBranch:
-    unconditional = [br for br in branches if br.condition == ""]
-    if unconditional:
-        return unconditional[0]
-    matching = [br for br in branches if br.condition in flags]
-    if len(matching) == 1:
-        return matching[0]
-    wanted = ", ".join(br.condition for br in branches)
-    if not matching:
-        raise UncoveredCaseError(
-            f"family {family_id} {where}: flags {sorted(flags)} cover no branch; expected one of: {wanted}")
-    raise UncoveredCaseError(
-        f"family {family_id} {where}: contradictory flags {sorted(flags)}; expected exactly one of: {wanted}")
-
-
-def dispatch(family_id: int, center: Center, condition_flags: frozenset[str] | set[str] = frozenset(),
-             *, catalog: Catalog,
+def dispatch(family_id: int, center: Center, condition: str = "", *, catalog: Catalog,
              earlier: tuple[Certificate, ...] = ()) -> tuple[Certificate, Verdict]:
     """Select and evaluate the certificate assigned to a center of the general
-    member of a catalog family under the given condition flags; `catalog`
-    holds the family's Member.
+    member of a catalog family; `catalog` holds the family's Member.  At a
+    point center it is the `POINT_RULES` branch whose condition is
+    `condition` ("" for an unconditional branch).
 
     `earlier` holds the certificates already built for other branches of the
     same center; a branch that rests on one of them reuses it."""
     member = catalog.member(family_id)
-    flags = frozenset(condition_flags)
     record = member.gprime
     a_cube = member.a_cube
 
@@ -579,11 +568,15 @@ def dispatch(family_id: int, center: Center, condition_flags: frozenset[str] | s
         return cert, verdict
 
     if center.kind in ("quotient-point", "cax-point"):
-        locus = "p4" if center.kind == "cax-point" else center.quotient.locus
+        locus = center.locus
         rules = POINT_RULES[family_id].get(locus)
         if rules is None:
             raise UncoveredCaseError(f"family {family_id} has no center at {locus}")
-        branch = _select_branch(rules, flags, family_id, locus)
+        branch = next((br for br in rules if br.condition == condition), None)
+        if branch is None:
+            wanted = ", ".join(repr(br.condition) for br in rules)
+            raise UncoveredCaseError(
+                f"family {family_id} {locus}: no branch under condition {condition!r}; expected one of: {wanted}")
         if branch.method == "untwist":
             return _untwist(member, locus, branch.tag, branch.condition)
         if branch.method == "surface-pair":

@@ -1,15 +1,14 @@
 """The data of the codimension-2 families' links: the birational hypersurface
 counterpart, the midpoint hypersurface, and the per-point involution
-inventory.  Both records of a family solve to one standard form,
-`singularities.equation_shape`, of the catalog's stated subfamily; a G
-record's form builds its counterpart.
+inventory of a family's report.  Both records of a family solve to one
+standard form, `singularities.equation_shape`, of the catalog's stated
+subfamily; a G record's form builds its counterpart.
 """
 
 from __future__ import annotations
 
-from .catalog import CatalogError, FamilyRecord, Member
-from .exclusion import POINT_RULES, qi_eligible
-from .singularities import QuotientSingularity, StandardForm, equation_shape
+from .catalog import CatalogError, FamilyRecord
+from .singularities import StandardForm, equation_shape
 from .wps import WeightSystem, record, wps_str
 
 
@@ -24,13 +23,6 @@ class LinkData:
     def display_weights(self) -> WeightSystem:
         """Catalog convention: ascending x-weights with w last."""
         return WeightSystem(tuple(sorted(self.xprime_weights.weights[:4])) + (self.b,))
-
-
-@record
-class InvolutionTag:
-    point: str
-    tag: str  # "none" | "QI" | "EI" | "II" | "link"
-    condition: str
 
 
 def to_standard_form(record: FamilyRecord, subfamily: str) -> StandardForm:
@@ -76,30 +68,10 @@ def counterpart_inverse(form: StandardForm) -> tuple[WeightSystem, tuple[int, in
     return WeightSystem(tuple(sorted(form.role_weights))), form.degrees
 
 
-def involution_inventory(member: Member,
-                         basket: list[QuotientSingularity]) -> list[InvolutionTag]:
-    """One tag per basket point plus the link entry at the distinguished point,
-    with both branches of every conditional center.
-
-    Quadratic-involution entries are re-checked structurally: the defining
-    polynomial must contain x_v^2 x_j at the point's vertex.
-    """
-    record = member.gprime
-    rules = POINT_RULES[record.id]
-    declared = set(rules) - {"p4"}
-    found = {q.locus for q in basket}
-    if declared != found:
-        raise ValueError(
-            f"family {record.id}: basket loci {sorted(found)} do not match "
-            f"catalog centers {sorted(declared)}")
-    out: list[InvolutionTag] = []
-    for q in basket:
-        for branch in rules[q.locus]:
-            tag = branch.tag if branch.method == "untwist" else "none"
-            if tag == "QI" and not qi_eligible(member, q.locus):
-                raise ValueError(f"family {record.id} {q.locus}: quadratic involution "
-                                 f"claimed but no x^2 y monomial exists")
-            out.append(InvolutionTag(point=q.locus, tag=tag, condition=branch.condition))
-    out.append(InvolutionTag(point="p4", tag="link", condition=""))
-    return out
-
+def involution_inventory(report) -> list[tuple[str, str, str]]:
+    """The link column of a `report.Report`: the sorted (point, tag,
+    condition) of every branch that ran at a point center.  A branch that
+    dispatch could not run, such as a quadratic involution without its
+    x^2 y monomial, is missing from it."""
+    return sorted((cr.center.locus, br.tag, br.condition) for cr in report.centers
+                  if cr.center.kind in ("quotient-point", "cax-point") for br in cr.branches)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import blowup, exclusion, links, singularities
-from .catalog import Catalog, FamilyPair, Member
+from .catalog import Catalog, FamilyPair
 from .exclusion import Center, Certificate, Verdict
 from .wps import rat_str, record, wps_str
 
@@ -109,13 +109,14 @@ class Report:
         return "all-centers-resolved" if not self.uncovered else f"uncovered-cases({', '.join(self.uncovered)})"
 
 
-def _point_centers(member: Member) -> list[tuple[Center, str]]:
-    out = [(Center.quotient_point(q), q.locus) for q in member.quotients]
-    out.append((Center.cax_point(member.cax), "p4"))
-    return out
+# the one branch of a curve, a nonsingular point or a locus without rules
+UNCONDITIONAL = (("", ""),)
 
 
 def build_report(catalog: Catalog, family_id: int) -> Report:
+    """Every center of the family's general member with one result per
+    branch: a point center runs each `exclusion.POINT_RULES` branch of its
+    locus, under the branch's condition and with its link tag."""
     member = catalog.member(family_id)
     a_cube = member.a_cube
     extractions = singularities.extractions_at_cax(member.cax, member.link_data)
@@ -123,15 +124,14 @@ def build_report(catalog: Catalog, family_id: int) -> Report:
     centers: list[CenterReport] = []
     uncovered: list[str] = []
 
-    def run(center: Center, branches: list[str], tags: dict[str, str]) -> None:
+    def run(center: Center, branches) -> None:
         results = []
-        for condition in branches:
-            flags = frozenset({condition}) if condition else frozenset()
+        for condition, tag in branches:
             try:
                 earlier = tuple(br.certificate for br in results)
-                cert, verdict = exclusion.dispatch(family_id, center, flags, catalog=catalog,
+                cert, verdict = exclusion.dispatch(family_id, center, condition, catalog=catalog,
                                                    earlier=earlier)
-                results.append(BranchResult(condition=condition, tag=tags.get(condition, ""),
+                results.append(BranchResult(condition=condition, tag=tag,
                                             certificate=cert, verdict=verdict))
                 if not verdict.resolved:
                     uncovered.append(f"{center.describe()} [{condition or 'unconditional'}]")
@@ -139,13 +139,14 @@ def build_report(catalog: Catalog, family_id: int) -> Report:
                 uncovered.append(str(exc))
         centers.append(CenterReport(center=center, branches=tuple(results)))
 
-    run(Center.curve(exclusion.minimal_curve_degree(member)), [""], {})
+    run(Center.curve(exclusion.minimal_curve_degree(member)), UNCONDITIONAL)
     if family_id in exclusion.SPECIAL_CURVE_DEG:
-        run(Center.curve(exclusion.SPECIAL_CURVE_DEG[family_id]), [""], {})
-    run(Center.smooth_point(), [""], {})
-    for center, locus in _point_centers(member):
-        rules = exclusion.POINT_RULES[family_id][locus]
-        run(center, [br.condition for br in rules], {br.condition: br.tag for br in rules})
+        run(Center.curve(exclusion.SPECIAL_CURVE_DEG[family_id]), UNCONDITIONAL)
+    run(Center.smooth_point(), UNCONDITIONAL)
+    for center in (*map(Center.quotient_point, member.quotients), Center.cax_point(member.cax)):
+        # dispatch reports a locus without rules as a center the family lacks
+        rules = exclusion.POINT_RULES[family_id].get(center.locus)
+        run(center, [(br.condition, br.tag) for br in rules] if rules else UNCONDITIONAL)
 
     return Report(family_id=family_id, pair=member, a_cube=a_cube, basket=member.quotients,
                   cax=member.cax, link_data=member.link_data, extractions=extractions,
@@ -309,19 +310,14 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
         if _sign(val) != sign:
             diff(f"B^3 at {locus} computed {rat_str(val)}, table sign says {sign}")
 
-    # involution inventory against the golden link column
-    try:
-        inventory = links.involution_inventory(member, quotients)
-        got = sorted((t.point, t.tag, t.condition) for t in inventory)
-        want = sorted((l.point, l.tag, l.condition) for l in golden.link_column)
-        if got != want:
-            diff(f"link column computed {got} != catalog {want}")
-    except ValueError as exc:
-        diff(str(exc))
-
-    # every center of the report resolves, and each witness entry of the
-    # family in the golden tables is compared with a certificate of its method
+    # every center of the report resolves, its point branches are the golden
+    # link column, and each witness entry of the family in the golden tables
+    # is compared with a certificate of its method
     report = build_report(catalog, family_id)
+    got = links.involution_inventory(report)
+    want = sorted((l.point, l.tag, l.condition) for l in golden.link_column)
+    if got != want:
+        diff(f"link column computed {got} != catalog {want}")
     if report.uncovered:
         diff(f"uncovered centers: {report.birigid_summary}")
     entries = _witness_entries(family_id)
@@ -330,7 +326,7 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
         for br in cr.branches:
             v, cert = br.verdict, br.certificate
             table = WITNESS_TABLES.get(v.method)
-            key = (family_id, _locus_of(cr.center)) if table in LOCUS_TABLES else family_id
+            key = (family_id, cr.center.locus) if table in LOCUS_TABLES else family_id
             if (table, key) not in entries:
                 continue
             unchecked.pop((table, key), None)
@@ -378,29 +374,37 @@ WITNESS_TABLES = {"nef-divisor": "nef_witness", "negdef-matrix": "matrices",
 LOCUS_TABLES = ("matrices", "infinite_curves")
 
 
+def _family_of(key) -> int:
+    """The family of a golden-table key: the key, or its first entry."""
+    return key[0] if isinstance(key, tuple) else key
+
+
 def _witness_entries(family_id: int) -> dict[tuple[str, object], str]:
     """(table, key) -> method for every witness entry of one family."""
     entries = {}
     for method, table in WITNESS_TABLES.items():
         for key in getattr(GOLDEN, table):
-            if (key[0] if table in LOCUS_TABLES else key) == family_id:
+            if _family_of(key) == family_id:
                 entries[table, key] = method
     return entries
 
 
-def _locus_of(center: Center) -> str:
-    return "p4" if center.kind == "cax-point" else center.quotient.locus
-
-
 def verify_tables(catalog: Catalog) -> list[str]:
     diffs: list[str] = []
-    for family_id in catalog.ids():
+    ids = catalog.ids()
+    for family_id in ids:
         try:
             diffs.extend(verify_family(catalog, family_id))
         except (ValueError, LookupError) as exc:
             # corrupt golden data can break a precondition mid-computation;
             # that is a verification failure, not a crash
             diffs.append(f"family {family_id}: {exc}")
+    # verify_family reads only the entries of catalog families
+    for table in ("a_cube", "b_cube_signs", *WITNESS_TABLES.values(), "gamma_rows"):
+        for key in getattr(GOLDEN, table):
+            family = _family_of(key)
+            if family not in ids:
+                diffs.append(f"family {family}: table {table}[{key!r}] unchecked: family not in the catalog")
     try:
         diffs.extend(_verify_towers(catalog))
     except ValueError as exc:  # the family 19 G record is not of index one

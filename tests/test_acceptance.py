@@ -77,8 +77,8 @@ def test_05_nef_certificates(catalog):
     for fid, (witness, lift_classes) in expected.items():
         locus = "p1p4"
         q = QuotientSingularity(2, 1, locus=locus)
-        flags = {"not-exists-wci(1,3,4)"} if fid == 50 else set()
-        cert, verdict = dispatch(fid, Center.quotient_point(q), flags, catalog=catalog)
+        condition = "not-exists-wci(1,3,4)" if fid == 50 else ""
+        cert, verdict = dispatch(fid, Center.quotient_point(q), condition, catalog=catalog)
         assert cert.method == "nef-divisor"
         assert verdict.excluded and verdict.witness == witness
         assert [(l.class_b, l.class_e) for l in cert.lifts] == lift_classes
@@ -112,8 +112,8 @@ def test_08_matrices(catalog):
         assert negdef2(cert.entries_at(floor))
         assert negdef_for_all(cert)
         q = next(q for q in catalog.member(fid).quotients if q.locus == locus)
-        flag = "exists-wci(1,3,4)" if locus == "p1p4" else "monomial-absent(z^3 t)"
-        got, verdict = dispatch(fid, Center.quotient_point(q), {flag}, catalog=catalog)
+        condition = "exists-wci(1,3,4)" if locus == "p1p4" else "monomial-absent(z^3 t)"
+        got, verdict = dispatch(fid, Center.quotient_point(q), condition, catalog=catalog)
         assert (got.alpha, got.beta, got.parameter_floor) == (alpha, beta, floor)
         assert verdict.excluded
     ok(8, "both parametric matrices negative-definite at floors 1 and 1/2 and for all larger m")

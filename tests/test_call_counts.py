@@ -62,6 +62,18 @@ def test_verify_tables_derives_a_cube_three_times_per_family():
     assert calls == {"anticanonical_cube": 3 * len(FAMILY_IDS) + 1}
 
 
+def test_verify_tables_checks_each_quadratic_involution_once():
+    # the QI structural check runs once per QI branch, in dispatch; the
+    # verifier reads the link column from the report instead of checking again
+    catalog = load_catalog(strict=False)
+    calls, diffs = count_calls({"qi_eligible": exclusion.qi_eligible}, lambda: verify_tables(catalog))
+    assert diffs == []
+    qi_branches = sum(br.tag == "QI" for rules in exclusion.POINT_RULES.values()
+                      for branches in rules.values() for br in branches)
+    assert qi_branches == 7
+    assert calls == {"qi_eligible": qi_branches}
+
+
 def test_negdef_matrix_reuses_the_nef_divisor():
     # family 50's half point has a nef-divisor branch and a negdef-matrix
     # branch resting on the same (M . B^2)

@@ -367,3 +367,28 @@ def test_mutated_catalogs_keep_the_exit_code_contract(capsys, tmp_path, monkeypa
             code, _, _ = run(capsys, "--catalog", str(path), *command)
             assert code in (0, 1, 2), (k, mutation.cls, command)
             assert code != 0 or command != ["verify-tables"], (k, mutation.cls)
+
+
+@pytest.mark.parametrize("family, locus", [(41, "p2p3"), (55, "p2"), (69, "p2"), (77, "p2p3")])
+def test_a_basket_point_without_rules_is_an_uncovered_center(capsys, tmp_path, family, locus):
+    # the family's records trade ids with family 29's, whose rules have no
+    # row for the point at `locus`
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    for obj in raw:
+        if obj["id"] in (29, family):
+            obj["id"] = 29 + family - obj["id"]
+    path = tmp_path / "traded.json"
+    path.write_text(json.dumps(raw))
+    load_catalog(str(path))  # the strict load accepts the records
+    uncovered = f"uncovered-cases(family 29 has no center at {locus})"
+    code, out, err = run(capsys, "--catalog", str(path), "analyze", "--family", "29")
+    assert (code, err) == (0, "")
+    assert f"- summary: {uncovered}" in out.splitlines()
+    code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
+    assert code == 1
+    lines = [line for line in out.splitlines() if line.startswith("family 29: ")]
+    assert f"family 29: uncovered centers: {uncovered}" in lines
+    assert any(line.startswith("family 29: A^3 computed ") for line in lines)
+    assert any(line.startswith("family 29: link column computed ") for line in lines)
+    assert any(line.startswith("family 29: restriction curve support ") for line in lines)

@@ -146,15 +146,15 @@ def test_qi_eligibility(catalog):
 
 def test_dispatch_example_23(catalog):
     q = QuotientSingularity(2, 1, locus="p2p4")
-    cert, verdict = dispatch(23, Center.quotient_point(q), {"not-exists-wci(1,1,4)"}, catalog=catalog)
+    cert, verdict = dispatch(23, Center.quotient_point(q), "not-exists-wci(1,1,4)", catalog=catalog)
     assert isinstance(cert, SurfacePair) and verdict.excluded
-    cert, verdict = dispatch(23, Center.quotient_point(q), {"exists-wci(1,1,4)"}, catalog=catalog)
+    cert, verdict = dispatch(23, Center.quotient_point(q), "exists-wci(1,1,4)", catalog=catalog)
     assert isinstance(cert, InfiniteCurves) and verdict.excluded
 
 
 def test_dispatch_example_19_third_point(catalog):
     q = QuotientSingularity(3, 1, locus="p3")
-    cert, verdict = dispatch(19, Center.quotient_point(q), set(), catalog=catalog)
+    cert, verdict = dispatch(19, Center.quotient_point(q), catalog=catalog)
     assert isinstance(cert, Untwist) and cert.tag == "QI"
     assert not verdict.excluded and verdict.resolved
 
@@ -168,13 +168,13 @@ def test_dispatch_curve_special(catalog):
 
 def test_dispatch_uncovered_cases(catalog):
     q = QuotientSingularity(2, 1, locus="p2p4")
-    with pytest.raises(UncoveredCaseError, match="not-exists-wci"):
-        dispatch(23, Center.quotient_point(q), set(), catalog=catalog)
-    with pytest.raises(UncoveredCaseError, match="contradictory"):
-        dispatch(23, Center.quotient_point(q), {"not-exists-wci(1,1,4)", "exists-wci(1,1,4)"},
+    with pytest.raises(UncoveredCaseError, match="expected one of: 'not-exists-wci"):
+        dispatch(23, Center.quotient_point(q), catalog=catalog)
+    with pytest.raises(UncoveredCaseError, match="expected one of: ''"):
+        dispatch(19, Center.quotient_point(QuotientSingularity(3, 1, locus="p3")), "exists-wci(1,1,2)",
                  catalog=catalog)
     with pytest.raises(UncoveredCaseError, match="no center"):
-        dispatch(17, Center.quotient_point(QuotientSingularity(2, 1, locus="p1p2")), set(), catalog=catalog)
+        dispatch(17, Center.quotient_point(QuotientSingularity(2, 1, locus="p1p2")), catalog=catalog)
     with pytest.raises(UncoveredCaseError, match="below"):
         dispatch(17, Center.curve(F(1, 4)), catalog=catalog)
 
@@ -182,7 +182,7 @@ def test_dispatch_uncovered_cases(catalog):
 def test_verdict_witness_reverifies(catalog):
     # recomputing a verdict's witness from the certificate inputs reproduces it
     q = QuotientSingularity(2, 1, locus="p2p4")
-    cert, verdict = dispatch(23, Center.quotient_point(q), {"not-exists-wci(1,1,4)"}, catalog=catalog)
+    cert, verdict = dispatch(23, Center.quotient_point(q), "not-exists-wci(1,1,4)", catalog=catalog)
     assert verdict.witness == cert.a1 ** 2 * cert.b_cube
     cert, verdict = dispatch(19, Center.curve(F(1, 2)), catalog=catalog)
     assert verdict.witness == 3 * cert.a_cube - 2 * cert.deg + cert.gamma_sq
@@ -226,7 +226,7 @@ def test_all_excluded_witnesses_reverify(catalog):
 
 def test_certificates_serialize(catalog):
     q = QuotientSingularity(2, 1, locus="p1p4")
-    for flags in ({"not-exists-wci(1,3,4)"}, {"exists-wci(1,3,4)"}):
-        cert, _ = dispatch(50, Center.quotient_point(q), flags, catalog=catalog)
+    for condition in ("not-exists-wci(1,3,4)", "exists-wci(1,3,4)"):
+        cert, _ = dispatch(50, Center.quotient_point(q), condition, catalog=catalog)
         blob = certificate_json(cert)
         assert blob["paper_method"] == cert.method

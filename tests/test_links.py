@@ -2,6 +2,7 @@ import pytest
 
 from fano_wci.catalog import CatalogError, FamilyRecord
 from fano_wci.links import build_counterpart, counterpart_inverse, involution_inventory, to_standard_form
+from fano_wci.report import build_report
 from fano_wci.singularities import StandardFormError, equation_shape
 from fano_wci.wps import WeightSystem
 
@@ -107,28 +108,18 @@ def test_round_trip_is_identity(catalog):
 
 
 def test_involution_inventory_examples(catalog):
-    pair = catalog.member(30)
-    tags = involution_inventory(pair, list(pair.quotients))
-    p2 = {(t.condition, t.tag) for t in tags if t.point == "p2"}
+    tags = involution_inventory(build_report(catalog, 30))
+    p2 = {(condition, tag) for point, tag, condition in tags if point == "p2"}
     assert p2 == {("monomial-present(y^2 z)", "QI"), ("monomial-absent(y^2 z)", "none")}
 
-    pair = catalog.member(19)
-    tags = involution_inventory(pair, list(pair.quotients))
-    half = {(t.condition, t.tag) for t in tags if t.point == "p2p4"}
+    tags = involution_inventory(build_report(catalog, 19))
+    half = {(condition, tag) for point, tag, condition in tags if point == "p2p4"}
     assert half == {("not-exists-wci(1,1,2)", "EI"), ("exists-wci(1,1,2)", "II")}
-    assert any(t.point == "p4" and t.tag == "link" for t in tags)
+    assert ("p4", "link", "") in tags
 
 
 def test_inventory_matches_golden(catalog):
     for fid in catalog.ids():
-        pair = catalog.member(fid)
-        got = sorted((t.point, t.tag, t.condition) for t in involution_inventory(pair, list(pair.quotients)))
-        want = sorted((l.point, l.tag, l.condition) for l in pair.golden.link_column)
+        got = involution_inventory(build_report(catalog, fid))
+        want = sorted((l.point, l.tag, l.condition) for l in catalog.golden(fid).link_column)
         assert got == want, f"family {fid}"
-
-
-def test_inventory_rejects_mismatched_basket(catalog):
-    pair = catalog.member(50)
-    quotients = list(catalog.member(29).quotients)
-    with pytest.raises(ValueError, match="do not match"):
-        involution_inventory(pair, quotients)

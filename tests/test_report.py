@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fano_wci import report
+from fano_wci import exclusion, report
 from fano_wci.report import GOLDEN, GoldenNumbers, verify_tables
 
 F = Fraction
@@ -45,3 +45,30 @@ def test_a_golden_entry_a_certificate_reaches_is_compared(catalog, monkeypatch):
     (line,) = verify_tables(catalog)
     assert line.startswith("family 17: isolation (") and line.endswith(") != table (1, 1)")
 
+
+
+# entries keyed by families outside the shipped catalog's 14
+OUTSIDE = {"nef_witness": (99, F(-1, 4)), "b_cube_signs": ((98, "p2"), -1),
+           "gamma_rows": (97, frozenset({(0, 2, 0)})), "a_cube": (96, F(1)),
+           "matrices": ((95, "p2"), (F(1, 4), F(-2, 5), F(1)))}
+
+
+@pytest.mark.parametrize("table", OUTSIDE)
+def test_a_golden_entry_of_a_family_outside_the_catalog_is_a_mismatch(catalog, monkeypatch, table):
+    key, value = OUTSIDE[table]
+    monkeypatch.setattr(report, "GOLDEN", golden_with(table, key, value))
+    family = key[0] if isinstance(key, tuple) else key
+    assert verify_tables(catalog) == [
+        f"family {family}: table {table}[{key!r}] unchecked: family not in the catalog"]
+
+
+def test_a_quadratic_involution_without_its_monomial_is_uncovered(catalog, monkeypatch):
+    # dispatch's QI check is the only one: the branch does not run, so the
+    # center is uncovered and the link column read off the report lacks it
+    monkeypatch.setattr(exclusion, "qi_eligible", lambda member, locus: False)
+    lines = [line for line in verify_tables(catalog) if line.startswith("family 41: ")]
+    assert lines == [
+        "family 41: link column computed [('p4', 'link', '')] != catalog "
+        "[('p2p3', 'QI', ''), ('p4', 'link', '')]",
+        "family 41: uncovered centers: uncovered-cases(family 41 p2p3: no x^2 y tangent monomial, "
+        "quadratic involution not available)"]
