@@ -23,7 +23,6 @@ def kawamata_numbers(q: QuotientSingularity) -> tuple[Fraction, Fraction]:
 
 @record
 class Exceptional:
-    label: str
     e_cube: Fraction
     discrepancy: Fraction
 
@@ -38,7 +37,7 @@ class BlowupLattice:
         exc = []
         for q in points:
             disc, e3 = kawamata_numbers(q)
-            exc.append(Exceptional(label=q.type_str(), e_cube=e3, discrepancy=disc))
+            exc.append(Exceptional(e_cube=e3, discrepancy=disc))
         return cls(a_cube=a_cube, exceptionals=tuple(exc))
 
     @property
@@ -138,15 +137,12 @@ def vanishing_order(support: MonomialSupport,
 class SectionLift:
     """A section of degree d lifting to the class d*B + (d/r - order)*E."""
 
-    degree: int
-    vanishing_order: Fraction
     class_b: int
     class_e: Fraction
 
     @classmethod
     def of(cls, degree: int, order: Fraction, r: int) -> "SectionLift":
-        return cls(degree=degree, vanishing_order=order,
-                   class_b=degree, class_e=Fraction(degree, r) - order)
+        return cls(class_b=degree, class_e=Fraction(degree, r) - order)
 
 
 def nef_bound_check(lifts: list[SectionLift], q: QuotientSingularity) -> tuple[Fraction, bool]:

@@ -30,20 +30,6 @@ class CatalogError(ValueError):
 
 
 @record
-class BasketEntry:
-    type: str  # "1/r(w1,w2,w3)" or "cAx/2" or "cAx/4"
-    count: int
-    locus: str  # vertex "p4" or edge "p2p4"
-
-
-@record
-class LinkEntry:
-    point: str
-    tag: str  # "none" | "QI" | "EI" | "II" | "link"
-    condition: str  # machine-readable flag, "" when unconditional
-
-
-@record
 class FamilyRecord:
     id: int
     kind: str  # "G" | "Gprime"
@@ -56,12 +42,15 @@ class FamilyRecord:
 
 @record
 class GoldenRow:
-    id: int
     subfamily: str  # stated alike for both records: "I'" or "I''", then b
     a_cube: Fraction  # stated for the Gprime record
     g_a_cube: Fraction  # stated for the G record
-    basket: tuple[BasketEntry, ...]
-    link_column: tuple[LinkEntry, ...]
+    # the Gprime record's rows in file order, fields in BASKET_KEYS/LINK_KEYS
+    # order: basket (type, count, locus) as ("1/2(1,1,1)", 3, "p2p4") or
+    # ("cAx/2", 1, "p4"); link_column (point, tag, condition) with tag
+    # "none" | "QI" | "EI" | "II" | "link" and condition "" when unconditional
+    basket: tuple[tuple[str, int, str], ...]
+    link_column: tuple[tuple[str, str, str], ...]
 
 
 @record
@@ -170,9 +159,10 @@ def _weights_and_degrees(obj: dict, where: str) -> tuple[tuple[int, ...], tuple[
                        f"got {weights!r} and {degrees!r}")
 
 
-def _entries(obj: dict, field: str, keys: dict[str, type], cls: type, where: str) -> tuple:
-    """The objects of a basket or links array as `cls` records, each object
-    checked to hold every key of `keys` with a value of that key's type."""
+def _entries(obj: dict, field: str, keys: dict[str, type], where: str) -> tuple[tuple, ...]:
+    """The objects of a basket or links array as rows of their values in
+    `keys` order, each object checked to hold every key of `keys` with a
+    value of that key's type."""
     value = obj[field]
     kinds = [*keys.values()]
     if type(value) is list:
@@ -181,7 +171,7 @@ def _entries(obj: dict, field: str, keys: dict[str, type], cls: type, where: str
             fields = [*map(entry.get, keys)] if type(entry) is dict else None
             if fields is None or [*map(type, fields)] != kinds:
                 break
-            out.append(cls(*fields))
+            out.append(tuple(fields))
         else:
             return tuple(out)
     schema = ", ".join(f"{key} ({kind.__name__})" for key, kind in keys.items())
@@ -236,7 +226,7 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     gprime_records: dict[int, FamilyRecord] = {}
     stated_a_cube: dict[tuple[str, int], Fraction] = {}
     stated_subfamily: dict[int, str] = {}
-    golden_columns: dict[int, tuple[tuple[BasketEntry, ...], tuple[LinkEntry, ...]]] = {}
+    golden_columns: dict[int, tuple[tuple[tuple, ...], tuple[tuple, ...]]] = {}
     for k, obj in enumerate(raw):
         where = f"catalog entry #{k}"
         rec = _parse_record(obj, where)
@@ -272,15 +262,15 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
                 )
         stated_a_cube[rec.kind, rec.id] = a_cube
         if rec.kind == "Gprime":
-            basket = _entries(obj, "basket", BASKET_KEYS, BasketEntry, where)
-            links = _entries(obj, "links", LINK_KEYS, LinkEntry, where)
-            for entry in basket:
-                if entry.count < 1:
+            basket = _entries(obj, "basket", BASKET_KEYS, where)
+            links = _entries(obj, "links", LINK_KEYS, where)
+            for _, count, _ in basket:
+                if count < 1:
                     raise CatalogError(f"{where}: basket count must be >= 1 for family {rec.id}")
-            for entry in links:
-                if entry.tag not in ("none", "QI", "EI", "II", "link"):
-                    raise CatalogError(f"{where}: bad link tag {entry.tag!r} for family {rec.id}")
-                if entry.tag == "link" and entry.point != "p4":
+            for point, tag, _ in links:
+                if tag not in ("none", "QI", "EI", "II", "link"):
+                    raise CatalogError(f"{where}: bad link tag {tag!r} for family {rec.id}")
+                if tag == "link" and point != "p4":
                     raise CatalogError(f"{where}: link tag only at the cAx point p4 (family {rec.id})")
             golden_columns[rec.id] = basket, links
         else:  # the golden columns belong to the Gprime record
@@ -294,7 +284,7 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
                            f"Gprime records {sorted(set(FAMILY_IDS) - set(gprime_records))}")
 
     pairs = [FamilyPair(g_records[i], gprime_records[i],
-                        GoldenRow(i, stated_subfamily[i], stated_a_cube["Gprime", i], stated_a_cube["G", i],
+                        GoldenRow(stated_subfamily[i], stated_a_cube["Gprime", i], stated_a_cube["G", i],
                                   *golden_columns[i]))
              for i in FAMILY_IDS]
     return Catalog(pairs)

@@ -17,17 +17,13 @@ from .report import build_report, render_json, render_markdown, verify_tables
 from .wps import rat_str, wps_str
 
 
-def _load(args, strict: bool = True) -> Catalog:
-    return load_catalog(args.catalog, strict=strict)
-
-
 def _require_family(catalog: Catalog, family_id: int):
     if family_id not in catalog.ids():
         raise CatalogError(f"unknown family id {family_id}; catalog has {catalog.ids()}")
 
 
 def cmd_analyze(args) -> int:
-    catalog = _load(args)
+    catalog = load_catalog(args.catalog)
     _require_family(catalog, args.family)
     report = build_report(catalog, args.family)
     if args.format == "json":
@@ -38,7 +34,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
-    catalog = _load(args, strict=False)
+    catalog = load_catalog(args.catalog, strict=False)
     diffs = verify_tables(catalog)
     if diffs:
         for line in diffs:
@@ -53,7 +49,7 @@ def cmd_links(args) -> int:
     # solves from the G record and only compares the Gprime record with the
     # counterpart: the Member would also derive the Gprime singular locus,
     # which this command does not print
-    catalog = _load(args)
+    catalog = load_catalog(args.catalog)
     _require_family(catalog, args.family)
     g = catalog.g(args.family)
     form = links.to_standard_form(g, catalog.golden(args.family).subfamily)
@@ -68,7 +64,7 @@ def cmd_links(args) -> int:
 
 
 def cmd_basket(args) -> int:
-    catalog = _load(args)
+    catalog = load_catalog(args.catalog)
     _require_family(catalog, args.family)
     member = catalog.member(args.family)
     gp = member.gprime

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import blowup, exclusion, links, singularities
-from .catalog import Catalog, FamilyPair
+from .catalog import BASKET_KEYS, LINK_KEYS, Catalog, FamilyPair, Member
 from .exclusion import Center, Certificate, Verdict
 from .wps import rat_str, record, wps_str
 
@@ -89,20 +89,19 @@ class BranchResult:
 @record
 class CenterReport:
     center: Center
-    branches: tuple[BranchResult, ...]
+    branches: tuple[BranchResult, ...]  # the branches that ran
+    uncovered: tuple[str, ...]  # one reason per branch that did not run or did not resolve
 
 
 @record
 class Report:
-    family_id: int
-    pair: FamilyPair
-    a_cube: Fraction
-    basket: tuple[singularities.QuotientSingularity, ...]
-    cax: singularities.CAxPoint
-    link_data: links.LinkData
+    member: Member
     extractions: singularities.ExtractionDescriptor
     centers: tuple[CenterReport, ...]
-    uncovered: tuple[str, ...]
+
+    @property
+    def uncovered(self) -> tuple[str, ...]:
+        return tuple(reason for cr in self.centers for reason in cr.uncovered)
 
     @property
     def birigid_summary(self) -> str:
@@ -118,14 +117,11 @@ def build_report(catalog: Catalog, family_id: int) -> Report:
     branch: a point center runs each `exclusion.POINT_RULES` branch of its
     locus, under the branch's condition and with its link tag."""
     member = catalog.member(family_id)
-    a_cube = member.a_cube
-    extractions = singularities.extractions_at_cax(member.cax, member.link_data)
-
     centers: list[CenterReport] = []
-    uncovered: list[str] = []
 
     def run(center: Center, branches) -> None:
         results = []
+        uncovered = []
         for condition, tag in branches:
             try:
                 earlier = tuple(br.certificate for br in results)
@@ -137,7 +133,7 @@ def build_report(catalog: Catalog, family_id: int) -> Report:
                     uncovered.append(f"{center.describe()} [{condition or 'unconditional'}]")
             except exclusion.UncoveredCaseError as exc:
                 uncovered.append(str(exc))
-        centers.append(CenterReport(center=center, branches=tuple(results)))
+        centers.append(CenterReport(center=center, branches=tuple(results), uncovered=tuple(uncovered)))
 
     run(Center.curve(exclusion.minimal_curve_degree(member)), UNCONDITIONAL)
     if family_id in exclusion.SPECIAL_CURVE_DEG:
@@ -148,9 +144,8 @@ def build_report(catalog: Catalog, family_id: int) -> Report:
         rules = exclusion.POINT_RULES[family_id].get(center.locus)
         run(center, [(br.condition, br.tag) for br in rules] if rules else UNCONDITIONAL)
 
-    return Report(family_id=family_id, pair=member, a_cube=a_cube, basket=member.quotients,
-                  cax=member.cax, link_data=member.link_data, extractions=extractions,
-                  centers=tuple(centers), uncovered=tuple(uncovered))
+    return Report(member=member, extractions=singularities.extractions_at_cax(member.cax, member.link_data),
+                  centers=tuple(centers))
 
 
 def _describe_branch(br: BranchResult) -> str:
@@ -164,16 +159,16 @@ def _describe_branch(br: BranchResult) -> str:
 
 
 def render_markdown(report: Report) -> str:
-    g, gp = report.pair.g, report.pair.gprime
-    ld = report.link_data
+    member = report.member
+    g, gp, ld = member.g, member.gprime, member.link_data
     d1, d2 = g.degrees
     lines = [
-        f"# Family No.{report.family_id}",
+        f"# Family No.{g.id}",
         "",
         f"- G:  X_{{{d1},{d2}}} in {wps_str(g.weights)}",
-        f"- G': X'_{gp.degrees[0]} in {wps_str(gp.weights)}, A^3 = {rat_str(report.a_cube)}",
+        f"- G': X'_{gp.degrees[0]} in {wps_str(gp.weights)}, A^3 = {rat_str(member.a_cube)}",
         f"- link: b = {ld.b}, {ld.equation_shape}, midpoint Z_{ld.z_degree},"
-        f" extractions at cAx/{report.cax.modulus}: {report.extractions.count}",
+        f" extractions at cAx/{member.cax.modulus}: {report.extractions.count}",
         "",
         "| center | method | link |",
         "|---|---|---|",
@@ -181,9 +176,12 @@ def render_markdown(report: Report) -> str:
     for cr in report.centers:
         if cr.center.kind not in ("quotient-point", "cax-point"):
             continue
+        if not cr.branches:  # every branch failed to dispatch
+            lines.append(f"| {cr.center.describe()} | uncovered: {'; '.join(cr.uncovered)} | uncovered |")
+            continue
         methods = "; ".join(_describe_branch(br) for br in cr.branches)
         tags = "; ".join(
-            (br.tag if br.tag != "link" else f"link to X_{{{d1},{d2}}} in G_{report.family_id}")
+            (br.tag if br.tag != "link" else f"link to X_{{{d1},{d2}}} in G_{g.id}")
             or "excluded" for br in cr.branches
         )
         lines.append(f"| {cr.center.describe()} | {methods} | {tags} |")
@@ -207,29 +205,30 @@ def _golden_record_json(pair: FamilyPair) -> dict:
         "degrees": list(gp.degrees),
         "subfamily": golden.subfamily,
         "a_cube": rat_str(golden.a_cube),
-        "basket": [{"type": b.type, "count": b.count, "locus": b.locus} for b in golden.basket],
-        "links": [{"point": l.point, "tag": l.tag, "condition": l.condition} for l in golden.link_column],
+        "basket": [dict(zip(BASKET_KEYS, row)) for row in golden.basket],
+        "links": [dict(zip(LINK_KEYS, row)) for row in golden.link_column],
     }
 
 
 def render_json(report: Report) -> dict:
-    g = report.pair.g
+    member = report.member
+    g, ld = member.g, member.link_data
     return {
-        "family": report.family_id,
-        "a_cube": rat_str(report.a_cube),
+        "family": g.id,
+        "a_cube": rat_str(member.a_cube),
         "g_weights": list(g.weights),
         "g_degrees": list(g.degrees),
         "link": {
-            "b": report.link_data.b,
-            "xprime_weights": list(report.link_data.display_weights()),
-            "xprime_degree": report.link_data.xprime_degree,
-            "z_degree": report.link_data.z_degree,
-            "equation_shape": report.link_data.equation_shape,
+            "b": ld.b,
+            "xprime_weights": list(ld.display_weights()),
+            "xprime_degree": ld.xprime_degree,
+            "z_degree": ld.z_degree,
+            "equation_shape": ld.equation_shape,
             "extraction_count": report.extractions.count,
             "extraction_weights": [rat_str(x) for x in report.extractions.ambient_weights],
         },
-        "basket": [{"type": q.type_str(), "count": q.count, "locus": q.locus} for q in report.basket]
-        + [{"type": report.cax.type_str(), "count": 1, "locus": "p4"}],
+        "basket": [{"type": q.type_str(), "count": q.count, "locus": q.locus} for q in member.quotients]
+        + [{"type": member.cax.type_str(), "count": 1, "locus": "p4"}],
         "centers": [
             {
                 "center": cr.center.describe(),
@@ -248,7 +247,7 @@ def render_json(report: Report) -> dict:
             for cr in report.centers
         ],
         "birigid_summary": report.birigid_summary,
-        "golden_record": _golden_record_json(report.pair),
+        "golden_record": _golden_record_json(member),
     }
 
 
@@ -286,7 +285,7 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
     # the G record
     member = catalog.member(family_id)
     back_weights, back_degrees = links.counterpart_inverse(member.shape)
-    if back_weights.weights != g.weights.weights or back_degrees != tuple(sorted(g.degrees)):
+    if back_weights.weights != g.weights.weights or back_degrees != g.degrees:
         diff(f"round trip gave {back_weights.weights} {back_degrees}, catalog has "
              f"{g.weights.weights} {g.degrees}")
 
@@ -294,7 +293,7 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
     quotients = member.quotients
     computed = sorted([(q.type_str(), q.count, q.locus) for q in quotients]
                       + [(member.cax.type_str(), 1, "p4")])
-    stated = sorted((b.type, b.count, b.locus) for b in golden.basket)
+    stated = sorted(golden.basket)
     if computed != stated:
         diff(f"basket computed {computed} != catalog {stated}")
 
@@ -315,7 +314,7 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
     # is compared with a certificate of its method
     report = build_report(catalog, family_id)
     got = links.involution_inventory(report)
-    want = sorted((l.point, l.tag, l.condition) for l in golden.link_column)
+    want = sorted(golden.link_column)
     if got != want:
         diff(f"link column computed {got} != catalog {want}")
     if report.uncovered:

@@ -168,13 +168,6 @@ class MonomialSupport:
         return len(self.monomials)
 
 
-def weighted_degree(m: Monomial, w: WeightSystem) -> int:
-    """Sum of exponent_i * weight_i."""
-    if len(m) != len(w):
-        raise ValueError(f"exponent vector {m} does not match weights {w.weights}")
-    return sum(e * a for e, a in zip(m, w))
-
-
 def monomials_of_degree(d: int, w: WeightSystem, variables: tuple[int, ...] | None = None,
                         offset: Monomial | None = None) -> MonomialSupport:
     """All exponent vectors of weighted degree d, each plus `offset`.

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fano_wci.catalog import FAMILY_IDS, CatalogError, load_catalog
+from fano_wci.catalog import FAMILY_IDS, CatalogError, default_catalog_path, load_catalog
 from fano_wci.singularities import equation_shape
 
 
@@ -46,6 +46,15 @@ def test_golden_a_cube_matches_record(catalog):
     for fid in catalog.ids():
         pair = catalog.pair(fid)
         assert pair.golden.a_cube == pair.gprime.a_cube()
+
+
+def test_golden_columns_are_the_files_rows(catalog):
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        entries = {obj["id"]: obj for obj in json.load(fh) if obj["kind"] == "Gprime"}
+    for fid in catalog.ids():
+        golden, entry = catalog.golden(fid), entries[fid]
+        assert golden.basket == tuple((b["type"], b["count"], b["locus"]) for b in entry["basket"])
+        assert golden.link_column == tuple((l["point"], l["tag"], l["condition"]) for l in entry["links"])
 
 
 def test_empty_file_is_a_parse_error(tmp_path):

@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import sys
@@ -6,9 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fano_wci import cli
-from fano_wci.catalog import FAMILY_IDS, default_catalog_path, load_catalog
+from fano_wci.catalog import FAMILY_IDS, CatalogError, default_catalog_path, load_catalog
 from fano_wci.cli import main
 from fano_wci.wps import rat_str
 
@@ -369,6 +373,47 @@ def test_mutated_catalogs_keep_the_exit_code_contract(capsys, tmp_path, monkeypa
             assert code != 0 or command != ["verify-tables"], (k, mutation.cls)
 
 
+# JSON values for a drawn mutation: scalars, strings the catalog uses, and
+# nested lists and objects of them, so that near misses of every field occur
+CATALOG_WORDS = ("G", "Gprime", "I'2", "I''2", "I'4", "I''4", "1/2", "1/20", "0/1", "cAx/2",
+                 "1/2(1,1,1)", "p4", "p2p4", "none", "QI", "EI", "II", "link", "", "type", "count",
+                 "locus", "point", "tag", "condition")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6) | st.sampled_from(CATALOG_WORDS),
+    lambda inner: (st.lists(inner, max_size=7)
+                   | st.dictionaries(st.sampled_from(CATALOG_WORDS), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@example(k=0, field="degrees", value=[8, 6])  # family 17's G degrees out of order
+@given(k=st.integers(0, 2 * len(FAMILY_IDS) - 1),
+       field=st.sampled_from(("id", "kind", "weights", "degrees", "subfamily", "a_cube", "basket", "links")),
+       value=JSON_VALUES)
+def test_any_single_field_mutation_keeps_the_exit_code_contract(tmp_path_factory, k, field, value):
+    # every command exits 0, 1 or 2 without raising, and verify-tables passes
+    # exactly the files that load to the shipped catalog's pairs
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        entries = json.load(fh)
+    family = entries[k]["id"]
+    entries[k][field] = value
+    path = tmp_path_factory.getbasetemp() / "single-field-mutation.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    try:
+        same = load_catalog(str(path), strict=False).pairs == load_catalog(strict=False).pairs
+    except CatalogError:
+        same = False
+    codes = {}
+    for command in (["verify-tables"], ["analyze", "--family", str(family)],
+                    ["analyze", "--family", str(family), "--format", "json"],
+                    ["links", "--family", str(family)], ["basket", "--family", str(family)]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes[" ".join(command)] = code = main(["--catalog", str(path), *command])
+        assert code in (0, 1, 2), (command, code)
+    assert (codes["verify-tables"] == 0) == same, codes
+
+
 @pytest.mark.parametrize("family, locus", [(41, "p2p3"), (55, "p2"), (69, "p2"), (77, "p2p3")])
 def test_a_basket_point_without_rules_is_an_uncovered_center(capsys, tmp_path, family, locus):
     # the family's records trade ids with family 29's, whose rules have no
@@ -385,6 +430,9 @@ def test_a_basket_point_without_rules_is_an_uncovered_center(capsys, tmp_path, f
     code, out, err = run(capsys, "--catalog", str(path), "analyze", "--family", "29")
     assert (code, err) == (0, "")
     assert f"- summary: {uncovered}" in out.splitlines()
+    # the point's table row gives the reason in place of empty cells
+    (row,) = [line for line in out.splitlines() if line.startswith(f"| {locus} = ")]
+    assert row.endswith(f" | uncovered: family 29 has no center at {locus} | uncovered |")
     code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
     assert code == 1
     lines = [line for line in out.splitlines() if line.startswith("family 29: ")]

@@ -121,5 +121,4 @@ def test_involution_inventory_examples(catalog):
 def test_inventory_matches_golden(catalog):
     for fid in catalog.ids():
         got = involution_inventory(build_report(catalog, fid))
-        want = sorted((l.point, l.tag, l.condition) for l in catalog.golden(fid).link_column)
-        assert got == want, f"family {fid}"
+        assert got == sorted(catalog.golden(fid).link_column), f"family {fid}"

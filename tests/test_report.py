@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fano_wci import exclusion, report
-from fano_wci.report import GOLDEN, GoldenNumbers, verify_tables
+from fano_wci.report import GOLDEN, GoldenNumbers, build_report, render_markdown, verify_tables
 
 F = Fraction
 
@@ -72,3 +72,7 @@ def test_a_quadratic_involution_without_its_monomial_is_uncovered(catalog, monke
         "[('p2p3', 'QI', ''), ('p4', 'link', '')]",
         "family 41: uncovered centers: uncovered-cases(family 41 p2p3: no x^2 y tangent monomial, "
         "quadratic involution not available)"]
+    rows = [line for line in render_markdown(build_report(catalog, 41)).splitlines()
+            if line.startswith("| p2p3 = ")]
+    assert rows == ["| p2p3 = 1/3(1,1,2) | uncovered: family 41 p2p3: no x^2 y tangent monomial, "
+                    "quadratic involution not available | uncovered |"]

@@ -8,9 +8,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fano_wci.wps import (MonomialSupport, WeightSystem, anticanonical_cube, max_pair_lcm,
-                          monomials_of_degree, rat, rat_str, weighted_degree)
+                          monomials_of_degree, rat, rat_str)
 
 W5 = WeightSystem((1, 1, 2, 3, 2))
+
+
+def weighted_degree(m, w):
+    """Sum of exponent_i * weight_i."""
+    if len(m) != len(w):
+        raise ValueError(f"exponent vector {m} does not match weights {w.weights}")
+    return sum(e * a for e, a in zip(m, w))
 
 
 def brute_force_monomials(d, w):
