@@ -95,7 +95,7 @@ def derive_member(pair: FamilyPair) -> Member:
 
 class Catalog:
     """All 14 family pairs, indexed by id; immutable after load apart from
-    the Members it derives on demand."""
+    the Members it derives on demand, which no other catalog shares."""
 
     def __init__(self, pairs: list[FamilyPair]):
         self.pairs = sorted(pairs, key=lambda p: p.g.id)
@@ -121,10 +121,12 @@ class Catalog:
 
     def member(self, family_id: int) -> Member:
         """The family's Member, derived on first request and kept as long as
-        this catalog, i.e. for one load.  A record that admits no derivation
-        (no standard shape or one of another subfamily, a missing weight,
-        wrong Fano index, a Gprime record that is not its G record's
-        counterpart) raises CatalogError with the derivation's message."""
+        this catalog, i.e. for one load: a later load of the same text
+        shares this catalog's pairs but derives its Members anew.  A record
+        that admits no derivation (no standard shape or one of another
+        subfamily, a missing weight, wrong Fano index, a Gprime record that
+        is not its G record's counterpart) raises CatalogError with the
+        derivation's message."""
         member = self._members.get(family_id)
         if member is None:
             try:
@@ -202,6 +204,12 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
     return FamilyRecord(fid, kind, WeightSystem(weights), degrees)
 
 
+# strict -> (text, pairs) of the last load of that strictness that passed
+# every check: one slot per value, since the commands alternate non-strict
+# verify-tables with strict loads of the same file
+_PARSED: dict[bool, tuple[str, list[FamilyPair]]] = {}
+
+
 def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     """Load and validate the catalog; any failure aborts the whole load.
 
@@ -210,14 +218,33 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     x-weights for Gprime) and its stated a_cube must match its weights and
     degrees exactly.  verify-tables loads non-strictly so that an injected
     golden fault surfaces as a verification diff rather than a load error.
+
+    The file is read on every call.  If its text equals, character for
+    character, the text of the last load of the same strictness that passed
+    every check, the pairs of that load are reused and no check runs again,
+    since the pairs depend on nothing but the text and `strict`; otherwise
+    every check runs, and the text and pairs are kept only once all pass, so
+    a failing file raises the same error on every load.  The reused
+    `FamilyRecord`, `GoldenRow` and `FamilyPair` records are immutable
+    (`wps.record`) and are all that two catalogs share: each call returns a
+    new `Catalog`, which derives its own `Member`s.
     """
     path = path or default_catalog_path()
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"catalog {path} is not UTF-8 text: {exc}") from exc
+    parsed = _PARSED.get(strict)
+    if parsed is not None and parsed[0] == text:
+        return Catalog(parsed[1])
+    try:
+        raw = json.loads(text)
+    # a JSONDecodeError, an integer literal past the interpreter's digit
+    # limit (ValueError) or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise CatalogError(f"catalog {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise CatalogError(f"catalog {path}: top level must be a JSON array")
@@ -287,4 +314,5 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
                         GoldenRow(stated_subfamily[i], stated_a_cube["Gprime", i], stated_a_cube["G", i],
                                   *golden_columns[i]))
              for i in FAMILY_IDS]
+    _PARSED[strict] = text, pairs
     return Catalog(pairs)

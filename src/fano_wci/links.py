@@ -69,9 +69,10 @@ def counterpart_inverse(form: StandardForm) -> tuple[WeightSystem, tuple[int, in
 
 
 def involution_inventory(report) -> list[tuple[str, str, str]]:
-    """The link column of a `report.Report`: the sorted (point, tag,
-    condition) of every branch that ran at a point center.  A branch that
-    dispatch could not run, such as a quadratic involution without its
-    x^2 y monomial, is missing from it."""
-    return sorted((cr.center.locus, br.tag, br.condition) for cr in report.centers
-                  if cr.center.kind in ("quotient-point", "cax-point") for br in cr.branches)
+    """The link column of a `report.Report`: the (point, tag, condition) of
+    every branch that ran at a point center, in the report's order of
+    centers and, within a center, of branches.  A branch that dispatch could
+    not run, such as a quadratic involution without its x^2 y monomial, is
+    missing from it."""
+    return [(cr.center.locus, br.tag, br.condition) for cr in report.centers
+            if cr.center.kind in ("quotient-point", "cax-point") for br in cr.branches]

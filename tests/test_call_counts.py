@@ -3,12 +3,20 @@ Calls are counted by code object with the interpreter's profiler, so the
 count does not depend on how the functions are bound or wrapped, and it does
 not flake the way a wall time would."""
 
+import json
 import sys
 from collections import Counter
 
+import pytest
+
+from fano_wci import catalog as catalog_module
 from fano_wci import cli, exclusion, singularities, wps
-from fano_wci.catalog import FAMILY_IDS, load_catalog
+from fano_wci.catalog import FAMILY_IDS, CatalogError, default_catalog_path, load_catalog
 from fano_wci.report import build_report, verify_tables
+
+# the non-strict load of each verify-tables count test: the first parses the
+# shipped file, the second reuses the first's pairs and derives its Members anew
+LOADS = ("parsed", "cached")
 
 
 def count_calls(functions: dict, run) -> tuple[Counter, object]:
@@ -29,49 +37,128 @@ def count_calls(functions: dict, run) -> tuple[Counter, object]:
     return calls, result
 
 
-def test_verify_tables_derives_each_member_once():
-    catalog = load_catalog(strict=False)
-    calls, diffs = count_calls({"family_support": singularities.family_support,
-                                "monomials_of_degree": wps.monomials_of_degree,
-                                "singular_locus": singularities.singular_locus},
-                               lambda: verify_tables(catalog))
-    assert diffs == []
-    families = len(FAMILY_IDS)
-    # one support per family, built from three monomial enumerations (f, g, h)
-    assert calls == {"family_support": families, "monomials_of_degree": 3 * families,
-                     "singular_locus": families}
+@pytest.fixture
+def empty_load_cache(monkeypatch):
+    """No catalog text loaded yet in this process, so the test's first load
+    of a text parses it."""
+    monkeypatch.setattr(catalog_module, "_PARSED", {})
 
 
-def test_verify_tables_loads_once_and_solves_each_record_once():
+def test_verify_tables_derives_each_member_once(empty_load_cache):
+    for _ in LOADS:
+        catalog = load_catalog(strict=False)
+        calls, diffs = count_calls({"family_support": singularities.family_support,
+                                    "monomials_of_degree": wps.monomials_of_degree,
+                                    "singular_locus": singularities.singular_locus},
+                                   lambda: verify_tables(catalog))
+        assert diffs == []
+        families = len(FAMILY_IDS)
+        # one support per family, built from three monomial enumerations (f, g, h)
+        assert calls == {"family_support": families, "monomials_of_degree": 3 * families,
+                         "singular_locus": families}
+
+
+def test_verify_tables_loads_once_and_solves_each_record_once(empty_load_cache):
     # one load, and one standard-form solve per record (G and Gprime): a
     # load or a solve that re-derives what it already holds fails here
-    calls, diffs = count_calls({"load_catalog": load_catalog,
-                                "equation_shape": singularities.equation_shape},
-                               lambda: verify_tables(load_catalog(strict=False)))
-    assert diffs == []
-    assert calls == {"load_catalog": 1, "equation_shape": 2 * len(FAMILY_IDS)}
+    for _ in LOADS:
+        calls, diffs = count_calls({"load_catalog": load_catalog,
+                                    "equation_shape": singularities.equation_shape},
+                                   lambda: verify_tables(load_catalog(strict=False)))
+        assert diffs == []
+        assert calls == {"load_catalog": 1, "equation_shape": 2 * len(FAMILY_IDS)}
 
 
-def test_verify_tables_derives_a_cube_three_times_per_family():
-    catalog = load_catalog(strict=False)
-    calls, diffs = count_calls({"anticanonical_cube": wps.anticanonical_cube},
-                               lambda: verify_tables(catalog))
-    assert diffs == []
-    # per family: the G and Gprime checks of verify_family and the Member's
-    # (-K)^3; plus family 19's blowup tower
-    assert calls == {"anticanonical_cube": 3 * len(FAMILY_IDS) + 1}
+def test_verify_tables_derives_a_cube_three_times_per_family(empty_load_cache):
+    for _ in LOADS:
+        catalog = load_catalog(strict=False)
+        calls, diffs = count_calls({"anticanonical_cube": wps.anticanonical_cube},
+                                   lambda: verify_tables(catalog))
+        assert diffs == []
+        # per family: the G and Gprime checks of verify_family and the Member's
+        # (-K)^3; plus family 19's blowup tower
+        assert calls == {"anticanonical_cube": 3 * len(FAMILY_IDS) + 1}
 
 
-def test_verify_tables_checks_each_quadratic_involution_once():
+def test_verify_tables_checks_each_quadratic_involution_once(empty_load_cache):
     # the QI structural check runs once per QI branch, in dispatch; the
     # verifier reads the link column from the report instead of checking again
-    catalog = load_catalog(strict=False)
-    calls, diffs = count_calls({"qi_eligible": exclusion.qi_eligible}, lambda: verify_tables(catalog))
-    assert diffs == []
     qi_branches = sum(br.tag == "QI" for rules in exclusion.POINT_RULES.values()
                       for branches in rules.values() for br in branches)
     assert qi_branches == 7
-    assert calls == {"qi_eligible": qi_branches}
+    for _ in LOADS:
+        catalog = load_catalog(strict=False)
+        calls, diffs = count_calls({"qi_eligible": exclusion.qi_eligible}, lambda: verify_tables(catalog))
+        assert diffs == []
+        assert calls == {"qi_eligible": qi_branches}
+
+
+def count_parses(load) -> tuple[int, object]:
+    """Records parsed during load(), and load()'s result."""
+    calls, result = count_calls({"parse": catalog_module._parse_record}, load)
+    return calls["parse"], result
+
+
+def shipped_entries() -> list[dict]:
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def entry(entries: list[dict], family: int, kind: str) -> dict:
+    return next(obj for obj in entries if obj["id"] == family and obj["kind"] == kind)
+
+
+def test_a_second_load_of_the_same_text_parses_nothing(empty_load_cache):
+    parses, first = count_parses(load_catalog)
+    assert parses == 2 * len(FAMILY_IDS)
+    first.member(17)
+    parses, second = count_parses(load_catalog)
+    assert parses == 0
+    # a new catalog over the same records, which derives its own Members
+    assert second is not first and second.pairs == first.pairs
+    assert second._members == {}
+    assert second.member(17) is not first.member(17)
+
+
+def test_a_rewritten_file_is_checked_again(tmp_path):
+    entries = shipped_entries()
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    load_catalog(str(path))
+    entry(entries, 19, "G")["a_cube"] = "1/3"  # the weights give 1/2
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    with pytest.raises(CatalogError, match="a_cube mismatch for family 19 \\(G\\)"):
+        load_catalog(str(path))
+
+
+def test_a_non_strict_load_does_not_pass_the_strict_checks(tmp_path):
+    # a file that passes only the non-strict checks fails every strict load,
+    # also after a non-strict load of the same text succeeded
+    entries = shipped_entries()
+    entry(entries, 19, "Gprime")["a_cube"] = "1/2"
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    for _ in range(2):
+        assert load_catalog(str(path), strict=False).golden(19).a_cube == 1 / 2
+        with pytest.raises(CatalogError, match="a_cube mismatch for family 19 \\(Gprime\\)"):
+            load_catalog(str(path))
+
+
+def test_a_failed_load_fails_again_with_the_same_message(tmp_path):
+    entries = shipped_entries()
+    entries[-1]["id"] = 18
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+
+    def failing_load() -> str:
+        with pytest.raises(CatalogError) as failure:
+            load_catalog(str(path), strict=False)
+        return str(failure.value)
+
+    # every load parses the file anew: the last record fails its id check
+    first, second = count_parses(failing_load), count_parses(failing_load)
+    assert first == second
+    assert first[0] == 2 * len(FAMILY_IDS) and "id 18 is not one of" in first[1]
 
 
 def test_negdef_matrix_reuses_the_nef_divisor():

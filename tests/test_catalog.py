@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fano_wci import cli
 from fano_wci.catalog import FAMILY_IDS, CatalogError, default_catalog_path, load_catalog
 from fano_wci.singularities import equation_shape
 
@@ -57,11 +58,19 @@ def test_golden_columns_are_the_files_rows(catalog):
         assert golden.link_column == tuple((l["point"], l["tag"], l["condition"]) for l in entry["links"])
 
 
-def test_empty_file_is_a_parse_error(tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text("")
+@pytest.mark.parametrize("content", [
+    b"",
+    b"[\xff\xfe]",  # not UTF-8
+    b"[" * 100_000,  # nested past the recursion limit
+    b"[" + b"1" * 5000 + b"]",  # past the interpreter's integer digit limit, where it has one
+], ids=["empty", "invalid-utf8", "deep-nesting", "long-integer"])
+def test_empty_file_is_a_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
     with pytest.raises(CatalogError):
         load_catalog(str(path))
+    assert cli.main(["--catalog", str(path), "verify-tables"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_file(tmp_path):

@@ -388,6 +388,9 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @example(k=0, field="degrees", value=[8, 6])  # family 17's G degrees out of order
+@example(k=19, field="basket", value=[  # family 55's Gprime basket reversed
+    {"type": "cAx/2", "count": 1, "locus": "p4"}, {"type": "1/2(1,1,1)", "count": 1, "locus": "p2p4"},
+    {"type": "1/4(1,1,3)", "count": 1, "locus": "p2"}])
 @given(k=st.integers(0, 2 * len(FAMILY_IDS) - 1),
        field=st.sampled_from(("id", "kind", "weights", "degrees", "subfamily", "a_cube", "basket", "links")),
        value=JSON_VALUES)

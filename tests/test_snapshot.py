@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,6 +51,23 @@ def test_output_matches_recorded_digests(monkeypatch):
     assert got.keys() == expected.keys()
     changed = [argv for argv in expected if got[argv] != expected[argv]]
     assert not changed, f"output changed for: {changed}"
+
+
+def test_fresh_processes_match_recorded_digests():
+    # the test above runs every command in one process, so only its first
+    # load parses the catalog; here each command is a new interpreter whose
+    # one load runs every check
+    expected = json.loads(DIGESTS.read_text())
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != ENV_CATALOG}
+    env["PYTHONPATH"] = str(src)
+    family = ["--family", "50"]
+    for argv in (["verify-tables"], ["analyze", *family, "--format", "md"],
+                 ["analyze", *family, "--format", "json"], ["links", *family], ["basket", *family]):
+        done = subprocess.run([sys.executable, "-m", "fano_wci.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        got = hashlib.sha256(f"{done.returncode}\n{done.stdout}".encode()).hexdigest()
+        assert got == expected[" ".join(argv)], (argv, done.stderr)
 
 
 if __name__ == "__main__":
