@@ -22,8 +22,6 @@ if TYPE_CHECKING:
 
 FAMILY_IDS = (17, 19, 23, 29, 30, 41, 42, 49, 50, 55, 69, 74, 77, 82)
 
-ENV_CATALOG = "FANO_WCI_CATALOG"
-
 
 class CatalogError(ValueError):
     """Raised when the catalog file fails to parse or violates an invariant."""
@@ -74,6 +72,13 @@ class Member(FamilyPair):
     quotients: tuple[QuotientSingularity, ...]
     cax: CAxPoint
     link_data: LinkData
+
+    @property
+    def basket(self) -> tuple[tuple[str, int, str], ...]:
+        """The computed basket as golden rows (type, count, locus): the
+        singular locus in its own order, then the cAx point p4."""
+        return (*((q.type_str(), q.count, q.locus) for q in self.quotients),
+                (self.cax.type_str(), 1, "p4"))
 
 
 def derive_member(pair: FamilyPair) -> Member:
@@ -138,9 +143,6 @@ class Catalog:
 
 
 def default_catalog_path() -> str:
-    override = os.environ.get(ENV_CATALOG)
-    if override:
-        return override
     return os.path.join(os.path.dirname(__file__), "data", "catalog.json")
 
 

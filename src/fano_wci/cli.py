@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or load error.
-The catalog path comes from --catalog, else the FANO_WCI_CATALOG environment
-variable, else the file shipped with the package.
+The catalog path comes from --catalog, else it is the file shipped with the
+package.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import links
 from .catalog import Catalog, CatalogError, load_catalog
 from .report import build_report, render_json, render_markdown, verify_tables
 from .wps import rat_str, wps_str
@@ -46,18 +45,16 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_links(args) -> int:
-    # solves from the G record and only compares the Gprime record with the
-    # counterpart: the Member would also derive the Gprime singular locus,
-    # which this command does not print
     catalog = load_catalog(args.catalog)
     _require_family(catalog, args.family)
-    g = catalog.g(args.family)
-    form = links.to_standard_form(g, catalog.golden(args.family).subfamily)
-    ld = links.build_counterpart(form)
-    links.check_counterpart(catalog.gprime(args.family), ld)
+    member = catalog.member(args.family)
+    g, ld = member.g, member.link_data
     d1, d2 = g.degrees
     print(f"No.{args.family}: X_{{{d1},{d2}}} in {wps_str(g.weights)}")
-    print(f"standard form (a0..a5) = {form.role_weights}, b = {ld.b}")
+    # the Gprime form's role weights are the G form's: derive_member accepts
+    # the pair only when the Gprime record lifts to the G record's six
+    # weights and (d1, d2) and solves to the same stated shape
+    print(f"standard form (a0..a5) = {member.shape.role_weights}, b = {ld.b}")
     print(f"counterpart: X'_{ld.xprime_degree} in {wps_str(ld.display_weights())} [{ld.equation_shape}]")
     print(f"midpoint hypersurface degree: {ld.z_degree}")
     return 0
@@ -70,10 +67,9 @@ def cmd_basket(args) -> int:
     gp = member.gprime
     print(f"No.{args.family}: X'_{gp.degrees[0]} in {wps_str(gp.weights)}, "
           f"A^3 = {rat_str(member.a_cube)}")
-    for q in member.quotients:
-        prefix = f"{q.count} x " if q.count > 1 else ""
-        print(f"  {q.locus} = {prefix}{q.type_str()}")
-    print(f"  p4 = {member.cax.type_str()}")
+    for type_str, count, locus in member.basket:
+        prefix = f"{count} x " if count > 1 else ""
+        print(f"  {locus} = {prefix}{type_str}")
     return 0
 
 

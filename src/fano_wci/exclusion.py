@@ -348,49 +348,39 @@ CURVE_CYCLE_DATA = {17: (Fraction(1), Fraction(1, 2))}
 NEF_SECTIONS = (0, 2, 4)
 
 POINT_RULES: dict[int, dict[str, tuple[RuleBranch, ...]]] = {
-    17: {"p4": (RuleBranch("", "untwist", "link"),)},
+    17: {},
     19: {"p2p4": (RuleBranch("not-exists-wci(1,1,2)", "untwist", "EI"),
                   RuleBranch("exists-wci(1,1,2)", "untwist", "II")),
-         "p3": (RuleBranch("", "untwist", "QI"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
+         "p3": (RuleBranch("", "untwist", "QI"),)},
     23: {"p2p4": (RuleBranch("not-exists-wci(1,1,4)", "surface-pair", "none"),
                   RuleBranch("exists-wci(1,1,4)", "infinite-curves", "none")),
-         "p3": (RuleBranch("", "untwist", "QI"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
-    29: {"p2p4": (RuleBranch("", "surface-pair", "none"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
+         "p3": (RuleBranch("", "untwist", "QI"),)},
+    29: {"p2p4": (RuleBranch("", "surface-pair", "none"),)},
     30: {"p2": (RuleBranch("monomial-present(y^2 z)", "untwist", "QI"),
                 RuleBranch("monomial-absent(y^2 z)", "infinite-curves", "none")),
-         "p3": (RuleBranch("", "untwist", "QI"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
-    41: {"p2p3": (RuleBranch("", "untwist", "QI"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
+         "p3": (RuleBranch("", "untwist", "QI"),)},
+    41: {"p2p3": (RuleBranch("", "untwist", "QI"),)},
     42: {"p2p4": (RuleBranch("", "surface-pair", "none"),),
-         "p3": (RuleBranch("", "untwist", "QI"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
-    49: {"p2p4": (RuleBranch("", "surface-pair", "none"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
+         "p3": (RuleBranch("", "untwist", "QI"),)},
+    49: {"p2p4": (RuleBranch("", "surface-pair", "none"),)},
     50: {"p1p4": (RuleBranch("not-exists-wci(1,3,4)", "nef-divisor", "none"),
                   RuleBranch("exists-wci(1,3,4)", "negdef-matrix", "none")),
          "p2": (RuleBranch("monomial-present(z^3 t)", "surface-pair", "none"),
                 RuleBranch("monomial-absent(z^3 t)", "negdef-matrix", "none")),
-         "p3": (RuleBranch("", "untwist", "QI"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
+         "p3": (RuleBranch("", "untwist", "QI"),)},
     55: {"p2": (RuleBranch("", "infinite-curves", "none"),),
-         "p2p4": (RuleBranch("", "surface-pair", "none"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
-    69: {"p2": (RuleBranch("", "infinite-curves", "none"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
+         "p2p4": (RuleBranch("", "surface-pair", "none"),)},
+    69: {"p2": (RuleBranch("", "infinite-curves", "none"),)},
     74: {"p1p4": (RuleBranch("", "nef-divisor", "none"),),
-         "p2p3": (RuleBranch("", "surface-pair", "none"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
+         "p2p3": (RuleBranch("", "surface-pair", "none"),)},
     77: {"p2p3": (RuleBranch("", "surface-pair", "none"),),
-         "p2p4": (RuleBranch("", "surface-pair", "none"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
+         "p2p4": (RuleBranch("", "surface-pair", "none"),)},
     82: {"p1p4": (RuleBranch("", "nef-divisor", "none"),),
-         "p2": (RuleBranch("", "surface-pair", "none"),),
-         "p4": (RuleBranch("", "untwist", "link"),)},
+         "p2": (RuleBranch("", "surface-pair", "none"),)},
 }
+# every family's cAx point p4 is untwisted by the link to its G model
+for _rules in POINT_RULES.values():
+    _rules["p4"] = (RuleBranch("", "untwist", "link"),)
 
 
 def minimal_curve_degree(member: Member) -> Fraction:

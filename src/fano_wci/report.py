@@ -227,8 +227,7 @@ def render_json(report: Report) -> dict:
             "extraction_count": report.extractions.count,
             "extraction_weights": [rat_str(x) for x in report.extractions.ambient_weights],
         },
-        "basket": [{"type": q.type_str(), "count": q.count, "locus": q.locus} for q in member.quotients]
-        + [{"type": member.cax.type_str(), "count": 1, "locus": "p4"}],
+        "basket": [dict(zip(BASKET_KEYS, row)) for row in member.basket],
         "centers": [
             {
                 "center": cr.center.describe(),
@@ -290,8 +289,7 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
              f"{g.weights.weights} {g.degrees}")
 
     # basket, in singular-locus order with the cAx point last
-    quotients = member.quotients
-    computed = [(q.type_str(), q.count, q.locus) for q in quotients] + [(member.cax.type_str(), 1, "p4")]
+    computed = list(member.basket)
     stated = list(golden.basket)
     if computed != stated:
         diff(f"basket computed {computed} != catalog {stated}")
@@ -300,7 +298,7 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
     for (fid, locus), sign in GOLDEN.b_cube_signs.items():
         if fid != family_id:
             continue
-        match = [q for q in quotients if q.locus == locus]
+        match = [q for q in member.quotients if q.locus == locus]
         if not match:
             diff(f"no computed point at {locus} for B^3 sign check")
             continue

@@ -171,6 +171,18 @@ def test_negdef_matrix_reuses_the_nef_divisor():
     assert calls == {"nef": 1}
 
 
+def test_links_derives_the_member_like_every_command(capsys):
+    # one load and the Member's derivation: a solve of each record, the
+    # Gprime record's support and singular locus
+    calls, code = count_calls({"load_catalog": load_catalog,
+                               "equation_shape": singularities.equation_shape,
+                               "family_support": singularities.family_support,
+                               "singular_locus": singularities.singular_locus},
+                              lambda: cli.main(["links", "--family", "50"]))
+    assert code == 0 and "No.50" in capsys.readouterr().out
+    assert calls == {"load_catalog": 1, "equation_shape": 2, "family_support": 1, "singular_locus": 1}
+
+
 def test_cli_builds_no_parser_per_command(capsys):
     calls, code = count_calls({"make_parser": cli.make_parser},
                               lambda: cli.main(["basket", "--family", "29"]))

@@ -79,13 +79,6 @@ def test_links_and_basket_commands(capsys):
     assert "3 x 1/2(1,1,1)" in out
 
 
-def test_catalog_env_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("FANO_WCI_CATALOG", str(tmp_path / "missing.json"))
-    code, _, err = run(capsys, "verify-tables")
-    assert code == 2
-    assert "missing.json" in err
-
-
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -250,6 +243,45 @@ def test_underivable_gprime_record_is_a_load_error(capsys, tmp_path, mutation, c
     code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
     assert code == 1
     assert out.splitlines() == [diff_line, "verify-tables: 1 mismatch(es)"]
+
+
+def _other_index_one_splits(entry):
+    """The degrees (d1, d2), d1 <= d2, of every other index-one split of a G
+    record's weights, each with the a_cube its weights and degrees give."""
+    weights = entry["weights"]
+    total = sum(weights) - 1
+    for d1 in range(1, total // 2 + 1):
+        degrees = [d1, total - d1]
+        if degrees != sorted(entry["degrees"]):
+            yield degrees, rat_str(Fraction(d1 * (total - d1), math.prod(weights)))
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_a_resplit_g_record_is_a_load_error_for_every_command(capsys, tmp_path, family):
+    # a strict load accepts the record, whose a_cube is restated; no Member
+    # can be derived from it, so every command that reads the family exits 2
+    # with the same error, and verify-tables reports it
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    entry = next(obj for obj in raw if obj["id"] == family and obj["kind"] == "G")
+    path = tmp_path / "resplit.json"
+    splits = list(_other_index_one_splits(entry))
+    assert splits
+    chosen = ["--family", str(family)]
+    for degrees, a_cube in splits:
+        entry.update(degrees=degrees, a_cube=a_cube)
+        path.write_text(json.dumps(raw))
+        load_catalog(str(path))  # the strict load accepts the record
+        errors = set()
+        for command in (["links", *chosen], ["basket", *chosen], ["analyze", *chosen],
+                        ["analyze", *chosen, "--format", "json"]):
+            code, out, err = run(capsys, "--catalog", str(path), *command)
+            assert (code, out) == (2, ""), (degrees, command)
+            assert len(err.splitlines()) == 1 and err.startswith("error: No."), (degrees, command, err)
+            errors.add(err)
+        assert len(errors) == 1, (degrees, errors)
+        code, _, _ = run(capsys, "--catalog", str(path), "verify-tables")
+        assert code == 1, degrees
 
 
 def _gprimes_with_another_b(entry):

@@ -22,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fano_wci.catalog import ENV_CATALOG, default_catalog_path
+from fano_wci.catalog import default_catalog_path
 from fano_wci.cli import main
 
 DIGESTS = Path(__file__).with_name("mutation_digests.json")
@@ -74,8 +74,7 @@ def record(directory: str) -> dict[str, str]:
     return got
 
 
-def test_mutated_catalog_outputs_match_recorded_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv(ENV_CATALOG, raising=False)
+def test_mutated_catalog_outputs_match_recorded_digests(tmp_path):
     expected = json.loads(DIGESTS.read_text())
     assert len(expected) == 5 * COUNT
     got = record(str(tmp_path))
@@ -85,7 +84,6 @@ def test_mutated_catalog_outputs_match_recorded_digests(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop(ENV_CATALOG, None)
     with tempfile.TemporaryDirectory() as directory:
         json.dump(record(directory), sys.stdout, indent=1)
     print()

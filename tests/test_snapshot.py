@@ -17,7 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fano_wci.catalog import ENV_CATALOG, FAMILY_IDS
+from fano_wci.catalog import FAMILY_IDS
 from fano_wci.cli import main
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
@@ -43,8 +43,7 @@ def record() -> dict[str, str]:
     return {" ".join(argv): digest(argv) for argv in argvs()}
 
 
-def test_output_matches_recorded_digests(monkeypatch):
-    monkeypatch.delenv(ENV_CATALOG, raising=False)
+def test_output_matches_recorded_digests():
     expected = json.loads(DIGESTS.read_text())
     assert len(expected) == 57
     got = record()
@@ -59,8 +58,7 @@ def test_fresh_processes_match_recorded_digests():
     # one load runs every check
     expected = json.loads(DIGESTS.read_text())
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {k: v for k, v in os.environ.items() if k != ENV_CATALOG}
-    env["PYTHONPATH"] = str(src)
+    env = {**os.environ, "PYTHONPATH": str(src)}
     family = ["--family", "50"]
     for argv in (["verify-tables"], ["analyze", *family, "--format", "md"],
                  ["analyze", *family, "--format", "json"], ["links", *family], ["basket", *family]):
@@ -71,6 +69,5 @@ def test_fresh_processes_match_recorded_digests():
 
 
 if __name__ == "__main__":
-    os.environ.pop(ENV_CATALOG, None)
     json.dump(record(), sys.stdout, indent=1)
     print()
