@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 from .wps import MonomialSupport, WeightSystem, anticanonical_cube, rat, rat_str, record
 
 if TYPE_CHECKING:
-    from .links import LinkData
     from .singularities import CAxPoint, QuotientSingularity, StandardForm
 
 FAMILY_IDS = (17, 19, 23, 29, 30, 41, 42, 49, 50, 55, 69, 74, 77, 82)
@@ -61,17 +60,16 @@ class FamilyPair:
 @record
 class Member(FamilyPair):
     """A family pair with the algebra derived from it: the hypersurface
-    member's (-K)^3, standard form, monomial support and singular locus, and
-    the link data of the codimension-2 model.  Built once per family and
-    catalog load by `Catalog.member`; every layer reads it instead of
-    deriving the same data again."""
+    member's (-K)^3, standard form, monomial support and singular locus
+    (quotient points, and the cAx point with its extractions).  Built once
+    per family and catalog load by `Catalog.member`; every layer reads it
+    instead of deriving the same data again."""
 
     a_cube: Fraction
     shape: StandardForm
     support: MonomialSupport
     quotients: tuple[QuotientSingularity, ...]
     cax: CAxPoint
-    link_data: LinkData
 
     @property
     def basket(self) -> tuple[tuple[str, int, str], ...]:
@@ -84,18 +82,18 @@ class Member(FamilyPair):
 def derive_member(pair: FamilyPair) -> Member:
     """Solve each record once and derive the rest from the Gprime record's
     form; a record whose form is not of the stated subfamily, or a Gprime
-    record that is not its G record's counterpart, raises CatalogError."""
+    record that is not its G record's counterpart, raises CatalogError.  The
+    G record's form serves only that counterpart check."""
     # imported here because both modules import this one
     from . import links, singularities
 
-    link_data = links.build_counterpart(links.to_standard_form(pair.g, pair.golden.subfamily))
+    g_form = links.to_standard_form(pair.g, pair.golden.subfamily)
     shape = links.to_standard_form(pair.gprime, pair.golden.subfamily)
-    links.check_counterpart(pair.gprime, link_data)
+    links.check_counterpart(pair.gprime, g_form)
     support = singularities.family_support(pair.gprime, shape)
     quotients, cax = singularities.singular_locus(pair.gprime, shape, support)
     return Member(g=pair.g, gprime=pair.gprime, golden=pair.golden, a_cube=pair.gprime.a_cube(),
-                  shape=shape, support=support, quotients=tuple(quotients), cax=cax,
-                  link_data=link_data)
+                  shape=shape, support=support, quotients=tuple(quotients), cax=cax)
 
 
 class Catalog:
@@ -112,7 +110,7 @@ class Catalog:
 
     def pair(self, family_id: int) -> FamilyPair:
         if family_id not in self._by_id:
-            raise LookupError(f"unknown family id {family_id}")
+            raise LookupError(f"unknown family id {family_id}; catalog has {self.ids()}")
         return self._by_id[family_id]
 
     def g(self, family_id: int) -> FamilyRecord:
@@ -151,13 +149,21 @@ BASKET_KEYS = {"type": str, "count": int, "locus": str}
 LINK_KEYS = {"point": str, "tag": str, "condition": str}
 
 
+# the largest weight or degree a record may state: far above the shipped
+# families' (at most 26), and small enough that every product of them prints
+MAX_WEIGHT = 10_000
+
+
 def _weights_and_degrees(obj: dict, where: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The record's weights and degrees, checked to be lists of positive
-    integers (type() is exact: a JSON true is a bool, not an int)."""
+    integers (type() is exact: a JSON true is a bool, not an int) of at most
+    MAX_WEIGHT."""
     weights, degrees = obj["weights"], obj["degrees"]
     if type(weights) is list and type(degrees) is list:
         both = weights + degrees
         if {*map(type, both)} == {int} and min(both) >= 1:
+            if max(both) > MAX_WEIGHT:
+                raise CatalogError(f"{where}: 'weights' and 'degrees' must be at most {MAX_WEIGHT}")
             return tuple(weights), tuple(degrees)
     raise CatalogError(f"{where}: 'weights' and 'degrees' must be lists of positive integers, "
                        f"got {weights!r} and {degrees!r}")

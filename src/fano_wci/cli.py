@@ -11,19 +11,13 @@ import argparse
 import json
 import sys
 
-from .catalog import Catalog, CatalogError, load_catalog
+from .catalog import CatalogError, load_catalog
 from .report import build_report, render_json, render_markdown, verify_tables
 from .wps import rat_str, wps_str
 
 
-def _require_family(catalog: Catalog, family_id: int):
-    if family_id not in catalog.ids():
-        raise CatalogError(f"unknown family id {family_id}; catalog has {catalog.ids()}")
-
-
 def cmd_analyze(args) -> int:
     catalog = load_catalog(args.catalog)
-    _require_family(catalog, args.family)
     report = build_report(catalog, args.family)
     if args.format == "json":
         print(json.dumps(render_json(report), indent=2, sort_keys=True))
@@ -46,23 +40,20 @@ def cmd_verify_tables(args) -> int:
 
 def cmd_links(args) -> int:
     catalog = load_catalog(args.catalog)
-    _require_family(catalog, args.family)
     member = catalog.member(args.family)
-    g, ld = member.g, member.link_data
+    g, gp, shape = member.g, member.gprime, member.shape
     d1, d2 = g.degrees
     print(f"No.{args.family}: X_{{{d1},{d2}}} in {wps_str(g.weights)}")
-    # the Gprime form's role weights are the G form's: derive_member accepts
-    # the pair only when the Gprime record lifts to the G record's six
-    # weights and (d1, d2) and solves to the same stated shape
-    print(f"standard form (a0..a5) = {member.shape.role_weights}, b = {ld.b}")
-    print(f"counterpart: X'_{ld.xprime_degree} in {wps_str(ld.display_weights())} [{ld.equation_shape}]")
-    print(f"midpoint hypersurface degree: {ld.z_degree}")
+    # the Gprime record is the G record's counterpart and its form the G
+    # record's form, as in report.render_markdown
+    print(f"standard form (a0..a5) = {shape.role_weights}, b = {shape.b}")
+    print(f"counterpart: X'_{gp.degrees[0]} in {wps_str(gp.weights)} [{shape.shape_name}]")
+    print(f"midpoint hypersurface degree: {shape.z_degree}")
     return 0
 
 
 def cmd_basket(args) -> int:
     catalog = load_catalog(args.catalog)
-    _require_family(catalog, args.family)
     member = catalog.member(args.family)
     gp = member.gprime
     print(f"No.{args.family}: X'_{gp.degrees[0]} in {wps_str(gp.weights)}, "

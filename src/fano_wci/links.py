@@ -1,28 +1,15 @@
-"""The data of the codimension-2 families' links: the birational hypersurface
-counterpart, the midpoint hypersurface, and the per-point involution
-inventory of a family's report.  Both records of a family solve to one
-standard form, `singularities.equation_shape`, of the catalog's stated
-subfamily; a G record's form builds its counterpart.
+"""The links of the codimension-2 families: each record's standard form
+(`singularities.equation_shape`, of the catalog's stated subfamily), the
+hypersurface counterpart that a G record's form builds and its Gprime record
+must state, its inverse, and the per-point involution inventory of a
+family's report.  The form itself carries b, the midpoint degree and shape.
 """
 
 from __future__ import annotations
 
 from .catalog import CatalogError, FamilyRecord
 from .singularities import StandardForm, equation_shape
-from .wps import WeightSystem, record, wps_str
-
-
-@record
-class LinkData:
-    b: int
-    xprime_weights: WeightSystem  # role order (a0, a1, a2, a3, b)
-    xprime_degree: int
-    z_degree: int
-    equation_shape: str  # "I'-shape" | "I''-shape"
-
-    def display_weights(self) -> WeightSystem:
-        """Catalog convention: ascending x-weights with w last."""
-        return WeightSystem(tuple(sorted(self.xprime_weights.weights[:4])) + (self.b,))
+from .wps import WeightSystem, wps_str
 
 
 def to_standard_form(record: FamilyRecord, subfamily: str) -> StandardForm:
@@ -36,29 +23,21 @@ def to_standard_form(record: FamilyRecord, subfamily: str) -> StandardForm:
     return form
 
 
-def build_counterpart(form: StandardForm) -> LinkData:
+def build_counterpart(form: StandardForm) -> tuple[WeightSystem, int]:
     """The hypersurface counterpart of the codimension-2 member of standard
-    form `form`, with the midpoint hypersurface degree."""
-    a0, a1, a2, a3, _, a5 = form.role_weights
-    d1, d2 = form.degrees
-    return LinkData(
-        b=form.b,
-        xprime_weights=WeightSystem((a0, a1, a2, a3, form.b)),
-        xprime_degree=d2,
-        z_degree=d1 + d2 - a5,
-        equation_shape="I'-shape" if form.double_cover else "I''-shape",
-    )
+    form `form`: X'_{d2} in P(a0, a1, a2, a3, b), as its weights in catalog
+    order (ascending x-weights, b last) and its degree."""
+    return WeightSystem((*sorted(form.role_weights[:4]), form.b)), form.degrees[1]
 
 
-def check_counterpart(gprime: FamilyRecord, link_data: LinkData) -> None:
+def check_counterpart(gprime: FamilyRecord, g_form: StandardForm) -> None:
     """Raise CatalogError unless the Gprime record states the counterpart of
-    its G record, whose `build_counterpart` is `link_data`: the same weights
-    in display order and the same degree."""
-    counterpart = link_data.display_weights()
-    if counterpart != gprime.weights or link_data.xprime_degree != gprime.degrees[0]:
+    its G record, whose standard form is `g_form`: the same weights in
+    catalog order and the same degree."""
+    weights, degree = build_counterpart(g_form)
+    if weights != gprime.weights or degree != gprime.degrees[0]:
         raise CatalogError(f"No.{gprime.id}: Gprime record X'_{gprime.degrees[0]} in {wps_str(gprime.weights)} "
-                           f"is not the counterpart X'_{link_data.xprime_degree} in {wps_str(counterpart)} "
-                           f"of its G record")
+                           f"is not the counterpart X'_{degree} in {wps_str(weights)} of its G record")
 
 
 def counterpart_inverse(form: StandardForm) -> tuple[WeightSystem, tuple[int, int]]:

@@ -96,7 +96,6 @@ class CenterReport:
 @record
 class Report:
     member: Member
-    extractions: singularities.ExtractionDescriptor
     centers: tuple[CenterReport, ...]
 
     @property
@@ -144,8 +143,7 @@ def build_report(catalog: Catalog, family_id: int) -> Report:
         rules = exclusion.POINT_RULES[family_id].get(center.locus)
         run(center, [(br.condition, br.tag) for br in rules] if rules else UNCONDITIONAL)
 
-    return Report(member=member, extractions=singularities.extractions_at_cax(member.cax, member.link_data),
-                  centers=tuple(centers))
+    return Report(member=member, centers=tuple(centers))
 
 
 def _describe_branch(br: BranchResult) -> str:
@@ -158,17 +156,20 @@ def _describe_branch(br: BranchResult) -> str:
     return body
 
 
+# The renderers read the link off the Gprime record, its form and cAx point:
+# derive_member accepts it only as the G record's counterpart, whose form has
+# the G form's role weights and degrees, hence its b, Z degree and extractions.
 def render_markdown(report: Report) -> str:
     member = report.member
-    g, gp, ld = member.g, member.gprime, member.link_data
+    g, gp, shape, cax = member.g, member.gprime, member.shape, member.cax
     d1, d2 = g.degrees
     lines = [
         f"# Family No.{g.id}",
         "",
         f"- G:  X_{{{d1},{d2}}} in {wps_str(g.weights)}",
         f"- G': X'_{gp.degrees[0]} in {wps_str(gp.weights)}, A^3 = {rat_str(member.a_cube)}",
-        f"- link: b = {ld.b}, {ld.equation_shape}, midpoint Z_{ld.z_degree},"
-        f" extractions at cAx/{member.cax.modulus}: {report.extractions.count}",
+        f"- link: b = {shape.b}, {shape.shape_name}, midpoint Z_{shape.z_degree},"
+        f" extractions at cAx/{cax.modulus}: {cax.extraction_count}",
         "",
         "| center | method | link |",
         "|---|---|---|",
@@ -212,20 +213,20 @@ def _golden_record_json(pair: FamilyPair) -> dict:
 
 def render_json(report: Report) -> dict:
     member = report.member
-    g, ld = member.g, member.link_data
+    g, gp, shape, cax = member.g, member.gprime, member.shape, member.cax
     return {
         "family": g.id,
         "a_cube": rat_str(member.a_cube),
         "g_weights": list(g.weights),
         "g_degrees": list(g.degrees),
         "link": {
-            "b": ld.b,
-            "xprime_weights": list(ld.display_weights()),
-            "xprime_degree": ld.xprime_degree,
-            "z_degree": ld.z_degree,
-            "equation_shape": ld.equation_shape,
-            "extraction_count": report.extractions.count,
-            "extraction_weights": [rat_str(x) for x in report.extractions.ambient_weights],
+            "b": shape.b,
+            "xprime_weights": list(gp.weights),
+            "xprime_degree": gp.degrees[0],
+            "z_degree": shape.z_degree,
+            "equation_shape": shape.shape_name,
+            "extraction_count": cax.extraction_count,
+            "extraction_weights": [rat_str(x) for x in cax.extraction_weights],
         },
         "basket": [dict(zip(BASKET_KEYS, row)) for row in member.basket],
         "centers": [

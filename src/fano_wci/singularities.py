@@ -56,25 +56,20 @@ class QuotientSingularity:
 
 @record
 class CAxPoint:
-    """The unique non-quotient point of a hypersurface member, at the w vertex.
-
-    Extraction weights come from the ambient formula (`extractions_at_cax`),
-    not from the weight parameter of the extraction classification, which
-    support data alone cannot determine.
-    """
+    """The unique non-quotient point of a hypersurface member, at the w vertex,
+    and the divisorial extractions centered there (see `cax_classify`)."""
 
     modulus: int  # b of the standard form: 2 or 4 in the catalog
     square_type: bool
+    extraction_weights: tuple[Fraction, Fraction, Fraction, Fraction]  # (a4, a1, a2, a3) / b
 
     def type_str(self) -> str:
         return f"cAx/{self.modulus}"
 
-
-@record
-class ExtractionDescriptor:
-    count: int  # 2 for square type, else 1
-    ambient_weights: tuple[Fraction, Fraction, Fraction, Fraction]
-    discrepancy: Fraction
+    @property
+    def extraction_count(self) -> int:
+        """Two extractions for square type, one otherwise."""
+        return 2 if self.square_type else 1
 
 
 def normalize_quotient(r: int, raw: tuple[int, int, int], locus: str = "", count: int = 1) -> QuotientSingularity:
@@ -130,6 +125,15 @@ class StandardForm:
         """The paper's subfamily tag: the shape, then b, the modulus of the
         cAx/b point."""
         return ("I'" if self.double_cover else "I''") + str(self.b)
+
+    @property
+    def shape_name(self) -> str:
+        return "I'-shape" if self.double_cover else "I''-shape"
+
+    @property
+    def z_degree(self) -> int:
+        """The degree d1 + d2 - a5 of the link's midpoint hypersurface."""
+        return sum(self.degrees) - self.role_weights[5]
 
 
 def equation_shape(record: FamilyRecord) -> StandardForm:
@@ -382,27 +386,17 @@ def singular_locus(record: FamilyRecord, shape: StandardForm,
 
 
 def cax_classify(shape: StandardForm, f_is_zero: bool, g1_is_zero: bool) -> CAxPoint:
-    """Type and square/non-square classification of the distinguished point
-    of a member of standard form `shape`: cAx/b.
+    """Type, square/non-square classification and extractions of the
+    distinguished point of a member of standard form `shape`: cAx/b.
 
     For the double-cover shape the point is of non-square type exactly when
     f = 0; for the triple-cover shape, exactly when the x1-derivative of g
-    restricted to the x2, x3 slots vanishes.
+    restricted to the x2, x3 slots vanishes.  The extractions' blowup
+    weights come from the ambient formula, (a4, a1, a2, a3) / b, not from
+    the weight parameter of the extraction classification, which support
+    data alone cannot determine.
     """
     square = not (f_is_zero if shape.double_cover else g1_is_zero)
-    return CAxPoint(modulus=shape.b, square_type=square)
-
-
-def extractions_at_cax(point: CAxPoint, link_data) -> ExtractionDescriptor:
-    """Divisorial extractions centered at the cAx point: two for square type,
-    one otherwise, with ambient blowup weights (a4, a1, a2, a3) / b taken from
-    the family's link data, whose b is the point's modulus: `derive_member`
-    accepts a Gprime record only as the counterpart of its G record."""
-    b = link_data.b
-    a0, a1, a2, a3 = link_data.xprime_weights.weights[:4]
-    a4 = a0 + b
-    return ExtractionDescriptor(
-        count=2 if point.square_type else 1,
-        ambient_weights=(Fraction(a4, b), Fraction(a1, b), Fraction(a2, b), Fraction(a3, b)),
-        discrepancy=Fraction(1, point.modulus),
-    )
+    _, a1, a2, a3, a4, _ = shape.role_weights
+    return CAxPoint(modulus=shape.b, square_type=square,
+                    extraction_weights=tuple(Fraction(a, shape.b) for a in (a4, a1, a2, a3)))

@@ -15,14 +15,16 @@ Rational = Fraction
 
 
 def rat(text: str | int) -> Fraction:
-    """Parse an exact rational from an int or a "p/q" / "p" string; ASCII
-    digits are read with int(), any other string by Fraction, errors and all."""
+    """Parse an exact rational from an int or a "p/q" / "p" string of ASCII
+    digits; any other string raises ValueError, and q = 0 ZeroDivisionError.
+    (Fraction would also read signs, decimals and exponents, and expand an
+    exponent such as 1e-3000000 digit by digit.)"""
     if isinstance(text, int):
         return Fraction(text)
     num, slash, den = text.partition("/")
     if num.isdigit() and (den.isdigit() or not slash) and text.isascii():
         return Fraction(int(num), int(den) if slash else 1)
-    return Fraction(text.strip())
+    raise ValueError('expected "p/q" or "p" in ASCII digits')
 
 
 def rat_str(q: Fraction) -> str:

@@ -38,10 +38,13 @@ def test_analyze_markdown(capsys):
     assert "EI" in out19 and "II" in out19
 
 
-def test_analyze_unknown_family(capsys):
-    code, _, err = run(capsys, "analyze", "--family", "99")
+@pytest.mark.parametrize("command", [["analyze", "--format", "md"], ["analyze", "--format", "json"],
+                                     ["links"], ["basket"]], ids=["analyze-md", "analyze-json", "links", "basket"])
+def test_analyze_unknown_family(capsys, command):
+    code, out, err = run(capsys, *command, "--family", "99")
     assert code == 2
-    assert "99" in err
+    assert out == ""
+    assert err == "error: unknown family id 99; catalog has (17, 19, 23, 29, 30, 41, 42, 49, 50, 55, 69, 74, 77, 82)\n"
 
 
 def test_analyze_json_round_trips_schema(capsys, tmp_path):
@@ -174,6 +177,49 @@ def test_main_dispatches_through_the_module_bindings(capsys, monkeypatch):
     code, out, _ = run(capsys, "basket", "--family", "29")
     assert code == 0 and "3 x 1/2(1,1,1)" in out
     assert seen == [29]
+
+
+# every command on family 17
+FAMILY_17_COMMANDS = (["verify-tables"], ["analyze", "--family", "17"],
+                      ["analyze", "--family", "17", "--format", "json"],
+                      ["links", "--family", "17"], ["basket", "--family", "17"])
+
+
+def _catalog_with_gprime_17(tmp_path, change):
+    """A catalog file whose family 17 Gprime record is changed in place by
+    `change`, and that record's entry number."""
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    index, gprime = next((k, obj) for k, obj in enumerate(raw) if obj["id"] == 17 and obj["kind"] == "Gprime")
+    change(gprime)
+    path = tmp_path / "gprime17.json"
+    path.write_text(json.dumps(raw))
+    return str(path), index
+
+
+def test_a_huge_weight_is_a_load_error(capsys, tmp_path):
+    # index one, but a_cube's denominator would have 5,001 digits, past
+    # what str() prints
+    def huge(gprime):
+        gprime["weights"] = [1, 1, 1, 10**2500, 10**2500 + 1]
+        gprime["degrees"] = [sum(gprime["weights"]) - 1]
+    path, index = _catalog_with_gprime_17(tmp_path, huge)
+    for command in FAMILY_17_COMMANDS:
+        code, out, err = run(capsys, "--catalog", path, *command)
+        assert code == 2, command
+        assert out == ""
+        assert err.splitlines() == [f"error: catalog entry #{index}: 'weights' and 'degrees' must be at most 10000"]
+
+
+def test_an_a_cube_in_exponent_notation_is_a_load_error(capsys, tmp_path):
+    # Fraction would expand 10^3000000 digit by digit
+    path, index = _catalog_with_gprime_17(tmp_path, lambda gprime: gprime.update(a_cube="1e-3000000"))
+    for command in FAMILY_17_COMMANDS:
+        code, out, err = run(capsys, "--catalog", path, *command)
+        assert code == 2, command
+        assert out == ""
+        assert err.splitlines() == [f"error: catalog entry #{index}: bad a_cube '1e-3000000': "
+                                    f"expected \"p/q\" or \"p\" in ASCII digits"]
 
 
 def _bump_weight_2_of_29(raw):

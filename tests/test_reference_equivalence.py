@@ -4,8 +4,9 @@ state the same rule directly.
 `equation_shape` solves without raising inside and tracks the weights left
 on a plain list; `reference_equation_shape` below is the Counter-and-raise
 solve it replaced, kept verbatim apart from names.  `rat` reads ASCII digits
-with int(); the reference is `Fraction(text.strip())`.  Each pair must agree
-on the value, or on the exception's type and message.
+with int(); the reference on a "p/q" or "p" string of ASCII digits is
+`Fraction`, and every other string must raise ValueError.  Each pair must
+agree on the value, or on the exception's type and message.
 
 `family_support` takes its f, g and h pieces from the loop kernel of
 `monomials_of_degree`, already offset by their fixed factors;
@@ -14,6 +15,7 @@ they replaced, kept verbatim apart from names and annotations.
 """
 
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from fano_wci.catalog import FamilyRecord
 from fano_wci.links import build_counterpart
-from fano_wci.singularities import StandardForm, StandardFormError, equation_shape, family_support
+from fano_wci.singularities import StandardForm, StandardFormError, cax_classify, equation_shape, family_support
 from fano_wci.wps import MonomialSupport, WeightSystem, rat
 
 
@@ -186,9 +188,19 @@ def test_equation_shape_matches_the_reference_on_a_grid():
             continue
         solved += 1
         # the G record's Gprime lift: its counterpart, in display order
-        ld = build_counterpart(expected[1])
-        gprime = FamilyRecord(0, "Gprime", ld.display_weights(), (ld.xprime_degree,))
-        assert outcome(equation_shape, gprime) == outcome(reference_equation_shape, gprime), gprime
+        g_form = expected[1]
+        weights, degree = build_counterpart(g_form)
+        gprime = FamilyRecord(0, "Gprime", weights, (degree,))
+        lifted = outcome(equation_shape, gprime)
+        assert lifted == outcome(reference_equation_shape, gprime), gprime
+        # whose form is the G form, role by role
+        assert lifted[0] == "value", gprime
+        shape = lifted[1]
+        assert shape.subfamily == g_form.subfamily, g
+        assert ((shape.role_weights, shape.degrees, shape.z_degree, shape.shape_name)
+                == (g_form.role_weights, g_form.degrees, g_form.z_degree, g_form.shape_name)), g
+        assert (cax_classify(shape, False, False).extraction_weights
+                == cax_classify(g_form, False, False).extraction_weights), g
         # and the same weights with b among the x-weights, which rarely solve
         *x, b = gprime.weights
         for i in range(4):
@@ -220,8 +232,8 @@ def test_family_support_matches_the_reference(catalog):
     for g in index_one_g_records(12):
         solved = outcome(equation_shape, g)
         if solved[0] == "value":
-            ld = build_counterpart(solved[1])
-            gprimes.append(FamilyRecord(0, "Gprime", ld.display_weights(), (ld.xprime_degree,)))
+            weights, degree = build_counterpart(solved[1])
+            gprimes.append(FamilyRecord(0, "Gprime", weights, (degree,)))
     assert len(gprimes) == 14 + 56
     for gprime in gprimes:
         shape = equation_shape(gprime)
@@ -236,4 +248,7 @@ RATIONAL_TEXT = st.text(alphabet="0123456789/+-.e_ \t٣²", max_size=12)
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(RATIONAL_TEXT, st.from_regex(r"\A[0-9]{1,6}(/[0-9]{1,6})?\Z")))
 def test_rat_matches_fraction(text):
-    assert outcome(rat, text) == outcome(lambda t: Fraction(t.strip()), text)
+    if re.fullmatch(r"[0-9]+(/[0-9]+)?", text, re.ASCII):
+        assert outcome(rat, text) == outcome(Fraction, text)
+    else:
+        assert outcome(rat, text) == (ValueError, 'expected "p/q" or "p" in ASCII digits')

@@ -7,7 +7,7 @@ import pytest
 from fano_wci.singularities import (ClassificationError, NotQuasismoothError,
                                     NonIsolatedSingularityError, QuotientSingularity,
                                     cax_classify, edge_root_count, edge_singularities,
-                                    equation_shape, extractions_at_cax, family_support,
+                                    equation_shape, family_support,
                                     normalize_quotient, singular_locus, support_with_point_at_vertex,
                                     tangent_coordinate, vertex_singularities)
 from fano_wci.wps import MonomialSupport, WeightSystem
@@ -91,17 +91,13 @@ def test_cax_classify(catalog):
 
 def test_extractions_at_cax(catalog):
     # No.17: weights (a4, a1, a2, a3)/b = (3, 4, 1, 1)/2
-    ld = catalog.member(17).link_data
     p = cax_classify(catalog.member(17).shape, False, False)
-    ext = extractions_at_cax(p, ld)
-    assert ext.ambient_weights == (Fraction(3, 2), Fraction(2), Fraction(1, 2), Fraction(1, 2))
-    assert ext.count == 2 and ext.discrepancy == Fraction(1, 2)
+    assert p.extraction_weights == (Fraction(3, 2), Fraction(2), Fraction(1, 2), Fraction(1, 2))
+    assert p.extraction_count == 2 and p == catalog.member(17).cax
     # square vs non-square switches the number of extractions
-    ld19 = catalog.member(19).link_data
-    square = cax_classify(catalog.member(19).shape, f_is_zero=False, g1_is_zero=False)
-    nonsquare = cax_classify(catalog.member(19).shape, f_is_zero=True, g1_is_zero=False)
-    assert extractions_at_cax(square, ld19).count == 2
-    assert extractions_at_cax(nonsquare, ld19).count == 1
+    shape19 = catalog.member(19).shape
+    assert cax_classify(shape19, f_is_zero=False, g1_is_zero=False).extraction_count == 2
+    assert cax_classify(shape19, f_is_zero=True, g1_is_zero=False).extraction_count == 1
 
 
 def test_equation_shape_resolves_roles(catalog):

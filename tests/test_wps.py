@@ -193,3 +193,9 @@ def test_rat_round_trip():
     assert rat_str(Fraction(7, 60)) == "7/60"
     assert rat_str(Fraction(4)) == "4"
     assert rat(3) == Fraction(3)
+
+
+@pytest.mark.parametrize("text", ["1e-9", "1e-3000000", " 1/2", "-1/2", "0.5", "1/2/3", "\u0663"])
+def test_rat_reads_only_ascii_p_over_q(text):
+    with pytest.raises(ValueError, match='expected "p/q" or "p" in ASCII digits'):
+        rat(text)
