@@ -5,8 +5,7 @@ golden classification tables."""
 
 from .catalog import Catalog, load_catalog
 from .report import build_report, verify_tables
-from .wps import Rational
 
 __version__ = "0.1.0"
 
-__all__ = ["Catalog", "load_catalog", "build_report", "verify_tables", "Rational"]
+__all__ = ["Catalog", "load_catalog", "build_report", "verify_tables"]

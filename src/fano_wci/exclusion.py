@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .blowup import (BlowupLattice, DivisorClass, SectionLift, ambient_quadruple, b_cubed,
-                     nef_bound_check, triple, vanishing_order)
+                     kawamata_numbers, nef_bound_check, triple, vanishing_order)
 from .catalog import Catalog, Member
 from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex
 from .wps import MonomialSupport, WeightSystem, max_pair_lcm, rat_str, record
@@ -397,16 +397,8 @@ def minimal_curve_degree(member: Member) -> Fraction:
 # Certificate builders
 # ---------------------------------------------------------------------------
 
-def _basket_entry(member: Member, locus: str) -> QuotientSingularity:
-    for q in member.quotients:
-        if q.locus == locus:
-            return q
-    raise UncoveredCaseError(f"family {member.g.id} has no quotient point at {locus}")
-
-
-def _surface_pair(member: Member, locus: str, flag: bool) -> tuple[SurfacePair, Verdict]:
+def _surface_pair(member: Member, q: QuotientSingularity, flag: bool) -> tuple[SurfacePair, Verdict]:
     record = member.gprime
-    q = _basket_entry(member, locus)
     cert = SurfacePair(
         a1=record.weights[1],
         b_cube=b_cubed(member.a_cube, q),
@@ -416,10 +408,9 @@ def _surface_pair(member: Member, locus: str, flag: bool) -> tuple[SurfacePair, 
     return cert, surface_pair_test(cert.a1, cert.b_cube, cert.gamma_support, cert.irreducibility_flag)
 
 
-def _nef_divisor(member: Member, locus: str) -> tuple[NefDivisor, Verdict]:
-    q = _basket_entry(member, locus)
+def _nef_divisor(member: Member, q: QuotientSingularity) -> tuple[NefDivisor, Verdict]:
     w = member.gprime.weights
-    vertex = point_vertex(w, locus)
+    vertex = point_vertex(w, q.locus)
     support = support_with_point_at_vertex(member.support, vertex, w[vertex])
     local = tuple(
         Fraction(0) if i == vertex else Fraction(w[i] % q.r, q.r) for i in range(5)
@@ -442,19 +433,19 @@ def _nef_divisor(member: Member, locus: str) -> tuple[NefDivisor, Verdict]:
     return cert, verdict
 
 
-def _negdef_matrix(member: Member, locus: str,
+def _negdef_matrix(member: Member, q: QuotientSingularity,
                    earlier: tuple[Certificate, ...]) -> tuple[NegDefMatrix, Verdict]:
     record = member.gprime
     w = record.weights
     if record.id != 50:
-        raise UncoveredCaseError(f"no curve-pair matrix data for family {record.id} at {locus}")
-    if locus == "p1p4":
+        raise UncoveredCaseError(f"no curve-pair matrix data for family {record.id} at {q.locus}")
+    if q.locus == "p1p4":
         # half point: the residual curve misses the exceptional divisor and is
         # cut on the coordinate plane (x = z = 0) by the degree-(d - b) slot,
         # so it pairs with -K by bare degree; the pair sums to (M . B^2)
         nef = next((c for c in earlier if isinstance(c, NefDivisor)), None)
         if nef is None:
-            nef, _ = _nef_divisor(member, locus)
+            nef, _ = _nef_divisor(member, q)
         alpha = Fraction(record.degrees[0] - w[4], w[1] * w[3] * w[4])
         beta = nef.m_b2 - alpha
         cert = NegDefMatrix(alpha=alpha, beta=beta, parameter_floor=Fraction(1))
@@ -472,9 +463,9 @@ def _negdef_matrix(member: Member, locus: str,
     return cert, Verdict(excluded=ok, method="negdef-matrix", witness=witness)
 
 
-def _infinite_curves(member: Member, locus: str) -> tuple[InfiniteCurves, Verdict]:
+def _infinite_curves(member: Member, q: QuotientSingularity) -> tuple[InfiniteCurves, Verdict]:
     record = member.gprime
-    q = _basket_entry(member, locus)
+    disc, _ = kawamata_numbers(q)
     lattice = BlowupLattice.over(member.a_cube, [q])
     b = lattice.anticanonical()
     e = lattice.exceptional_class()
@@ -483,11 +474,11 @@ def _infinite_curves(member: Member, locus: str) -> tuple[InfiniteCurves, Verdic
         # S . T splits off the WCI curve through the point; the residual pencil
         # meets -K trivially
         s, t = b, 4 * b
-        gamma_b = Fraction(1, 6) - q.discrepancy()
+        gamma_b = Fraction(1, 6) - disc
         b_dot = triple(lattice, b, s, t) - gamma_b
         e_dot = triple(lattice, e, s, t) - 1
     elif fid == 30:
-        b_dot = Fraction(2, 3) - q.discrepancy() * 2
+        b_dot = Fraction(2, 3) - disc * 2
         e_dot = Fraction(2)
     elif fid == 55:
         s, t = b, DivisorClass((Fraction(2), Fraction(-3, 2)))
@@ -498,7 +489,7 @@ def _infinite_curves(member: Member, locus: str) -> tuple[InfiniteCurves, Verdic
         b_dot = triple(lattice, b, s, t)
         e_dot = triple(lattice, e, s, t)
     else:
-        raise UncoveredCaseError(f"no infinite-curves data for family {fid} at {locus}")
+        raise UncoveredCaseError(f"no infinite-curves data for family {fid} at {q.locus}")
     cert = InfiniteCurves(b_dot_c=b_dot, e_dot_c=e_dot)
     return cert, infinite_curves_test(b_dot, e_dot)
 
@@ -570,13 +561,13 @@ def dispatch(family_id: int, center: Center, condition: str = "", *, catalog: Ca
         if branch.method == "untwist":
             return _untwist(member, locus, branch.tag, branch.condition)
         if branch.method == "surface-pair":
-            return _surface_pair(member, locus, flag=True)
+            return _surface_pair(member, center.quotient, flag=True)
         if branch.method == "nef-divisor":
-            return _nef_divisor(member, locus)
+            return _nef_divisor(member, center.quotient)
         if branch.method == "negdef-matrix":
-            return _negdef_matrix(member, locus, earlier)
+            return _negdef_matrix(member, center.quotient, earlier)
         if branch.method == "infinite-curves":
-            return _infinite_curves(member, locus)
+            return _infinite_curves(member, center.quotient)
         raise UncoveredCaseError(f"family {family_id} {locus}: unknown method {branch.method}")
 
     raise UncoveredCaseError(f"unknown center kind {center.kind}")

@@ -50,9 +50,6 @@ class QuotientSingularity:
     def type_str(self) -> str:
         return f"1/{self.r}(1,{self.a},{self.r - self.a})"
 
-    def discrepancy(self) -> Fraction:
-        return Fraction(1, self.r)
-
 
 @record
 class CAxPoint:

@@ -11,16 +11,11 @@ import itertools
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
-
-def rat(text: str | int) -> Fraction:
-    """Parse an exact rational from an int or a "p/q" / "p" string of ASCII
-    digits; any other string raises ValueError, and q = 0 ZeroDivisionError.
+def rat(text: str) -> Fraction:
+    """Parse an exact rational from a "p/q" or "p" string of ASCII digits;
+    any other string raises ValueError, and q = 0 ZeroDivisionError.
     (Fraction would also read signs, decimals and exponents, and expand an
     exponent such as 1e-3000000 digit by digit.)"""
-    if isinstance(text, int):
-        return Fraction(text)
     num, slash, den = text.partition("/")
     if num.isdigit() and (den.isdigit() or not slash) and text.isascii():
         return Fraction(int(num), int(den) if slash else 1)

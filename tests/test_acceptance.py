@@ -26,7 +26,7 @@ def ok(n, message):
 
 def test_01_a_cube_table(catalog):
     for fid in catalog.ids():
-        assert catalog.gprime(fid).a_cube() == GOLDEN.a_cube[fid], f"family {fid}"
+        assert catalog.gprime(fid).a_cube() == GOLDEN["a_cube"][fid], f"family {fid}"
     ok(1, "all 14 A^3 values reproduced exactly from weights and degrees")
 
 
@@ -57,11 +57,11 @@ def test_03_baskets(catalog):
 
 
 def test_04_b_cube_signs(catalog):
-    for (fid, locus), sign in GOLDEN.b_cube_signs.items():
+    for (fid, locus), sign in GOLDEN["b_cube_signs"].items():
         q = next(q for q in catalog.member(fid).quotients if q.locus == locus)
         val = blowup.b_cubed(catalog.gprime(fid).a_cube(), q)
         assert (val > 0) - (val < 0) == sign, f"family {fid} at {locus}"
-    positives = [(fid, locus) for (fid, locus), s in GOLDEN.b_cube_signs.items() if s > 0]
+    positives = [(fid, locus) for (fid, locus), s in GOLDEN["b_cube_signs"].items() if s > 0]
     assert sorted(positives) == [(30, "p2"), (55, "p2"), (69, "p2")]
     ok(4, "every annotated blowup sign matches; the three positive cases are 30, 55, 69")
 
@@ -83,7 +83,7 @@ def test_05_nef_certificates(catalog):
 
 
 def test_06_isolation_bounds(catalog):
-    for fid, (bound, limit) in GOLDEN.isolation.items():
+    for fid, (bound, limit) in GOLDEN["isolation"].items():
         record = catalog.gprime(fid)
         cert, verdict = dispatch(fid, Center.smooth_point(), catalog=catalog)
         assert (cert.bound, cert.limit) == (bound, limit), f"family {fid}"
@@ -95,7 +95,7 @@ def test_06_isolation_bounds(catalog):
 
 
 def test_07_curve_tests(catalog):
-    for fid, witness in GOLDEN.curve_witness.items():
+    for fid, witness in GOLDEN["curve_witness"].items():
         deg = exclusion.SPECIAL_CURVE_DEG[fid]
         cert, verdict = dispatch(fid, Center.curve(deg), catalog=catalog)
         assert verdict.excluded and verdict.witness == witness, f"family {fid}"
@@ -103,7 +103,7 @@ def test_07_curve_tests(catalog):
 
 
 def test_08_matrices(catalog):
-    for (fid, locus), (alpha, beta, floor) in GOLDEN.matrices.items():
+    for (fid, locus), (alpha, beta, floor) in GOLDEN["matrices"].items():
         cert = NegDefMatrix(alpha=alpha, beta=beta, parameter_floor=floor)
         assert negdef2(cert.entries_at(floor))
         assert negdef_for_all(cert)
@@ -133,8 +133,8 @@ def test_09_tower_numerics(catalog):
 
 
 def test_10_table_supports(catalog):
-    assert len(GOLDEN.gamma_rows) == 9
-    for fid, rows in GOLDEN.gamma_rows.items():
+    assert len(GOLDEN["gamma_rows"]) == 9
+    for fid, rows in GOLDEN["gamma_rows"].items():
         support = exclusion.gamma_polynomial(catalog.member(fid))
         assert support.monomials == rows, f"family {fid}"
     ok(10, "all 9 restriction-curve supports reproduced")

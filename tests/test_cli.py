@@ -397,6 +397,22 @@ def test_verify_tables_reports_a_g19_record_of_wrong_index(capsys, tmp_path):
            "(sum weights - sum degrees = 0)" in out.splitlines()
 
 
+def test_verify_tables_keeps_the_mismatches_found_before_a_later_step_raises(capsys, tmp_path):
+    # the a_cube mismatch is found before the G record's index check raises
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    next(obj for obj in raw if obj["id"] == 17 and obj["kind"] == "Gprime")["a_cube"] = "2"
+    next(obj for obj in raw if obj["id"] == 17 and obj["kind"] == "G")["degrees"] = [7, 8]
+    path = tmp_path / "g17.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
+    assert code == 1
+    assert out.splitlines() == [
+        "family 17: catalog a_cube 2 != computed 1",
+        "family 17: record No.17/G: not anticanonically embedded of index 1 (sum weights - sum degrees = 0)",
+        "verify-tables: 2 mismatch(es)"]
+
+
 def _swap_first_unequal_g_weight(raw, family):
     # weights[0] trades places with the first weight unequal to it
     w = next(obj for obj in raw if obj["id"] == family and obj["kind"] == "G")["weights"]

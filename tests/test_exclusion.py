@@ -78,7 +78,7 @@ def test_gamma_rows_are_the_surface_pair_families():
     # gamma_rows check, so both reach it for the same nine families
     surface_pair = {fid for fid, rules in POINT_RULES.items()
                     if any(br.method == "surface-pair" for branches in rules.values() for br in branches)}
-    assert surface_pair == set(GOLDEN.gamma_rows) == {23, 29, 42, 49, 50, 55, 74, 77, 82}
+    assert surface_pair == set(GOLDEN["gamma_rows"]) == {23, 29, 42, 49, 50, 55, 74, 77, 82}
 
 
 def test_nef_divisor_points_move_to_vertex_1(catalog):

@@ -192,7 +192,6 @@ def test_rat_round_trip():
     assert rat("7/60") == Fraction(7, 60)
     assert rat_str(Fraction(7, 60)) == "7/60"
     assert rat_str(Fraction(4)) == "4"
-    assert rat(3) == Fraction(3)
 
 
 @pytest.mark.parametrize("text", ["1e-9", "1e-3000000", " 1/2", "-1/2", "0.5", "1/2/3", "\u0663"])
