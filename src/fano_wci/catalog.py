@@ -61,9 +61,10 @@ class FamilyPair:
 class Member(FamilyPair):
     """A family pair with the algebra derived from it: the hypersurface
     member's (-K)^3, standard form, monomial support and singular locus
-    (quotient points, and the cAx point with its extractions).  Built once
-    per family and catalog load by `Catalog.member`; every layer reads it
-    instead of deriving the same data again."""
+    (quotient points, and the cAx point with its extractions).  Built by
+    `Catalog.member` at most once per family, catalog text and strictness in
+    a process; every layer reads it instead of deriving the same data
+    again."""
 
     a_cube: Fraction
     shape: StandardForm
@@ -98,10 +99,12 @@ def derive_member(pair: FamilyPair) -> Member:
 
 class Catalog:
     """All 14 family pairs, indexed by id; immutable after load apart from
-    the Members it derives on demand, which no other catalog shares."""
+    the Members it derives on demand.  `load_catalog` hands the same Catalog
+    to every load of one text and strictness, so callers share it and its
+    Members."""
 
     def __init__(self, pairs: list[FamilyPair]):
-        self.pairs = sorted(pairs, key=lambda p: p.g.id)
+        self.pairs = tuple(sorted(pairs, key=lambda p: p.g.id))
         self._by_id = {p.g.id: p for p in self.pairs}
         self._members: dict[int, Member] = {}
 
@@ -124,8 +127,9 @@ class Catalog:
 
     def member(self, family_id: int) -> Member:
         """The family's Member, derived on first request and kept as long as
-        this catalog, i.e. for one load: a later load of the same text
-        shares this catalog's pairs but derives its Members anew.  A record
+        this catalog, which every later load of the same text and strictness
+        returns: a family is derived at most once per text and strictness in
+        a process.  A failed derivation keeps nothing.  A record
         that admits no derivation (no standard shape or one of another
         subfamily, a missing weight, wrong Fano index, a Gprime record that
         is not its G record's counterpart) raises CatalogError with the
@@ -212,10 +216,10 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
     return FamilyRecord(fid, kind, WeightSystem(weights), degrees)
 
 
-# strict -> (text, pairs) of the last load of that strictness that passed
+# strict -> (text, catalog) of the last load of that strictness that passed
 # every check: one slot per value, since the commands alternate non-strict
 # verify-tables with strict loads of the same file
-_PARSED: dict[bool, tuple[str, list[FamilyPair]]] = {}
+_PARSED: dict[bool, tuple[str, Catalog]] = {}
 
 
 def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
@@ -229,13 +233,13 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
 
     The file is read on every call.  If its text equals, character for
     character, the text of the last load of the same strictness that passed
-    every check, the pairs of that load are reused and no check runs again,
-    since the pairs depend on nothing but the text and `strict`; otherwise
-    every check runs, and the text and pairs are kept only once all pass, so
-    a failing file raises the same error on every load.  The reused
-    `FamilyRecord`, `GoldenRow` and `FamilyPair` records are immutable
-    (`wps.record`) and are all that two catalogs share: each call returns a
-    new `Catalog`, which derives its own `Member`s.
+    every check, that load's `Catalog` is returned again and no check runs,
+    since the pairs and every `Member` derived from them depend on nothing
+    but the text and `strict`; otherwise every check runs, and the text and
+    a new `Catalog` are kept only once all pass, so a failing file raises
+    the same error on every load.  The shared `Catalog` holds immutable
+    records (`wps.record`) and the `Member`s derived so far; reports,
+    certificates and golden diffs are built anew by every caller.
     """
     path = path or default_catalog_path()
     try:
@@ -247,7 +251,7 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
         raise CatalogError(f"catalog {path} is not UTF-8 text: {exc}") from exc
     parsed = _PARSED.get(strict)
     if parsed is not None and parsed[0] == text:
-        return Catalog(parsed[1])
+        return parsed[1]
     try:
         raw = json.loads(text)
     # a JSONDecodeError, an integer literal past the interpreter's digit
@@ -322,5 +326,6 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
                         GoldenRow(stated_subfamily[i], stated_a_cube["Gprime", i], stated_a_cube["G", i],
                                   *golden_columns[i]))
              for i in FAMILY_IDS]
-    _PARSED[strict] = text, pairs
-    return Catalog(pairs)
+    catalog = Catalog(pairs)
+    _PARSED[strict] = text, catalog
+    return catalog

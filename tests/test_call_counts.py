@@ -14,11 +14,6 @@ from fano_wci import cli, exclusion, singularities, wps
 from fano_wci.catalog import FAMILY_IDS, CatalogError, default_catalog_path, load_catalog
 from fano_wci.report import build_report, verify_tables
 
-# the non-strict load of each verify-tables count test: the first parses the
-# shipped file, the second reuses the first's pairs and derives its Members anew
-LOADS = ("parsed", "cached")
-
-
 def count_calls(functions: dict, run) -> tuple[Counter, object]:
     """Calls of each named function during run(), and run()'s result."""
     names = {fn.__code__: name for name, fn in functions.items()}
@@ -44,40 +39,45 @@ def empty_load_cache(monkeypatch):
     monkeypatch.setattr(catalog_module, "_PARSED", {})
 
 
-def test_verify_tables_derives_each_member_once(empty_load_cache):
-    for _ in LOADS:
-        catalog = load_catalog(strict=False)
-        calls, diffs = count_calls({"family_support": singularities.family_support,
-                                    "monomials_of_degree": wps.monomials_of_degree,
-                                    "singular_locus": singularities.singular_locus},
-                                   lambda: verify_tables(catalog))
+def verify_tables_twice(functions: dict) -> tuple[Counter, Counter]:
+    """Calls of each named function in two verify-tables runs, each on its
+    own non-strict load of the shipped text: the first load parses the text
+    and its run derives every Member, the second load returns that catalog."""
+    counts = []
+    for _ in range(2):
+        calls, diffs = count_calls(functions, lambda: verify_tables(load_catalog(strict=False)))
         assert diffs == []
-        families = len(FAMILY_IDS)
-        # one support per family, built from three monomial enumerations (f, g, h)
-        assert calls == {"family_support": families, "monomials_of_degree": 3 * families,
-                         "singular_locus": families}
+        counts.append(calls)
+    return counts[0], counts[1]
+
+
+def test_verify_tables_derives_each_member_once(empty_load_cache):
+    first, second = verify_tables_twice({"family_support": singularities.family_support,
+                                         "monomials_of_degree": wps.monomials_of_degree,
+                                         "singular_locus": singularities.singular_locus})
+    families = len(FAMILY_IDS)
+    # one support per family, built from three monomial enumerations (f, g, h)
+    assert first == {"family_support": families, "monomials_of_degree": 3 * families,
+                     "singular_locus": families}
+    assert second == {}
 
 
 def test_verify_tables_loads_once_and_solves_each_record_once(empty_load_cache):
-    # one load, and one standard-form solve per record (G and Gprime): a
-    # load or a solve that re-derives what it already holds fails here
-    for _ in LOADS:
-        calls, diffs = count_calls({"load_catalog": load_catalog,
-                                    "equation_shape": singularities.equation_shape},
-                                   lambda: verify_tables(load_catalog(strict=False)))
-        assert diffs == []
-        assert calls == {"load_catalog": 1, "equation_shape": 2 * len(FAMILY_IDS)}
+    # one load, and one standard-form solve per record (G and Gprime) on the
+    # text's first load: a load or a solve that re-derives what it already
+    # holds fails here
+    first, second = verify_tables_twice({"load_catalog": load_catalog,
+                                         "equation_shape": singularities.equation_shape})
+    assert first == {"load_catalog": 1, "equation_shape": 2 * len(FAMILY_IDS)}
+    assert second == {"load_catalog": 1}
 
 
 def test_verify_tables_derives_a_cube_three_times_per_family(empty_load_cache):
-    for _ in LOADS:
-        catalog = load_catalog(strict=False)
-        calls, diffs = count_calls({"anticanonical_cube": wps.anticanonical_cube},
-                                   lambda: verify_tables(catalog))
-        assert diffs == []
-        # per family: the G and Gprime checks of verify_family and the Member's
-        # (-K)^3; plus family 19's blowup tower
-        assert calls == {"anticanonical_cube": 3 * len(FAMILY_IDS) + 1}
+    first, second = verify_tables_twice({"anticanonical_cube": wps.anticanonical_cube})
+    # per family: the G and Gprime checks of verify_family and, on the text's
+    # first load, the Member's (-K)^3; plus family 19's blowup tower
+    assert first == {"anticanonical_cube": 3 * len(FAMILY_IDS) + 1}
+    assert second == {"anticanonical_cube": 2 * len(FAMILY_IDS) + 1}
 
 
 def test_verify_tables_checks_each_quadratic_involution_once(empty_load_cache):
@@ -86,11 +86,8 @@ def test_verify_tables_checks_each_quadratic_involution_once(empty_load_cache):
     qi_branches = sum(br.tag == "QI" for rules in exclusion.POINT_RULES.values()
                       for branches in rules.values() for br in branches)
     assert qi_branches == 7
-    for _ in LOADS:
-        catalog = load_catalog(strict=False)
-        calls, diffs = count_calls({"qi_eligible": exclusion.qi_eligible}, lambda: verify_tables(catalog))
-        assert diffs == []
-        assert calls == {"qi_eligible": qi_branches}
+    first, second = verify_tables_twice({"qi_eligible": exclusion.qi_eligible})
+    assert first == second == {"qi_eligible": qi_branches}
 
 
 def count_parses(load) -> tuple[int, object]:
@@ -114,10 +111,9 @@ def test_a_second_load_of_the_same_text_parses_nothing(empty_load_cache):
     first.member(17)
     parses, second = count_parses(load_catalog)
     assert parses == 0
-    # a new catalog over the same records, which derives its own Members
-    assert second is not first and second.pairs == first.pairs
-    assert second._members == {}
-    assert second.member(17) is not first.member(17)
+    # the same catalog, with the Members derived so far
+    assert second is first
+    assert second.member(17) is first.member(17)
 
 
 def test_a_rewritten_file_is_checked_again(tmp_path):
@@ -161,6 +157,51 @@ def test_a_failed_load_fails_again_with_the_same_message(tmp_path):
     assert first[0] == 2 * len(FAMILY_IDS) and "id 18 is not one of" in first[1]
 
 
+def test_no_member_outlives_its_text(empty_load_cache, tmp_path):
+    # families 29 and 41 trade ids in the second text, so its Members for
+    # both ids differ from the shipped text's; a Member kept across texts
+    # would hide the mismatches or invent them when the shipped text returns
+    entries = shipped_entries()
+    for obj in entries:
+        if obj["id"] in (29, 41):
+            obj["id"] = 70 - obj["id"]
+    traded = tmp_path / "traded.json"
+    traded.write_text(json.dumps(entries), encoding="utf-8")
+    shipped = default_catalog_path()
+
+    def verify(path) -> list[str]:
+        return verify_tables(load_catalog(str(path), strict=False))
+
+    expected = {}
+    for path in (shipped, traded):
+        catalog_module._PARSED.clear()
+        expected[path] = verify(path)
+    assert expected[shipped] == [] and len(expected[traded]) == 8
+    catalog_module._PARSED.clear()
+    for path in (shipped, traded, shipped):
+        assert verify(path) == expected[path]
+
+
+def test_a_failed_derivation_keeps_no_member(empty_load_cache, tmp_path):
+    entries = shipped_entries()
+    entry(entries, 17, "Gprime")["weights"] = [1, 1, 1, 2, 4]  # distinguished weight 4 swapped with x3
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    line = ("family 17: No.17: no standard form (I' shape: degree 8 and b=4 admit no lift to six weights; "
+            "I'' shape: degree 8 and b=4 admit no lift to six weights)")
+    for _ in range(2):
+        catalog = load_catalog(str(path), strict=False)
+        assert verify_tables(catalog) == [line]
+        assert sorted(catalog._members) == [i for i in FAMILY_IDS if i != 17]
+
+
+def test_strict_and_non_strict_loads_share_no_member(empty_load_cache):
+    strict, loose = load_catalog(), load_catalog(strict=False)
+    assert strict is not loose and strict.pairs == loose.pairs
+    assert strict.member(50) is not loose.member(50) and strict.member(50) == loose.member(50)
+    assert load_catalog() is strict and load_catalog(strict=False) is loose
+
+
 def test_negdef_matrix_reuses_the_nef_divisor():
     # family 50's half point has a nef-divisor branch and a negdef-matrix
     # branch resting on the same (M . B^2)
@@ -171,16 +212,20 @@ def test_negdef_matrix_reuses_the_nef_divisor():
     assert calls == {"nef": 1}
 
 
-def test_links_derives_the_member_like_every_command(capsys):
-    # one load and the Member's derivation: a solve of each record, the
-    # Gprime record's support and singular locus
-    calls, code = count_calls({"load_catalog": load_catalog,
-                               "equation_shape": singularities.equation_shape,
-                               "family_support": singularities.family_support,
-                               "singular_locus": singularities.singular_locus},
-                              lambda: cli.main(["links", "--family", "50"]))
-    assert code == 0 and "No.50" in capsys.readouterr().out
-    assert calls == {"load_catalog": 1, "equation_shape": 2, "family_support": 1, "singular_locus": 1}
+def test_links_derives_the_member_like_every_command(empty_load_cache, capsys):
+    # one load and, on the text's first load, the Member's derivation: a
+    # solve of each record, the Gprime record's support and singular locus
+    counts = []
+    for _ in range(2):
+        calls, code = count_calls({"load_catalog": load_catalog,
+                                   "equation_shape": singularities.equation_shape,
+                                   "family_support": singularities.family_support,
+                                   "singular_locus": singularities.singular_locus},
+                                  lambda: cli.main(["links", "--family", "50"]))
+        assert code == 0 and "No.50" in capsys.readouterr().out
+        counts.append(calls)
+    assert counts == [{"load_catalog": 1, "equation_shape": 2, "family_support": 1, "singular_locus": 1},
+                      {"load_catalog": 1}]
 
 
 def test_cli_builds_no_parser_per_command(capsys):
