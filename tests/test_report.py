@@ -57,6 +57,45 @@ def test_each_golden_fault_prints_its_exact_mismatch_line(catalog, monkeypatch, 
     assert verify_tables(catalog) == [line]
 
 
+# entries whose family runs no certificate of the table's method there:
+# family 17 has no nef-divisor and no curve-gamma branch, family 50's p1p4
+# point no infinite-curves one
+UNREACHED = {
+    "nef_witness": (17, F(-1, 4), "nef-divisor"),
+    "curve_witness": (17, F(-1, 2), "curve-gamma"),
+    "infinite_curves": ((50, "p1p4"), (F(0), F(2)), "infinite-curves"),
+}
+
+
+@pytest.mark.parametrize("table", UNREACHED)
+def test_a_golden_entry_no_certificate_reaches_is_a_mismatch(catalog, monkeypatch, table):
+    key, value, method = UNREACHED[table]
+    monkeypatch.setattr(report, "GOLDEN", golden_with(table, key, value))
+    family = key[0] if isinstance(key, tuple) else key
+    assert verify_tables(catalog) == [
+        f"family {family}: table {table}[{key!r}] unchecked: no {method} certificate ran"]
+
+
+def test_a_golden_entry_a_certificate_reaches_is_compared(catalog, monkeypatch):
+    # every family runs the isolation certificate at a nonsingular point
+    monkeypatch.setattr(report, "GOLDEN", golden_with("isolation", 17, (1, F(1))))
+    (line,) = verify_tables(catalog)
+    assert line.startswith("family 17: isolation (") and line.endswith(") != table (1, 1)")
+
+
+# entries keyed by families outside the shipped catalog's 14
+OUTSIDE = {"nef_witness": (99, F(-1, 4)), "matrices": ((95, "p2"), (F(1, 4), F(-2, 5), F(1)))}
+
+
+@pytest.mark.parametrize("table", OUTSIDE)
+def test_a_golden_entry_of_a_family_outside_the_catalog_is_a_mismatch(catalog, monkeypatch, table):
+    key, value = OUTSIDE[table]
+    monkeypatch.setattr(report, "GOLDEN", golden_with(table, key, value))
+    family = key[0] if isinstance(key, tuple) else key
+    assert verify_tables(catalog) == [
+        f"family {family}: table {table}[{key!r}] unchecked: family not in the catalog"]
+
+
 def test_an_uncertified_nef_divisor_is_a_mismatch(catalog, monkeypatch):
     # the one method-specific line: each nef_witness entry's certificate must
     # be certified as well as match
