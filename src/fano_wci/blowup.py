@@ -22,35 +22,25 @@ def kawamata_numbers(q: QuotientSingularity) -> tuple[Fraction, Fraction]:
 
 
 @record
-class Exceptional:
-    e_cube: Fraction
-    discrepancy: Fraction
-
-
-@record
 class BlowupLattice:
     a_cube: Fraction
-    exceptionals: tuple[Exceptional, ...] = ()
+    exceptionals: tuple[tuple[Fraction, Fraction], ...] = ()  # (discrepancy, E^3) per point
 
     @classmethod
     def over(cls, a_cube: Fraction, points: list[QuotientSingularity]) -> "BlowupLattice":
-        exc = []
-        for q in points:
-            disc, e3 = kawamata_numbers(q)
-            exc.append(Exceptional(e_cube=e3, discrepancy=disc))
-        return cls(a_cube=a_cube, exceptionals=tuple(exc))
+        return cls(a_cube=a_cube, exceptionals=tuple(map(kawamata_numbers, points)))
 
     @property
     def rank(self) -> int:
         return 1 + len(self.exceptionals)
 
     def basis_cubes(self) -> tuple[Fraction, ...]:
-        return (self.a_cube, *(e.e_cube for e in self.exceptionals))
+        return (self.a_cube, *(e3 for _, e3 in self.exceptionals))
 
     def anticanonical(self) -> "DivisorClass":
         """-K of the top of the tower: A - sum of discrepancies times E_i
         (valid when each center avoids the earlier exceptional divisors)."""
-        return DivisorClass((Fraction(1), *(-e.discrepancy for e in self.exceptionals)))
+        return DivisorClass((Fraction(1), *(-disc for disc, _ in self.exceptionals)))
 
     def exceptional_class(self, i: int = 0) -> "DivisorClass":
         coeffs = [Fraction(0)] * self.rank

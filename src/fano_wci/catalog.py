@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import prod
 from typing import TYPE_CHECKING
 
-from .wps import MonomialSupport, WeightSystem, anticanonical_cube, rat, rat_str, record
+from .wps import MonomialSupport, anticanonical_cube, rat, rat_str, record
 
 if TYPE_CHECKING:
     from .singularities import CAxPoint, QuotientSingularity, StandardForm
@@ -30,7 +30,7 @@ class CatalogError(ValueError):
 class FamilyRecord:
     id: int
     kind: str  # "G" | "Gprime"
-    weights: WeightSystem
+    weights: tuple[int, ...]
     degrees: tuple[int, ...]
 
     def a_cube(self) -> Fraction:
@@ -213,7 +213,7 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
         raise CatalogError(f"{where}: G records need 6 weights and 2 degrees")
     if kind == "Gprime" and (len(weights) != 5 or len(degrees) != 1):
         raise CatalogError(f"{where}: Gprime records need 5 weights and 1 degree")
-    return FamilyRecord(fid, kind, WeightSystem(weights), degrees)
+    return FamilyRecord(fid, kind, weights, degrees)
 
 
 # strict -> (text, catalog) of the last load of that strictness that passed
@@ -282,7 +282,7 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
         except (ValueError, ZeroDivisionError) as exc:
             raise CatalogError(f"{where}: bad a_cube {obj['a_cube']!r}: {exc}") from exc
         if strict:
-            weights, degrees = rec.weights.weights, rec.degrees
+            weights, degrees = rec.weights, rec.degrees
             ordered = weights if rec.kind == "G" else weights[:4]
             if list(ordered) != sorted(ordered):
                 order = "ascending" if rec.kind == "G" else "ascending x-weights, then the distinguished weight"

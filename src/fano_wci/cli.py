@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or load error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or load error,
+141 (128 + SIGPIPE) when the reader of stdout has gone.
 The catalog path comes from --catalog, else it is the file shipped with the
 package.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import CatalogError, load_catalog
@@ -93,10 +95,17 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"analyze": cmd_analyze, "verify-tables": cmd_verify_tables,
                 "links": cmd_links, "basket": cmd_basket}
     try:
-        return commands[args.command](args)
+        code = commands[args.command](args)
+        sys.stdout.flush()
+        return code
     except (CatalogError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader has gone: fd 1 now writes to devnull, so the
+        # interpreter's flush of what is left at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

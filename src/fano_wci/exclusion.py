@@ -17,8 +17,8 @@ from fractions import Fraction
 from .blowup import (BlowupLattice, DivisorClass, SectionLift, ambient_quadruple, b_cubed,
                      kawamata_numbers, nef_bound_check, triple, vanishing_order)
 from .catalog import Catalog, Member
-from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex
-from .wps import MonomialSupport, WeightSystem, max_pair_lcm, rat_str, record
+from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex, tangent_monomials
+from .wps import MonomialSupport, max_pair_lcm, rat_str, record
 
 
 class UncoveredCaseError(ValueError):
@@ -286,7 +286,7 @@ def gamma_polynomial(member: Member) -> MonomialSupport:
 GAMMA_NORMALIZED = frozenset({23})
 
 
-def point_vertex(weights: WeightSystem, locus: str) -> int:
+def point_vertex(weights: tuple[int, ...], locus: str) -> int:
     """The vertex at which the local data of the quotient point at `locus`
     (a quadratic involution, a nef divisor's sections) are read: a vertex
     point's own vertex; for an edge point pIpJ, the end whose weight is the
@@ -304,20 +304,10 @@ def point_vertex(weights: WeightSystem, locus: str) -> int:
 def qi_eligible(member: Member, locus: str) -> bool:
     """Structural eligibility for a quadratic involution at the quotient
     point at `locus`: at its vertex v (`point_vertex`) the defining polynomial
-    contains x_v^2 x_j for some other coordinate j."""
-    support = member.support
+    contains x_v^2 x_j for some other coordinate j, a tangent monomial with
+    k = 2."""
     w = member.gprime.weights
-    vertex = point_vertex(w, locus)
-    d = support.degree
-    for j in range(5):
-        if j == vertex or d - 2 * w[vertex] != w[j]:
-            continue
-        vec = [0] * 5
-        vec[vertex] = 2
-        vec[j] = 1
-        if tuple(vec) in support:
-            return True
-    return False
+    return any(k == 2 for k, _ in tangent_monomials(member.support, w, point_vertex(w, locus)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +443,7 @@ def _negdef_matrix(member: Member, q: QuotientSingularity,
         # third point: (B . Gamma) via the ambient weighted blowup of the
         # 4-space; the companion entry is pinned golden data
         alpha = ambient_quadruple(
-            record.weights.weights, 3, (1, 2, 2, 1),
+            record.weights, 3, (1, 2, 2, 1),
             [(Fraction(1), Fraction(-1, 3)), (Fraction(1), Fraction(-1, 3)),
              (Fraction(2), Fraction(-2, 3)), (Fraction(4), Fraction(-1, 3))])
         cert = NegDefMatrix(alpha=alpha, beta=Fraction(1, 60), parameter_floor=Fraction(1, 2))

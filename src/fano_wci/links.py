@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .catalog import CatalogError, FamilyRecord
 from .singularities import StandardForm, equation_shape
-from .wps import WeightSystem, wps_str
+from .wps import wps_str
 
 
 def to_standard_form(record: FamilyRecord, subfamily: str) -> StandardForm:
@@ -23,11 +23,11 @@ def to_standard_form(record: FamilyRecord, subfamily: str) -> StandardForm:
     return form
 
 
-def build_counterpart(form: StandardForm) -> tuple[WeightSystem, int]:
+def build_counterpart(form: StandardForm) -> tuple[tuple[int, ...], int]:
     """The hypersurface counterpart of the codimension-2 member of standard
     form `form`: X'_{d2} in P(a0, a1, a2, a3, b), as its weights in catalog
     order (ascending x-weights, b last) and its degree."""
-    return WeightSystem((*sorted(form.role_weights[:4]), form.b)), form.degrees[1]
+    return (*sorted(form.role_weights[:4]), form.b), form.degrees[1]
 
 
 def check_counterpart(gprime: FamilyRecord, g_form: StandardForm) -> None:
@@ -40,11 +40,11 @@ def check_counterpart(gprime: FamilyRecord, g_form: StandardForm) -> None:
                            f"is not the counterpart X'_{degree} in {wps_str(weights)} of its G record")
 
 
-def counterpart_inverse(form: StandardForm) -> tuple[WeightSystem, tuple[int, int]]:
+def counterpart_inverse(form: StandardForm) -> tuple[tuple[int, ...], tuple[int, int]]:
     """The codimension-2 model of a standard form: its ascending weights and
     its degrees.  For the form of a Gprime record this inverts
     `build_counterpart`."""
-    return WeightSystem(tuple(sorted(form.role_weights))), form.degrees
+    return tuple(sorted(form.role_weights)), form.degrees
 
 
 def involution_inventory(report) -> list[tuple[str, str, str]]:

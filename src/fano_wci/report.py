@@ -301,9 +301,8 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
         # give back the G record
         member = catalog.member(family_id)
         back_weights, back_degrees = links.counterpart_inverse(member.shape)
-        if back_weights.weights != g.weights.weights or back_degrees != g.degrees:
-            diff(f"round trip gave {back_weights.weights} {back_degrees}, catalog has "
-                 f"{g.weights.weights} {g.degrees}")
+        if back_weights != g.weights or back_degrees != g.degrees:
+            diff(f"round trip gave {back_weights} {back_degrees}, catalog has {g.weights} {g.degrees}")
 
         # basket, in singular-locus order with the cAx point last
         computed = list(member.basket)

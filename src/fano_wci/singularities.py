@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .catalog import FamilyRecord
-from .wps import MonomialSupport, WeightSystem, monomials_of_degree, record
+from .wps import MonomialSupport, monomials_of_degree, record
 
 
 class ClassificationError(ValueError):
@@ -182,7 +182,7 @@ def _solve(record: FamilyRecord, double_cover: bool) -> StandardForm | str:
     `positions` holds each role's coordinate in the (lifted) weights, the
     first free one of its value; a Gprime's a0..a3 land on its x coordinates.
     """
-    weights, degrees = record.weights.weights, record.degrees
+    weights, degrees = record.weights, record.degrees
     if record.kind == "Gprime":
         d, b = degrees[0], weights[4]
         twice_a0 = d - 2 * b if double_cover else d - 3 * b
@@ -268,29 +268,33 @@ def support_with_point_at_vertex(support: MonomialSupport, vertex: int, weight: 
 # Vertex and edge analysis
 # ---------------------------------------------------------------------------
 
-def tangent_coordinate(support: MonomialSupport, w: WeightSystem, vertex: int) -> int:
-    """The coordinate j eliminated at a vertex on the member: x_vertex^k x_j is
-    in the support, j chosen with minimal weight, then minimal index."""
+def tangent_monomials(support: MonomialSupport, w: tuple[int, ...], vertex: int) -> list[tuple[int, int]]:
+    """The (k, j) of every tangent monomial x_vertex^k x_j, j != vertex, in
+    the support, in order of j."""
     d = support.degree
-    candidates = []
+    found = []
     for j in range(len(w)):
-        if j == vertex:
-            continue
         rem = d - w[j]
-        if rem <= 0 or rem % w[vertex]:
+        if j == vertex or rem <= 0 or rem % w[vertex]:
             continue
-        k = rem // w[vertex]
         vec = [0] * len(w)
-        vec[vertex] = k
+        vec[vertex] = rem // w[vertex]
         vec[j] = 1
         if tuple(vec) in support:
-            candidates.append((w[j], j))
+            found.append((vec[vertex], j))
+    return found
+
+
+def tangent_coordinate(support: MonomialSupport, w: tuple[int, ...], vertex: int) -> int:
+    """The coordinate j eliminated at a vertex on the member: x_vertex^k x_j is
+    in the support, j chosen with minimal weight, then minimal index."""
+    candidates = [(w[j], j) for _, j in tangent_monomials(support, w, vertex)]
     if not candidates:
         raise NotQuasismoothError(f"no tangent monomial at vertex p{vertex}: not quasismooth there")
     return min(candidates)[1]
 
 
-def vertex_on_member(support: MonomialSupport, w: WeightSystem, vertex: int) -> bool:
+def vertex_on_member(support: MonomialSupport, w: tuple[int, ...], vertex: int) -> bool:
     d = support.degree
     if d % w[vertex]:
         return True
@@ -318,7 +322,7 @@ def vertex_singularities(record: FamilyRecord, support: MonomialSupport) -> list
     return out
 
 
-def edge_root_count(support: MonomialSupport, w: WeightSystem, i: int, j: int) -> int:
+def edge_root_count(support: MonomialSupport, w: tuple[int, ...], i: int, j: int) -> int:
     """Number of points cut on the coordinate edge (i, j) away from the two
     vertices, for generic coefficients.
 

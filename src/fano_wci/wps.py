@@ -1,4 +1,4 @@
-"""Weight systems and graded monomial combinatorics on weighted projective space.
+"""Graded monomial combinatorics on weighted projective space.
 
 All arithmetic is exact: rational quantities are `fractions.Fraction`
 (arbitrary precision, always in lowest terms, positive denominator).  No
@@ -115,34 +115,6 @@ def record(cls: type) -> type:
     return cls
 
 
-@record
-class WeightSystem:
-    """An ordered tuple of positive integer weights (a_0, ..., a_n)."""
-
-    weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.weights) < 2:
-            raise ValueError(f"need at least 2 weights, got {self.weights}")
-        if min(self.weights) < 1:
-            raise ValueError(f"weights must be >= 1, got {self.weights}")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __getitem__(self, i: int) -> int:
-        return self.weights[i]
-
-    def __iter__(self):
-        return iter(self.weights)
-
-    def product(self) -> int:
-        return math.prod(self.weights)
-
-    def total(self) -> int:
-        return sum(self.weights)
-
-
 Monomial = tuple[int, ...]  # exponent vector, one entry per coordinate
 
 
@@ -165,7 +137,7 @@ class MonomialSupport:
         return len(self.monomials)
 
 
-def monomials_of_degree(d: int, w: WeightSystem, variables: tuple[int, ...] | None = None,
+def monomials_of_degree(d: int, w: tuple[int, ...], variables: tuple[int, ...] | None = None,
                         offset: Monomial | None = None) -> MonomialSupport:
     """All exponent vectors of weighted degree d, each plus `offset`.
 
@@ -187,13 +159,12 @@ def monomials_of_degree(d: int, w: WeightSystem, variables: tuple[int, ...] | No
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    weights = w.weights
-    vec = [0] * len(weights) if offset is None else list(offset)
-    if len(vec) != len(weights):
-        raise ValueError(f"offset {offset} does not match weights {weights}")
-    degree = d if offset is None else d + sum([e * a for e, a in zip(vec, weights)])
-    order = sorted(range(len(weights)) if variables is None else variables,
-                   key=weights.__getitem__, reverse=True)
+    vec = [0] * len(w) if offset is None else list(offset)
+    if len(vec) != len(w):
+        raise ValueError(f"offset {offset} does not match weights {w}")
+    degree = d if offset is None else d + sum([e * a for e, a in zip(vec, w)])
+    order = sorted(range(len(w)) if variables is None else variables,
+                   key=w.__getitem__, reverse=True)
     found: list[Monomial] = []
     if not order:
         if d == 0:
@@ -202,11 +173,11 @@ def monomials_of_degree(d: int, w: WeightSystem, variables: tuple[int, ...] | No
     append = found.append
     base = vec[:]
     last = order.pop()
-    a_last, base_last = weights[last], base[last]
+    a_last, base_last = w[last], base[last]
     # a lone coordinate is also the inner one, with a step above d: the inner
     # loop then runs once and the closed form sets its exponent
     inner = order.pop() if order else last
-    a_inner = weights[inner] if inner != last else d + 1
+    a_inner = w[inner] if inner != last else d + 1
     base_inner = base[inner]
     outer = len(order)  # the coordinates left in order advance as an odometer
     r = d  # the degree left for the inner and last coordinates
@@ -223,7 +194,7 @@ def monomials_of_degree(d: int, w: WeightSystem, variables: tuple[int, ...] | No
         while k:
             k -= 1
             i = order[k]
-            a = weights[i]
+            a = w[i]
             if r >= a:
                 vec[i] += 1
                 r -= a
@@ -234,21 +205,21 @@ def monomials_of_degree(d: int, w: WeightSystem, variables: tuple[int, ...] | No
             return MonomialSupport(degree=degree, monomials=frozenset(found))
 
 
-def anticanonical_cube(weights: WeightSystem, degrees: tuple[int, ...], label: str = "") -> Fraction:
+def anticanonical_cube(weights: tuple[int, ...], degrees: tuple[int, ...], label: str = "") -> Fraction:
     """(-K)^3 of an anticanonically embedded WCI: prod(degrees) / prod(weights).
 
     Requires Fano index one, i.e. sum(weights) - sum(degrees) = 1.
     """
-    index = weights.total() - sum(degrees)
+    index = sum(weights) - sum(degrees)
     if index != 1:
         raise ValueError(
             f"record {label or degrees}: not anticanonically embedded of index 1 "
             f"(sum weights - sum degrees = {index})"
         )
-    return Fraction(math.prod(degrees), weights.product())
+    return Fraction(math.prod(degrees), math.prod(weights))
 
 
-def max_pair_lcm(w: WeightSystem, keep: tuple[int, ...] | list[int]) -> int:
+def max_pair_lcm(w: tuple[int, ...], keep: tuple[int, ...] | list[int]) -> int:
     """Max of lcm(a_j, a_k) over unordered pairs {j, k} of the kept indices."""
     kept = tuple(keep)
     if len(kept) < 2:

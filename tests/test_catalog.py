@@ -14,16 +14,16 @@ def test_shipped_catalog_loads(catalog):
 
 def test_record_17(catalog):
     g = catalog.g(17)
-    assert g.weights.weights == (1, 1, 1, 3, 4, 5)
+    assert g.weights == (1, 1, 1, 3, 4, 5)
     assert g.degrees == (6, 8)
     gp = catalog.gprime(17)
-    assert gp.weights.weights == (1, 1, 1, 4, 2)
+    assert gp.weights == (1, 1, 1, 4, 2)
     assert gp.degrees == (8,)
 
 
 def test_record_74(catalog):
     g = catalog.g(74)
-    assert g.weights.weights == (1, 2, 3, 7, 9, 11)
+    assert g.weights == (1, 2, 3, 7, 9, 11)
     assert g.degrees == (14, 18)
     assert catalog.golden(74).subfamily == "I''4"
 

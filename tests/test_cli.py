@@ -3,6 +3,8 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -86,6 +88,26 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", [["verify-tables"], ["analyze", "--family", "50", "--format", "json"]],
+                         ids=["verify-tables", "analyze-json"])
+def test_a_closed_stdout_exits_141_without_a_traceback(command, unbuffered):
+    # stdout is a pipe whose read end is closed before the command starts,
+    # as in `fano-wci verify-tables | head -0`
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "fano_wci.cli", *command], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_verify_tables_flags_wrong_g_a_cube(capsys, tmp_path):

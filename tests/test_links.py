@@ -5,7 +5,6 @@ from fano_wci.links import (build_counterpart, check_counterpart, counterpart_in
                             to_standard_form)
 from fano_wci.report import build_report
 from fano_wci.singularities import StandardFormError, cax_classify, equation_shape
-from fano_wci.wps import WeightSystem
 
 
 def form(catalog, fid):
@@ -34,7 +33,7 @@ def test_standard_form_constraints(catalog):
 
 def test_standard_form_unsolvable():
     # d2/2 = 5 must fill a4 = a5 (I') or a1 beside the top weight a5 = 5 (I''): one 5 does neither
-    broken = FamilyRecord(id=19, kind="G", weights=WeightSystem((1, 1, 2, 3, 4, 5)), degrees=(6, 10))
+    broken = FamilyRecord(id=19, kind="G", weights=(1, 1, 2, 3, 4, 5), degrees=(6, 10))
     with pytest.raises(StandardFormError, match="no standard form \\(I' shape: .*; I'' shape: .*a1 = d2/2 = 5"):
         equation_shape(broken)
 
@@ -42,7 +41,7 @@ def test_standard_form_unsolvable():
 def test_standard_form_in_both_shapes_is_an_error():
     # (a0..a5) = (2, 3, 1, 5, 4, 4) in the I' shape and (1, 4, 2, 4, 3, 5) in
     # the I'' shape; no G record of Fano index 1 solves both
-    both = FamilyRecord(id=19, kind="G", weights=WeightSystem((1, 2, 3, 4, 4, 5)), degrees=(6, 8))
+    both = FamilyRecord(id=19, kind="G", weights=(1, 2, 3, 4, 4, 5), degrees=(6, 8))
     with pytest.raises(StandardFormError, match="solves in both the I' and the I'' shape"):
         equation_shape(both)
 
@@ -57,10 +56,10 @@ def test_standard_form_of_another_subfamily(catalog):
 def test_counterparts(catalog):
     assert form(catalog, 17).b == 2
     weights, degree = build_counterpart(form(catalog, 17))
-    assert weights.weights == (1, 1, 1, 4, 2) and degree == 8
+    assert weights == (1, 1, 1, 4, 2) and degree == 8
     assert form(catalog, 50).b == 4
     weights, degree = build_counterpart(form(catalog, 50))
-    assert weights.weights == (1, 2, 3, 5, 4) and degree == 14
+    assert weights == (1, 2, 3, 5, 4) and degree == 14
     assert form(catalog, 19).z_degree == 6 + 8 - 4
 
 
@@ -100,16 +99,16 @@ def test_z_degree_identities(catalog):
 
 def test_counterpart_inverse_examples(catalog):
     weights, degrees = counterpart_inverse(equation_shape(catalog.gprime(19)))
-    assert weights.weights == (1, 1, 2, 3, 4, 4) and degrees == (6, 8)
+    assert weights == (1, 1, 2, 3, 4, 4) and degrees == (6, 8)
     weights, degrees = counterpart_inverse(equation_shape(catalog.gprime(82)))
-    assert weights.weights == (1, 2, 5, 9, 11, 13) and degrees == (18, 22)
+    assert weights == (1, 2, 5, 9, 11, 13) and degrees == (18, 22)
 
 
 def test_round_trip_is_identity(catalog):
     for fid in catalog.ids():
         g = catalog.g(fid)
         weights, degrees = counterpart_inverse(equation_shape(catalog.gprime(fid)))
-        assert weights.weights == g.weights.weights
+        assert weights == g.weights
         assert degrees == tuple(sorted(g.degrees))
 
 

@@ -12,6 +12,13 @@ agree on the value, or on the exception's type and message.
 `monomials_of_degree`, already offset by their fixed factors;
 `reference_family_support` is the recursive enumeration and the shift pass
 they replaced, kept verbatim apart from names and annotations.
+
+`tangent_coordinate` and `exclusion.qi_eligible` read the tangent
+monomials x_v^k x_j at a vertex v off `tangent_monomials`;
+`reference_tangent_coordinate` and `reference_qi_loop` are the two loops
+that each built and looked up those monomials, kept verbatim apart from
+names, and the loop of `qi_eligible` taking the support, weights and vertex
+that `qi_eligible` read off the member.
 """
 
 import itertools
@@ -22,10 +29,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fano_wci.catalog import FamilyRecord
+from fano_wci.catalog import FamilyRecord, Member
+from fano_wci.exclusion import qi_eligible
 from fano_wci.links import build_counterpart
-from fano_wci.singularities import StandardForm, StandardFormError, cax_classify, equation_shape, family_support
-from fano_wci.wps import MonomialSupport, WeightSystem, rat
+from fano_wci.singularities import (NotQuasismoothError, StandardForm, StandardFormError, cax_classify,
+                                    equation_shape, family_support, tangent_coordinate)
+from fano_wci.wps import MonomialSupport, rat
 
 
 def reference_equation_shape(record):
@@ -43,7 +52,7 @@ def reference_equation_shape(record):
 
 
 def reference_solve(record, double_cover):
-    weights, degrees = record.weights.weights, record.degrees
+    weights, degrees = record.weights, record.degrees
     if record.kind == "Gprime":
         d, b = degrees[0], weights[4]
         twice_a0 = d - 2 * b if double_cover else d - 3 * b
@@ -91,7 +100,7 @@ def reference_solve(record, double_cover):
 def reference_monomials_of_degree(d, w, variables=None):
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    weights = w.weights
+    weights = w
     order = sorted(range(len(weights)) if variables is None else variables,
                    key=weights.__getitem__, reverse=True)
     found = []
@@ -158,6 +167,39 @@ def reference_family_support(record, shape):
     return MonomialSupport(degree=d, monomials=frozenset(monos))
 
 
+def reference_tangent_coordinate(support, w, vertex):
+    d = support.degree
+    candidates = []
+    for j in range(len(w)):
+        if j == vertex:
+            continue
+        rem = d - w[j]
+        if rem <= 0 or rem % w[vertex]:
+            continue
+        k = rem // w[vertex]
+        vec = [0] * len(w)
+        vec[vertex] = k
+        vec[j] = 1
+        if tuple(vec) in support:
+            candidates.append((w[j], j))
+    if not candidates:
+        raise NotQuasismoothError(f"no tangent monomial at vertex p{vertex}: not quasismooth there")
+    return min(candidates)[1]
+
+
+def reference_qi_loop(support, w, vertex):
+    d = support.degree
+    for j in range(5):
+        if j == vertex or d - 2 * w[vertex] != w[j]:
+            continue
+        vec = [0] * 5
+        vec[vertex] = 2
+        vec[j] = 1
+        if tuple(vec) in support:
+            return True
+    return False
+
+
 def outcome(function, *args):
     try:
         return "value", function(*args)
@@ -175,7 +217,7 @@ def index_one_g_records(max_weight):
         if total % 2 == 0 and total >= 4:
             splits.append((1, total - 1))  # odd degrees
         for degrees in splits:
-            yield FamilyRecord(0, "G", WeightSystem(weights), degrees)
+            yield FamilyRecord(0, "G", weights, degrees)
 
 
 def test_equation_shape_matches_the_reference_on_a_grid():
@@ -205,7 +247,7 @@ def test_equation_shape_matches_the_reference_on_a_grid():
         *x, b = gprime.weights
         for i in range(4):
             swapped = x[:i] + [b] + x[i + 1:] + [x[i]]
-            other = FamilyRecord(0, "Gprime", WeightSystem(tuple(swapped)), gprime.degrees)
+            other = FamilyRecord(0, "Gprime", tuple(swapped), gprime.degrees)
             assert outcome(equation_shape, other) == outcome(reference_equation_shape, other), other
     # few weight systems of index one solve: 56 in this grid
     assert checked > 100_000 and solved == 56
@@ -217,12 +259,12 @@ def test_equation_shape_matches_the_reference_at_any_index():
     # every degree up to 20 (Gprime)
     for weights in itertools.combinations_with_replacement(range(1, 6), 6):
         for degrees in itertools.combinations_with_replacement(range(1, 13), 2):
-            g = FamilyRecord(0, "G", WeightSystem(weights), degrees)
+            g = FamilyRecord(0, "G", weights, degrees)
             assert outcome(equation_shape, g) == outcome(reference_equation_shape, g), g
     for x in itertools.combinations_with_replacement(range(1, 6), 4):
         for b in range(1, 6):
             for d in range(1, 21):
-                gprime = FamilyRecord(0, "Gprime", WeightSystem((*x, b)), (d,))
+                gprime = FamilyRecord(0, "Gprime", (*x, b), (d,))
                 assert outcome(equation_shape, gprime) == outcome(reference_equation_shape, gprime), gprime
 
 
@@ -240,6 +282,25 @@ def test_family_support_matches_the_reference(catalog):
         support = family_support(gprime, shape)
         assert support == reference_family_support(gprime, shape), gprime
         assert type(support.monomials) is frozenset
+
+
+def test_tangent_monomials_match_the_two_loops_they_replaced(catalog):
+    # every vertex of each family's support and of each support with one
+    # monomial dropped, which takes a tangent monomial away at some vertex
+    checked = 0
+    for fid in catalog.ids():
+        member = catalog.member(fid)
+        w = member.gprime.weights
+        full = member.support
+        for support in (full, *(MonomialSupport(full.degree, full.monomials - {m}) for m in full.monomials)):
+            dropped = Member(**{**{name: getattr(member, name) for name in Member.__record_fields__},
+                                "support": support})
+            for vertex in range(5):
+                assert (outcome(tangent_coordinate, support, w, vertex)
+                        == outcome(reference_tangent_coordinate, support, w, vertex)), (fid, vertex, support)
+                assert qi_eligible(dropped, f"p{vertex}") == reference_qi_loop(support, w, vertex), (fid, vertex)
+            checked += 1
+    assert checked == 14 + 1_284
 
 
 RATIONAL_TEXT = st.text(alphabet="0123456789/+-.e_ \t٣²", max_size=12)

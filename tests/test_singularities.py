@@ -10,7 +10,7 @@ from fano_wci.singularities import (ClassificationError, NotQuasismoothError,
                                     equation_shape, family_support,
                                     normalize_quotient, singular_locus, support_with_point_at_vertex,
                                     tangent_coordinate, vertex_singularities)
-from fano_wci.wps import MonomialSupport, WeightSystem
+from fano_wci.wps import MonomialSupport
 
 
 def test_normalize_quotient_examples():
@@ -122,14 +122,14 @@ def test_family_support_has_capped_w_powers(catalog):
 
 
 def test_tangent_coordinate_error():
-    w = WeightSystem((1, 1, 2, 3, 2))
+    w = (1, 1, 2, 3, 2)
     bare = MonomialSupport(degree=8, monomials=frozenset({(8, 0, 0, 0, 0)}))
     with pytest.raises(NotQuasismoothError):
         tangent_coordinate(bare, w, 3)
 
 
 def test_edge_inside_member_error():
-    w = WeightSystem((1, 1, 2, 3, 2))
+    w = (1, 1, 2, 3, 2)
     bare = MonomialSupport(degree=8, monomials=frozenset({(8, 0, 0, 0, 0)}))
     with pytest.raises(NonIsolatedSingularityError):
         edge_root_count(bare, w, 2, 4)
