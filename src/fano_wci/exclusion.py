@@ -3,9 +3,9 @@ maximal center, or tag the birational involution / link that untwists it.
 
 `POINT_RULES` states, for every catalog family and every point center of its
 general member, which certificate applies under which condition; `dispatch`
-evaluates the branch of one condition and returns certificate and verdict
-together.  Conditions are machine-readable strings such as
-"exists-wci(1,1,2)" or "monomial-absent(y^2 z)", mirroring the condition
+builds the certificate of one branch with its method's builder in `BUILDERS`,
+and the certificate judges itself (`verdict()`).  Conditions are strings such
+as "exists-wci(1,1,2)" or "monomial-absent(y^2 z)", mirroring the condition
 marks of the catalog's link column; "" marks an unconditional branch.
 """
 
@@ -55,6 +55,10 @@ class Center:
         return cls(kind="cax-point", cax=p)
 
     @property
+    def is_point(self) -> bool:
+        return self.kind in ("quotient-point", "cax-point")
+
+    @property
     def locus(self) -> str:
         """The point's locus: "p4" for the cAx point, else the quotient point's."""
         return "p4" if self.kind == "cax-point" else self.quotient.locus
@@ -82,17 +86,31 @@ class Verdict:
 
 @record
 class CurveDegree:
+    """A curve of degree at least (-K)^3 is not a maximal center."""
     method = "curve-degree"
     deg: Fraction
     a_cube: Fraction
 
+    def verdict(self) -> Verdict:
+        if self.deg <= 0 or self.a_cube <= 0:
+            raise ValueError("degree and (-K)^3 must be positive")
+        return Verdict(excluded=self.deg >= self.a_cube, method=self.method, witness=self.deg - self.a_cube)
+
 
 @record
 class CurveGamma:
+    """A low-degree curve with negative self-intersection on the cutting
+    surface: excluded when 3 (-K)^3 - 2 deg + Gamma^2 <= 0."""
     method = "curve-gamma"
     a_cube: Fraction
     deg: Fraction
     gamma_sq: Fraction
+
+    def verdict(self) -> Verdict:
+        if self.gamma_sq >= 0:
+            raise ValueError("the self-intersection bound must be negative")
+        witness = 3 * self.a_cube - 2 * self.deg + self.gamma_sq
+        return Verdict(excluded=witness <= 0, method=self.method, witness=witness)
 
 
 @record
@@ -103,22 +121,44 @@ class CurveCycle:
     gamma_dot_delta: Fraction
     a_dot_delta: Fraction
 
+    def verdict(self) -> Verdict:
+        witness = self.gamma_dot_delta - self.a_dot_delta
+        return Verdict(excluded=witness >= 0 and self.a_dot_delta > 0, method=self.method, witness=witness)
+
 
 @record
 class Isolation:
+    """Nonsingular points are isolated by multiples of the polarization up to
+    `bound`, the max pairwise lcm of the weights left when `dropped_vertex` is
+    dropped; excluded when the bound stays within `limit` = 4 / (-K)^3."""
     method = "isolation"
     bound: int
     limit: Fraction
     dropped_vertex: int | None
 
+    def verdict(self) -> Verdict:
+        return Verdict(excluded=self.bound <= self.limit, method=self.method, witness=Fraction(self.bound))
+
 
 @record
 class SurfacePair:
+    """(T . Gamma) = a1^2 (-K_Y)^3 <= 0 on the pair of coordinate surfaces,
+    provided the restriction curve is irreducible."""
     method = "surface-pair"
     a1: int
     b_cube: Fraction
     gamma_support: MonomialSupport
     irreducibility_flag: bool
+
+    def verdict(self) -> Verdict:
+        if not self.irreducibility_flag:
+            raise UncoveredCaseError(
+                "surface-pair certificate needs the irreducibility condition; "
+                "fall back to the family-specific certificate")
+        if not self.gamma_support.monomials:
+            raise ValueError("empty restriction support")
+        witness = self.a1 * self.a1 * self.b_cube
+        return Verdict(excluded=witness <= 0, method=self.method, witness=witness)
 
 
 @record
@@ -129,6 +169,9 @@ class NefDivisor:
     m_b2: Fraction
     c: Fraction
     certified: bool
+
+    def verdict(self) -> Verdict:
+        return Verdict(excluded=self.certified and self.m_b2 <= 0, method=self.method, witness=self.m_b2)
 
 
 @record
@@ -143,12 +186,21 @@ class NegDefMatrix:
     def entries_at(self, m: Fraction) -> list[list[Fraction]]:
         return [[self.alpha - m, m], [m, self.beta - m]]
 
+    def verdict(self) -> Verdict:
+        e = self.entries_at(self.parameter_floor)
+        witness = e[0][0] * e[1][1] - e[0][1] * e[1][0]
+        return Verdict(excluded=negdef_for_all(self), method=self.method, witness=witness)
+
 
 @record
 class InfiniteCurves:
+    """An infinite family of curves meeting -K non-positively and E positively."""
     method = "infinite-curves"
     b_dot_c: Fraction
     e_dot_c: Fraction
+
+    def verdict(self) -> Verdict:
+        return Verdict(excluded=self.b_dot_c <= 0 and self.e_dot_c > 0, method=self.method, witness=self.b_dot_c)
 
 
 @record
@@ -160,9 +212,13 @@ class Untwist:
     counterpart_id: int | None = None
     eligible: bool | None = None
 
+    def verdict(self) -> Verdict:
+        return Verdict(excluded=False, method=self.method, witness=None)
+
 
 Certificate = (CurveDegree | CurveGamma | CurveCycle | Isolation | SurfacePair
                | NefDivisor | NegDefMatrix | InfiniteCurves | Untwist)
+Earlier = tuple[Certificate, ...]  # the certificates built for a center's earlier branches
 
 
 def certificate_json(cert: Certificate) -> dict:
@@ -195,53 +251,8 @@ def _json_value(value):
 
 
 # ---------------------------------------------------------------------------
-# Elementary tests
+# Shared computations
 # ---------------------------------------------------------------------------
-
-def curve_degree_test(deg: Fraction, a_cube: Fraction) -> Verdict:
-    """A curve of degree at least (-K)^3 is not a maximal center."""
-    if deg <= 0 or a_cube <= 0:
-        raise ValueError("degree and (-K)^3 must be positive")
-    return Verdict(excluded=deg >= a_cube, method="curve-degree", witness=deg - a_cube)
-
-
-def curve_gamma_test(a_cube: Fraction, deg: Fraction, gamma_sq: Fraction) -> Verdict:
-    """Low-degree curve with negative self-intersection on the cutting surface:
-    excluded when 3 (-K)^3 - 2 deg + Gamma^2 <= 0."""
-    if gamma_sq >= 0:
-        raise ValueError("the self-intersection bound must be negative")
-    witness = 3 * a_cube - 2 * deg + gamma_sq
-    return Verdict(excluded=witness <= 0, method="curve-gamma", witness=witness)
-
-
-def curve_cycle_test(gamma_dot_delta: Fraction, a_dot_delta: Fraction) -> Verdict:
-    witness = gamma_dot_delta - a_dot_delta
-    return Verdict(excluded=witness >= 0 and a_dot_delta > 0, method="curve-cycle", witness=witness)
-
-
-def isolation_test(weights, dropped_vertex: int | None, a_cube: Fraction) -> tuple[int, Verdict]:
-    """Nonsingular points are isolated by multiples of the polarization up to
-    the max pairwise lcm of the surviving weights; excluded when that bound
-    stays within 4 / (-K)^3."""
-    keep = tuple(i for i in range(len(weights)) if i != dropped_vertex)
-    bound = max_pair_lcm(weights, keep)
-    limit = Fraction(4) / a_cube
-    return bound, Verdict(excluded=Fraction(bound) <= limit, method="isolation", witness=Fraction(bound))
-
-
-def surface_pair_test(a1: int, b_cube: Fraction, gamma_support: MonomialSupport,
-                      irreducibility_flag: bool) -> Verdict:
-    """(T . Gamma) = a1^2 (-K_Y)^3 <= 0 on the pair of coordinate surfaces,
-    provided the restriction curve is irreducible."""
-    if not irreducibility_flag:
-        raise UncoveredCaseError(
-            "surface-pair certificate needs the irreducibility condition; "
-            "fall back to the family-specific certificate")
-    if not gamma_support.monomials:
-        raise ValueError("empty restriction support")
-    witness = a1 * a1 * b_cube
-    return Verdict(excluded=witness <= 0, method="surface-pair", witness=witness)
-
 
 def negdef2(m: list[list[Fraction]]) -> bool:
     """Negative definiteness of a symmetric 2x2 rational matrix."""
@@ -258,11 +269,6 @@ def negdef_for_all(cert: NegDefMatrix) -> bool:
     at_floor = negdef2(cert.entries_at(cert.parameter_floor))
     slope_ok = -(cert.alpha + cert.beta) >= 0
     return at_floor and slope_ok
-
-
-def infinite_curves_test(b_dot_c: Fraction, e_dot_c: Fraction) -> Verdict:
-    """An infinite family of curves meeting -K non-positively and E positively."""
-    return Verdict(excluded=b_dot_c <= 0 and e_dot_c > 0, method="infinite-curves", witness=b_dot_c)
 
 
 def gamma_polynomial(member: Member) -> MonomialSupport:
@@ -372,6 +378,12 @@ POINT_RULES: dict[int, dict[str, tuple[RuleBranch, ...]]] = {
 for _rules in POINT_RULES.values():
     _rules["p4"] = (RuleBranch("", "untwist", "link"),)
 
+# the one branch of a curve and of the nonsingular point
+SINGLE_BRANCH = {"curve": (RuleBranch("", "curve", ""),), "smooth-point": (RuleBranch("", "isolation", ""),)}
+
+# the one branch at a locus without rules, which dispatch reports as a center the family lacks
+UNCONDITIONAL = (RuleBranch("", "", ""),)
+
 
 def minimal_curve_degree(member: Member) -> Fraction:
     """Smallest curve degree not handled by a special certificate: curves
@@ -383,22 +395,58 @@ def minimal_curve_degree(member: Member) -> Fraction:
     return deg
 
 
+def _branches(family_id: int, center: Center) -> tuple[RuleBranch, ...]:
+    """A center's branches: `SINGLE_BRANCH`, or the `POINT_RULES` of its locus (none without rules)."""
+    if center.kind in SINGLE_BRANCH:
+        return SINGLE_BRANCH[center.kind]
+    if center.is_point:
+        return POINT_RULES[family_id].get(center.locus, ())
+    raise UncoveredCaseError(f"unknown center kind {center.kind}")
+
+
+def centers(member: Member) -> list[tuple[Center, tuple[RuleBranch, ...]]]:
+    """Every center of the member with the branches a report runs at it: a
+    curve of the least degree no special certificate handles, the special
+    curve where one exists, the nonsingular point, the quotient points, p4."""
+    fid = member.g.id
+    found = [Center.curve(minimal_curve_degree(member))]
+    if fid in SPECIAL_CURVE_DEG:
+        found.append(Center.curve(SPECIAL_CURVE_DEG[fid]))
+    found += [Center.smooth_point(), *map(Center.quotient_point, member.quotients), Center.cax_point(member.cax)]
+    return [(center, _branches(fid, center) or UNCONDITIONAL) for center in found]
+
+
 # ---------------------------------------------------------------------------
-# Certificate builders
+# Certificate builders: (member, center, branch, earlier) -> certificate
 # ---------------------------------------------------------------------------
 
-def _surface_pair(member: Member, q: QuotientSingularity, flag: bool) -> tuple[SurfacePair, Verdict]:
-    record = member.gprime
-    cert = SurfacePair(
-        a1=record.weights[1],
-        b_cube=b_cubed(member.a_cube, q),
+def _curve(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> Certificate:
+    fid, deg = member.g.id, center.degree
+    if deg != SPECIAL_CURVE_DEG.get(fid):
+        return CurveDegree(deg=deg, a_cube=member.a_cube)
+    if fid in CURVE_GAMMA_SQ:
+        return CurveGamma(a_cube=member.a_cube, deg=deg, gamma_sq=CURVE_GAMMA_SQ[fid])
+    return CurveCycle(*CURVE_CYCLE_DATA[fid])
+
+
+def _isolation(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> Isolation:
+    w = member.gprime.weights
+    drop = ISOLATION_DROP[member.gprime.id]
+    bound = max_pair_lcm(w, tuple(i for i in range(len(w)) if i != drop))
+    return Isolation(bound=bound, limit=Fraction(4) / member.a_cube, dropped_vertex=drop)
+
+
+def _surface_pair(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> SurfacePair:
+    return SurfacePair(
+        a1=member.gprime.weights[1],
+        b_cube=b_cubed(member.a_cube, center.quotient),
         gamma_support=gamma_polynomial(member),
-        irreducibility_flag=flag,
+        irreducibility_flag=True,
     )
-    return cert, surface_pair_test(cert.a1, cert.b_cube, cert.gamma_support, cert.irreducibility_flag)
 
 
-def _nef_divisor(member: Member, q: QuotientSingularity) -> tuple[NefDivisor, Verdict]:
+def _nef_divisor(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> NefDivisor:
+    q = center.quotient
     w = member.gprime.weights
     vertex = point_vertex(w, q.locus)
     support = support_with_point_at_vertex(member.support, vertex, w[vertex])
@@ -418,48 +466,40 @@ def _nef_divisor(member: Member, q: QuotientSingularity) -> tuple[NefDivisor, Ve
     m_lift = max(lifts, key=lambda l: Fraction(l.class_e, l.class_b))
     m_class = m_lift.class_b * b_class + m_lift.class_e * lattice.exceptional_class()
     m_b2 = triple(lattice, m_class, b_class, b_class)
-    cert = NefDivisor(lifts=tuple(lifts), q=q, m_b2=m_b2, c=c, certified=certified)
-    verdict = Verdict(excluded=certified and m_b2 <= 0, method="nef-divisor", witness=m_b2)
-    return cert, verdict
+    return NefDivisor(lifts=tuple(lifts), q=q, m_b2=m_b2, c=c, certified=certified)
 
 
-def _negdef_matrix(member: Member, q: QuotientSingularity,
-                   earlier: tuple[Certificate, ...]) -> tuple[NegDefMatrix, Verdict]:
+def _negdef_matrix(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> NegDefMatrix:
     record = member.gprime
     w = record.weights
+    locus = center.quotient.locus
     if record.id != 50:
-        raise UncoveredCaseError(f"no curve-pair matrix data for family {record.id} at {q.locus}")
-    if q.locus == "p1p4":
+        raise UncoveredCaseError(f"no curve-pair matrix data for family {record.id} at {locus}")
+    if locus == "p1p4":
         # half point: the residual curve misses the exceptional divisor and is
         # cut on the coordinate plane (x = z = 0) by the degree-(d - b) slot,
         # so it pairs with -K by bare degree; the pair sums to (M . B^2)
         nef = next((c for c in earlier if isinstance(c, NefDivisor)), None)
         if nef is None:
-            nef, _ = _nef_divisor(member, q)
+            nef = _nef_divisor(member, center, branch, earlier)
         alpha = Fraction(record.degrees[0] - w[4], w[1] * w[3] * w[4])
-        beta = nef.m_b2 - alpha
-        cert = NegDefMatrix(alpha=alpha, beta=beta, parameter_floor=Fraction(1))
-    else:
-        # third point: (B . Gamma) via the ambient weighted blowup of the
-        # 4-space; the companion entry is pinned golden data
-        alpha = ambient_quadruple(
-            record.weights, 3, (1, 2, 2, 1),
-            [(Fraction(1), Fraction(-1, 3)), (Fraction(1), Fraction(-1, 3)),
-             (Fraction(2), Fraction(-2, 3)), (Fraction(4), Fraction(-1, 3))])
-        cert = NegDefMatrix(alpha=alpha, beta=Fraction(1, 60), parameter_floor=Fraction(1, 2))
-    ok = negdef_for_all(cert)
-    det = cert.entries_at(cert.parameter_floor)
-    witness = det[0][0] * det[1][1] - det[0][1] * det[1][0]
-    return cert, Verdict(excluded=ok, method="negdef-matrix", witness=witness)
+        return NegDefMatrix(alpha=alpha, beta=nef.m_b2 - alpha, parameter_floor=Fraction(1))
+    # third point: (B . Gamma) via the ambient weighted blowup of the
+    # 4-space; the companion entry is pinned golden data
+    alpha = ambient_quadruple(
+        record.weights, 3, (1, 2, 2, 1),
+        [(Fraction(1), Fraction(-1, 3)), (Fraction(1), Fraction(-1, 3)),
+         (Fraction(2), Fraction(-2, 3)), (Fraction(4), Fraction(-1, 3))])
+    return NegDefMatrix(alpha=alpha, beta=Fraction(1, 60), parameter_floor=Fraction(1, 2))
 
 
-def _infinite_curves(member: Member, q: QuotientSingularity) -> tuple[InfiniteCurves, Verdict]:
-    record = member.gprime
+def _infinite_curves(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> InfiniteCurves:
+    q = center.quotient
     disc, _ = kawamata_numbers(q)
     lattice = BlowupLattice.over(member.a_cube, [q])
     b = lattice.anticanonical()
     e = lattice.exceptional_class()
-    fid = record.id
+    fid = member.gprime.id
     if fid == 23:
         # S . T splits off the WCI curve through the point; the residual pencil
         # meets -K trivially
@@ -480,22 +520,26 @@ def _infinite_curves(member: Member, q: QuotientSingularity) -> tuple[InfiniteCu
         e_dot = triple(lattice, e, s, t)
     else:
         raise UncoveredCaseError(f"no infinite-curves data for family {fid} at {q.locus}")
-    cert = InfiniteCurves(b_dot_c=b_dot, e_dot_c=e_dot)
-    return cert, infinite_curves_test(b_dot, e_dot)
+    return InfiniteCurves(b_dot_c=b_dot, e_dot_c=e_dot)
 
 
-def _untwist(member: Member, locus: str, tag: str, condition: str) -> tuple[Untwist, Verdict]:
+def _untwist(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> Untwist:
     record = member.gprime
+    locus, tag = center.locus, branch.tag
     eligible = None
     if tag == "QI":
         eligible = qi_eligible(member, locus)
         if not eligible:
             raise UncoveredCaseError(f"family {record.id} {locus}: no x^2 y tangent monomial, "
                                      f"quadratic involution not available")
-    cert = Untwist(tag=tag, point=locus, condition=condition,
-                   counterpart_id=record.id if tag == "link" else None,
-                   eligible=eligible)
-    return cert, Verdict(excluded=False, method="untwist", witness=None)
+    return Untwist(tag=tag, point=locus, condition=branch.condition,
+                   counterpart_id=record.id if tag == "link" else None, eligible=eligible)
+
+
+# the builder of each branch method, private so that no call through the table bypasses a public binding
+BUILDERS = {"curve": _curve, "isolation": _isolation, "surface-pair": _surface_pair,
+            "nef-divisor": _nef_divisor, "negdef-matrix": _negdef_matrix,
+            "infinite-curves": _infinite_curves, "untwist": _untwist}
 
 
 # ---------------------------------------------------------------------------
@@ -503,61 +547,29 @@ def _untwist(member: Member, locus: str, tag: str, condition: str) -> tuple[Untw
 # ---------------------------------------------------------------------------
 
 def dispatch(family_id: int, center: Center, condition: str = "", *, catalog: Catalog,
-             earlier: tuple[Certificate, ...] = ()) -> tuple[Certificate, Verdict]:
-    """Select and evaluate the certificate assigned to a center of the general
-    member of a catalog family; `catalog` holds the family's Member.  At a
-    point center it is the `POINT_RULES` branch whose condition is
-    `condition` ("" for an unconditional branch).
+             earlier: Earlier = ()) -> tuple[Certificate, Verdict]:
+    """Build and judge the certificate of the branch of a center, of the
+    general member of a catalog family, whose condition is `condition` (""
+    for an unconditional branch); `catalog` holds the family's Member.  A
+    curve and the nonsingular point have one unconditional branch, a point
+    center the `POINT_RULES` branches of its locus.
 
     `earlier` holds the certificates already built for other branches of the
     same center; a branch that rests on one of them reuses it."""
     member = catalog.member(family_id)
-    record = member.gprime
-    a_cube = member.a_cube
-
-    if center.kind == "curve":
-        deg = center.degree
-        if deg == SPECIAL_CURVE_DEG.get(family_id):
-            if family_id in CURVE_GAMMA_SQ:
-                cert = CurveGamma(a_cube=a_cube, deg=deg, gamma_sq=CURVE_GAMMA_SQ[family_id])
-                return cert, curve_gamma_test(cert.a_cube, cert.deg, cert.gamma_sq)
-            gd, ad = CURVE_CYCLE_DATA[family_id]
-            cert = CurveCycle(gamma_dot_delta=gd, a_dot_delta=ad)
-            return cert, curve_cycle_test(gd, ad)
-        cert = CurveDegree(deg=deg, a_cube=a_cube)
-        verdict = curve_degree_test(deg, a_cube)
-        if not verdict.excluded:
-            raise UncoveredCaseError(
-                f"family {family_id}: curve of degree {rat_str(deg)} is below (-K)^3 "
-                f"and matches no special certificate")
-        return cert, verdict
-
-    if center.kind == "smooth-point":
-        drop = ISOLATION_DROP[family_id]
-        bound, verdict = isolation_test(record.weights, drop, a_cube)
-        cert = Isolation(bound=bound, limit=Fraction(4) / a_cube, dropped_vertex=drop)
-        return cert, verdict
-
-    if center.kind in ("quotient-point", "cax-point"):
-        locus = center.locus
-        rules = POINT_RULES[family_id].get(locus)
-        if rules is None:
-            raise UncoveredCaseError(f"family {family_id} has no center at {locus}")
-        branch = next((br for br in rules if br.condition == condition), None)
-        if branch is None:
-            wanted = ", ".join(repr(br.condition) for br in rules)
-            raise UncoveredCaseError(
-                f"family {family_id} {locus}: no branch under condition {condition!r}; expected one of: {wanted}")
-        if branch.method == "untwist":
-            return _untwist(member, locus, branch.tag, branch.condition)
-        if branch.method == "surface-pair":
-            return _surface_pair(member, center.quotient, flag=True)
-        if branch.method == "nef-divisor":
-            return _nef_divisor(member, center.quotient)
-        if branch.method == "negdef-matrix":
-            return _negdef_matrix(member, center.quotient, earlier)
-        if branch.method == "infinite-curves":
-            return _infinite_curves(member, center.quotient)
-        raise UncoveredCaseError(f"family {family_id} {locus}: unknown method {branch.method}")
-
-    raise UncoveredCaseError(f"unknown center kind {center.kind}")
+    branches = _branches(family_id, center)
+    if not branches:
+        raise UncoveredCaseError(f"family {family_id} has no center at {center.locus}")
+    branch = next((br for br in branches if br.condition == condition), None)
+    if branch is None:
+        where = center.locus if center.is_point else center.describe()
+        wanted = ", ".join(repr(br.condition) for br in branches)
+        raise UncoveredCaseError(
+            f"family {family_id} {where}: no branch under condition {condition!r}; expected one of: {wanted}")
+    cert = BUILDERS[branch.method](member, center, branch, earlier)
+    verdict = cert.verdict()
+    if cert.method == "curve-degree" and not verdict.excluded:
+        raise UncoveredCaseError(
+            f"family {family_id}: curve of degree {rat_str(center.degree)} is below (-K)^3 "
+            f"and matches no special certificate")
+    return cert, verdict

@@ -54,4 +54,4 @@ def involution_inventory(report) -> list[tuple[str, str, str]]:
     not run, such as a quadratic involution without its x^2 y monomial, is
     missing from it."""
     return [(cr.center.locus, br.tag, br.condition) for cr in report.centers
-            if cr.center.kind in ("quotient-point", "cax-point") for br in cr.branches]
+            if cr.center.is_point for br in cr.branches]

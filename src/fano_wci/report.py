@@ -94,42 +94,26 @@ class Report:
         return "all-centers-resolved" if not self.uncovered else f"uncovered-cases({', '.join(self.uncovered)})"
 
 
-# the one branch of a curve, a nonsingular point or a locus without rules
-UNCONDITIONAL = (("", ""),)
-
-
 def build_report(catalog: Catalog, family_id: int) -> Report:
-    """Every center of the family's general member with one result per
-    branch: a point center runs each `exclusion.POINT_RULES` branch of its
-    locus, under the branch's condition and with its link tag."""
+    """Every center of the family's general member (`exclusion.centers`)
+    with one result per branch, run under the branch's condition and with
+    its link tag."""
     member = catalog.member(family_id)
     centers: list[CenterReport] = []
-
-    def run(center: Center, branches) -> None:
+    for center, branches in exclusion.centers(member):
         results = []
         uncovered = []
-        for condition, tag in branches:
+        for br in branches:
             try:
-                earlier = tuple(br.certificate for br in results)
-                cert, verdict = exclusion.dispatch(family_id, center, condition, catalog=catalog,
-                                                   earlier=earlier)
-                results.append(BranchResult(condition=condition, tag=tag,
+                cert, verdict = exclusion.dispatch(family_id, center, br.condition, catalog=catalog,
+                                                   earlier=tuple(r.certificate for r in results))
+                results.append(BranchResult(condition=br.condition, tag=br.tag,
                                             certificate=cert, verdict=verdict))
                 if not verdict.resolved:
-                    uncovered.append(f"{center.describe()} [{condition or 'unconditional'}]")
+                    uncovered.append(f"{center.describe()} [{br.condition or 'unconditional'}]")
             except exclusion.UncoveredCaseError as exc:
                 uncovered.append(str(exc))
         centers.append(CenterReport(center=center, branches=tuple(results), uncovered=tuple(uncovered)))
-
-    run(Center.curve(exclusion.minimal_curve_degree(member)), UNCONDITIONAL)
-    if family_id in exclusion.SPECIAL_CURVE_DEG:
-        run(Center.curve(exclusion.SPECIAL_CURVE_DEG[family_id]), UNCONDITIONAL)
-    run(Center.smooth_point(), UNCONDITIONAL)
-    for center in (*map(Center.quotient_point, member.quotients), Center.cax_point(member.cax)):
-        # dispatch reports a locus without rules as a center the family lacks
-        rules = exclusion.POINT_RULES[family_id].get(center.locus)
-        run(center, [(br.condition, br.tag) for br in rules] if rules else UNCONDITIONAL)
-
     return Report(member=member, centers=tuple(centers))
 
 
@@ -162,7 +146,7 @@ def render_markdown(report: Report) -> str:
         "|---|---|---|",
     ]
     for cr in report.centers:
-        if cr.center.kind not in ("quotient-point", "cax-point"):
+        if not cr.center.is_point:
             continue
         if not cr.branches:  # every branch failed to dispatch
             lines.append(f"| {cr.center.describe()} | uncovered: {'; '.join(cr.uncovered)} | uncovered |")
@@ -175,7 +159,7 @@ def render_markdown(report: Report) -> str:
         lines.append(f"| {cr.center.describe()} | {methods} | {tags} |")
     lines.append("")
     for cr in report.centers:
-        if cr.center.kind in ("quotient-point", "cax-point"):
+        if cr.center.is_point:
             continue
         for br in cr.branches:
             lines.append(f"- {cr.center.describe()}: {_describe_branch(br)}")

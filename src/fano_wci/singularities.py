@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .catalog import FamilyRecord
-from .wps import MonomialSupport, monomials_of_degree, record
+from .wps import Monomial, MonomialSupport, monomials_of_degree, record
 
 
 class ClassificationError(ValueError):
@@ -253,15 +253,22 @@ def family_support(record: FamilyRecord, shape: StandardForm) -> MonomialSupport
     return MonomialSupport(degree=d, monomials=monos)
 
 
+def _pure_power(degree: int, weight: int, vertex: int, n: int) -> Monomial | None:
+    """The exponents of x_vertex^(degree / weight) among n coordinates, or
+    None when the weight does not divide the degree."""
+    if degree % weight:
+        return None
+    return tuple(degree // weight if i == vertex else 0 for i in range(n))
+
+
 def support_with_point_at_vertex(support: MonomialSupport, vertex: int, weight: int) -> MonomialSupport:
     """Normalize coordinates so an edge point sits at the given vertex: the
     vertex then lies on the member, i.e. the pure power of that coordinate is
     struck from the support."""
-    if support.degree % weight:
+    pure = _pure_power(support.degree, weight, vertex, 5)
+    if pure is None:
         return support
-    pure = [0] * 5
-    pure[vertex] = support.degree // weight
-    return MonomialSupport(degree=support.degree, monomials=support.monomials - {tuple(pure)})
+    return MonomialSupport(degree=support.degree, monomials=support.monomials - {pure})
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +302,8 @@ def tangent_coordinate(support: MonomialSupport, w: tuple[int, ...], vertex: int
 
 
 def vertex_on_member(support: MonomialSupport, w: tuple[int, ...], vertex: int) -> bool:
-    d = support.degree
-    if d % w[vertex]:
-        return True
-    pure = [0] * len(w)
-    pure[vertex] = d // w[vertex]
-    return tuple(pure) not in support
+    pure = _pure_power(support.degree, w[vertex], vertex, len(w))
+    return pure is None or pure not in support
 
 
 def vertex_singularities(record: FamilyRecord, support: MonomialSupport) -> list[QuotientSingularity]:

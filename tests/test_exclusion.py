@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from fano_wci.exclusion import (POINT_RULES, Center, CurveGamma, InfiniteCurves, NegDefMatrix,
-                                SurfacePair, UncoveredCaseError, Untwist, certificate_json,
-                                curve_cycle_test, curve_degree_test, curve_gamma_test, dispatch,
-                                gamma_polynomial, infinite_curves_test, isolation_test, negdef2,
-                                negdef_for_all, point_vertex, qi_eligible, surface_pair_test)
+from fano_wci.exclusion import (POINT_RULES, Center, CurveCycle, CurveDegree, CurveGamma, InfiniteCurves,
+                                Isolation, NegDefMatrix, SurfacePair, UncoveredCaseError, Untwist,
+                                certificate_json, dispatch, gamma_polynomial, negdef2, negdef_for_all,
+                                point_vertex, qi_eligible)
 from fano_wci.report import GOLDEN
 from fano_wci.singularities import QuotientSingularity
 from fano_wci.wps import MonomialSupport
@@ -17,54 +16,53 @@ HALF = QuotientSingularity(2, 1)
 
 
 def test_curve_degree_examples():
-    assert curve_degree_test(F(1), F(1)).excluded
-    assert not curve_degree_test(F(1, 2), F(2, 3)).excluded
-    assert curve_degree_test(F(5, 12), F(5, 12)).excluded
+    assert CurveDegree(F(1), F(1)).verdict().excluded
+    assert not CurveDegree(F(1, 2), F(2, 3)).verdict().excluded
+    assert CurveDegree(F(5, 12), F(5, 12)).verdict().excluded
 
 
 def test_curve_gamma_examples():
-    v19 = curve_gamma_test(F(2, 3), F(1, 2), F(-3, 2))
+    v19 = CurveGamma(F(2, 3), F(1, 2), F(-3, 2)).verdict()
     assert v19.excluded and v19.witness == F(-1, 2)
-    v23 = curve_gamma_test(F(5, 12), F(1, 4), F(-1))
+    v23 = CurveGamma(F(5, 12), F(1, 4), F(-1)).verdict()
     assert v23.excluded and v23.witness == F(-1, 4)
-    assert not curve_gamma_test(F(2, 3), F(1, 2), F(-1, 2)).excluded
+    assert not CurveGamma(F(2, 3), F(1, 2), F(-1, 2)).verdict().excluded
 
 
 def test_curve_gamma_needs_negative_bound():
     with pytest.raises(ValueError):
-        curve_gamma_test(F(2, 3), F(1, 2), F(0))
+        CurveGamma(F(2, 3), F(1, 2), F(0)).verdict()
 
 
 def test_curve_cycle():
-    assert curve_cycle_test(F(1), F(1, 2)).excluded
-    assert curve_cycle_test(F(7, 4), F(1, 2)).excluded
-    assert not curve_cycle_test(F(1, 4), F(1, 2)).excluded
+    assert CurveCycle(F(1), F(1, 2)).verdict().excluded
+    assert CurveCycle(F(7, 4), F(1, 2)).verdict().excluded
+    assert not CurveCycle(F(1, 4), F(1, 2)).verdict().excluded
 
 
 def test_isolation_examples(catalog):
     cases = {42: (2, 10, F(40, 3)), 19: (2, 6, F(6)), 50: (1, 20, F(240, 7)), 23: (4, 6, F(48, 5))}
     for fid, (drop, bound, limit) in cases.items():
-        record = catalog.gprime(fid)
-        got_bound, verdict = isolation_test(record.weights, drop, record.a_cube())
-        assert got_bound == bound
-        assert F(4) / record.a_cube() == limit
+        cert, verdict = dispatch(fid, Center.smooth_point(), catalog=catalog)
+        assert cert == Isolation(bound=bound, limit=limit, dropped_vertex=drop)
+        assert F(4) / catalog.gprime(fid).a_cube() == limit
         assert verdict.excluded
 
 
 def test_surface_pair_examples(catalog):
     gamma29 = gamma_polynomial(catalog.member(29))
-    v = surface_pair_test(1, F(0), gamma29, True)
+    v = SurfacePair(1, F(0), gamma29, True).verdict()
     assert v.excluded and v.witness == 0
     gamma50 = gamma_polynomial(catalog.member(50))
-    v = surface_pair_test(2, F(-1, 20), gamma50, True)
+    v = SurfacePair(2, F(-1, 20), gamma50, True).verdict()
     assert v.excluded and v.witness == F(-1, 5)
-    assert not surface_pair_test(1, F(1, 6), gamma29, True).excluded
+    assert not SurfacePair(1, F(1, 6), gamma29, True).verdict().excluded
 
 
 def test_surface_pair_flag_false_demands_fallback(catalog):
     gamma = gamma_polynomial(catalog.member(50))
     with pytest.raises(UncoveredCaseError, match="family-specific"):
-        surface_pair_test(2, F(-1, 20), gamma, False)
+        SurfacePair(2, F(-1, 20), gamma, False).verdict()
 
 
 def test_gamma_polynomial_examples(catalog):
@@ -130,10 +128,10 @@ def test_negdef2_matches_grid_oracle():
 
 
 def test_infinite_curves_examples():
-    assert infinite_curves_test(F(0), F(2)).excluded
-    assert infinite_curves_test(F(0), F(3)).excluded
-    assert not infinite_curves_test(F(1, 6), F(2)).excluded
-    assert not infinite_curves_test(F(0), F(0)).excluded
+    assert InfiniteCurves(F(0), F(2)).verdict().excluded
+    assert InfiniteCurves(F(0), F(3)).verdict().excluded
+    assert not InfiniteCurves(F(1, 6), F(2)).verdict().excluded
+    assert not InfiniteCurves(F(0), F(0)).verdict().excluded
 
 
 def test_qi_eligibility(catalog):
@@ -177,6 +175,17 @@ def test_dispatch_uncovered_cases(catalog):
         dispatch(17, Center.quotient_point(QuotientSingularity(2, 1, locus="p1p2")), catalog=catalog)
     with pytest.raises(UncoveredCaseError, match="below"):
         dispatch(17, Center.curve(F(1, 4)), catalog=catalog)
+
+
+def test_a_condition_on_a_single_branch_center_is_rejected(catalog):
+    # a curve and the nonsingular point have one unconditional branch, so a
+    # condition names no branch there, as at a point center
+    with pytest.raises(UncoveredCaseError, match="family 17 nonsingular point: no branch under condition "
+                                                 "'exists-wci\\(1,1,2\\)'; expected one of: ''$"):
+        dispatch(17, Center.smooth_point(), "exists-wci(1,1,2)", catalog=catalog)
+    with pytest.raises(UncoveredCaseError, match="family 19 curve of degree 1/2: no branch under condition "
+                                                 "'monomial-absent\\(y\\^2 z\\)'; expected one of: ''$"):
+        dispatch(19, Center.curve(F(1, 2)), "monomial-absent(y^2 z)", catalog=catalog)
 
 
 def test_verdict_witness_reverifies(catalog):
