@@ -10,6 +10,7 @@ the caller's responsibility and enter as explicit coefficient vectors.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .singularities import QuotientSingularity
@@ -57,25 +58,31 @@ class DivisorClass:
 
     def __rmul__(self, scalar) -> "DivisorClass":
         s = Fraction(scalar)
-        return DivisorClass(tuple(s * a for a in self.coefficients))
+        n, d = s.numerator, s.denominator
+        return DivisorClass(tuple(Fraction(n * a.numerator, d * a.denominator) for a in self.coefficients))
 
 
 def triple(lattice: BlowupLattice, c1: DivisorClass, c2: DivisorClass, c3: DivisorClass) -> Fraction:
     """Triple product of three classes: diagonal contraction against the
-    basis cubes (all mixed products vanish)."""
+    basis cubes (all mixed products vanish), summed as integers over the
+    terms' common denominator and returned as one exact Fraction."""
     cubes = lattice.basis_cubes()
     for c in (c1, c2, c3):
         if len(c.coefficients) != lattice.rank:
             raise ValueError(f"class of rank {len(c.coefficients)} on a rank-{lattice.rank} lattice")
-    return sum(
-        c1.coefficients[i] * c2.coefficients[i] * c3.coefficients[i] * cubes[i]
-        for i in range(lattice.rank)
-    )
+    nums, dens = [], []
+    for x, y, z, k in zip(c1.coefficients, c2.coefficients, c3.coefficients, cubes):
+        nums.append(x.numerator * y.numerator * z.numerator * k.numerator)
+        dens.append(x.denominator * y.denominator * z.denominator * k.denominator)
+    denominator = math.lcm(*dens)
+    return Fraction(sum(n * (denominator // d) for n, d in zip(nums, dens)), denominator)
 
 
 def b_cubed(a_cube: Fraction, q: QuotientSingularity) -> Fraction:
-    """(-K)^3 after the Kawamata blowup of one point: A^3 - 1/(r a (r-a))."""
-    return a_cube - Fraction(1, q.r * q.a * (q.r - q.a))
+    """(-K)^3 after the Kawamata blowup of one point: A^3 - 1/(r a (r-a)),
+    one exact Fraction over the common denominator."""
+    k = q.r * q.a * (q.r - q.a)
+    return Fraction(a_cube.numerator * k - a_cube.denominator, a_cube.denominator * k)
 
 
 def ambient_quadruple(ambient_weights: tuple[int, ...],
@@ -110,17 +117,20 @@ def vanishing_order(support: MonomialSupport,
     minimal weighted order of its monomials.  With `eliminated` set, the
     support is the defining polynomial's: terms divisible by that coordinate
     are filtered off and the minimum of the rest is the implied order of the
-    eliminated coordinate itself.
+    eliminated coordinate itself.  Each monomial's order is summed as an
+    integer over the weights' common denominator; the minimum is returned as
+    one exact Fraction.
     """
     monos = support.monomials
     if eliminated is not None:
         monos = [m for m in monos if m[eliminated] == 0]
     if not monos:
         raise ValueError("vanishing order undefined: empty residual support")
-    # integer sums over the weights' common denominator, one Fraction at the end
     denominator = math.lcm(*(a.denominator for a in blowup_weights))
     scaled = [a.numerator * (denominator // a.denominator) for a in blowup_weights]
-    return Fraction(min(sum(e * a for e, a in zip(m, scaled, strict=True)) for m in monos), denominator)
+    if set(map(len, monos)) != {len(scaled)}:
+        raise ValueError(f"monomials and {len(scaled)} blowup weights differ in length")
+    return Fraction(min(sum(map(operator.mul, m, scaled)) for m in monos), denominator)
 
 
 @record
@@ -132,7 +142,8 @@ class SectionLift:
 
     @classmethod
     def of(cls, degree: int, order: Fraction, r: int) -> "SectionLift":
-        return cls(class_b=degree, class_e=Fraction(degree, r) - order)
+        d = order.denominator  # degree/r - order over the common denominator r d
+        return cls(class_b=degree, class_e=Fraction(degree * d - order.numerator * r, r * d))
 
 
 def nef_bound_check(lifts: list[SectionLift], q: QuotientSingularity) -> tuple[Fraction, bool]:

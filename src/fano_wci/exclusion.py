@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .blowup import (BlowupLattice, DivisorClass, SectionLift, ambient_quadruple, b_cubed,
-                     kawamata_numbers, nef_bound_check, triple, vanishing_order)
+                     nef_bound_check, triple, vanishing_order)
 from .catalog import Catalog, Member
 from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex, tangent_monomials
 from .wps import MonomialSupport, max_pair_lcm, rat_str, record
@@ -283,9 +283,7 @@ def gamma_polynomial(member: Member) -> MonomialSupport:
     support = member.support
     if record.id in GAMMA_NORMALIZED:
         support = support_with_point_at_vertex(support, vertex=2, weight=record.weights[2])
-    restricted = frozenset(
-        (m[2], m[3], m[4]) for m in support.monomials if m[0] == 0 and m[1] == 0
-    )
+    restricted = frozenset([(m[2], m[3], m[4]) for m in support.monomials if not m[0] and not m[1]])
     return MonomialSupport(degree=support.degree, monomials=restricted)
 
 
@@ -389,8 +387,9 @@ def minimal_curve_degree(member: Member) -> Fraction:
     """Smallest curve degree not handled by a special certificate: curves
     through the cAx point have degree in (1/modulus) Z."""
     step = Fraction(1, member.cax.modulus)
+    special = SPECIAL_CURVE_DEG.get(member.g.id)
     deg = step
-    while deg == SPECIAL_CURVE_DEG.get(member.g.id):
+    while special is not None and deg == special:
         deg += step
     return deg
 
@@ -422,7 +421,8 @@ def centers(member: Member) -> list[tuple[Center, tuple[RuleBranch, ...]]]:
 
 def _curve(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> Certificate:
     fid, deg = member.g.id, center.degree
-    if deg != SPECIAL_CURVE_DEG.get(fid):
+    special = SPECIAL_CURVE_DEG.get(fid)
+    if special is None or deg != special:
         return CurveDegree(deg=deg, a_cube=member.a_cube)
     if fid in CURVE_GAMMA_SQ:
         return CurveGamma(a_cube=member.a_cube, deg=deg, gamma_sq=CURVE_GAMMA_SQ[fid])
@@ -461,10 +461,14 @@ def _nef_divisor(member: Member, center: Center, branch: RuleBranch, earlier: Ea
             order = local[i]
         lifts.append(SectionLift.of(w[i], order, q.r))
     c, certified = nef_bound_check(lifts, q)
+    # M is the lift that attains c = max(class_e / class_b), the first on a tie: its
+    # class class_b B + class_e E = class_b (B + cE) is a positive multiple of the
+    # divisor that nef_bound_check certifies nef, so (M . B^2) has that divisor's sign
+    m = next(l for l in lifts if l.class_e == c * l.class_b)
     lattice = BlowupLattice.over(member.a_cube, [q])
     b_class = lattice.anticanonical()
-    m_lift = max(lifts, key=lambda l: Fraction(l.class_e, l.class_b))
-    m_class = m_lift.class_b * b_class + m_lift.class_e * lattice.exceptional_class()
+    a_coeff, e_coeff = b_class.coefficients  # B = A - E/r
+    m_class = DivisorClass((m.class_b * a_coeff, m.class_b * e_coeff + m.class_e))
     m_b2 = triple(lattice, m_class, b_class, b_class)
     return NefDivisor(lifts=tuple(lifts), q=q, m_b2=m_b2, c=c, certified=certified)
 
@@ -495,20 +499,19 @@ def _negdef_matrix(member: Member, center: Center, branch: RuleBranch, earlier: 
 
 def _infinite_curves(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> InfiniteCurves:
     q = center.quotient
-    disc, _ = kawamata_numbers(q)
+    r = q.r  # the blowup's discrepancy is 1/r
     lattice = BlowupLattice.over(member.a_cube, [q])
     b = lattice.anticanonical()
     e = lattice.exceptional_class()
     fid = member.gprime.id
     if fid == 23:
-        # S . T splits off the WCI curve through the point; the residual pencil
-        # meets -K trivially
+        # S . T splits off the WCI curve through the point, which meets -K in
+        # 1/6 - 1/r; the residual pencil meets -K trivially
         s, t = b, 4 * b
-        gamma_b = Fraction(1, 6) - disc
-        b_dot = triple(lattice, b, s, t) - gamma_b
+        b_dot = triple(lattice, b, s, t) - Fraction(r - 6, 6 * r)
         e_dot = triple(lattice, e, s, t) - 1
     elif fid == 30:
-        b_dot = Fraction(2, 3) - disc * 2
+        b_dot = Fraction(2 * r - 6, 3 * r)  # 2/3 - 2/r
         e_dot = Fraction(2)
     elif fid == 55:
         s, t = b, DivisorClass((Fraction(2), Fraction(-3, 2)))
@@ -560,8 +563,10 @@ def dispatch(family_id: int, center: Center, condition: str = "", *, catalog: Ca
     branches = _branches(family_id, center)
     if not branches:
         raise UncoveredCaseError(f"family {family_id} has no center at {center.locus}")
-    branch = next((br for br in branches if br.condition == condition), None)
-    if branch is None:
+    for branch in branches:
+        if branch.condition == condition:
+            break
+    else:
         where = center.locus if center.is_point else center.describe()
         wanted = ", ".join(repr(br.condition) for br in branches)
         raise UncoveredCaseError(

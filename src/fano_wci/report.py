@@ -103,17 +103,18 @@ def build_report(catalog: Catalog, family_id: int) -> Report:
     for center, branches in exclusion.centers(member):
         results = []
         uncovered = []
+        earlier = ()  # the certificates of the center's branches that ran
         for br in branches:
             try:
-                cert, verdict = exclusion.dispatch(family_id, center, br.condition, catalog=catalog,
-                                                   earlier=tuple(r.certificate for r in results))
-                results.append(BranchResult(condition=br.condition, tag=br.tag,
-                                            certificate=cert, verdict=verdict))
-                if not verdict.resolved:
-                    uncovered.append(f"{center.describe()} [{br.condition or 'unconditional'}]")
+                cert, verdict = exclusion.dispatch(family_id, center, br.condition, catalog=catalog, earlier=earlier)
             except exclusion.UncoveredCaseError as exc:
                 uncovered.append(str(exc))
-        centers.append(CenterReport(center=center, branches=tuple(results), uncovered=tuple(uncovered)))
+                continue
+            earlier += (cert,)
+            results.append(BranchResult(br.condition, br.tag, cert, verdict))
+            if not verdict.resolved:
+                uncovered.append(f"{center.describe()} [{br.condition or 'unconditional'}]")
+        centers.append(CenterReport(center, tuple(results), tuple(uncovered)))
     return Report(member=member, centers=tuple(centers))
 
 
@@ -227,7 +228,7 @@ def render_json(report: Report) -> dict:
 # ---------------------------------------------------------------------------
 
 def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+    return (x.numerator > 0) - (x.numerator < 0)
 
 
 # one row per certificate method with a golden witness: its table, whether

@@ -1,11 +1,14 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from fano_wci import exclusion
 from fano_wci.blowup import (BlowupLattice, DivisorClass, SectionLift, ambient_quadruple,
                              b_cubed, kawamata_numbers, nef_bound_check, triple,
                              vanishing_order)
+from fano_wci.report import verify_tables
 from fano_wci.singularities import QuotientSingularity, family_support, support_with_point_at_vertex
 from fano_wci.wps import MonomialSupport
 
@@ -100,6 +103,64 @@ def section_orders(catalog, fid, vertex, sections):
     return record, out
 
 
+def fraction_triple(lattice, c1, c2, c3):
+    """The triple product as a sum of Fraction products: the reference that
+    the integer kernel must equal in type and value."""
+    cubes = lattice.basis_cubes()
+    return sum(
+        c1.coefficients[i] * c2.coefficients[i] * c3.coefficients[i] * cubes[i]
+        for i in range(lattice.rank)
+    )
+
+
+def triples_of_one_verify_tables(catalog):
+    """The (lattice, c1, c2, c3) of every triple product one verify-tables
+    computes, and (NefDivisor, its triple's arguments) per nef-divisor build."""
+    triples, nefs = [], []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code is triple.__code__:
+            triples.append(tuple(frame.f_locals[name] for name in ("lattice", "c1", "c2", "c3")))
+        elif event == "return" and frame.f_code is exclusion._nef_divisor.__code__:
+            nefs.append((arg, triples[-1]))
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        assert verify_tables(catalog) == []
+    finally:
+        sys.setprofile(previous)
+    return triples, nefs
+
+
+def test_triple_matches_fraction_sums(catalog):
+    # ranks 1 to 3; coefficients zero, negative, plain ints, and fractions
+    # whose products are not in lowest terms before the sum
+    rng = random.Random(19)
+    points = [HALF, THIRD, QUARTER, QuotientSingularity(5, 2)]
+
+    def coefficient():
+        return rng.choice([0, rng.randint(-4, 4), Fraction(rng.randint(-12, 12), rng.randint(1, 12))])
+
+    cases = []
+    for _ in range(500):
+        lattice = BlowupLattice.over(Fraction(rng.randint(-6, 12), rng.randint(1, 12)),
+                                     rng.sample(points, rng.randint(0, 2)))
+        classes = [DivisorClass(tuple(coefficient() for _ in range(lattice.rank))) for _ in range(3)]
+        cases.append((lattice, *classes))
+    triples, nefs = triples_of_one_verify_tables(catalog)
+    assert len(triples) == 10
+    for args in cases + triples:
+        got = triple(*args)
+        assert type(got) is Fraction and got == fraction_triple(*args)
+    # at each nef-divisor center, M is the lift of largest class_e / class_b,
+    # the first on a tie: the first argument of the builder's triple product
+    assert len(nefs) == 3
+    for cert, (lattice, m_class, b_class, _) in nefs:
+        lift = max(cert.lifts, key=lambda l: Fraction(l.class_e, l.class_b))
+        assert m_class == lift.class_b * b_class + lift.class_e * lattice.exceptional_class()
+
+
 def test_vanishing_orders_reproduce_stated_lifts(catalog):
     # sections x, z, w at the half point lift to B, 3B+E, 4B+E
     record, orders = section_orders(catalog, 50, 1, (0, 2, 4))
@@ -129,6 +190,13 @@ def test_vanishing_order_matches_fraction_sums(catalog):
             rest = [m for m in support.monomials if m[4] == 0]
             want = min(sum((e * a for e, a in zip(m, weights)), Fraction(0)) for m in rest)
             assert vanishing_order(support, weights, eliminated=4) == want
+
+
+def test_vanishing_order_rejects_weights_of_another_length():
+    support = MonomialSupport(degree=1, monomials=frozenset({(1, 0, 0, 0, 0)}))
+    for weights in ((Fraction(1, 3),) * 4, (Fraction(1, 3),) * 6):
+        with pytest.raises(ValueError):
+            vanishing_order(support, weights)
 
 
 def test_vanishing_order_empty_residual():

@@ -3,9 +3,11 @@ Calls are counted by code object with the interpreter's profiler, so the
 count does not depend on how the functions are bound or wrapped, and it does
 not flake the way a wall time would."""
 
+import importlib
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +235,48 @@ def test_cli_builds_no_parser_per_command(capsys):
                               lambda: cli.main(["basket", "--family", "29"]))
     assert code == 0 and "No.29" in capsys.readouterr().out
     assert calls == {}
+
+
+def listed_functions() -> dict:
+    """Every function whose calls BENCHMARK.json lists per layer, by
+    `<module>.<function>`; the per-method dispatch names are one function."""
+    with open(Path(__file__).resolve().parents[1] / "BENCHMARK.json", encoding="utf-8") as fh:
+        names = [entry["name"] for entry in json.load(fh)["per_layer"] if entry["name"].endswith(".calls")]
+    functions = {}
+    for name in names:
+        module, function = name.split(".")[:2]
+        functions[f"{module}.{function}"] = getattr(importlib.import_module(f"fano_wci.{module}"), function)
+    return functions
+
+
+# one op on a text whose Members are derived, as every measured warm-cli op
+# but the first: each listed function not named makes no call
+VERIFY_TABLES_CALLS = {
+    "exclusion.dispatch": 73, "report.build_report": 14, "report.verify_family": 14,
+    "exclusion.gamma_polynomial": 19, "exclusion.qi_eligible": 7, "blowup.b_cubed": 26, "blowup.triple": 10,
+    "blowup.vanishing_order": 3, "blowup.ambient_quadruple": 1, "links.counterpart_inverse": 14,
+    "links.involution_inventory": 14, "catalog.load_catalog": 1,
+}
+ANALYZE_50_CALLS = {
+    "exclusion.dispatch": 8, "report.build_report": 1, "blowup.triple": 1, "blowup.vanishing_order": 1,
+    "blowup.ambient_quadruple": 1, "blowup.b_cubed": 1, "exclusion.gamma_polynomial": 1,
+    "exclusion.qi_eligible": 1, "catalog.load_catalog": 1,
+}
+PER_OP_CALLS = {
+    "verify-tables": VERIFY_TABLES_CALLS,
+    "analyze --family 50 --format md": {**ANALYZE_50_CALLS, "report.render_markdown": 1},
+    "analyze --family 50 --format json": {**ANALYZE_50_CALLS, "report.render_json": 1},
+}
+
+
+@pytest.mark.parametrize("command", PER_OP_CALLS)
+def test_an_op_on_a_loaded_text_makes_the_pinned_calls_of_every_listed_function(command, capsys):
+    # a speed-up that skips, shares or caches a certificate, a report or a
+    # golden check makes fewer calls; one that repeats work makes more
+    functions = listed_functions()
+    assert len(functions) == 20
+    argv = command.split()
+    assert cli.main(argv) == 0  # the text is loaded and its Members derived
+    calls, code = count_calls(functions, lambda: cli.main(argv))
+    assert code == 0 and capsys.readouterr().out
+    assert calls == PER_OP_CALLS[command]
