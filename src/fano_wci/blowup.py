@@ -43,9 +43,9 @@ class BlowupLattice:
         (valid when each center avoids the earlier exceptional divisors)."""
         return DivisorClass((Fraction(1), *(-disc for disc, _ in self.exceptionals)))
 
-    def exceptional_class(self, i: int = 0) -> "DivisorClass":
+    def exceptional_class(self) -> "DivisorClass":
         coeffs = [Fraction(0)] * self.rank
-        coeffs[1 + i] = Fraction(1)
+        coeffs[1] = Fraction(1)
         return DivisorClass(tuple(coeffs))
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from math import prod
 from typing import TYPE_CHECKING
 
 from .wps import MonomialSupport, anticanonical_cube, rat, rat_str, record
@@ -282,19 +281,16 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
         except (ValueError, ZeroDivisionError) as exc:
             raise CatalogError(f"{where}: bad a_cube {obj['a_cube']!r}: {exc}") from exc
         if strict:
-            weights, degrees = rec.weights, rec.degrees
-            ordered = weights if rec.kind == "G" else weights[:4]
+            ordered = rec.weights if rec.kind == "G" else rec.weights[:4]
             if list(ordered) != sorted(ordered):
                 order = "ascending" if rec.kind == "G" else "ascending x-weights, then the distinguished weight"
                 raise CatalogError(f"{where}: 'weights' of family {rec.id} ({rec.kind}) must be {order}, "
                                    f"got {list(rec.weights)}")
-            # (-K)^3 = prod(degrees) / prod(weights) at index 1, in integers; a_cube() words the error
-            if (sum(weights) - sum(degrees) != 1
-                    or a_cube.numerator * prod(weights) != a_cube.denominator * prod(degrees)):
-                try:
-                    computed = rec.a_cube()
-                except ValueError as exc:  # weights and degrees of the wrong Fano index
-                    raise CatalogError(f"{where}: {exc}") from exc
+            try:
+                computed = rec.a_cube()
+            except ValueError as exc:  # weights and degrees of the wrong Fano index
+                raise CatalogError(f"{where}: {exc}") from exc
+            if computed != a_cube:
                 raise CatalogError(
                     f"{where}: a_cube mismatch for family {rec.id} ({rec.kind}): "
                     f"file says {obj['a_cube']}, weights/degrees give {rat_str(computed)}"

@@ -147,62 +147,36 @@ def monomials_of_degree(d: int, w: tuple[int, ...], variables: tuple[int, ...] |
     to every vector: the support of `m * f` for a monomial m and a form f of
     degree d.  The result's degree is d plus the weighted degree of `offset`.
 
-    The coordinates are ordered largest weight first (a stable sort, so equal
-    weights keep their order).  The exponent of the last coordinate, of the
-    smallest weight a, is solved in closed form: the remaining degree r gives
-    the exponent r // a when a divides r, and no monomial otherwise.  When a
-    is 1, as for the x coordinates of every catalog record, every exponent of
-    the other coordinates gives one monomial.  The next-to-last coordinate's
-    exponent is the inner loop, and the ones before it advance like an
-    odometer, the last of them fastest, on plain locals: each tuple is built
-    once, already offset, with no Python call per partial vector.
+    Depth first from the offset, over the coordinates largest weight first
+    (a stable sort): each coordinate but the last takes every exponent that
+    fits the degree r left, and the last one, of weight a, gets r // a when
+    a divides r.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
     vec = [0] * len(w) if offset is None else list(offset)
     if len(vec) != len(w):
         raise ValueError(f"offset {offset} does not match weights {w}")
-    degree = d if offset is None else d + sum([e * a for e, a in zip(vec, w)])
-    order = sorted(range(len(w)) if variables is None else variables,
-                   key=w.__getitem__, reverse=True)
+    start = tuple(vec)
+    order = sorted(range(len(w)) if variables is None else variables, key=w.__getitem__, reverse=True)
     found: list[Monomial] = []
-    if not order:
-        if d == 0:
-            found.append(tuple(vec))
-        return MonomialSupport(degree=degree, monomials=frozenset(found))
-    append = found.append
-    base = vec[:]
-    last = order.pop()
-    a_last, base_last = w[last], base[last]
-    # a lone coordinate is also the inner one, with a step above d: the inner
-    # loop then runs once and the closed form sets its exponent
-    inner = order.pop() if order else last
-    a_inner = w[inner] if inner != last else d + 1
-    base_inner = base[inner]
-    outer = len(order)  # the coordinates left in order advance as an odometer
-    r = d  # the degree left for the inner and last coordinates
-    while True:
-        left, e = r, base_inner
-        while left >= 0:
-            if left % a_last == 0:
-                vec[inner] = e
-                vec[last] = base_last + left // a_last
-                append(tuple(vec))
-            left -= a_inner
-            e += 1
-        k = outer
-        while k:
-            k -= 1
-            i = order[k]
-            a = w[i]
-            if r >= a:
-                vec[i] += 1
-                r -= a
-                break
-            r += (vec[i] - base[i]) * a
-            vec[i] = base[i]
-        else:
-            return MonomialSupport(degree=degree, monomials=frozenset(found))
+
+    def extend(k: int, left: int) -> None:
+        i, a = order[k], w[order[k]]
+        if k == len(order) - 1:
+            if left % a == 0:
+                vec[i] = start[i] + left // a
+                found.append(tuple(vec))
+            return
+        for e in range(left // a + 1):
+            vec[i] = start[i] + e
+            extend(k + 1, left - e * a)
+
+    if order:
+        extend(0, d)
+    elif d == 0:
+        found.append(start)
+    return MonomialSupport(degree=d + sum([e * a for e, a in zip(start, w)]), monomials=frozenset(found))
 
 
 def anticanonical_cube(weights: tuple[int, ...], degrees: tuple[int, ...], label: str = "") -> Fraction:

@@ -101,6 +101,18 @@ def test_strict_load_rejects_wrong_a_cube(tmp_path):
     assert cat.golden(19).a_cube != cat.gprime(19).a_cube()
 
 
+def test_strict_load_rejects_a_record_of_the_wrong_fano_index(tmp_path):
+    # X'_8 in P(1,1,2,4,2): the x-weights stay ascending, and the index is 2
+    def mutate(raw):
+        for obj in raw:
+            if obj["id"] == 19 and obj["kind"] == "Gprime":
+                obj["weights"][3] = 4
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(_tamper(tmp_path, mutate))
+    assert str(exc.value) == ("catalog entry #3: record No.19/Gprime: not anticanonically embedded "
+                              "of index 1 (sum weights - sum degrees = 2)")
+
+
 def test_load_rejects_unknown_id(tmp_path):
     def mutate(raw):
         raw[0]["id"] = 18

@@ -8,10 +8,10 @@ with int(); the reference on a "p/q" or "p" string of ASCII digits is
 `Fraction`, and every other string must raise ValueError.  Each pair must
 agree on the value, or on the exception's type and message.
 
-`family_support` takes its f, g and h pieces from the loop kernel of
-`monomials_of_degree`, already offset by their fixed factors;
-`reference_family_support` is the recursive enumeration and the shift pass
-they replaced, kept verbatim apart from names and annotations.
+`family_support` takes its f, g and h pieces from `monomials_of_degree`,
+enumerated from their fixed factors as offsets;
+`reference_family_support` is the enumeration without offsets and the
+shift pass they replaced, kept verbatim apart from names and annotations.
 
 `tangent_coordinate` and `exclusion.qi_eligible` read the tangent
 monomials x_v^k x_j at a vertex v off `tangent_monomials`;

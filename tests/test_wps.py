@@ -160,6 +160,12 @@ def test_monomials_offset_must_match_the_weights():
         monomials_of_degree(2, W5, offset=(1, 0))
 
 
+def test_monomials_degree_must_not_be_negative():
+    with pytest.raises(ValueError) as exc:
+        monomials_of_degree(-1, W5)
+    assert str(exc.value) == "degree must be >= 0, got -1"
+
+
 def test_sorted_is_deterministic():
     s = monomials_of_degree(4, (1, 1, 2))
     assert s.sorted() == sorted(s.monomials, reverse=True)
