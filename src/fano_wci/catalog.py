@@ -60,10 +60,10 @@ class FamilyPair:
 class Member(FamilyPair):
     """A family pair with the algebra derived from it: the hypersurface
     member's (-K)^3, standard form, monomial support and singular locus
-    (quotient points, and the cAx point with its extractions).  Built by
-    `Catalog.member` at most once per family, catalog text and strictness in
-    a process; every layer reads it instead of deriving the same data
-    again."""
+    (quotient points, and the cAx point with its extractions), which every
+    layer reads.  `Catalog.member` builds the general member once per
+    family, text and strictness in a process; a stratum (some monomials
+    struck) is built from `singular_locus` and this constructor, uncached."""
 
     a_cube: Fraction
     shape: StandardForm

@@ -19,8 +19,7 @@ from .wps import rat_str, wps_str
 
 
 def cmd_analyze(args) -> int:
-    catalog = load_catalog(args.catalog)
-    report = build_report(catalog, args.family)
+    report = build_report(load_catalog(args.catalog).member(args.family))
     if args.format == "json":
         print(json.dumps(render_json(report), indent=2, sort_keys=True))
     else:
@@ -41,8 +40,7 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_links(args) -> int:
-    catalog = load_catalog(args.catalog)
-    member = catalog.member(args.family)
+    member = load_catalog(args.catalog).member(args.family)
     g, gp, shape = member.g, member.gprime, member.shape
     d1, d2 = g.degrees
     print(f"No.{args.family}: X_{{{d1},{d2}}} in {wps_str(g.weights)}")
@@ -55,8 +53,7 @@ def cmd_links(args) -> int:
 
 
 def cmd_basket(args) -> int:
-    catalog = load_catalog(args.catalog)
-    member = catalog.member(args.family)
+    member = load_catalog(args.catalog).member(args.family)
     gp = member.gprime
     print(f"No.{args.family}: X'_{gp.degrees[0]} in {wps_str(gp.weights)}, "
           f"A^3 = {rat_str(member.a_cube)}")

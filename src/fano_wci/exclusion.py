@@ -3,10 +3,11 @@ maximal center, or tag the birational involution / link that untwists it.
 
 `POINT_RULES` states, for every catalog family and every point center of its
 general member, which certificate applies under which condition; `dispatch`
-builds the certificate of one branch with its method's builder in `BUILDERS`,
-and the certificate judges itself (`verdict()`).  Conditions are strings such
-as "exists-wci(1,1,2)" or "monomial-absent(y^2 z)", mirroring the condition
-marks of the catalog's link column; "" marks an unconditional branch.
+builds the certificate of one branch at a center of a `Member` with the
+method's builder in `BUILDERS`, and the certificate judges itself
+(`verdict()`).  Conditions are strings such as "exists-wci(1,1,2)" or
+"monomial-absent(y^2 z)", mirroring the condition marks of the catalog's
+link column; "" marks an unconditional branch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .blowup import (BlowupLattice, DivisorClass, SectionLift, ambient_quadruple, b_cubed,
                      nef_bound_check, triple, vanishing_order)
-from .catalog import Catalog, Member
+from .catalog import Member
 from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex, tangent_monomials
 from .wps import MonomialSupport, max_pair_lcm, rat_str, record
 
@@ -206,7 +207,7 @@ class InfiniteCurves:
 @record
 class Untwist:
     method = "untwist"
-    tag: str  # "QI" | "EI" | "II" | "link"
+    tag: str  # "QI" | "EI" | "II" | "link": the branch's link tag; any other tag is uncovered
     point: str
     condition: str = ""
     counterpart_id: int | None = None
@@ -450,15 +451,10 @@ def _nef_divisor(member: Member, center: Center, branch: RuleBranch, earlier: Ea
     w = member.gprime.weights
     vertex = point_vertex(w, q.locus)
     support = support_with_point_at_vertex(member.support, vertex, w[vertex])
-    local = tuple(
-        Fraction(0) if i == vertex else Fraction(w[i] % q.r, q.r) for i in range(5)
-    )
+    local = tuple(Fraction(0) if i == vertex else Fraction(w[i] % q.r, q.r) for i in range(5))
     lifts = []
     for i in NEF_SECTIONS:
-        if i == 4:
-            order = vanishing_order(support, local, eliminated=4)
-        else:
-            order = local[i]
+        order = vanishing_order(support, local, eliminated=4) if i == 4 else local[i]
         lifts.append(SectionLift.of(w[i], order, q.r))
     c, certified = nef_bound_check(lifts, q)
     # M is the lift that attains c = max(class_e / class_b), the first on a tie: its
@@ -529,6 +525,9 @@ def _infinite_curves(member: Member, center: Center, branch: RuleBranch, earlier
 def _untwist(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> Untwist:
     record = member.gprime
     locus, tag = center.locus, branch.tag
+    if tag not in ("QI", "EI", "II", "link"):
+        raise UncoveredCaseError(f"family {record.id} {locus}: untwist needs a QI, EI, II or link tag, "
+                                 f"not {tag!r}")
     eligible = None
     if tag == "QI":
         eligible = qi_eligible(member, locus)
@@ -549,17 +548,17 @@ BUILDERS = {"curve": _curve, "isolation": _isolation, "surface-pair": _surface_p
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def dispatch(family_id: int, center: Center, condition: str = "", *, catalog: Catalog,
+def dispatch(member: Member, center: Center, condition: str = "", *,
              earlier: Earlier = ()) -> tuple[Certificate, Verdict]:
-    """Build and judge the certificate of the branch of a center, of the
-    general member of a catalog family, whose condition is `condition` (""
-    for an unconditional branch); `catalog` holds the family's Member.  A
-    curve and the nonsingular point have one unconditional branch, a point
-    center the `POINT_RULES` branches of its locus.
+    """Build and judge the certificate of the branch of a center of `member`,
+    a family's general member (`Catalog.member`) or a stratum of it, whose
+    condition is `condition` ("" for an unconditional branch).  A curve and
+    the nonsingular point have one unconditional branch, a point center the
+    `POINT_RULES` branches of its locus under the member's family id.
 
     `earlier` holds the certificates already built for other branches of the
     same center; a branch that rests on one of them reuses it."""
-    member = catalog.member(family_id)
+    family_id = member.g.id
     branches = _branches(family_id, center)
     if not branches:
         raise UncoveredCaseError(f"family {family_id} has no center at {center.locus}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import blowup, exclusion, links, singularities
-from .catalog import BASKET_KEYS, LINK_KEYS, Catalog, FamilyPair, Member
+from .catalog import BASKET_KEYS, LINK_KEYS, Catalog, FamilyPair, FamilyRecord, Member
 from .exclusion import Center, Certificate, Verdict
 from .wps import rat_str, record, wps_str
 
@@ -94,19 +94,17 @@ class Report:
         return "all-centers-resolved" if not self.uncovered else f"uncovered-cases({', '.join(self.uncovered)})"
 
 
-def build_report(catalog: Catalog, family_id: int) -> Report:
-    """Every center of the family's general member (`exclusion.centers`)
-    with one result per branch, run under the branch's condition and with
-    its link tag."""
-    member = catalog.member(family_id)
+def build_report(member: Member) -> Report:
+    """Every center of `member` (`exclusion.centers`), a family's general
+    member or a stratum of it, with one result per branch, run under the
+    branch's condition and with its link tag."""
     centers: list[CenterReport] = []
     for center, branches in exclusion.centers(member):
-        results = []
-        uncovered = []
+        results, uncovered = [], []
         earlier = ()  # the certificates of the center's branches that ran
         for br in branches:
             try:
-                cert, verdict = exclusion.dispatch(family_id, center, br.condition, catalog=catalog, earlier=earlier)
+                cert, verdict = exclusion.dispatch(member, center, br.condition, earlier=earlier)
             except exclusion.UncoveredCaseError as exc:
                 uncovered.append(str(exc))
                 continue
@@ -310,7 +308,7 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
         # every center of the report resolves, its point branches are the
         # golden link column, and each witness entry of the family in the
         # golden tables is compared with a certificate of its method
-        report = build_report(catalog, family_id)
+        report = build_report(member)
         got = links.involution_inventory(report)
         want = list(golden.link_column)
         if got != want:
@@ -363,16 +361,15 @@ def verify_tables(catalog: Catalog) -> list[str]:
             if family not in ids:
                 diffs.append(f"family {family}: table {table}[{key!r}] unchecked: family not in the catalog")
     try:
-        diffs.extend(_verify_towers(catalog))
+        diffs.extend(_verify_towers(catalog.g(19)))
     except ValueError as exc:  # the family 19 G record is not of index one
         diffs.append(f"family 19: blowup tower: {exc}")
     return diffs
 
 
-def _verify_towers(catalog: Catalog) -> list[str]:
-    """The two blowup-tower numbers quoted for family 19."""
+def _verify_towers(g19: FamilyRecord) -> list[str]:
+    """The two blowup-tower numbers quoted for family 19, from its G record."""
     diffs = []
-    g19 = catalog.g(19)
     half = singularities.QuotientSingularity(2, 1)
     quarter = singularities.QuotientSingularity(4, 1)
     lattice = blowup.BlowupLattice.over(g19.a_cube(), [half, quarter])

@@ -372,10 +372,10 @@ def edge_singularities(record: FamilyRecord, edge: tuple[int, int],
 
 def singular_locus(record: FamilyRecord, shape: StandardForm,
                    support: MonomialSupport) -> tuple[list[QuotientSingularity], CAxPoint]:
-    """The full basket of a general member: vertex points, edge points, and
-    the distinguished cAx point (square type, coefficients being generic).
-    `shape` and `support` are the record's `equation_shape` and
-    `family_support`."""
+    """The full basket of a member: vertex points, edge points, and the
+    distinguished cAx point, whose type is read off `support`.  `shape` is
+    the record's `equation_shape`; `support` is its `family_support`, or a
+    stratum's support with some monomials struck."""
     quotients = vertex_singularities(record, support)
     w = record.weights
     for i in range(5):
@@ -386,21 +386,27 @@ def singular_locus(record: FamilyRecord, shape: StandardForm,
             if found is not None:
                 quotients.append(found)
     quotients.sort(key=lambda q: (q.locus, q.r))
-    return quotients, cax_classify(shape, f_is_zero=False, g1_is_zero=False)
+    return quotients, cax_classify(shape, support)
 
 
-def cax_classify(shape: StandardForm, f_is_zero: bool, g1_is_zero: bool) -> CAxPoint:
+def cax_classify(shape: StandardForm, support: MonomialSupport) -> CAxPoint:
     """Type, square/non-square classification and extractions of the
-    distinguished point of a member of standard form `shape`: cAx/b.
+    distinguished point, cAx/b, of a member of standard form `shape`.
 
-    For the double-cover shape the point is of non-square type exactly when
-    f = 0; for the triple-cover shape, exactly when the x1-derivative of g
-    restricted to the x2, x3 slots vanishes.  The extractions' blowup
+    The type is read off the member's `support`, x0 and x1 being the
+    coordinates of roles a0 and a1.  For the double-cover shape the point is
+    of non-square type exactly when f = 0: no term w^2 x0 f.  For the
+    triple-cover shape, exactly when the x1-derivative of g restricted to the
+    x2, x3 slots vanishes: no term w x1 free of x0.  The extractions' blowup
     weights come from the ambient formula, (a4, a1, a2, a3) / b, not from
     the weight parameter of the extraction classification, which support
     data alone cannot determine.
     """
-    square = not (f_is_zero if shape.double_cover else g1_is_zero)
+    x0, x1 = shape.positions[:2]
+    if shape.double_cover:
+        square = any(m[4] == 2 and m[x0] == 1 for m in support.monomials)
+    else:
+        square = any(m[4] == 1 and m[x0] == 0 and m[x1] == 1 for m in support.monomials)
     _, a1, a2, a3, a4, _ = shape.role_weights
     return CAxPoint(modulus=shape.b, square_type=square,
                     extraction_weights=tuple(Fraction(a, shape.b) for a in (a4, a1, a2, a3)))

@@ -34,6 +34,6 @@ def test_every_listed_function_is_public_in_its_module():
 def test_the_listed_dispatch_methods_are_the_methods_of_the_shipped_reports(catalog):
     listed = {name.removeprefix(DISPATCH) for name in listed_calls() if name.startswith(DISPATCH)}
     ran = {br.verdict.method for fid in catalog.ids()
-           for cr in build_report(catalog, fid).centers for br in cr.branches}
+           for cr in build_report(catalog.member(fid)).centers for br in cr.branches}
     assert len(catalog.ids()) == 14
     assert listed == ran and len(ran) == 9

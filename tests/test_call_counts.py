@@ -208,7 +208,7 @@ def test_negdef_matrix_reuses_the_nef_divisor():
     # family 50's half point has a nef-divisor branch and a negdef-matrix
     # branch resting on the same (M . B^2)
     catalog = load_catalog()
-    calls, report = count_calls({"nef": exclusion._nef_divisor}, lambda: build_report(catalog, 50))
+    calls, report = count_calls({"nef": exclusion._nef_divisor}, lambda: build_report(catalog.member(50)))
     half = next(cr for cr in report.centers if cr.center.describe().startswith("p1p4"))
     assert [br.verdict.method for br in half.branches] == ["nef-divisor", "negdef-matrix"]
     assert calls == {"nef": 1}

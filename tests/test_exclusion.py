@@ -43,7 +43,7 @@ def test_curve_cycle():
 def test_isolation_examples(catalog):
     cases = {42: (2, 10, F(40, 3)), 19: (2, 6, F(6)), 50: (1, 20, F(240, 7)), 23: (4, 6, F(48, 5))}
     for fid, (drop, bound, limit) in cases.items():
-        cert, verdict = dispatch(fid, Center.smooth_point(), catalog=catalog)
+        cert, verdict = dispatch(catalog.member(fid), Center.smooth_point())
         assert cert == Isolation(bound=bound, limit=limit, dropped_vertex=drop)
         assert F(4) / catalog.gprime(fid).a_cube() == limit
         assert verdict.excluded
@@ -144,37 +144,37 @@ def test_qi_eligibility(catalog):
 
 def test_dispatch_example_23(catalog):
     q = QuotientSingularity(2, 1, locus="p2p4")
-    cert, verdict = dispatch(23, Center.quotient_point(q), "not-exists-wci(1,1,4)", catalog=catalog)
+    cert, verdict = dispatch(catalog.member(23), Center.quotient_point(q), "not-exists-wci(1,1,4)")
     assert isinstance(cert, SurfacePair) and verdict.excluded
-    cert, verdict = dispatch(23, Center.quotient_point(q), "exists-wci(1,1,4)", catalog=catalog)
+    cert, verdict = dispatch(catalog.member(23), Center.quotient_point(q), "exists-wci(1,1,4)")
     assert isinstance(cert, InfiniteCurves) and verdict.excluded
 
 
 def test_dispatch_example_19_third_point(catalog):
     q = QuotientSingularity(3, 1, locus="p3")
-    cert, verdict = dispatch(19, Center.quotient_point(q), catalog=catalog)
+    cert, verdict = dispatch(catalog.member(19), Center.quotient_point(q))
     assert isinstance(cert, Untwist) and cert.tag == "QI"
     assert not verdict.excluded and verdict.resolved
 
 
 def test_dispatch_curve_special(catalog):
-    cert, verdict = dispatch(19, Center.curve(F(1, 2)), catalog=catalog)
+    cert, verdict = dispatch(catalog.member(19), Center.curve(F(1, 2)))
     assert isinstance(cert, CurveGamma) and verdict.witness == F(-1, 2)
-    cert, verdict = dispatch(17, Center.curve(F(1, 2)), catalog=catalog)
+    cert, verdict = dispatch(catalog.member(17), Center.curve(F(1, 2)))
     assert cert.method == "curve-cycle" and verdict.excluded
 
 
 def test_dispatch_uncovered_cases(catalog):
     q = QuotientSingularity(2, 1, locus="p2p4")
     with pytest.raises(UncoveredCaseError, match="expected one of: 'not-exists-wci"):
-        dispatch(23, Center.quotient_point(q), catalog=catalog)
+        dispatch(catalog.member(23), Center.quotient_point(q))
     with pytest.raises(UncoveredCaseError, match="expected one of: ''"):
-        dispatch(19, Center.quotient_point(QuotientSingularity(3, 1, locus="p3")), "exists-wci(1,1,2)",
-                 catalog=catalog)
+        dispatch(catalog.member(19), Center.quotient_point(QuotientSingularity(3, 1, locus="p3")),
+                 "exists-wci(1,1,2)")
     with pytest.raises(UncoveredCaseError, match="no center"):
-        dispatch(17, Center.quotient_point(QuotientSingularity(2, 1, locus="p1p2")), catalog=catalog)
+        dispatch(catalog.member(17), Center.quotient_point(QuotientSingularity(2, 1, locus="p1p2")))
     with pytest.raises(UncoveredCaseError, match="below"):
-        dispatch(17, Center.curve(F(1, 4)), catalog=catalog)
+        dispatch(catalog.member(17), Center.curve(F(1, 4)))
 
 
 def test_a_condition_on_a_single_branch_center_is_rejected(catalog):
@@ -182,18 +182,18 @@ def test_a_condition_on_a_single_branch_center_is_rejected(catalog):
     # condition names no branch there, as at a point center
     with pytest.raises(UncoveredCaseError, match="family 17 nonsingular point: no branch under condition "
                                                  "'exists-wci\\(1,1,2\\)'; expected one of: ''$"):
-        dispatch(17, Center.smooth_point(), "exists-wci(1,1,2)", catalog=catalog)
+        dispatch(catalog.member(17), Center.smooth_point(), "exists-wci(1,1,2)")
     with pytest.raises(UncoveredCaseError, match="family 19 curve of degree 1/2: no branch under condition "
                                                  "'monomial-absent\\(y\\^2 z\\)'; expected one of: ''$"):
-        dispatch(19, Center.curve(F(1, 2)), "monomial-absent(y^2 z)", catalog=catalog)
+        dispatch(catalog.member(19), Center.curve(F(1, 2)), "monomial-absent(y^2 z)")
 
 
 def test_verdict_witness_reverifies(catalog):
     # recomputing a verdict's witness from the certificate inputs reproduces it
     q = QuotientSingularity(2, 1, locus="p2p4")
-    cert, verdict = dispatch(23, Center.quotient_point(q), "not-exists-wci(1,1,4)", catalog=catalog)
+    cert, verdict = dispatch(catalog.member(23), Center.quotient_point(q), "not-exists-wci(1,1,4)")
     assert verdict.witness == cert.a1 ** 2 * cert.b_cube
-    cert, verdict = dispatch(19, Center.curve(F(1, 2)), catalog=catalog)
+    cert, verdict = dispatch(catalog.member(19), Center.curve(F(1, 2)))
     assert verdict.witness == 3 * cert.a_cube - 2 * cert.deg + cert.gamma_sq
 
 
@@ -203,7 +203,7 @@ def test_all_excluded_witnesses_reverify(catalog):
     from fano_wci.report import build_report
 
     for fid in catalog.ids():
-        report = build_report(catalog, fid)
+        report = build_report(catalog.member(fid))
         a_cube = catalog.gprime(fid).a_cube()
         for cr in report.centers:
             for br in cr.branches:
@@ -236,6 +236,6 @@ def test_all_excluded_witnesses_reverify(catalog):
 def test_certificates_serialize(catalog):
     q = QuotientSingularity(2, 1, locus="p1p4")
     for condition in ("not-exists-wci(1,3,4)", "exists-wci(1,3,4)"):
-        cert, _ = dispatch(50, Center.quotient_point(q), condition, catalog=catalog)
+        cert, _ = dispatch(catalog.member(50), Center.quotient_point(q), condition)
         blob = certificate_json(cert)
         assert blob["paper_method"] == cert.method

@@ -5,6 +5,10 @@ from fano_wci.links import (build_counterpart, check_counterpart, counterpart_in
                             to_standard_form)
 from fano_wci.report import build_report
 from fano_wci.singularities import StandardFormError, cax_classify, equation_shape
+from fano_wci.wps import MonomialSupport
+
+# the extraction weights are read off the form alone: no support is needed
+NO_TERMS = MonomialSupport(0, frozenset())
 
 
 def form(catalog, fid):
@@ -76,8 +80,8 @@ def test_counterparts_match_catalog(catalog):
         assert shape.subfamily == g_form.subfamily
         assert ((shape.role_weights, shape.degrees, shape.z_degree, shape.shape_name)
                 == (g_form.role_weights, g_form.degrees, g_form.z_degree, g_form.shape_name)), f"family {fid}"
-        assert (cax_classify(shape, False, False).extraction_weights
-                == cax_classify(g_form, False, False).extraction_weights)
+        assert (cax_classify(shape, NO_TERMS).extraction_weights
+                == cax_classify(g_form, NO_TERMS).extraction_weights)
 
 
 def test_b_matches_subfamily(catalog):
@@ -113,11 +117,11 @@ def test_round_trip_is_identity(catalog):
 
 
 def test_involution_inventory_examples(catalog):
-    tags = involution_inventory(build_report(catalog, 30))
+    tags = involution_inventory(build_report(catalog.member(30)))
     p2 = {(condition, tag) for point, tag, condition in tags if point == "p2"}
     assert p2 == {("monomial-present(y^2 z)", "QI"), ("monomial-absent(y^2 z)", "none")}
 
-    tags = involution_inventory(build_report(catalog, 19))
+    tags = involution_inventory(build_report(catalog.member(19)))
     half = {(condition, tag) for point, tag, condition in tags if point == "p2p4"}
     assert half == {("not-exists-wci(1,1,2)", "EI"), ("exists-wci(1,1,2)", "II")}
     assert ("p4", "link", "") in tags
@@ -125,5 +129,5 @@ def test_involution_inventory_examples(catalog):
 
 def test_inventory_matches_golden(catalog):
     for fid in catalog.ids():
-        got = involution_inventory(build_report(catalog, fid))
+        got = involution_inventory(build_report(catalog.member(fid)))
         assert got == list(catalog.golden(fid).link_column), f"family {fid}"

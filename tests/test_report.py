@@ -118,7 +118,31 @@ def test_a_quadratic_involution_without_its_monomial_is_uncovered(catalog, monke
         "[('p2p3', 'QI', ''), ('p4', 'link', '')]",
         "family 41: uncovered centers: uncovered-cases(family 41 p2p3: no x^2 y tangent monomial, "
         "quadratic involution not available)"]
-    rows = [line for line in render_markdown(build_report(catalog, 41)).splitlines()
+    rows = [line for line in render_markdown(build_report(catalog.member(41))).splitlines()
             if line.startswith("| p2p3 = ")]
     assert rows == ["| p2p3 = 1/3(1,1,2) | uncovered: family 41 p2p3: no x^2 y tangent monomial, "
                     "quadratic involution not available | uncovered |"]
+
+
+# every surface-pair branch of the rules, as (family, locus, condition)
+SURFACE_PAIRS = [(fid, locus, br.condition) for fid, rules in exclusion.POINT_RULES.items()
+                 for locus, branches in rules.items() for br in branches if br.method == "surface-pair"]
+
+
+@pytest.mark.parametrize("family, locus, condition", SURFACE_PAIRS,
+                         ids=[f"{fid}-{locus}" for fid, locus, _ in SURFACE_PAIRS])
+def test_an_exclusion_turned_into_an_untagged_untwist_is_a_mismatch(catalog, monkeypatch, family, locus,
+                                                                     condition):
+    # an untwist resolves its center, so a branch whose method is edited to
+    # untwist while its golden tag stays "none" must not pass as resolved
+    branches = tuple(exclusion.RuleBranch(br.condition, "untwist", br.tag) if br.condition == condition else br
+                     for br in exclusion.POINT_RULES[family][locus])
+    monkeypatch.setitem(exclusion.POINT_RULES[family], locus, branches)
+    lines = verify_tables(catalog)
+    assert lines and all(line.startswith(f"family {family}: ") for line in lines)
+    if family == 29:
+        assert lines == [
+            "family 29: link column computed [('p4', 'link', '')] != catalog "
+            "[('p2p4', 'none', ''), ('p4', 'link', '')]",
+            "family 29: uncovered centers: uncovered-cases(family 29 p2p4: untwist needs a QI, EI, II "
+            "or link tag, not 'none')"]

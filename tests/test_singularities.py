@@ -79,25 +79,54 @@ def test_baskets_match_golden(catalog):
         assert computed == list(catalog.golden(fid).basket), f"family {fid}"
 
 
+def dropped(member, *monomials):
+    """The member's support with the given monomials struck."""
+    support = member.support
+    assert all(m in support for m in monomials)
+    return MonomialSupport(support.degree, support.monomials - set(monomials))
+
+
+# No.19's three terms w^2 x0 f: without them f = 0
+F19 = [(0, 2, 1, 0, 2), (1, 1, 1, 0, 2), (2, 0, 1, 0, 2)]
+
+
 def test_cax_classify(catalog):
-    shape19, shape49 = catalog.member(19).shape, catalog.member(49).shape
-    p = cax_classify(shape19, f_is_zero=False, g1_is_zero=False)
+    m19, m49 = catalog.member(19), catalog.member(49)
+    p = cax_classify(m19.shape, m19.support)
     assert (p.modulus, p.square_type) == (2, True)
-    p = cax_classify(shape19, f_is_zero=True, g1_is_zero=False)
+    p = cax_classify(m19.shape, dropped(m19, *F19))
     assert (p.modulus, p.square_type) == (2, False)
-    p = cax_classify(shape49, f_is_zero=False, g1_is_zero=True)
+    # No.49: non-square once both x1-linear terms of g on x0 = 0 are struck
+    g1 = [(0, 1, 1, 1, 1), (0, 3, 0, 1, 1)]
+    p = cax_classify(m49.shape, dropped(m49, *g1))
     assert (p.modulus, p.square_type) == (4, False)
+    for term in g1:
+        assert cax_classify(m49.shape, dropped(m49, term)).square_type
+    # every general member is of square type
+    for fid in catalog.ids():
+        member = catalog.member(fid)
+        assert cax_classify(member.shape, member.support).square_type, f"family {fid}"
 
 
 def test_extractions_at_cax(catalog):
     # No.17: weights (a4, a1, a2, a3)/b = (3, 4, 1, 1)/2
-    p = cax_classify(catalog.member(17).shape, False, False)
+    m17 = catalog.member(17)
+    p = cax_classify(m17.shape, m17.support)
     assert p.extraction_weights == (Fraction(3, 2), Fraction(2), Fraction(1, 2), Fraction(1, 2))
-    assert p.extraction_count == 2 and p == catalog.member(17).cax
+    assert p.extraction_count == 2 and p == m17.cax
     # square vs non-square switches the number of extractions
-    shape19 = catalog.member(19).shape
-    assert cax_classify(shape19, f_is_zero=False, g1_is_zero=False).extraction_count == 2
-    assert cax_classify(shape19, f_is_zero=True, g1_is_zero=False).extraction_count == 1
+    m19 = catalog.member(19)
+    assert cax_classify(m19.shape, m19.support).extraction_count == 2
+    assert cax_classify(m19.shape, dropped(m19, *F19)).extraction_count == 1
+
+
+def test_cax_point_of_the_f_zero_stratum_of_23(catalog):
+    # w^2 x0 x1 is No.23's only w^2 x0 f term: on the stratum without it the
+    # singular locus finds one extraction at the cAx point, not two
+    m23 = catalog.member(23)
+    _, cax = singular_locus(m23.gprime, m23.shape, dropped(m23, (1, 1, 0, 0, 2)))
+    assert (cax.modulus, cax.square_type, cax.extraction_count) == (4, False, 1)
+    assert m23.cax.extraction_count == 2
 
 
 def test_equation_shape_resolves_roles(catalog):
