@@ -400,7 +400,7 @@ def _branches(family_id: int, center: Center) -> tuple[RuleBranch, ...]:
     if center.kind in SINGLE_BRANCH:
         return SINGLE_BRANCH[center.kind]
     if center.is_point:
-        return POINT_RULES[family_id].get(center.locus, ())
+        return POINT_RULES.get(family_id, {}).get(center.locus, ())
     raise UncoveredCaseError(f"unknown center kind {center.kind}")
 
 
@@ -432,7 +432,9 @@ def _curve(member: Member, center: Center, branch: RuleBranch, earlier: Earlier)
 
 def _isolation(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> Isolation:
     w = member.gprime.weights
-    drop = ISOLATION_DROP[member.gprime.id]
+    drop = ISOLATION_DROP.get(member.g.id)
+    if drop is None:
+        raise UncoveredCaseError(f"family {member.g.id}: no isolation vertex to drop")
     bound = max_pair_lcm(w, tuple(i for i in range(len(w)) if i != drop))
     return Isolation(bound=bound, limit=Fraction(4) / member.a_cube, dropped_vertex=drop)
 

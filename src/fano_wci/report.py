@@ -250,14 +250,10 @@ def _witness_str(value) -> str:
     return rat_str(value)
 
 
-def _family_of(key) -> int:
-    """The family of a golden-table key: the key, or its first entry."""
-    return key[0] if isinstance(key, tuple) else key
-
-
-def verify_family(catalog: Catalog, family_id: int) -> list[str]:
-    """All mismatches between recomputed quantities and golden data for one
-    family; empty when everything agrees."""
+def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
+    """All mismatches between recomputed quantities and the family's golden
+    entries `golden` (table -> key -> value); empty when everything agrees.
+    Each check takes its own entries out of `golden`."""
     diffs: list[str] = []
 
     def diff(msg: str) -> None:
@@ -265,18 +261,18 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
 
     try:
         pair = catalog.pair(family_id)
-        g, gp, golden = pair.g, pair.gprime, pair.golden
+        g, gp = pair.g, pair.gprime
 
         # degrees of the anticanonical models
         a_cube = gp.a_cube()
-        want = GOLDEN["a_cube"][family_id]
+        want = golden["a_cube"].pop(family_id)
         if a_cube != want:
             diff(f"A^3 computed {rat_str(a_cube)} != table {rat_str(want)}")
-        if golden.a_cube != a_cube:
-            diff(f"catalog a_cube {rat_str(golden.a_cube)} != computed {rat_str(a_cube)}")
+        if pair.golden.a_cube != a_cube:
+            diff(f"catalog a_cube {rat_str(pair.golden.a_cube)} != computed {rat_str(a_cube)}")
         g_a_cube = g.a_cube()
-        if golden.g_a_cube != g_a_cube:
-            diff(f"catalog G a_cube {rat_str(golden.g_a_cube)} != computed {rat_str(g_a_cube)}")
+        if pair.golden.g_a_cube != g_a_cube:
+            diff(f"catalog G a_cube {rat_str(pair.golden.g_a_cube)} != computed {rat_str(g_a_cube)}")
 
         # link construction and round trip: deriving the Member checks that
         # both records solve to the stated subfamily and that the Gprime
@@ -289,15 +285,13 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
 
         # basket, in singular-locus order with the cAx point last
         computed = list(member.basket)
-        stated = list(golden.basket)
+        stated = list(pair.golden.basket)
         if computed != stated:
             diff(f"basket computed {computed} != catalog {stated}")
 
         # blowup signs at every annotated quotient point
         points = {q.locus: q for q in member.quotients}
-        for (fid, locus), sign in GOLDEN["b_cube_signs"].items():
-            if fid != family_id:
-                continue
+        for (_, locus), sign in golden.pop("b_cube_signs").items():
             if locus not in points:
                 diff(f"no computed point at {locus} for B^3 sign check")
                 continue
@@ -306,39 +300,36 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
                 diff(f"B^3 at {locus} computed {rat_str(val)}, table sign says {sign}")
 
         # every center of the report resolves, its point branches are the
-        # golden link column, and each witness entry of the family in the
-        # golden tables is compared with a certificate of its method
+        # golden link column, and each witness entry of the family is taken
+        # by the first certificate of its method that reaches it
         report = build_report(member)
         got = links.involution_inventory(report)
-        want = list(golden.link_column)
+        want = list(pair.golden.link_column)
         if got != want:
             diff(f"link column computed {got} != catalog {want}")
         if report.uncovered:
             diff(f"uncovered centers: {report.birigid_summary}")
-        reached = set()
         for cr in report.centers:
             for br in cr.branches:
                 if br.verdict.method not in WITNESSES:
                     continue
                 table, by_locus, label, value_of = WITNESSES[br.verdict.method]
                 key = (family_id, cr.center.locus) if by_locus else family_id
-                if key not in GOLDEN[table]:
+                if key not in golden[table]:
                     continue
-                reached.add((table, key))
-                got, want = value_of(br.certificate, br.verdict), GOLDEN[table][key]
+                got, want = value_of(br.certificate, br.verdict), golden[table].pop(key)
                 if got != want:
                     diff(f"{label} {_witness_str(got)} != table {_witness_str(want)}")
                 if br.verdict.method == "nef-divisor" and not br.certificate.certified:
                     diff("nef divisor not certified")
         for method, (table, *_) in WITNESSES.items():
-            for key in GOLDEN[table]:
-                if _family_of(key) == family_id and (table, key) not in reached:
-                    diff(f"table {table}[{key!r}] unchecked: no {method} certificate ran")
+            for key in golden[table]:
+                diff(f"table {table}[{key!r}] unchecked: no {method} certificate ran")
 
         # restriction-curve supports
-        if family_id in GOLDEN["gamma_rows"]:
+        if family_id in golden["gamma_rows"]:
             support = exclusion.gamma_polynomial(member)
-            want = GOLDEN["gamma_rows"][family_id]
+            want = golden["gamma_rows"].pop(family_id)
             if support.monomials != want:
                 diff(f"restriction curve support {sorted(support.monomials)} != table {sorted(want)}")
     except (ValueError, LookupError) as exc:
@@ -350,16 +341,20 @@ def verify_family(catalog: Catalog, family_id: int) -> list[str]:
 
 
 def verify_tables(catalog: Catalog) -> list[str]:
-    diffs: list[str] = []
-    ids = catalog.ids()
-    for family_id in ids:
-        diffs.extend(verify_family(catalog, family_id))
-    # verify_family reads only the entries of catalog families
+    # GOLDEN grouped afresh by family, then table: a key is its family or
+    # (family, locus).  Each catalog family checks its own entries, and an
+    # entry of any other family is a mismatch line after theirs
+    golden = {family_id: {table: {} for table in GOLDEN} for family_id in catalog.ids()}
+    outside: list[str] = []
     for table, entries in GOLDEN.items():
-        for key in entries:
-            family = _family_of(key)
-            if family not in ids:
-                diffs.append(f"family {family}: table {table}[{key!r}] unchecked: family not in the catalog")
+        for key, value in entries.items():
+            family = key[0] if isinstance(key, tuple) else key
+            if family in golden:
+                golden[family][table][key] = value
+            else:
+                outside.append(f"family {family}: table {table}[{key!r}] unchecked: family not in the catalog")
+    diffs = [line for family_id, entries in golden.items() for line in verify_family(catalog, family_id, entries)]
+    diffs += outside
     try:
         diffs.extend(_verify_towers(catalog.g(19)))
     except ValueError as exc:  # the family 19 G record is not of index one

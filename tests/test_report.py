@@ -2,11 +2,13 @@
 certificate of its method, and reports an entry that no such certificate
 reaches instead of skipping it."""
 
+import copy
 from fractions import Fraction
 
 import pytest
 
 from fano_wci import exclusion, report
+from fano_wci.catalog import FamilyRecord, Member
 from fano_wci.report import GOLDEN, build_report, render_markdown, verify_tables
 
 F = Fraction
@@ -94,6 +96,48 @@ def test_a_golden_entry_of_a_family_outside_the_catalog_is_a_mismatch(catalog, m
     family = key[0] if isinstance(key, tuple) else key
     assert verify_tables(catalog) == [
         f"family {family}: table {table}[{key!r}] unchecked: family not in the catalog"]
+
+
+def test_several_golden_faults_print_their_lines_in_family_order(catalog, monkeypatch):
+    # two unreached entries of one catalog family come in WITNESSES order;
+    # the entries of families outside the catalog follow, in table order
+    tables = GOLDEN
+    for table, key, value in (("nef_witness", 17, F(-1, 4)), ("curve_witness", 17, F(-1, 2)),
+                              ("nef_witness", 99, F(-1, 4)), ("matrices", (95, "p2"), (F(1, 4), F(-2, 5), F(1))),
+                              ("isolation", 99, (10, F(40, 3)))):
+        tables = {**tables, table: {**tables[table], key: value}}
+    monkeypatch.setattr(report, "GOLDEN", tables)
+    assert verify_tables(catalog) == [
+        "family 17: table nef_witness[17] unchecked: no nef-divisor certificate ran",
+        "family 17: table curve_witness[17] unchecked: no curve-gamma certificate ran",
+        "family 99: table nef_witness[99] unchecked: family not in the catalog",
+        "family 95: table matrices[(95, 'p2')] unchecked: family not in the catalog",
+        "family 99: table isolation[99] unchecked: family not in the catalog",
+    ]
+
+
+def test_verification_leaves_the_golden_tables_untouched(catalog, monkeypatch):
+    # each call checks entries out of its own grouping of the tables, never
+    # out of GOLDEN, so a second call sees every entry again
+    tables = golden_with("nef_witness", 17, F(-1, 4))
+    snapshot = copy.deepcopy(tables)
+    monkeypatch.setattr(report, "GOLDEN", tables)
+    line = "family 17: table nef_witness[17] unchecked: no nef-divisor certificate ran"
+    assert verify_tables(catalog) == [line]
+    assert verify_tables(catalog) == [line]
+    assert tables == snapshot
+
+
+def test_a_member_of_a_family_without_rules_is_reported_uncovered(catalog):
+    # family 50's member under id 7, which no rule table knows: each point
+    # without rules is uncovered rather than a KeyError
+    m = catalog.member(50)
+    member = Member(g=FamilyRecord(7, "G", m.g.weights, m.g.degrees),
+                    gprime=FamilyRecord(7, "Gprime", m.gprime.weights, m.gprime.degrees), golden=m.golden,
+                    a_cube=m.a_cube, shape=m.shape, support=m.support, quotients=m.quotients, cax=m.cax)
+    assert build_report(member).uncovered == (
+        "family 7: no isolation vertex to drop", "family 7 has no center at p1p4",
+        "family 7 has no center at p2", "family 7 has no center at p3", "family 7 has no center at p4")
 
 
 def test_an_uncertified_nef_divisor_is_a_mismatch(catalog, monkeypatch):
