@@ -288,6 +288,7 @@ def gamma_polynomial(member: Member) -> MonomialSupport:
     return MonomialSupport(degree=support.degree, monomials=restricted)
 
 
+# cited from the paper; ROADMAP item 8 derives it
 GAMMA_NORMALIZED = frozenset({23})
 
 
@@ -327,19 +328,24 @@ class RuleBranch:
 
 
 # which vertex is dropped in the smooth-point isolation bound
+# cited from the paper; ROADMAP item 8 derives it
 ISOLATION_DROP = {17: 3, 19: 2, 23: 4, 29: 3, 30: 3, 41: 3, 42: 2,
                   49: 3, 50: 1, 55: 3, 69: 3, 74: 3, 77: 3, 82: 3}
 
 # degree of the exceptional low-degree curve through the cAx point, where one exists
+# cited from the paper; ROADMAP item 8 derives it
 SPECIAL_CURVE_DEG = {17: Fraction(1, 2), 19: Fraction(1, 2), 23: Fraction(1, 4)}
 
 # self-intersection bounds of the exceptional curves on their cutting surfaces
+# cited from the paper; ROADMAP item 8 derives it
 CURVE_GAMMA_SQ = {19: Fraction(-3, 2), 23: Fraction(-1)}
 
 # worst-case (Gamma . Delta) and deg Delta of the residual curve pair, family 17
+# cited from the paper; ROADMAP item 8 derives it
 CURVE_CYCLE_DATA = {17: (Fraction(1), Fraction(1, 2))}
 
 # coordinates whose sections lift to the nef divisor certificate's classes
+# cited from the paper; ROADMAP item 8 derives it
 NEF_SECTIONS = (0, 2, 4)
 
 POINT_RULES: dict[int, dict[str, tuple[RuleBranch, ...]]] = {
@@ -488,10 +494,12 @@ def _negdef_matrix(member: Member, center: Center, branch: RuleBranch, earlier: 
         return NegDefMatrix(alpha=alpha, beta=nef.m_b2 - alpha, parameter_floor=Fraction(1))
     # third point: (B . Gamma) via the ambient weighted blowup of the
     # 4-space; the companion entry is pinned golden data
+    # blowup weights and classes: cited from the paper; ROADMAP item 9 derives them
     alpha = ambient_quadruple(
         record.weights, 3, (1, 2, 2, 1),
         [(Fraction(1), Fraction(-1, 3)), (Fraction(1), Fraction(-1, 3)),
          (Fraction(2), Fraction(-2, 3)), (Fraction(4), Fraction(-1, 3))])
+    # beta = 1/60: cited from the paper; ROADMAP item 3 derives it
     return NegDefMatrix(alpha=alpha, beta=Fraction(1, 60), parameter_floor=Fraction(1, 2))
 
 
@@ -505,17 +513,21 @@ def _infinite_curves(member: Member, center: Center, branch: RuleBranch, earlier
     if fid == 23:
         # S . T splits off the WCI curve through the point, which meets -K in
         # 1/6 - 1/r; the residual pencil meets -K trivially
+        # the curve's 1/6: cited from the paper; ROADMAP item 2 derives it
         s, t = b, 4 * b
         b_dot = triple(lattice, b, s, t) - Fraction(r - 6, 6 * r)
         e_dot = triple(lattice, e, s, t) - 1
     elif fid == 30:
+        # both pairings: cited from the paper; ROADMAP item 2 derives them
         b_dot = Fraction(2 * r - 6, 3 * r)  # 2/3 - 2/r
         e_dot = Fraction(2)
     elif fid == 55:
+        # T's class: cited from the paper; ROADMAP item 9 derives it
         s, t = b, DivisorClass((Fraction(2), Fraction(-3, 2)))
         b_dot = triple(lattice, b, s, t)
         e_dot = triple(lattice, e, s, t)
     elif fid == 69:
+        # T's class: cited from the paper; ROADMAP item 9 derives it
         s, t = b, DivisorClass((Fraction(2), Fraction(-12, 5)))
         b_dot = triple(lattice, b, s, t)
         e_dot = triple(lattice, e, s, t)
@@ -572,6 +584,8 @@ def dispatch(member: Member, center: Center, condition: str = "", *,
         wanted = ", ".join(repr(br.condition) for br in branches)
         raise UncoveredCaseError(
             f"family {family_id} {where}: no branch under condition {condition!r}; expected one of: {wanted}")
+    if center.kind == "cax-point" and branch.method != "untwist":  # every other method needs a quotient point
+        raise UncoveredCaseError(f"family {family_id} p4: {branch.method} needs a quotient point")
     cert = BUILDERS[branch.method](member, center, branch, earlier)
     verdict = cert.verdict()
     if cert.method == "curve-degree" and not verdict.excluded:

@@ -1,11 +1,11 @@
 """Per-family analysis reports and the golden-table verification engine.
 
 `GOLDEN` maps each table of classification numbers (degrees, blowup signs,
-certificate witnesses, restriction-curve supports, isolation bounds) to its
-entries, and `WITNESSES` names the table of each certificate method's
-witness.  `verify_tables` recomputes every entry from weights and degrees
-alone and reports any difference; it is the machine-checkable regression
-for the whole catalog.
+family 19's blowup tower, certificate witnesses, restriction-curve supports,
+isolation bounds) to its entries, and `WITNESSES` names the table of each
+certificate method's witness.  `verify_tables` recomputes every entry from
+weights and degrees alone and reports any difference; it is the
+machine-checkable regression for the whole catalog.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import blowup, exclusion, links, singularities
-from .catalog import BASKET_KEYS, LINK_KEYS, Catalog, FamilyPair, FamilyRecord, Member
+from .catalog import BASKET_KEYS, LINK_KEYS, Catalog, FamilyPair, Member
 from .exclusion import Center, Certificate, Verdict
 from .wps import rat_str, record, wps_str
 
@@ -33,6 +33,7 @@ GOLDEN = {
         (55, "p2p4"): -1, (69, "p2"): 1, (74, "p1p4"): -1, (74, "p2p3"): -1,
         (77, "p2p3"): 0, (77, "p2p4"): -1, (82, "p1p4"): -1, (82, "p2"): 0,
     },
+    "tower_cube": {19: F(-1, 12)},
     "nef_witness": {50: F(-3, 20), 74: F(-1, 4), 82: F(-1, 4)},
     "matrices": {
         (50, "p1p4"): (F(1, 4), F(-2, 5), F(1)),
@@ -56,9 +57,6 @@ GOLDEN = {
         82: frozenset({(2, 0, 3), (0, 2, 0)}),
     },
 }
-# family 19's blowup tower: its (-K)^3 and the half-point curve's pairing
-TOWER_CUBE = F(-1, 12)
-HALF_POINT_CURVE = F(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +238,31 @@ WITNESSES = {
                         lambda cert, v: (cert.b_dot_c, cert.e_dot_c)),
     "isolation": ("isolation", False, "isolation", lambda cert, v: (cert.bound, cert.limit)),
     "curve-gamma": ("curve_witness", False, "curve witness", lambda cert, v: v.witness),
+    "surface-pair": ("gamma_rows", False, "restriction curve support",
+                     lambda cert, v: cert.gamma_support.monomials),
 }
 
 
 def _witness_str(value) -> str:
-    """A witness as its mismatch line prints it: "p/q", or "(p/q, ...)"."""
+    """A witness as its mismatch line prints it: "p/q", "(p/q, ...)", or a
+    support's exponent triples as a sorted list."""
+    if isinstance(value, frozenset):
+        return str(sorted(value))
     if isinstance(value, tuple):
         return f"({', '.join(map(rat_str, value))})"
     return rat_str(value)
+
+
+def _tower_cube(family_id: int, g_a_cube: Fraction) -> Fraction | None:
+    """(-K)^3 on the blowup tower over family 19's G model at its 1/2 and 1/4
+    points, None for any other family.  The two points are cited from the
+    paper; ROADMAP item 11 derives them."""
+    if family_id != 19:
+        return None
+    points = [singularities.QuotientSingularity(2, 1), singularities.QuotientSingularity(4, 1)]
+    lattice = blowup.BlowupLattice.over(g_a_cube, points)
+    k = lattice.anticanonical()
+    return blowup.triple(lattice, k, k, k)
 
 
 def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
@@ -273,6 +288,13 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
         g_a_cube = g.a_cube()
         if pair.golden.g_a_cube != g_a_cube:
             diff(f"catalog G a_cube {rat_str(pair.golden.g_a_cube)} != computed {rat_str(g_a_cube)}")
+        # family 19's blowup tower, from its G model's (-K)^3
+        if family_id in golden["tower_cube"]:
+            tower, want = _tower_cube(family_id, g_a_cube), golden["tower_cube"].pop(family_id)
+            if tower is None:
+                diff(f"table tower_cube[{family_id}] unchecked: no cited G points")
+            elif tower != want:
+                diff(f"tower (-K)^3 = {rat_str(tower)} != {rat_str(want)}")
 
         # link construction and round trip: deriving the Member checks that
         # both records solve to the stated subfamily and that the Gprime
@@ -325,13 +347,6 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
         for method, (table, *_) in WITNESSES.items():
             for key in golden[table]:
                 diff(f"table {table}[{key!r}] unchecked: no {method} certificate ran")
-
-        # restriction-curve supports
-        if family_id in golden["gamma_rows"]:
-            support = exclusion.gamma_polynomial(member)
-            want = golden["gamma_rows"].pop(family_id)
-            if support.monomials != want:
-                diff(f"restriction curve support {sorted(support.monomials)} != table {sorted(want)}")
     except (ValueError, LookupError) as exc:
         # corrupt golden data can break a precondition mid-computation; that
         # is a verification failure, not a crash, and the mismatches found
@@ -354,25 +369,5 @@ def verify_tables(catalog: Catalog) -> list[str]:
             else:
                 outside.append(f"family {family}: table {table}[{key!r}] unchecked: family not in the catalog")
     diffs = [line for family_id, entries in golden.items() for line in verify_family(catalog, family_id, entries)]
-    diffs += outside
-    try:
-        diffs.extend(_verify_towers(catalog.g(19)))
-    except ValueError as exc:  # the family 19 G record is not of index one
-        diffs.append(f"family 19: blowup tower: {exc}")
-    return diffs
+    return diffs + outside
 
-
-def _verify_towers(g19: FamilyRecord) -> list[str]:
-    """The two blowup-tower numbers quoted for family 19, from its G record."""
-    diffs = []
-    half = singularities.QuotientSingularity(2, 1)
-    quarter = singularities.QuotientSingularity(4, 1)
-    lattice = blowup.BlowupLattice.over(g19.a_cube(), [half, quarter])
-    k = lattice.anticanonical()
-    tower = blowup.triple(lattice, k, k, k)
-    if tower != TOWER_CUBE:
-        diffs.append(f"family 19: tower (-K)^3 = {rat_str(tower)} != {rat_str(TOWER_CUBE)}")
-    curve = Fraction(1, 6) - Fraction(1, 2)
-    if curve != HALF_POINT_CURVE:
-        diffs.append(f"family 19: half-point curve pairing {rat_str(curve)} != {rat_str(HALF_POINT_CURVE)}")
-    return diffs

@@ -77,9 +77,9 @@ def test_verify_tables_loads_once_and_solves_each_record_once(empty_load_cache):
 def test_verify_tables_derives_a_cube_three_times_per_family(empty_load_cache):
     first, second = verify_tables_twice({"anticanonical_cube": wps.anticanonical_cube})
     # per family: the G and Gprime checks of verify_family and, on the text's
-    # first load, the Member's (-K)^3; plus family 19's blowup tower
-    assert first == {"anticanonical_cube": 3 * len(FAMILY_IDS) + 1}
-    assert second == {"anticanonical_cube": 2 * len(FAMILY_IDS) + 1}
+    # first load, the Member's (-K)^3; family 19's blowup tower reuses the G check's
+    assert first == {"anticanonical_cube": 3 * len(FAMILY_IDS)}
+    assert second == {"anticanonical_cube": 2 * len(FAMILY_IDS)}
 
 
 def test_verify_tables_checks_each_quadratic_involution_once(empty_load_cache):
@@ -253,7 +253,7 @@ def listed_functions() -> dict:
 # but the first: each listed function not named makes no call
 VERIFY_TABLES_CALLS = {
     "exclusion.dispatch": 73, "report.build_report": 14, "report.verify_family": 14,
-    "exclusion.gamma_polynomial": 19, "exclusion.qi_eligible": 7, "blowup.b_cubed": 26, "blowup.triple": 10,
+    "exclusion.gamma_polynomial": 10, "exclusion.qi_eligible": 7, "blowup.b_cubed": 26, "blowup.triple": 10,
     "blowup.vanishing_order": 3, "blowup.ambient_quadruple": 1, "links.counterpart_inverse": 14,
     "links.involution_inventory": 14, "catalog.load_catalog": 1,
 }

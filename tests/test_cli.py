@@ -407,7 +407,7 @@ def test_one_changed_subfamily_tag_is_a_load_error(capsys, tmp_path, family, kin
 
 
 def test_verify_tables_reports_a_g19_record_of_wrong_index(capsys, tmp_path):
-    # family 19's G record also feeds the blowup-tower check
+    # family 19's G record feeds the G a_cube check, whose (-K)^3 the blowup tower reuses
     with open(default_catalog_path(), encoding="utf-8") as fh:
         raw = json.load(fh)
     next(obj for obj in raw if obj["id"] == 19 and obj["kind"] == "G")["degrees"][0] += 1
@@ -415,7 +415,7 @@ def test_verify_tables_reports_a_g19_record_of_wrong_index(capsys, tmp_path):
     path.write_text(json.dumps(raw))
     code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
     assert code == 1
-    assert "family 19: blowup tower: record No.19/G: not anticanonically embedded of index 1 " \
+    assert "family 19: record No.19/G: not anticanonically embedded of index 1 " \
            "(sum weights - sum degrees = 0)" in out.splitlines()
 
 
@@ -558,4 +558,7 @@ def test_a_basket_point_without_rules_is_an_uncovered_center(capsys, tmp_path, f
     assert f"family 29: uncovered centers: {uncovered}" in lines
     assert any(line.startswith("family 29: A^3 computed ") for line in lines)
     assert any(line.startswith("family 29: link column computed ") for line in lines)
-    assert any(line.startswith("family 29: restriction curve support ") for line in lines)
+    if family in (41, 69):  # no surface-pair branch runs to take the gamma_rows entry
+        assert "family 29: table gamma_rows[29] unchecked: no surface-pair certificate ran" in lines
+    else:
+        assert any(line.startswith("family 29: restriction curve support ") for line in lines)

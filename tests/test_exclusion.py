@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fano_wci.exclusion import (POINT_RULES, Center, CurveCycle, CurveDegree, CurveGamma, InfiniteCurves,
-                                Isolation, NegDefMatrix, SurfacePair, UncoveredCaseError, Untwist,
+                                Isolation, NegDefMatrix, RuleBranch, SurfacePair, UncoveredCaseError, Untwist,
                                 certificate_json, dispatch, gamma_polynomial, negdef2, negdef_for_all,
                                 point_vertex, qi_eligible)
 from fano_wci.report import GOLDEN
@@ -72,8 +72,8 @@ def test_gamma_polynomial_examples(catalog):
 
 
 def test_gamma_rows_are_the_surface_pair_families():
-    # gamma_polynomial serves the surface-pair certificate and the golden
-    # gamma_rows check, so both reach it for the same nine families
+    # the golden gamma_rows check reads the support off a surface-pair
+    # certificate, so its entries are the nine surface-pair families
     surface_pair = {fid for fid, rules in POINT_RULES.items()
                     if any(br.method == "surface-pair" for branches in rules.values() for br in branches)}
     assert surface_pair == set(GOLDEN["gamma_rows"]) == {23, 29, 42, 49, 50, 55, 74, 77, 82}
@@ -175,6 +175,16 @@ def test_dispatch_uncovered_cases(catalog):
         dispatch(catalog.member(17), Center.quotient_point(QuotientSingularity(2, 1, locus="p1p2")))
     with pytest.raises(UncoveredCaseError, match="below"):
         dispatch(catalog.member(17), Center.curve(F(1, 4)))
+
+
+def test_a_quotient_point_method_at_the_cax_point_is_uncovered(catalog, monkeypatch):
+    # only an untwist applies at p4: a rule edited to another method leaves
+    # the center uncovered instead of failing inside the builder
+    member = catalog.member(17)
+    for method in ("surface-pair", "infinite-curves", "nef-divisor", "negdef-matrix"):
+        monkeypatch.setitem(POINT_RULES[17], "p4", (RuleBranch("", method, "link"),))
+        with pytest.raises(UncoveredCaseError, match=f"^family 17 p4: {method} needs a quotient point$"):
+            dispatch(member, Center.cax_point(member.cax))
 
 
 def test_a_condition_on_a_single_branch_center_is_rejected(catalog):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fano_wci import exclusion, report
-from fano_wci.catalog import FamilyRecord, Member
+from fano_wci.catalog import FamilyRecord, Member, load_catalog
 from fano_wci.report import GOLDEN, build_report, render_markdown, verify_tables
 
 F = Fraction
@@ -50,7 +50,18 @@ FAULTS = [
     ("b_cube_signs", (98, "p2"), -1, "family 98: table b_cube_signs[(98, 'p2')] unchecked: family not in the catalog"),
     ("gamma_rows", 97, frozenset({(0, 2, 0)}), "family 97: table gamma_rows[97] unchecked: family not in the catalog"),
     ("a_cube", 96, F(1), "family 96: table a_cube[96] unchecked: family not in the catalog"),
+    ("tower_cube", 19, F(-1, 13), "family 19: tower (-K)^3 = -1/12 != -1/13"),
+    ("tower_cube", 94, F(-1, 12), "family 94: table tower_cube[94] unchecked: family not in the catalog"),
+    ("tower_cube", 17, F(-1, 12), "family 17: table tower_cube[17] unchecked: no cited G points"),
+    ("gamma_rows", 17, frozenset({(0, 2, 0)}),
+     "family 17: table gamma_rows[17] unchecked: no surface-pair certificate ran"),
 ]
+
+
+def test_every_golden_table_has_a_consumer():
+    # a table is checked by verify_family directly or through a certificate
+    # method's WITNESSES row, so a table added without a check fails here
+    assert set(GOLDEN) == {"a_cube", "b_cube_signs", "tower_cube"} | {row[0] for row in report.WITNESSES.values()}
 
 
 @pytest.mark.parametrize("table, key, value, line", FAULTS, ids=[f"{t}[{k!r}]" for t, k, _, _ in FAULTS])
@@ -189,4 +200,74 @@ def test_an_exclusion_turned_into_an_untagged_untwist_is_a_mismatch(catalog, mon
             "family 29: link column computed [('p4', 'link', '')] != catalog "
             "[('p2p4', 'none', ''), ('p4', 'link', '')]",
             "family 29: uncovered centers: uncovered-cases(family 29 p2p4: untwist needs a QI, EI, II "
-            "or link tag, not 'none')"]
+            "or link tag, not 'none')",
+            "family 29: table gamma_rows[29] unchecked: no surface-pair certificate ran"]
+
+
+# ---------------------------------------------------------------------------
+# Dispatch-edit census: a single edit of the per-family dispatch data must
+# print a mismatch line, unless it is pinned below with the reason it cannot
+# ---------------------------------------------------------------------------
+
+CENSUS_METHODS = ("surface-pair", "infinite-curves", "nef-divisor", "untwist")
+
+
+def dispatch_edits() -> list[tuple[str, dict, object, object]]:
+    """Every single edit of the dispatch data as (name, table, key, value):
+    each family's isolation vertex set to each other vertex, and each point
+    branch's method set to each other one of `CENSUS_METHODS`, its condition
+    and tag kept."""
+    edits = []
+    for fid, drop in exclusion.ISOLATION_DROP.items():
+        edits += [(f"{fid} isolation drop {drop}->{v}", exclusion.ISOLATION_DROP, fid, v)
+                  for v in range(5) if v != drop]
+    for fid, rules in exclusion.POINT_RULES.items():
+        for locus, branches in rules.items():
+            for i, br in enumerate(branches):
+                edits += [(f"{fid} {locus} [{br.condition}] {br.method}->{method}", rules, locus,
+                           (*branches[:i], exclusion.RuleBranch(br.condition, method, br.tag), *branches[i + 1:]))
+                          for method in CENSUS_METHODS if method != br.method]
+    return edits
+
+
+def census(catalog) -> list[str]:
+    """The names of the dispatch edits, each applied alone, after which
+    `verify_tables(catalog)` prints no line."""
+    silent = []
+    for name, table, key, value in dispatch_edits():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(table, key, value)
+            if not verify_tables(catalog):
+                silent.append(name)
+    return silent
+
+
+# the edits that print no line, by group; each group's comment is the reason
+SILENT_EDITS = {
+    # families 19 and 50: the edited vertex's bound ties the typed vertex's,
+    # so the golden isolation entry still matches
+    "ties": {"19 isolation drop 2->0", "19 isolation drop 2->1", "19 isolation drop 2->4",
+             "50 isolation drop 1->0", "50 isolation drop 1->2"},
+    # no golden isolation entry: the bound changes but stays within the limit
+    "no isolation entry": {
+        "17 isolation drop 3->0", "17 isolation drop 3->1", "17 isolation drop 3->2", "17 isolation drop 3->4",
+        "30 isolation drop 3->2", "41 isolation drop 3->0", "41 isolation drop 3->1", "41 isolation drop 3->2",
+        "41 isolation drop 3->4", "49 isolation drop 3->4", "55 isolation drop 3->2", "69 isolation drop 3->2",
+        "74 isolation drop 3->0", "74 isolation drop 3->1", "74 isolation drop 3->2", "74 isolation drop 3->4",
+        "77 isolation drop 3->0", "77 isolation drop 3->1", "77 isolation drop 3->2", "77 isolation drop 3->4",
+        "82 isolation drop 3->0", "82 isolation drop 3->1", "82 isolation drop 3->2", "82 isolation drop 3->4"},
+    # no table records the paper's method at a branch: the QI branch's
+    # infinite-curves witness is the one the (30, 'p2') entry expects, and its
+    # QI tag still makes the link column
+    "no method entry": {"30 p2 [monomial-present(y^2 z)] untwist->infinite-curves"},
+}
+
+
+def test_every_dispatch_edit_but_the_pinned_ones_prints_a_mismatch():
+    # each edit runs verify_tables without raising; an edit that stays
+    # silent and is not pinned, or a pinned one that turns loud, fails here
+    edits = dispatch_edits()
+    assert len(edits) == 184 and len({name for name, *_ in edits}) == 184
+    silent = census(load_catalog(strict=False))
+    assert set(silent) == set().union(*SILENT_EDITS.values())
+    assert len(silent) == 30
