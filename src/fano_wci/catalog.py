@@ -43,8 +43,8 @@ class GoldenRow:
     g_a_cube: Fraction  # stated for the G record
     # the Gprime record's rows in file order, fields in BASKET_KEYS/LINK_KEYS
     # order: basket (type, count, locus) as ("1/2(1,1,1)", 3, "p2p4") or
-    # ("cAx/2", 1, "p4"); link_column (point, tag, condition) with tag
-    # "none" | "QI" | "EI" | "II" | "link" and condition "" when unconditional
+    # ("cAx/2", 1, "p4"); link_column (point, tag, condition) with tag one
+    # of LINK_TAGS and condition "" when unconditional
     basket: tuple[tuple[str, int, str], ...]
     link_column: tuple[tuple[str, str, str], ...]
 
@@ -150,6 +150,8 @@ def default_catalog_path() -> str:
 # the JSON type of each key of a basket or links entry
 BASKET_KEYS = {"type": str, "count": int, "locus": str}
 LINK_KEYS = {"point": str, "tag": str, "condition": str}
+# the tags of a links entry: "none" where no link starts, else what starts it
+LINK_TAGS = ("none", "QI", "EI", "II", "link")
 
 
 # the largest weight or degree a record may state: far above the shipped
@@ -303,7 +305,7 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
                 if count < 1:
                     raise CatalogError(f"{where}: basket count must be >= 1 for family {rec.id}")
             for point, tag, _ in links:
-                if tag not in ("none", "QI", "EI", "II", "link"):
+                if tag not in LINK_TAGS:
                     raise CatalogError(f"{where}: bad link tag {tag!r} for family {rec.id}")
                 if tag == "link" and point != "p4":
                     raise CatalogError(f"{where}: link tag only at the cAx point p4 (family {rec.id})")

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .blowup import (BlowupLattice, DivisorClass, SectionLift, ambient_quadruple, b_cubed,
                      nef_bound_check, triple, vanishing_order)
-from .catalog import Member
+from .catalog import LINK_TAGS, Member
 from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex, tangent_monomials
 from .wps import MonomialSupport, max_pair_lcm, rat_str, record
 
@@ -539,7 +539,7 @@ def _infinite_curves(member: Member, center: Center, branch: RuleBranch, earlier
 def _untwist(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> Untwist:
     record = member.gprime
     locus, tag = center.locus, branch.tag
-    if tag not in ("QI", "EI", "II", "link"):
+    if tag == "none" or tag not in LINK_TAGS:
         raise UncoveredCaseError(f"family {record.id} {locus}: untwist needs a QI, EI, II or link tag, "
                                  f"not {tag!r}")
     eligible = None

@@ -268,20 +268,25 @@ def _tower_cube(family_id: int, g_a_cube: Fraction) -> Fraction | None:
 def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
     """All mismatches between recomputed quantities and the family's golden
     entries `golden` (table -> key -> value); empty when everything agrees.
-    Each check takes its own entries out of `golden`."""
+    Each check takes its own entries out of `golden`; each entry left is an unchecked line."""
     diffs: list[str] = []
 
     def diff(msg: str) -> None:
         diffs.append(f"family {family_id}: {msg}")
 
+    # why an entry that no check took is left, by table
+    why = {table: f"no {method} certificate ran" for method, (table, *_) in WITNESSES.items()}
+    why.update(b_cube_signs="no computed point", tower_cube="no cited G points")
     try:
         pair = catalog.pair(family_id)
         g, gp = pair.g, pair.gprime
 
         # degrees of the anticanonical models
         a_cube = gp.a_cube()
-        want = golden["a_cube"].pop(family_id)
-        if a_cube != want:
+        want = golden["a_cube"].pop(family_id, None)
+        if want is None:
+            diff(f"A^3 computed {rat_str(a_cube)}, table a_cube has no entry")
+        elif a_cube != want:
             diff(f"A^3 computed {rat_str(a_cube)} != table {rat_str(want)}")
         if pair.golden.a_cube != a_cube:
             diff(f"catalog a_cube {rat_str(pair.golden.a_cube)} != computed {rat_str(a_cube)}")
@@ -289,11 +294,10 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
         if pair.golden.g_a_cube != g_a_cube:
             diff(f"catalog G a_cube {rat_str(pair.golden.g_a_cube)} != computed {rat_str(g_a_cube)}")
         # family 19's blowup tower, from its G model's (-K)^3
-        if family_id in golden["tower_cube"]:
-            tower, want = _tower_cube(family_id, g_a_cube), golden["tower_cube"].pop(family_id)
-            if tower is None:
-                diff(f"table tower_cube[{family_id}] unchecked: no cited G points")
-            elif tower != want:
+        tower = _tower_cube(family_id, g_a_cube)
+        if tower is not None and family_id in golden["tower_cube"]:
+            want = golden["tower_cube"].pop(family_id)
+            if tower != want:
                 diff(f"tower (-K)^3 = {rat_str(tower)} != {rat_str(want)}")
 
         # link construction and round trip: deriving the Member checks that
@@ -311,15 +315,12 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
         if computed != stated:
             diff(f"basket computed {computed} != catalog {stated}")
 
-        # blowup signs at every annotated quotient point
-        points = {q.locus: q for q in member.quotients}
-        for (_, locus), sign in golden.pop("b_cube_signs").items():
-            if locus not in points:
-                diff(f"no computed point at {locus} for B^3 sign check")
-                continue
-            val = blowup.b_cubed(a_cube, points[locus])
-            if _sign(val) != sign:
-                diff(f"B^3 at {locus} computed {rat_str(val)}, table sign says {sign}")
+        # blowup signs at every computed quotient point with an entry
+        for q in member.quotients:
+            if (family_id, q.locus) in golden["b_cube_signs"]:
+                sign, val = golden["b_cube_signs"].pop((family_id, q.locus)), blowup.b_cubed(a_cube, q)
+                if _sign(val) != sign:
+                    diff(f"B^3 at {q.locus} computed {rat_str(val)}, table sign says {sign}")
 
         # every center of the report resolves, its point branches are the
         # golden link column, and each witness entry of the family is taken
@@ -344,14 +345,15 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
                     diff(f"{label} {_witness_str(got)} != table {_witness_str(want)}")
                 if br.verdict.method == "nef-divisor" and not br.certificate.certified:
                     diff("nef divisor not certified")
-        for method, (table, *_) in WITNESSES.items():
-            for key in golden[table]:
-                diff(f"table {table}[{key!r}] unchecked: no {method} certificate ran")
     except (ValueError, LookupError) as exc:
         # corrupt golden data can break a precondition mid-computation; that
         # is a verification failure, not a crash, and the mismatches found
         # before it stand
         diff(str(exc))
+        why = dict.fromkeys(golden, "the checks stopped at the error above")
+    for table, entries in golden.items():
+        for key in entries:
+            diff(f"table {table}[{key!r}] unchecked: {why[table]}")
     return diffs
 
 

@@ -125,11 +125,13 @@ def test_09_tower_numerics(catalog):
     # pairing of -K with the half-point curve on the blown-up hypersurface side
     lat = blowup.BlowupLattice.over(catalog.gprime(19).a_cube(), [half])
     b = lat.anticanonical()
+    # the 1/6 is cited from the paper; ROADMAP item 2 derives it
     curve_pairing = F(1, 6) - F(1, 2) * 1
     assert curve_pairing == F(-1, 3)
     # consistency: the residual pencil balances 2B^3 = (B . Gamma) + (B . C)
     assert 2 * blowup.triple(lat, b, b, b) == curve_pairing + F(2, 3)
-    ok(9, "tower (-K)^3 = -1/12 and half-point curve pairing -1/3, via triple products")
+    ok(9, "tower (-K)^3 = -1/12 and the 2B^3 balance, via triple products, with the cited "
+          "half-point curve pairing -1/3")
 
 
 def test_10_table_supports(catalog):

@@ -270,34 +270,46 @@ def _stated_subfamily(family, subfamily):
     return mutate
 
 
-# (mutation, family, the line verify-tables prints for it)
+def _stopped(family, *entries):
+    """The lines that name a family's golden entries left unchecked by its error."""
+    return [f"family {family}: table {entry} unchecked: the checks stopped at the error above" for entry in entries]
+
+
+# (mutation, family, the lines verify-tables prints for it: the error, then
+# the family's golden entries that it left unchecked)
 UNDERIVABLE = {
     "wrong-index": (_bump_weight_2_of_29, 29,
-                    "family 29: record No.29/Gprime: not anticanonically embedded of index 1 "
-                    "(sum weights - sum degrees = 2)"),
+                    ["family 29: record No.29/Gprime: not anticanonically embedded of index 1 "
+                     "(sum weights - sum degrees = 2)",
+                     *_stopped(29, "a_cube[29]", "b_cube_signs[(29, 'p2p4')]", "gamma_rows[29]")]),
     "no-standard-shape": (_swap_weights_0_4_of_17, 17,
-                          "family 17: No.17: no standard form (I' shape: degrees d1, d2 = 7, 8 are not "
-                          "both even; I'' shape: degree 8 and b=1 admit no lift to six weights)"),
+                          ["family 17: No.17: no standard form (I' shape: degrees d1, d2 = 7, 8 are not "
+                           "both even; I'' shape: degree 8 and b=1 admit no lift to six weights)"]),
     "swap-odd-degrees": (_gprime_weights(19, [1, 1, 2, 2, 3]), 19,
-                         "family 19: No.19: no standard form (I' shape: degrees d1, d2 = 5, 8 are not "
-                         "both even; I'' shape: degree 8 and b=3 admit no lift to six weights)"),
+                         ["family 19: No.19: no standard form (I' shape: degrees d1, d2 = 5, 8 are not "
+                          "both even; I'' shape: degree 8 and b=3 admit no lift to six weights)",
+                          *_stopped(19, "isolation[19]", "curve_witness[19]")]),
     # the record solves, as X'_14 in P(1,1,2,7,4) with b = 4, to I''4
     "swap-not-counterpart": (_gprime_weights(55, [1, 1, 2, 7, 4]), 55,
-                             "family 55: No.55: the Gprime record solves to subfamily I''4, "
-                             "the catalog states I''2"),
+                             ["family 55: No.55: the Gprime record solves to subfamily I''4, "
+                              "the catalog states I''2",
+                              *_stopped(55, "b_cube_signs[(55, 'p2')]", "b_cube_signs[(55, 'p2p4')]",
+                                        "infinite_curves[(55, 'p2')]", "gamma_rows[55]")]),
     # the load checks the order of the x-weights only when strict
     "unordered-not-counterpart": (_gprime_weights(19, [1, 2, 1, 3, 2]), 19,
-                                  "family 19: No.19: Gprime record X'_8 in P(1,2,1,3,2) is not the "
-                                  "counterpart X'_8 in P(1,1,2,3,2) of its G record"),
+                                  ["family 19: No.19: Gprime record X'_8 in P(1,2,1,3,2) is not the "
+                                   "counterpart X'_8 in P(1,1,2,3,2) of its G record",
+                                   *_stopped(19, "isolation[19]", "curve_witness[19]")]),
     "stated-subfamily": (_stated_subfamily(19, "I''2"), 19,
-                         "family 19: No.19: the G record solves to subfamily I'2, the catalog states I''2"),
+                         ["family 19: No.19: the G record solves to subfamily I'2, the catalog states I''2",
+                          *_stopped(19, "isolation[19]", "curve_witness[19]")]),
 }
 
 
 @pytest.mark.parametrize("command", ["analyze", "basket", "links"])
 @pytest.mark.parametrize("mutation", UNDERIVABLE)
 def test_underivable_gprime_record_is_a_load_error(capsys, tmp_path, mutation, command):
-    mutate, family, diff_line = UNDERIVABLE[mutation]
+    mutate, family, lines = UNDERIVABLE[mutation]
     with open(default_catalog_path(), encoding="utf-8") as fh:
         raw = json.load(fh)
     mutate(raw)
@@ -310,7 +322,7 @@ def test_underivable_gprime_record_is_a_load_error(capsys, tmp_path, mutation, c
     assert "Traceback" not in err
     code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
     assert code == 1
-    assert out.splitlines() == [diff_line, "verify-tables: 1 mismatch(es)"]
+    assert out.splitlines() == [*lines, f"verify-tables: {len(lines)} mismatch(es)"]
 
 
 def _other_index_one_splits(entry):
@@ -407,7 +419,9 @@ def test_one_changed_subfamily_tag_is_a_load_error(capsys, tmp_path, family, kin
 
 
 def test_verify_tables_reports_a_g19_record_of_wrong_index(capsys, tmp_path):
-    # family 19's G record feeds the G a_cube check, whose (-K)^3 the blowup tower reuses
+    # family 19's G record feeds the G a_cube check, whose (-K)^3 the blowup
+    # tower reuses; the error stops the family's checks there, and the
+    # entries that the later checks would have taken are named
     with open(default_catalog_path(), encoding="utf-8") as fh:
         raw = json.load(fh)
     next(obj for obj in raw if obj["id"] == 19 and obj["kind"] == "G")["degrees"][0] += 1
@@ -415,8 +429,10 @@ def test_verify_tables_reports_a_g19_record_of_wrong_index(capsys, tmp_path):
     path.write_text(json.dumps(raw))
     code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
     assert code == 1
-    assert "family 19: record No.19/G: not anticanonically embedded of index 1 " \
-           "(sum weights - sum degrees = 0)" in out.splitlines()
+    assert out.splitlines() == [
+        "family 19: record No.19/G: not anticanonically embedded of index 1 (sum weights - sum degrees = 0)",
+        *_stopped(19, "tower_cube[19]", "isolation[19]", "curve_witness[19]"),
+        "verify-tables: 4 mismatch(es)"]
 
 
 def test_verify_tables_keeps_the_mismatches_found_before_a_later_step_raises(capsys, tmp_path):

@@ -43,7 +43,7 @@ FAULTS = [
     ("curve_witness", 17, F(-1, 2), "family 17: table curve_witness[17] unchecked: no curve-gamma certificate ran"),
     ("matrices", (23, "p2p4"), (F(1, 4), F(-2, 5), F(1)),
      "family 23: table matrices[(23, 'p2p4')] unchecked: no negdef-matrix certificate ran"),
-    ("b_cube_signs", (23, "p3p4"), -1, "family 23: no computed point at p3p4 for B^3 sign check"),
+    ("b_cube_signs", (23, "p3p4"), -1, "family 23: table b_cube_signs[(23, 'p3p4')] unchecked: no computed point"),
     ("nef_witness", 99, F(-1, 4), "family 99: table nef_witness[99] unchecked: family not in the catalog"),
     ("matrices", (95, "p2"), (F(1, 4), F(-2, 5), F(1)),
      "family 95: table matrices[(95, 'p2')] unchecked: family not in the catalog"),
@@ -125,6 +125,14 @@ def test_several_golden_faults_print_their_lines_in_family_order(catalog, monkey
         "family 95: table matrices[(95, 'p2')] unchecked: family not in the catalog",
         "family 99: table isolation[99] unchecked: family not in the catalog",
     ]
+
+
+def test_a_family_without_an_a_cube_entry_is_still_checked(catalog, monkeypatch):
+    # the missing entry is its own line; family 19's tower, isolation and
+    # curve witness entries are still compared, so no other line follows
+    a_cube = {key: value for key, value in GOLDEN["a_cube"].items() if key != 19}
+    monkeypatch.setattr(report, "GOLDEN", {**GOLDEN, "a_cube": a_cube})
+    assert verify_tables(catalog) == ["family 19: A^3 computed 2/3, table a_cube has no entry"]
 
 
 def test_verification_leaves_the_golden_tables_untouched(catalog, monkeypatch):
