@@ -41,19 +41,19 @@ class Center:
     def curve(cls, degree: Fraction) -> "Center":
         if degree <= 0:
             raise ValueError("curve degree must be positive")
-        return cls(kind="curve", degree=degree)
+        return cls("curve", degree)
 
     @classmethod
     def smooth_point(cls) -> "Center":
-        return cls(kind="smooth-point")
+        return cls("smooth-point")
 
     @classmethod
     def quotient_point(cls, q: QuotientSingularity) -> "Center":
-        return cls(kind="quotient-point", quotient=q)
+        return cls("quotient-point", None, q)
 
     @classmethod
     def cax_point(cls, p: CAxPoint) -> "Center":
-        return cls(kind="cax-point", cax=p)
+        return cls("cax-point", None, None, p)
 
     @property
     def is_point(self) -> bool:
@@ -95,7 +95,7 @@ class CurveDegree:
     def verdict(self) -> Verdict:
         if self.deg <= 0 or self.a_cube <= 0:
             raise ValueError("degree and (-K)^3 must be positive")
-        return Verdict(excluded=self.deg >= self.a_cube, method=self.method, witness=self.deg - self.a_cube)
+        return Verdict(self.deg >= self.a_cube, self.method, self.deg - self.a_cube)
 
 
 @record
@@ -111,7 +111,7 @@ class CurveGamma:
         if self.gamma_sq >= 0:
             raise ValueError("the self-intersection bound must be negative")
         witness = 3 * self.a_cube - 2 * self.deg + self.gamma_sq
-        return Verdict(excluded=witness <= 0, method=self.method, witness=witness)
+        return Verdict(witness <= 0, self.method, witness)
 
 
 @record
@@ -124,7 +124,7 @@ class CurveCycle:
 
     def verdict(self) -> Verdict:
         witness = self.gamma_dot_delta - self.a_dot_delta
-        return Verdict(excluded=witness >= 0 and self.a_dot_delta > 0, method=self.method, witness=witness)
+        return Verdict(witness >= 0 and self.a_dot_delta > 0, self.method, witness)
 
 
 @record
@@ -138,7 +138,7 @@ class Isolation:
     dropped_vertex: int | None
 
     def verdict(self) -> Verdict:
-        return Verdict(excluded=self.bound <= self.limit, method=self.method, witness=Fraction(self.bound))
+        return Verdict(self.bound <= self.limit, self.method, Fraction(self.bound))
 
 
 @record
@@ -159,7 +159,7 @@ class SurfacePair:
         if not self.gamma_support.monomials:
             raise ValueError("empty restriction support")
         witness = self.a1 * self.a1 * self.b_cube
-        return Verdict(excluded=witness <= 0, method=self.method, witness=witness)
+        return Verdict(witness <= 0, self.method, witness)
 
 
 @record
@@ -172,7 +172,7 @@ class NefDivisor:
     certified: bool
 
     def verdict(self) -> Verdict:
-        return Verdict(excluded=self.certified and self.m_b2 <= 0, method=self.method, witness=self.m_b2)
+        return Verdict(self.certified and self.m_b2 <= 0, self.method, self.m_b2)
 
 
 @record
@@ -190,7 +190,7 @@ class NegDefMatrix:
     def verdict(self) -> Verdict:
         e = self.entries_at(self.parameter_floor)
         witness = e[0][0] * e[1][1] - e[0][1] * e[1][0]
-        return Verdict(excluded=negdef_for_all(self), method=self.method, witness=witness)
+        return Verdict(negdef_for_all(self), self.method, witness)
 
 
 @record
@@ -201,7 +201,7 @@ class InfiniteCurves:
     e_dot_c: Fraction
 
     def verdict(self) -> Verdict:
-        return Verdict(excluded=self.b_dot_c <= 0 and self.e_dot_c > 0, method=self.method, witness=self.b_dot_c)
+        return Verdict(self.b_dot_c <= 0 and self.e_dot_c > 0, self.method, self.b_dot_c)
 
 
 @record
@@ -214,7 +214,7 @@ class Untwist:
     eligible: bool | None = None
 
     def verdict(self) -> Verdict:
-        return Verdict(excluded=False, method=self.method, witness=None)
+        return Verdict(False, self.method, None)
 
 
 Certificate = (CurveDegree | CurveGamma | CurveCycle | Isolation | SurfacePair

@@ -295,9 +295,11 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
             diff(f"catalog G a_cube {rat_str(pair.golden.g_a_cube)} != computed {rat_str(g_a_cube)}")
         # family 19's blowup tower, from its G model's (-K)^3
         tower = _tower_cube(family_id, g_a_cube)
-        if tower is not None and family_id in golden["tower_cube"]:
-            want = golden["tower_cube"].pop(family_id)
-            if tower != want:
+        if tower is not None:
+            want = golden["tower_cube"].pop(family_id, None)
+            if want is None:
+                diff(f"tower (-K)^3 computed {rat_str(tower)}, table tower_cube has no entry")
+            elif tower != want:
                 diff(f"tower (-K)^3 = {rat_str(tower)} != {rat_str(want)}")
 
         # link construction and round trip: deriving the Member checks that

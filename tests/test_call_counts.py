@@ -230,13 +230,6 @@ def test_links_derives_the_member_like_every_command(empty_load_cache, capsys):
                       {"load_catalog": 1}]
 
 
-def test_cli_builds_no_parser_per_command(capsys):
-    calls, code = count_calls({"make_parser": cli.make_parser},
-                              lambda: cli.main(["basket", "--family", "29"]))
-    assert code == 0 and "No.29" in capsys.readouterr().out
-    assert calls == {}
-
-
 def listed_functions() -> dict:
     """Every function whose calls BENCHMARK.json lists per layer, by
     `<module>.<function>`; the per-method dispatch names are one function."""

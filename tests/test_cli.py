@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -184,6 +185,122 @@ def test_g_record_with_a_basket_or_links_is_a_load_error(capsys, tmp_path, chang
         assert out == ""
         assert err.splitlines() == [f"error: catalog entry #{index}: '{field}' of a G record must be [], "
                                     f"got {g[field]!r}"]
+
+
+def make_parser() -> argparse.ArgumentParser:
+    """The argparse parser that cli's table replaced: the reference its
+    parser is checked against."""
+    parser = argparse.ArgumentParser(prog="fano-wci",
+                                     description="Catalog analysis of Q-Fano weighted complete intersections")
+    parser.add_argument("--catalog", default=None, help="path to a catalog JSON file")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="full per-family report")
+    p.add_argument("--family", type=int, required=True)
+    p.add_argument("--format", choices=("md", "json"), default="md")
+
+    sub.add_parser("verify-tables", help="recompute everything and diff against golden data")
+
+    p = sub.add_parser("links", help="standard form and counterpart of one family")
+    p.add_argument("--family", type=int, required=True)
+
+    p = sub.add_parser("basket", help="singular locus of the hypersurface member")
+    p.add_argument("--family", type=int, required=True)
+    return parser
+
+
+PARSED = ("catalog", "command", "family", "format")
+ARGVS = [
+    # accepted: each command, "=", unique prefixes, the last of a repeated
+    # option, int() conversion, a negative id, a value that looks odd
+    ["verify-tables"], ["analyze", "--family", "50"], ["analyze", "--family", "50", "--format", "json"],
+    ["links", "--family", "50"], ["basket", "--family", "50"], ["--catalog", "x", "basket", "--family", "29"],
+    ["analyze", "--family=50"], ["analyze", "--fam", "50"], ["--cat", "x", "verify-tables"],
+    ["--c=x", "verify-tables"], ["--catalog=", "verify-tables"], ["--catalog=a=b", "verify-tables"],
+    ["analyze", "--fo", "json", "--fa", "50"], ["analyze", "--format=json", "--family", "50"],
+    ["analyze", "--family", "1", "--family", "50"], ["--catalog", "a", "--catalog", "b", "verify-tables"],
+    ["analyze", "--family", "50", "--format", "json", "--format", "md"], ["analyze", "--family", " 50 "],
+    ["analyze", "--family", "+50"], ["analyze", "--family", "5_0"], ["analyze", "--family", "-3"],
+    ["analyze", "--family=-3"], ["--catalog", "-3", "verify-tables"], ["--catalog", "-.5", "verify-tables"],
+    ["--catalog", "-x y", "verify-tables"], ["--catalog", "", "links", "--family", "17"],
+    # help, wherever it comes before an error
+    ["-h"], ["--help"], ["--he"], ["-h", "bogus"], ["--catalog", "x", "-h"], ["analyze", "-h"],
+    ["analyze", "-h", "--family", "x"], ["basket", "--family", "50", "--help"], ["verify-tables", "--h"],
+    # rejected
+    [], ["bogus"], ["bogus", "-h"], ["--catalog"], ["--catalog", "x"], ["--catalog", "-h"],
+    ["--catalog", "-x", "verify-tables"], ["--catalog", "--", "verify-tables"], ["analyze"],
+    ["analyze", "--family", "x"], ["analyze", "--family", "x", "-h"], ["analyze", "--family", "1e3"],
+    ["analyze", "--family", "-1.5"], ["analyze", "--family", ""], ["analyze", "--family="],
+    ["analyze", "--family"], ["analyze", "--family", "--format", "json"],
+    ["analyze", "--family", "50", "--format", "xml"], ["analyze", "--family", "50", "--format"],
+    ["analyze", "--format", "json"], ["analyze", "-f", "50"], ["links", "--family", "50", "--format", "json"],
+    ["verify-tables", "--family", "3"], ["analyze", "--family", "50", "--catalog", "x"],
+    ["basket", "--family", "50", "extra"], ["basket", "extra", "--family", "50"],
+    ["analyze", "--family", "50", "-3"], ["-x"], ["-x", "verify-tables"], ["verify-tables", "-x", "-y"],
+    ["-", "verify-tables"], ["--", "verify-tables"], ["--", "-h"], ["verify-tables", "--"],
+    ["analyze", "--", "--family", "50"], ["analyze", "--family", "50", "--", "x"], ["analyze", "--", "-h"],
+    ["analyze", "--f", "50"], ["analyze", "--family", "50", "--=x"], ["--help=x"],
+    ["analyze", "--family", "50", "--help=x"]
+]
+# rejected with another reason than argparse's: argparse names the command
+# "--", rejects an =value on --help, and matches "--=x" after the command
+# against the options before it
+WORDED_OTHERWISE = (["--", "verify-tables"], ["--", "-h"], ["--help=x"],
+                    ["analyze", "--family", "50", "--help=x"], ["analyze", "--family", "50", "--=x"])
+
+
+def parse_outcome(parse, argv, capsys):
+    """What `parse` makes of argv: ("parsed", catalog, command, family,
+    format) or ("exit", code), with its stdout and stderr."""
+    try:
+        namespace = parse(list(argv))
+        outcome = ("parsed", *(getattr(namespace, key, None) for key in PARSED))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_the_table_parser_reads_every_argv_as_argparse_did(capsys, argv):
+    want, _, want_err = parse_outcome(make_parser().parse_args, argv, capsys)
+    got, out, err = parse_outcome(cli._parse, argv, capsys)
+    assert got == want
+    if got == ("exit", 2):
+        assert out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: fano-wci ") and error.startswith("fano-wci: error: ")
+        # argparse's wording; how a Python version lists the choices aside
+        reason = error.removeprefix("fano-wci: error: ").partition(" (choose from")[0]
+        if argv not in WORDED_OTHERWISE:
+            assert reason == want_err.splitlines()[-1].split(": error: ", 1)[1].partition(" (choose from")[0]
+    elif got == ("exit", 0):
+        assert out.startswith("usage: fano-wci ") and err == ""
+    else:
+        assert (out, err) == ("", "")
+
+
+def test_help_names_every_command_its_options_and_its_help_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "usage: fano-wci [-h] [--catalog CATALOG] {analyze,verify-tables,links,basket} ..."
+    assert "Catalog analysis of Q-Fano weighted complete intersections" in lines
+    for command, synopsis in [("analyze", "analyze --family FAMILY [--format {md,json}]"),
+                              ("verify-tables", "verify-tables"), ("links", "links --family FAMILY"),
+                              ("basket", "basket --family FAMILY")]:
+        k = lines.index(f"  {synopsis}")
+        assert lines[k + 1] == f"      {cli.COMMANDS[command][0]}"
+
+
+def test_cli_import_loads_no_argument_parser():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import fano_wci.cli, sys; print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    # -S: no site-packages .pth hooks, which can import these themselves
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_main_dispatches_through_the_module_bindings(capsys, monkeypatch):

@@ -135,6 +135,13 @@ def test_a_family_without_an_a_cube_entry_is_still_checked(catalog, monkeypatch)
     assert verify_tables(catalog) == ["family 19: A^3 computed 2/3, table a_cube has no entry"]
 
 
+def test_a_family_without_a_tower_cube_entry_is_still_checked(catalog, monkeypatch):
+    # family 19's tower is computed all the same, and the missing entry is
+    # its own line
+    monkeypatch.setattr(report, "GOLDEN", {**GOLDEN, "tower_cube": {}})
+    assert verify_tables(catalog) == ["family 19: tower (-K)^3 computed -1/12, table tower_cube has no entry"]
+
+
 def test_verification_leaves_the_golden_tables_untouched(catalog, monkeypatch):
     # each call checks entries out of its own grouping of the tables, never
     # out of GOLDEN, so a second call sees every entry again
