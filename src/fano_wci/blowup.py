@@ -1,10 +1,13 @@
-"""Numerical divisor-class calculus on towers of Kawamata blowups.
+"""Intersection numbers on weighted blowups, vanishing orders and nef bounds.
 
-Classes live in the pullback basis {A, E_1, ..., E_k}: A is the pullback of
-the anticanonical class of the base, E_i the exceptional divisors.  All mixed
-triple products vanish, A^3 is the base degree, and E_i^3 = r^2 / (a (r - a))
-for the blowup of a 1/r(1, a, r-a) point.  Proper-transform corrections are
-the caller's responsibility and enter as explicit coefficient vectors.
+A `BlowupRing` holds the n-th powers of a basis (A, E_1, ..., E_k) of
+divisor classes on an n-fold: A pulls back -K of a threefold or O(1) of a
+weighted projective space, E_i are the exceptional divisors, and every mixed
+product vanishes.  A blowup with weights b/r has E^n = (-1)^(n-1) r^(n-1) /
+prod(b) (Reid, "Young person's guide", §6); the Kawamata blowup of a
+1/r(1, a, r-a) point has E^3 = r^2 / (a (r - a)).  A class is a plain tuple
+in that basis: on a Kawamata tower -K is (1, -1/r_1, ...) and E_1 is
+(0, 1, 0, ...).  Proper-transform corrections are the caller's.
 """
 
 from __future__ import annotations
@@ -17,91 +20,68 @@ from .singularities import QuotientSingularity
 from .wps import MonomialSupport, record
 
 
-def kawamata_numbers(q: QuotientSingularity) -> tuple[Fraction, Fraction]:
-    """(discrepancy, E^3) of the Kawamata blowup of a 1/r(1, a, r-a) point."""
-    return Fraction(1, q.r), Fraction(q.r * q.r, q.a * (q.r - q.a))
+def exceptional_power(r: int, weights: tuple[int, ...]) -> Fraction:
+    """E^n of the blowup with weights b/r, n = len(b): (-1)^(n-1) r^(n-1) / prod(b)."""
+    return Fraction((-r) ** (len(weights) - 1), math.prod(weights))
 
 
 @record
-class BlowupLattice:
-    a_cube: Fraction
-    exceptionals: tuple[tuple[Fraction, Fraction], ...] = ()  # (discrepancy, E^3) per point
+class BlowupRing:
+    powers: tuple[Fraction, ...]  # A^n, E_1^n, ..., E_k^n
 
     @classmethod
-    def over(cls, a_cube: Fraction, points: list[QuotientSingularity]) -> "BlowupLattice":
-        return cls(a_cube=a_cube, exceptionals=tuple(map(kawamata_numbers, points)))
+    def kawamata_tower(cls, a_cube: Fraction, points: list[QuotientSingularity]) -> "BlowupRing":
+        """The Kawamata blowups of a threefold with A^3 = `a_cube` at each of
+        `points` (-K of the top is (1, -1/r_1, ...) when each center avoids
+        the earlier exceptional divisors)."""
+        return cls((a_cube, *(exceptional_power(q.r, (1, q.a, q.r - q.a)) for q in points)))
 
-    @property
-    def rank(self) -> int:
-        return 1 + len(self.exceptionals)
+    @classmethod
+    def vertex_blowup(cls, ambient_weights: tuple[int, ...], r: int, weights: tuple[int, ...]) -> "BlowupRing":
+        """The blowup with weights `weights`/r of P(`ambient_weights`) at a vertex: A^n = 1/prod(w)."""
+        return cls((Fraction(1, math.prod(ambient_weights)), exceptional_power(r, weights)))
 
-    def basis_cubes(self) -> tuple[Fraction, ...]:
-        return (self.a_cube, *(e3 for _, e3 in self.exceptionals))
-
-    def anticanonical(self) -> "DivisorClass":
-        """-K of the top of the tower: A - sum of discrepancies times E_i
-        (valid when each center avoids the earlier exceptional divisors)."""
-        return DivisorClass((Fraction(1), *(-disc for disc, _ in self.exceptionals)))
-
-    def exceptional_class(self) -> "DivisorClass":
-        coeffs = [Fraction(0)] * self.rank
-        coeffs[1] = Fraction(1)
-        return DivisorClass(tuple(coeffs))
-
-
-@record
-class DivisorClass:
-    coefficients: tuple[Fraction, ...]
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a + b for a, b in zip(self.coefficients, other.coefficients, strict=True)))
-
-    def __rmul__(self, scalar) -> "DivisorClass":
-        s = Fraction(scalar)
-        n, d = s.numerator, s.denominator
-        return DivisorClass(tuple(Fraction(n * a.numerator, d * a.denominator) for a in self.coefficients))
+    def product(self, *classes) -> Fraction:
+        """The product of the classes, n of them on an n-fold: diagonal
+        contraction against the basis powers, summed as integers over the
+        terms' common denominator and returned as one exact Fraction."""
+        rank = len(self.powers)
+        for c in classes:
+            if len(c) != rank:
+                raise ValueError(f"class of rank {len(c)} on a rank-{rank} ring")
+        terms = []
+        for k, *xs in zip(self.powers, *classes):
+            num, den = k.numerator, k.denominator
+            for x in xs:
+                num, den = num * x.numerator, den * x.denominator
+            terms.append((num, den))
+        denominator = math.lcm(*(d for _, d in terms))
+        return Fraction(sum(n * (denominator // d) for n, d in terms), denominator)
 
 
-def triple(lattice: BlowupLattice, c1: DivisorClass, c2: DivisorClass, c3: DivisorClass) -> Fraction:
-    """Triple product of three classes: diagonal contraction against the
-    basis cubes (all mixed products vanish), summed as integers over the
-    terms' common denominator and returned as one exact Fraction."""
-    cubes = lattice.basis_cubes()
-    for c in (c1, c2, c3):
-        if len(c.coefficients) != lattice.rank:
-            raise ValueError(f"class of rank {len(c.coefficients)} on a rank-{lattice.rank} lattice")
-    nums, dens = [], []
-    for x, y, z, k in zip(c1.coefficients, c2.coefficients, c3.coefficients, cubes):
-        nums.append(x.numerator * y.numerator * z.numerator * k.numerator)
-        dens.append(x.denominator * y.denominator * z.denominator * k.denominator)
-    denominator = math.lcm(*dens)
-    return Fraction(sum(n * (denominator // d) for n, d in zip(nums, dens)), denominator)
+def triple(ring: BlowupRing, c1, c2, c3) -> Fraction:
+    """The product of three classes on a threefold's ring."""
+    return ring.product(c1, c2, c3)
 
 
 def b_cubed(a_cube: Fraction, q: QuotientSingularity) -> Fraction:
     """(-K)^3 after the Kawamata blowup of one point: A^3 - 1/(r a (r-a)),
-    one exact Fraction over the common denominator."""
+    the ring's (1, -1/r)^3 in closed form, one exact Fraction over the
+    common denominator."""
     k = q.r * q.a * (q.r - q.a)
     return Fraction(a_cube.numerator * k - a_cube.denominator, a_cube.denominator * k)
 
 
-def ambient_quadruple(ambient_weights: tuple[int, ...],
-                      blowup_r: int,
-                      blowup_weights: tuple[int, ...],
+def ambient_quadruple(ambient_weights: tuple[int, ...], blowup_r: int, blowup_weights: tuple[int, ...],
                       classes: list[tuple[Fraction, Fraction]]) -> Fraction:
-    """Product of four divisor classes alpha*A + beta*F on the weighted blowup
-    of a weighted projective 4-space: A^4 = 1 / prod(ambient weights) and
-    F^4 = -r^3 / prod(blowup weights), mixed products zero.
+    """Product of four classes (alpha, beta) = alpha A + beta F on the weighted
+    blowup of a weighted projective 4-space at a vertex.
 
     Used to pair curve classes cut by three coordinate divisors against -K.
     """
     if len(classes) != 4 or len(blowup_weights) != 4:
         raise ValueError("need four classes and four blowup weights")
-    a4 = Fraction(1, math.prod(ambient_weights))
-    f4 = -Fraction(blowup_r ** 3, math.prod(blowup_weights))
-    a_term = math.prod(alpha for alpha, _ in classes) * a4
-    f_term = math.prod(beta for _, beta in classes) * f4
-    return a_term + f_term
+    return BlowupRing.vertex_blowup(ambient_weights, blowup_r, blowup_weights).product(*classes)
 
 
 # ---------------------------------------------------------------------------

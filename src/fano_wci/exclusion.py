@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .blowup import (BlowupLattice, DivisorClass, SectionLift, ambient_quadruple, b_cubed,
-                     nef_bound_check, triple, vanishing_order)
+from .blowup import (BlowupRing, SectionLift, ambient_quadruple, b_cubed, nef_bound_check, triple,
+                     vanishing_order)
 from .catalog import LINK_TAGS, Member
 from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex, tangent_monomials
 from .wps import MonomialSupport, max_pair_lcm, rat_str, record
@@ -460,20 +460,16 @@ def _nef_divisor(member: Member, center: Center, branch: RuleBranch, earlier: Ea
     vertex = point_vertex(w, q.locus)
     support = support_with_point_at_vertex(member.support, vertex, w[vertex])
     local = tuple(Fraction(0) if i == vertex else Fraction(w[i] % q.r, q.r) for i in range(5))
-    lifts = []
-    for i in NEF_SECTIONS:
-        order = vanishing_order(support, local, eliminated=4) if i == 4 else local[i]
-        lifts.append(SectionLift.of(w[i], order, q.r))
+    orders = [vanishing_order(support, local, eliminated=4) if i == 4 else local[i] for i in NEF_SECTIONS]
+    lifts = [SectionLift.of(w[i], order, q.r) for i, order in zip(NEF_SECTIONS, orders)]
     c, certified = nef_bound_check(lifts, q)
     # M is the lift that attains c = max(class_e / class_b), the first on a tie: its
     # class class_b B + class_e E = class_b (B + cE) is a positive multiple of the
-    # divisor that nef_bound_check certifies nef, so (M . B^2) has that divisor's sign
-    m = next(l for l in lifts if l.class_e == c * l.class_b)
-    lattice = BlowupLattice.over(member.a_cube, [q])
-    b_class = lattice.anticanonical()
-    a_coeff, e_coeff = b_class.coefficients  # B = A - E/r
-    m_class = DivisorClass((m.class_b * a_coeff, m.class_b * e_coeff + m.class_e))
-    m_b2 = triple(lattice, m_class, b_class, b_class)
+    # divisor that nef_bound_check certifies nef, so (M . B^2) has that divisor's sign;
+    # in the (A, E) basis, where B = A - E/r, d B + (d/r - order) E is (d, -order)
+    m = next((l.class_b, -order) for l, order in zip(lifts, orders) if l.class_e == c * l.class_b)
+    b = (1, Fraction(-1, q.r))
+    m_b2 = triple(BlowupRing.kawamata_tower(member.a_cube, [q]), m, b, b)
     return NefDivisor(lifts=tuple(lifts), q=q, m_b2=m_b2, c=c, certified=certified)
 
 
@@ -495,10 +491,9 @@ def _negdef_matrix(member: Member, center: Center, branch: RuleBranch, earlier: 
     # third point: (B . Gamma) via the ambient weighted blowup of the
     # 4-space; the companion entry is pinned golden data
     # blowup weights and classes: cited from the paper; ROADMAP item 9 derives them
-    alpha = ambient_quadruple(
-        record.weights, 3, (1, 2, 2, 1),
-        [(Fraction(1), Fraction(-1, 3)), (Fraction(1), Fraction(-1, 3)),
-         (Fraction(2), Fraction(-2, 3)), (Fraction(4), Fraction(-1, 3))])
+    third = Fraction(-1, 3)
+    alpha = ambient_quadruple(record.weights, 3, (1, 2, 2, 1),
+                              [(1, third), (1, third), (2, 2 * third), (4, third)])
     # beta = 1/60: cited from the paper; ROADMAP item 3 derives it
     return NegDefMatrix(alpha=alpha, beta=Fraction(1, 60), parameter_floor=Fraction(1, 2))
 
@@ -506,31 +501,30 @@ def _negdef_matrix(member: Member, center: Center, branch: RuleBranch, earlier: 
 def _infinite_curves(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> InfiniteCurves:
     q = center.quotient
     r = q.r  # the blowup's discrepancy is 1/r
-    lattice = BlowupLattice.over(member.a_cube, [q])
-    b = lattice.anticanonical()
-    e = lattice.exceptional_class()
+    ring = BlowupRing.kawamata_tower(member.a_cube, [q])
+    b, e = (1, Fraction(-1, r)), (0, 1)
     fid = member.gprime.id
     if fid == 23:
         # S . T splits off the WCI curve through the point, which meets -K in
         # 1/6 - 1/r; the residual pencil meets -K trivially
         # the curve's 1/6: cited from the paper; ROADMAP item 2 derives it
-        s, t = b, 4 * b
-        b_dot = triple(lattice, b, s, t) - Fraction(r - 6, 6 * r)
-        e_dot = triple(lattice, e, s, t) - 1
+        s, t = b, (4, Fraction(-4, r))  # T = 4B
+        b_dot = triple(ring, b, s, t) - Fraction(r - 6, 6 * r)
+        e_dot = triple(ring, e, s, t) - 1
     elif fid == 30:
         # both pairings: cited from the paper; ROADMAP item 2 derives them
         b_dot = Fraction(2 * r - 6, 3 * r)  # 2/3 - 2/r
         e_dot = Fraction(2)
     elif fid == 55:
         # T's class: cited from the paper; ROADMAP item 9 derives it
-        s, t = b, DivisorClass((Fraction(2), Fraction(-3, 2)))
-        b_dot = triple(lattice, b, s, t)
-        e_dot = triple(lattice, e, s, t)
+        s, t = b, (2, Fraction(-3, 2))
+        b_dot = triple(ring, b, s, t)
+        e_dot = triple(ring, e, s, t)
     elif fid == 69:
         # T's class: cited from the paper; ROADMAP item 9 derives it
-        s, t = b, DivisorClass((Fraction(2), Fraction(-12, 5)))
-        b_dot = triple(lattice, b, s, t)
-        e_dot = triple(lattice, e, s, t)
+        s, t = b, (2, Fraction(-12, 5))
+        b_dot = triple(ring, b, s, t)
+        e_dot = triple(ring, e, s, t)
     else:
         raise UncoveredCaseError(f"no infinite-curves data for family {fid} at {q.locus}")
     return InfiniteCurves(b_dot_c=b_dot, e_dot_c=e_dot)

@@ -209,7 +209,7 @@ def test_verdict_witness_reverifies(catalog):
 
 def test_all_excluded_witnesses_reverify(catalog):
     """Recomputing every witness from the raw certificate inputs reproduces it."""
-    from fano_wci.blowup import BlowupLattice, triple
+    from fano_wci.blowup import BlowupRing, triple
     from fano_wci.report import build_report
 
     for fid in catalog.ids():
@@ -229,11 +229,12 @@ def test_all_excluded_witnesses_reverify(catalog):
                 elif v.method == "surface-pair":
                     assert v.witness == cert.a1 ** 2 * cert.b_cube
                 elif v.method == "nef-divisor":
-                    lat = BlowupLattice.over(a_cube, [cert.q])
+                    ring = BlowupRing.kawamata_tower(a_cube, [cert.q])
                     m_lift = max(cert.lifts, key=lambda l: F(l.class_e, l.class_b))
-                    m = m_lift.class_b * lat.anticanonical() + m_lift.class_e * lat.exceptional_class()
-                    b = lat.anticanonical()
-                    assert v.witness == cert.m_b2 == triple(lat, m, b, b)
+                    # M = d B + e E with B = A - E/r, in the (A, E) basis
+                    m = (m_lift.class_b, m_lift.class_e - F(m_lift.class_b, cert.q.r))
+                    b = (1, F(-1, cert.q.r))
+                    assert v.witness == cert.m_b2 == triple(ring, m, b, b)
                 elif v.method == "negdef-matrix":
                     e = cert.entries_at(cert.parameter_floor)
                     assert v.witness == e[0][0] * e[1][1] - e[0][1] * e[1][0]

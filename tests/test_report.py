@@ -1,6 +1,6 @@
 """The verifier compares every witness entry of the golden tables with a
-certificate of its method, and reports an entry that no such certificate
-reaches instead of skipping it."""
+certificate of its method, reports an entry that no such certificate
+reaches instead of skipping it, and reports a check that finds no entry."""
 
 import copy
 from fractions import Fraction
@@ -17,6 +17,11 @@ F = Fraction
 def golden_with(table, key, value):
     """GOLDEN with one entry added to (or replaced in) one table."""
     return {**GOLDEN, table: {**GOLDEN[table], key: value}}
+
+
+def golden_without(table, key):
+    """GOLDEN with one entry deleted from one table."""
+    return {**GOLDEN, table: {k: v for k, v in GOLDEN[table].items() if k != key}}
 
 
 # one golden fault per case and the exact verify-tables output: a wrong
@@ -70,43 +75,25 @@ def test_each_golden_fault_prints_its_exact_mismatch_line(catalog, monkeypatch, 
     assert verify_tables(catalog) == [line]
 
 
-# entries whose family runs no certificate of the table's method there:
-# family 17 has no nef-divisor and no curve-gamma branch, family 50's p1p4
-# point no infinite-curves one
-UNREACHED = {
-    "nef_witness": (17, F(-1, 4), "nef-divisor"),
-    "curve_witness": (17, F(-1, 2), "curve-gamma"),
-    "infinite_curves": ((50, "p1p4"), (F(0), F(2)), "infinite-curves"),
-}
+# one golden entry deleted per case and the exact verify-tables output: the
+# check that finds no entry names the value it computed.  Family 77's two
+# surface-pair points share one gamma_rows entry, so its deletion is one line
+DELETIONS = [
+    ("b_cube_signs", (23, "p2p4"), "family 23: B^3 at p2p4 computed -1/12, table b_cube_signs has no entry"),
+    ("nef_witness", 50, "family 50: nef witness computed -3/20, table nef_witness has no entry"),
+    ("matrices", (50, "p2"), "family 50: matrix data at p2 computed (-1/10, 1/60, 1/2), table matrices has no entry"),
+    ("infinite_curves", (55, "p2"),
+     "family 55: infinite-curves data at p2 computed (0, 2), table infinite_curves has no entry"),
+    ("curve_witness", 23, "family 23: curve witness computed -1/4, table curve_witness has no entry"),
+    ("gamma_rows", 77, "family 77: restriction curve support computed [(0, 2, 0), (2, 0, 3), (3, 0, 0)], "
+     "table gamma_rows has no entry"),
+]
 
 
-@pytest.mark.parametrize("table", UNREACHED)
-def test_a_golden_entry_no_certificate_reaches_is_a_mismatch(catalog, monkeypatch, table):
-    key, value, method = UNREACHED[table]
-    monkeypatch.setattr(report, "GOLDEN", golden_with(table, key, value))
-    family = key[0] if isinstance(key, tuple) else key
-    assert verify_tables(catalog) == [
-        f"family {family}: table {table}[{key!r}] unchecked: no {method} certificate ran"]
-
-
-def test_a_golden_entry_a_certificate_reaches_is_compared(catalog, monkeypatch):
-    # every family runs the isolation certificate at a nonsingular point
-    monkeypatch.setattr(report, "GOLDEN", golden_with("isolation", 17, (1, F(1))))
-    (line,) = verify_tables(catalog)
-    assert line.startswith("family 17: isolation (") and line.endswith(") != table (1, 1)")
-
-
-# entries keyed by families outside the shipped catalog's 14
-OUTSIDE = {"nef_witness": (99, F(-1, 4)), "matrices": ((95, "p2"), (F(1, 4), F(-2, 5), F(1)))}
-
-
-@pytest.mark.parametrize("table", OUTSIDE)
-def test_a_golden_entry_of_a_family_outside_the_catalog_is_a_mismatch(catalog, monkeypatch, table):
-    key, value = OUTSIDE[table]
-    monkeypatch.setattr(report, "GOLDEN", golden_with(table, key, value))
-    family = key[0] if isinstance(key, tuple) else key
-    assert verify_tables(catalog) == [
-        f"family {family}: table {table}[{key!r}] unchecked: family not in the catalog"]
+@pytest.mark.parametrize("table, key, line", DELETIONS, ids=[f"{t}[{k!r}]" for t, k, _ in DELETIONS])
+def test_each_golden_deletion_prints_its_exact_mismatch_line(catalog, monkeypatch, table, key, line):
+    monkeypatch.setattr(report, "GOLDEN", golden_without(table, key))
+    assert verify_tables(catalog) == [line]
 
 
 def test_several_golden_faults_print_their_lines_in_family_order(catalog, monkeypatch):
@@ -286,3 +273,38 @@ def test_every_dispatch_edit_but_the_pinned_ones_prints_a_mismatch():
     silent = census(load_catalog(strict=False))
     assert set(silent) == set().union(*SILENT_EDITS.values())
     assert len(silent) == 30
+
+
+# ---------------------------------------------------------------------------
+# Golden-deletion census: deleting a single golden entry must print a
+# mismatch line, unless it is pinned below with the reason it cannot
+# ---------------------------------------------------------------------------
+
+def golden_deletions() -> list[tuple[str, str, object]]:
+    """Every single deletion from `GOLDEN` as (name, table, key)."""
+    return [(f"{table}[{key!r}]", table, key) for table, entries in GOLDEN.items() for key in entries]
+
+
+def deletion_census(catalog) -> list[str]:
+    """The names of the golden deletions, each applied alone, after which
+    `verify_tables(catalog)` prints no line."""
+    silent = []
+    for name, table, key in golden_deletions():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(report, "GOLDEN", golden_without(table, key))
+            if not verify_tables(catalog):
+                silent.append(name)
+    return silent
+
+
+# the isolation certificate runs in all 14 families and the paper bounds it
+# in four, so a family without an isolation entry is no mismatch
+SILENT_DELETIONS = {"isolation[42]", "isolation[19]", "isolation[50]", "isolation[23]"}
+
+
+def test_every_golden_deletion_but_the_pinned_ones_prints_a_mismatch():
+    deletions = golden_deletions()
+    assert len(deletions) == 55 and len({name for name, *_ in deletions}) == 55
+    silent = deletion_census(load_catalog(strict=False))
+    assert set(silent) == SILENT_DELETIONS
+    assert len(silent) == 4
