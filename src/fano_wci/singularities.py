@@ -1,8 +1,8 @@
-"""Singular locus of a general hypersurface-family member: terminal quotient
-points on coordinate vertices and edges, the distinguished non-quotient point,
-and the divisorial extractions centered there; and the standard form that both
-records of a family solve to (`equation_shape`), which fixes the member's
-equation shape and subfamily tag.
+"""Singular locus of a hypersurface-family member (`singular_locus`, one walk
+over the coordinate vertices and edges for its terminal quotient points), the
+distinguished non-quotient point and the divisorial extractions centered there;
+and the standard form that both records of a family solve to (`equation_shape`),
+which fixes the member's equation shape and subfamily tag.
 
 Everything else here is support-based.  A general member is modeled by the set of
 monomials its defining polynomial may contain (generic coefficients): the
@@ -301,30 +301,6 @@ def tangent_coordinate(support: MonomialSupport, w: tuple[int, ...], vertex: int
     return min(candidates)[1]
 
 
-def vertex_on_member(support: MonomialSupport, w: tuple[int, ...], vertex: int) -> bool:
-    pure = _pure_power(support.degree, w[vertex], vertex, len(w))
-    return pure is None or pure not in support
-
-
-def vertex_singularities(record: FamilyRecord, support: MonomialSupport) -> list[QuotientSingularity]:
-    """Quotient types at the x vertices of a general Gprime member.
-
-    The w vertex, the distinguished non-quotient point, is not among them
-    (see `cax_classify`).  Vertices of weight 1, and vertices missed by the
-    general member, contribute nothing.  `support` is the record's
-    `family_support`.
-    """
-    w = record.weights
-    out: list[QuotientSingularity] = []
-    for i in range(4):
-        if w[i] < 2 or not vertex_on_member(support, w, i):
-            continue
-        j = tangent_coordinate(support, w, i)
-        transverse = tuple(w[m] for m in range(5) if m not in (i, j))
-        out.append(normalize_quotient(w[i], transverse, locus=f"p{i}"))
-    return out
-
-
 def edge_root_count(support: MonomialSupport, w: tuple[int, ...], i: int, j: int) -> int:
     """Number of points cut on the coordinate edge (i, j) away from the two
     vertices, for generic coefficients.
@@ -353,38 +329,35 @@ def edge_root_count(support: MonomialSupport, w: tuple[int, ...], i: int, j: int
     return interior // (p * q)
 
 
-def edge_singularities(record: FamilyRecord, edge: tuple[int, int],
-                       support: MonomialSupport) -> QuotientSingularity | None:
-    """Quotient points on one coordinate edge of a general Gprime member, with
-    their multiplicity; None when the general member meets the edge only at
-    vertices.  `support` is the record's `family_support`."""
-    i, j = sorted(edge)
-    w = record.weights
-    r = math.gcd(w[i], w[j])
-    if r < 2:
-        raise ValueError(f"edge p{i}p{j} has trivial stabilizer (gcd {r})")
-    count = edge_root_count(support, w, i, j)
-    if count == 0:
-        return None
-    transverse = tuple(w[m] for m in range(5) if m not in (i, j))
-    return normalize_quotient(r, transverse, locus=f"p{i}p{j}", count=count)
-
-
 def singular_locus(record: FamilyRecord, shape: StandardForm,
                    support: MonomialSupport) -> tuple[list[QuotientSingularity], CAxPoint]:
-    """The full basket of a member: vertex points, edge points, and the
-    distinguished cAx point, whose type is read off `support`.  `shape` is
-    the record's `equation_shape`; `support` is its `family_support`, or a
-    stratum's support with some monomials struck."""
-    quotients = vertex_singularities(record, support)
+    """The full basket of a member: its quotient points, by locus, and the
+    cAx point at the w vertex (`cax_classify`).  One walk visits each x
+    vertex of weight r >= 2 on the member, where the tangent coordinate is
+    eliminated, then each edge of gcd r >= 2, which holds `edge_root_count`
+    points; a point is 1/r of the three weights left.  Vertices go first, so
+    theirs is the error raised.  `shape` is the record's `equation_shape`;
+    `support` is its `family_support`, or a stratum's with monomials struck."""
     w = record.weights
+    quotients = []
+    for i in range(4):
+        if w[i] < 2:
+            continue
+        pure = _pure_power(support.degree, w[i], i, 5)
+        if pure is not None and pure in support:  # the member misses the vertex
+            continue
+        j = tangent_coordinate(support, w, i)
+        transverse = tuple(w[m] for m in range(5) if m not in (i, j))
+        quotients.append(normalize_quotient(w[i], transverse, locus=f"p{i}"))
     for i in range(5):
         for j in range(i + 1, 5):
-            if math.gcd(w[i], w[j]) < 2:
+            r = math.gcd(w[i], w[j])
+            if r < 2:
                 continue
-            found = edge_singularities(record, (i, j), support)
-            if found is not None:
-                quotients.append(found)
+            count = edge_root_count(support, w, i, j)
+            if count:
+                transverse = tuple(w[m] for m in range(5) if m not in (i, j))
+                quotients.append(normalize_quotient(r, transverse, locus=f"p{i}p{j}", count=count))
     quotients.sort(key=lambda q: (q.locus, q.r))
     return quotients, cax_classify(shape, support)
 

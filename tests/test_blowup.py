@@ -272,6 +272,25 @@ def test_nef_bound_check_examples():
     assert (c, ok) == (Fraction(1), False)
 
 
+def test_nef_bound_is_one_over_r_less_the_least_order_per_degree(catalog):
+    # c = max over lifts of (d/r - order)/d = 1/r - min(order/d), and every
+    # order is >= 0, so c <= 1/r: the certificate's `certified` cannot fail
+    got = {}
+    for fid in (50, 74, 82):
+        record, orders = section_orders(catalog, fid, 1, exclusion.NEF_SECTIONS)
+        degrees = {i: record.weights[i] for i in orders}
+        lifts = [SectionLift.of(degrees[i], orders[i], 2) for i in exclusion.NEF_SECTIONS]
+        c, certified = nef_bound_check(lifts, HALF)
+        assert c == Fraction(1, 2) - min(orders[i] / degrees[i] for i in orders), fid
+        assert min(orders.values()) >= 0 and certified, fid
+        q = next(q for q in catalog.member(fid).quotients if q.locus == "p1p4")
+        condition = "not-exists-wci(1,3,4)" if fid == 50 else ""
+        cert, _ = exclusion.dispatch(catalog.member(fid), exclusion.Center.quotient_point(q), condition)
+        assert (cert.c, cert.certified) == (c, True), fid
+        got[fid] = c
+    assert got == {50: Fraction(1, 3), 74: Fraction(1, 3), 82: Fraction(2, 5)}
+
+
 def test_nef_bound_check_empty():
     with pytest.raises(ValueError):
         nef_bound_check([], HALF)

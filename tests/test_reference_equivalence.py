@@ -19,9 +19,15 @@ monomials x_v^k x_j at a vertex v off `tangent_monomials`;
 that each built and looked up those monomials, kept verbatim apart from
 names, and the loop of `qi_eligible` taking the support, weights and vertex
 that `qi_eligible` read off the member.
+
+`singular_locus` finds the vertex and edge points in one walk;
+`reference_singular_locus` is the walk it replaced, through
+`reference_vertex_singularities`, `reference_edge_singularities` and
+`reference_vertex_on_member`, kept verbatim apart from names and docstrings.
 """
 
 import itertools
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -32,9 +38,11 @@ from hypothesis import strategies as st
 from fano_wci.catalog import FamilyRecord, Member
 from fano_wci.exclusion import qi_eligible
 from fano_wci.links import build_counterpart
-from fano_wci.singularities import (NotQuasismoothError, StandardForm, StandardFormError, cax_classify,
-                                    equation_shape, family_support, tangent_coordinate)
+from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, StandardForm, StandardFormError,
+                                    _pure_power, cax_classify, edge_root_count, equation_shape, family_support,
+                                    normalize_quotient, singular_locus, tangent_coordinate)
 from fano_wci.wps import MonomialSupport, rat
+from test_strata import stratum
 
 # the extraction weights are read off the form alone: no support is needed
 NO_TERMS = MonomialSupport(0, frozenset())
@@ -203,6 +211,51 @@ def reference_qi_loop(support, w, vertex):
     return False
 
 
+def reference_vertex_on_member(support: MonomialSupport, w: tuple[int, ...], vertex: int) -> bool:
+    pure = _pure_power(support.degree, w[vertex], vertex, len(w))
+    return pure is None or pure not in support
+
+
+def reference_vertex_singularities(record: FamilyRecord, support: MonomialSupport) -> list[QuotientSingularity]:
+    w = record.weights
+    out: list[QuotientSingularity] = []
+    for i in range(4):
+        if w[i] < 2 or not reference_vertex_on_member(support, w, i):
+            continue
+        j = tangent_coordinate(support, w, i)
+        transverse = tuple(w[m] for m in range(5) if m not in (i, j))
+        out.append(normalize_quotient(w[i], transverse, locus=f"p{i}"))
+    return out
+
+
+def reference_edge_singularities(record: FamilyRecord, edge: tuple[int, int],
+                                 support: MonomialSupport) -> QuotientSingularity | None:
+    i, j = sorted(edge)
+    w = record.weights
+    r = math.gcd(w[i], w[j])
+    if r < 2:
+        raise ValueError(f"edge p{i}p{j} has trivial stabilizer (gcd {r})")
+    count = edge_root_count(support, w, i, j)
+    if count == 0:
+        return None
+    transverse = tuple(w[m] for m in range(5) if m not in (i, j))
+    return normalize_quotient(r, transverse, locus=f"p{i}p{j}", count=count)
+
+
+def reference_singular_locus(record, shape, support):
+    quotients = reference_vertex_singularities(record, support)
+    w = record.weights
+    for i in range(5):
+        for j in range(i + 1, 5):
+            if math.gcd(w[i], w[j]) < 2:
+                continue
+            found = reference_edge_singularities(record, (i, j), support)
+            if found is not None:
+                quotients.append(found)
+    quotients.sort(key=lambda q: (q.locus, q.r))
+    return quotients, cax_classify(shape, support)
+
+
 def outcome(function, *args):
     try:
         return "value", function(*args)
@@ -304,6 +357,47 @@ def test_tangent_monomials_match_the_two_loops_they_replaced(catalog):
                 assert qi_eligible(dropped, f"p{vertex}") == reference_qi_loop(support, w, vertex), (fid, vertex)
             checked += 1
     assert checked == 14 + 1_284
+
+
+def stratum_locus(member, monomial):
+    """The quotient points and cAx point of a one-monomial stratum, read off
+    the `Member` that the public path builds."""
+    dropped = stratum(member, monomial)
+    return list(dropped.quotients), dropped.cax
+
+
+def edge_strikes(member):
+    """Each support that strikes every monomial on one edge of gcd >= 2."""
+    support, w = member.support, member.gprime.weights
+    for i, j in itertools.combinations(range(5), 2):
+        if math.gcd(w[i], w[j]) >= 2:
+            on_edge = {m for m in support.monomials if m[i] * w[i] + m[j] * w[j] == support.degree}
+            yield MonomialSupport(support.degree, support.monomials - on_edge)
+
+
+def test_singular_locus_matches_the_walk_it_replaced(catalog):
+    raised = Counter()
+    strata = strikes = 0
+    for fid in catalog.ids():
+        member = catalog.member(fid)
+        record, shape, full = member.gprime, member.shape, member.support
+        assert (outcome(singular_locus, record, shape, full)
+                == outcome(reference_singular_locus, record, shape, full)), fid
+        for monomial in full.sorted():
+            expected = outcome(reference_singular_locus, record, shape,
+                               MonomialSupport(full.degree, full.monomials - {monomial}))
+            assert outcome(stratum_locus, member, monomial) == expected, (fid, monomial)
+            if expected[0] != "value":
+                raised[expected[0]] += 1
+            strata += 1
+        for support in edge_strikes(member):
+            expected = outcome(reference_singular_locus, record, shape, support)
+            assert outcome(singular_locus, record, shape, support) == expected, (fid, support)
+            # the vertices are walked first: theirs is the error raised
+            assert expected[0] is NotQuasismoothError, (fid, expected)
+            strikes += 1
+    assert (strata, strikes) == (1_284, 17)
+    assert raised == {NotQuasismoothError: 16}
 
 
 RATIONAL_TEXT = st.text(alphabet="0123456789/+-.e_ \t٣²", max_size=12)

@@ -154,14 +154,13 @@ def test_a_member_of_a_family_without_rules_is_reported_uncovered(catalog):
 
 
 def test_an_uncertified_nef_divisor_is_a_mismatch(catalog, monkeypatch):
-    # the one method-specific line: each nef_witness entry's certificate must
-    # be certified as well as match
+    # an uncertified nef divisor excludes nothing (`NefDivisor.verdict`), so
+    # its center is uncovered; no line of its own is needed, and none fires
+    # on the catalog, where every order is >= 0 and `certified` holds
     bound_check = exclusion.nef_bound_check
     monkeypatch.setattr(exclusion, "nef_bound_check", lambda lifts, q: (bound_check(lifts, q)[0], False))
-    lines = []
-    for family, condition in ((50, "not-exists-wci(1,3,4)"), (74, "unconditional"), (82, "unconditional")):
-        lines += [f"family {family}: uncovered centers: uncovered-cases(p1p4 = 1/2(1,1,1) [{condition}])",
-                  f"family {family}: nef divisor not certified"]
+    lines = [f"family {family}: uncovered centers: uncovered-cases(p1p4 = 1/2(1,1,1) [{condition}])"
+             for family, condition in ((50, "not-exists-wci(1,3,4)"), (74, "unconditional"), (82, "unconditional"))]
     assert verify_tables(catalog) == lines
 
 

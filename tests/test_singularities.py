@@ -6,10 +6,9 @@ import pytest
 
 from fano_wci.singularities import (ClassificationError, NotQuasismoothError,
                                     NonIsolatedSingularityError, QuotientSingularity,
-                                    cax_classify, edge_root_count, edge_singularities,
-                                    equation_shape, family_support,
+                                    cax_classify, edge_root_count, equation_shape, family_support,
                                     normalize_quotient, singular_locus, support_with_point_at_vertex,
-                                    tangent_coordinate, vertex_singularities)
+                                    tangent_coordinate)
 from fano_wci.wps import MonomialSupport
 
 
@@ -42,33 +41,35 @@ def record_and_support(catalog, fid):
     return member.gprime, member.support
 
 
+def points(catalog, fid, vertices):
+    """The quotient points of family `fid`'s general member, vertex points
+    (`vertices`) or edge points, as {locus: (type, count)}."""
+    member = catalog.member(fid)
+    quotients, _ = singular_locus(member.gprime, member.shape, member.support)
+    return {q.locus: (q.type_str(), q.count) for q in quotients if (len(q.locus) == 2) == vertices}
+
+
 def test_vertex_examples(catalog):
     # weight-3 vertex of No.23 carries 1/3(1,1,2)
-    quotients = vertex_singularities(*record_and_support(catalog, 23))
-    assert [(q.locus, q.type_str()) for q in quotients] == [("p3", "1/3(1,1,2)")]
+    assert points(catalog, 23, vertices=True) == {"p3": ("1/3(1,1,2)", 1)}
     # weight-4 vertex of No.30 carries 1/4(1,1,3)
-    quotients = {q.locus: q.type_str() for q in vertex_singularities(*record_and_support(catalog, 30))}
-    assert quotients == {"p2": "1/3(1,1,2)", "p3": "1/4(1,1,3)"}
+    assert points(catalog, 30, vertices=True) == {"p2": ("1/3(1,1,2)", 1), "p3": ("1/4(1,1,3)", 1)}
     # No.17 has only the distinguished point
-    assert vertex_singularities(*record_and_support(catalog, 17)) == []
+    assert points(catalog, 17, vertices=True) == {}
 
 
 def test_edge_examples(catalog):
-    record, support = record_and_support(catalog, 29)
-    q29 = edge_singularities(record, (2, 4), support)
-    assert (q29.type_str(), q29.count) == ("1/2(1,1,1)", 3)
-    record, support = record_and_support(catalog, 23)
-    q23 = edge_singularities(record, (2, 4), support)
-    assert (q23.type_str(), q23.count) == ("1/2(1,1,1)", 1)
-    record, support = record_and_support(catalog, 19)
-    q19 = edge_singularities(record, (2, 4), support)
-    assert (q19.type_str(), q19.count) == ("1/2(1,1,1)", 2)
+    assert points(catalog, 29, vertices=False)["p2p4"] == ("1/2(1,1,1)", 3)
+    assert points(catalog, 23, vertices=False)["p2p4"] == ("1/2(1,1,1)", 1)
+    assert points(catalog, 19, vertices=False)["p2p4"] == ("1/2(1,1,1)", 2)
 
 
 def test_edge_count_zero_when_member_avoids_interior(catalog):
-    # the (z, w) edge of No.30 meets the member only at vertices
-    record, support = record_and_support(catalog, 30)
-    assert edge_singularities(record, (3, 4), support) is None
+    # the (z, w) edge of No.30 has a stabilizer but meets the member only at
+    # vertices: it holds no point
+    w = catalog.gprime(30).weights
+    assert math.gcd(w[3], w[4]) >= 2
+    assert "p3p4" not in points(catalog, 30, vertices=False)
 
 
 def test_baskets_match_golden(catalog):

@@ -27,7 +27,11 @@ def outcome(member: Member) -> tuple:
             report.uncovered)
 
 
-def test_every_one_monomial_drop_runs_through_the_public_path(catalog):
+def sweep(catalog) -> tuple[Counter, list, list]:
+    """Every one-monomial drop of every family through the public path: the
+    count of each kind of outcome (not quasismooth, basket changed, report
+    changed, same), and the drops that change the report, or the number of
+    extractions at the cAx point, as (family, monomial)."""
     kinds, report_drops, extraction_drops = Counter(), [], []
     for fid in catalog.ids():
         member = catalog.member(fid)
@@ -47,6 +51,11 @@ def test_every_one_monomial_drop_runs_through_the_public_path(catalog):
                 report_drops.append((fid, monomial))
             else:
                 kinds["same"] += 1
+    return kinds, report_drops, extraction_drops
+
+
+def test_every_one_monomial_drop_runs_through_the_public_path(catalog):
+    kinds, report_drops, extraction_drops = sweep(catalog)
     assert kinds == {"not quasismooth": 16, "basket": 19, "report": 3, "same": 1_246}
     assert report_drops == [(23, (0, 0, 0, 2, 1)), (30, (0, 0, 2, 1, 0)), (41, (0, 0, 2, 1, 0))]
     # w^2 x0 x1 is family 23's only w^2 x0 f term: without it the cAx point
