@@ -134,7 +134,7 @@ def nef_bound_check(lifts: list[SectionLift], q: QuotientSingularity) -> tuple[F
     if not lifts:
         raise ValueError("need at least one section lift")
     for lift in lifts:
-        if lift.class_b <= 0 or lift.class_e < 0:
+        if lift.class_b <= 0 or lift.class_e.numerator < 0:
             raise ValueError(f"lift {lift} is not of the form bB + eE with b > 0, e >= 0")
     c = max(Fraction(lift.class_e, lift.class_b) for lift in lifts)
-    return c, c <= Fraction(1, q.r)
+    return c, c.numerator * q.r <= c.denominator  # c <= 1/r

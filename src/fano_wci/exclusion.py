@@ -5,9 +5,11 @@ maximal center, or tag the birational involution / link that untwists it.
 general member, which certificate applies under which condition; `dispatch`
 builds the certificate of one branch at a center of a `Member` with the
 method's builder in `BUILDERS`, and the certificate judges itself
-(`verdict()`).  Conditions are strings such as "exists-wci(1,1,2)" or
-"monomial-absent(y^2 z)", mirroring the condition marks of the catalog's
-link column; "" marks an unconditional branch.
+(`verdict()`) by the sign of its witness's numerator, or by one integer
+cross-product, never by a `Fraction` comparison.  Conditions are strings
+such as "exists-wci(1,1,2)" or "monomial-absent(y^2 z)", mirroring the
+condition marks of the catalog's link column; "" marks an unconditional
+branch.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class Center:
 
     @classmethod
     def curve(cls, degree: Fraction) -> "Center":
-        if degree <= 0:
+        if degree.numerator <= 0:
             raise ValueError("curve degree must be positive")
         return cls("curve", degree)
 
@@ -93,9 +95,10 @@ class CurveDegree:
     a_cube: Fraction
 
     def verdict(self) -> Verdict:
-        if self.deg <= 0 or self.a_cube <= 0:
+        if self.deg.numerator <= 0 or self.a_cube.numerator <= 0:
             raise ValueError("degree and (-K)^3 must be positive")
-        return Verdict(self.deg >= self.a_cube, self.method, self.deg - self.a_cube)
+        witness = self.deg - self.a_cube
+        return Verdict(witness.numerator >= 0, self.method, witness)
 
 
 @record
@@ -108,10 +111,10 @@ class CurveGamma:
     gamma_sq: Fraction
 
     def verdict(self) -> Verdict:
-        if self.gamma_sq >= 0:
+        if self.gamma_sq.numerator >= 0:
             raise ValueError("the self-intersection bound must be negative")
         witness = 3 * self.a_cube - 2 * self.deg + self.gamma_sq
-        return Verdict(witness <= 0, self.method, witness)
+        return Verdict(witness.numerator <= 0, self.method, witness)
 
 
 @record
@@ -124,7 +127,7 @@ class CurveCycle:
 
     def verdict(self) -> Verdict:
         witness = self.gamma_dot_delta - self.a_dot_delta
-        return Verdict(witness >= 0 and self.a_dot_delta > 0, self.method, witness)
+        return Verdict(witness.numerator >= 0 and self.a_dot_delta.numerator > 0, self.method, witness)
 
 
 @record
@@ -138,7 +141,8 @@ class Isolation:
     dropped_vertex: int | None
 
     def verdict(self) -> Verdict:
-        return Verdict(self.bound <= self.limit, self.method, Fraction(self.bound))
+        limit = self.limit  # bound <= p/q as bound q <= p, q > 0
+        return Verdict(self.bound * limit.denominator <= limit.numerator, self.method, Fraction(self.bound))
 
 
 @record
@@ -159,7 +163,7 @@ class SurfacePair:
         if not self.gamma_support.monomials:
             raise ValueError("empty restriction support")
         witness = self.a1 * self.a1 * self.b_cube
-        return Verdict(witness <= 0, self.method, witness)
+        return Verdict(witness.numerator <= 0, self.method, witness)
 
 
 @record
@@ -172,7 +176,7 @@ class NefDivisor:
     certified: bool
 
     def verdict(self) -> Verdict:
-        return Verdict(self.certified and self.m_b2 <= 0, self.method, self.m_b2)
+        return Verdict(self.certified and self.m_b2.numerator <= 0, self.method, self.m_b2)
 
 
 @record
@@ -201,7 +205,7 @@ class InfiniteCurves:
     e_dot_c: Fraction
 
     def verdict(self) -> Verdict:
-        return Verdict(self.b_dot_c <= 0 and self.e_dot_c > 0, self.method, self.b_dot_c)
+        return Verdict(self.b_dot_c.numerator <= 0 and self.e_dot_c.numerator > 0, self.method, self.b_dot_c)
 
 
 @record
@@ -260,7 +264,7 @@ def negdef2(m: list[list[Fraction]]) -> bool:
     if m[0][1] != m[1][0]:
         raise ValueError("matrix is not symmetric")
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return m[0][0] < 0 and det > 0
+    return m[0][0].numerator < 0 and det.numerator > 0
 
 
 def negdef_for_all(cert: NegDefMatrix) -> bool:
@@ -268,7 +272,7 @@ def negdef_for_all(cert: NegDefMatrix) -> bool:
     rational m >= floor: the determinant is affine in m and the leading entry
     decreases, so it suffices to check the floor and the determinant slope."""
     at_floor = negdef2(cert.entries_at(cert.parameter_floor))
-    slope_ok = -(cert.alpha + cert.beta) >= 0
+    slope_ok = (cert.alpha + cert.beta).numerator <= 0
     return at_floor and slope_ok
 
 
@@ -395,7 +399,8 @@ def minimal_curve_degree(member: Member) -> Fraction:
     through the cAx point have degree in (1/modulus) Z, and a special curve
     of the least degree, 1/modulus, leaves the next one."""
     step = Fraction(1, member.cax.modulus)
-    return 2 * step if SPECIAL_CURVE_DEG.get(member.g.id) == step else step
+    fid = member.g.id
+    return 2 * step if fid in SPECIAL_CURVE_DEG and SPECIAL_CURVE_DEG[fid] == step else step
 
 
 def _branches(family_id: int, center: Center) -> tuple[RuleBranch, ...]:
@@ -439,7 +444,8 @@ def _isolation(member: Member, center: Center, branch: RuleBranch, earlier: Earl
     if drop is None:
         raise UncoveredCaseError(f"family {member.g.id}: no isolation vertex to drop")
     bound = max_pair_lcm(w, tuple(i for i in range(len(w)) if i != drop))
-    return Isolation(bound=bound, limit=Fraction(4) / member.a_cube, dropped_vertex=drop)
+    a_cube = member.a_cube
+    return Isolation(bound=bound, limit=Fraction(4 * a_cube.denominator, a_cube.numerator), dropped_vertex=drop)
 
 
 def _surface_pair(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> SurfacePair:
@@ -460,11 +466,13 @@ def _nef_divisor(member: Member, center: Center, branch: RuleBranch, earlier: Ea
     orders = [vanishing_order(support, local, eliminated=4) if i == 4 else local[i] for i in NEF_SECTIONS]
     lifts = [SectionLift.of(w[i], order, q.r) for i, order in zip(NEF_SECTIONS, orders)]
     c, certified = nef_bound_check(lifts, q)
-    # M is the lift that attains c = max(class_e / class_b), the first on a tie: its
+    # M is the lift that attains c = max(class_e / class_b), the first on a tie
+    # (class_e = c class_b, compared as one integer cross-product): its
     # class class_b B + class_e E = class_b (B + cE) is a positive multiple of the
     # divisor that nef_bound_check certifies nef, so (M . B^2) has that divisor's sign;
     # in the (A, E) basis, where B = A - E/r, d B + (d/r - order) E is (d, -order)
-    m = next((l.class_b, -order) for l, order in zip(lifts, orders) if l.class_e == c * l.class_b)
+    m = next((l.class_b, -order) for l, order in zip(lifts, orders)
+             if l.class_e.numerator * c.denominator == c.numerator * l.class_e.denominator * l.class_b)
     b = (1, Fraction(-1, q.r))
     m_b2 = triple(BlowupRing.kawamata_tower(member.a_cube, [q]), m, b, b)
     return NefDivisor(lifts=tuple(lifts), q=q, m_b2=m_b2, c=c, certified=certified)

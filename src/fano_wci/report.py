@@ -241,6 +241,11 @@ WITNESSES = {
 }
 
 
+# why an entry that no check took is left, by table, when no check stopped at an error
+UNTAKEN = {**{table: f"no {method} certificate ran" for method, (table, *_) in WITNESSES.items()},
+           "b_cube_signs": "no computed point", "tower_cube": "no cited G points"}
+
+
 def _witness_str(value) -> str:
     """A witness as its mismatch line prints it: "p/q", "(p/q, ...)", or a
     support's exponent triples as a sorted list."""
@@ -272,9 +277,7 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
     def diff(msg: str) -> None:
         diffs.append(f"family {family_id}: {msg}")
 
-    # why an entry that no check took is left, by table
-    why = {table: f"no {method} certificate ran" for method, (table, *_) in WITNESSES.items()}
-    why.update(b_cube_signs="no computed point", tower_cube="no cited G points")
+    why = UNTAKEN
     try:
         pair = catalog.pair(family_id)
         g, gp = pair.g, pair.gprime
@@ -338,8 +341,8 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
         taken = set()
         for cr in report.centers:
             q = cr.center.quotient
-            exclusion_ran = any(br.verdict.method != "untwist" for br in cr.branches)
-            if q is not None and exclusion_ran and q.locus not in signed:
+            if (q is not None and q.locus not in signed
+                    and any(br.verdict.method != "untwist" for br in cr.branches)):
                 val = blowup.b_cubed(a_cube, q)
                 diff(f"B^3 at {q.locus} computed {rat_str(val)}, table b_cube_signs has no entry")
             for br in cr.branches:

@@ -24,6 +24,15 @@ that `qi_eligible` read off the member.
 `reference_singular_locus` is the walk it replaced, through
 `reference_vertex_singularities`, `reference_edge_singularities` and
 `reference_vertex_on_member`, kept verbatim apart from names and docstrings.
+
+Each certificate's `verdict()`, `Center.curve` and `nef_bound_check` read
+the sign of a witness's numerator, or compare one integer cross-product;
+`REFERENCE_VERDICTS`, `reference_curve` and `reference_nef_bound_check` are
+the `Fraction` comparisons they replaced, kept verbatim apart from names
+(each method a function of `self`).  Each pair must agree on the value, or
+on the exception's type and message, on every branch of the 14 members'
+reports, of the reports of their one-monomial strata, and on drawn
+rationals that sit on each comparison's equality boundary.
 """
 
 import itertools
@@ -32,11 +41,14 @@ import re
 from collections import Counter
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fano_wci.blowup import SectionLift, nef_bound_check
 from fano_wci.catalog import FamilyRecord, Member
-from fano_wci.exclusion import qi_eligible
+from fano_wci.exclusion import (Center, CurveCycle, CurveDegree, CurveGamma, InfiniteCurves, Isolation, NefDivisor,
+                                NegDefMatrix, SurfacePair, UncoveredCaseError, Verdict, qi_eligible)
+from fano_wci.report import build_report
 from fano_wci.links import build_counterpart
 from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, StandardForm, StandardFormError,
                                     _pure_power, cax_classify, edge_root_count, equation_shape, family_support,
@@ -410,3 +422,213 @@ def test_rat_matches_fraction(text):
         assert outcome(rat, text) == outcome(Fraction, text)
     else:
         assert outcome(rat, text) == (ValueError, 'expected "p/q" or "p" in ASCII digits')
+
+
+def reference_curve(degree):
+    if degree <= 0:
+        raise ValueError("curve degree must be positive")
+    return Center("curve", degree)
+
+
+def reference_curve_degree(self):
+    if self.deg <= 0 or self.a_cube <= 0:
+        raise ValueError("degree and (-K)^3 must be positive")
+    return Verdict(self.deg >= self.a_cube, self.method, self.deg - self.a_cube)
+
+
+def reference_curve_gamma(self):
+    if self.gamma_sq >= 0:
+        raise ValueError("the self-intersection bound must be negative")
+    witness = 3 * self.a_cube - 2 * self.deg + self.gamma_sq
+    return Verdict(witness <= 0, self.method, witness)
+
+
+def reference_curve_cycle(self):
+    witness = self.gamma_dot_delta - self.a_dot_delta
+    return Verdict(witness >= 0 and self.a_dot_delta > 0, self.method, witness)
+
+
+def reference_isolation(self):
+    return Verdict(self.bound <= self.limit, self.method, Fraction(self.bound))
+
+
+def reference_surface_pair(self):
+    if not self.irreducibility_flag:
+        raise UncoveredCaseError(
+            "surface-pair certificate needs the irreducibility condition; "
+            "fall back to the family-specific certificate")
+    if not self.gamma_support.monomials:
+        raise ValueError("empty restriction support")
+    witness = self.a1 * self.a1 * self.b_cube
+    return Verdict(witness <= 0, self.method, witness)
+
+
+def reference_nef_divisor(self):
+    return Verdict(self.certified and self.m_b2 <= 0, self.method, self.m_b2)
+
+
+def reference_negdef2(m):
+    if m[0][1] != m[1][0]:
+        raise ValueError("matrix is not symmetric")
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return m[0][0] < 0 and det > 0
+
+
+def reference_negdef_for_all(cert):
+    at_floor = reference_negdef2(cert.entries_at(cert.parameter_floor))
+    slope_ok = -(cert.alpha + cert.beta) >= 0
+    return at_floor and slope_ok
+
+
+def reference_negdef_matrix(self):
+    e = self.entries_at(self.parameter_floor)
+    witness = e[0][0] * e[1][1] - e[0][1] * e[1][0]
+    return Verdict(reference_negdef_for_all(self), self.method, witness)
+
+
+def reference_infinite_curves(self):
+    return Verdict(self.b_dot_c <= 0 and self.e_dot_c > 0, self.method, self.b_dot_c)
+
+
+# the verdict of each certificate class whose verdict reads a sign
+REFERENCE_VERDICTS = {
+    CurveDegree: reference_curve_degree, CurveGamma: reference_curve_gamma, CurveCycle: reference_curve_cycle,
+    Isolation: reference_isolation, SurfacePair: reference_surface_pair, NefDivisor: reference_nef_divisor,
+    NegDefMatrix: reference_negdef_matrix, InfiniteCurves: reference_infinite_curves,
+}
+
+
+def reference_nef_bound_check(lifts, q):
+    if not lifts:
+        raise ValueError("need at least one section lift")
+    for lift in lifts:
+        if lift.class_b <= 0 or lift.class_e < 0:
+            raise ValueError(f"lift {lift} is not of the form bB + eE with b > 0, e >= 0")
+    c = max(Fraction(lift.class_e, lift.class_b) for lift in lifts)
+    return c, c <= Fraction(1, q.r)
+
+
+def verdicts_agree(member) -> Counter:
+    """Check every branch of the member's report against the reference
+    verdict of its certificate; the branches checked, by method."""
+    checked = Counter()
+    for cr in build_report(member).centers:
+        for br in cr.branches:
+            cert = br.certificate
+            reference = REFERENCE_VERDICTS.get(type(cert))
+            if reference is None:  # an untwist, whose verdict compares nothing
+                continue
+            assert outcome(cert.verdict) == outcome(reference, cert) == ("value", br.verdict), cert
+            if isinstance(cert, Isolation):
+                assert cert.limit == Fraction(4) / member.a_cube, cert
+            checked[cert.method] += 1
+    return checked
+
+
+def test_verdicts_match_the_fraction_comparisons_they_replaced(catalog):
+    # every branch of one verify-tables, then of every one-monomial stratum
+    members = [catalog.member(fid) for fid in catalog.ids()]
+    assert sum(map(verdicts_agree, members), Counter()) == {
+        "isolation": 14, "curve-degree": 14, "surface-pair": 10, "infinite-curves": 4, "nef-divisor": 3,
+        "curve-gamma": 2, "negdef-matrix": 2, "curve-cycle": 1}
+    strata, checked = 0, Counter()
+    for member in members:
+        for monomial in member.support.sorted():
+            try:
+                dropped = stratum(member, monomial)
+            except NotQuasismoothError:
+                continue
+            checked += verdicts_agree(dropped)
+            strata += 1
+    assert strata == 1_284 - 16
+    assert checked == {"curve-degree": 1_268, "isolation": 1_268, "surface-pair": 934, "infinite-curves": 357,
+                       "nef-divisor": 226, "curve-gamma": 160, "negdef-matrix": 122, "curve-cycle": 105}
+
+
+F = Fraction
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+ONE_MONOMIAL = MonomialSupport(0, frozenset({(0, 2, 0)}))
+
+
+@st.composite
+def certificates(draw):
+    """A certificate of each class that `REFERENCE_VERDICTS` covers, on drawn
+    rationals; on `tie`, the drawn values are moved onto the comparison's
+    equality boundary (witness 0, bound == limit, a zero entry, slope or
+    determinant)."""
+    a, b, c = draw(RATIONALS), draw(RATIONALS), draw(RATIONALS)
+    tie = draw(st.booleans())
+    kind = draw(st.sampled_from(sorted(REFERENCE_VERDICTS, key=lambda cls: cls.__name__)))
+    if kind is CurveDegree:
+        return CurveDegree(deg=a, a_cube=a if tie else b)
+    if kind is CurveGamma:
+        return CurveGamma(a_cube=a, deg=b, gamma_sq=2 * b - 3 * a if tie else c)
+    if kind is CurveCycle:
+        return CurveCycle(gamma_dot_delta=b if tie else a, a_dot_delta=b)
+    if kind is Isolation:
+        bound = draw(st.integers(-2, 40))
+        return Isolation(bound=bound, limit=F(bound) if tie else a, dropped_vertex=3)
+    if kind is SurfacePair:
+        return SurfacePair(a1=draw(st.integers(-3, 3)), b_cube=F(0) if tie else a,
+                           gamma_support=draw(st.sampled_from([ONE_MONOMIAL, NO_TERMS])),
+                           irreducibility_flag=draw(st.booleans()))
+    if kind is NefDivisor:
+        return NefDivisor(lifts=(), q=QuotientSingularity(2, 1), m_b2=F(0) if tie else a, c=b,
+                          certified=draw(st.booleans()))
+    if kind is NegDefMatrix:
+        boundary = draw(st.sampled_from(["entry", "slope", "det"])) if tie else ""
+        if boundary == "entry":
+            c = a  # alpha - m = 0 at the floor
+        elif boundary == "slope":
+            b = -a
+        elif boundary == "det" and a + b:
+            c = a * b / (a + b)  # (alpha - m)(beta - m) - m^2 = 0 at the floor
+        return NegDefMatrix(alpha=a, beta=b, parameter_floor=c)
+    return InfiniteCurves(b_dot_c=F(0) if tie else a, e_dot_c=F(0) if draw(st.booleans()) else b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(certificates())
+@example(CurveDegree(F(1, 2), F(1, 2)))
+@example(CurveDegree(F(0), F(1, 2)))
+@example(CurveGamma(F(1), F(1), F(-1)))
+@example(CurveGamma(F(1), F(1), F(0)))
+@example(CurveCycle(F(1, 2), F(1, 2)))
+@example(CurveCycle(F(1), F(0)))
+@example(Isolation(6, F(6), 2))
+@example(Isolation(7, F(20, 3), 2))
+@example(SurfacePair(2, F(0), ONE_MONOMIAL, True))
+@example(NefDivisor((), QuotientSingularity(2, 1), F(0), F(1, 2), True))
+@example(NegDefMatrix(F(1, 2), F(-1, 2), F(1, 2)))
+@example(NegDefMatrix(F(-1, 2), F(-1, 2), F(-1, 4)))
+@example(InfiniteCurves(F(0), F(0)))
+def test_verdicts_match_the_fraction_comparisons_on_drawn_rationals(cert):
+    assert outcome(cert.verdict) == outcome(REFERENCE_VERDICTS[type(cert)], cert)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RATIONALS)
+@example(F(0))
+def test_curve_center_matches_its_fraction_check(degree):
+    assert outcome(Center.curve, degree) == outcome(reference_curve, degree)
+
+
+@st.composite
+def lifts_at_points(draw):
+    """Drawn section lifts at a drawn quotient point; on `tie`, every lift
+    is clamped to class_e / class_b <= 1/r and the first attains it, so
+    c == 1/r."""
+    r, a = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (5, 2), (7, 3)]))
+    lifts = draw(st.lists(st.builds(SectionLift, st.integers(-1, 12), RATIONALS), max_size=4))
+    if lifts and draw(st.booleans()):
+        lifts = [SectionLift(lift.class_b, F(lift.class_b, r) if i == 0 else min(lift.class_e, F(lift.class_b, r)))
+                 for i, lift in enumerate(lifts)]
+    return lifts, QuotientSingularity(r, a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lifts_at_points())
+@example(([SectionLift(2, F(1)), SectionLift(4, F(1, 2))], QuotientSingularity(2, 1)))
+def test_nef_bound_check_matches_its_fraction_comparisons(drawn):
+    lifts, q = drawn
+    assert outcome(nef_bound_check, lifts, q) == outcome(reference_nef_bound_check, lifts, q)

@@ -3,6 +3,7 @@ one monomial of the general member's is a `Member` built from
 `singular_locus` and the record's constructor, and `build_report` runs on it
 as on any family's general member."""
 
+import math
 from collections import Counter
 
 from fano_wci.catalog import Member
@@ -61,3 +62,38 @@ def test_every_one_monomial_drop_runs_through_the_public_path(catalog):
     # w^2 x0 x1 is family 23's only w^2 x0 f term: without it the cAx point
     # is of non-square type, with one extraction
     assert extraction_drops == [(23, (1, 1, 0, 0, 2))]
+
+
+# drops that put a gcd-1 edge through p4 inside the member: family 19 without
+# x3^2 w (edge p3p4) and family 82 without x2^2 w^3 (edge p2p4), with the
+# partials that survive along the edge and the basket the stratum keeps
+GCD_ONE_EDGE_DROPS = {
+    (19, (0, 0, 0, 2, 1)): ((3, 4), {2: [(2, 0)]}, ["1/2(1,1,1)@p2p4", "1/3(1,1,2)@p3"]),
+    (82, (0, 0, 2, 0, 3)): ((2, 4), {1: [(4, 0)]}, ["1/2(1,1,1)@p1p4", "1/5(1,1,4)@p2"]),
+}
+
+
+def test_a_gcd_one_edge_inside_a_stratum_is_quasismooth_off_p4(catalog):
+    # singular_locus walks only the edges of gcd >= 2, so it passes over
+    # these edges; the member is quasi-smooth along each open edge, and the
+    # basket it returns stands.  p4 itself is the cAx point, where every
+    # partial vanishes on every member
+    for (fid, monomial), ((i, j), partials, basket) in GCD_ONE_EDGE_DROPS.items():
+        member = catalog.member(fid)
+        dropped = stratum(member, monomial)
+        assert math.gcd(member.gprime.weights[i], member.gprime.weights[j]) == 1
+        off_edge = [k for k in range(5) if k not in (i, j)]
+        monomials = dropped.support.monomials
+        # the edge lies in the member: F has no term in x_i and x_j alone, so
+        # dF/dx_i and dF/dx_j vanish along it
+        assert not [m for m in monomials if not any(m[k] for k in off_edge)]
+        # dF/dx_k along the edge is the sum of F's terms x_k x_i^a x_j^b, as (a, b)
+        along = {k: sorted((m[i], m[j]) for m in monomials if m[k] == 1 and sum(m[l] for l in off_edge) == 1)
+                 for k in off_edge}
+        assert {k: terms for k, terms in along.items() if terms} == partials, fid
+        # one surviving partial, c x_i^a with a > 0: zero on the edge only where
+        # x_i = 0, which is p4 (j = 4)
+        [(_, [(a, b)])] = partials.items()
+        assert (j, a > 0, b) == (4, True, 0)
+        assert [f"{q.type_str()}@{q.locus}" for q in dropped.quotients] == basket
+        assert dropped.basket == member.basket
