@@ -115,15 +115,6 @@ class Catalog:
             raise LookupError(f"unknown family id {family_id}; catalog has {self.ids()}")
         return self._by_id[family_id]
 
-    def g(self, family_id: int) -> FamilyRecord:
-        return self.pair(family_id).g
-
-    def gprime(self, family_id: int) -> FamilyRecord:
-        return self.pair(family_id).gprime
-
-    def golden(self, family_id: int) -> GoldenRow:
-        return self.pair(family_id).golden
-
     def member(self, family_id: int) -> Member:
         """The family's Member, derived on first request and kept as long as
         this catalog, which every later load of the same text and strictness

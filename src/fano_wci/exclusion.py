@@ -284,10 +284,9 @@ def gamma_polynomial(member: Member) -> MonomialSupport:
     Family 23 is stated in the normalized coordinates that put its edge point
     at the x2 vertex, which strikes the pure x2 power from the restriction.
     """
-    record = member.gprime
     support = member.support
-    if record.id in GAMMA_NORMALIZED:
-        support = support_with_point_at_vertex(support, vertex=2, weight=record.weights[2])
+    if member.g.id in GAMMA_NORMALIZED:
+        support = support_with_point_at_vertex(support, vertex=2, weight=member.gprime.weights[2])
     restricted = frozenset([(m[2], m[3], m[4]) for m in support.monomials if not m[0] and not m[1]])
     return MonomialSupport(degree=support.degree, monomials=restricted)
 
@@ -309,6 +308,14 @@ def point_vertex(weights: tuple[int, ...], locus: str) -> int:
     if weights[vertex] != r:
         raise UncoveredCaseError(f"edge {locus} point cannot be moved to a vertex")
     return vertex
+
+
+def _kawamata_weights(weights: tuple[int, ...], vertex: int, r: int) -> tuple[int, ...]:
+    """r times the Kawamata blowup's weight of each coordinate at a 1/r point
+    moved to `vertex` (`point_vertex`): w_i mod r, and 0 at the vertex.  The
+    weights are (u w_i mod r)/r for the unit u that `normalize_quotient`
+    picks, and u is 1 at every catalog point that reaches a vertex."""
+    return tuple([0 if i == vertex else x % r for i, x in enumerate(weights)])
 
 
 def qi_eligible(member: Member, locus: str) -> bool:
@@ -462,7 +469,7 @@ def _nef_divisor(member: Member, center: Center, branch: RuleBranch, earlier: Ea
     w = member.gprime.weights
     vertex = point_vertex(w, q.locus)
     support = support_with_point_at_vertex(member.support, vertex, w[vertex])
-    local = tuple(Fraction(0) if i == vertex else Fraction(w[i] % q.r, q.r) for i in range(5))
+    local = tuple([Fraction(k, q.r) for k in _kawamata_weights(w, vertex, q.r)])
     orders = [vanishing_order(support, local, eliminated=4) if i == 4 else local[i] for i in NEF_SECTIONS]
     lifts = [SectionLift.of(w[i], order, q.r) for i, order in zip(NEF_SECTIONS, orders)]
     c, certified = nef_bound_check(lifts, q)
@@ -479,26 +486,26 @@ def _nef_divisor(member: Member, center: Center, branch: RuleBranch, earlier: Ea
 
 
 def _negdef_matrix(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> NegDefMatrix:
-    record = member.gprime
-    w = record.weights
-    locus = center.quotient.locus
-    if record.id != 50:
-        raise UncoveredCaseError(f"no curve-pair matrix data for family {record.id} at {locus}")
-    if locus == "p1p4":
+    w, q = member.gprime.weights, center.quotient
+    if member.g.id != 50:
+        raise UncoveredCaseError(f"no curve-pair matrix data for family {member.g.id} at {q.locus}")
+    if q.locus == "p1p4":
         # half point: the residual curve misses the exceptional divisor and is
         # cut on the coordinate plane (x = z = 0) by the degree-(d - b) slot,
         # so it pairs with -K by bare degree; the pair sums to (M . B^2)
         nef = next((c for c in earlier if isinstance(c, NefDivisor)), None)
         if nef is None:
             nef = _nef_divisor(member, center, branch, earlier)
-        alpha = Fraction(record.degrees[0] - w[4], w[1] * w[3] * w[4])
+        alpha = Fraction(member.gprime.degrees[0] - w[4], w[1] * w[3] * w[4])
         return NegDefMatrix(alpha=alpha, beta=nef.m_b2 - alpha, parameter_floor=Fraction(1))
-    # third point: (B . Gamma) via the ambient weighted blowup of the
-    # 4-space; the companion entry is pinned golden data
-    # blowup weights and classes: cited from the paper; ROADMAP item 9 derives them
-    third = Fraction(-1, 3)
-    alpha = ambient_quadruple(record.weights, 3, (1, 2, 2, 1),
-                              [(1, third), (1, third), (2, 2 * third), (4, third)])
+    # third point: (B . Gamma) via the ambient Kawamata blowup of the
+    # 4-space at the point's vertex, where B = (1, -1/r) and a section x_i
+    # lifts to (w_i, -(w_i mod r)/r); the companion entry is pinned golden data
+    vertex = point_vertex(w, q.locus)
+    k = _kawamata_weights(w, vertex, q.r)
+    # the sections x0, x1 and w that cut Gamma: cited from the paper; ROADMAP item 9 derives them
+    sections = [(w[i], Fraction(-k[i], q.r)) for i in (0, 1, 4)]
+    alpha = ambient_quadruple(w, q.r, k[:vertex] + k[vertex + 1:], [(1, Fraction(-1, q.r)), *sections])
     # beta = 1/60: cited from the paper; ROADMAP item 3 derives it
     return NegDefMatrix(alpha=alpha, beta=Fraction(1, 60), parameter_floor=Fraction(1, 2))
 
@@ -508,7 +515,7 @@ def _infinite_curves(member: Member, center: Center, branch: RuleBranch, earlier
     r = q.r  # the blowup's discrepancy is 1/r
     ring = BlowupRing.kawamata_tower(member.a_cube, [q])
     b, e = (1, Fraction(-1, r)), (0, 1)
-    fid = member.gprime.id
+    fid = member.g.id
     if fid == 23:
         # S . T splits off the WCI curve through the point, which meets -K in
         # 1/6 - 1/r; the residual pencil meets -K trivially
@@ -520,14 +527,9 @@ def _infinite_curves(member: Member, center: Center, branch: RuleBranch, earlier
         # both pairings: cited from the paper; ROADMAP item 2 derives them
         b_dot = Fraction(2 * r - 6, 3 * r)  # 2/3 - 2/r
         e_dot = Fraction(2)
-    elif fid == 55:
-        # T's class: cited from the paper; ROADMAP item 9 derives it
-        s, t = b, (2, Fraction(-3, 2))
-        b_dot = triple(ring, b, s, t)
-        e_dot = triple(ring, e, s, t)
-    elif fid == 69:
-        # T's class: cited from the paper; ROADMAP item 9 derives it
-        s, t = b, (2, Fraction(-12, 5))
+    elif fid in (55, 69):
+        # T's class, a coordinate section's (degree, -order): cited from the paper; ROADMAP item 9 derives it
+        s, t = b, {55: (2, Fraction(-3, 2)), 69: (2, Fraction(-12, 5))}[fid]
         b_dot = triple(ring, b, s, t)
         e_dot = triple(ring, e, s, t)
     else:
@@ -536,19 +538,18 @@ def _infinite_curves(member: Member, center: Center, branch: RuleBranch, earlier
 
 
 def _untwist(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> Untwist:
-    record = member.gprime
-    locus, tag = center.locus, branch.tag
+    fid, locus, tag = member.g.id, center.locus, branch.tag
     if tag == "none" or tag not in LINK_TAGS:
-        raise UncoveredCaseError(f"family {record.id} {locus}: untwist needs a QI, EI, II or link tag, "
+        raise UncoveredCaseError(f"family {fid} {locus}: untwist needs a QI, EI, II or link tag, "
                                  f"not {tag!r}")
     eligible = None
     if tag == "QI":
         eligible = qi_eligible(member, locus)
         if not eligible:
-            raise UncoveredCaseError(f"family {record.id} {locus}: no x^2 y tangent monomial, "
+            raise UncoveredCaseError(f"family {fid} {locus}: no x^2 y tangent monomial, "
                                      f"quadratic involution not available")
     return Untwist(tag=tag, point=locus, condition=branch.condition,
-                   counterpart_id=record.id if tag == "link" else None, eligible=eligible)
+                   counterpart_id=fid if tag == "link" else None, eligible=eligible)
 
 
 # the builder of each branch method, private so that no call through the table bypasses a public binding

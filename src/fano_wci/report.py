@@ -263,7 +263,7 @@ def _tower_cube(family_id: int, g_a_cube: Fraction) -> Fraction | None:
     if family_id != 19:
         return None
     points = [singularities.QuotientSingularity(2, 1), singularities.QuotientSingularity(4, 1)]
-    k = (1, F(-1, 2), F(-1, 4))
+    k = (1, *[F(-1, q.r) for q in points])
     return blowup.triple(blowup.BlowupRing.kawamata_tower(g_a_cube, points), k, k, k)
 
 

@@ -307,7 +307,11 @@ def edge_root_count(support: MonomialSupport, w: tuple[int, ...], i: int, j: int
 
     The restriction of the support to the edge is a binary form; the count is
     its weighted degree after stripping the vanishing orders at both ends,
-    divided by the degree of the reduced edge line.
+    divided by the degree of the reduced edge line.  With r = gcd(w_i, w_j),
+    p = w_i/r and q = w_j/r, an edge monomial x_i^a x_j^b has a p + b q = d/r,
+    so r divides d; the one that attains m_i puts the stripped degree at
+    q (b - m_j), and the one that attains m_j at p (a - m_i), so the coprime
+    p and q both divide it and the division is exact.
 
     A monomial lies on the edge when its x_i, x_j part alone has the
     support's weighted degree: the support is homogeneous and the weights are
@@ -320,13 +324,9 @@ def edge_root_count(support: MonomialSupport, w: tuple[int, ...], i: int, j: int
             f"edge p{i}p{j} lies inside the member: non-isolated singularity")
     r = math.gcd(wi, wj)
     p, q = wi // r, wj // r
-    big_d = d // r
     m_i = min(m[i] for m in restricted)
     m_j = min(m[j] for m in restricted)
-    interior = big_d - p * m_i - q * m_j
-    if interior % (p * q):
-        raise ValueError(f"edge p{i}p{j}: residual degree {interior} not divisible by {p * q}")
-    return interior // (p * q)
+    return (d // r - p * m_i - q * m_j) // (p * q)
 
 
 def singular_locus(record: FamilyRecord, shape: StandardForm,

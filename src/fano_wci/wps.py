@@ -133,9 +133,6 @@ class MonomialSupport:
     def __contains__(self, m: Monomial) -> bool:
         return tuple(m) in self.monomials
 
-    def __len__(self) -> int:
-        return len(self.monomials)
-
 
 def monomials_of_degree(d: int, w: tuple[int, ...], variables: tuple[int, ...] | None = None,
                         offset: Monomial | None = None) -> MonomialSupport:

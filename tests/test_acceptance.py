@@ -26,14 +26,14 @@ def ok(n, message):
 
 def test_01_a_cube_table(catalog):
     for fid in catalog.ids():
-        assert catalog.gprime(fid).a_cube() == GOLDEN["a_cube"][fid], f"family {fid}"
+        assert catalog.pair(fid).gprime.a_cube() == GOLDEN["a_cube"][fid], f"family {fid}"
     ok(1, "all 14 A^3 values reproduced exactly from weights and degrees")
 
 
 def test_02_link_construction(catalog):
     for fid in catalog.ids():
-        g, gp = catalog.g(fid), catalog.gprime(fid)
-        form = links.to_standard_form(g, catalog.golden(fid).subfamily)
+        g, gp = catalog.pair(fid).g, catalog.pair(fid).gprime
+        form = links.to_standard_form(g, catalog.pair(fid).golden.subfamily)
         weights, degree = links.build_counterpart(form)
         assert weights == gp.weights and degree == gp.degrees[0]
         back_w, back_d = links.counterpart_inverse(catalog.member(fid).shape)
@@ -47,7 +47,7 @@ def test_03_baskets(catalog):
         member = catalog.member(fid)
         quotients, cax = member.quotients, member.cax
         computed = [(q.type_str(), q.count, q.locus) for q in quotients] + [(cax.type_str(), 1, "p4")]
-        assert computed == list(catalog.golden(fid).basket), f"family {fid}"
+        assert computed == list(catalog.pair(fid).golden.basket), f"family {fid}"
     q29 = [q for q in catalog.member(29).quotients if q.locus == "p2p4"]
     assert q29[0].count == 3
     for fid in (41, 74):
@@ -59,7 +59,7 @@ def test_03_baskets(catalog):
 def test_04_b_cube_signs(catalog):
     for (fid, locus), sign in GOLDEN["b_cube_signs"].items():
         q = next(q for q in catalog.member(fid).quotients if q.locus == locus)
-        val = blowup.b_cubed(catalog.gprime(fid).a_cube(), q)
+        val = blowup.b_cubed(catalog.pair(fid).gprime.a_cube(), q)
         assert (val > 0) - (val < 0) == sign, f"family {fid} at {locus}"
     positives = [(fid, locus) for (fid, locus), s in GOLDEN["b_cube_signs"].items() if s > 0]
     assert sorted(positives) == [(30, "p2"), (55, "p2"), (69, "p2")]
@@ -84,7 +84,7 @@ def test_05_nef_certificates(catalog):
 
 def test_06_isolation_bounds(catalog):
     for fid, (bound, limit) in GOLDEN["isolation"].items():
-        record = catalog.gprime(fid)
+        record = catalog.pair(fid).gprime
         cert, verdict = dispatch(catalog.member(fid), Center.smooth_point())
         assert (cert.bound, cert.limit) == (bound, limit), f"family {fid}"
         assert verdict.excluded
@@ -118,12 +118,12 @@ def test_08_matrices(catalog):
 def test_09_tower_numerics(catalog):
     half = QuotientSingularity(2, 1)
     quarter = QuotientSingularity(4, 1)
-    tower = blowup.BlowupRing.kawamata_tower(catalog.g(19).a_cube(), [half, quarter])
+    tower = blowup.BlowupRing.kawamata_tower(catalog.pair(19).g.a_cube(), [half, quarter])
     k = (1, F(-1, 2), F(-1, 4))
     assert blowup.triple(tower, k, k, k) == F(-1, 12)
 
     # pairing of -K with the half-point curve on the blown-up hypersurface side
-    lat = blowup.BlowupRing.kawamata_tower(catalog.gprime(19).a_cube(), [half])
+    lat = blowup.BlowupRing.kawamata_tower(catalog.pair(19).gprime.a_cube(), [half])
     b = (1, F(-1, 2))
     # the 1/6 is cited from the paper; ROADMAP item 2 derives it
     curve_pairing = F(1, 6) - F(1, 2) * 1
@@ -148,7 +148,7 @@ def test_11_property_suites(catalog):
 
     # monomial enumeration against brute force at every catalog degree
     for fid in catalog.ids():
-        for record in (catalog.g(fid), catalog.gprime(fid)):
+        for record in (catalog.pair(fid).g, catalog.pair(fid).gprime):
             w = record.weights
             for d in record.degrees:
                 boxes = [range(d // a + 1) for a in w]

@@ -137,7 +137,7 @@ def test_a_non_strict_load_does_not_pass_the_strict_checks(tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(entries), encoding="utf-8")
     for _ in range(2):
-        assert load_catalog(str(path), strict=False).golden(19).a_cube == 1 / 2
+        assert load_catalog(str(path), strict=False).pair(19).golden.a_cube == 1 / 2
         with pytest.raises(CatalogError, match="a_cube mismatch for family 19 \\(Gprime\\)"):
             load_catalog(str(path))
 

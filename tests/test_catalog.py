@@ -13,26 +13,26 @@ def test_shipped_catalog_loads(catalog):
 
 
 def test_record_17(catalog):
-    g = catalog.g(17)
+    g = catalog.pair(17).g
     assert g.weights == (1, 1, 1, 3, 4, 5)
     assert g.degrees == (6, 8)
-    gp = catalog.gprime(17)
+    gp = catalog.pair(17).gprime
     assert gp.weights == (1, 1, 1, 4, 2)
     assert gp.degrees == (8,)
 
 
 def test_record_74(catalog):
-    g = catalog.g(74)
+    g = catalog.pair(74).g
     assert g.weights == (1, 2, 3, 7, 9, 11)
     assert g.degrees == (14, 18)
-    assert catalog.golden(74).subfamily == "I''4"
+    assert catalog.pair(74).golden.subfamily == "I''4"
 
 
 def test_derived_subfamily_is_the_stated_tag(catalog):
     for fid in catalog.ids():
-        stated = catalog.golden(fid).subfamily
+        stated = catalog.pair(fid).golden.subfamily
         assert catalog.member(fid).shape.subfamily == stated, f"family {fid}"
-        assert equation_shape(catalog.g(fid)).subfamily == stated, f"family {fid}"
+        assert equation_shape(catalog.pair(fid).g).subfamily == stated, f"family {fid}"
 
 
 def test_derived_subfamilies_are_the_papers_split(catalog):
@@ -53,7 +53,7 @@ def test_golden_columns_are_the_files_rows(catalog):
     with open(default_catalog_path(), encoding="utf-8") as fh:
         entries = {obj["id"]: obj for obj in json.load(fh) if obj["kind"] == "Gprime"}
     for fid in catalog.ids():
-        golden, entry = catalog.golden(fid), entries[fid]
+        golden, entry = catalog.pair(fid).golden, entries[fid]
         assert golden.basket == tuple((b["type"], b["count"], b["locus"]) for b in entry["basket"])
         assert golden.link_column == tuple((l["point"], l["tag"], l["condition"]) for l in entry["links"])
 
@@ -98,7 +98,7 @@ def test_strict_load_rejects_wrong_a_cube(tmp_path):
         load_catalog(path)
     # non-strict load defers the mismatch to verification
     cat = load_catalog(path, strict=False)
-    assert cat.golden(19).a_cube != cat.gprime(19).a_cube()
+    assert cat.pair(19).golden.a_cube != cat.pair(19).gprime.a_cube()
 
 
 def test_strict_load_rejects_a_record_of_the_wrong_fano_index(tmp_path):

@@ -64,7 +64,7 @@ def test_analyze_json_round_trips_schema(capsys, tmp_path):
     path = tmp_path / "roundtrip.json"
     path.write_text(json.dumps(rest + replaced))
     reparsed = load_catalog(str(path))
-    assert reparsed.golden(82) == load_catalog().golden(82)
+    assert reparsed.pair(82).golden == load_catalog().pair(82).golden
 
 
 def test_output_is_byte_stable(capsys):

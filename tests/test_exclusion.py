@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from fano_wci.blowup import ambient_quadruple
 from fano_wci.exclusion import (POINT_RULES, Center, CurveCycle, CurveDegree, CurveGamma, InfiniteCurves,
                                 Isolation, NegDefMatrix, RuleBranch, SurfacePair, UncoveredCaseError, Untwist,
                                 certificate_json, dispatch, gamma_polynomial, negdef2, negdef_for_all,
                                 point_vertex, qi_eligible)
 from fano_wci.report import GOLDEN
-from fano_wci.singularities import QuotientSingularity
+from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, support_with_point_at_vertex,
+                                    tangent_coordinate)
 from fano_wci.wps import MonomialSupport
 
 F = Fraction
@@ -45,7 +47,7 @@ def test_isolation_examples(catalog):
     for fid, (drop, bound, limit) in cases.items():
         cert, verdict = dispatch(catalog.member(fid), Center.smooth_point())
         assert cert == Isolation(bound=bound, limit=limit, dropped_vertex=drop)
-        assert F(4) / catalog.gprime(fid).a_cube() == limit
+        assert F(4) / catalog.pair(fid).gprime.a_cube() == limit
         assert verdict.excluded
 
 
@@ -84,7 +86,53 @@ def test_nef_divisor_points_move_to_vertex_1(catalog):
     nef = [fid for fid, rules in POINT_RULES.items()
            if any(br.method == "nef-divisor" for branches in rules.values() for br in branches)]
     assert nef == [50, 74, 82]
-    assert [point_vertex(catalog.gprime(fid).weights, "p1p4") for fid in nef] == [1, 1, 1]
+    assert [point_vertex(catalog.pair(fid).gprime.weights, "p1p4") for fid in nef] == [1, 1, 1]
+
+
+def test_family_50_third_point_blowup_is_read_off_its_weights(catalog):
+    # the Kawamata weights w_i mod r at the point's vertex give the blowup
+    # weights (1, 2, 2, 1) on (x0, x1, x3, x4), and the sections x0, x1 and w
+    # the classes (w_i, -(w_i mod r)/r); with B = (1, -1/r) they pair to
+    # the golden alpha
+    member = catalog.member(50)
+    w = member.gprime.weights
+    q = next(q for q in member.quotients if q.locus == "p2")
+    vertex = point_vertex(w, q.locus)
+    assert (vertex, q.r) == (2, 3)
+    weights = tuple(w[i] % q.r for i in range(5) if i != vertex)
+    assert weights == (1, 2, 2, 1)
+    sections = [(w[i], F(-(w[i] % q.r), q.r)) for i in (0, 1, 4)]
+    assert sections == [(1, F(-1, 3)), (2, F(-2, 3)), (4, F(-1, 3))]
+    alpha = ambient_quadruple(w, q.r, weights, [(1, F(-1, q.r)), *sections])
+    cert, verdict = dispatch(member, Center.quotient_point(q), "monomial-absent(z^3 t)")
+    assert alpha == cert.alpha == F(-1, 10) and verdict.excluded
+
+
+def test_the_kawamata_unit_is_one_at_every_point_moved_to_a_vertex(catalog):
+    # normalize_quotient scales the weights by the first unit u that gives
+    # 1/r(1, a, r-a); the Kawamata weights are (u w_i mod r)/r, so w_i mod r
+    # is the weight exactly where u = 1.  It is 1 at all 19 quotient points
+    # that point_vertex and support_with_point_at_vertex reach; at the other
+    # 4, the point moves to p4, where striking w's pure power leaves no
+    # tangent monomial, or no end of the edge has the gcd weight
+    reached, unreached = [], []
+    for fid in catalog.ids():
+        member = catalog.member(fid)
+        w = member.gprime.weights
+        for q in member.quotients:
+            try:
+                vertex = point_vertex(w, q.locus)
+                support = support_with_point_at_vertex(member.support, vertex, w[vertex])
+                j = tangent_coordinate(support, w, vertex)
+            except (UncoveredCaseError, NotQuasismoothError):
+                unreached.append(f"{fid} {q.locus}")
+                continue
+            reached.append(f"{fid} {q.locus}")
+            assert w[vertex] == q.r
+            local = sorted(w[i] % q.r for i in range(5) if i not in (vertex, j))
+            assert local == [1, q.a, q.r - q.a], f"family {fid} {q.locus}"
+    assert len(reached) == 19
+    assert unreached == ["42 p2p4", "55 p2p4", "77 p2p3", "77 p2p4"]
 
 
 def test_negdef2_examples():
@@ -214,7 +262,7 @@ def test_all_excluded_witnesses_reverify(catalog):
 
     for fid in catalog.ids():
         report = build_report(catalog.member(fid))
-        a_cube = catalog.gprime(fid).a_cube()
+        a_cube = catalog.pair(fid).gprime.a_cube()
         for cr in report.centers:
             for br in cr.branches:
                 cert, v = br.certificate, br.verdict

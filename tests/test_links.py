@@ -13,7 +13,7 @@ NO_TERMS = MonomialSupport(0, frozenset())
 
 def form(catalog, fid):
     """The standard form of family `fid`'s G record."""
-    return to_standard_form(catalog.g(fid), catalog.golden(fid).subfamily)
+    return to_standard_form(catalog.pair(fid).g, catalog.pair(fid).golden.subfamily)
 
 
 def test_standard_forms(catalog):
@@ -52,9 +52,9 @@ def test_standard_form_in_both_shapes_is_an_error():
 
 def test_standard_form_of_another_subfamily(catalog):
     with pytest.raises(CatalogError, match="the G record solves to subfamily I'2, the catalog states I''2"):
-        to_standard_form(catalog.g(19), "I''2")
+        to_standard_form(catalog.pair(19).g, "I''2")
     with pytest.raises(CatalogError, match="the Gprime record solves to subfamily I''4, the catalog states I''2"):
-        to_standard_form(catalog.gprime(82), "I''2")
+        to_standard_form(catalog.pair(82).gprime, "I''2")
 
 
 def test_counterparts(catalog):
@@ -71,7 +71,7 @@ def test_counterparts_match_catalog(catalog):
     for fid in catalog.ids():
         g_form = form(catalog, fid)
         weights, degree = build_counterpart(g_form)
-        gp = catalog.gprime(fid)
+        gp = catalog.pair(fid).gprime
         assert weights == gp.weights and degree == gp.degrees[0], f"family {fid}"
         check_counterpart(gp, g_form)
         # the counterpart's form is the G form, role by role: what the
@@ -86,7 +86,7 @@ def test_counterparts_match_catalog(catalog):
 
 def test_b_matches_subfamily(catalog):
     for fid in catalog.ids():
-        assert str(form(catalog, fid).b) == catalog.golden(fid).subfamily.lstrip("I'")
+        assert str(form(catalog, fid).b) == catalog.pair(fid).golden.subfamily.lstrip("I'")
 
 
 def test_z_degree_identities(catalog):
@@ -102,16 +102,16 @@ def test_z_degree_identities(catalog):
 
 
 def test_counterpart_inverse_examples(catalog):
-    weights, degrees = counterpart_inverse(equation_shape(catalog.gprime(19)))
+    weights, degrees = counterpart_inverse(equation_shape(catalog.pair(19).gprime))
     assert weights == (1, 1, 2, 3, 4, 4) and degrees == (6, 8)
-    weights, degrees = counterpart_inverse(equation_shape(catalog.gprime(82)))
+    weights, degrees = counterpart_inverse(equation_shape(catalog.pair(82).gprime))
     assert weights == (1, 2, 5, 9, 11, 13) and degrees == (18, 22)
 
 
 def test_round_trip_is_identity(catalog):
     for fid in catalog.ids():
-        g = catalog.g(fid)
-        weights, degrees = counterpart_inverse(equation_shape(catalog.gprime(fid)))
+        g = catalog.pair(fid).g
+        weights, degrees = counterpart_inverse(equation_shape(catalog.pair(fid).gprime))
         assert weights == g.weights
         assert degrees == tuple(sorted(g.degrees))
 
@@ -130,4 +130,4 @@ def test_involution_inventory_examples(catalog):
 def test_inventory_matches_golden(catalog):
     for fid in catalog.ids():
         got = involution_inventory(build_report(catalog.member(fid)))
-        assert got == list(catalog.golden(fid).link_column), f"family {fid}"
+        assert got == list(catalog.pair(fid).golden.link_column), f"family {fid}"

@@ -337,7 +337,7 @@ def test_equation_shape_matches_the_reference_at_any_index():
 
 
 def test_family_support_matches_the_reference(catalog):
-    gprimes = [catalog.gprime(i) for i in catalog.ids()]
+    gprimes = [catalog.pair(i).gprime for i in catalog.ids()]
     # the Gprime counterparts of the solvable G records of the grid above
     for g in index_one_g_records(12):
         solved = outcome(equation_shape, g)

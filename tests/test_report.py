@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from fano_wci import exclusion, report
+from fano_wci.blowup import BlowupRing, triple
 from fano_wci.catalog import FamilyRecord, Member, load_catalog
 from fano_wci.report import GOLDEN, build_report, render_markdown, verify_tables
+from fano_wci.singularities import QuotientSingularity
 
 F = Fraction
 
@@ -61,6 +63,15 @@ FAULTS = [
     ("gamma_rows", 17, frozenset({(0, 2, 0)}),
      "family 17: table gamma_rows[17] unchecked: no surface-pair certificate ran"),
 ]
+
+
+def test_family_19_tower_class_is_minus_k_over_its_cited_points(catalog):
+    # -K on the tower over the G model's cited 1/2 and 1/4 points is
+    # (1, -1/2, -1/4): the tower cube is that class cubed
+    g_a_cube = catalog.pair(19).g.a_cube()
+    tower = BlowupRing.kawamata_tower(g_a_cube, [QuotientSingularity(2, 1), QuotientSingularity(4, 1)])
+    k = (1, F(-1, 2), F(-1, 4))
+    assert report._tower_cube(19, g_a_cube) == triple(tower, k, k, k) == F(-1, 12)
 
 
 def test_every_golden_table_has_a_consumer():

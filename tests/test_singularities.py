@@ -3,13 +3,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fano_wci.singularities import (ClassificationError, NotQuasismoothError,
                                     NonIsolatedSingularityError, QuotientSingularity,
                                     cax_classify, edge_root_count, equation_shape, family_support,
                                     normalize_quotient, singular_locus, support_with_point_at_vertex,
                                     tangent_coordinate)
-from fano_wci.wps import MonomialSupport
+from fano_wci.wps import MonomialSupport, monomials_of_degree
 
 
 def test_normalize_quotient_examples():
@@ -67,9 +69,32 @@ def test_edge_examples(catalog):
 def test_edge_count_zero_when_member_avoids_interior(catalog):
     # the (z, w) edge of No.30 has a stabilizer but meets the member only at
     # vertices: it holds no point
-    w = catalog.gprime(30).weights
+    w = catalog.pair(30).gprime.weights
     assert math.gcd(w[3], w[4]) >= 2
     assert "p3p4" not in points(catalog, 30, vertices=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=5, max_size=5), st.integers(1, 24), st.data())
+def test_edge_root_count_divides_exactly(w, d, data):
+    # on any support, an empty edge raises NonIsolatedSingularityError and
+    # nothing else is raised: the interior degree is q (b - m_j) = p (a - m_i)
+    # for coprime p and q, so p q divides it
+    w = tuple(w)
+    i, j = data.draw(st.sampled_from([(i, j) for i in range(5) for j in range(i + 1, 5)]))
+    kept = set()
+    for variables in ((i, j), None):  # some monomials of the edge, then any
+        found = sorted(monomials_of_degree(d, w, variables).monomials)
+        kept |= data.draw(st.sets(st.sampled_from(found), max_size=6)) if found else set()
+    try:
+        count = edge_root_count(MonomialSupport(d, frozenset(kept)), w, i, j)
+    except NonIsolatedSingularityError:
+        return
+    edge = [m for m in kept if m[i] * w[i] + m[j] * w[j] == d]
+    r = math.gcd(w[i], w[j])
+    p, q = w[i] // r, w[j] // r
+    assert d % r == 0
+    assert count * p * q == d // r - p * min(m[i] for m in edge) - q * min(m[j] for m in edge)
 
 
 def test_baskets_match_golden(catalog):
@@ -77,7 +102,7 @@ def test_baskets_match_golden(catalog):
         member = catalog.member(fid)
         quotients, cax = singular_locus(member.gprime, member.shape, member.support)
         computed = [(q.type_str(), q.count, q.locus) for q in quotients] + [(cax.type_str(), 1, "p4")]
-        assert computed == list(catalog.golden(fid).basket), f"family {fid}"
+        assert computed == list(catalog.pair(fid).golden.basket), f"family {fid}"
 
 
 def dropped(member, *monomials):
@@ -133,10 +158,10 @@ def test_cax_point_of_the_f_zero_stratum_of_23(catalog):
 def test_equation_shape_resolves_roles(catalog):
     # a Gprime record's a0..a3 land on its x coordinates, a4 and a5 on the
     # lifted slots 4 and 5
-    shape = equation_shape(catalog.gprime(29))
+    shape = equation_shape(catalog.pair(29).gprime)
     assert shape.role_weights[:4] == (2, 5, 1, 1)
     assert shape.positions == (2, 3, 0, 1, 4, 5)
-    shape = equation_shape(catalog.gprime(49))
+    shape = equation_shape(catalog.pair(49).gprime)
     assert shape.role_weights[:4] == (1, 7, 1, 2)
     assert shape.positions == (0, 3, 1, 2, 4, 5)
 
