@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .wps import MonomialSupport, anticanonical_cube, rat, rat_str, record
 
@@ -36,6 +36,17 @@ class FamilyRecord:
         return anticanonical_cube(self.weights, self.degrees, label=f"No.{self.id}/{self.kind}")
 
 
+class LinkRow(NamedTuple):
+    """A links entry, the paper's per-point table: at `point`, under
+    `condition` ("" when unconditional), `method` excludes the point or
+    untwists it with the link or involution `tag`; `exclusion.dispatch` runs
+    it as a branch."""
+    point: str
+    tag: str
+    condition: str
+    method: str
+
+
 @record
 class GoldenRow:
     subfamily: str  # stated alike for both records: "I'" or "I''", then b
@@ -43,10 +54,12 @@ class GoldenRow:
     g_a_cube: Fraction  # stated for the G record
     # the Gprime record's rows in file order, fields in BASKET_KEYS/LINK_KEYS
     # order: basket (type, count, locus) as ("1/2(1,1,1)", 3, "p2p4") or
-    # ("cAx/2", 1, "p4"); link_column (point, tag, condition) with tag one
-    # of LINK_TAGS and condition "" when unconditional
+    # ("cAx/2", 1, "p4"); link_column LinkRow (point, tag, condition,
+    # method) with tag one of LINK_TAGS, method one of LINK_METHODS and, at
+    # each point, either one row with condition "" or two rows whose
+    # conditions are P and its negation
     basket: tuple[tuple[str, int, str], ...]
-    link_column: tuple[tuple[str, str, str], ...]
+    link_column: tuple[LinkRow, ...]
 
 
 @record
@@ -140,9 +153,14 @@ def default_catalog_path() -> str:
 
 # the JSON type of each key of a basket or links entry
 BASKET_KEYS = {"type": str, "count": int, "locus": str}
-LINK_KEYS = {"point": str, "tag": str, "condition": str}
+LINK_KEYS = {"point": str, "tag": str, "condition": str, "method": str}
 # the tags of a links entry: "none" where no link starts, else what starts it
 LINK_TAGS = ("none", "QI", "EI", "II", "link")
+# the methods of a links entry: the exclusions of a quotient point, and the untwist
+LINK_METHODS = ("surface-pair", "nef-divisor", "negdef-matrix", "infinite-curves", "untwist")
+# the head of the negation of each condition "head(argument)" that a point's pair of rows may state
+NEGATED = {"exists-wci": "not-exists-wci", "not-exists-wci": "exists-wci",
+           "monomial-present": "monomial-absent", "monomial-absent": "monomial-present"}
 
 
 # the largest weight or degree a record may state: far above the shipped
@@ -182,6 +200,26 @@ def _entries(obj: dict, field: str, keys: dict[str, type], where: str) -> tuple[
             return tuple(out)
     schema = ", ".join(f"{key} ({kind.__name__})" for key, kind in keys.items())
     raise CatalogError(f"{where}: '{field}' must be a list of objects with {schema}, got {value!r}")
+
+
+def _check_links(links: tuple[LinkRow, ...], fid: int, where: str) -> None:
+    """Each row's tag and method are known, only p4 takes the link tag, and
+    each point has one unconditional row or two: a condition and its negation."""
+    conditions: dict[str, list[str]] = {}
+    for point, tag, condition, method in links:
+        if tag not in LINK_TAGS:
+            raise CatalogError(f"{where}: bad link tag {tag!r} for family {fid}")
+        if tag == "link" and point != "p4":
+            raise CatalogError(f"{where}: link tag only at the cAx point p4 (family {fid})")
+        if method not in LINK_METHODS:
+            raise CatalogError(f"{where}: bad link method {method!r} for family {fid}")
+        conditions.setdefault(point, []).append(condition)
+    for point, stated in conditions.items():
+        head, _, argument = stated[0].partition("(")
+        negation = head in NEGATED and f"{NEGATED[head]}({argument}"
+        if stated != [""] and (len(stated) != 2 or stated[1] != negation):
+            raise CatalogError(f"{where}: the link rows of family {fid} at {point} must be one unconditional "
+                               f"row or a condition and its negation, got conditions {stated!r}")
 
 
 def _parse_record(obj: dict, where: str) -> FamilyRecord:
@@ -291,15 +329,11 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
         stated_a_cube[rec.kind, rec.id] = a_cube
         if rec.kind == "Gprime":
             basket = _entries(obj, "basket", BASKET_KEYS, where)
-            links = _entries(obj, "links", LINK_KEYS, where)
+            links = tuple(map(LinkRow._make, _entries(obj, "links", LINK_KEYS, where)))
             for _, count, _ in basket:
                 if count < 1:
                     raise CatalogError(f"{where}: basket count must be >= 1 for family {rec.id}")
-            for point, tag, _ in links:
-                if tag not in LINK_TAGS:
-                    raise CatalogError(f"{where}: bad link tag {tag!r} for family {rec.id}")
-                if tag == "link" and point != "p4":
-                    raise CatalogError(f"{where}: link tag only at the cAx point p4 (family {rec.id})")
+            _check_links(links, rec.id, where)
             golden_columns[rec.id] = basket, links
         else:  # the golden columns belong to the Gprime record
             for field in ("basket", "links"):

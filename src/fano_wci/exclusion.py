@@ -1,15 +1,18 @@
 """Per-center certificates: the numerical tests that exclude a center as a
 maximal center, or tag the birational involution / link that untwists it.
 
-`POINT_RULES` states, for every catalog family and every point center of its
-general member, which certificate applies under which condition; `dispatch`
-builds the certificate of one branch at a center of a `Member` with the
-method's builder in `BUILDERS`, and the certificate judges itself
-(`verdict()`) by the sign of its witness's numerator, or by one integer
-cross-product, never by a `Fraction` comparison.  Conditions are strings
-such as "exists-wci(1,1,2)" or "monomial-absent(y^2 z)", mirroring the
-condition marks of the catalog's link column; "" marks an unconditional
-branch.
+A point center's branches are the member's link rows at its locus
+(`GoldenRow.link_column`: point, tag, condition, method), the paper's table
+stated once in the catalog; a curve and the nonsingular point have one
+branch each.  `dispatch` builds the certificate of one branch at a center of
+a `Member` with the method's builder in `BUILDERS`, and the certificate
+judges itself (`verdict()`) by the sign of its witness's numerator, or by
+one integer cross-product, never by a `Fraction` comparison.  Conditions are
+strings such as "exists-wci(1,1,2)" or "monomial-absent(y^2 z)"; "" marks an
+unconditional branch.  A row's tag is checked against what is computed: a
+point branch untwists exactly when its tag is not "none", only the cAx point
+takes the link tag, and an involution is tagged QI exactly where
+`qi_eligible` holds.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 from .blowup import (BlowupRing, SectionLift, ambient_quadruple, b_cubed, nef_bound_check, triple,
                      vanishing_order)
-from .catalog import LINK_TAGS, Member
+from .catalog import LINK_TAGS, LinkRow, Member
 from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex, tangent_monomials
 from .wps import MonomialSupport, max_pair_lcm, rat_str, record
 
@@ -331,13 +334,6 @@ def qi_eligible(member: Member, locus: str) -> bool:
 # Per-family dispatch data
 # ---------------------------------------------------------------------------
 
-@record
-class RuleBranch:
-    condition: str  # "" = unconditional
-    method: str
-    tag: str  # golden link tag for point centers; "" for curve/smooth rows
-
-
 # which vertex is dropped in the smooth-point isolation bound
 # cited from the paper; ROADMAP item 8 derives it
 ISOLATION_DROP = {17: 3, 19: 2, 23: 4, 29: 3, 30: 3, 41: 3, 42: 2,
@@ -359,46 +355,11 @@ CURVE_CYCLE_DATA = {17: (Fraction(1), Fraction(1, 2))}
 # cited from the paper; ROADMAP item 8 derives it
 NEF_SECTIONS = (0, 2, 4)
 
-POINT_RULES: dict[int, dict[str, tuple[RuleBranch, ...]]] = {
-    17: {},
-    19: {"p2p4": (RuleBranch("not-exists-wci(1,1,2)", "untwist", "EI"),
-                  RuleBranch("exists-wci(1,1,2)", "untwist", "II")),
-         "p3": (RuleBranch("", "untwist", "QI"),)},
-    23: {"p2p4": (RuleBranch("not-exists-wci(1,1,4)", "surface-pair", "none"),
-                  RuleBranch("exists-wci(1,1,4)", "infinite-curves", "none")),
-         "p3": (RuleBranch("", "untwist", "QI"),)},
-    29: {"p2p4": (RuleBranch("", "surface-pair", "none"),)},
-    30: {"p2": (RuleBranch("monomial-present(y^2 z)", "untwist", "QI"),
-                RuleBranch("monomial-absent(y^2 z)", "infinite-curves", "none")),
-         "p3": (RuleBranch("", "untwist", "QI"),)},
-    41: {"p2p3": (RuleBranch("", "untwist", "QI"),)},
-    42: {"p2p4": (RuleBranch("", "surface-pair", "none"),),
-         "p3": (RuleBranch("", "untwist", "QI"),)},
-    49: {"p2p4": (RuleBranch("", "surface-pair", "none"),)},
-    50: {"p1p4": (RuleBranch("not-exists-wci(1,3,4)", "nef-divisor", "none"),
-                  RuleBranch("exists-wci(1,3,4)", "negdef-matrix", "none")),
-         "p2": (RuleBranch("monomial-present(z^3 t)", "surface-pair", "none"),
-                RuleBranch("monomial-absent(z^3 t)", "negdef-matrix", "none")),
-         "p3": (RuleBranch("", "untwist", "QI"),)},
-    55: {"p2": (RuleBranch("", "infinite-curves", "none"),),
-         "p2p4": (RuleBranch("", "surface-pair", "none"),)},
-    69: {"p2": (RuleBranch("", "infinite-curves", "none"),)},
-    74: {"p1p4": (RuleBranch("", "nef-divisor", "none"),),
-         "p2p3": (RuleBranch("", "surface-pair", "none"),)},
-    77: {"p2p3": (RuleBranch("", "surface-pair", "none"),),
-         "p2p4": (RuleBranch("", "surface-pair", "none"),)},
-    82: {"p1p4": (RuleBranch("", "nef-divisor", "none"),),
-         "p2": (RuleBranch("", "surface-pair", "none"),)},
-}
-# every family's cAx point p4 is untwisted by the link to its G model
-for _rules in POINT_RULES.values():
-    _rules["p4"] = (RuleBranch("", "untwist", "link"),)
+# the one branch of a curve and of the nonsingular point, unconditional and untagged
+SINGLE_BRANCH = {"curve": (LinkRow("", "", "", "curve"),), "smooth-point": (LinkRow("", "", "", "isolation"),)}
 
-# the one branch of a curve and of the nonsingular point
-SINGLE_BRANCH = {"curve": (RuleBranch("", "curve", ""),), "smooth-point": (RuleBranch("", "isolation", ""),)}
-
-# the one branch at a locus without rules, which dispatch reports as a center the family lacks
-UNCONDITIONAL = (RuleBranch("", "", ""),)
+# the one branch at a locus without link rows, which dispatch reports as a center the family lacks
+UNCONDITIONAL = (LinkRow("", "", "", ""),)
 
 
 def minimal_curve_degree(member: Member) -> Fraction:
@@ -410,16 +371,18 @@ def minimal_curve_degree(member: Member) -> Fraction:
     return 2 * step if fid in SPECIAL_CURVE_DEG and SPECIAL_CURVE_DEG[fid] == step else step
 
 
-def _branches(family_id: int, center: Center) -> tuple[RuleBranch, ...]:
-    """A center's branches: `SINGLE_BRANCH`, or the `POINT_RULES` of its locus (none without rules)."""
+def _branches(member: Member, center: Center) -> tuple[LinkRow, ...]:
+    """A center's branches: `SINGLE_BRANCH`, or the member's link rows at its
+    locus, in row order (none without rows)."""
     if center.kind in SINGLE_BRANCH:
         return SINGLE_BRANCH[center.kind]
     if center.is_point:
-        return POINT_RULES.get(family_id, {}).get(center.locus, ())
+        locus = center.locus
+        return tuple([row for row in member.golden.link_column if row.point == locus])
     raise UncoveredCaseError(f"unknown center kind {center.kind}")
 
 
-def centers(member: Member) -> list[tuple[Center, tuple[RuleBranch, ...]]]:
+def centers(member: Member) -> list[tuple[Center, tuple[LinkRow, ...]]]:
     """Every center of the member with the branches a report runs at it: a
     curve of the least degree no special certificate handles, the special
     curve where one exists, the nonsingular point, the quotient points, p4."""
@@ -428,14 +391,14 @@ def centers(member: Member) -> list[tuple[Center, tuple[RuleBranch, ...]]]:
     if fid in SPECIAL_CURVE_DEG:
         found.append(Center.curve(SPECIAL_CURVE_DEG[fid]))
     found += [Center.smooth_point(), *map(Center.quotient_point, member.quotients), Center.cax_point(member.cax)]
-    return [(center, _branches(fid, center) or UNCONDITIONAL) for center in found]
+    return [(center, _branches(member, center) or UNCONDITIONAL) for center in found]
 
 
 # ---------------------------------------------------------------------------
 # Certificate builders: (member, center, branch, earlier) -> certificate
 # ---------------------------------------------------------------------------
 
-def _curve(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> Certificate:
+def _curve(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> Certificate:
     fid, deg = member.g.id, center.degree
     special = SPECIAL_CURVE_DEG.get(fid)
     if special is None or deg != special:
@@ -445,7 +408,7 @@ def _curve(member: Member, center: Center, branch: RuleBranch, earlier: Earlier)
     return CurveCycle(*CURVE_CYCLE_DATA[fid])
 
 
-def _isolation(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> Isolation:
+def _isolation(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> Isolation:
     w = member.gprime.weights
     drop = ISOLATION_DROP.get(member.g.id)
     if drop is None:
@@ -455,7 +418,7 @@ def _isolation(member: Member, center: Center, branch: RuleBranch, earlier: Earl
     return Isolation(bound=bound, limit=Fraction(4 * a_cube.denominator, a_cube.numerator), dropped_vertex=drop)
 
 
-def _surface_pair(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> SurfacePair:
+def _surface_pair(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> SurfacePair:
     return SurfacePair(
         a1=member.gprime.weights[1],
         b_cube=b_cubed(member.a_cube, center.quotient),
@@ -464,7 +427,7 @@ def _surface_pair(member: Member, center: Center, branch: RuleBranch, earlier: E
     )
 
 
-def _nef_divisor(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> NefDivisor:
+def _nef_divisor(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> NefDivisor:
     q = center.quotient
     w = member.gprime.weights
     vertex = point_vertex(w, q.locus)
@@ -485,7 +448,7 @@ def _nef_divisor(member: Member, center: Center, branch: RuleBranch, earlier: Ea
     return NefDivisor(lifts=tuple(lifts), q=q, m_b2=m_b2, c=c, certified=certified)
 
 
-def _negdef_matrix(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> NegDefMatrix:
+def _negdef_matrix(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> NegDefMatrix:
     w, q = member.gprime.weights, center.quotient
     if member.g.id != 50:
         raise UncoveredCaseError(f"no curve-pair matrix data for family {member.g.id} at {q.locus}")
@@ -510,7 +473,7 @@ def _negdef_matrix(member: Member, center: Center, branch: RuleBranch, earlier: 
     return NegDefMatrix(alpha=alpha, beta=Fraction(1, 60), parameter_floor=Fraction(1, 2))
 
 
-def _infinite_curves(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> InfiniteCurves:
+def _infinite_curves(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> InfiniteCurves:
     q = center.quotient
     r = q.r  # the blowup's discrepancy is 1/r
     ring = BlowupRing.kawamata_tower(member.a_cube, [q])
@@ -537,19 +500,24 @@ def _infinite_curves(member: Member, center: Center, branch: RuleBranch, earlier
     return InfiniteCurves(b_dot_c=b_dot, e_dot_c=e_dot)
 
 
-def _untwist(member: Member, center: Center, branch: RuleBranch, earlier: Earlier) -> Untwist:
+def _untwist(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> Untwist:
     fid, locus, tag = member.g.id, center.locus, branch.tag
     if tag == "none" or tag not in LINK_TAGS:
         raise UncoveredCaseError(f"family {fid} {locus}: untwist needs a QI, EI, II or link tag, "
                                  f"not {tag!r}")
-    eligible = None
-    if tag == "QI":
-        eligible = qi_eligible(member, locus)
-        if not eligible:
+    if (tag == "link") != (center.kind == "cax-point"):
+        raise UncoveredCaseError(f"family {fid} {locus}: the link tag belongs to the cAx point and only "
+                                 f"to it, not {tag!r}")
+    if tag != "link":  # an involution is quadratic exactly where the point has its x^2 y monomial
+        quadratic = qi_eligible(member, locus)
+        if tag == "QI" and not quadratic:
             raise UncoveredCaseError(f"family {fid} {locus}: no x^2 y tangent monomial, "
                                      f"quadratic involution not available")
+        if tag != "QI" and quadratic:
+            raise UncoveredCaseError(f"family {fid} {locus}: an x^2 y tangent monomial makes the "
+                                     f"involution quadratic, not {tag!r}")
     return Untwist(tag=tag, point=locus, condition=branch.condition,
-                   counterpart_id=fid if tag == "link" else None, eligible=eligible)
+                   counterpart_id=fid if tag == "link" else None, eligible=True if tag == "QI" else None)
 
 
 # the builder of each branch method, private so that no call through the table bypasses a public binding
@@ -567,13 +535,15 @@ def dispatch(member: Member, center: Center, condition: str = "", *,
     """Build and judge the certificate of the branch of a center of `member`,
     a family's general member (`Catalog.member`) or a stratum of it, whose
     condition is `condition` ("" for an unconditional branch).  A curve and
-    the nonsingular point have one unconditional branch, a point center the
-    `POINT_RULES` branches of its locus under the member's family id.
+    the nonsingular point have one unconditional branch, a point center one
+    branch per link row of the member at its locus (`_branches`).  A point
+    branch that excludes while its row's tag is not "none" is uncovered, as
+    is an untwist whose tag `_untwist` does not find computed.
 
     `earlier` holds the certificates already built for other branches of the
     same center; a branch that rests on one of them reuses it."""
     family_id = member.g.id
-    branches = _branches(family_id, center)
+    branches = _branches(member, center)
     if not branches:
         raise UncoveredCaseError(f"family {family_id} has no center at {center.locus}")
     for branch in branches:
@@ -586,6 +556,9 @@ def dispatch(member: Member, center: Center, condition: str = "", *,
             f"family {family_id} {where}: no branch under condition {condition!r}; expected one of: {wanted}")
     if center.kind == "cax-point" and branch.method != "untwist":  # every other method needs a quotient point
         raise UncoveredCaseError(f"family {family_id} p4: {branch.method} needs a quotient point")
+    if branch.tag != "none" and branch.method != "untwist" and center.is_point:
+        raise UncoveredCaseError(f"family {family_id} {center.locus}: {branch.method} excludes the point, "
+                                 f"so its tag must be 'none', not {branch.tag!r}")
     cert = BUILDERS[branch.method](member, center, branch, earlier)
     verdict = cert.verdict()
     if cert.method == "curve-degree" and not verdict.excluded:

@@ -48,10 +48,10 @@ def counterpart_inverse(form: StandardForm) -> tuple[tuple[int, ...], tuple[int,
 
 
 def involution_inventory(report) -> list[tuple[str, str, str]]:
-    """The link column of a `report.Report`: the (point, tag, condition) of
-    every branch that ran at a point center, in the report's order of
-    centers and, within a center, of branches.  A branch that dispatch could
-    not run, such as a quadratic involution without its x^2 y monomial, is
-    missing from it."""
+    """The link rows that ran in a `report.Report`: the (point, tag,
+    condition) of every branch that ran at a point center, in the report's
+    order of centers and, within a center, of branches.  A row that dispatch
+    could not run, such as a quadratic involution without its x^2 y
+    monomial or a row at a locus the member lacks, is missing from it."""
     return [(cr.center.locus, br.tag, br.condition) for cr in report.centers
             if cr.center.is_point for br in cr.branches]

@@ -26,7 +26,7 @@ def ok(n, message):
 
 def test_01_a_cube_table(catalog):
     for fid in catalog.ids():
-        assert catalog.pair(fid).gprime.a_cube() == GOLDEN["a_cube"][fid], f"family {fid}"
+        assert catalog.pair(fid).gprime.a_cube() == catalog.pair(fid).golden.a_cube, f"family {fid}"
     ok(1, "all 14 A^3 values reproduced exactly from weights and degrees")
 
 

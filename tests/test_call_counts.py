@@ -83,13 +83,13 @@ def test_verify_tables_derives_a_cube_three_times_per_family(empty_load_cache):
 
 
 def test_verify_tables_checks_each_quadratic_involution_once(empty_load_cache):
-    # the QI structural check runs once per QI branch, in dispatch; the
+    # the QI structural check runs once per involution row (QI, EI or II), in
+    # dispatch, which tags an involution QI exactly where the check holds; the
     # verifier reads the link column from the report instead of checking again
-    qi_branches = sum(br.tag == "QI" for rules in exclusion.POINT_RULES.values()
-                      for branches in rules.values() for br in branches)
-    assert qi_branches == 7
+    involutions = sum(row["tag"] in ("QI", "EI", "II") for obj in shipped_entries() for row in obj["links"])
+    assert involutions == 9
     first, second = verify_tables_twice({"qi_eligible": exclusion.qi_eligible})
-    assert first == second == {"qi_eligible": qi_branches}
+    assert first == second == {"qi_eligible": involutions}
 
 
 def count_parses(load) -> tuple[int, object]:
@@ -161,8 +161,10 @@ def test_a_failed_load_fails_again_with_the_same_message(tmp_path):
 
 def test_no_member_outlives_its_text(empty_load_cache, tmp_path):
     # families 29 and 41 trade ids in the second text, so its Members for
-    # both ids differ from the shipped text's; a Member kept across texts
-    # would hide the mismatches or invent them when the shipped text returns
+    # both ids differ from the shipped text's; their link rows travel with
+    # their records, and the tables keyed by family id give the mismatches.
+    # A Member kept across texts would hide them or invent them when the
+    # shipped text returns
     entries = shipped_entries()
     for obj in entries:
         if obj["id"] in (29, 41):
@@ -178,7 +180,7 @@ def test_no_member_outlives_its_text(empty_load_cache, tmp_path):
     for path in (shipped, traded):
         catalog_module._PARSED.clear()
         expected[path] = verify(path)
-    assert expected[shipped] == [] and len(expected[traded]) == 8
+    assert expected[shipped] == [] and len(expected[traded]) == 4
     catalog_module._PARSED.clear()
     for path in (shipped, traded, shipped):
         assert verify(path) == expected[path]
@@ -246,7 +248,7 @@ def listed_functions() -> dict:
 # but the first: each listed function not named makes no call
 VERIFY_TABLES_CALLS = {
     "exclusion.dispatch": 73, "report.build_report": 14, "report.verify_family": 14,
-    "exclusion.gamma_polynomial": 10, "exclusion.qi_eligible": 7, "blowup.b_cubed": 26, "blowup.triple": 10,
+    "exclusion.gamma_polynomial": 10, "exclusion.qi_eligible": 9, "blowup.b_cubed": 26, "blowup.triple": 10,
     "blowup.vanishing_order": 3, "blowup.ambient_quadruple": 1, "links.counterpart_inverse": 14,
     "links.involution_inventory": 14, "catalog.load_catalog": 1,
 }

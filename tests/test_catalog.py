@@ -55,7 +55,8 @@ def test_golden_columns_are_the_files_rows(catalog):
     for fid in catalog.ids():
         golden, entry = catalog.pair(fid).golden, entries[fid]
         assert golden.basket == tuple((b["type"], b["count"], b["locus"]) for b in entry["basket"])
-        assert golden.link_column == tuple((l["point"], l["tag"], l["condition"]) for l in entry["links"])
+        assert golden.link_column == tuple((l["point"], l["tag"], l["condition"], l["method"])
+                                           for l in entry["links"])
 
 
 @pytest.mark.parametrize("content", [
@@ -129,6 +130,32 @@ def test_load_rejects_bad_link_tag(tmp_path):
     path = _tamper(tmp_path, mutate)
     with pytest.raises(CatalogError, match="WI"):
         load_catalog(path)
+
+
+def test_load_rejects_a_method_that_no_point_builder_has(tmp_path):
+    def mutate(raw):
+        next(obj for obj in raw if obj["id"] == 29 and obj["kind"] == "Gprime")["links"][0]["method"] = "isolation"
+    with pytest.raises(CatalogError, match="^catalog entry #7: bad link method 'isolation' for family 29$"):
+        load_catalog(_tamper(tmp_path, mutate), strict=False)
+
+
+@pytest.mark.parametrize("point, conditions", [
+    ("p3", ["exists-wci(1,1,2)"]),  # one row under a condition
+    ("p2p4", ["not-exists-wci(1,1,2)", ""]),  # a condition paired with no condition
+    ("p2p4", ["not-exists-wci(1,1,2)", "exists-wci(1,1,4)"]),  # not the negation
+    ("p2p4", ["monomial-absent(y^2 z)", "exists-wci(1,1,2)"]),
+])
+def test_load_rejects_rows_that_are_not_a_condition_and_its_negation(tmp_path, point, conditions):
+    # each point has one unconditional row, or two: P and not-P
+    def mutate(raw):
+        rows = [row for row in next(obj for obj in raw if obj["id"] == 19 and obj["kind"] == "Gprime")["links"]
+                if row["point"] == point]
+        for row, condition in zip(rows, conditions):
+            row["condition"] = condition
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(_tamper(tmp_path, mutate), strict=False)
+    assert str(exc.value) == (f"catalog entry #3: the link rows of family 19 at {point} must be one "
+                              f"unconditional row or a condition and its negation, got conditions {conditions!r}")
 
 
 def test_load_rejects_missing_record(tmp_path):

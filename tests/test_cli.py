@@ -398,7 +398,7 @@ UNDERIVABLE = {
     "wrong-index": (_bump_weight_2_of_29, 29,
                     ["family 29: record No.29/Gprime: not anticanonically embedded of index 1 "
                      "(sum weights - sum degrees = 2)",
-                     *_stopped(29, "a_cube[29]", "b_cube_signs[(29, 'p2p4')]", "gamma_rows[29]")]),
+                     *_stopped(29, "b_cube_signs[(29, 'p2p4')]", "gamma_rows[29]")]),
     "no-standard-shape": (_swap_weights_0_4_of_17, 17,
                           ["family 17: No.17: no standard form (I' shape: degrees d1, d2 = 7, 8 are not "
                            "both even; I'' shape: degree 8 and b=1 admit no lift to six weights)"]),
@@ -668,30 +668,42 @@ def test_any_single_field_mutation_keeps_the_exit_code_contract(tmp_path_factory
 
 @pytest.mark.parametrize("family, locus", [(41, "p2p3"), (55, "p2"), (69, "p2"), (77, "p2p3")])
 def test_a_basket_point_without_rules_is_an_uncovered_center(capsys, tmp_path, family, locus):
-    # the family's records trade ids with family 29's, whose rules have no
-    # row for the point at `locus`
+    # the family's link row at `locus` is deleted, so its point has no
+    # branch to run
     with open(default_catalog_path(), encoding="utf-8") as fh:
         raw = json.load(fh)
-    for obj in raw:
-        if obj["id"] in (29, family):
-            obj["id"] = 29 + family - obj["id"]
-    path = tmp_path / "traded.json"
+    gprime = next(obj for obj in raw if obj["id"] == family and obj["kind"] == "Gprime")
+    gprime["links"] = [row for row in gprime["links"] if row["point"] != locus]
+    path = tmp_path / "deleted.json"
     path.write_text(json.dumps(raw))
     load_catalog(str(path))  # the strict load accepts the records
-    uncovered = f"uncovered-cases(family 29 has no center at {locus})"
-    code, out, err = run(capsys, "--catalog", str(path), "analyze", "--family", "29")
+    uncovered = f"uncovered-cases(family {family} has no center at {locus})"
+    code, out, err = run(capsys, "--catalog", str(path), "analyze", "--family", str(family))
     assert (code, err) == (0, "")
     assert f"- summary: {uncovered}" in out.splitlines()
     # the point's table row gives the reason in place of empty cells
     (row,) = [line for line in out.splitlines() if line.startswith(f"| {locus} = ")]
-    assert row.endswith(f" | uncovered: family 29 has no center at {locus} | uncovered |")
+    assert row.endswith(f" | uncovered: family {family} has no center at {locus} | uncovered |")
     code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
     assert code == 1
-    lines = [line for line in out.splitlines() if line.startswith("family 29: ")]
-    assert f"family 29: uncovered centers: {uncovered}" in lines
-    assert any(line.startswith("family 29: A^3 computed ") for line in lines)
-    assert any(line.startswith("family 29: link column computed ") for line in lines)
-    if family in (41, 69):  # no surface-pair branch runs to take the gamma_rows entry
-        assert "family 29: table gamma_rows[29] unchecked: no surface-pair certificate ran" in lines
-    else:
-        assert any(line.startswith("family 29: restriction curve support ") for line in lines)
+    lines = [f"family {family}: uncovered centers: {uncovered}"]
+    if family in (55, 69):  # no infinite-curves branch runs to take the entry
+        lines.append(f"family {family}: table infinite_curves[({family}, {locus!r})] unchecked: "
+                     f"no infinite-curves certificate ran")
+    assert out.splitlines() == [*lines, f"verify-tables: {len(lines)} mismatch(es)"]
+
+
+def test_a_link_row_at_a_point_the_member_lacks_is_a_mismatch(capsys, tmp_path):
+    # family 29 has no point p1, so a row there never runs and no center is
+    # uncovered; the link column read off the report lacks it
+    with open(default_catalog_path(), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    gprime = next(obj for obj in raw if obj["id"] == 29 and obj["kind"] == "Gprime")
+    gprime["links"].insert(1, {"point": "p1", "tag": "none", "condition": "", "method": "surface-pair"})
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
+    assert (code, out.splitlines()) == (1, [
+        "family 29: link column computed [('p2p4', 'none', ''), ('p4', 'link', '')] != catalog "
+        "[('p2p4', 'none', ''), ('p1', 'none', ''), ('p4', 'link', '')]",
+        "verify-tables: 1 mismatch(es)"])

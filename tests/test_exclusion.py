@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 
 from fano_wci.blowup import ambient_quadruple
-from fano_wci.exclusion import (POINT_RULES, Center, CurveCycle, CurveDegree, CurveGamma, InfiniteCurves,
-                                Isolation, NegDefMatrix, RuleBranch, SurfacePair, UncoveredCaseError, Untwist,
+from fano_wci.catalog import LINK_METHODS
+from fano_wci.exclusion import (BUILDERS, Center, CurveCycle, CurveDegree, CurveGamma, InfiniteCurves,
+                                Isolation, NegDefMatrix, SurfacePair, UncoveredCaseError, Untwist,
                                 certificate_json, dispatch, gamma_polynomial, negdef2, negdef_for_all,
                                 point_vertex, qi_eligible)
 from fano_wci.report import GOLDEN
 from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, support_with_point_at_vertex,
                                     tangent_coordinate)
 from fano_wci.wps import MonomialSupport
+from test_strata import with_rows
 
 F = Fraction
 HALF = QuotientSingularity(2, 1)
@@ -73,18 +75,18 @@ def test_gamma_polynomial_examples(catalog):
     assert gamma_polynomial(catalog.member(42)).monomials == {(2, 0, 2), (0, 2, 1), (3, 0, 0)}
 
 
-def test_gamma_rows_are_the_surface_pair_families():
+def test_gamma_rows_are_the_surface_pair_families(catalog):
     # the golden gamma_rows check reads the support off a surface-pair
     # certificate, so its entries are the nine surface-pair families
-    surface_pair = {fid for fid, rules in POINT_RULES.items()
-                    if any(br.method == "surface-pair" for branches in rules.values() for br in branches)}
+    surface_pair = {fid for fid in catalog.ids()
+                    if any(method == "surface-pair" for *_, method in catalog.pair(fid).golden.link_column)}
     assert surface_pair == set(GOLDEN["gamma_rows"]) == {23, 29, 42, 49, 50, 55, 74, 77, 82}
 
 
 def test_nef_divisor_points_move_to_vertex_1(catalog):
     # the half points p1p4 of the nef-divisor families sit at the weight-2 end
-    nef = [fid for fid, rules in POINT_RULES.items()
-           if any(br.method == "nef-divisor" for branches in rules.values() for br in branches)]
+    nef = [fid for fid in catalog.ids()
+           if any(method == "nef-divisor" for *_, method in catalog.pair(fid).golden.link_column)]
     assert nef == [50, 74, 82]
     assert [point_vertex(catalog.pair(fid).gprime.weights, "p1p4") for fid in nef] == [1, 1, 1]
 
@@ -225,14 +227,65 @@ def test_dispatch_uncovered_cases(catalog):
         dispatch(catalog.member(17), Center.curve(F(1, 4)))
 
 
-def test_a_quotient_point_method_at_the_cax_point_is_uncovered(catalog, monkeypatch):
-    # only an untwist applies at p4: a rule edited to another method leaves
+def test_a_quotient_point_method_at_the_cax_point_is_uncovered(catalog):
+    # only an untwist applies at p4: a row edited to another method leaves
     # the center uncovered instead of failing inside the builder
     member = catalog.member(17)
     for method in ("surface-pair", "infinite-curves", "nef-divisor", "negdef-matrix"):
-        monkeypatch.setitem(POINT_RULES[17], "p4", (RuleBranch("", method, "link"),))
+        edited = with_rows(member, [("p4", "link", "", method)])
         with pytest.raises(UncoveredCaseError, match=f"^family 17 p4: {method} needs a quotient point$"):
-            dispatch(member, Center.cax_point(member.cax))
+            dispatch(edited, Center.cax_point(member.cax))
+
+
+def test_every_link_method_has_a_point_builder():
+    # a catalog row names a builder of BUILDERS; the curve and isolation
+    # builders serve the single-branch centers only
+    assert set(LINK_METHODS) == set(BUILDERS) - {"curve", "isolation"}
+
+
+def edit_row(member, point, condition, **fields):
+    """The member with the link row at (point, condition) given new `fields`."""
+    return with_rows(member, [row._replace(**fields) if (row.point, row.condition) == (point, condition) else row
+                              for row in member.golden.link_column])
+
+
+def quotient_center(member, locus):
+    return Center.quotient_point(next(q for q in member.quotients if q.locus == locus))
+
+
+def test_an_exclusion_tagged_as_a_link_is_uncovered(catalog):
+    # rule (a): a point branch untwists exactly when its tag is not "none",
+    # so a surface-pair row tagged EI is uncovered, not excluded
+    member = edit_row(catalog.member(29), "p2p4", "", tag="EI")
+    with pytest.raises(UncoveredCaseError, match="^family 29 p2p4: surface-pair excludes the point, "
+                                                 "so its tag must be 'none', not 'EI'$"):
+        dispatch(member, quotient_center(member, "p2p4"))
+
+
+def test_the_cax_point_untwists_only_by_the_link(catalog):
+    # rule (b): the link tag is used exactly at the cAx point
+    member = edit_row(catalog.member(17), "p4", "", tag="II")
+    with pytest.raises(UncoveredCaseError, match="^family 17 p4: the link tag belongs to the cAx point "
+                                                 "and only to it, not 'II'$"):
+        dispatch(member, Center.cax_point(member.cax))
+    member = edit_row(catalog.member(19), "p3", "", tag="link")
+    with pytest.raises(UncoveredCaseError, match="^family 19 p3: the link tag belongs to the cAx point "
+                                                 "and only to it, not 'link'$"):
+        dispatch(member, quotient_center(member, "p3"))
+
+
+def test_an_involution_is_quadratic_exactly_where_it_can_be(catalog):
+    # rule (c): the QI tag exactly where qi_eligible holds; family 19's p3
+    # has its x^2 y monomial, so an elementary involution there is uncovered,
+    # while its p2p4 lacks one and keeps EI and II, eligible printed as None
+    member = edit_row(catalog.member(19), "p3", "", tag="EI")
+    with pytest.raises(UncoveredCaseError, match="^family 19 p3: an x\\^2 y tangent monomial makes the "
+                                                 "involution quadratic, not 'EI'$"):
+        dispatch(member, quotient_center(member, "p3"))
+    member = catalog.member(19)
+    for condition, tag in (("not-exists-wci(1,1,2)", "EI"), ("exists-wci(1,1,2)", "II")):
+        cert, verdict = dispatch(member, quotient_center(member, "p2p4"), condition)
+        assert (cert.tag, cert.eligible, verdict.resolved) == (tag, None, True)
 
 
 def test_a_condition_on_a_single_branch_center_is_rejected(catalog):

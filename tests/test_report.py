@@ -3,15 +3,19 @@ certificate of its method, reports an entry that no such certificate
 reaches instead of skipping it, and reports a check that finds no entry."""
 
 import copy
+import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
 
 from fano_wci import exclusion, report
 from fano_wci.blowup import BlowupRing, triple
-from fano_wci.catalog import FamilyRecord, Member, load_catalog
+from fano_wci.catalog import LINK_TAGS, CatalogError, FamilyRecord, Member, default_catalog_path, load_catalog
 from fano_wci.report import GOLDEN, build_report, render_markdown, verify_tables
 from fano_wci.singularities import QuotientSingularity
+from test_strata import with_rows
 
 F = Fraction
 
@@ -42,7 +46,6 @@ FAULTS = [
      "family 29: restriction curve support [(0, 2, 0), (2, 0, 3), (3, 0, 2), (4, 0, 1), (5, 0, 0)] "
      "!= table [(0, 2, 0), (2, 0, 3)]"),
     ("b_cube_signs", (23, "p2p4"), 1, "family 23: B^3 at p2p4 computed -1/12, table sign says 1"),
-    ("a_cube", 17, F(2), "family 17: A^3 computed 1 != table 2"),
     ("isolation", 17, (1, F(1)), "family 17: isolation (2, 4) != table (1, 1)"),
     ("nef_witness", 17, F(-1, 4), "family 17: table nef_witness[17] unchecked: no nef-divisor certificate ran"),
     ("infinite_curves", (50, "p1p4"), (F(0), F(2)),
@@ -56,7 +59,6 @@ FAULTS = [
      "family 95: table matrices[(95, 'p2')] unchecked: family not in the catalog"),
     ("b_cube_signs", (98, "p2"), -1, "family 98: table b_cube_signs[(98, 'p2')] unchecked: family not in the catalog"),
     ("gamma_rows", 97, frozenset({(0, 2, 0)}), "family 97: table gamma_rows[97] unchecked: family not in the catalog"),
-    ("a_cube", 96, F(1), "family 96: table a_cube[96] unchecked: family not in the catalog"),
     ("tower_cube", 19, F(-1, 13), "family 19: tower (-K)^3 = -1/12 != -1/13"),
     ("tower_cube", 94, F(-1, 12), "family 94: table tower_cube[94] unchecked: family not in the catalog"),
     ("tower_cube", 17, F(-1, 12), "family 17: table tower_cube[17] unchecked: no cited G points"),
@@ -77,7 +79,7 @@ def test_family_19_tower_class_is_minus_k_over_its_cited_points(catalog):
 def test_every_golden_table_has_a_consumer():
     # a table is checked by verify_family directly or through a certificate
     # method's WITNESSES row, so a table added without a check fails here
-    assert set(GOLDEN) == {"a_cube", "b_cube_signs", "tower_cube"} | {row[0] for row in report.WITNESSES.values()}
+    assert set(GOLDEN) == {"b_cube_signs", "tower_cube"} | {row[0] for row in report.WITNESSES.values()}
 
 
 @pytest.mark.parametrize("table, key, value, line", FAULTS, ids=[f"{t}[{k!r}]" for t, k, _, _ in FAULTS])
@@ -125,14 +127,6 @@ def test_several_golden_faults_print_their_lines_in_family_order(catalog, monkey
     ]
 
 
-def test_a_family_without_an_a_cube_entry_is_still_checked(catalog, monkeypatch):
-    # the missing entry is its own line; family 19's tower, isolation and
-    # curve witness entries are still compared, so no other line follows
-    a_cube = {key: value for key, value in GOLDEN["a_cube"].items() if key != 19}
-    monkeypatch.setattr(report, "GOLDEN", {**GOLDEN, "a_cube": a_cube})
-    assert verify_tables(catalog) == ["family 19: A^3 computed 2/3, table a_cube has no entry"]
-
-
 def test_a_family_without_a_tower_cube_entry_is_still_checked(catalog, monkeypatch):
     # family 19's tower is computed all the same, and the missing entry is
     # its own line
@@ -153,13 +147,18 @@ def test_verification_leaves_the_golden_tables_untouched(catalog, monkeypatch):
 
 
 def test_a_member_of_a_family_without_rules_is_reported_uncovered(catalog):
-    # family 50's member under id 7, which no rule table knows: each point
-    # without rules is uncovered rather than a KeyError
+    # family 50's member under id 7, which no per-id table knows: its link
+    # rows travel with it and run, and each builder that reads a table keyed
+    # by family id is uncovered rather than a KeyError; without its rows,
+    # each point is a center the family lacks
     m = catalog.member(50)
     member = Member(g=FamilyRecord(7, "G", m.g.weights, m.g.degrees),
                     gprime=FamilyRecord(7, "Gprime", m.gprime.weights, m.gprime.degrees), golden=m.golden,
                     a_cube=m.a_cube, shape=m.shape, support=m.support, quotients=m.quotients, cax=m.cax)
     assert build_report(member).uncovered == (
+        "family 7: no isolation vertex to drop", "no curve-pair matrix data for family 7 at p1p4",
+        "no curve-pair matrix data for family 7 at p2")
+    assert build_report(with_rows(member, ())).uncovered == (
         "family 7: no isolation vertex to drop", "family 7 has no center at p1p4",
         "family 7 has no center at p2", "family 7 has no center at p3", "family 7 has no center at p4")
 
@@ -191,21 +190,36 @@ def test_a_quadratic_involution_without_its_monomial_is_uncovered(catalog, monke
                     "quadratic involution not available | uncovered |"]
 
 
-# every surface-pair branch of the rules, as (family, locus, condition)
-SURFACE_PAIRS = [(fid, locus, br.condition) for fid, rules in exclusion.POINT_RULES.items()
-                 for locus, branches in rules.items() for br in branches if br.method == "surface-pair"]
+with open(default_catalog_path(), encoding="utf-8") as fh:
+    SHIPPED = json.load(fh)  # the shipped catalog's entries
+
+
+def link_rows(entries: list[dict], family: int) -> list[dict]:
+    """The links array of the family's Gprime entry in the catalog `entries`."""
+    return next(e for e in entries if e["id"] == family and e["kind"] == "Gprime")["links"]
+
+
+def load_entries(path: str, entries: list[dict]):
+    """The catalog `entries` written to `path` and loaded as verify-tables loads them."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entries, fh)
+    return load_catalog(path, strict=False)
+
+
+# every surface-pair row of the catalog, as (family, locus, condition)
+SURFACE_PAIRS = [(e["id"], row["point"], row["condition"]) for e in SHIPPED
+                 for row in e["links"] if row["method"] == "surface-pair"]
 
 
 @pytest.mark.parametrize("family, locus, condition", SURFACE_PAIRS,
                          ids=[f"{fid}-{locus}" for fid, locus, _ in SURFACE_PAIRS])
-def test_an_exclusion_turned_into_an_untagged_untwist_is_a_mismatch(catalog, monkeypatch, family, locus,
-                                                                     condition):
-    # an untwist resolves its center, so a branch whose method is edited to
-    # untwist while its golden tag stays "none" must not pass as resolved
-    branches = tuple(exclusion.RuleBranch(br.condition, "untwist", br.tag) if br.condition == condition else br
-                     for br in exclusion.POINT_RULES[family][locus])
-    monkeypatch.setitem(exclusion.POINT_RULES[family], locus, branches)
-    lines = verify_tables(catalog)
+def test_an_exclusion_turned_into_an_untagged_untwist_is_a_mismatch(tmp_path, family, locus, condition):
+    # an untwist resolves its center, so a row whose method is edited to
+    # untwist while its tag stays "none" must not pass as resolved
+    entries = copy.deepcopy(SHIPPED)
+    (row,) = [r for r in link_rows(entries, family) if (r["point"], r["condition"]) == (locus, condition)]
+    row["method"] = "untwist"
+    lines = verify_tables(load_entries(str(tmp_path / "edited.json"), entries))
     assert lines and all(line.startswith(f"family {family}: ") for line in lines)
     if family == 29:
         assert lines == [
@@ -217,40 +231,60 @@ def test_an_exclusion_turned_into_an_untagged_untwist_is_a_mismatch(catalog, mon
 
 
 # ---------------------------------------------------------------------------
-# Dispatch-edit census: a single edit of the per-family dispatch data must
-# print a mismatch line, unless it is pinned below with the reason it cannot
+# Dispatch-edit census: a single edit of the dispatch data (the cited
+# isolation vertices and the catalog's link rows) must print a mismatch line
+# or fail to load, unless it is pinned below with the reason it cannot
 # ---------------------------------------------------------------------------
 
 CENSUS_METHODS = ("surface-pair", "infinite-curves", "nef-divisor", "untwist")
+# every condition of a catalog row, "" among them
+CONDITIONS = sorted({row["condition"] for e in SHIPPED for row in e["links"]})
 
 
-def dispatch_edits() -> list[tuple[str, dict, object, object]]:
-    """Every single edit of the dispatch data as (name, table, key, value):
-    each family's isolation vertex set to each other vertex, and each point
-    branch's method set to each other one of `CENSUS_METHODS`, its condition
-    and tag kept."""
-    edits = []
-    for fid, drop in exclusion.ISOLATION_DROP.items():
-        edits += [(f"{fid} isolation drop {drop}->{v}", exclusion.ISOLATION_DROP, fid, v)
-                  for v in range(5) if v != drop]
-    for fid, rules in exclusion.POINT_RULES.items():
-        for locus, branches in rules.items():
-            for i, br in enumerate(branches):
-                edits += [(f"{fid} {locus} [{br.condition}] {br.method}->{method}", rules, locus,
-                           (*branches[:i], exclusion.RuleBranch(br.condition, method, br.tag), *branches[i + 1:]))
-                          for method in CENSUS_METHODS if method != br.method]
-    return edits
+def row_edits(field: str, values) -> list[tuple[str, int, int, str, object]]:
+    """Every edit of `field` of one catalog link row to each other one of
+    `values`, as (name, family, row index, field, value)."""
+    return [(f"{e['id']} {row['point']} [{row['condition']}] {row[field]}->{value}", e["id"], i, field, value)
+            for e in SHIPPED for i, row in enumerate(e["links"]) for value in values if value != row[field]]
 
 
-def census(catalog) -> list[str]:
-    """The names of the dispatch edits, each applied alone, after which
-    `verify_tables(catalog)` prints no line."""
+def dispatch_edits() -> list[tuple[str, int, int | None, str, object]]:
+    """Each family's isolation vertex set to each other vertex, and each link
+    row's method set to each other one of `CENSUS_METHODS`."""
+    drops = [(f"{fid} isolation drop {drop}->{v}", fid, None, "drop", v)
+             for fid, drop in exclusion.ISOLATION_DROP.items() for v in range(5) if v != drop]
+    return drops + row_edits("method", CENSUS_METHODS)
+
+
+def tag_edits() -> list[tuple[str, int, int, str, object]]:
+    """Each link row's tag set to each other one of `LINK_TAGS`."""
+    return row_edits("tag", LINK_TAGS)
+
+
+def condition_edits() -> list[tuple[str, int, int, str, object]]:
+    """Each link row's condition set to each other one of `CONDITIONS`."""
+    return row_edits("condition", CONDITIONS)
+
+
+def census(edits) -> list[str]:
+    """The names of the edits, each applied alone, after which verify-tables
+    passes: the edited catalog loads and `verify_tables` prints no line."""
     silent = []
-    for name, table, key, value in dispatch_edits():
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(table, key, value)
-            if not verify_tables(catalog):
-                silent.append(name)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "edited.json")
+        for name, family, index, field, value in edits:
+            entries = copy.deepcopy(SHIPPED)
+            with pytest.MonkeyPatch.context() as mp:
+                if field == "drop":
+                    mp.setitem(exclusion.ISOLATION_DROP, family, value)
+                else:
+                    link_rows(entries, family)[index][field] = value
+                try:
+                    catalog = load_entries(path, entries)
+                except CatalogError:  # verify-tables exits 2
+                    continue
+                if not verify_tables(catalog):
+                    silent.append(name)
     return silent
 
 
@@ -268,11 +302,10 @@ SILENT_EDITS = {
         "74 isolation drop 3->0", "74 isolation drop 3->1", "74 isolation drop 3->2", "74 isolation drop 3->4",
         "77 isolation drop 3->0", "77 isolation drop 3->1", "77 isolation drop 3->2", "77 isolation drop 3->4",
         "82 isolation drop 3->0", "82 isolation drop 3->1", "82 isolation drop 3->2", "82 isolation drop 3->4"},
-    # no table records the paper's method at a branch: the QI branch's
-    # infinite-curves witness is the one the (30, 'p2') entry expects, and its
-    # QI tag still makes the link column
-    "no method entry": {"30 p2 [monomial-present(y^2 z)] untwist->infinite-curves"},
 }
+
+# no number tells EI from II; ROADMAP items 13 and 18
+SILENT_TAG_EDITS = {"19 p2p4 [not-exists-wci(1,1,2)] EI->II", "19 p2p4 [exists-wci(1,1,2)] II->EI"}
 
 
 def test_every_dispatch_edit_but_the_pinned_ones_prints_a_mismatch():
@@ -280,9 +313,21 @@ def test_every_dispatch_edit_but_the_pinned_ones_prints_a_mismatch():
     # silent and is not pinned, or a pinned one that turns loud, fails here
     edits = dispatch_edits()
     assert len(edits) == 184 and len({name for name, *_ in edits}) == 184
-    silent = census(load_catalog(strict=False))
+    silent = census(edits)
     assert set(silent) == set().union(*SILENT_EDITS.values())
-    assert len(silent) == 30
+    assert len(silent) == 29
+
+
+def test_every_tag_edit_but_the_pinned_ones_prints_a_mismatch():
+    edits = tag_edits()
+    assert len(edits) == 168 and len({name for name, *_ in edits}) == 168
+    assert set(census(edits)) == SILENT_TAG_EDITS
+
+
+def test_every_condition_edit_is_a_load_error_or_a_mismatch():
+    edits = condition_edits()
+    assert len(edits) == 420 and len({name for name, *_ in edits}) == 420
+    assert census(edits) == []
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +359,7 @@ SILENT_DELETIONS = {"isolation[42]", "isolation[19]", "isolation[50]", "isolatio
 
 def test_every_golden_deletion_but_the_pinned_ones_prints_a_mismatch():
     deletions = golden_deletions()
-    assert len(deletions) == 55 and len({name for name, *_ in deletions}) == 55
+    assert len(deletions) == 41 and len({name for name, *_ in deletions}) == 41
     silent = deletion_census(load_catalog(strict=False))
     assert set(silent) == SILENT_DELETIONS
     assert len(silent) == 4

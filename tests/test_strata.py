@@ -6,7 +6,7 @@ as on any family's general member."""
 import math
 from collections import Counter
 
-from fano_wci.catalog import Member
+from fano_wci.catalog import GoldenRow, LinkRow, Member
 from fano_wci.report import build_report
 from fano_wci.singularities import NotQuasismoothError, singular_locus
 from fano_wci.wps import MonomialSupport
@@ -18,6 +18,13 @@ def stratum(member: Member, monomial) -> Member:
     quotients, cax = singular_locus(member.gprime, member.shape, support)
     return Member(g=member.g, gprime=member.gprime, golden=member.golden, a_cube=member.a_cube,
                   shape=member.shape, support=support, quotients=tuple(quotients), cax=cax)
+
+
+def with_rows(member: Member, rows) -> Member:
+    """The member with its link rows (point, tag, condition, method) replaced by `rows`."""
+    golden = GoldenRow(*[tuple(map(LinkRow._make, rows)) if name == "link_column" else getattr(member.golden, name)
+                         for name in GoldenRow.__record_fields__])
+    return Member(*[golden if name == "golden" else getattr(member, name) for name in Member.__record_fields__])
 
 
 def outcome(member: Member) -> tuple:
