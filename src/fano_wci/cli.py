@@ -8,10 +8,10 @@ package.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from .catalog import CatalogError, load_catalog
@@ -22,10 +22,60 @@ from .wps import rat_str, wps_str
 def cmd_analyze(args) -> int:
     report = build_report(load_catalog(args.catalog).member(args.family))
     if args.format == "json":
-        print(json.dumps(render_json(report), indent=2, sort_keys=True))
+        print(_json_text(render_json(report)))
     else:
         print(render_markdown(report))
     return 0
+
+
+def _json_text(value) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for the values that
+    `render_json` builds: str, int, bool, None, lists, and dicts with str
+    keys.  TypeError on a value of any other type, a subclass of these
+    included, so a new field type fails instead of printing other bytes.
+    On Python 3.11 `json.dumps` leaves its C encoder whenever `indent` is
+    set; `_quote` is the C string encoder it keeps."""
+    out: list[str] = []
+    _write_json(value, out, "\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list[str], pad: str) -> None:
+    """Append the text of `value` to `out`; `pad` is the newline and indent
+    before the value's closing bracket."""
+    cls = value.__class__
+    if cls is str:
+        out.append(_quote(value))
+    elif cls is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):  # TypeError on keys of mixed types; _quote's on a key not a str
+            out.append(sep + _quote(key) + ": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif cls is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif cls is int:
+        out.append(int.__repr__(value))
+    elif cls is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not written as JSON")
 
 
 def cmd_verify_tables(args) -> int:

@@ -78,10 +78,11 @@ class CenterReport:
 class Report:
     member: Member
     centers: tuple[CenterReport, ...]
+    unplaced: tuple[str, ...]  # one reason per link row at a locus the member has no point at
 
     @property
     def uncovered(self) -> tuple[str, ...]:
-        return tuple(reason for cr in self.centers for reason in cr.uncovered)
+        return (*(reason for cr in self.centers for reason in cr.uncovered), *self.unplaced)
 
     @property
     def birigid_summary(self) -> str:
@@ -91,7 +92,8 @@ class Report:
 def build_report(member: Member) -> Report:
     """Every center of `member` (`exclusion.centers`), a family's general
     member or a stratum of it, with one result per branch, run under the
-    branch's condition and with its link tag."""
+    branch's condition and with its link tag.  A link row at a locus where
+    the member has no point runs at no center, and is uncovered."""
     centers: list[CenterReport] = []
     for center, branches in exclusion.centers(member):
         results, uncovered = [], []
@@ -107,7 +109,16 @@ def build_report(member: Member) -> Report:
             if not verdict.resolved:
                 uncovered.append(f"{center.describe()} [{br.condition or 'unconditional'}]")
         centers.append(CenterReport(center, tuple(results), tuple(uncovered)))
-    return Report(member=member, centers=tuple(centers))
+    # a link row runs at the center of its locus: a quotient point, or the cAx point p4
+    unplaced = ()
+    for row in member.golden.link_column:
+        if row.point != "p4":
+            for q in member.quotients:
+                if q.locus == row.point:
+                    break
+            else:
+                unplaced += (f"family {member.g.id} link row at {row.point}: the member has no point there",)
+    return Report(member=member, centers=tuple(centers), unplaced=unplaced)
 
 
 def _describe_branch(br: BranchResult) -> str:
@@ -318,11 +329,10 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
                 if _sign(val) != sign:
                     diff(f"B^3 at {q.locus} computed {rat_str(val)}, table sign says {sign}")
 
-        # every center of the report resolves, every link row ran (a row at
-        # a locus the member lacks is no center, so only this sees it), each
-        # quotient point where an exclusion ran has a sign entry, and each
-        # witness entry of the family is taken by the first certificate of
-        # its method that reaches it
+        # every center and link row of the report resolves, every link row
+        # ran, each quotient point where an exclusion ran has a sign entry,
+        # and each witness entry of the family is taken by the first
+        # certificate of its method that reaches it
         report = build_report(member)
         got = links.involution_inventory(report)
         want = [row[:3] for row in pair.golden.link_column]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from fano_wci import catalog as catalog_module
-from fano_wci import cli, exclusion, singularities, wps
+from fano_wci import cli, exclusion, report, singularities, wps
 from fano_wci.catalog import FAMILY_IDS, CatalogError, default_catalog_path, load_catalog
 from fano_wci.report import build_report, verify_tables
 
@@ -275,3 +275,15 @@ def test_an_op_on_a_loaded_text_makes_the_pinned_calls_of_every_listed_function(
     calls, code = count_calls(functions, lambda: cli.main(argv))
     assert code == 0 and capsys.readouterr().out
     assert calls == PER_OP_CALLS[command]
+
+
+def test_analyze_json_writes_without_the_python_json_encoder(capsys):
+    # the stdlib's indent path runs json.encoder's Python generators for
+    # every value; the op's writer needs none of it
+    argv = ["analyze", "--family", "50", "--format", "json"]
+    assert cli.main(argv) == 0
+    calls, code = count_calls({"_make_iterencode": json.encoder._make_iterencode,
+                               "JSONEncoder.encode": json.JSONEncoder.encode,
+                               "render_json": report.render_json}, lambda: cli.main(argv))
+    assert code == 0 and capsys.readouterr().out
+    assert calls == {"render_json": 1}

@@ -17,7 +17,10 @@ from hypothesis import strategies as st
 from fano_wci import cli
 from fano_wci.catalog import FAMILY_IDS, CatalogError, default_catalog_path, load_catalog
 from fano_wci.cli import main
+from fano_wci.report import build_report, render_json
+from fano_wci.singularities import NotQuasismoothError
 from fano_wci.wps import rat_str
+from test_strata import stratum
 
 
 def run(capsys, *argv):
@@ -693,17 +696,80 @@ def test_a_basket_point_without_rules_is_an_uncovered_center(capsys, tmp_path, f
     assert out.splitlines() == [*lines, f"verify-tables: {len(lines)} mismatch(es)"]
 
 
+# family: the stray row's locus, and the link column that runs
+STRAY_ROWS = {29: ("p1", [("p2p4", "none", ""), ("p4", "link", "")]), 17: ("p3", [("p4", "link", "")])}
+
+
 def test_a_link_row_at_a_point_the_member_lacks_is_a_mismatch(capsys, tmp_path):
-    # family 29 has no point p1, so a row there never runs and no center is
-    # uncovered; the link column read off the report lacks it
-    with open(default_catalog_path(), encoding="utf-8") as fh:
-        raw = json.load(fh)
-    gprime = next(obj for obj in raw if obj["id"] == 29 and obj["kind"] == "Gprime")
-    gprime["links"].insert(1, {"point": "p1", "tag": "none", "condition": "", "method": "surface-pair"})
-    path = tmp_path / "stray.json"
-    path.write_text(json.dumps(raw))
-    code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
-    assert (code, out.splitlines()) == (1, [
-        "family 29: link column computed [('p2p4', 'none', ''), ('p4', 'link', '')] != catalog "
-        "[('p2p4', 'none', ''), ('p1', 'none', ''), ('p4', 'link', '')]",
-        "verify-tables: 1 mismatch(es)"])
+    # the member has no point at the row's locus, so the row runs at no
+    # center: the report names it uncovered, and the link column read off
+    # the report lacks it
+    for family, (locus, ran) in STRAY_ROWS.items():
+        with open(default_catalog_path(), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        gprime = next(obj for obj in raw if obj["id"] == family and obj["kind"] == "Gprime")
+        gprime["links"].insert(1, {"point": locus, "tag": "none", "condition": "", "method": "surface-pair"})
+        path = tmp_path / "stray.json"
+        path.write_text(json.dumps(raw))
+        uncovered = f"uncovered-cases(family {family} link row at {locus}: the member has no point there)"
+        code, out, err = run(capsys, "--catalog", str(path), "analyze", "--family", str(family))
+        assert (code, err) == (0, "")
+        assert f"- summary: {uncovered}" in out.splitlines()
+        code, out, _ = run(capsys, "--catalog", str(path), "analyze", "--family", str(family), "--format", "json")
+        assert (code, json.loads(out)["birigid_summary"]) == (0, uncovered)
+        code, out, _ = run(capsys, "--catalog", str(path), "verify-tables")
+        stated = [*ran[:1], (locus, "none", ""), *ran[1:]]
+        assert (code, out.splitlines()) == (1, [
+            f"family {family}: link column computed {ran} != catalog {stated}",
+            f"family {family}: uncovered centers: {uncovered}",
+            "verify-tables: 2 mismatch(es)"])
+
+
+def stdlib_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_the_json_writer_is_the_stdlib_on_every_report(catalog):
+    # every family's general member, then each quasi-smooth one-monomial stratum
+    checked = 0
+    for fid in catalog.ids():
+        member = catalog.member(fid)
+        members = [member]
+        for monomial in member.support.sorted():
+            try:
+                members.append(stratum(member, monomial))
+            except NotQuasismoothError:
+                continue
+        for m in members:
+            value = render_json(build_report(m))
+            assert cli._json_text(value) == stdlib_json(value), (fid, m.support)
+            checked += 1
+    assert checked == 14 + 1_268
+
+
+# str, int, bool and None leaves in nested lists and str-keyed dicts, empty
+# containers included; the strings lean on what JSON escapes
+WRITER_TEXT = st.text() | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028 aé☃\U0001f600'))
+WRITER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80) | WRITER_TEXT,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(WRITER_TEXT, inner, max_size=5),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@example(value=[[], {}, {"": [{}]}, -2**64 - 1, 2**64, True, None, '"\\\x00é'])
+@given(value=WRITER_VALUES)
+def test_the_json_writer_is_the_stdlib_on_any_nested_value(value):
+    assert cli._json_text(value) == stdlib_json(value)
+
+
+class Text(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [1.5, ("a",), Fraction(1, 2), Text("a"), {1: "a"}, {"a": 1, 2: "b"},
+                                   [{"a": [0.0]}]],
+                         ids=["float", "tuple", "Fraction", "str subclass", "int key", "mixed keys", "nested float"])
+def test_the_json_writer_raises_on_any_other_value(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
