@@ -4,15 +4,15 @@ maximal center, or tag the birational involution / link that untwists it.
 A point center's branches are the member's link rows at its locus
 (`GoldenRow.link_column`: point, tag, condition, method), the paper's table
 stated once in the catalog; a curve and the nonsingular point have one
-branch each.  `dispatch` builds the certificate of one branch at a center of
-a `Member` with the method's builder in `BUILDERS`, and the certificate
-judges itself (`verdict()`) by the sign of its witness's numerator, or by
-one integer cross-product, never by a `Fraction` comparison.  Conditions are
-strings such as "exists-wci(1,1,2)" or "monomial-absent(y^2 z)"; "" marks an
-unconditional branch.  A row's tag is checked against what is computed: a
-point branch untwists exactly when its tag is not "none", only the cAx point
-takes the link tag, and an involution is tagged QI exactly where
-`qi_eligible` holds.
+branch each (`SINGLE_BRANCH`).  `dispatch` runs the one branch it is handed
+at a center of a `Member`: it builds the certificate with the method's
+builder in `BUILDERS`, and the certificate judges itself (`verdict()`) by
+the sign of its witness's numerator, or by one integer cross-product, never
+by a `Fraction` comparison.  Conditions are strings such as
+"exists-wci(1,1,2)" or "monomial-absent(y^2 z)"; "" marks an unconditional
+branch.  A row's tag is checked against what is computed: a point branch
+untwists exactly when its tag is not "none", only the cAx point takes the
+link tag, and an involution is tagged QI exactly where `qi_eligible` holds.
 """
 
 from __future__ import annotations
@@ -358,9 +358,6 @@ NEF_SECTIONS = (0, 2, 4)
 # the one branch of a curve and of the nonsingular point, unconditional and untagged
 SINGLE_BRANCH = {"curve": (LinkRow("", "", "", "curve"),), "smooth-point": (LinkRow("", "", "", "isolation"),)}
 
-# the one branch at a locus without link rows, which dispatch reports as a center the family lacks
-UNCONDITIONAL = (LinkRow("", "", "", ""),)
-
 
 def minimal_curve_degree(member: Member) -> Fraction:
     """Smallest curve degree not handled by a special certificate: curves
@@ -371,27 +368,16 @@ def minimal_curve_degree(member: Member) -> Fraction:
     return 2 * step if fid in SPECIAL_CURVE_DEG and SPECIAL_CURVE_DEG[fid] == step else step
 
 
-def _branches(member: Member, center: Center) -> tuple[LinkRow, ...]:
-    """A center's branches: `SINGLE_BRANCH`, or the member's link rows at its
-    locus, in row order (none without rows)."""
-    if center.kind in SINGLE_BRANCH:
-        return SINGLE_BRANCH[center.kind]
-    if center.is_point:
-        locus = center.locus
-        return tuple([row for row in member.golden.link_column if row.point == locus])
-    raise UncoveredCaseError(f"unknown center kind {center.kind}")
-
-
-def centers(member: Member) -> list[tuple[Center, tuple[LinkRow, ...]]]:
-    """Every center of the member with the branches a report runs at it: a
-    curve of the least degree no special certificate handles, the special
-    curve where one exists, the nonsingular point, the quotient points, p4."""
+def centers(member: Member) -> list[Center]:
+    """Every center of the member: a curve of the least degree no special
+    certificate handles, the special curve where one exists, the nonsingular
+    point, the quotient points, p4."""
     fid = member.g.id
     found = [Center.curve(minimal_curve_degree(member))]
     if fid in SPECIAL_CURVE_DEG:
         found.append(Center.curve(SPECIAL_CURVE_DEG[fid]))
     found += [Center.smooth_point(), *map(Center.quotient_point, member.quotients), Center.cax_point(member.cax)]
-    return [(center, _branches(member, center) or UNCONDITIONAL) for center in found]
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -530,36 +516,25 @@ BUILDERS = {"curve": _curve, "isolation": _isolation, "surface-pair": _surface_p
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def dispatch(member: Member, center: Center, condition: str = "", *,
+def dispatch(member: Member, center: Center, row: LinkRow, *,
              earlier: Earlier = ()) -> tuple[Certificate, Verdict]:
-    """Build and judge the certificate of the branch of a center of `member`,
-    a family's general member (`Catalog.member`) or a stratum of it, whose
-    condition is `condition` ("" for an unconditional branch).  A curve and
-    the nonsingular point have one unconditional branch, a point center one
-    branch per link row of the member at its locus (`_branches`).  A point
-    branch that excludes while its row's tag is not "none" is uncovered, as
-    is an untwist whose tag `_untwist` does not find computed.
+    """Build and judge the certificate of one branch of a center of `member`,
+    a family's general member (`Catalog.member`) or a stratum of it.  `row`
+    is the branch, run as given: a curve's or the nonsingular point's
+    `SINGLE_BRANCH` row, or one of the member's link rows at a point center's
+    locus.  A point branch that excludes while its row's tag is not "none"
+    is uncovered, as is an untwist whose tag `_untwist` does not find
+    computed.
 
     `earlier` holds the certificates already built for other branches of the
     same center; a branch that rests on one of them reuses it."""
     family_id = member.g.id
-    branches = _branches(member, center)
-    if not branches:
-        raise UncoveredCaseError(f"family {family_id} has no center at {center.locus}")
-    for branch in branches:
-        if branch.condition == condition:
-            break
-    else:
-        where = center.locus if center.is_point else center.describe()
-        wanted = ", ".join(repr(br.condition) for br in branches)
-        raise UncoveredCaseError(
-            f"family {family_id} {where}: no branch under condition {condition!r}; expected one of: {wanted}")
-    if center.kind == "cax-point" and branch.method != "untwist":  # every other method needs a quotient point
-        raise UncoveredCaseError(f"family {family_id} p4: {branch.method} needs a quotient point")
-    if branch.tag != "none" and branch.method != "untwist" and center.is_point:
-        raise UncoveredCaseError(f"family {family_id} {center.locus}: {branch.method} excludes the point, "
-                                 f"so its tag must be 'none', not {branch.tag!r}")
-    cert = BUILDERS[branch.method](member, center, branch, earlier)
+    if center.kind == "cax-point" and row.method != "untwist":  # every other method needs a quotient point
+        raise UncoveredCaseError(f"family {family_id} p4: {row.method} needs a quotient point")
+    if row.tag != "none" and row.method != "untwist" and center.is_point:
+        raise UncoveredCaseError(f"family {family_id} {center.locus}: {row.method} excludes the point, "
+                                 f"so its tag must be 'none', not {row.tag!r}")
+    cert = BUILDERS[row.method](member, center, row, earlier)
     verdict = cert.verdict()
     if cert.method == "curve-degree" and not verdict.excluded:
         raise UncoveredCaseError(

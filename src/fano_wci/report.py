@@ -78,7 +78,7 @@ class CenterReport:
 class Report:
     member: Member
     centers: tuple[CenterReport, ...]
-    unplaced: tuple[str, ...]  # one reason per link row at a locus the member has no point at
+    unplaced: tuple[str, ...]  # one reason per locus of link rows where the member has no point
 
     @property
     def uncovered(self) -> tuple[str, ...]:
@@ -91,16 +91,25 @@ class Report:
 
 def build_report(member: Member) -> Report:
     """Every center of `member` (`exclusion.centers`), a family's general
-    member or a stratum of it, with one result per branch, run under the
-    branch's condition and with its link tag.  A link row at a locus where
-    the member has no point runs at no center, and is uncovered."""
+    member or a stratum of it, with one result per branch: the member's link
+    rows at a point's locus, grouped by point once, or a curve's or the
+    nonsingular point's `SINGLE_BRANCH`, each run with its condition and tag.
+    A point without rows is a center the family lacks, and the rows left at
+    a locus where the member has no point run at no center: each such locus
+    is uncovered once."""
+    rows = {}
+    for row in member.golden.link_column:
+        rows.setdefault(row.point, []).append(row)
     centers: list[CenterReport] = []
-    for center, branches in exclusion.centers(member):
+    for center in exclusion.centers(member):
+        branches = rows.pop(center.locus, ()) if center.is_point else exclusion.SINGLE_BRANCH[center.kind]
         results, uncovered = [], []
+        if not branches:
+            uncovered.append(f"family {member.g.id} has no center at {center.locus}")
         earlier = ()  # the certificates of the center's branches that ran
         for br in branches:
             try:
-                cert, verdict = exclusion.dispatch(member, center, br.condition, earlier=earlier)
+                cert, verdict = exclusion.dispatch(member, center, br, earlier=earlier)
             except exclusion.UncoveredCaseError as exc:
                 uncovered.append(str(exc))
                 continue
@@ -109,15 +118,7 @@ def build_report(member: Member) -> Report:
             if not verdict.resolved:
                 uncovered.append(f"{center.describe()} [{br.condition or 'unconditional'}]")
         centers.append(CenterReport(center, tuple(results), tuple(uncovered)))
-    # a link row runs at the center of its locus: a quotient point, or the cAx point p4
-    unplaced = ()
-    for row in member.golden.link_column:
-        if row.point != "p4":
-            for q in member.quotients:
-                if q.locus == row.point:
-                    break
-            else:
-                unplaced += (f"family {member.g.id} link row at {row.point}: the member has no point there",)
+    unplaced = tuple([f"family {member.g.id} link row at {at}: the member has no point there" for at in rows])
     return Report(member=member, centers=tuple(centers), unplaced=unplaced)
 
 

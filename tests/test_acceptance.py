@@ -12,10 +12,11 @@ import pytest
 from fano_wci import blowup, exclusion, links, singularities
 from fano_wci.catalog import default_catalog_path, load_catalog
 from fano_wci.cli import main
-from fano_wci.exclusion import Center, dispatch, negdef2, negdef_for_all, NegDefMatrix
+from fano_wci.exclusion import Center, negdef2, negdef_for_all, NegDefMatrix
 from fano_wci.report import GOLDEN, build_report, verify_tables
 from fano_wci.singularities import QuotientSingularity, normalize_quotient
 from fano_wci.wps import monomials_of_degree, rat_str
+from test_strata import dispatch_branch
 
 F = Fraction
 
@@ -74,7 +75,7 @@ def test_05_nef_certificates(catalog):
         locus = "p1p4"
         q = QuotientSingularity(2, 1, locus=locus)
         condition = "not-exists-wci(1,3,4)" if fid == 50 else ""
-        cert, verdict = dispatch(catalog.member(fid), Center.quotient_point(q), condition)
+        cert, verdict = dispatch_branch(catalog.member(fid), Center.quotient_point(q), condition)
         assert cert.method == "nef-divisor"
         assert verdict.excluded and verdict.witness == witness
         assert [(l.class_b, l.class_e) for l in cert.lifts] == lift_classes
@@ -85,11 +86,11 @@ def test_05_nef_certificates(catalog):
 def test_06_isolation_bounds(catalog):
     for fid, (bound, limit) in GOLDEN["isolation"].items():
         record = catalog.pair(fid).gprime
-        cert, verdict = dispatch(catalog.member(fid), Center.smooth_point())
+        cert, verdict = dispatch_branch(catalog.member(fid), Center.smooth_point())
         assert (cert.bound, cert.limit) == (bound, limit), f"family {fid}"
         assert verdict.excluded
     for fid in catalog.ids():
-        _, verdict = dispatch(catalog.member(fid), Center.smooth_point())
+        _, verdict = dispatch_branch(catalog.member(fid), Center.smooth_point())
         assert verdict.excluded, f"family {fid}"
     ok(6, "isolation pairs (10,40/3), (6,6), (20,240/7), (6,48/5), and all 14 families pass")
 
@@ -97,7 +98,7 @@ def test_06_isolation_bounds(catalog):
 def test_07_curve_tests(catalog):
     for fid, witness in GOLDEN["curve_witness"].items():
         deg = exclusion.SPECIAL_CURVE_DEG[fid]
-        cert, verdict = dispatch(catalog.member(fid), Center.curve(deg))
+        cert, verdict = dispatch_branch(catalog.member(fid), Center.curve(deg))
         assert verdict.excluded and verdict.witness == witness, f"family {fid}"
     ok(7, "curve witnesses -1/2 (No.19) and -1/4 (No.23) from 3A^3 - 2deg + Gamma^2")
 
@@ -109,7 +110,7 @@ def test_08_matrices(catalog):
         assert negdef_for_all(cert)
         q = next(q for q in catalog.member(fid).quotients if q.locus == locus)
         condition = "exists-wci(1,3,4)" if locus == "p1p4" else "monomial-absent(z^3 t)"
-        got, verdict = dispatch(catalog.member(fid), Center.quotient_point(q), condition)
+        got, verdict = dispatch_branch(catalog.member(fid), Center.quotient_point(q), condition)
         assert (got.alpha, got.beta, got.parameter_floor) == (alpha, beta, floor)
         assert verdict.excluded
     ok(8, "both parametric matrices negative-definite at floors 1 and 1/2 and for all larger m")

@@ -12,7 +12,7 @@ from fano_wci.report import verify_tables
 from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, family_support,
                                     support_with_point_at_vertex)
 from fano_wci.wps import MonomialSupport
-from test_strata import stratum
+from test_strata import dispatch_branch, stratum
 
 HALF = QuotientSingularity(2, 1)
 THIRD = QuotientSingularity(3, 1)
@@ -285,7 +285,7 @@ def test_nef_bound_is_one_over_r_less_the_least_order_per_degree(catalog):
         assert min(orders.values()) >= 0 and certified, fid
         q = next(q for q in catalog.member(fid).quotients if q.locus == "p1p4")
         condition = "not-exists-wci(1,3,4)" if fid == 50 else ""
-        cert, _ = exclusion.dispatch(catalog.member(fid), exclusion.Center.quotient_point(q), condition)
+        cert, _ = dispatch_branch(catalog.member(fid), exclusion.Center.quotient_point(q), condition)
         assert (cert.c, cert.certified) == (c, True), fid
         got[fid] = c
     assert got == {50: Fraction(1, 3), 74: Fraction(1, 3), 82: Fraction(2, 5)}

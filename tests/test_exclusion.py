@@ -7,13 +7,13 @@ from fano_wci.blowup import ambient_quadruple
 from fano_wci.catalog import LINK_METHODS
 from fano_wci.exclusion import (BUILDERS, Center, CurveCycle, CurveDegree, CurveGamma, InfiniteCurves,
                                 Isolation, NegDefMatrix, SurfacePair, UncoveredCaseError, Untwist,
-                                certificate_json, dispatch, gamma_polynomial, negdef2, negdef_for_all,
+                                certificate_json, gamma_polynomial, negdef2, negdef_for_all,
                                 point_vertex, qi_eligible)
 from fano_wci.report import GOLDEN
 from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, support_with_point_at_vertex,
                                     tangent_coordinate)
 from fano_wci.wps import MonomialSupport
-from test_strata import with_rows
+from test_strata import dispatch_branch, with_rows
 
 F = Fraction
 HALF = QuotientSingularity(2, 1)
@@ -47,7 +47,7 @@ def test_curve_cycle():
 def test_isolation_examples(catalog):
     cases = {42: (2, 10, F(40, 3)), 19: (2, 6, F(6)), 50: (1, 20, F(240, 7)), 23: (4, 6, F(48, 5))}
     for fid, (drop, bound, limit) in cases.items():
-        cert, verdict = dispatch(catalog.member(fid), Center.smooth_point())
+        cert, verdict = dispatch_branch(catalog.member(fid), Center.smooth_point())
         assert cert == Isolation(bound=bound, limit=limit, dropped_vertex=drop)
         assert F(4) / catalog.pair(fid).gprime.a_cube() == limit
         assert verdict.excluded
@@ -106,7 +106,7 @@ def test_family_50_third_point_blowup_is_read_off_its_weights(catalog):
     sections = [(w[i], F(-(w[i] % q.r), q.r)) for i in (0, 1, 4)]
     assert sections == [(1, F(-1, 3)), (2, F(-2, 3)), (4, F(-1, 3))]
     alpha = ambient_quadruple(w, q.r, weights, [(1, F(-1, q.r)), *sections])
-    cert, verdict = dispatch(member, Center.quotient_point(q), "monomial-absent(z^3 t)")
+    cert, verdict = dispatch_branch(member, Center.quotient_point(q), "monomial-absent(z^3 t)")
     assert alpha == cert.alpha == F(-1, 10) and verdict.excluded
 
 
@@ -194,37 +194,29 @@ def test_qi_eligibility(catalog):
 
 def test_dispatch_example_23(catalog):
     q = QuotientSingularity(2, 1, locus="p2p4")
-    cert, verdict = dispatch(catalog.member(23), Center.quotient_point(q), "not-exists-wci(1,1,4)")
+    cert, verdict = dispatch_branch(catalog.member(23), Center.quotient_point(q), "not-exists-wci(1,1,4)")
     assert isinstance(cert, SurfacePair) and verdict.excluded
-    cert, verdict = dispatch(catalog.member(23), Center.quotient_point(q), "exists-wci(1,1,4)")
+    cert, verdict = dispatch_branch(catalog.member(23), Center.quotient_point(q), "exists-wci(1,1,4)")
     assert isinstance(cert, InfiniteCurves) and verdict.excluded
 
 
 def test_dispatch_example_19_third_point(catalog):
     q = QuotientSingularity(3, 1, locus="p3")
-    cert, verdict = dispatch(catalog.member(19), Center.quotient_point(q))
+    cert, verdict = dispatch_branch(catalog.member(19), Center.quotient_point(q))
     assert isinstance(cert, Untwist) and cert.tag == "QI"
     assert not verdict.excluded and verdict.resolved
 
 
 def test_dispatch_curve_special(catalog):
-    cert, verdict = dispatch(catalog.member(19), Center.curve(F(1, 2)))
+    cert, verdict = dispatch_branch(catalog.member(19), Center.curve(F(1, 2)))
     assert isinstance(cert, CurveGamma) and verdict.witness == F(-1, 2)
-    cert, verdict = dispatch(catalog.member(17), Center.curve(F(1, 2)))
+    cert, verdict = dispatch_branch(catalog.member(17), Center.curve(F(1, 2)))
     assert cert.method == "curve-cycle" and verdict.excluded
 
 
 def test_dispatch_uncovered_cases(catalog):
-    q = QuotientSingularity(2, 1, locus="p2p4")
-    with pytest.raises(UncoveredCaseError, match="expected one of: 'not-exists-wci"):
-        dispatch(catalog.member(23), Center.quotient_point(q))
-    with pytest.raises(UncoveredCaseError, match="expected one of: ''"):
-        dispatch(catalog.member(19), Center.quotient_point(QuotientSingularity(3, 1, locus="p3")),
-                 "exists-wci(1,1,2)")
-    with pytest.raises(UncoveredCaseError, match="no center"):
-        dispatch(catalog.member(17), Center.quotient_point(QuotientSingularity(2, 1, locus="p1p2")))
     with pytest.raises(UncoveredCaseError, match="below"):
-        dispatch(catalog.member(17), Center.curve(F(1, 4)))
+        dispatch_branch(catalog.member(17), Center.curve(F(1, 4)))
 
 
 def test_a_quotient_point_method_at_the_cax_point_is_uncovered(catalog):
@@ -234,7 +226,7 @@ def test_a_quotient_point_method_at_the_cax_point_is_uncovered(catalog):
     for method in ("surface-pair", "infinite-curves", "nef-divisor", "negdef-matrix"):
         edited = with_rows(member, [("p4", "link", "", method)])
         with pytest.raises(UncoveredCaseError, match=f"^family 17 p4: {method} needs a quotient point$"):
-            dispatch(edited, Center.cax_point(member.cax))
+            dispatch_branch(edited, Center.cax_point(member.cax))
 
 
 def test_every_link_method_has_a_point_builder():
@@ -259,7 +251,7 @@ def test_an_exclusion_tagged_as_a_link_is_uncovered(catalog):
     member = edit_row(catalog.member(29), "p2p4", "", tag="EI")
     with pytest.raises(UncoveredCaseError, match="^family 29 p2p4: surface-pair excludes the point, "
                                                  "so its tag must be 'none', not 'EI'$"):
-        dispatch(member, quotient_center(member, "p2p4"))
+        dispatch_branch(member, quotient_center(member, "p2p4"))
 
 
 def test_the_cax_point_untwists_only_by_the_link(catalog):
@@ -267,11 +259,11 @@ def test_the_cax_point_untwists_only_by_the_link(catalog):
     member = edit_row(catalog.member(17), "p4", "", tag="II")
     with pytest.raises(UncoveredCaseError, match="^family 17 p4: the link tag belongs to the cAx point "
                                                  "and only to it, not 'II'$"):
-        dispatch(member, Center.cax_point(member.cax))
+        dispatch_branch(member, Center.cax_point(member.cax))
     member = edit_row(catalog.member(19), "p3", "", tag="link")
     with pytest.raises(UncoveredCaseError, match="^family 19 p3: the link tag belongs to the cAx point "
                                                  "and only to it, not 'link'$"):
-        dispatch(member, quotient_center(member, "p3"))
+        dispatch_branch(member, quotient_center(member, "p3"))
 
 
 def test_an_involution_is_quadratic_exactly_where_it_can_be(catalog):
@@ -281,30 +273,19 @@ def test_an_involution_is_quadratic_exactly_where_it_can_be(catalog):
     member = edit_row(catalog.member(19), "p3", "", tag="EI")
     with pytest.raises(UncoveredCaseError, match="^family 19 p3: an x\\^2 y tangent monomial makes the "
                                                  "involution quadratic, not 'EI'$"):
-        dispatch(member, quotient_center(member, "p3"))
+        dispatch_branch(member, quotient_center(member, "p3"))
     member = catalog.member(19)
     for condition, tag in (("not-exists-wci(1,1,2)", "EI"), ("exists-wci(1,1,2)", "II")):
-        cert, verdict = dispatch(member, quotient_center(member, "p2p4"), condition)
+        cert, verdict = dispatch_branch(member, quotient_center(member, "p2p4"), condition)
         assert (cert.tag, cert.eligible, verdict.resolved) == (tag, None, True)
-
-
-def test_a_condition_on_a_single_branch_center_is_rejected(catalog):
-    # a curve and the nonsingular point have one unconditional branch, so a
-    # condition names no branch there, as at a point center
-    with pytest.raises(UncoveredCaseError, match="family 17 nonsingular point: no branch under condition "
-                                                 "'exists-wci\\(1,1,2\\)'; expected one of: ''$"):
-        dispatch(catalog.member(17), Center.smooth_point(), "exists-wci(1,1,2)")
-    with pytest.raises(UncoveredCaseError, match="family 19 curve of degree 1/2: no branch under condition "
-                                                 "'monomial-absent\\(y\\^2 z\\)'; expected one of: ''$"):
-        dispatch(catalog.member(19), Center.curve(F(1, 2)), "monomial-absent(y^2 z)")
 
 
 def test_verdict_witness_reverifies(catalog):
     # recomputing a verdict's witness from the certificate inputs reproduces it
     q = QuotientSingularity(2, 1, locus="p2p4")
-    cert, verdict = dispatch(catalog.member(23), Center.quotient_point(q), "not-exists-wci(1,1,4)")
+    cert, verdict = dispatch_branch(catalog.member(23), Center.quotient_point(q), "not-exists-wci(1,1,4)")
     assert verdict.witness == cert.a1 ** 2 * cert.b_cube
-    cert, verdict = dispatch(catalog.member(19), Center.curve(F(1, 2)))
+    cert, verdict = dispatch_branch(catalog.member(19), Center.curve(F(1, 2)))
     assert verdict.witness == 3 * cert.a_cube - 2 * cert.deg + cert.gamma_sq
 
 
@@ -348,6 +329,6 @@ def test_all_excluded_witnesses_reverify(catalog):
 def test_certificates_serialize(catalog):
     q = QuotientSingularity(2, 1, locus="p1p4")
     for condition in ("not-exists-wci(1,3,4)", "exists-wci(1,3,4)"):
-        cert, _ = dispatch(catalog.member(50), Center.quotient_point(q), condition)
+        cert, _ = dispatch_branch(catalog.member(50), Center.quotient_point(q), condition)
         blob = certificate_json(cert)
         assert blob["paper_method"] == cert.method

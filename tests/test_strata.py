@@ -7,6 +7,7 @@ import math
 from collections import Counter
 
 from fano_wci.catalog import GoldenRow, LinkRow, Member
+from fano_wci.exclusion import SINGLE_BRANCH, Center, dispatch
 from fano_wci.report import build_report
 from fano_wci.singularities import NotQuasismoothError, singular_locus
 from fano_wci.wps import MonomialSupport
@@ -27,48 +28,83 @@ def with_rows(member: Member, rows) -> Member:
     return Member(*[golden if name == "golden" else getattr(member, name) for name in Member.__record_fields__])
 
 
-def outcome(member: Member) -> tuple:
+def dispatch_branch(member: Member, center: Center, condition: str = ""):
+    """`dispatch` on the center's one branch under `condition`: the member's
+    link row at a point center's locus, or a curve's or the nonsingular
+    point's single branch."""
+    if center.is_point:
+        rows = [row for row in member.golden.link_column if row.point == center.locus]
+    else:
+        rows = SINGLE_BRANCH[center.kind]
+    [row] = [row for row in rows if row.condition == condition]
+    return dispatch(member, center, row)
+
+
+def outcome(report) -> tuple:
     """What a report says: each center's branches as (center, condition,
     verdict), and the reasons of the uncovered ones."""
-    report = build_report(member)
     return (tuple((cr.center.describe(), br.condition, br.verdict) for cr in report.centers for br in cr.branches),
             report.uncovered)
 
 
-def sweep(catalog) -> tuple[Counter, list, list]:
+def sweep(catalog) -> tuple[Counter, list, list, list]:
     """Every one-monomial drop of every family through the public path: the
     count of each kind of outcome (not quasismooth, basket changed, report
-    changed, same), and the drops that change the report, or the number of
-    extractions at the cAx point, as (family, monomial)."""
-    kinds, report_drops, extraction_drops = Counter(), [], []
+    changed, same), and the drops that change the report, that change the
+    number of extractions at the cAx point, or whose report names a locus of
+    link rows where the stratum has no point (`Report.unplaced`), as
+    (family, monomial)."""
+    kinds, report_drops, extraction_drops, unplaced_drops = Counter(), [], [], []
     for fid in catalog.ids():
         member = catalog.member(fid)
-        general = outcome(member)
+        general = outcome(build_report(member))
         for monomial in member.support.sorted():
             try:
                 dropped = stratum(member, monomial)
             except NotQuasismoothError:
                 kinds["not quasismooth"] += 1
                 continue
+            report = build_report(dropped)
+            if report.unplaced:
+                unplaced_drops.append((fid, monomial))
             if dropped.cax.extraction_count != member.cax.extraction_count:
                 extraction_drops.append((fid, monomial))
             if dropped.basket != member.basket:
                 kinds["basket"] += 1
-            elif outcome(dropped) != general:
+            elif outcome(report) != general:
                 kinds["report"] += 1
                 report_drops.append((fid, monomial))
             else:
                 kinds["same"] += 1
-    return kinds, report_drops, extraction_drops
+    return kinds, report_drops, extraction_drops, unplaced_drops
 
 
 def test_every_one_monomial_drop_runs_through_the_public_path(catalog):
-    kinds, report_drops, extraction_drops = sweep(catalog)
+    kinds, report_drops, extraction_drops, unplaced_drops = sweep(catalog)
     assert kinds == {"not quasismooth": 16, "basket": 19, "report": 3, "same": 1_246}
     assert report_drops == [(23, (0, 0, 0, 2, 1)), (30, (0, 0, 2, 1, 0)), (41, (0, 0, 2, 1, 0))]
     # w^2 x0 x1 is family 23's only w^2 x0 f term: without it the cAx point
     # is of non-square type, with one extraction
     assert extraction_drops == [(23, (1, 1, 0, 0, 2))]
+    assert unplaced_drops == UNPLACED_DROPS
+
+
+# drops whose stratum has no point at a locus of link rows: each drops a
+# monomial x_i^a w^b and changes the basket
+UNPLACED_DROPS = [(23, (0, 0, 5, 0, 0)), (23, (0, 0, 3, 0, 1)), (42, (0, 0, 2, 0, 2)), (49, (0, 0, 7, 0, 0)),
+                  (49, (0, 0, 5, 0, 1)), (50, (0, 7, 0, 0, 0)), (50, (0, 5, 0, 0, 1)), (55, (0, 0, 2, 0, 3)),
+                  (74, (0, 9, 0, 0, 0)), (74, (0, 7, 0, 0, 1)), (77, (0, 0, 2, 0, 3)), (82, (0, 11, 0, 0, 0)),
+                  (82, (0, 9, 0, 0, 1))]
+
+
+def test_a_locus_the_stratum_lacks_is_named_once(catalog):
+    # a locus with two conditional rows, such as family 23's p2p4 or family
+    # 50's p1p4, is one reason, not one per row
+    for fid, monomial in UNPLACED_DROPS:
+        unplaced = build_report(stratum(catalog.member(fid), monomial)).unplaced
+        assert unplaced and len(set(unplaced)) == len(unplaced), (fid, monomial)
+    assert build_report(stratum(catalog.member(23), (0, 0, 5, 0, 0))).unplaced == (
+        "family 23 link row at p2p4: the member has no point there",)
 
 
 # drops that put a gcd-1 edge through p4 inside the member: family 19 without
