@@ -11,11 +11,13 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .wps import MonomialSupport, anticanonical_cube, rat, rat_str, record
 
 if TYPE_CHECKING:
+    from .exclusion import Plan
     from .singularities import CAxPoint, QuotientSingularity, StandardForm
 
 FAMILY_IDS = (17, 19, 23, 29, 30, 41, 42, 49, 50, 55, 69, 74, 77, 82)
@@ -74,9 +76,10 @@ class Member(FamilyPair):
     """A family pair with the algebra derived from it: the hypersurface
     member's (-K)^3, standard form, monomial support and singular locus
     (quotient points, and the cAx point with its extractions), which every
-    layer reads.  `Catalog.member` builds the general member once per
-    family, text and strictness in a process; a stratum (some monomials
-    struck) is built from `singular_locus` and this constructor, uncached."""
+    layer reads, and its center plan (`plan`).  `Catalog.member` builds the
+    general member once per family, text and strictness in a process; a
+    stratum (some monomials struck) is built from `singular_locus` and this
+    constructor, uncached."""
 
     a_cube: Fraction
     shape: StandardForm
@@ -90,6 +93,15 @@ class Member(FamilyPair):
         singular locus in its own order, then the cAx point p4."""
         return (*((q.type_str(), q.count, q.locus) for q in self.quotients),
                 (self.cax.type_str(), 1, "p4"))
+
+    @cached_property
+    def plan(self) -> Plan:
+        """Every center with the branches it runs, and the loci of link rows
+        where the member has no point (`exclusion.centers`): derived on first
+        use and kept on this object, not as a field, so each `Member` built
+        derives its own, and equality and hashing read the fields alone."""
+        from . import exclusion  # imported here because it imports this module
+        return exclusion.centers(self)
 
 
 def derive_member(pair: FamilyPair) -> Member:

@@ -195,9 +195,13 @@ class NegDefMatrix:
         return [[self.alpha - m, m], [m, self.beta - m]]
 
     def verdict(self) -> Verdict:
-        e = self.entries_at(self.parameter_floor)
-        witness = e[0][0] * e[1][1] - e[0][1] * e[1][0]
-        return Verdict(negdef_for_all(self), self.method, witness)
+        """Negative definite for every rational m >= floor, witnessed by the
+        determinant at the floor: the determinant is affine in m with slope
+        -(alpha + beta) and the leading entry decreases, so it suffices to
+        check the floor and the slope."""
+        at_floor, det = _negdef2_det(self.entries_at(self.parameter_floor))
+        slope_ok = (self.alpha + self.beta).numerator <= 0
+        return Verdict(at_floor and slope_ok, self.method, det)
 
 
 @record
@@ -262,21 +266,24 @@ def _json_value(value):
 # Shared computations
 # ---------------------------------------------------------------------------
 
-def negdef2(m: list[list[Fraction]]) -> bool:
-    """Negative definiteness of a symmetric 2x2 rational matrix."""
+def _negdef2_det(m: list[list[Fraction]]) -> tuple[bool, Fraction]:
+    """Negative definiteness of a symmetric 2x2 rational matrix, and its
+    determinant."""
     if m[0][1] != m[1][0]:
         raise ValueError("matrix is not symmetric")
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return m[0][0].numerator < 0 and det.numerator > 0
+    return m[0][0].numerator < 0 and det.numerator > 0, det
+
+
+def negdef2(m: list[list[Fraction]]) -> bool:
+    """Negative definiteness of a symmetric 2x2 rational matrix."""
+    return _negdef2_det(m)[0]
 
 
 def negdef_for_all(cert: NegDefMatrix) -> bool:
     """Negative definiteness of [[alpha - m, m], [m, beta - m]] for every
-    rational m >= floor: the determinant is affine in m and the leading entry
-    decreases, so it suffices to check the floor and the determinant slope."""
-    at_floor = negdef2(cert.entries_at(cert.parameter_floor))
-    slope_ok = (cert.alpha + cert.beta).numerator <= 0
-    return at_floor and slope_ok
+    rational m >= floor (`NegDefMatrix.verdict`)."""
+    return cert.verdict().excluded
 
 
 def gamma_polynomial(member: Member) -> MonomialSupport:
@@ -368,16 +375,31 @@ def minimal_curve_degree(member: Member) -> Fraction:
     return 2 * step if fid in SPECIAL_CURVE_DEG and SPECIAL_CURVE_DEG[fid] == step else step
 
 
-def centers(member: Member) -> list[Center]:
-    """Every center of the member: a curve of the least degree no special
-    certificate handles, the special curve where one exists, the nonsingular
-    point, the quotient points, p4."""
+# a member's plan: each center with the branches it runs, then each locus of
+# link rows where the member has no point
+Plan = tuple[tuple[tuple[Center, tuple[LinkRow, ...]], ...], tuple[str, ...]]
+
+
+def centers(member: Member) -> Plan:
+    """The member's plan, which `Member.plan` keeps: every center (a curve of
+    the least degree no special certificate handles, the special curve where
+    one exists, the nonsingular point, the quotient points, p4), each with
+    its branches, and the loci of link rows where the member has no point.
+    A point center's branches are the member's link rows at its locus in
+    row order, grouped by point once; a point without rows has none, and is
+    a center the family lacks.  A curve's or the nonsingular point's is its
+    `SINGLE_BRANCH`."""
+    rows: dict[str, list[LinkRow]] = {}
+    for row in member.golden.link_column:
+        rows.setdefault(row.point, []).append(row)
     fid = member.g.id
     found = [Center.curve(minimal_curve_degree(member))]
     if fid in SPECIAL_CURVE_DEG:
         found.append(Center.curve(SPECIAL_CURVE_DEG[fid]))
     found += [Center.smooth_point(), *map(Center.quotient_point, member.quotients), Center.cax_point(member.cax)]
-    return found
+    planned = tuple([(center, tuple(rows.pop(center.locus, ())) if center.is_point else SINGLE_BRANCH[center.kind])
+                     for center in found])
+    return planned, tuple(rows)
 
 
 # ---------------------------------------------------------------------------

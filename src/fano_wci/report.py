@@ -90,19 +90,15 @@ class Report:
 
 
 def build_report(member: Member) -> Report:
-    """Every center of `member` (`exclusion.centers`), a family's general
-    member or a stratum of it, with one result per branch: the member's link
-    rows at a point's locus, grouped by point once, or a curve's or the
-    nonsingular point's `SINGLE_BRANCH`, each run with its condition and tag.
-    A point without rows is a center the family lacks, and the rows left at
-    a locus where the member has no point run at no center: each such locus
-    is uncovered once."""
-    rows = {}
-    for row in member.golden.link_column:
-        rows.setdefault(row.point, []).append(row)
+    """Every center of `member`, a family's general member or a stratum of
+    it, with one result per branch, each run with its condition and tag:
+    the centers and branches of `Member.plan` (`exclusion.centers`), which
+    the member derives once.  A point without rows is a center the family
+    lacks, and each locus of link rows where the member has no point is
+    uncovered once.  Every certificate and verdict is built anew."""
+    planned, unplaced = member.plan
     centers: list[CenterReport] = []
-    for center in exclusion.centers(member):
-        branches = rows.pop(center.locus, ()) if center.is_point else exclusion.SINGLE_BRANCH[center.kind]
+    for center, branches in planned:
         results, uncovered = [], []
         if not branches:
             uncovered.append(f"family {member.g.id} has no center at {center.locus}")
@@ -118,8 +114,8 @@ def build_report(member: Member) -> Report:
             if not verdict.resolved:
                 uncovered.append(f"{center.describe()} [{br.condition or 'unconditional'}]")
         centers.append(CenterReport(center, tuple(results), tuple(uncovered)))
-    unplaced = tuple([f"family {member.g.id} link row at {at}: the member has no point there" for at in rows])
-    return Report(member=member, centers=tuple(centers), unplaced=unplaced)
+    return Report(member=member, centers=tuple(centers), unplaced=tuple(
+        [f"family {member.g.id} link row at {at}: the member has no point there" for at in unplaced]))
 
 
 def _describe_branch(br: BranchResult) -> str:

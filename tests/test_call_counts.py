@@ -15,6 +15,7 @@ from fano_wci import catalog as catalog_module
 from fano_wci import cli, exclusion, report, singularities, wps
 from fano_wci.catalog import FAMILY_IDS, CatalogError, default_catalog_path, load_catalog
 from fano_wci.report import build_report, verify_tables
+from test_strata import stratum, with_rows
 
 def count_calls(functions: dict, run) -> tuple[Counter, object]:
     """Calls of each named function during run(), and run()'s result."""
@@ -204,6 +205,28 @@ def test_strict_and_non_strict_loads_share_no_member(empty_load_cache):
     assert strict is not loose and strict.pairs == loose.pairs
     assert strict.member(50) is not loose.member(50) and strict.member(50) == loose.member(50)
     assert load_catalog() is strict and load_catalog(strict=False) is loose
+    # each member keeps the plan its report derived, which is no record field
+    for member in (strict.member(50), loose.member(50)):
+        build_report(member)
+    assert strict.member(50) == loose.member(50) and hash(strict.member(50)) == hash(loose.member(50))
+
+
+def test_each_member_plans_its_centers_once(empty_load_cache):
+    # the first verify-tables on a text plans each family's member, and a
+    # later one reuses the plans its members keep
+    first, second = verify_tables_twice({"centers": exclusion.centers})
+    assert first == {"centers": len(FAMILY_IDS)}
+    assert second == {}
+    # a member built from another derives its own plan: with_rows runs the
+    # edited rows, and a stratum names the locus it lost once per report
+    member = load_catalog().member(29)
+    assert build_report(member).uncovered == ()
+    edited = with_rows(member, [*member.golden.link_column[1:], ("p1", "none", "", "surface-pair")])
+    assert build_report(edited).uncovered == ("family 29 has no center at p2p4",
+                                              "family 29 link row at p1: the member has no point there")
+    lost = stratum(load_catalog().member(23), (0, 0, 5, 0, 0))
+    for _ in range(2):
+        assert build_report(lost).unplaced == ("family 23 link row at p2p4: the member has no point there",)
 
 
 def test_negdef_matrix_reuses_the_nef_divisor():
