@@ -215,16 +215,22 @@ def _entries(obj: dict, field: str, keys: dict[str, type], where: str) -> tuple[
 
 
 def _check_links(links: tuple[LinkRow, ...], fid: int, where: str) -> None:
-    """Each row's tag and method are known, only p4 takes the link tag, and
-    each point has one unconditional row or two: a condition and its negation."""
+    """Each row's tag and method are known and meet the two tag rules that
+    read the row alone: the link tag exactly at the cAx point p4, and a tag
+    other than "none" exactly on an untwist (so a p4 row is a link untwist).
+    Each point has one unconditional row or two: a condition and its negation."""
     conditions: dict[str, list[str]] = {}
     for point, tag, condition, method in links:
         if tag not in LINK_TAGS:
             raise CatalogError(f"{where}: bad link tag {tag!r} for family {fid}")
-        if tag == "link" and point != "p4":
-            raise CatalogError(f"{where}: link tag only at the cAx point p4 (family {fid})")
         if method not in LINK_METHODS:
             raise CatalogError(f"{where}: bad link method {method!r} for family {fid}")
+        if (tag == "link") != (point == "p4"):
+            raise CatalogError(f"{where}: the link tag belongs to the cAx point p4 and only to it, "
+                               f"got tag {tag!r} at {point} for family {fid}")
+        if (method == "untwist") != (tag != "none"):
+            raise CatalogError(f"{where}: a row untwists exactly when its tag is not 'none', "
+                               f"got method {method!r} with tag {tag!r} at {point} for family {fid}")
         conditions.setdefault(point, []).append(condition)
     for point, stated in conditions.items():
         head, _, argument = stated[0].partition("(")

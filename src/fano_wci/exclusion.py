@@ -10,9 +10,9 @@ builder in `BUILDERS`, and the certificate judges itself (`verdict()`) by
 the sign of its witness's numerator, or by one integer cross-product, never
 by a `Fraction` comparison.  Conditions are strings such as
 "exists-wci(1,1,2)" or "monomial-absent(y^2 z)"; "" marks an unconditional
-branch.  A row's tag is checked against what is computed: a point branch
-untwists exactly when its tag is not "none", only the cAx point takes the
-link tag, and an involution is tagged QI exactly where `qi_eligible` holds.
+branch.  The loader ties each row's tag to its point and method
+(`catalog._check_links`); the one tag rule that needs the member, QI exactly
+where `qi_eligible` holds, is checked here by the untwist builder.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .blowup import (BlowupRing, SectionLift, ambient_quadruple, b_cubed, nef_bound_check, triple,
                      vanishing_order)
-from .catalog import LINK_TAGS, LinkRow, Member
+from .catalog import LinkRow, Member
 from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex, tangent_monomials
 from .wps import MonomialSupport, max_pair_lcm, rat_str, record
 
@@ -218,7 +218,7 @@ class InfiniteCurves:
 @record
 class Untwist:
     method = "untwist"
-    tag: str  # "QI" | "EI" | "II" | "link": the branch's link tag; any other tag is uncovered
+    tag: str  # "QI" | "EI" | "II" | "link": the branch's link tag
     point: str
     condition: str = ""
     counterpart_id: int | None = None
@@ -346,9 +346,10 @@ def qi_eligible(member: Member, locus: str) -> bool:
 ISOLATION_DROP = {17: 3, 19: 2, 23: 4, 29: 3, 30: 3, 41: 3, 42: 2,
                   49: 3, 50: 1, 55: 3, 69: 3, 74: 3, 77: 3, 82: 3}
 
-# degree of the exceptional low-degree curve through the cAx point, where one exists
+# the families with an exceptional curve through the cAx point of the least
+# degree there, 1/modulus
 # cited from the paper; ROADMAP item 8 derives it
-SPECIAL_CURVE_DEG = {17: Fraction(1, 2), 19: Fraction(1, 2), 23: Fraction(1, 4)}
+SPECIAL_CURVE = frozenset({17, 19, 23})
 
 # self-intersection bounds of the exceptional curves on their cutting surfaces
 # cited from the paper; ROADMAP item 8 derives it
@@ -371,8 +372,7 @@ def minimal_curve_degree(member: Member) -> Fraction:
     through the cAx point have degree in (1/modulus) Z, and a special curve
     of the least degree, 1/modulus, leaves the next one."""
     step = Fraction(1, member.cax.modulus)
-    fid = member.g.id
-    return 2 * step if fid in SPECIAL_CURVE_DEG and SPECIAL_CURVE_DEG[fid] == step else step
+    return 2 * step if member.g.id in SPECIAL_CURVE else step
 
 
 # a member's plan: each center with the branches it runs, then each locus of
@@ -392,10 +392,9 @@ def centers(member: Member) -> Plan:
     rows: dict[str, list[LinkRow]] = {}
     for row in member.golden.link_column:
         rows.setdefault(row.point, []).append(row)
-    fid = member.g.id
     found = [Center.curve(minimal_curve_degree(member))]
-    if fid in SPECIAL_CURVE_DEG:
-        found.append(Center.curve(SPECIAL_CURVE_DEG[fid]))
+    if member.g.id in SPECIAL_CURVE:
+        found.append(Center.curve(Fraction(1, member.cax.modulus)))
     found += [Center.smooth_point(), *map(Center.quotient_point, member.quotients), Center.cax_point(member.cax)]
     planned = tuple([(center, tuple(rows.pop(center.locus, ())) if center.is_point else SINGLE_BRANCH[center.kind])
                      for center in found])
@@ -408,8 +407,7 @@ def centers(member: Member) -> Plan:
 
 def _curve(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> Certificate:
     fid, deg = member.g.id, center.degree
-    special = SPECIAL_CURVE_DEG.get(fid)
-    if special is None or deg != special:
+    if fid not in SPECIAL_CURVE or deg != Fraction(1, member.cax.modulus):
         return CurveDegree(deg=deg, a_cube=member.a_cube)
     if fid in CURVE_GAMMA_SQ:
         return CurveGamma(a_cube=member.a_cube, deg=deg, gamma_sq=CURVE_GAMMA_SQ[fid])
@@ -510,12 +508,6 @@ def _infinite_curves(member: Member, center: Center, branch: LinkRow, earlier: E
 
 def _untwist(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> Untwist:
     fid, locus, tag = member.g.id, center.locus, branch.tag
-    if tag == "none" or tag not in LINK_TAGS:
-        raise UncoveredCaseError(f"family {fid} {locus}: untwist needs a QI, EI, II or link tag, "
-                                 f"not {tag!r}")
-    if (tag == "link") != (center.kind == "cax-point"):
-        raise UncoveredCaseError(f"family {fid} {locus}: the link tag belongs to the cAx point and only "
-                                 f"to it, not {tag!r}")
     if tag != "link":  # an involution is quadratic exactly where the point has its x^2 y monomial
         quadratic = qi_eligible(member, locus)
         if tag == "QI" and not quadratic:
@@ -544,22 +536,16 @@ def dispatch(member: Member, center: Center, row: LinkRow, *,
     a family's general member (`Catalog.member`) or a stratum of it.  `row`
     is the branch, run as given: a curve's or the nonsingular point's
     `SINGLE_BRANCH` row, or one of the member's link rows at a point center's
-    locus.  A point branch that excludes while its row's tag is not "none"
-    is uncovered, as is an untwist whose tag `_untwist` does not find
-    computed.
+    locus, whose tag the loader has checked against its point and method.
+    An involution whose tag disagrees with `qi_eligible` (QI exactly where
+    it holds) is uncovered.
 
     `earlier` holds the certificates already built for other branches of the
     same center; a branch that rests on one of them reuses it."""
-    family_id = member.g.id
-    if center.kind == "cax-point" and row.method != "untwist":  # every other method needs a quotient point
-        raise UncoveredCaseError(f"family {family_id} p4: {row.method} needs a quotient point")
-    if row.tag != "none" and row.method != "untwist" and center.is_point:
-        raise UncoveredCaseError(f"family {family_id} {center.locus}: {row.method} excludes the point, "
-                                 f"so its tag must be 'none', not {row.tag!r}")
     cert = BUILDERS[row.method](member, center, row, earlier)
     verdict = cert.verdict()
     if cert.method == "curve-degree" and not verdict.excluded:
         raise UncoveredCaseError(
-            f"family {family_id}: curve of degree {rat_str(center.degree)} is below (-K)^3 "
+            f"family {member.g.id}: curve of degree {rat_str(center.degree)} is below (-K)^3 "
             f"and matches no special certificate")
     return cert, verdict

@@ -53,5 +53,4 @@ def involution_inventory(report) -> list[tuple[str, str, str]]:
     order of centers and, within a center, of branches.  A row that dispatch
     could not run, such as a quadratic involution without its x^2 y
     monomial or a row at a locus the member lacks, is missing from it."""
-    return [(cr.center.locus, br.tag, br.condition) for cr in report.centers
-            if cr.center.is_point for br in cr.branches]
+    return [br.row[:3] for cr in report.centers if cr.center.is_point for br in cr.branches]

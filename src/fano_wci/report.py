@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import blowup, exclusion, links, singularities
-from .catalog import BASKET_KEYS, LINK_KEYS, Catalog, FamilyPair, Member
+from .catalog import BASKET_KEYS, LINK_KEYS, Catalog, FamilyPair, LinkRow, Member
 from .exclusion import Center, Certificate, Verdict
 from .wps import rat_str, record, wps_str
 
@@ -61,8 +61,7 @@ GOLDEN = {
 
 @record
 class BranchResult:
-    condition: str
-    tag: str  # golden third-column tag, "" for curve/smooth rows
+    row: LinkRow  # the branch that ran: a link row, or a curve's or the nonsingular point's SINGLE_BRANCH row
     certificate: Certificate
     verdict: Verdict
 
@@ -103,16 +102,16 @@ def build_report(member: Member) -> Report:
         if not branches:
             uncovered.append(f"family {member.g.id} has no center at {center.locus}")
         earlier = ()  # the certificates of the center's branches that ran
-        for br in branches:
+        for row in branches:
             try:
-                cert, verdict = exclusion.dispatch(member, center, br, earlier=earlier)
+                cert, verdict = exclusion.dispatch(member, center, row, earlier=earlier)
             except exclusion.UncoveredCaseError as exc:
                 uncovered.append(str(exc))
                 continue
             earlier += (cert,)
-            results.append(BranchResult(br.condition, br.tag, cert, verdict))
+            results.append(BranchResult(row, cert, verdict))
             if not verdict.resolved:
-                uncovered.append(f"{center.describe()} [{br.condition or 'unconditional'}]")
+                uncovered.append(f"{center.describe()} [{row.condition or 'unconditional'}]")
         centers.append(CenterReport(center, tuple(results), tuple(uncovered)))
     return Report(member=member, centers=tuple(centers), unplaced=tuple(
         [f"family {member.g.id} link row at {at}: the member has no point there" for at in unplaced]))
@@ -123,8 +122,8 @@ def _describe_branch(br: BranchResult) -> str:
     body = v.method
     if v.witness is not None:
         body += f" (witness {rat_str(v.witness)})"
-    if br.condition:
-        body += f" [{br.condition}]"
+    if br.row.condition:
+        body += f" [{br.row.condition}]"
     return body
 
 
@@ -154,7 +153,7 @@ def render_markdown(report: Report) -> str:
             lines.append(f"| {cr.center.describe()} | uncovered: {'; '.join(cr.uncovered)} | uncovered |")
             continue
         methods = "; ".join(_describe_branch(br) for br in cr.branches)
-        tags = "; ".join(link if br.tag == "link" else br.tag for br in cr.branches)
+        tags = "; ".join(link if br.row.tag == "link" else br.row.tag for br in cr.branches)
         lines.append(f"| {cr.center.describe()} | {methods} | {tags} |")
     lines.append("")
     for cr in report.centers:
@@ -204,8 +203,8 @@ def render_json(report: Report) -> dict:
                 "center": cr.center.describe(),
                 "branches": [
                     {
-                        "condition": br.condition,
-                        "tag": br.tag,
+                        "condition": br.row.condition,
+                        "tag": br.row.tag,
                         "excluded": br.verdict.excluded,
                         "method": br.verdict.method,
                         "witness": None if br.verdict.witness is None else rat_str(br.verdict.witness),

@@ -97,8 +97,9 @@ def test_06_isolation_bounds(catalog):
 
 def test_07_curve_tests(catalog):
     for fid, witness in GOLDEN["curve_witness"].items():
-        deg = exclusion.SPECIAL_CURVE_DEG[fid]
-        cert, verdict = dispatch_branch(catalog.member(fid), Center.curve(deg))
+        assert fid in exclusion.SPECIAL_CURVE
+        member = catalog.member(fid)
+        cert, verdict = dispatch_branch(member, Center.curve(Fraction(1, member.cax.modulus)))
         assert verdict.excluded and verdict.witness == witness, f"family {fid}"
     ok(7, "curve witnesses -1/2 (No.19) and -1/4 (No.23) from 3A^3 - 2deg + Gamma^2")
 

@@ -158,6 +158,34 @@ def test_load_rejects_rows_that_are_not_a_condition_and_its_negation(tmp_path, p
                               f"unconditional row or a condition and its negation, got conditions {conditions!r}")
 
 
+LINK_RULE = "the link tag belongs to the cAx point p4 and only to it, got tag {tag!r} at {point} for family {fid}"
+UNTWIST_RULE = ("a row untwists exactly when its tag is not 'none', "
+                "got method {method!r} with tag {tag!r} at {point} for family {fid}")
+
+
+# (catalog entry, family, point, the row's method, its edited tag, the rule that rejects it)
+TAG_EDITS = [
+    *[(1, 17, "p4", "untwist", tag, LINK_RULE) for tag in ("QI", "EI", "II", "none")],  # p4 takes the link alone
+    (3, 19, "p3", "untwist", "link", LINK_RULE),  # the link at a quotient point
+    *[(7, 29, "p2p4", "surface-pair", tag, UNTWIST_RULE) for tag in ("QI", "EI", "II")],  # an exclusion
+    (7, 29, "p2p4", "surface-pair", "link", LINK_RULE),
+    (3, 19, "p3", "untwist", "none", UNTWIST_RULE),  # an untwist without a tag
+]
+
+
+@pytest.mark.parametrize("entry, fid, point, method, tag, rule", TAG_EDITS,
+                         ids=[f"{fid}-{point}-{method}-{tag}" for _, fid, point, method, tag, _ in TAG_EDITS])
+def test_load_rejects_a_tag_that_its_point_or_method_rules_out(tmp_path, entry, fid, point, method, tag, rule):
+    # the link tag exactly at p4, a tag other than "none" exactly on an
+    # untwist: both rules read the row alone, so the load checks them
+    def mutate(raw):
+        (row,) = [row for row in raw[entry]["links"] if row["point"] == point]
+        row["tag"] = tag
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(_tamper(tmp_path, mutate), strict=False)
+    assert str(exc.value) == f"catalog entry #{entry}: " + rule.format(tag=tag, point=point, method=method, fid=fid)
+
+
 def test_load_rejects_missing_record(tmp_path):
     def mutate(raw):
         del raw[0]

@@ -219,16 +219,6 @@ def test_dispatch_uncovered_cases(catalog):
         dispatch_branch(catalog.member(17), Center.curve(F(1, 4)))
 
 
-def test_a_quotient_point_method_at_the_cax_point_is_uncovered(catalog):
-    # only an untwist applies at p4: a row edited to another method leaves
-    # the center uncovered instead of failing inside the builder
-    member = catalog.member(17)
-    for method in ("surface-pair", "infinite-curves", "nef-divisor", "negdef-matrix"):
-        edited = with_rows(member, [("p4", "link", "", method)])
-        with pytest.raises(UncoveredCaseError, match=f"^family 17 p4: {method} needs a quotient point$"):
-            dispatch_branch(edited, Center.cax_point(member.cax))
-
-
 def test_every_link_method_has_a_point_builder():
     # a catalog row names a builder of BUILDERS; the curve and isolation
     # builders serve the single-branch centers only
@@ -243,27 +233,6 @@ def edit_row(member, point, condition, **fields):
 
 def quotient_center(member, locus):
     return Center.quotient_point(next(q for q in member.quotients if q.locus == locus))
-
-
-def test_an_exclusion_tagged_as_a_link_is_uncovered(catalog):
-    # rule (a): a point branch untwists exactly when its tag is not "none",
-    # so a surface-pair row tagged EI is uncovered, not excluded
-    member = edit_row(catalog.member(29), "p2p4", "", tag="EI")
-    with pytest.raises(UncoveredCaseError, match="^family 29 p2p4: surface-pair excludes the point, "
-                                                 "so its tag must be 'none', not 'EI'$"):
-        dispatch_branch(member, quotient_center(member, "p2p4"))
-
-
-def test_the_cax_point_untwists_only_by_the_link(catalog):
-    # rule (b): the link tag is used exactly at the cAx point
-    member = edit_row(catalog.member(17), "p4", "", tag="II")
-    with pytest.raises(UncoveredCaseError, match="^family 17 p4: the link tag belongs to the cAx point "
-                                                 "and only to it, not 'II'$"):
-        dispatch_branch(member, Center.cax_point(member.cax))
-    member = edit_row(catalog.member(19), "p3", "", tag="link")
-    with pytest.raises(UncoveredCaseError, match="^family 19 p3: the link tag belongs to the cAx point "
-                                                 "and only to it, not 'link'$"):
-        dispatch_branch(member, quotient_center(member, "p3"))
 
 
 def test_an_involution_is_quadratic_exactly_where_it_can_be(catalog):

@@ -12,7 +12,8 @@ import pytest
 
 from fano_wci import exclusion, report
 from fano_wci.blowup import BlowupRing, triple
-from fano_wci.catalog import LINK_TAGS, CatalogError, FamilyRecord, Member, default_catalog_path, load_catalog
+from fano_wci.catalog import (LINK_TAGS, Catalog, CatalogError, FamilyRecord, Member, default_catalog_path,
+                              load_catalog)
 from fano_wci.report import GOLDEN, build_report, render_markdown, verify_tables
 from fano_wci.singularities import QuotientSingularity
 from test_strata import with_rows
@@ -213,27 +214,24 @@ SURFACE_PAIRS = [(e["id"], row["point"], row["condition"]) for e in SHIPPED
 
 @pytest.mark.parametrize("family, locus, condition", SURFACE_PAIRS,
                          ids=[f"{fid}-{locus}" for fid, locus, _ in SURFACE_PAIRS])
-def test_an_exclusion_turned_into_an_untagged_untwist_is_a_mismatch(tmp_path, family, locus, condition):
+def test_an_exclusion_turned_into_an_untagged_untwist_is_a_load_error(tmp_path, family, locus, condition):
     # an untwist resolves its center, so a row whose method is edited to
-    # untwist while its tag stays "none" must not pass as resolved
+    # untwist while its tag stays "none" must not pass as resolved: the
+    # load rejects it, and verify-tables exits 2
     entries = copy.deepcopy(SHIPPED)
     (row,) = [r for r in link_rows(entries, family) if (r["point"], r["condition"]) == (locus, condition)]
     row["method"] = "untwist"
-    lines = verify_tables(load_entries(str(tmp_path / "edited.json"), entries))
-    assert lines and all(line.startswith(f"family {family}: ") for line in lines)
+    with pytest.raises(CatalogError, match=f"for family {family}$") as exc:
+        load_entries(str(tmp_path / "edited.json"), entries)
     if family == 29:
-        assert lines == [
-            "family 29: link column computed [('p4', 'link', '')] != catalog "
-            "[('p2p4', 'none', ''), ('p4', 'link', '')]",
-            "family 29: uncovered centers: uncovered-cases(family 29 p2p4: untwist needs a QI, EI, II "
-            "or link tag, not 'none')",
-            "family 29: table gamma_rows[29] unchecked: no surface-pair certificate ran"]
+        assert str(exc.value) == ("catalog entry #7: a row untwists exactly when its tag is not 'none', "
+                                  "got method 'untwist' with tag 'none' at p2p4 for family 29")
 
 
 # ---------------------------------------------------------------------------
 # Dispatch-edit census: a single edit of the dispatch data (the cited
-# isolation vertices and the catalog's link rows) must print a mismatch line
-# or fail to load, unless it is pinned below with the reason it cannot
+# tables of `exclusion` and the catalog's link rows) must print a mismatch
+# line or fail to load, unless it is pinned below with the reason it cannot
 # ---------------------------------------------------------------------------
 
 CENSUS_METHODS = ("surface-pair", "infinite-curves", "nef-divisor", "untwist")
@@ -251,9 +249,26 @@ def row_edits(field: str, values) -> list[tuple[str, int, int, str, object]]:
 def dispatch_edits() -> list[tuple[str, int, int | None, str, object]]:
     """Each family's isolation vertex set to each other vertex, and each link
     row's method set to each other one of `CENSUS_METHODS`."""
-    drops = [(f"{fid} isolation drop {drop}->{v}", fid, None, "drop", v)
+    drops = [(f"{fid} isolation drop {drop}->{v}", fid, None, "ISOLATION_DROP", {**exclusion.ISOLATION_DROP, fid: v})
              for fid, drop in exclusion.ISOLATION_DROP.items() for v in range(5) if v != drop]
     return drops + row_edits("method", CENSUS_METHODS)
+
+
+def table_edits() -> list[tuple[str, int | None, None, str, object]]:
+    """One edit per entry of each other cited table of `exclusion`: a family
+    dropped from `SPECIAL_CURVE` or `GAMMA_NORMALIZED`, a `CURVE_GAMMA_SQ`
+    value or a `CURVE_CYCLE_DATA[17]` number doubled, a `NEF_SECTIONS`
+    coordinate set to 3."""
+    gamma, cycle, sections = exclusion.CURVE_GAMMA_SQ, exclusion.CURVE_CYCLE_DATA[17], exclusion.NEF_SECTIONS
+    return [*[(f"SPECIAL_CURVE without {fid}", fid, None, "SPECIAL_CURVE", exclusion.SPECIAL_CURVE - {fid})
+              for fid in sorted(exclusion.SPECIAL_CURVE)],
+            *[(f"CURVE_GAMMA_SQ[{fid}] doubled", fid, None, "CURVE_GAMMA_SQ", {**gamma, fid: 2 * value})
+              for fid, value in gamma.items()],
+            *[(f"CURVE_CYCLE_DATA[17][{i}] doubled", 17, None, "CURVE_CYCLE_DATA",
+               {17: tuple(2 * x if j == i else x for j, x in enumerate(cycle))}) for i in range(2)],
+            *[(f"NEF_SECTIONS[{i}] {sections[i]}->3", None, None, "NEF_SECTIONS",
+               tuple(3 if j == i else x for j, x in enumerate(sections))) for i in range(3)],
+            ("GAMMA_NORMALIZED without 23", 23, None, "GAMMA_NORMALIZED", exclusion.GAMMA_NORMALIZED - {23})]
 
 
 def tag_edits() -> list[tuple[str, int, int, str, object]]:
@@ -266,26 +281,38 @@ def condition_edits() -> list[tuple[str, int, int, str, object]]:
     return row_edits("condition", CONDITIONS)
 
 
-def census(edits) -> list[str]:
-    """The names of the edits, each applied alone, after which verify-tables
-    passes: the edited catalog loads and `verify_tables` prints no line."""
-    silent = []
+def outcomes(edits) -> dict[str, str]:
+    """What verify-tables does after each edit, applied alone, by the edit's
+    name: "load error" (it exits 2), "mismatch" (it prints a line) or
+    "silent" (it passes).  A row edit edits the catalog file; an edit
+    without a row index sets the cited table of `exclusion` that its field
+    names, and runs on a new `Catalog` of the loaded pairs, whose members
+    derive their plans anew."""
+    got = {}
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "edited.json")
         for name, family, index, field, value in edits:
             entries = copy.deepcopy(SHIPPED)
             with pytest.MonkeyPatch.context() as mp:
-                if field == "drop":
-                    mp.setitem(exclusion.ISOLATION_DROP, family, value)
+                if index is None:
+                    mp.setattr(exclusion, field, value)
                 else:
                     link_rows(entries, family)[index][field] = value
                 try:
                     catalog = load_entries(path, entries)
-                except CatalogError:  # verify-tables exits 2
+                except CatalogError:
+                    got[name] = "load error"
                     continue
-                if not verify_tables(catalog):
-                    silent.append(name)
-    return silent
+                if index is None:
+                    catalog = Catalog(catalog.pairs)
+                got[name] = "mismatch" if verify_tables(catalog) else "silent"
+    return got
+
+
+def census(edits) -> list[str]:
+    """The names of the edits, each applied alone, after which verify-tables
+    passes: the edited catalog loads and `verify_tables` prints no line."""
+    return [name for name, outcome in outcomes(edits).items() if outcome == "silent"]
 
 
 # the edits that print no line, by group; each group's comment is the reason
@@ -328,6 +355,16 @@ def test_every_condition_edit_is_a_load_error_or_a_mismatch():
     edits = condition_edits()
     assert len(edits) == 420 and len({name for name, *_ in edits}) == 420
     assert census(edits) == []
+
+
+# no golden table holds a curve-cycle witness; family 17's certificate still excludes
+SILENT_TABLE_EDITS = {"CURVE_CYCLE_DATA[17][0] doubled", "CURVE_CYCLE_DATA[17][1] doubled"}
+
+
+def test_every_cited_table_edit_but_the_pinned_ones_prints_a_mismatch():
+    edits = table_edits()
+    assert len(edits) == 11 and len({name for name, *_ in edits}) == 11
+    assert set(census(edits)) == SILENT_TABLE_EDITS
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def dispatch_branch(member: Member, center: Center, condition: str = ""):
 def outcome(report) -> tuple:
     """What a report says: each center's branches as (center, condition,
     verdict), and the reasons of the uncovered ones."""
-    return (tuple((cr.center.describe(), br.condition, br.verdict) for cr in report.centers for br in cr.branches),
+    return (tuple((cr.center.describe(), br.row.condition, br.verdict) for cr in report.centers for br in cr.branches),
             report.uncovered)
 
 
