@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .wps import MonomialSupport, anticanonical_cube, rat, rat_str, record
 
 if TYPE_CHECKING:
-    from .exclusion import Plan
+    from .exclusion import LocalModel, Plan
     from .singularities import CAxPoint, QuotientSingularity, StandardForm
 
 FAMILY_IDS = (17, 19, 23, 29, 30, 41, 42, 49, 50, 55, 69, 74, 77, 82)
@@ -76,10 +76,15 @@ class Member(FamilyPair):
     """A family pair with the algebra derived from it: the hypersurface
     member's (-K)^3, standard form, monomial support and singular locus
     (quotient points, and the cAx point with its extractions), which every
-    layer reads, and its center plan (`plan`).  `Catalog.member` builds the
-    general member once per family, text and strictness in a process; a
-    stratum (some monomials struck) is built from `singular_locus` and this
-    constructor, uncached."""
+    layer reads, and what the certificates read of it: its center plan
+    (`plan`), each quotient point's local model (`local`) and the
+    restriction curve's support (`gamma`).  Those three are derived on first
+    use and kept on the object, not as fields, so each `Member` built
+    derives its own, and equality and hashing read the fields alone; the
+    reports, certificates and golden diffs read off a member are built anew
+    by every caller.  `Catalog.member` builds the general member once per
+    family, text and strictness in a process; a stratum (some monomials
+    struck) is built from `singular_locus` and this constructor, uncached."""
 
     a_cube: Fraction
     shape: StandardForm
@@ -94,14 +99,25 @@ class Member(FamilyPair):
         return (*((q.type_str(), q.count, q.locus) for q in self.quotients),
                 (self.cax.type_str(), 1, "p4"))
 
+    # the exclusion module is imported in each body because it imports this one
     @cached_property
     def plan(self) -> Plan:
         """Every center with the branches it runs, and the loci of link rows
-        where the member has no point (`exclusion.centers`): derived on first
-        use and kept on this object, not as a field, so each `Member` built
-        derives its own, and equality and hashing read the fields alone."""
-        from . import exclusion  # imported here because it imports this module
+        where the member has no point (`exclusion.centers`)."""
+        from . import exclusion
         return exclusion.centers(self)
+
+    @cached_property
+    def local(self) -> dict[str, LocalModel]:
+        """Each quotient point's local model, by locus (`exclusion.local_models`)."""
+        from . import exclusion
+        return exclusion.local_models(self)
+
+    @cached_property
+    def gamma(self) -> MonomialSupport:
+        """The restriction curve's support (`exclusion.gamma_polynomial`)."""
+        from . import exclusion
+        return exclusion.gamma_polynomial(self)
 
 
 def derive_member(pair: FamilyPair) -> Member:
@@ -286,7 +302,8 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     but the text and `strict`; otherwise every check runs, and the text and
     a new `Catalog` are kept only once all pass, so a failing file raises
     the same error on every load.  The shared `Catalog` holds immutable
-    records (`wps.record`) and the `Member`s derived so far; reports,
+    records (`wps.record`) and the `Member`s derived so far, each with the
+    plan, local models and restriction support it has derived; reports,
     certificates and golden diffs are built anew by every caller.
     """
     path = path or default_catalog_path()

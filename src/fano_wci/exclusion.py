@@ -13,6 +13,11 @@ by a `Fraction` comparison.  Conditions are strings such as
 branch.  The loader ties each row's tag to its point and method
 (`catalog._check_links`); the one tag rule that needs the member, QI exactly
 where `qi_eligible` holds, is checked here by the untwist builder.
+
+A quotient point's Kawamata blowup, as the builders read it, is its
+`LocalModel`: member algebra, which each `Member` derives once
+(`Member.local`) with its plan and restriction support (`Member.gamma`),
+while every certificate and verdict is built anew by each `dispatch`.
 """
 
 from __future__ import annotations
@@ -337,6 +342,52 @@ def qi_eligible(member: Member, locus: str) -> bool:
     return any(k == 2 for k, _ in tangent_monomials(member.support, w, point_vertex(w, locus)))
 
 
+@record
+class LocalModel:
+    """The Kawamata blowup of a quotient point as the certificates read it:
+    its ring and B^3 (`b_cubed`) and, where `point_vertex` moves the point
+    to a vertex, that vertex, the support with the point there, r times the
+    Kawamata weights (`_kawamata_weights`), whether an involution there is
+    quadratic (`qi_eligible`) and the order of w on the exceptional divisor
+    (`vanishing_order` with w eliminated).  At a point that moves to no
+    vertex those are None, and `unreached` is `point_vertex`'s reason."""
+    ring: BlowupRing
+    b_cube: Fraction
+    unreached: str = ""
+    vertex: int | None = None
+    support: MonomialSupport | None = None
+    weights: tuple[int, ...] | None = None
+    quadratic: bool | None = None
+    w_order: Fraction | None = None
+
+    def at_vertex(self) -> "LocalModel":
+        """This model, for a builder that reads the point at its vertex;
+        UncoveredCaseError where the point moves to no vertex."""
+        if self.unreached:
+            raise UncoveredCaseError(self.unreached)
+        return self
+
+
+def local_models(member: Member) -> dict[str, LocalModel]:
+    """The local model of each quotient point of `member`, by locus, which
+    `Member.local` keeps."""
+    w, a_cube = member.gprime.weights, member.a_cube
+    models = {}
+    for q in member.quotients:
+        ring, b_cube = BlowupRing.kawamata_tower(a_cube, [q]), b_cubed(a_cube, q)
+        try:
+            vertex = point_vertex(w, q.locus)
+        except UncoveredCaseError as exc:
+            models[q.locus] = LocalModel(ring, b_cube, unreached=str(exc))
+            continue
+        support = support_with_point_at_vertex(member.support, vertex, w[vertex])
+        k = _kawamata_weights(w, vertex, q.r)
+        order = vanishing_order(support, tuple([Fraction(x, q.r) for x in k]), eliminated=4)
+        models[q.locus] = LocalModel(ring, b_cube, vertex=vertex, support=support, weights=k,
+                                     quadratic=qi_eligible(member, q.locus), w_order=order)
+    return models
+
+
 # ---------------------------------------------------------------------------
 # Per-family dispatch data
 # ---------------------------------------------------------------------------
@@ -425,21 +476,14 @@ def _isolation(member: Member, center: Center, branch: LinkRow, earlier: Earlier
 
 
 def _surface_pair(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> SurfacePair:
-    return SurfacePair(
-        a1=member.gprime.weights[1],
-        b_cube=b_cubed(member.a_cube, center.quotient),
-        gamma_support=gamma_polynomial(member),
-        irreducibility_flag=True,
-    )
+    return SurfacePair(a1=member.gprime.weights[1], b_cube=member.local[center.locus].b_cube,
+                       gamma_support=member.gamma, irreducibility_flag=True)
 
 
 def _nef_divisor(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> NefDivisor:
-    q = center.quotient
-    w = member.gprime.weights
-    vertex = point_vertex(w, q.locus)
-    support = support_with_point_at_vertex(member.support, vertex, w[vertex])
-    local = tuple([Fraction(k, q.r) for k in _kawamata_weights(w, vertex, q.r)])
-    orders = [vanishing_order(support, local, eliminated=4) if i == 4 else local[i] for i in NEF_SECTIONS]
+    q, w = center.quotient, member.gprime.weights
+    model = member.local[q.locus].at_vertex()
+    orders = [model.w_order if i == 4 else Fraction(model.weights[i], q.r) for i in NEF_SECTIONS]
     lifts = [SectionLift.of(w[i], order, q.r) for i, order in zip(NEF_SECTIONS, orders)]
     c, certified = nef_bound_check(lifts, q)
     # M is the lift that attains c = max(class_e / class_b), the first on a tie
@@ -450,7 +494,7 @@ def _nef_divisor(member: Member, center: Center, branch: LinkRow, earlier: Earli
     m = next((l.class_b, -order) for l, order in zip(lifts, orders)
              if l.class_e.numerator * c.denominator == c.numerator * l.class_e.denominator * l.class_b)
     b = (1, Fraction(-1, q.r))
-    m_b2 = triple(BlowupRing.kawamata_tower(member.a_cube, [q]), m, b, b)
+    m_b2 = triple(model.ring, m, b, b)
     return NefDivisor(lifts=tuple(lifts), q=q, m_b2=m_b2, c=c, certified=certified)
 
 
@@ -470,8 +514,8 @@ def _negdef_matrix(member: Member, center: Center, branch: LinkRow, earlier: Ear
     # third point: (B . Gamma) via the ambient Kawamata blowup of the
     # 4-space at the point's vertex, where B = (1, -1/r) and a section x_i
     # lifts to (w_i, -(w_i mod r)/r); the companion entry is pinned golden data
-    vertex = point_vertex(w, q.locus)
-    k = _kawamata_weights(w, vertex, q.r)
+    model = member.local[q.locus].at_vertex()
+    vertex, k = model.vertex, model.weights
     # the sections x0, x1 and w that cut Gamma: cited from the paper; ROADMAP item 9 derives them
     sections = [(w[i], Fraction(-k[i], q.r)) for i in (0, 1, 4)]
     alpha = ambient_quadruple(w, q.r, k[:vertex] + k[vertex + 1:], [(1, Fraction(-1, q.r)), *sections])
@@ -482,7 +526,7 @@ def _negdef_matrix(member: Member, center: Center, branch: LinkRow, earlier: Ear
 def _infinite_curves(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> InfiniteCurves:
     q = center.quotient
     r = q.r  # the blowup's discrepancy is 1/r
-    ring = BlowupRing.kawamata_tower(member.a_cube, [q])
+    ring = member.local[q.locus].ring
     b, e = (1, Fraction(-1, r)), (0, 1)
     fid = member.g.id
     if fid == 23:
@@ -509,7 +553,7 @@ def _infinite_curves(member: Member, center: Center, branch: LinkRow, earlier: E
 def _untwist(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> Untwist:
     fid, locus, tag = member.g.id, center.locus, branch.tag
     if tag != "link":  # an involution is quadratic exactly where the point has its x^2 y monomial
-        quadratic = qi_eligible(member, locus)
+        quadratic = member.local[locus].at_vertex().quadratic
         if tag == "QI" and not quadratic:
             raise UncoveredCaseError(f"family {fid} {locus}: no x^2 y tangent monomial, "
                                      f"quadratic involution not available")

@@ -84,13 +84,25 @@ def test_verify_tables_derives_a_cube_three_times_per_family(empty_load_cache):
 
 
 def test_verify_tables_checks_each_quadratic_involution_once(empty_load_cache):
-    # the QI structural check runs once per involution row (QI, EI or II), in
-    # dispatch, which tags an involution QI exactly where the check holds; the
-    # verifier reads the link column from the report instead of checking again
-    involutions = sum(row["tag"] in ("QI", "EI", "II") for obj in shipped_entries() for row in obj["links"])
-    assert involutions == 9
+    # the QI structural check runs once per quotient point that point_vertex
+    # moves to a vertex, when the member derives its local models
+    # (`Member.local`) on the text's first derivation; the untwist builder
+    # reads the kept flag, and the verifier reads the link column off the
+    # report, so a later op checks nothing
     first, second = verify_tables_twice({"qi_eligible": exclusion.qi_eligible})
-    assert first == second == {"qi_eligible": involutions}
+    catalog = load_catalog(strict=False)
+    models = [model for fid in FAMILY_IDS for model in catalog.member(fid).local.values()]
+    assert (len(models), sum(not model.unreached for model in models)) == (23, 22)
+    assert first == {"qi_eligible": 22}
+    assert second == {}
+    # family 19's three involution rows sit at two loci, p2p4 (EI and II)
+    # and p3 (QI): one check per locus, on a member that derives its own models
+    member = with_rows(catalog.member(19), catalog.member(19).golden.link_column)
+    rows = [row.point for row in member.golden.link_column if row.tag in ("QI", "EI", "II")]
+    assert rows == ["p2p4", "p2p4", "p3"]
+    for expected in (2, 0):
+        calls, report = count_calls({"qi_eligible": exclusion.qi_eligible}, lambda: build_report(member))
+        assert report.uncovered == () and calls["qi_eligible"] == expected
 
 
 def count_parses(load) -> tuple[int, object]:
@@ -268,17 +280,17 @@ def listed_functions() -> dict:
 
 
 # one op on a text whose Members are derived, as every measured warm-cli op
-# but the first: each listed function not named makes no call
+# but the first: each listed function not named makes no call.  The local
+# models and restriction supports (`qi_eligible`, `b_cubed`,
+# `vanishing_order`, `gamma_polynomial`) are kept on the Members
 VERIFY_TABLES_CALLS = {
-    "exclusion.dispatch": 73, "report.build_report": 14, "report.verify_family": 14,
-    "exclusion.gamma_polynomial": 10, "exclusion.qi_eligible": 9, "blowup.b_cubed": 26, "blowup.triple": 10,
-    "blowup.vanishing_order": 3, "blowup.ambient_quadruple": 1, "links.counterpart_inverse": 14,
-    "links.involution_inventory": 14, "catalog.load_catalog": 1,
+    "exclusion.dispatch": 73, "report.build_report": 14, "report.verify_family": 14, "blowup.triple": 10,
+    "blowup.ambient_quadruple": 1, "links.counterpart_inverse": 14, "links.involution_inventory": 14,
+    "catalog.load_catalog": 1,
 }
 ANALYZE_50_CALLS = {
-    "exclusion.dispatch": 8, "report.build_report": 1, "blowup.triple": 1, "blowup.vanishing_order": 1,
-    "blowup.ambient_quadruple": 1, "blowup.b_cubed": 1, "exclusion.gamma_polynomial": 1,
-    "exclusion.qi_eligible": 1, "catalog.load_catalog": 1,
+    "exclusion.dispatch": 8, "report.build_report": 1, "blowup.triple": 1, "blowup.ambient_quadruple": 1,
+    "catalog.load_catalog": 1,
 }
 PER_OP_CALLS = {
     "verify-tables": VERIFY_TABLES_CALLS,

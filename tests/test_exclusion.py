@@ -3,17 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from fano_wci.blowup import ambient_quadruple
+from fano_wci.blowup import BlowupRing, ambient_quadruple, b_cubed, vanishing_order
 from fano_wci.catalog import LINK_METHODS
 from fano_wci.exclusion import (BUILDERS, Center, CurveCycle, CurveDegree, CurveGamma, InfiniteCurves,
-                                Isolation, NegDefMatrix, SurfacePair, UncoveredCaseError, Untwist,
-                                certificate_json, gamma_polynomial, negdef2, negdef_for_all,
+                                Isolation, LocalModel, NegDefMatrix, SurfacePair, UncoveredCaseError, Untwist,
+                                _kawamata_weights, certificate_json, gamma_polynomial, negdef2, negdef_for_all,
                                 point_vertex, qi_eligible)
-from fano_wci.report import GOLDEN
+from fano_wci.report import GOLDEN, build_report
 from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, support_with_point_at_vertex,
                                     tangent_coordinate)
 from fano_wci.wps import MonomialSupport
-from test_strata import dispatch_branch, with_rows
+from test_strata import dispatch_branch, stratum, with_rows
 
 F = Fraction
 HALF = QuotientSingularity(2, 1)
@@ -137,6 +137,52 @@ def test_the_kawamata_unit_is_one_at_every_point_moved_to_a_vertex(catalog):
     assert unreached == ["42 p2p4", "55 p2p4", "77 p2p3", "77 p2p4"]
 
 
+def general_and_strata(catalog) -> list:
+    """The 14 general members, each followed by its quasi-smooth one-monomial strata."""
+    members = []
+    for fid in catalog.ids():
+        member = catalog.member(fid)
+        members.append(member)
+        for monomial in member.support.sorted():
+            try:
+                members.append(stratum(member, monomial))
+            except NotQuasismoothError:
+                continue
+    return members
+
+
+def test_each_local_model_is_the_per_call_derivation(catalog):
+    # every field of each quotient point's local model (`Member.local`) is
+    # what the builders derived per call before the member kept it, and the
+    # restriction support (`Member.gamma`) is gamma_polynomial's.  A point
+    # that point_vertex moves to no vertex keeps its reason word for word;
+    # every point it moves, also to the cAx vertex p4, has w's order
+    members = general_and_strata(catalog)
+    points, unreached = 0, 0
+    for member in members:
+        w, a_cube = member.gprime.weights, member.a_cube
+        assert member.gamma == gamma_polynomial(member)
+        assert list(member.local) == [q.locus for q in member.quotients]
+        for q in member.quotients:
+            points += 1
+            model = member.local[q.locus]
+            ring, b_cube = BlowupRing.kawamata_tower(a_cube, [q]), b_cubed(a_cube, q)
+            try:
+                vertex = point_vertex(w, q.locus)
+            except UncoveredCaseError as exc:
+                unreached += 1
+                assert model == LocalModel(ring, b_cube, unreached=str(exc))
+                with pytest.raises(UncoveredCaseError, match=f"^edge {q.locus} point cannot be moved to a vertex$"):
+                    model.at_vertex()
+                continue
+            support = support_with_point_at_vertex(member.support, vertex, w[vertex])
+            k = _kawamata_weights(w, vertex, q.r)
+            order = vanishing_order(support, tuple(F(x, q.r) for x in k), eliminated=4)
+            assert model.at_vertex() == LocalModel(ring, b_cube, vertex=vertex, support=support, weights=k,
+                                                   quadratic=qi_eligible(member, q.locus), w_order=order)
+    assert (len(members), points, unreached) == (1_282, 1_987, 110)
+
+
 def test_negdef2_examples():
     m = NegDefMatrix(alpha=F(1, 4), beta=F(-2, 5), parameter_floor=F(1))
     assert negdef2(m.entries_at(F(1)))
@@ -247,6 +293,20 @@ def test_an_involution_is_quadratic_exactly_where_it_can_be(catalog):
     for condition, tag in (("not-exists-wci(1,1,2)", "EI"), ("exists-wci(1,1,2)", "II")):
         cert, verdict = dispatch_branch(member, quotient_center(member, "p2p4"), condition)
         assert (cert.tag, cert.eligible, verdict.resolved) == (tag, None, True)
+
+
+def test_a_builder_at_a_point_that_moves_to_no_vertex_is_uncovered(catalog):
+    # family 77's p2p3 point: gcd(6, 9) = 3 is neither end's weight.  Its
+    # surface-pair row needs no vertex; a nef divisor or an involution there
+    # reads the point at its vertex, and is uncovered with point_vertex's reason
+    reason = "edge p2p3 point cannot be moved to a vertex"
+    member = catalog.member(77)
+    assert dispatch_branch(member, quotient_center(member, "p2p3"))[1].excluded
+    for fields in ({"method": "nef-divisor"}, {"method": "untwist", "tag": "QI"}):
+        edited = edit_row(member, "p2p3", "", **fields)
+        with pytest.raises(UncoveredCaseError, match=f"^{reason}$"):
+            dispatch_branch(edited, quotient_center(edited, "p2p3"))
+        assert build_report(edited).uncovered == (reason,)
 
 
 def test_verdict_witness_reverifies(catalog):

@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from fano_wci import exclusion, report
+from fano_wci import exclusion, links, report
 from fano_wci.blowup import BlowupRing, triple
 from fano_wci.catalog import (LINK_TAGS, Catalog, CatalogError, FamilyRecord, Member, default_catalog_path,
                               load_catalog)
 from fano_wci.report import GOLDEN, build_report, render_markdown, verify_tables
 from fano_wci.singularities import QuotientSingularity
-from test_strata import with_rows
+from test_strata import stratum, with_rows
 
 F = Fraction
 
@@ -175,18 +175,18 @@ def test_an_uncertified_nef_divisor_is_a_mismatch(catalog, monkeypatch):
     assert verify_tables(catalog) == lines
 
 
-def test_a_quadratic_involution_without_its_monomial_is_uncovered(catalog, monkeypatch):
-    # dispatch's QI check is the only one: the branch does not run, so the
-    # center is uncovered and the link column read off the report lacks it
-    monkeypatch.setattr(exclusion, "qi_eligible", lambda member, locus: False)
-    lines = [line for line in verify_tables(catalog) if line.startswith("family 41: ")]
-    assert lines == [
-        "family 41: link column computed [('p4', 'link', '')] != catalog "
-        "[('p2p3', 'QI', ''), ('p4', 'link', '')]",
-        "family 41: uncovered centers: uncovered-cases(family 41 p2p3: no x^2 y tangent monomial, "
-        "quadratic involution not available)"]
-    rows = [line for line in render_markdown(build_report(catalog.member(41))).splitlines()
-            if line.startswith("| p2p3 = ")]
+def test_a_quadratic_involution_without_its_monomial_is_uncovered(catalog):
+    # family 41 without x2^2 x3: its p2p3 point, moved to the x2 vertex,
+    # keeps its type and loses its x^2 y monomial.  dispatch's QI check is
+    # the only one: the branch does not run, so the center is uncovered and
+    # the link column read off the report lacks it
+    member = stratum(catalog.member(41), (0, 0, 2, 1, 0))
+    assert member.basket == catalog.member(41).basket
+    report = build_report(member)
+    assert report.uncovered == ("family 41 p2p3: no x^2 y tangent monomial, quadratic involution not available",)
+    assert [row[:3] for row in member.golden.link_column] == [("p2p3", "QI", ""), ("p4", "link", "")]
+    assert links.involution_inventory(report) == [("p4", "link", "")]
+    rows = [line for line in render_markdown(report).splitlines() if line.startswith("| p2p3 = ")]
     assert rows == ["| p2p3 = 1/3(1,1,2) | uncovered: family 41 p2p3: no x^2 y tangent monomial, "
                     "quadratic involution not available | uncovered |"]
 
