@@ -130,11 +130,19 @@ def nef_bound_check(lifts: list[SectionLift], q: QuotientSingularity) -> tuple[F
     """c = max(class_e / class_b) over the isolating sections; the divisor
     -K + cE is nef when c does not exceed the blowup discrepancy 1/r.  A lift
     of degree d and order o has class_e / class_b = (d/r - o)/d, so
-    c = 1/r - min(o/d), and c <= 1/r holds whenever every order is >= 0."""
+    c = 1/r - min(o/d), and c <= 1/r holds whenever every order is >= 0.
+    Each ratio is an integer pair (numerator, denominator) and the max is
+    taken by integer cross-products, the first lift on a tie; c is built as
+    one exact Fraction."""
     if not lifts:
         raise ValueError("need at least one section lift")
+    num, den = -1, 1  # below every ratio of a valid lift
     for lift in lifts:
-        if lift.class_b <= 0 or lift.class_e.numerator < 0:
+        n, d = lift.class_e.as_integer_ratio()
+        if lift.class_b <= 0 or n < 0:
             raise ValueError(f"lift {lift} is not of the form bB + eE with b > 0, e >= 0")
-    c = max(Fraction(lift.class_e, lift.class_b) for lift in lifts)
+        d *= lift.class_b
+        if n * den > num * d:
+            num, den = n, d
+    c = Fraction(num, den)
     return c, c.numerator * q.r <= c.denominator  # c <= 1/r

@@ -29,12 +29,21 @@ class CatalogError(ValueError):
 
 @record
 class FamilyRecord:
+    """One record of the catalog file.  Its (-K)^3, which the weights and
+    degrees fix, is derived on the first `a_cube()` call and kept on the
+    object, not as a field; a record of the wrong Fano index keeps nothing
+    and raises on every call."""
+
     id: int
     kind: str  # "G" | "Gprime"
     weights: tuple[int, ...]
     degrees: tuple[int, ...]
 
     def a_cube(self) -> Fraction:
+        return self._a_cube
+
+    @cached_property
+    def _a_cube(self) -> Fraction:
         return anticanonical_cube(self.weights, self.degrees, label=f"No.{self.id}/{self.kind}")
 
 
@@ -76,15 +85,16 @@ class Member(FamilyPair):
     """A family pair with the algebra derived from it: the hypersurface
     member's (-K)^3, standard form, monomial support and singular locus
     (quotient points, and the cAx point with its extractions), which every
-    layer reads, and what the certificates read of it: its center plan
-    (`plan`), each quotient point's local model (`local`) and the
-    restriction curve's support (`gamma`).  Those three are derived on first
-    use and kept on the object, not as fields, so each `Member` built
-    derives its own, and equality and hashing read the fields alone; the
-    reports, certificates and golden diffs read off a member are built anew
-    by every caller.  `Catalog.member` builds the general member once per
-    family, text and strictness in a process; a stratum (some monomials
-    struck) is built from `singular_locus` and this constructor, uncached."""
+    layer reads, its basket as golden rows (`basket`), and what the
+    certificates read of it: its center plan (`plan`), each quotient
+    point's local model (`local`) and the restriction curve's support
+    (`gamma`).  Those four are derived on first use and kept on the object,
+    not as fields, so each `Member` built derives its own, and equality and
+    hashing read the fields alone; the reports, certificates and golden
+    diffs read off a member are built anew by every caller.
+    `Catalog.member` builds the general member once per family, text and
+    strictness in a process; a stratum (some monomials struck) is built
+    from `singular_locus` and this constructor, uncached."""
 
     a_cube: Fraction
     shape: StandardForm
@@ -92,7 +102,7 @@ class Member(FamilyPair):
     quotients: tuple[QuotientSingularity, ...]
     cax: CAxPoint
 
-    @property
+    @cached_property
     def basket(self) -> tuple[tuple[str, int, str], ...]:
         """The computed basket as golden rows (type, count, locus): the
         singular locus in its own order, then the cAx point p4."""
@@ -302,9 +312,10 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     but the text and `strict`; otherwise every check runs, and the text and
     a new `Catalog` are kept only once all pass, so a failing file raises
     the same error on every load.  The shared `Catalog` holds immutable
-    records (`wps.record`) and the `Member`s derived so far, each with the
-    plan, local models and restriction support it has derived; reports,
-    certificates and golden diffs are built anew by every caller.
+    records (`wps.record`), each with the (-K)^3 it has derived, and the
+    `Member`s derived so far, each with the basket, plan, local models and
+    restriction support it has derived; reports, certificates and golden
+    diffs are built anew by every caller.
     """
     path = path or default_catalog_path()
     try:

@@ -103,10 +103,11 @@ class CurveDegree:
     a_cube: Fraction
 
     def verdict(self) -> Verdict:
-        if self.deg.numerator <= 0 or self.a_cube.numerator <= 0:
+        (d, dd), (a, ad) = self.deg.as_integer_ratio(), self.a_cube.as_integer_ratio()
+        if d <= 0 or a <= 0:
             raise ValueError("degree and (-K)^3 must be positive")
-        witness = self.deg - self.a_cube
-        return Verdict(witness.numerator >= 0, self.method, witness)
+        num = d * ad - a * dd  # the witness deg - (-K)^3 over the common denominator
+        return Verdict(num >= 0, self.method, Fraction(num, dd * ad))
 
 
 @record
@@ -119,10 +120,12 @@ class CurveGamma:
     gamma_sq: Fraction
 
     def verdict(self) -> Verdict:
-        if self.gamma_sq.numerator >= 0:
+        (a, ad), (d, dd), (g, gd) = (self.a_cube.as_integer_ratio(), self.deg.as_integer_ratio(),
+                                     self.gamma_sq.as_integer_ratio())
+        if g >= 0:
             raise ValueError("the self-intersection bound must be negative")
-        witness = 3 * self.a_cube - 2 * self.deg + self.gamma_sq
-        return Verdict(witness.numerator <= 0, self.method, witness)
+        num = 3 * a * dd * gd - 2 * d * ad * gd + g * ad * dd  # the witness over the common denominator
+        return Verdict(num <= 0, self.method, Fraction(num, ad * dd * gd))
 
 
 @record
@@ -170,8 +173,9 @@ class SurfacePair:
                 "fall back to the family-specific certificate")
         if not self.gamma_support.monomials:
             raise ValueError("empty restriction support")
-        witness = self.a1 * self.a1 * self.b_cube
-        return Verdict(witness.numerator <= 0, self.method, witness)
+        b, bd = self.b_cube.as_integer_ratio()
+        num = self.a1 * self.a1 * b
+        return Verdict(num <= 0, self.method, Fraction(num, bd))
 
 
 @record
@@ -201,12 +205,17 @@ class NegDefMatrix:
 
     def verdict(self) -> Verdict:
         """Negative definite for every rational m >= floor, witnessed by the
-        determinant at the floor: the determinant is affine in m with slope
-        -(alpha + beta) and the leading entry decreases, so it suffices to
-        check the floor and the slope."""
-        at_floor, det = _negdef2_det(self.entries_at(self.parameter_floor))
-        slope_ok = (self.alpha + self.beta).numerator <= 0
-        return Verdict(at_floor and slope_ok, self.method, det)
+        determinant at the floor: the determinant alpha beta - m (alpha +
+        beta) is affine in m with slope -(alpha + beta) and the leading entry
+        decreases, so it suffices to check the floor and the slope, each as
+        an integer over a positive common denominator."""
+        a, ad = self.alpha.as_integer_ratio()
+        b, bd = self.beta.as_integer_ratio()
+        m, md = self.parameter_floor.as_integer_ratio()
+        total = a * bd + b * ad  # (alpha + beta) ad bd
+        det = a * b * md - m * total  # the determinant at the floor, times ad bd md
+        leading = a * md - m * ad  # alpha - m at the floor, times ad md
+        return Verdict(leading < 0 and det > 0 and total <= 0, self.method, Fraction(det, ad * bd * md))
 
 
 @record
@@ -271,18 +280,12 @@ def _json_value(value):
 # Shared computations
 # ---------------------------------------------------------------------------
 
-def _negdef2_det(m: list[list[Fraction]]) -> tuple[bool, Fraction]:
-    """Negative definiteness of a symmetric 2x2 rational matrix, and its
-    determinant."""
+def negdef2(m: list[list[Fraction]]) -> bool:
+    """Negative definiteness of a symmetric 2x2 rational matrix."""
     if m[0][1] != m[1][0]:
         raise ValueError("matrix is not symmetric")
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return m[0][0].numerator < 0 and det.numerator > 0, det
-
-
-def negdef2(m: list[list[Fraction]]) -> bool:
-    """Negative definiteness of a symmetric 2x2 rational matrix."""
-    return _negdef2_det(m)[0]
+    return m[0][0].numerator < 0 and det.numerator > 0
 
 
 def negdef_for_all(cert: NegDefMatrix) -> bool:

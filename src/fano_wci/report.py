@@ -271,15 +271,18 @@ def _witness_str(value) -> str:
     return rat_str(value)
 
 
+# family 19's G points of the blowup tower, 1/2 and 1/4, and -K on the
+# tower, (1, -1/2, -1/4): cited from the paper; ROADMAP item 11 derives them
+TOWER_POINTS = (singularities.QuotientSingularity(2, 1), singularities.QuotientSingularity(4, 1))
+TOWER_K = (1, *[F(-1, q.r) for q in TOWER_POINTS])
+
+
 def _tower_cube(family_id: int, g_a_cube: Fraction) -> Fraction | None:
-    """(-K)^3 on the blowup tower over family 19's G model at its 1/2 and 1/4
-    points, None for any other family.  The two points are cited from the
-    paper; ROADMAP item 11 derives them."""
+    """(-K)^3 on the blowup tower over family 19's G model at its
+    `TOWER_POINTS`, None for any other family."""
     if family_id != 19:
         return None
-    points = [singularities.QuotientSingularity(2, 1), singularities.QuotientSingularity(4, 1)]
-    k = (1, *[F(-1, q.r) for q in points])
-    return blowup.triple(blowup.BlowupRing.kawamata_tower(g_a_cube, points), k, k, k)
+    return blowup.triple(blowup.BlowupRing.kawamata_tower(g_a_cube, TOWER_POINTS), TOWER_K, TOWER_K, TOWER_K)
 
 
 def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:

@@ -72,11 +72,13 @@ def record(cls: type) -> type:
 
     The fields are the fields of a record base class, then the class's own
     annotated names; a class attribute of a field's name is its default.
-    The generated `__init__` takes the fields by position or keyword, stores
-    them with `object.__setattr__` and then calls `__post_init__` when the
-    class has one.  Equality holds between instances of the same class with
-    equal field values; the hash is that of the tuple of field values; the
-    repr is `Name(a=1, b='x')`; setting or deleting an attribute raises
+    The generated `__init__` takes the fields by position or keyword, writes
+    each into the instance `__dict__` in field order (`d = self.__dict__;
+    d['x'] = x`: no call per field, and the blocked `__setattr__` is never
+    reached) and then calls `__post_init__` when the class has one.
+    Equality holds between instances of the same class with equal field
+    values; the hash is that of the tuple of field values; the repr is
+    `Name(a=1, b='x')`; setting or deleting an attribute raises
     AttributeError.  Only `__init__` is compiled, once per class; the other
     methods are the shared functions above, which read `__record_fields__`.
     """
@@ -87,7 +89,7 @@ def record(cls: type) -> type:
     own = cls.__annotations__
     annotations = {**(cls.__init__.__annotations__ if inherited else {}), **own, "return": None}
     fields = (*inherited, *(name for name in own if name not in inherited))
-    namespace = {"_set": object.__setattr__}
+    namespace = {}
     params = []
     for name in fields:
         default = getattr(cls, name, _NO_DEFAULT)
@@ -99,7 +101,10 @@ def record(cls: type) -> type:
                             f"follows a field with one")
         else:
             params.append(name)
-    body = [f"    _set(self, {name!r}, {name})" for name in fields]
+    d = "d"  # the local that holds self.__dict__, named apart from every field
+    while d in fields:
+        d += "_"
+    body = [f"    {d} = self.__dict__", *(f"    {d}[{name!r}] = {name}" for name in fields)] if fields else []
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     source = f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass")

@@ -13,7 +13,7 @@ import pytest
 
 from fano_wci import catalog as catalog_module
 from fano_wci import cli, exclusion, report, singularities, wps
-from fano_wci.catalog import FAMILY_IDS, CatalogError, default_catalog_path, load_catalog
+from fano_wci.catalog import FAMILY_IDS, CatalogError, FamilyRecord, default_catalog_path, load_catalog
 from fano_wci.report import build_report, verify_tables
 from test_strata import stratum, with_rows
 
@@ -75,12 +75,24 @@ def test_verify_tables_loads_once_and_solves_each_record_once(empty_load_cache):
     assert second == {"load_catalog": 1}
 
 
-def test_verify_tables_derives_a_cube_three_times_per_family(empty_load_cache):
+def test_verify_tables_derives_each_records_a_cube_once(empty_load_cache):
     first, second = verify_tables_twice({"anticanonical_cube": wps.anticanonical_cube})
-    # per family: the G and Gprime checks of verify_family and, on the text's
-    # first load, the Member's (-K)^3; family 19's blowup tower reuses the G check's
-    assert first == {"anticanonical_cube": 3 * len(FAMILY_IDS)}
-    assert second == {"anticanonical_cube": 2 * len(FAMILY_IDS)}
+    # one derivation per record (G and Gprime) on the text's first load, which
+    # the record keeps: the Member's (-K)^3, the two checks of verify_family
+    # and family 19's blowup tower read it, and a later load derives none
+    assert first == {"anticanonical_cube": 2 * len(FAMILY_IDS)}
+    assert second == {}
+
+
+def test_a_record_of_the_wrong_index_keeps_no_a_cube():
+    # a failed derivation keeps nothing: every call derives again and raises
+    # the same error
+    rec = FamilyRecord(17, "Gprime", (1, 1, 1, 4, 2), (9,))
+    for _ in range(2):
+        calls, _ = count_calls({"anticanonical_cube": wps.anticanonical_cube},
+                               lambda: pytest.raises(ValueError, rec.a_cube))
+        assert calls == {"anticanonical_cube": 1}
+    assert vars(rec) == {"id": 17, "kind": "Gprime", "weights": (1, 1, 1, 4, 2), "degrees": (9,)}
 
 
 def test_verify_tables_checks_each_quadratic_involution_once(empty_load_cache):

@@ -8,11 +8,13 @@ import inspect
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from fano_wci.catalog import FamilyPair, Member
+from fano_wci.catalog import FamilyPair, FamilyRecord, Member
+from fano_wci.singularities import ClassificationError, QuotientSingularity
 from fano_wci.wps import record
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -63,12 +65,23 @@ def with_one_field(decorate):
     return Weights
 
 
+def with_init_local_names(decorate):
+    # the generated __init__ holds self.__dict__ in a local named apart from every field
+    @decorate
+    class Local:
+        d: int
+        d_: int = 0
+
+    return Local
+
+
 # factory, positional arguments, the same as keywords
 CASES = {
     "defaults": (with_defaults, ("curve", 3), {"kind": "curve", "degree": 3}),
     "subclass": (with_base, (1, "x", ((1, 0),), 2), {"g": 1, "gprime": "x", "support": ((1, 0),), "count": 2}),
     "post-init": (with_post_init, (5, 2), {"r": 5, "a": 2}),
     "one-field": (with_one_field, ((1, 2, 3),), {"weights": (1, 2, 3)}),
+    "init-local-names": (with_init_local_names, (1, 2), {"d": 1, "d_": 2}),
 }
 frozen = dataclasses.dataclass(frozen=True)
 
@@ -79,6 +92,8 @@ def test_record_matches_a_frozen_dataclass(case):
     rec, ref = make(record), make(frozen)
     assert inspect.signature(rec.__init__) == inspect.signature(ref.__init__)
     r, d = rec(*args), ref(*args)
+    # the generated __init__ stores exactly the fields, in field order, as the dataclass does
+    assert list(vars(r).items()) == list(vars(d).items()) == list(vars(rec(**kwargs)).items())
     assert r == rec(**kwargs) and not r != rec(**kwargs)
     assert hash(r) == hash(d) == hash(rec(**kwargs))
     assert rec.__qualname__ == ref.__qualname__  # so the whole repr can be compared
@@ -95,7 +110,38 @@ def test_record_matches_a_frozen_dataclass(case):
             delattr(obj, name)
         with pytest.raises(AttributeError):
             obj.unknown = 1
+    assert list(vars(r).items()) == list(vars(d).items())
     assert getattr(r, name) == kwargs[name]
+
+
+def test_record_init_runs_post_init_of_a_package_record():
+    assert vars(QuotientSingularity(5, 2, "p2")) == {"r": 5, "a": 2, "locus": "p2", "count": 1}
+    for r, a, reason in ((4, 2, "is not terminal"), (5, 3, "not a normalized type")):
+        with pytest.raises(ClassificationError, match=reason):
+            QuotientSingularity(r, a)
+
+
+def test_a_cached_property_on_a_record_caches_and_stays_out_of_equality():
+    calls = []
+
+    @record
+    class Weights:
+        weights: tuple
+
+        @cached_property
+        def total(self) -> int:
+            calls.append(self.weights)
+            return sum(self.weights)
+
+    kept, fresh = Weights((1, 2)), Weights((1, 2))
+    assert kept.total == kept.total == 3 and calls == [(1, 2)]
+    assert list(vars(kept)) == ["weights", "total"] and list(vars(fresh)) == ["weights"]
+    assert kept == fresh and hash(kept) == hash(fresh) and repr(kept) == repr(fresh)
+    with pytest.raises(AttributeError):
+        kept.total = 4
+    # the package's kept values: a record's (-K)^3
+    rec = FamilyRecord(17, "Gprime", (1, 1, 1, 2, 4), (8,))
+    assert rec.a_cube() is rec.a_cube() and rec == FamilyRecord(17, "Gprime", (1, 1, 1, 2, 4), (8,))
 
 
 def test_record_defaults_and_missing_arguments():

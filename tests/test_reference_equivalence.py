@@ -33,6 +33,15 @@ the `Fraction` comparisons they replaced, kept verbatim apart from names
 on the exception's type and message, on every branch of the 14 members'
 reports, of the reports of their one-monomial strata, and on drawn
 rationals that sit on each comparison's equality boundary.
+
+The witnesses of `CurveDegree`, `CurveGamma` and `SurfacePair`,
+`NegDefMatrix.verdict` (the determinant at the floor written alpha beta -
+m (alpha + beta), and the slope) and `nef_bound_check`'s c (the max by
+integer cross-products) are each built as one `Fraction` over a common
+denominator; on drawn signed rationals each must equal, in lowest terms,
+the `Fraction` expression it replaced: `negdef2` on `entries_at(floor)`
+for the matrix, and `max` of the ratios, which keeps the first on a tie,
+for c.
 """
 
 import itertools
@@ -47,7 +56,7 @@ from hypothesis import strategies as st
 from fano_wci.blowup import SectionLift, nef_bound_check
 from fano_wci.catalog import FamilyRecord, Member
 from fano_wci.exclusion import (Center, CurveCycle, CurveDegree, CurveGamma, InfiniteCurves, Isolation, NefDivisor,
-                                NegDefMatrix, SurfacePair, UncoveredCaseError, Verdict, qi_eligible)
+                                NegDefMatrix, SurfacePair, UncoveredCaseError, Verdict, negdef2, qi_eligible)
 from fano_wci.report import build_report
 from fano_wci.links import build_counterpart
 from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, StandardForm, StandardFormError,
@@ -632,3 +641,92 @@ def lifts_at_points(draw):
 def test_nef_bound_check_matches_its_fraction_comparisons(drawn):
     lifts, q = drawn
     assert outcome(nef_bound_check, lifts, q) == outcome(reference_nef_bound_check, lifts, q)
+
+
+# Each number a verdict or `nef_bound_check` returns is one Fraction over a
+# common denominator; the references are the Fraction expressions it replaced
+SIGNED = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+POSITIVE = SIGNED.map(abs).filter(bool)
+
+
+def same_number(got, want) -> bool:
+    """`got` is a Fraction in lowest terms equal to `want`."""
+    return type(got) is Fraction and got.as_integer_ratio() == want.as_integer_ratio()
+
+
+@settings(max_examples=200, deadline=None)
+@given(POSITIVE, POSITIVE)
+@example(F(1, 2), F(1, 2))
+def test_curve_degree_witness_is_the_fraction_difference(deg, a_cube):
+    assert same_number(CurveDegree(deg=deg, a_cube=a_cube).verdict().witness, deg - a_cube)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIGNED, SIGNED, POSITIVE)
+@example(F(1), F(1), F(1))
+@example(F(1, 6), F(1, 4), F(1))
+def test_curve_gamma_witness_is_the_fraction_sum(a_cube, deg, bound):
+    gamma_sq = -bound
+    witness = CurveGamma(a_cube=a_cube, deg=deg, gamma_sq=gamma_sq).verdict().witness
+    assert same_number(witness, 3 * a_cube - 2 * deg + gamma_sq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-30, 30), SIGNED)
+@example(0, F(-1, 3))
+def test_surface_pair_witness_is_the_fraction_product(a1, b_cube):
+    cert = SurfacePair(a1=a1, b_cube=b_cube, gamma_support=ONE_MONOMIAL, irreducibility_flag=True)
+    assert same_number(cert.verdict().witness, a1 * a1 * b_cube)
+
+
+@st.composite
+def negdef_matrices(draw):
+    """A NegDefMatrix on drawn rationals; on `tie`, moved onto a boundary of
+    the verdict: a zero leading entry, slope or determinant at the floor."""
+    alpha, beta, floor = draw(SIGNED), draw(SIGNED), draw(SIGNED)
+    boundary = draw(st.sampled_from(["", "entry", "slope", "det"]))
+    if boundary == "entry":
+        floor = alpha
+    elif boundary == "slope":
+        beta = -alpha
+    elif boundary == "det" and alpha + beta:
+        floor = alpha * beta / (alpha + beta)
+    return NegDefMatrix(alpha=alpha, beta=beta, parameter_floor=floor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(negdef_matrices())
+@example(NegDefMatrix(F(1, 4), F(-2, 5), F(1)))
+@example(NegDefMatrix(F(-1, 10), F(1, 60), F(1, 2)))
+@example(NegDefMatrix(F(-1, 2), F(-1, 2), F(-1, 4)))
+def test_negdef_verdict_is_negdef2_at_the_floor_and_the_slope(cert):
+    entries = cert.entries_at(cert.parameter_floor)
+    verdict = cert.verdict()
+    assert verdict.excluded == (negdef2(entries) and (cert.alpha + cert.beta) <= 0)
+    assert same_number(verdict.witness, entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0])
+
+
+@st.composite
+def valid_lifts(draw):
+    """Drawn lifts of the form bB + eE with b > 0 and e >= 0 at a drawn
+    point; on `tie`, the first lift's ratio e / b is repeated at a later
+    lift with another b."""
+    r, a = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (5, 2), (7, 3)]))
+    lifts = draw(st.lists(st.builds(SectionLift, st.integers(1, 40), SIGNED.map(abs)), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 5))
+        lifts.insert(draw(st.integers(1, len(lifts))), SectionLift(k * lifts[0].class_b, k * lifts[0].class_e))
+    return lifts, QuotientSingularity(r, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_lifts())
+@example(([SectionLift(2, F(1)), SectionLift(4, F(2))], QuotientSingularity(2, 1)))
+@example(([SectionLift(1, F(0)), SectionLift(3, F(1, 4)), SectionLift(6, F(1, 2))], QuotientSingularity(5, 2)))
+def test_nef_bound_is_the_largest_fraction_ratio_first_on_a_tie(drawn):
+    lifts, q = drawn
+    c, certified = nef_bound_check(lifts, q)
+    ratios = [Fraction(lift.class_e, lift.class_b) for lift in lifts]
+    first = max(range(len(lifts)), key=ratios.__getitem__)  # max keeps the first of equal ratios
+    assert same_number(c, ratios[first])
+    assert certified == (c <= Fraction(1, q.r))
