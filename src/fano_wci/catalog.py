@@ -112,8 +112,8 @@ class Member(FamilyPair):
     # the exclusion module is imported in each body because it imports this one
     @cached_property
     def plan(self) -> Plan:
-        """Every center with the branches it runs, and the loci of link rows
-        where the member has no point (`exclusion.centers`)."""
+        """Every center with its branches, the loci of link rows where the
+        member has no point, and the curve and isolation choices (`exclusion.centers`)."""
         from . import exclusion
         return exclusion.centers(self)
 

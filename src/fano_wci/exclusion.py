@@ -28,7 +28,8 @@ from fractions import Fraction
 from .blowup import (BlowupRing, SectionLift, ambient_quadruple, b_cubed, nef_bound_check, triple,
                      vanishing_order)
 from .catalog import LinkRow, Member
-from .singularities import CAxPoint, QuotientSingularity, support_with_point_at_vertex, tangent_monomials
+from .singularities import (CAxPoint, QuotientSingularity, misses_vertex, support_with_point_at_vertex,
+                            tangent_monomials)
 from .wps import MonomialSupport, max_pair_lcm, rat_str, record
 
 
@@ -149,7 +150,7 @@ class Isolation:
     method = "isolation"
     bound: int
     limit: Fraction
-    dropped_vertex: int | None
+    dropped_vertex: int
 
     def verdict(self) -> Verdict:
         limit = self.limit  # bound <= p/q as bound q <= p, q > 0
@@ -280,20 +281,6 @@ def _json_value(value):
 # Shared computations
 # ---------------------------------------------------------------------------
 
-def negdef2(m: list[list[Fraction]]) -> bool:
-    """Negative definiteness of a symmetric 2x2 rational matrix."""
-    if m[0][1] != m[1][0]:
-        raise ValueError("matrix is not symmetric")
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return m[0][0].numerator < 0 and det.numerator > 0
-
-
-def negdef_for_all(cert: NegDefMatrix) -> bool:
-    """Negative definiteness of [[alpha - m, m], [m, beta - m]] for every
-    rational m >= floor (`NegDefMatrix.verdict`)."""
-    return cert.verdict().excluded
-
-
 def gamma_polynomial(member: Member) -> MonomialSupport:
     """Support of the defining polynomial restricted to the two heaviest
     x-coordinates and w (the curve cut by the two lightest coordinate
@@ -395,15 +382,11 @@ def local_models(member: Member) -> dict[str, LocalModel]:
 # Per-family dispatch data
 # ---------------------------------------------------------------------------
 
-# which vertex is dropped in the smooth-point isolation bound
-# cited from the paper; ROADMAP item 8 derives it
-ISOLATION_DROP = {17: 3, 19: 2, 23: 4, 29: 3, 30: 3, 41: 3, 42: 2,
-                  49: 3, 50: 1, 55: 3, 69: 3, 74: 3, 77: 3, 82: 3}
-
-# the families with an exceptional curve through the cAx point of the least
-# degree there, 1/modulus
-# cited from the paper; ROADMAP item 8 derives it
-SPECIAL_CURVE = frozenset({17, 19, 23})
+# the isolation vertex of families 23 and 30, where each vertex off the
+# member leaves the bound 12 > 48/5: this p_k lies on X, where f = x_k^2 g +
+# x_k h + j, and the paper treats the points on the fibres over g = h = j = 0
+# apart; cited from the paper; ROADMAP item 19 states why
+ISOLATION_DROP = {23: 4, 30: 3}
 
 # self-intersection bounds of the exceptional curves on their cutting surfaces
 # cited from the paper; ROADMAP item 8 derives it
@@ -421,38 +404,49 @@ NEF_SECTIONS = (0, 2, 4)
 SINGLE_BRANCH = {"curve": (LinkRow("", "", "", "curve"),), "smooth-point": (LinkRow("", "", "", "isolation"),)}
 
 
-def minimal_curve_degree(member: Member) -> Fraction:
-    """Smallest curve degree not handled by a special certificate: curves
-    through the cAx point have degree in (1/modulus) Z, and a special curve
-    of the least degree, 1/modulus, leaves the next one."""
-    step = Fraction(1, member.cax.modulus)
-    return 2 * step if member.g.id in SPECIAL_CURVE else step
+def isolating_vertex(member: Member) -> tuple[int, int] | None:
+    """The vertex p_k whose projection isolates the nonsingular points
+    (Corti, Pukhlikov and Reid (2000), section 5) and its bound, the max
+    pairwise lcm of the other weights: the `ISOLATION_DROP` vertex, else of
+    the x-vertices the member misses (`misses_vertex`) the one of least
+    bound, heaviest weight, lowest index; None where there is none."""
+    w = member.gprime.weights
+    cited = ISOLATION_DROP.get(member.g.id)
+    vertices = [cited] if cited is not None else [k for k in range(4) if misses_vertex(member.support, w, k)]
+    if not vertices:
+        return None
+    bound, _, vertex = min([(max_pair_lcm(w, [i for i in range(5) if i != k]), -w[k], k) for k in vertices])
+    return vertex, bound
 
 
-# a member's plan: each center with the branches it runs, then each locus of
-# link rows where the member has no point
-Plan = tuple[tuple[tuple[Center, tuple[LinkRow, ...]], ...], tuple[str, ...]]
+@record
+class Plan:
+    """A member's plan, which `Member.plan` keeps (`centers`)."""
+    centers: tuple[tuple[Center, tuple[LinkRow, ...]], ...]  # each center with the branches it runs
+    unplaced: tuple[str, ...]  # each locus of link rows where the member has no point
+    special_curve: Fraction | None  # 1/b where a curve of that degree through the cAx/b point is below (-K)^3
+    isolation: tuple[int, int] | None  # the nonsingular point's `isolating_vertex` and bound
 
 
 def centers(member: Member) -> Plan:
-    """The member's plan, which `Member.plan` keeps: every center (a curve of
-    the least degree no special certificate handles, the special curve where
-    one exists, the nonsingular point, the quotient points, p4), each with
-    its branches, and the loci of link rows where the member has no point.
-    A point center's branches are the member's link rows at its locus in
-    row order, grouped by point once; a point without rows has none, and is
-    a center the family lacks.  A curve's or the nonsingular point's is its
+    """The member's plan: every center (the least curve, the special curve
+    where one exists, the nonsingular point, the quotient points, p4) with
+    its branches.  A curve through the cAx/b point has degree in (1/b) Z,
+    and one of degree 1/b below (-K)^3 is special and leaves 2/b to the
+    least curve.  A point center's branches are the member's link rows at
+    its locus in row order; a point without rows has none, and is a center
+    the family lacks.  A curve's or the nonsingular point's is its
     `SINGLE_BRANCH`."""
     rows: dict[str, list[LinkRow]] = {}
     for row in member.golden.link_column:
         rows.setdefault(row.point, []).append(row)
-    found = [Center.curve(minimal_curve_degree(member))]
-    if member.g.id in SPECIAL_CURVE:
-        found.append(Center.curve(Fraction(1, member.cax.modulus)))
+    step = Fraction(1, member.cax.modulus)
+    special = step if step < member.a_cube else None
+    found = [Center.curve(step)] if special is None else [Center.curve(2 * step), Center.curve(special)]
     found += [Center.smooth_point(), *map(Center.quotient_point, member.quotients), Center.cax_point(member.cax)]
     planned = tuple([(center, tuple(rows.pop(center.locus, ())) if center.is_point else SINGLE_BRANCH[center.kind])
                      for center in found])
-    return planned, tuple(rows)
+    return Plan(planned, tuple(rows), special, isolating_vertex(member))
 
 
 # ---------------------------------------------------------------------------
@@ -460,22 +454,23 @@ def centers(member: Member) -> Plan:
 # ---------------------------------------------------------------------------
 
 def _curve(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> Certificate:
-    fid, deg = member.g.id, center.degree
-    if fid not in SPECIAL_CURVE or deg != Fraction(1, member.cax.modulus):
-        return CurveDegree(deg=deg, a_cube=member.a_cube)
-    if fid in CURVE_GAMMA_SQ:
-        return CurveGamma(a_cube=member.a_cube, deg=deg, gamma_sq=CURVE_GAMMA_SQ[fid])
-    return CurveCycle(*CURVE_CYCLE_DATA[fid])
+    # the degree's certificate, uncovered below (-K)^3, where no cited table holds a special curve's data
+    fid, deg, special = member.g.id, center.degree, member.plan.special_curve
+    if special is not None and deg == special:
+        if fid in CURVE_GAMMA_SQ:
+            return CurveGamma(a_cube=member.a_cube, deg=deg, gamma_sq=CURVE_GAMMA_SQ[fid])
+        if fid in CURVE_CYCLE_DATA:
+            return CurveCycle(*CURVE_CYCLE_DATA[fid])
+    return CurveDegree(deg=deg, a_cube=member.a_cube)
 
 
 def _isolation(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> Isolation:
-    w = member.gprime.weights
-    drop = ISOLATION_DROP.get(member.g.id)
-    if drop is None:
-        raise UncoveredCaseError(f"family {member.g.id}: no isolation vertex to drop")
-    bound = max_pair_lcm(w, tuple(i for i in range(len(w)) if i != drop))
+    isolation = member.plan.isolation
+    if isolation is None:
+        raise UncoveredCaseError(f"family {member.g.id}: no x-vertex off the member to drop for isolation")
+    vertex, bound = isolation
     a_cube = member.a_cube
-    return Isolation(bound=bound, limit=Fraction(4 * a_cube.denominator, a_cube.numerator), dropped_vertex=drop)
+    return Isolation(bound=bound, limit=Fraction(4 * a_cube.denominator, a_cube.numerator), dropped_vertex=vertex)
 
 
 def _surface_pair(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> SurfacePair:

@@ -95,9 +95,9 @@ def build_report(member: Member) -> Report:
     the member derives once.  A point without rows is a center the family
     lacks, and each locus of link rows where the member has no point is
     uncovered once.  Every certificate and verdict is built anew."""
-    planned, unplaced = member.plan
+    plan = member.plan
     centers: list[CenterReport] = []
-    for center, branches in planned:
+    for center, branches in plan.centers:
         results, uncovered = [], []
         if not branches:
             uncovered.append(f"family {member.g.id} has no center at {center.locus}")
@@ -114,7 +114,7 @@ def build_report(member: Member) -> Report:
                 uncovered.append(f"{center.describe()} [{row.condition or 'unconditional'}]")
         centers.append(CenterReport(center, tuple(results), tuple(uncovered)))
     return Report(member=member, centers=tuple(centers), unplaced=tuple(
-        [f"family {member.g.id} link row at {at}: the member has no point there" for at in unplaced]))
+        [f"family {member.g.id} link row at {at}: the member has no point there" for at in plan.unplaced]))
 
 
 def _describe_branch(br: BranchResult) -> str:

@@ -275,6 +275,13 @@ def support_with_point_at_vertex(support: MonomialSupport, vertex: int, weight: 
 # Vertex and edge analysis
 # ---------------------------------------------------------------------------
 
+def misses_vertex(support: MonomialSupport, w: tuple[int, ...], vertex: int) -> bool:
+    """Whether the member of `support` misses the coordinate vertex
+    p_vertex: the pure power of x_vertex is in the support."""
+    pure = _pure_power(support.degree, w[vertex], vertex, 5)
+    return pure is not None and pure in support
+
+
 def tangent_monomials(support: MonomialSupport, w: tuple[int, ...], vertex: int) -> list[tuple[int, int]]:
     """The (k, j) of every tangent monomial x_vertex^k x_j, j != vertex, in
     the support, in order of j."""
@@ -341,10 +348,7 @@ def singular_locus(record: FamilyRecord, shape: StandardForm,
     w = record.weights
     quotients = []
     for i in range(4):
-        if w[i] < 2:
-            continue
-        pure = _pure_power(support.degree, w[i], i, 5)
-        if pure is not None and pure in support:  # the member misses the vertex
+        if w[i] < 2 or misses_vertex(support, w, i):
             continue
         j = tangent_coordinate(support, w, i)
         transverse = tuple(w[m] for m in range(5) if m not in (i, j))

@@ -12,10 +12,11 @@ import pytest
 from fano_wci import blowup, exclusion, links, singularities
 from fano_wci.catalog import default_catalog_path, load_catalog
 from fano_wci.cli import main
-from fano_wci.exclusion import Center, negdef2, negdef_for_all, NegDefMatrix
+from fano_wci.exclusion import Center, NegDefMatrix
 from fano_wci.report import GOLDEN, build_report, verify_tables
 from fano_wci.singularities import QuotientSingularity, normalize_quotient
 from fano_wci.wps import monomials_of_degree, rat_str
+from test_reference_equivalence import reference_negdef2
 from test_strata import dispatch_branch
 
 F = Fraction
@@ -97,8 +98,8 @@ def test_06_isolation_bounds(catalog):
 
 def test_07_curve_tests(catalog):
     for fid, witness in GOLDEN["curve_witness"].items():
-        assert fid in exclusion.SPECIAL_CURVE
         member = catalog.member(fid)
+        assert member.plan.special_curve == Fraction(1, member.cax.modulus) < member.a_cube
         cert, verdict = dispatch_branch(member, Center.curve(Fraction(1, member.cax.modulus)))
         assert verdict.excluded and verdict.witness == witness, f"family {fid}"
     ok(7, "curve witnesses -1/2 (No.19) and -1/4 (No.23) from 3A^3 - 2deg + Gamma^2")
@@ -107,8 +108,8 @@ def test_07_curve_tests(catalog):
 def test_08_matrices(catalog):
     for (fid, locus), (alpha, beta, floor) in GOLDEN["matrices"].items():
         cert = NegDefMatrix(alpha=alpha, beta=beta, parameter_floor=floor)
-        assert negdef2(cert.entries_at(floor))
-        assert negdef_for_all(cert)
+        assert reference_negdef2(cert.entries_at(floor))
+        assert cert.verdict().excluded
         q = next(q for q in catalog.member(fid).quotients if q.locus == locus)
         condition = "exists-wci(1,3,4)" if locus == "p1p4" else "monomial-absent(z^3 t)"
         got, verdict = dispatch_branch(catalog.member(fid), Center.quotient_point(q), condition)
@@ -166,7 +167,7 @@ def test_11_property_suites(catalog):
         b = F(rng.randint(-8, 8), rng.choice((1, 2, 3, 4)))
         c = F(rng.randint(-8, 8), rng.choice((1, 2, 3, 4)))
         m = [[a, b], [b, c]]
-        assert negdef2(m) == grid_negdef(m)
+        assert reference_negdef2(m) == grid_negdef(m)
 
     # normalization is idempotent
     for r in range(2, 9):

@@ -236,10 +236,11 @@ def test_strict_and_non_strict_loads_share_no_member(empty_load_cache):
 
 
 def test_each_member_plans_its_centers_once(empty_load_cache):
-    # the first verify-tables on a text plans each family's member, and a
-    # later one reuses the plans its members keep
-    first, second = verify_tables_twice({"centers": exclusion.centers})
-    assert first == {"centers": len(FAMILY_IDS)}
+    # the first verify-tables on a text plans each family's member, with its
+    # isolating vertex, and a later one reuses the plans its members keep
+    first, second = verify_tables_twice({"centers": exclusion.centers,
+                                         "isolating_vertex": exclusion.isolating_vertex})
+    assert first == {"centers": len(FAMILY_IDS), "isolating_vertex": len(FAMILY_IDS)}
     assert second == {}
     # a member built from another derives its own plan: with_rows runs the
     # edited rows, and a stratum names the locus it lost once per report

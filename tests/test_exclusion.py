@@ -4,15 +4,16 @@ from fractions import Fraction
 import pytest
 
 from fano_wci.blowup import BlowupRing, ambient_quadruple, b_cubed, vanishing_order
-from fano_wci.catalog import LINK_METHODS
+from fano_wci import exclusion
+from fano_wci.catalog import LINK_METHODS, Catalog
 from fano_wci.exclusion import (BUILDERS, Center, CurveCycle, CurveDegree, CurveGamma, InfiniteCurves,
                                 Isolation, LocalModel, NegDefMatrix, SurfacePair, UncoveredCaseError, Untwist,
-                                _kawamata_weights, certificate_json, gamma_polynomial, negdef2, negdef_for_all,
-                                point_vertex, qi_eligible)
+                                _kawamata_weights, certificate_json, gamma_polynomial, point_vertex, qi_eligible)
 from fano_wci.report import GOLDEN, build_report
-from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, support_with_point_at_vertex,
-                                    tangent_coordinate)
+from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, misses_vertex,
+                                    support_with_point_at_vertex, tangent_coordinate)
 from fano_wci.wps import MonomialSupport
+from test_reference_equivalence import reference_negdef2
 from test_strata import dispatch_branch, stratum, with_rows
 
 F = Fraction
@@ -45,12 +46,75 @@ def test_curve_cycle():
 
 
 def test_isolation_examples(catalog):
-    cases = {42: (2, 10, F(40, 3)), 19: (2, 6, F(6)), 50: (1, 20, F(240, 7)), 23: (4, 6, F(48, 5))}
+    # the vertex dropped and the bound of every family: 23 and 30 read
+    # theirs off ISOLATION_DROP, the other 12 derive the same ones the table
+    # held for them (`isolating_vertex`)
+    cases = {17: (3, 2, F(4)), 19: (2, 6, F(6)), 23: (4, 6, F(48, 5)), 29: (3, 2, F(8)), 30: (3, 6, F(48, 5)),
+             41: (3, 6, F(12)), 42: (2, 10, F(40, 3)), 49: (3, 4, F(16)), 50: (1, 20, F(240, 7)),
+             55: (3, 4, F(16)), 69: (3, 10, F(20)), 74: (3, 12, F(48)), 77: (3, 6, F(24)), 82: (3, 20, F(80))}
+    assert set(cases) == set(catalog.ids())
     for fid, (drop, bound, limit) in cases.items():
         cert, verdict = dispatch_branch(catalog.member(fid), Center.smooth_point())
         assert cert == Isolation(bound=bound, limit=limit, dropped_vertex=drop)
         assert F(4) / catalog.pair(fid).gprime.a_cube() == limit
         assert verdict.excluded
+
+
+def test_the_cited_isolation_vertices_are_those_no_vertex_off_the_member_serves(catalog, monkeypatch):
+    # the cited vertex of families 23 and 30 lies on the member; without it,
+    # the least bound from a vertex the member misses is 12 > 48/5, so the
+    # rule excludes nothing
+    cited = dict(exclusion.ISOLATION_DROP)
+    assert cited == {23: 4, 30: 3}
+    monkeypatch.setattr(exclusion, "ISOLATION_DROP", {})
+    fresh = Catalog(catalog.pairs)
+    for fid, vertex in ((23, 2), (30, 0)):
+        member = fresh.member(fid)
+        assert not misses_vertex(member.support, member.gprime.weights, cited[fid])
+        cert, verdict = dispatch_branch(member, Center.smooth_point())
+        assert (cert.dropped_vertex, cert.bound, cert.limit) == (vertex, 12, F(48, 5))
+        assert not verdict.excluded
+
+
+def test_a_curve_of_degree_one_over_b_is_special_exactly_below_the_cube(catalog):
+    # curves through the cAx/b point have degree in (1/b) Z; where 1/b is
+    # below (-K)^3 the plan has the special curve and the least curve of
+    # degree 2/b, else only the curve of degree 1/b
+    special = {fid for fid in catalog.ids()
+               if F(1, catalog.member(fid).cax.modulus) < catalog.member(fid).a_cube}
+    assert special == {17, 19, 23}
+    for fid in catalog.ids():
+        member = catalog.member(fid)
+        step = F(1, member.cax.modulus)
+        curves = [cr.center.degree for cr in build_report(member).centers if cr.center.kind == "curve"]
+        assert curves == ([2 * step, step] if fid in special else [step]), fid
+
+
+def test_the_isolating_vertex_of_every_stratum_keeps_its_bound(catalog):
+    # every quasi-smooth one-monomial stratum of the 12 families that derive
+    # their vertex keeps the general member's bound; two move the vertex,
+    # since the stratum contains the general member's vertex: family 19
+    # without x2^4 and family 50 without x1^7 drop p0 instead
+    moved, strata = {}, 0
+    for fid in catalog.ids():
+        if fid in exclusion.ISOLATION_DROP:
+            continue
+        member = catalog.member(fid)
+        general = dispatch_branch(member, Center.smooth_point())[0]
+        vertex, bound = general.dropped_vertex, general.bound
+        for monomial in member.support.sorted():
+            try:
+                dropped = stratum(member, monomial)
+            except NotQuasismoothError:
+                continue
+            strata += 1
+            cert, verdict = dispatch_branch(dropped, Center.smooth_point())
+            assert cert.bound == bound and verdict.excluded, (fid, monomial)
+            if cert.dropped_vertex != vertex:
+                assert not misses_vertex(dropped.support, dropped.gprime.weights, vertex)
+                moved[fid, monomial] = cert.dropped_vertex
+    assert strata == 1_105
+    assert moved == {(19, (0, 0, 4, 0, 0)): 0, (50, (0, 7, 0, 0, 0)): 0}
 
 
 def test_surface_pair_examples(catalog):
@@ -185,17 +249,12 @@ def test_each_local_model_is_the_per_call_derivation(catalog):
 
 def test_negdef2_examples():
     m = NegDefMatrix(alpha=F(1, 4), beta=F(-2, 5), parameter_floor=F(1))
-    assert negdef2(m.entries_at(F(1)))
-    assert negdef_for_all(m)
+    assert reference_negdef2(m.entries_at(F(1)))
+    assert m.verdict().excluded
     m = NegDefMatrix(alpha=F(-1, 10), beta=F(1, 60), parameter_floor=F(1, 2))
-    assert negdef2(m.entries_at(F(1, 2)))
-    assert negdef_for_all(m)
-    assert not negdef2([[F(1), F(0)], [F(0), F(1)]])
-
-
-def test_negdef2_asymmetric():
-    with pytest.raises(ValueError):
-        negdef2([[F(-1), F(1)], [F(2), F(-1)]])
+    assert reference_negdef2(m.entries_at(F(1, 2)))
+    assert m.verdict().excluded
+    assert not reference_negdef2([[F(1), F(0)], [F(0), F(1)]])
 
 
 def grid_negdef(m):
@@ -220,7 +279,7 @@ def test_negdef2_matches_grid_oracle():
         b = F(rng.randint(-8, 8), rng.choice((1, 2, 3, 4)))
         c = F(rng.randint(-8, 8), rng.choice((1, 2, 3, 4)))
         m = [[a, b], [b, c]]
-        assert negdef2(m) == grid_negdef(m), m
+        assert reference_negdef2(m) == grid_negdef(m), m
 
 
 def test_infinite_curves_examples():

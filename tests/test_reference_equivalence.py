@@ -39,9 +39,9 @@ The witnesses of `CurveDegree`, `CurveGamma` and `SurfacePair`,
 m (alpha + beta), and the slope) and `nef_bound_check`'s c (the max by
 integer cross-products) are each built as one `Fraction` over a common
 denominator; on drawn signed rationals each must equal, in lowest terms,
-the `Fraction` expression it replaced: `negdef2` on `entries_at(floor)`
-for the matrix, and `max` of the ratios, which keeps the first on a tie,
-for c.
+the `Fraction` expression it replaced: `reference_negdef2` on
+`entries_at(floor)` for the matrix, and `max` of the ratios, which keeps
+the first on a tie, for c.
 """
 
 import itertools
@@ -56,7 +56,7 @@ from hypothesis import strategies as st
 from fano_wci.blowup import SectionLift, nef_bound_check
 from fano_wci.catalog import FamilyRecord, Member
 from fano_wci.exclusion import (Center, CurveCycle, CurveDegree, CurveGamma, InfiniteCurves, Isolation, NefDivisor,
-                                NegDefMatrix, SurfacePair, UncoveredCaseError, Verdict, negdef2, qi_eligible)
+                                NegDefMatrix, SurfacePair, UncoveredCaseError, Verdict, qi_eligible)
 from fano_wci.report import build_report
 from fano_wci.links import build_counterpart
 from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, StandardForm, StandardFormError,
@@ -702,7 +702,7 @@ def negdef_matrices(draw):
 def test_negdef_verdict_is_negdef2_at_the_floor_and_the_slope(cert):
     entries = cert.entries_at(cert.parameter_floor)
     verdict = cert.verdict()
-    assert verdict.excluded == (negdef2(entries) and (cert.alpha + cert.beta) <= 0)
+    assert verdict.excluded == (reference_negdef2(entries) and (cert.alpha + cert.beta) <= 0)
     assert same_number(verdict.witness, entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0])
 
 

@@ -147,21 +147,36 @@ def test_verification_leaves_the_golden_tables_untouched(catalog, monkeypatch):
     assert tables == snapshot
 
 
+def under_id(member: Member, family_id: int) -> Member:
+    """`member` with both records under `family_id`."""
+    g, gprime = member.g, member.gprime
+    return Member(g=FamilyRecord(family_id, "G", g.weights, g.degrees),
+                  gprime=FamilyRecord(family_id, "Gprime", gprime.weights, gprime.degrees), golden=member.golden,
+                  a_cube=member.a_cube, shape=member.shape, support=member.support, quotients=member.quotients,
+                  cax=member.cax)
+
+
 def test_a_member_of_a_family_without_rules_is_reported_uncovered(catalog):
     # family 50's member under id 7, which no per-id table knows: its link
     # rows travel with it and run, and each builder that reads a table keyed
     # by family id is uncovered rather than a KeyError; without its rows,
-    # each point is a center the family lacks
-    m = catalog.member(50)
-    member = Member(g=FamilyRecord(7, "G", m.g.weights, m.g.degrees),
-                    gprime=FamilyRecord(7, "Gprime", m.gprime.weights, m.gprime.degrees), golden=m.golden,
-                    a_cube=m.a_cube, shape=m.shape, support=m.support, quotients=m.quotients, cax=m.cax)
+    # each point is a center the family lacks.  Its isolating vertex is
+    # derived from the support, not read by id
+    member = under_id(catalog.member(50), 7)
     assert build_report(member).uncovered == (
-        "family 7: no isolation vertex to drop", "no curve-pair matrix data for family 7 at p1p4",
-        "no curve-pair matrix data for family 7 at p2")
+        "no curve-pair matrix data for family 7 at p1p4", "no curve-pair matrix data for family 7 at p2")
     assert build_report(with_rows(member, ())).uncovered == (
-        "family 7: no isolation vertex to drop", "family 7 has no center at p1p4",
-        "family 7 has no center at p2", "family 7 has no center at p3", "family 7 has no center at p4")
+        "family 7 has no center at p1p4", "family 7 has no center at p2", "family 7 has no center at p3",
+        "family 7 has no center at p4")
+
+
+def test_a_special_curve_without_cited_data_is_an_uncovered_center(catalog):
+    # family 17's member under id 7 has its special curve of degree 1/2 below
+    # (-K)^3 = 1 but no cited curve data: the curve is uncovered by name,
+    # not a KeyError, and the report's other centers still run
+    report = build_report(under_id(catalog.member(17), 7))
+    assert report.uncovered == ("family 7: curve of degree 1/2 is below (-K)^3 and matches no special certificate",)
+    assert [cr.center.describe() for cr in report.centers if cr.uncovered] == ["curve of degree 1/2"]
 
 
 def test_an_uncertified_nef_divisor_is_a_mismatch(catalog, monkeypatch):
@@ -247,22 +262,21 @@ def row_edits(field: str, values) -> list[tuple[str, int, int, str, object]]:
 
 
 def dispatch_edits() -> list[tuple[str, int, int | None, str, object]]:
-    """Each family's isolation vertex set to each other vertex, and each link
-    row's method set to each other one of `CENSUS_METHODS`."""
+    """Each cited isolation vertex (`ISOLATION_DROP`) set to each other
+    vertex, and each link row's method set to each other one of
+    `CENSUS_METHODS`."""
     drops = [(f"{fid} isolation drop {drop}->{v}", fid, None, "ISOLATION_DROP", {**exclusion.ISOLATION_DROP, fid: v})
              for fid, drop in exclusion.ISOLATION_DROP.items() for v in range(5) if v != drop]
     return drops + row_edits("method", CENSUS_METHODS)
 
 
 def table_edits() -> list[tuple[str, int | None, None, str, object]]:
-    """One edit per entry of each other cited table of `exclusion`: a family
-    dropped from `SPECIAL_CURVE` or `GAMMA_NORMALIZED`, a `CURVE_GAMMA_SQ`
-    value or a `CURVE_CYCLE_DATA[17]` number doubled, a `NEF_SECTIONS`
-    coordinate set to 3."""
+    """One edit per entry of each other cited table of `exclusion`: a
+    `CURVE_GAMMA_SQ` value or a `CURVE_CYCLE_DATA[17]` number doubled, a
+    `NEF_SECTIONS` coordinate set to 3, family 23 dropped from
+    `GAMMA_NORMALIZED`."""
     gamma, cycle, sections = exclusion.CURVE_GAMMA_SQ, exclusion.CURVE_CYCLE_DATA[17], exclusion.NEF_SECTIONS
-    return [*[(f"SPECIAL_CURVE without {fid}", fid, None, "SPECIAL_CURVE", exclusion.SPECIAL_CURVE - {fid})
-              for fid in sorted(exclusion.SPECIAL_CURVE)],
-            *[(f"CURVE_GAMMA_SQ[{fid}] doubled", fid, None, "CURVE_GAMMA_SQ", {**gamma, fid: 2 * value})
+    return [*[(f"CURVE_GAMMA_SQ[{fid}] doubled", fid, None, "CURVE_GAMMA_SQ", {**gamma, fid: 2 * value})
               for fid, value in gamma.items()],
             *[(f"CURVE_CYCLE_DATA[17][{i}] doubled", 17, None, "CURVE_CYCLE_DATA",
                {17: tuple(2 * x if j == i else x for j, x in enumerate(cycle))}) for i in range(2)],
@@ -317,18 +331,8 @@ def census(edits) -> list[str]:
 
 # the edits that print no line, by group; each group's comment is the reason
 SILENT_EDITS = {
-    # families 19 and 50: the edited vertex's bound ties the typed vertex's,
-    # so the golden isolation entry still matches
-    "ties": {"19 isolation drop 2->0", "19 isolation drop 2->1", "19 isolation drop 2->4",
-             "50 isolation drop 1->0", "50 isolation drop 1->2"},
     # no golden isolation entry: the bound changes but stays within the limit
-    "no isolation entry": {
-        "17 isolation drop 3->0", "17 isolation drop 3->1", "17 isolation drop 3->2", "17 isolation drop 3->4",
-        "30 isolation drop 3->2", "41 isolation drop 3->0", "41 isolation drop 3->1", "41 isolation drop 3->2",
-        "41 isolation drop 3->4", "49 isolation drop 3->4", "55 isolation drop 3->2", "69 isolation drop 3->2",
-        "74 isolation drop 3->0", "74 isolation drop 3->1", "74 isolation drop 3->2", "74 isolation drop 3->4",
-        "77 isolation drop 3->0", "77 isolation drop 3->1", "77 isolation drop 3->2", "77 isolation drop 3->4",
-        "82 isolation drop 3->0", "82 isolation drop 3->1", "82 isolation drop 3->2", "82 isolation drop 3->4"},
+    "no isolation entry": {"30 isolation drop 3->2"},
 }
 
 # no number tells EI from II; ROADMAP items 13 and 18
@@ -339,10 +343,10 @@ def test_every_dispatch_edit_but_the_pinned_ones_prints_a_mismatch():
     # each edit runs verify_tables without raising; an edit that stays
     # silent and is not pinned, or a pinned one that turns loud, fails here
     edits = dispatch_edits()
-    assert len(edits) == 184 and len({name for name, *_ in edits}) == 184
+    assert len(edits) == 136 and len({name for name, *_ in edits}) == 136
     silent = census(edits)
     assert set(silent) == set().union(*SILENT_EDITS.values())
-    assert len(silent) == 29
+    assert len(silent) == 1
 
 
 def test_every_tag_edit_but_the_pinned_ones_prints_a_mismatch():
@@ -363,7 +367,7 @@ SILENT_TABLE_EDITS = {"CURVE_CYCLE_DATA[17][0] doubled", "CURVE_CYCLE_DATA[17][1
 
 def test_every_cited_table_edit_but_the_pinned_ones_prints_a_mismatch():
     edits = table_edits()
-    assert len(edits) == 11 and len({name for name, *_ in edits}) == 11
+    assert len(edits) == 8 and len({name for name, *_ in edits}) == 8
     assert set(census(edits)) == SILENT_TABLE_EDITS
 
 
