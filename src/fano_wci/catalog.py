@@ -86,12 +86,15 @@ class Member(FamilyPair):
     member's (-K)^3, standard form, monomial support and singular locus
     (quotient points, and the cAx point with its extractions), which every
     layer reads, its basket as golden rows (`basket`), and what the
-    certificates read of it: its center plan (`plan`), each quotient
-    point's local model (`local`) and the restriction curve's support
-    (`gamma`).  Those four are derived on first use and kept on the object,
-    not as fields, so each `Member` built derives its own, and equality and
-    hashing read the fields alone; the reports, certificates and golden
-    diffs read off a member are built anew by every caller.
+    certificates read of it: its center plan (`plan`, with the isolation
+    bound and limit), each quotient point's local model (`local`, which in
+    turn keeps its nef-divisor numbers and infinite-curves pairings once
+    first asked for) and the restriction curve's support (`gamma`).  Those
+    four are derived on first use and kept on the object, not as fields, so
+    each `Member` built derives its own, and equality and hashing read the
+    fields alone; a derivation that raises keeps nothing.  The
+    certificates, verdicts, reports and golden diffs read off a member are
+    built anew by every caller.
     `Catalog.member` builds the general member once per family, text and
     strictness in a process; a stratum (some monomials struck) is built
     from `singular_locus` and this constructor, uncached."""
@@ -313,9 +316,10 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     a new `Catalog` are kept only once all pass, so a failing file raises
     the same error on every load.  The shared `Catalog` holds immutable
     records (`wps.record`), each with the (-K)^3 it has derived, and the
-    `Member`s derived so far, each with the basket, plan, local models and
-    restriction support it has derived; reports, certificates and golden
-    diffs are built anew by every caller.
+    `Member`s derived so far, each with the basket, plan, local models (and
+    their nef-divisor numbers and pairings) and restriction support it has
+    derived; certificates, verdicts, reports and golden diffs are built
+    anew by every caller.
     """
     path = path or default_catalog_path()
     try:

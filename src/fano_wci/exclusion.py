@@ -16,14 +16,20 @@ where `qi_eligible` holds, is checked here by the untwist builder.
 
 A quotient point's Kawamata blowup, as the builders read it, is its
 `LocalModel`: member algebra, which each `Member` derives once
-(`Member.local`) with its plan and restriction support (`Member.gamma`),
-while every certificate and verdict is built anew by each `dispatch`.
+(`Member.local`) with its plan and restriction support (`Member.gamma`).
+A model also keeps, once first asked for, its nef divisor's numbers
+(`LocalModel.nef`) and its infinite family's pairings
+(`LocalModel.pairings`), so the nef-divisor and infinite-curves builders
+do no blowup arithmetic after a point's first use; every certificate and
+verdict is still built anew by each `dispatch`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .blowup import (BlowupRing, SectionLift, ambient_quadruple, b_cubed, nef_bound_check, triple,
                      vanishing_order)
@@ -245,7 +251,6 @@ class Untwist:
 
 Certificate = (CurveDegree | CurveGamma | CurveCycle | Isolation | SurfacePair
                | NefDivisor | NegDefMatrix | InfiniteCurves | Untwist)
-Earlier = tuple[Certificate, ...]  # the certificates built for a center's earlier branches
 
 
 def certificate_json(cert: Certificate) -> dict:
@@ -332,15 +337,32 @@ def qi_eligible(member: Member, locus: str) -> bool:
     return any(k == 2 for k, _ in tangent_monomials(member.support, w, point_vertex(w, locus)))
 
 
+class NefNumbers(NamedTuple):
+    """A nef divisor's numbers at a quotient point (`LocalModel.nef`)."""
+    lifts: tuple[SectionLift, ...]  # the lifts of the `NEF_SECTIONS`
+    c: Fraction  # -K + cE is the divisor, c = max(class_e / class_b)
+    certified: bool  # c <= 1/r, so -K + cE is nef (`nef_bound_check`)
+    m_b2: Fraction  # (M . B^2) for the lift M that attains c
+
+
 @record
 class LocalModel:
-    """The Kawamata blowup of a quotient point as the certificates read it:
-    its ring and B^3 (`b_cubed`) and, where `point_vertex` moves the point
-    to a vertex, that vertex, the support with the point there, r times the
+    """The Kawamata blowup of a quotient point `q` of the member of family
+    `family` with weights `ambient`, as the certificates read it: its ring
+    and B^3 (`b_cubed`) and, where `point_vertex` moves the point to a
+    vertex, that vertex, the support with the point there, r times the
     Kawamata weights (`_kawamata_weights`), whether an involution there is
     quadratic (`qi_eligible`) and the order of w on the exceptional divisor
     (`vanishing_order` with w eliminated).  At a point that moves to no
-    vertex those are None, and `unreached` is `point_vertex`'s reason."""
+    vertex those are None, and `unreached` is `point_vertex`'s reason.
+
+    The nef divisor's numbers (`nef`) and the infinite family's pairings
+    (`pairings`) are derived on first use and kept on the object, not as
+    fields; a derivation that raises keeps nothing, so it raises the same
+    error on every use."""
+    q: QuotientSingularity
+    family: int
+    ambient: tuple[int, ...]
     ring: BlowupRing
     b_cube: Fraction
     unreached: str = ""
@@ -357,23 +379,33 @@ class LocalModel:
             raise UncoveredCaseError(self.unreached)
         return self
 
+    @cached_property
+    def nef(self) -> NefNumbers:
+        """The nef divisor's numbers at the point's vertex (`nef_numbers`)."""
+        return nef_numbers(self)
+
+    @cached_property
+    def pairings(self) -> tuple[Fraction, Fraction]:
+        """(B . C) and (E . C) of the point's infinite family of curves C (`curve_pairings`)."""
+        return curve_pairings(self)
+
 
 def local_models(member: Member) -> dict[str, LocalModel]:
     """The local model of each quotient point of `member`, by locus, which
     `Member.local` keeps."""
-    w, a_cube = member.gprime.weights, member.a_cube
+    w, a_cube, fid = member.gprime.weights, member.a_cube, member.g.id
     models = {}
     for q in member.quotients:
         ring, b_cube = BlowupRing.kawamata_tower(a_cube, [q]), b_cubed(a_cube, q)
         try:
             vertex = point_vertex(w, q.locus)
         except UncoveredCaseError as exc:
-            models[q.locus] = LocalModel(ring, b_cube, unreached=str(exc))
+            models[q.locus] = LocalModel(q, fid, w, ring, b_cube, unreached=str(exc))
             continue
         support = support_with_point_at_vertex(member.support, vertex, w[vertex])
         k = _kawamata_weights(w, vertex, q.r)
         order = vanishing_order(support, tuple([Fraction(x, q.r) for x in k]), eliminated=4)
-        models[q.locus] = LocalModel(ring, b_cube, vertex=vertex, support=support, weights=k,
+        models[q.locus] = LocalModel(q, fid, w, ring, b_cube, vertex=vertex, support=support, weights=k,
                                      quadratic=qi_eligible(member, q.locus), w_order=order)
     return models
 
@@ -425,7 +457,7 @@ class Plan:
     centers: tuple[tuple[Center, tuple[LinkRow, ...]], ...]  # each center with the branches it runs
     unplaced: tuple[str, ...]  # each locus of link rows where the member has no point
     special_curve: Fraction | None  # 1/b where a curve of that degree through the cAx/b point is below (-K)^3
-    isolation: tuple[int, int] | None  # the nonsingular point's `isolating_vertex` and bound
+    isolation: tuple[int, int, Fraction] | None  # the nonsingular point's `isolating_vertex`, bound and limit 4/(-K)^3
 
 
 def centers(member: Member) -> Plan:
@@ -436,7 +468,8 @@ def centers(member: Member) -> Plan:
     least curve.  A point center's branches are the member's link rows at
     its locus in row order; a point without rows has none, and is a center
     the family lacks.  A curve's or the nonsingular point's is its
-    `SINGLE_BRANCH`."""
+    `SINGLE_BRANCH`.  The nonsingular point's isolation keeps the limit
+    4/(-K)^3 that its bound must not exceed."""
     rows: dict[str, list[LinkRow]] = {}
     for row in member.golden.link_column:
         rows.setdefault(row.point, []).append(row)
@@ -446,14 +479,18 @@ def centers(member: Member) -> Plan:
     found += [Center.smooth_point(), *map(Center.quotient_point, member.quotients), Center.cax_point(member.cax)]
     planned = tuple([(center, tuple(rows.pop(center.locus, ())) if center.is_point else SINGLE_BRANCH[center.kind])
                      for center in found])
-    return Plan(planned, tuple(rows), special, isolating_vertex(member))
+    isolation = isolating_vertex(member)
+    if isolation is not None:
+        a_cube = member.a_cube
+        isolation += (Fraction(4 * a_cube.denominator, a_cube.numerator),)
+    return Plan(planned, tuple(rows), special, isolation)
 
 
 # ---------------------------------------------------------------------------
-# Certificate builders: (member, center, branch, earlier) -> certificate
+# Certificate builders: (member, center, branch) -> certificate
 # ---------------------------------------------------------------------------
 
-def _curve(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> Certificate:
+def _curve(member: Member, center: Center, branch: LinkRow) -> Certificate:
     # the degree's certificate, uncovered below (-K)^3, where no cited table holds a special curve's data
     fid, deg, special = member.g.id, center.degree, member.plan.special_curve
     if special is not None and deg == special:
@@ -464,25 +501,29 @@ def _curve(member: Member, center: Center, branch: LinkRow, earlier: Earlier) ->
     return CurveDegree(deg=deg, a_cube=member.a_cube)
 
 
-def _isolation(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> Isolation:
+def _isolation(member: Member, center: Center, branch: LinkRow) -> Isolation:
     isolation = member.plan.isolation
     if isolation is None:
         raise UncoveredCaseError(f"family {member.g.id}: no x-vertex off the member to drop for isolation")
-    vertex, bound = isolation
-    a_cube = member.a_cube
-    return Isolation(bound=bound, limit=Fraction(4 * a_cube.denominator, a_cube.numerator), dropped_vertex=vertex)
+    vertex, bound, limit = isolation
+    return Isolation(bound=bound, limit=limit, dropped_vertex=vertex)
 
 
-def _surface_pair(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> SurfacePair:
+def _surface_pair(member: Member, center: Center, branch: LinkRow) -> SurfacePair:
     return SurfacePair(a1=member.gprime.weights[1], b_cube=member.local[center.locus].b_cube,
                        gamma_support=member.gamma, irreducibility_flag=True)
 
 
-def _nef_divisor(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> NefDivisor:
-    q, w = center.quotient, member.gprime.weights
-    model = member.local[q.locus].at_vertex()
+def nef_numbers(model: LocalModel) -> NefNumbers:
+    """The nef divisor's numbers at `model`'s point, which `LocalModel.nef`
+    keeps: the lifts of the `NEF_SECTIONS` at the point's vertex, c and
+    whether it is certified (`nef_bound_check`), and (M . B^2).
+    UncoveredCaseError where the point moves to no vertex, ValueError for an
+    invalid lift."""
+    model = model.at_vertex()
+    q, w = model.q, model.ambient
     orders = [model.w_order if i == 4 else Fraction(model.weights[i], q.r) for i in NEF_SECTIONS]
-    lifts = [SectionLift.of(w[i], order, q.r) for i, order in zip(NEF_SECTIONS, orders)]
+    lifts = tuple([SectionLift.of(w[i], order, q.r) for i, order in zip(NEF_SECTIONS, orders)])
     c, certified = nef_bound_check(lifts, q)
     # M is the lift that attains c = max(class_e / class_b), the first on a tie
     # (class_e = c class_b, compared as one integer cross-product): its
@@ -492,11 +533,16 @@ def _nef_divisor(member: Member, center: Center, branch: LinkRow, earlier: Earli
     m = next((l.class_b, -order) for l, order in zip(lifts, orders)
              if l.class_e.numerator * c.denominator == c.numerator * l.class_e.denominator * l.class_b)
     b = (1, Fraction(-1, q.r))
-    m_b2 = triple(model.ring, m, b, b)
-    return NefDivisor(lifts=tuple(lifts), q=q, m_b2=m_b2, c=c, certified=certified)
+    return NefNumbers(lifts, c, certified, triple(model.ring, m, b, b))
 
 
-def _negdef_matrix(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> NegDefMatrix:
+def _nef_divisor(member: Member, center: Center, branch: LinkRow) -> NefDivisor:
+    q = center.quotient
+    lifts, c, certified, m_b2 = member.local[q.locus].nef
+    return NefDivisor(lifts=lifts, q=q, m_b2=m_b2, c=c, certified=certified)
+
+
+def _negdef_matrix(member: Member, center: Center, branch: LinkRow) -> NegDefMatrix:
     w, q = member.gprime.weights, center.quotient
     if member.g.id != 50:
         raise UncoveredCaseError(f"no curve-pair matrix data for family {member.g.id} at {q.locus}")
@@ -504,11 +550,8 @@ def _negdef_matrix(member: Member, center: Center, branch: LinkRow, earlier: Ear
         # half point: the residual curve misses the exceptional divisor and is
         # cut on the coordinate plane (x = z = 0) by the degree-(d - b) slot,
         # so it pairs with -K by bare degree; the pair sums to (M . B^2)
-        nef = next((c for c in earlier if isinstance(c, NefDivisor)), None)
-        if nef is None:
-            nef = _nef_divisor(member, center, branch, earlier)
         alpha = Fraction(member.gprime.degrees[0] - w[4], w[1] * w[3] * w[4])
-        return NegDefMatrix(alpha=alpha, beta=nef.m_b2 - alpha, parameter_floor=Fraction(1))
+        return NegDefMatrix(alpha=alpha, beta=member.local[q.locus].nef.m_b2 - alpha, parameter_floor=Fraction(1))
     # third point: (B . Gamma) via the ambient Kawamata blowup of the
     # 4-space at the point's vertex, where B = (1, -1/r) and a section x_i
     # lifts to (w_i, -(w_i mod r)/r); the companion entry is pinned golden data
@@ -521,34 +564,36 @@ def _negdef_matrix(member: Member, center: Center, branch: LinkRow, earlier: Ear
     return NegDefMatrix(alpha=alpha, beta=Fraction(1, 60), parameter_floor=Fraction(1, 2))
 
 
-def _infinite_curves(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> InfiniteCurves:
-    q = center.quotient
+def curve_pairings(model: LocalModel) -> tuple[Fraction, Fraction]:
+    """(B . C) and (E . C) of the infinite family of curves C through
+    `model`'s point, which `LocalModel.pairings` keeps: read from the cited
+    class of T on the point's ring, or cited outright.  UncoveredCaseError
+    for a family with no cited data."""
+    q, ring, fid = model.q, model.ring, model.family
     r = q.r  # the blowup's discrepancy is 1/r
-    ring = member.local[q.locus].ring
     b, e = (1, Fraction(-1, r)), (0, 1)
-    fid = member.g.id
     if fid == 23:
         # S . T splits off the WCI curve through the point, which meets -K in
         # 1/6 - 1/r; the residual pencil meets -K trivially
         # the curve's 1/6: cited from the paper; ROADMAP item 2 derives it
         s, t = b, (4, Fraction(-4, r))  # T = 4B
-        b_dot = triple(ring, b, s, t) - Fraction(r - 6, 6 * r)
-        e_dot = triple(ring, e, s, t) - 1
-    elif fid == 30:
+        return triple(ring, b, s, t) - Fraction(r - 6, 6 * r), triple(ring, e, s, t) - 1
+    if fid == 30:
         # both pairings: cited from the paper; ROADMAP item 2 derives them
-        b_dot = Fraction(2 * r - 6, 3 * r)  # 2/3 - 2/r
-        e_dot = Fraction(2)
-    elif fid in (55, 69):
+        return Fraction(2 * r - 6, 3 * r), Fraction(2)  # 2/3 - 2/r
+    if fid in (55, 69):
         # T's class, a coordinate section's (degree, -order): cited from the paper; ROADMAP item 9 derives it
         s, t = b, {55: (2, Fraction(-3, 2)), 69: (2, Fraction(-12, 5))}[fid]
-        b_dot = triple(ring, b, s, t)
-        e_dot = triple(ring, e, s, t)
-    else:
-        raise UncoveredCaseError(f"no infinite-curves data for family {fid} at {q.locus}")
+        return triple(ring, b, s, t), triple(ring, e, s, t)
+    raise UncoveredCaseError(f"no infinite-curves data for family {fid} at {q.locus}")
+
+
+def _infinite_curves(member: Member, center: Center, branch: LinkRow) -> InfiniteCurves:
+    b_dot, e_dot = member.local[center.quotient.locus].pairings
     return InfiniteCurves(b_dot_c=b_dot, e_dot_c=e_dot)
 
 
-def _untwist(member: Member, center: Center, branch: LinkRow, earlier: Earlier) -> Untwist:
+def _untwist(member: Member, center: Center, branch: LinkRow) -> Untwist:
     fid, locus, tag = member.g.id, center.locus, branch.tag
     if tag != "link":  # an involution is quadratic exactly where the point has its x^2 y monomial
         quadratic = member.local[locus].at_vertex().quadratic
@@ -572,19 +617,15 @@ BUILDERS = {"curve": _curve, "isolation": _isolation, "surface-pair": _surface_p
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def dispatch(member: Member, center: Center, row: LinkRow, *,
-             earlier: Earlier = ()) -> tuple[Certificate, Verdict]:
+def dispatch(member: Member, center: Center, row: LinkRow) -> tuple[Certificate, Verdict]:
     """Build and judge the certificate of one branch of a center of `member`,
     a family's general member (`Catalog.member`) or a stratum of it.  `row`
     is the branch, run as given: a curve's or the nonsingular point's
     `SINGLE_BRANCH` row, or one of the member's link rows at a point center's
     locus, whose tag the loader has checked against its point and method.
     An involution whose tag disagrees with `qi_eligible` (QI exactly where
-    it holds) is uncovered.
-
-    `earlier` holds the certificates already built for other branches of the
-    same center; a branch that rests on one of them reuses it."""
-    cert = BUILDERS[row.method](member, center, row, earlier)
+    it holds) is uncovered."""
+    cert = BUILDERS[row.method](member, center, row)
     verdict = cert.verdict()
     if cert.method == "curve-degree" and not verdict.excluded:
         raise UncoveredCaseError(

@@ -94,21 +94,22 @@ def build_report(member: Member) -> Report:
     the centers and branches of `Member.plan` (`exclusion.centers`), which
     the member derives once.  A point without rows is a center the family
     lacks, and each locus of link rows where the member has no point is
-    uncovered once.  Every certificate and verdict is built anew."""
+    uncovered once.  The numbers the certificates rest on are the member's
+    (its plan, local models with their nef-divisor numbers and pairings, and
+    restriction support, each derived on first use and kept); every
+    certificate, verdict, branch result and report is built anew."""
     plan = member.plan
     centers: list[CenterReport] = []
     for center, branches in plan.centers:
         results, uncovered = [], []
         if not branches:
             uncovered.append(f"family {member.g.id} has no center at {center.locus}")
-        earlier = ()  # the certificates of the center's branches that ran
         for row in branches:
             try:
-                cert, verdict = exclusion.dispatch(member, center, row, earlier=earlier)
+                cert, verdict = exclusion.dispatch(member, center, row)
             except exclusion.UncoveredCaseError as exc:
                 uncovered.append(str(exc))
                 continue
-            earlier += (cert,)
             results.append(BranchResult(row, cert, verdict))
             if not verdict.resolved:
                 uncovered.append(f"{center.describe()} [{row.condition or 'unconditional'}]")

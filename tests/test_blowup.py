@@ -8,6 +8,7 @@ import pytest
 from fano_wci import exclusion
 from fano_wci.blowup import (BlowupRing, SectionLift, ambient_quadruple, b_cubed, exceptional_power,
                              nef_bound_check, triple, vanishing_order)
+from fano_wci.catalog import load_catalog
 from fano_wci.report import verify_tables
 from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, family_support,
                                     support_with_point_at_vertex)
@@ -166,7 +167,8 @@ def fraction_triple(ring, c1, c2, c3):
 
 def triples_of_one_verify_tables(catalog):
     """The (ring, c1, c2, c3) of every triple product one verify-tables
-    computes, and (NefDivisor, its triple's arguments) per nef-divisor build."""
+    computes, and (NefDivisor, its triple's arguments) per nef-divisor build
+    on a `catalog` whose Members have not yet derived their nef numbers."""
     triples, nefs = [], []
 
     def profiler(frame, event, arg):
@@ -184,9 +186,11 @@ def triples_of_one_verify_tables(catalog):
     return triples, nefs
 
 
-def test_triple_matches_fraction_sums(catalog):
+def test_triple_matches_fraction_sums(empty_load_cache):
     # ranks 1 to 3; coefficients zero, negative, plain ints, and fractions
-    # whose products are not in lowest terms before the sum
+    # whose products are not in lowest terms before the sum; the catalog is
+    # loaded afresh, so its Members derive the nef-divisor numbers and the
+    # pairings that they keep, with their triple products, in this run
     rng = random.Random(19)
     points = [HALF, THIRD, QUARTER, QuotientSingularity(5, 2)]
 
@@ -199,7 +203,7 @@ def test_triple_matches_fraction_sums(catalog):
                                          rng.sample(points, rng.randint(0, 2)))
         classes = [tuple(coefficient() for _ in ring.powers) for _ in range(3)]
         cases.append((ring, *classes))
-    triples, nefs = triples_of_one_verify_tables(catalog)
+    triples, nefs = triples_of_one_verify_tables(load_catalog())
     assert len(triples) == 10
     for args in cases + triples:
         got = triple(*args)

@@ -5,6 +5,7 @@ not flake the way a wall time would."""
 
 import importlib
 import json
+import operator
 import sys
 from collections import Counter
 from pathlib import Path
@@ -13,8 +14,9 @@ import pytest
 
 from fano_wci import catalog as catalog_module
 from fano_wci import cli, exclusion, report, singularities, wps
-from fano_wci.catalog import FAMILY_IDS, CatalogError, FamilyRecord, default_catalog_path, load_catalog
+from fano_wci.catalog import FAMILY_IDS, CatalogError, FamilyRecord, Member, default_catalog_path, load_catalog
 from fano_wci.report import build_report, verify_tables
+from fano_wci.wps import MonomialSupport
 from test_strata import stratum, with_rows
 
 def count_calls(functions: dict, run) -> tuple[Counter, object]:
@@ -33,13 +35,6 @@ def count_calls(functions: dict, run) -> tuple[Counter, object]:
     finally:
         sys.setprofile(previous)
     return calls, result
-
-
-@pytest.fixture
-def empty_load_cache(monkeypatch):
-    """No catalog text loaded yet in this process, so the test's first load
-    of a text parses it."""
-    monkeypatch.setattr(catalog_module, "_PARSED", {})
 
 
 def verify_tables_twice(functions: dict) -> tuple[Counter, Counter]:
@@ -254,6 +249,52 @@ def test_each_member_plans_its_centers_once(empty_load_cache):
         assert build_report(lost).unplaced == ("family 23 link row at p2p4: the member has no point there",)
 
 
+def test_each_local_model_derives_its_nef_numbers_and_pairings_once(empty_load_cache):
+    # the first verify-tables on a text derives the nef numbers at the three
+    # nef-divisor points (family 50's negdef-matrix branch at its half point
+    # reads the kept (M . B^2)) and the pairings at the four infinite-curves
+    # points, and a later one derives none
+    first, second = verify_tables_twice({"nef_numbers": exclusion.nef_numbers,
+                                         "curve_pairings": exclusion.curve_pairings})
+    assert first == {"nef_numbers": 3, "curve_pairings": 4}
+    assert second == {}
+
+
+def test_a_derivation_that_raises_raises_on_every_report(catalog):
+    # a derivation that raises keeps nothing, so every report derives again
+    # and meets the same error.  A nef-divisor row at family 77's p2p3, a
+    # point that moves to no vertex, is uncovered by at_vertex's reason, and
+    # an infinite-curves row at its p2p4 by the missing cited data
+    derivations = {"nef_numbers": exclusion.nef_numbers, "curve_pairings": exclusion.curve_pairings}
+    member = with_rows(catalog.member(77), [("p2p3", "none", "", "nef-divisor"),
+                                            ("p2p4", "none", "", "infinite-curves"), ("p4", "link", "", "untwist")])
+    for _ in range(2):
+        calls, report = count_calls(derivations, lambda: build_report(member))
+        assert calls == {"nef_numbers": 1, "curve_pairings": 1}
+        assert report.uncovered == ("edge p2p3 point cannot be moved to a vertex",
+                                    "no infinite-curves data for family 77 at p2p4")
+    assert [vars(model).keys() & {"nef", "pairings"} for model in member.local.values()] == [set(), set()]
+
+    # family 50 without the monomials free of w whose order at the half
+    # point is at most 2 = 4/r, w's degree over r: w's order is 3, its
+    # section's lift is no bB + eE with e >= 0, and every report raises
+    general = catalog.member(50)
+    k = general.local["p1p4"].weights
+    support = MonomialSupport(general.support.degree, frozenset(
+        [m for m in general.support.monomials if m[4] or sum(map(operator.mul, m, k)) > 4]))
+    member = Member(*[support if name == "support" else getattr(general, name) for name in Member.__record_fields__])
+    assert member.local["p1p4"].w_order == 3
+
+    def failing_report():
+        with pytest.raises(ValueError, match=r"^lift SectionLift\(class_b=4, class_e=Fraction\(-1, 1\)\) is not "):
+            build_report(member)
+
+    for _ in range(2):
+        calls, _ = count_calls(derivations, failing_report)
+        assert calls == {"nef_numbers": 1}
+    assert "nef" not in vars(member.local["p1p4"])
+
+
 def test_negdef_matrix_reuses_the_nef_divisor():
     # family 50's half point has a nef-divisor branch and a negdef-matrix
     # branch resting on the same (M . B^2)
@@ -295,14 +336,16 @@ def listed_functions() -> dict:
 # one op on a text whose Members are derived, as every measured warm-cli op
 # but the first: each listed function not named makes no call.  The local
 # models and restriction supports (`qi_eligible`, `b_cubed`,
-# `vanishing_order`, `gamma_polynomial`) are kept on the Members
+# `vanishing_order`, `gamma_polynomial`) are kept on the Members, and each
+# local model keeps its nef-divisor numbers and pairings, so the one
+# `triple` left is family 19's tower in `verify_family`
 VERIFY_TABLES_CALLS = {
-    "exclusion.dispatch": 73, "report.build_report": 14, "report.verify_family": 14, "blowup.triple": 10,
+    "exclusion.dispatch": 73, "report.build_report": 14, "report.verify_family": 14, "blowup.triple": 1,
     "blowup.ambient_quadruple": 1, "links.counterpart_inverse": 14, "links.involution_inventory": 14,
     "catalog.load_catalog": 1,
 }
 ANALYZE_50_CALLS = {
-    "exclusion.dispatch": 8, "report.build_report": 1, "blowup.triple": 1, "blowup.ambient_quadruple": 1,
+    "exclusion.dispatch": 8, "report.build_report": 1, "blowup.ambient_quadruple": 1,
     "catalog.load_catalog": 1,
 }
 PER_OP_CALLS = {

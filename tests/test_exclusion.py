@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from fano_wci.blowup import BlowupRing, ambient_quadruple, b_cubed, vanishing_order
 from fano_wci import exclusion
+from fano_wci.blowup import (BlowupRing, SectionLift, ambient_quadruple, b_cubed, nef_bound_check, triple,
+                             vanishing_order)
 from fano_wci.catalog import LINK_METHODS, Catalog
-from fano_wci.exclusion import (BUILDERS, Center, CurveCycle, CurveDegree, CurveGamma, InfiniteCurves,
-                                Isolation, LocalModel, NegDefMatrix, SurfacePair, UncoveredCaseError, Untwist,
-                                _kawamata_weights, certificate_json, gamma_polynomial, point_vertex, qi_eligible)
+from fano_wci.exclusion import (BUILDERS, NEF_SECTIONS, Center, CurveCycle, CurveDegree, CurveGamma,
+                                InfiniteCurves, Isolation, LocalModel, NefDivisor, NegDefMatrix, SurfacePair,
+                                UncoveredCaseError, Untwist, _kawamata_weights, certificate_json, dispatch,
+                                gamma_polynomial, point_vertex, qi_eligible)
 from fano_wci.report import GOLDEN, build_report
 from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, misses_vertex,
                                     support_with_point_at_vertex, tangent_coordinate)
@@ -215,36 +218,98 @@ def general_and_strata(catalog) -> list:
     return members
 
 
+def per_call_nef_numbers(member, q) -> tuple:
+    """The nef-divisor builder's arithmetic as it ran on every call before
+    the local model kept its numbers: (lifts, c, certified, (M . B^2))."""
+    w = member.gprime.weights
+    vertex = point_vertex(w, q.locus)
+    support = support_with_point_at_vertex(member.support, vertex, w[vertex])
+    k = _kawamata_weights(w, vertex, q.r)
+    w_order = vanishing_order(support, tuple(F(x, q.r) for x in k), eliminated=4)
+    orders = [w_order if i == 4 else F(k[i], q.r) for i in NEF_SECTIONS]
+    lifts = [SectionLift.of(w[i], order, q.r) for i, order in zip(NEF_SECTIONS, orders)]
+    c, certified = nef_bound_check(lifts, q)
+    m = next((l.class_b, -order) for l, order in zip(lifts, orders) if l.class_e / l.class_b == c)
+    b = (1, F(-1, q.r))
+    return tuple(lifts), c, certified, triple(BlowupRing.kawamata_tower(member.a_cube, [q]), m, b, b)
+
+
+def per_call_pairings(member, q) -> tuple:
+    """The infinite-curves builder's arithmetic as it ran on every call
+    before the local model kept its pairings: ((B . C), (E . C))."""
+    r, fid = q.r, member.g.id
+    ring = BlowupRing.kawamata_tower(member.a_cube, [q])
+    b, e = (1, F(-1, r)), (0, 1)
+    if fid == 23:
+        s, t = b, (4, F(-4, r))
+        return triple(ring, b, s, t) - F(r - 6, 6 * r), triple(ring, e, s, t) - 1
+    if fid == 30:
+        return F(2 * r - 6, 3 * r), F(2)
+    if fid in (55, 69):
+        s, t = b, {55: (2, F(-3, 2)), 69: (2, F(-12, 5))}[fid]
+        return triple(ring, b, s, t), triple(ring, e, s, t)
+    raise UncoveredCaseError(f"no infinite-curves data for family {fid} at {q.locus}")
+
+
+def outcome_of(derive, *args):
+    """derive(*args), or the type and message of what it raised."""
+    try:
+        return derive(*args)
+    except ValueError as exc:  # UncoveredCaseError too
+        return type(exc), str(exc)
+
+
 def test_each_local_model_is_the_per_call_derivation(catalog):
     # every field of each quotient point's local model (`Member.local`) is
     # what the builders derived per call before the member kept it, and the
     # restriction support (`Member.gamma`) is gamma_polynomial's.  A point
     # that point_vertex moves to no vertex keeps its reason word for word;
-    # every point it moves, also to the cAx vertex p4, has w's order
+    # every point it moves, also to the cAx vertex p4, has w's order.  The
+    # kept nef numbers and pairings (`LocalModel.nef`, `LocalModel.pairings`),
+    # or the error each raises, are the builders' per-call arithmetic, and so
+    # is each certificate `dispatch` builds from them where a nef-divisor or
+    # infinite-curves row runs.  The nef numbers raise at the 110 points that
+    # move to no vertex, the pairings at the 1,366 points of the 10 families
+    # without cited infinite-curves data
     members = general_and_strata(catalog)
-    points, unreached = 0, 0
+    points, unreached, runs, errors = 0, 0, {"nef-divisor": 0, "infinite-curves": 0}, Counter()
     for member in members:
-        w, a_cube = member.gprime.weights, member.a_cube
+        fid, w, a_cube = member.g.id, member.gprime.weights, member.a_cube
         assert member.gamma == gamma_polynomial(member)
         assert list(member.local) == [q.locus for q in member.quotients]
         for q in member.quotients:
             points += 1
             model = member.local[q.locus]
+            nef, pairings = outcome_of(per_call_nef_numbers, member, q), outcome_of(per_call_pairings, member, q)
+            assert outcome_of(lambda: model.nef) == nef and outcome_of(lambda: model.pairings) == pairings
+            errors.update(want[1].split(" ")[0] for want in (nef, pairings) if type(want[0]) is type)
+            for row in member.golden.link_column:
+                if row.point == q.locus and row.method in runs:
+                    runs[row.method] += 1
+                    cert, _ = dispatch(member, Center.quotient_point(q), row)
+                    if row.method == "nef-divisor":
+                        lifts, c, certified, m_b2 = nef
+                        assert cert == NefDivisor(lifts=lifts, q=q, m_b2=m_b2, c=c, certified=certified)
+                    else:
+                        assert cert == InfiniteCurves(*pairings)
             ring, b_cube = BlowupRing.kawamata_tower(a_cube, [q]), b_cubed(a_cube, q)
             try:
                 vertex = point_vertex(w, q.locus)
             except UncoveredCaseError as exc:
                 unreached += 1
-                assert model == LocalModel(ring, b_cube, unreached=str(exc))
+                assert model == LocalModel(q, fid, w, ring, b_cube, unreached=str(exc))
                 with pytest.raises(UncoveredCaseError, match=f"^edge {q.locus} point cannot be moved to a vertex$"):
                     model.at_vertex()
                 continue
             support = support_with_point_at_vertex(member.support, vertex, w[vertex])
             k = _kawamata_weights(w, vertex, q.r)
             order = vanishing_order(support, tuple(F(x, q.r) for x in k), eliminated=4)
-            assert model.at_vertex() == LocalModel(ring, b_cube, vertex=vertex, support=support, weights=k,
-                                                   quadratic=qi_eligible(member, q.locus), w_order=order)
+            assert model.at_vertex() == LocalModel(q, fid, w, ring, b_cube, vertex=vertex, support=support,
+                                                   weights=k, quadratic=qi_eligible(member, q.locus),
+                                                   w_order=order)
     assert (len(members), points, unreached) == (1_282, 1_987, 110)
+    assert runs == {"nef-divisor": 229, "infinite-curves": 361}
+    assert errors == {"edge": 110, "no": 1_366}
 
 
 def test_negdef2_examples():
