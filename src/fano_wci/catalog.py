@@ -8,6 +8,7 @@ accepted from a user-supplied path so perturbed data can be fed to
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from fractions import Fraction
@@ -21,6 +22,7 @@ if TYPE_CHECKING:
     from .singularities import CAxPoint, QuotientSingularity, StandardForm
 
 FAMILY_IDS = (17, 19, 23, 29, 30, 41, 42, 49, 50, 55, 69, 74, 77, 82)
+_DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
 
 
 class CatalogError(ValueError):
@@ -159,14 +161,15 @@ class Catalog:
     def __init__(self, pairs: list[FamilyPair]):
         self.pairs = tuple(sorted(pairs, key=lambda p: p.g.id))
         self._by_id = {p.g.id: p for p in self.pairs}
+        self._ids = tuple(self._by_id)
         self._members: dict[int, Member] = {}
 
     def ids(self) -> tuple[int, ...]:
-        return tuple(p.g.id for p in self.pairs)
+        return self._ids
 
     def pair(self, family_id: int) -> FamilyPair:
         if family_id not in self._by_id:
-            raise LookupError(f"unknown family id {family_id}; catalog has {self.ids()}")
+            raise LookupError(f"unknown family id {family_id}; catalog has {self._ids}")
         return self._by_id[family_id]
 
     def member(self, family_id: int) -> Member:
@@ -189,7 +192,7 @@ class Catalog:
 
 
 def default_catalog_path() -> str:
-    return os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+    return _DEFAULT_PATH
 
 
 # the JSON type of each key of a basket or links entry
@@ -293,10 +296,10 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
     return FamilyRecord(fid, kind, weights, degrees)
 
 
-# strict -> (text, catalog) of the last load of that strictness that passed
+# strict -> (bytes, catalog) of the last load of that strictness that passed
 # every check: one slot per value, since the commands alternate non-strict
 # verify-tables with strict loads of the same file
-_PARSED: dict[bool, tuple[str, Catalog]] = {}
+_PARSED: dict[bool, tuple[bytes, Catalog]] = {}
 
 
 def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
@@ -308,32 +311,32 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     degrees exactly.  verify-tables loads non-strictly so that an injected
     golden fault surfaces as a verification diff rather than a load error.
 
-    The file is read on every call.  If its text equals, character for
-    character, the text of the last load of the same strictness that passed
-    every check, that load's `Catalog` is returned again and no check runs,
-    since the pairs and every `Member` derived from them depend on nothing
-    but the text and `strict`; otherwise every check runs, and the text and
-    a new `Catalog` are kept only once all pass, so a failing file raises
-    the same error on every load.  The shared `Catalog` holds immutable
-    records (`wps.record`), each with the (-K)^3 it has derived, and the
-    `Member`s derived so far, each with the basket, plan, local models (and
-    their nef-divisor numbers and pairings) and restriction support it has
-    derived; certificates, verdicts, reports and golden diffs are built
-    anew by every caller.
+    The file is read on every call, in one unbuffered read.  If its bytes
+    equal those of the last load of the same strictness that passed every
+    check, that load's `Catalog` is returned again, nothing decoded or
+    checked, since the pairs and every `Member` derived from them depend on
+    nothing but the bytes and `strict`; otherwise the bytes are decoded as a
+    text-mode read decodes them, every check runs, and the bytes and a new
+    `Catalog` are kept only once all pass, so a failing file raises the same
+    error on every load.  The shared `Catalog` holds immutable records
+    (`wps.record`), each with the (-K)^3 it has derived, and the `Member`s
+    derived so far, each with its basket, plan, local models (and their
+    nef-divisor numbers and pairings) and restriction support; certificates,
+    verdicts, reports and golden diffs are built anew by every caller.
     """
-    path = path or default_catalog_path()
+    path = path or _DEFAULT_PATH
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with io.FileIO(path) as fh:
+            data = fh.readall()
     except OSError as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CatalogError(f"catalog {path} is not UTF-8 text: {exc}") from exc
     parsed = _PARSED.get(strict)
-    if parsed is not None and parsed[0] == text:
+    if parsed is not None and parsed[0] == data:
         return parsed[1]
     try:
-        raw = json.loads(text)
+        raw = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"catalog {path} is not UTF-8 text: {exc}") from exc
     # a JSONDecodeError, an integer literal past the interpreter's digit
     # limit (ValueError) or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
@@ -400,5 +403,5 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
                                   *golden_columns[i]))
              for i in FAMILY_IDS]
     catalog = Catalog(pairs)
-    _PARSED[strict] = text, catalog
+    _PARSED[strict] = data, catalog
     return catalog

@@ -145,9 +145,10 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         raise SystemExit(2)
     parsed, options, command, extras = {"catalog": None}, {"--catalog": (str, None)}, None, []
     for arg in (args := iter(argv)):
-        # an option, by its name or a unique prefix, and its value after "="
+        # an option, by its exact name or else a unique prefix, and its value after "="
         head, sep, inline = arg.partition("=")
-        found = [name for name in ("--help", *options) if name.startswith(head)] if arg[:2] == "--" != arg else []
+        found = [head] if head in options or head == "--help" else [
+            name for name in ("--help", *options) if name.startswith(head)] if arg[:2] == "--" != arg else []
         if len(found) > 1:
             fail(f"ambiguous option: {arg} could match {', '.join(found)}")
         name, inline = (found[0], inline if sep else None) if found else (arg, None)

@@ -288,8 +288,8 @@ def _tower_cube(family_id: int, g_a_cube: Fraction) -> Fraction | None:
 
 def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
     """All mismatches between recomputed quantities and the family's golden
-    entries `golden` (table -> key -> value); empty when everything agrees.
-    Each check takes its own entries out of `golden`; each entry left is an
+    entries `golden` ((table, key) -> value); empty when everything agrees.
+    Each check pops its own entries out of `golden`; each entry left is an
     unchecked line, and each check that finds no entry a `has no entry` line."""
     diffs: list[str] = []
 
@@ -302,16 +302,14 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
         g, gp = pair.g, pair.gprime
 
         # degrees of the anticanonical models
-        a_cube = gp.a_cube()
-        if _differ(a_cube, pair.golden.a_cube):
+        if _differ(a_cube := gp.a_cube(), pair.golden.a_cube):
             diff(f"catalog a_cube {rat_str(pair.golden.a_cube)} != computed {rat_str(a_cube)}")
-        g_a_cube = g.a_cube()
-        if _differ(g_a_cube, pair.golden.g_a_cube):
+        if _differ(g_a_cube := g.a_cube(), pair.golden.g_a_cube):
             diff(f"catalog G a_cube {rat_str(pair.golden.g_a_cube)} != computed {rat_str(g_a_cube)}")
         # family 19's blowup tower, from its G model's (-K)^3
         tower = _tower_cube(family_id, g_a_cube)
         if tower is not None:
-            want = golden["tower_cube"].pop(family_id, None)
+            want = golden.pop(("tower_cube", family_id), None)
             if want is None:
                 diff(f"tower (-K)^3 computed {rat_str(tower)}, table tower_cube has no entry")
             elif _differ(tower, want):
@@ -327,18 +325,16 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
             diff(f"round trip gave {back_weights} {back_degrees}, catalog has {g.weights} {g.degrees}")
 
         # basket, in singular-locus order with the cAx point last
-        computed = list(member.basket)
-        stated = list(pair.golden.basket)
-        if computed != stated:
-            diff(f"basket computed {computed} != catalog {stated}")
+        if member.basket != pair.golden.basket:
+            diff(f"basket computed {list(member.basket)} != catalog {list(pair.golden.basket)}")
 
         # blowup signs at every computed quotient point with an entry
         signed = set()
         for q in member.quotients:
-            if (family_id, q.locus) in golden["b_cube_signs"]:
-                sign, val = golden["b_cube_signs"].pop((family_id, q.locus)), member.local[q.locus].b_cube
+            sign = golden.pop(("b_cube_signs", (family_id, q.locus)), None)
+            if sign is not None:
                 signed.add(q.locus)
-                if _sign(val) != sign:
+                if _sign(val := member.local[q.locus].b_cube) != sign:
                     diff(f"B^3 at {q.locus} computed {rat_str(val)}, table sign says {sign}")
 
         # every center and link row of the report resolves, every link row
@@ -355,19 +351,21 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
         taken = set()
         for cr in report.centers:
             q = cr.center.quotient
-            if (q is not None and q.locus not in signed
-                    and any(br.verdict.method != "untwist" for br in cr.branches)):
-                val = member.local[q.locus].b_cube
-                diff(f"B^3 at {q.locus} computed {rat_str(val)}, table b_cube_signs has no entry")
+            no_sign = q is not None and q.locus not in signed  # named at the first branch that is no untwist
             for br in cr.branches:
-                if br.verdict.method not in WITNESSES:
+                method = br.verdict.method
+                if no_sign and method != "untwist":
+                    no_sign = False
+                    diff(f"B^3 at {q.locus} computed {rat_str(member.local[q.locus].b_cube)}, "
+                         "table b_cube_signs has no entry")
+                if method not in WITNESSES:
                     continue
-                table, by_locus, label, value_of = WITNESSES[br.verdict.method]
-                key = (family_id, cr.center.locus) if by_locus else family_id
-                if (table, key) in taken:
+                table, by_locus, label, value_of = WITNESSES[method]
+                entry = table, ((family_id, cr.center.locus) if by_locus else family_id)
+                if entry in taken:
                     continue
-                taken.add((table, key))
-                got, want = value_of(br.certificate, br.verdict), golden[table].pop(key, None)
+                taken.add(entry)
+                got, want = value_of(br.certificate, br.verdict), golden.pop(entry, None)
                 if want is None:
                     # the isolation certificate runs in every family, and
                     # the paper bounds it in four
@@ -381,24 +379,24 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
         # is a verification failure, not a crash, and the mismatches found
         # before it stand
         diff(str(exc))
-        why = dict.fromkeys(golden, "the checks stopped at the error above")
-    for table, entries in golden.items():
-        for key in entries:
-            diff(f"table {table}[{key!r}] unchecked: {why[table]}")
+        why = dict.fromkeys(GOLDEN, "the checks stopped at the error above")
+    for table, key in golden:
+        diff(f"table {table}[{key!r}] unchecked: {why[table]}")
     return diffs
 
 
 def verify_tables(catalog: Catalog) -> list[str]:
-    # GOLDEN grouped afresh by family, then table: a key is its family or
-    # (family, locus).  Each catalog family checks its own entries, and an
-    # entry of any other family is a mismatch line after theirs
-    golden = {family_id: {table: {} for table in GOLDEN} for family_id in catalog.ids()}
+    # GOLDEN grouped afresh into one flat dict (table, key) -> value per
+    # family, in table, then key order: a key is its family or (family,
+    # locus).  Each catalog family checks its own entries, and an entry of
+    # any other family is a mismatch line after theirs
+    golden: dict[int, dict] = {family_id: {} for family_id in catalog.ids()}
     outside: list[str] = []
     for table, entries in GOLDEN.items():
         for key, value in entries.items():
             family = key[0] if isinstance(key, tuple) else key
             if family in golden:
-                golden[family][table][key] = value
+                golden[family][table, key] = value
             else:
                 outside.append(f"family {family}: table {table}[{key!r}] unchecked: family not in the catalog")
     diffs = [line for family_id, entries in golden.items() for line in verify_family(catalog, family_id, entries)]

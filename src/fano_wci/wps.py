@@ -188,10 +188,8 @@ def anticanonical_cube(weights: tuple[int, ...], degrees: tuple[int, ...], label
     """
     index = sum(weights) - sum(degrees)
     if index != 1:
-        raise ValueError(
-            f"record {label or degrees}: not anticanonically embedded of index 1 "
-            f"(sum weights - sum degrees = {index})"
-        )
+        raise ValueError(f"record {label or degrees}: not anticanonically embedded of index 1 "
+                         f"(sum weights - sum degrees = {index})")
     return Fraction(math.prod(degrees), math.prod(weights))
 
 

@@ -4,7 +4,9 @@ import pytest
 
 from fano_wci import cli
 from fano_wci.catalog import FAMILY_IDS, CatalogError, default_catalog_path, load_catalog
+from fano_wci.report import verify_tables
 from fano_wci.singularities import equation_shape
+from test_call_counts import count_parses
 
 
 def test_shipped_catalog_loads(catalog):
@@ -77,6 +79,47 @@ def test_empty_file_is_a_parse_error(tmp_path, capsys, content):
 def test_missing_file(tmp_path):
     with pytest.raises(CatalogError):
         load_catalog(str(tmp_path / "nope.json"))
+
+
+def shipped_bytes() -> bytes:
+    with open(default_catalog_path(), "rb") as fh:
+        return fh.read()
+
+
+def test_a_crlf_syntax_error_counts_each_line_end_as_one_character(tmp_path):
+    # the text is read with universal newlines, so "\r\n" is one character
+    # of the JSON decoder's offset: counted as two bytes it would say char 21
+    path = tmp_path / "crlf.json"
+    path.write_bytes(shipped_bytes().replace(b"\n", b"\r\n").replace(b'"id": 17,', b'"id": 17,,', 1))
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(str(path))
+    assert str(exc.value) == (f"catalog {path} is not valid JSON: Expecting property name enclosed in "
+                              "double quotes: line 3 column 14 (char 19)")
+
+
+def test_a_bad_byte_past_the_first_8_kb_is_named_at_its_file_position(tmp_path):
+    # past one 8 KB read of a text stream: a decoder fed chunk by chunk
+    # would name a position within the chunk
+    data = shipped_bytes()
+    assert len(data) > 9000
+    path = tmp_path / "latin.json"
+    path.write_bytes(data[:9000] + b"\xff" + data[9001:])
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(str(path))
+    assert str(exc.value) == (f"catalog {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                              "in position 9000: invalid start byte")
+
+
+def test_a_crlf_copy_of_the_shipped_text_loads_the_shipped_catalog(empty_load_cache, tmp_path):
+    # its own text, parsed once: the first load checks every record and
+    # verifies clean, and the second returns the same catalog
+    path = tmp_path / "crlf.json"
+    path.write_bytes(shipped_bytes().replace(b"\n", b"\r\n"))
+    parses, first = count_parses(lambda: load_catalog(str(path), strict=False))
+    assert parses == 2 * len(FAMILY_IDS)
+    assert verify_tables(first) == []
+    parses, second = count_parses(lambda: load_catalog(str(path), strict=False))
+    assert parses == 0 and second is first
 
 
 def _tamper(tmp_path, mutate):

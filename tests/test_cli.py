@@ -283,6 +283,24 @@ def test_the_table_parser_reads_every_argv_as_argparse_did(capsys, argv):
         assert (out, err) == ("", "")
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--family", "50"], ["analyze", "--family=50"],
+                                  ["analyze", "--fam", "50"], ["analyze", "--family", "50", "--format=md"]],
+                         ids=" ".join)
+def test_an_option_by_its_exact_name_or_a_unique_prefix_reads_as_argparse_read_it(argv):
+    want, got = make_parser().parse_args(argv), cli._parse(argv)
+    assert (got.command, got.family, got.format) == (want.command, want.family, want.format) == ("analyze", 50, "md")
+
+
+def test_a_prefix_of_two_options_is_argparses_ambiguous_option_error(capsys):
+    argv = ["analyze", "--f", "50"]
+    errors = []
+    for parse in (make_parser().parse_args, cli._parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        errors.append((exc.value.code, capsys.readouterr().err.splitlines()[-1].split(": error: ", 1)[1]))
+    assert errors == [(2, "ambiguous option: --f could match --family, --format")] * 2
+
+
 def test_help_names_every_command_its_options_and_its_help_line(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
