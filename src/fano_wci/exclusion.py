@@ -26,6 +26,7 @@ verdict is still built anew by each `dispatch`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -187,6 +188,11 @@ class SurfacePair:
 
 @record
 class NefDivisor:
+    """M = B + cE on the Kawamata blowup of `q`, from the lifts of three
+    coordinate sections x_S (`nef_numbers`; Corti, Pukhlikov and Reid (2000),
+    section 5): excluded when M is nef and (M . B^2) <= 0.  M is nef if M . C
+    >= 0 for each curve C in E, which is c <= 1/r (`certified`), and no curve
+    off E lies on every lift, as `nef_numbers` takes only a finite {x_S = 0}."""
     method = "nef-divisor"
     lifts: tuple[SectionLift, ...]
     q: QuotientSingularity
@@ -339,9 +345,9 @@ def qi_eligible(member: Member, locus: str) -> bool:
 
 class NefNumbers(NamedTuple):
     """A nef divisor's numbers at a quotient point (`LocalModel.nef`)."""
-    lifts: tuple[SectionLift, ...]  # the lifts of the `NEF_SECTIONS`
+    lifts: tuple[SectionLift, ...]  # the lifts of the chosen sections x_S
     c: Fraction  # -K + cE is the divisor, c = max(class_e / class_b)
-    certified: bool  # c <= 1/r, so -K + cE is nef (`nef_bound_check`)
+    certified: bool  # c <= 1/r, the nef hypothesis on curves in E (`nef_bound_check`)
     m_b2: Fraction  # (M . B^2) for the lift M that attains c
 
 
@@ -356,10 +362,10 @@ class LocalModel:
     (`vanishing_order` with w eliminated).  At a point that moves to no
     vertex those are None, and `unreached` is `point_vertex`'s reason.
 
-    The nef divisor's numbers (`nef`) and the infinite family's pairings
-    (`pairings`) are derived on first use and kept on the object, not as
-    fields; a derivation that raises keeps nothing, so it raises the same
-    error on every use."""
+    The nef divisor's numbers (`nef`, at the sections `nef_numbers` picks)
+    and the infinite family's pairings (`pairings`) are derived on first use
+    and kept on the object, not as fields; a derivation that raises keeps
+    nothing, so it raises the same error on every use."""
     q: QuotientSingularity
     family: int
     ambient: tuple[int, ...]
@@ -427,10 +433,6 @@ CURVE_GAMMA_SQ = {19: Fraction(-3, 2), 23: Fraction(-1)}
 # worst-case (Gamma . Delta) and deg Delta of the residual curve pair, family 17
 # cited from the paper; ROADMAP item 8 derives it
 CURVE_CYCLE_DATA = {17: (Fraction(1), Fraction(1, 2))}
-
-# coordinates whose sections lift to the nef divisor certificate's classes
-# cited from the paper; ROADMAP item 8 derives it
-NEF_SECTIONS = (0, 2, 4)
 
 # the one branch of a curve and of the nonsingular point, unconditional and untagged
 SINGLE_BRANCH = {"curve": (LinkRow("", "", "", "curve"),), "smooth-point": (LinkRow("", "", "", "isolation"),)}
@@ -516,30 +518,30 @@ def _surface_pair(member: Member, center: Center, branch: LinkRow) -> SurfacePai
 
 def nef_numbers(model: LocalModel) -> NefNumbers:
     """The nef divisor's numbers at `model`'s point, which `LocalModel.nef`
-    keeps: the lifts of the `NEF_SECTIONS` at the point's vertex, c and
-    whether it is certified (`nef_bound_check`), and (M . B^2).
-    UncoveredCaseError where the point moves to no vertex, ValueError for an
-    invalid lift."""
+    keeps: of the 3-subsets S of the coordinates other than the vertex whose
+    locus {x_S = 0} on the member is finite, the first in `combinations`
+    order of least c (`nef_bound_check`); a section lifts at its Kawamata
+    weight, w at `w_order`.  UncoveredCaseError where the point moves to no
+    vertex or no S is finite, ValueError for an invalid lift of a finite S."""
     model = model.at_vertex()
-    q, w = model.q, model.ambient
-    orders = [model.w_order if i == 4 else Fraction(model.weights[i], q.r) for i in NEF_SECTIONS]
-    lifts = tuple([SectionLift.of(w[i], order, q.r) for i, order in zip(NEF_SECTIONS, orders)])
-    c, certified = nef_bound_check(lifts, q)
-    # M is the lift that attains c = max(class_e / class_b), the first on a tie
-    # (class_e = c class_b, compared as one integer cross-product): its
-    # class class_b B + class_e E = class_b (B + cE) is a positive multiple of the
-    # divisor that nef_bound_check certifies nef, so (M . B^2) has that divisor's sign;
-    # in the (A, E) basis, where B = A - E/r, d B + (d/r - order) E is (d, -order)
-    m = next((l.class_b, -order) for l, order in zip(lifts, orders)
-             if l.class_e.numerator * c.denominator == c.numerator * l.class_e.denominator * l.class_b)
-    b = (1, Fraction(-1, q.r))
-    return NefNumbers(lifts, c, certified, triple(model.ring, m, b, b))
+    q, w, others = model.q, model.ambient, [i for i in range(5) if i != model.vertex]
+    lift = {i: SectionLift.of(w[i], model.w_order if i == 4 else Fraction(model.weights[i], q.r), q.r) for i in others}
+    # {x_S = 0} lies on the line of the vertex and the coordinate S leaves out: finite where a monomial is free of S
+    present = {tuple(map(bool, m)) for m in model.support.monomials}  # which coordinates each monomial has
+    finite = [s for s in itertools.combinations(others, 3) if any(not any(p[i] for i in s) for p in present)]
+    if not finite:
+        raise UncoveredCaseError(f"family {model.family} {q.locus}: no three sections with a finite locus on X")
+    found = [(nef_bound_check(lifts, q), lifts) for lifts in [tuple([lift[i] for i in s]) for s in finite]]
+    (c, certified), lifts = min(found, key=lambda f: f[0][0])
+    # M, the lift that attains c (the first on a tie), is class_b (B + cE), so (M . B^2) has the nef
+    # divisor's sign; in the (A, E) basis, where B = A - E/r, the class d B + e E is (d, e - d/r)
+    m, b = max(lifts, key=lambda l: l.class_e / l.class_b), (1, Fraction(-1, q.r))
+    return NefNumbers(lifts, c, certified, triple(model.ring, (m.class_b, m.class_e - Fraction(m.class_b, q.r)), b, b))
 
 
 def _nef_divisor(member: Member, center: Center, branch: LinkRow) -> NefDivisor:
-    q = center.quotient
-    lifts, c, certified, m_b2 = member.local[q.locus].nef
-    return NefDivisor(lifts=lifts, q=q, m_b2=m_b2, c=c, certified=certified)
+    lifts, c, certified, m_b2 = member.local[center.quotient.locus].nef
+    return NefDivisor(lifts=lifts, q=center.quotient, m_b2=m_b2, c=c, certified=certified)
 
 
 def _negdef_matrix(member: Member, center: Center, branch: LinkRow) -> NegDefMatrix:

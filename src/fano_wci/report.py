@@ -81,7 +81,7 @@ class Report:
 
     @property
     def uncovered(self) -> tuple[str, ...]:
-        return (*(reason for cr in self.centers for reason in cr.uncovered), *self.unplaced)
+        return (*[reason for cr in self.centers for reason in cr.uncovered], *self.unplaced)
 
     @property
     def birigid_summary(self) -> str:

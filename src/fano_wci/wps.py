@@ -31,7 +31,7 @@ def rat_str(q: Fraction) -> str:
 
 def wps_str(weights) -> str:
     """Render an ambient space as "P(a0,...,an)"."""
-    return "P(" + ",".join(str(a) for a in weights) + ")"
+    return "P(" + ",".join(map(str, weights)) + ")"
 
 
 def _values(self) -> tuple:

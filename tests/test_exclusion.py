@@ -1,14 +1,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from fano_wci import exclusion
-from fano_wci.blowup import (BlowupRing, SectionLift, ambient_quadruple, b_cubed, nef_bound_check, triple,
-                             vanishing_order)
+from fano_wci.blowup import BlowupRing, SectionLift, ambient_quadruple, b_cubed, triple, vanishing_order
 from fano_wci.catalog import LINK_METHODS, Catalog
-from fano_wci.exclusion import (BUILDERS, NEF_SECTIONS, Center, CurveCycle, CurveDegree, CurveGamma,
+from fano_wci.exclusion import (BUILDERS, Center, CurveCycle, CurveDegree, CurveGamma,
                                 InfiniteCurves, Isolation, LocalModel, NefDivisor, NegDefMatrix, SurfacePair,
                                 UncoveredCaseError, Untwist, _kawamata_weights, certificate_json, dispatch,
                                 gamma_polynomial, point_vertex, qi_eligible)
@@ -158,6 +158,62 @@ def test_nef_divisor_points_move_to_vertex_1(catalog):
     assert [point_vertex(catalog.pair(fid).gprime.weights, "p1p4") for fid in nef] == [1, 1, 1]
 
 
+# the point, its vertex, the sections S whose locus {x_S = 0} is the WCI
+# curve its pair of rows names, and the one monomial of the general member
+# free of S, with the point at its vertex
+WCI_CONDITIONS = {(19, "p2p4"): (2, (0, 1, 4), (0, 0, 1, 2, 0)),
+                  (23, "p2p4"): (2, (0, 1, 4), (0, 0, 2, 2, 0)),
+                  (50, "p1p4"): (1, (0, 2, 4), (0, 2, 0, 2, 0))}
+
+
+def test_one_rule_reads_the_three_wci_conditions(catalog):
+    # {x_S = 0} is the WCI curve of the weights of S, and it lies in X
+    # (`exists-wci`) exactly when no monomial of the support at the point's
+    # vertex is free of S.  On the general member one monomial is, so the
+    # locus is finite (`not-exists-wci`); striking it gives a quasi-smooth
+    # stratum with the same basket, where the curve lies in X
+    for (fid, locus), (vertex, s, monomial) in WCI_CONDITIONS.items():
+        member = catalog.member(fid)
+        degrees = ",".join(map(str, sorted(member.gprime.weights[i] for i in s)))
+        assert [row.condition for row in member.golden.link_column if row.point == locus] == [
+            f"not-exists-wci({degrees})", f"exists-wci({degrees})"]
+        dropped = stratum(member, monomial)
+        assert dropped.basket == member.basket
+        free = [[m for m in x.local[locus].support.monomials if not any(m[i] for i in s)] for x in (member, dropped)]
+        assert (member.local[locus].vertex, free) == (vertex, [[monomial], []]), fid
+    # so at family 50's half point the nef divisor's sections are S on the
+    # general member, and on the stratum (x0, x2, x3), which exclude nothing
+    nef = stratum(catalog.member(50), (0, 2, 0, 2, 0)).local["p1p4"].nef
+    assert ([lift.class_b for lift in nef.lifts], nef.c, nef.m_b2) == ([1, 3, 5], F(2, 5), F(1, 12))
+
+
+def nef_outcomes(catalog) -> Counter:
+    """Over the 14 general members and their quasi-smooth one-monomial
+    strata, by (member, point) pair: whether an involution row untwists the
+    point, and what the nef numbers give there, the certificate's verdict or
+    "raises" where the point moves to no vertex."""
+    got = Counter()
+    for member in general_and_strata(catalog):
+        for q in member.quotients:
+            untwisted = any(row.point == q.locus and row.method == "untwist" and row.tag != "link"
+                            for row in member.golden.link_column)
+            try:
+                lifts, c, certified, m_b2 = member.local[q.locus].nef
+            except UncoveredCaseError:
+                got[untwisted, "raises"] += 1
+                continue
+            excluded = NefDivisor(lifts=lifts, q=q, m_b2=m_b2, c=c, certified=certified).verdict().excluded
+            got[untwisted, "excluded" if excluded else "not excluded"] += 1
+    return got
+
+
+def test_the_nef_numbers_never_exclude_a_point_an_involution_untwists(catalog):
+    # an involution untwists a maximal center, so a nef divisor that
+    # excluded such a point would be unsound
+    assert nef_outcomes(catalog) == {(True, "not excluded"): 607, (False, "excluded"): 461,
+                                     (False, "not excluded"): 809, (False, "raises"): 110}
+
+
 def test_family_50_third_point_blowup_is_read_off_its_weights(catalog):
     # the Kawamata weights w_i mod r at the point's vertex give the blowup
     # weights (1, 2, 2, 1) on (x0, x1, x3, x4), and the sections x0, x1 and w
@@ -219,19 +275,32 @@ def general_and_strata(catalog) -> list:
 
 
 def per_call_nef_numbers(member, q) -> tuple:
-    """The nef-divisor builder's arithmetic as it ran on every call before
-    the local model kept its numbers: (lifts, c, certified, (M . B^2))."""
-    w = member.gprime.weights
+    """The nef divisor's numbers by the rule, in plain Fraction arithmetic:
+    (lifts, c, certified, (M . B^2)) of the first 3-subset S of the
+    coordinates other than the point's vertex, in combinations order, of
+    least c = max((d/r - order)/d) among those with a monomial of the support
+    (the point at its vertex) free of S; certified is c <= 1/r, and M is the
+    first lift that attains c, of degree d and order o, so (M . B^2) is
+    d A^3 - o / (a (r - a))."""
+    w, r = member.gprime.weights, q.r
     vertex = point_vertex(w, q.locus)
     support = support_with_point_at_vertex(member.support, vertex, w[vertex])
-    k = _kawamata_weights(w, vertex, q.r)
-    w_order = vanishing_order(support, tuple(F(x, q.r) for x in k), eliminated=4)
-    orders = [w_order if i == 4 else F(k[i], q.r) for i in NEF_SECTIONS]
-    lifts = [SectionLift.of(w[i], order, q.r) for i, order in zip(NEF_SECTIONS, orders)]
-    c, certified = nef_bound_check(lifts, q)
-    m = next((l.class_b, -order) for l, order in zip(lifts, orders) if l.class_e / l.class_b == c)
-    b = (1, F(-1, q.r))
-    return tuple(lifts), c, certified, triple(BlowupRing.kawamata_tower(member.a_cube, [q]), m, b, b)
+    k = _kawamata_weights(w, vertex, r)
+    orders = {i: F(x, r) for i, x in enumerate(k)}
+    orders[4] = vanishing_order(support, tuple(orders.values()), eliminated=4)
+    best = None
+    for s in combinations([i for i in range(5) if i != vertex], 3):
+        if not any(all(m[i] == 0 for i in s) for m in support.monomials):
+            continue
+        ratios = [(F(w[i], r) - orders[i]) / w[i] for i in s]
+        if best is None or max(ratios) < best[1]:
+            best = s, max(ratios)
+    if best is None:
+        raise UncoveredCaseError(f"family {member.g.id} {q.locus}: no three sections with a finite locus on X")
+    s, c = best
+    lifts = tuple([SectionLift(w[i], F(w[i], r) - orders[i]) for i in s])
+    i = next(i for i in s if (F(w[i], r) - orders[i]) / w[i] == c)
+    return lifts, c, c <= F(1, r), member.a_cube * w[i] - orders[i] / (q.a * (r - q.a))
 
 
 def per_call_pairings(member, q) -> tuple:

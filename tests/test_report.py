@@ -272,18 +272,15 @@ def dispatch_edits() -> list[tuple[str, int, int | None, str, object]]:
     return drops + row_edits("method", CENSUS_METHODS)
 
 
-def table_edits() -> list[tuple[str, int | None, None, str, object]]:
+def table_edits() -> list[tuple[str, int, None, str, object]]:
     """One edit per entry of each other cited table of `exclusion`: a
-    `CURVE_GAMMA_SQ` value or a `CURVE_CYCLE_DATA[17]` number doubled, a
-    `NEF_SECTIONS` coordinate set to 3, family 23 dropped from
-    `GAMMA_NORMALIZED`."""
-    gamma, cycle, sections = exclusion.CURVE_GAMMA_SQ, exclusion.CURVE_CYCLE_DATA[17], exclusion.NEF_SECTIONS
+    `CURVE_GAMMA_SQ` value or a `CURVE_CYCLE_DATA[17]` number doubled,
+    family 23 dropped from `GAMMA_NORMALIZED`."""
+    gamma, cycle = exclusion.CURVE_GAMMA_SQ, exclusion.CURVE_CYCLE_DATA[17]
     return [*[(f"CURVE_GAMMA_SQ[{fid}] doubled", fid, None, "CURVE_GAMMA_SQ", {**gamma, fid: 2 * value})
               for fid, value in gamma.items()],
             *[(f"CURVE_CYCLE_DATA[17][{i}] doubled", 17, None, "CURVE_CYCLE_DATA",
                {17: tuple(2 * x if j == i else x for j, x in enumerate(cycle))}) for i in range(2)],
-            *[(f"NEF_SECTIONS[{i}] {sections[i]}->3", None, None, "NEF_SECTIONS",
-               tuple(3 if j == i else x for j, x in enumerate(sections))) for i in range(3)],
             ("GAMMA_NORMALIZED without 23", 23, None, "GAMMA_NORMALIZED", exclusion.GAMMA_NORMALIZED - {23})]
 
 
@@ -369,7 +366,7 @@ SILENT_TABLE_EDITS = {"CURVE_CYCLE_DATA[17][0] doubled", "CURVE_CYCLE_DATA[17][1
 
 def test_every_cited_table_edit_but_the_pinned_ones_prints_a_mismatch():
     edits = table_edits()
-    assert len(edits) == 8 and len({name for name, *_ in edits}) == 8
+    assert len(edits) == 5 and len({name for name, *_ in edits}) == 5
     assert set(census(edits)) == SILENT_TABLE_EDITS
 
 
