@@ -127,11 +127,13 @@ class SectionLift:
 
 
 def nef_bound_check(lifts: list[SectionLift], q: QuotientSingularity) -> tuple[Fraction, bool]:
-    """c = max(class_e / class_b) over the lifts, by integer cross-products,
-    and whether c <= 1/r, the blowup discrepancy, so that -K + cE meets each
-    curve in E non-negatively.  A lift of degree d and order o has
-    class_e / class_b = (d/r - o)/d, so c = 1/r - min(o/d) <= 1/r whenever
-    every order is >= 0."""
+    """c = max(class_e / class_b) over the isolating sections; the divisor
+    -K + cE is nef when c does not exceed the blowup discrepancy 1/r.  A lift
+    of degree d and order o has class_e / class_b = (d/r - o)/d, so
+    c = 1/r - min(o/d), and c <= 1/r holds whenever every order is >= 0.
+    Each ratio is an integer pair (numerator, denominator) and the max is
+    taken by integer cross-products, the first lift on a tie; c is built as
+    one exact Fraction."""
     if not lifts:
         raise ValueError("need at least one section lift")
     num, den = -1, 1  # below every ratio of a valid lift

@@ -18,10 +18,11 @@ A quotient point's Kawamata blowup, as the builders read it, is its
 `LocalModel`: member algebra, which each `Member` derives once
 (`Member.local`) with its plan and restriction support (`Member.gamma`).
 A model also keeps, once first asked for, its nef divisor's numbers
-(`LocalModel.nef`) and its infinite family's pairings
-(`LocalModel.pairings`), so the nef-divisor and infinite-curves builders
-do no blowup arithmetic after a point's first use; every certificate and
-verdict is still built anew by each `dispatch`.
+(`LocalModel.nef`), its curve-pair sum (`LocalModel.pair_sum`) and its
+infinite family's pairings (`LocalModel.pairings`), so the nef-divisor,
+negdef-matrix and infinite-curves builders do no blowup arithmetic after a
+point's first use; every certificate and verdict is still built anew by
+each `dispatch`.
 """
 
 from __future__ import annotations
@@ -362,10 +363,11 @@ class LocalModel:
     (`vanishing_order` with w eliminated).  At a point that moves to no
     vertex those are None, and `unreached` is `point_vertex`'s reason.
 
-    The nef divisor's numbers (`nef`, at the sections `nef_numbers` picks)
-    and the infinite family's pairings (`pairings`) are derived on first use
-    and kept on the object, not as fields; a derivation that raises keeps
-    nothing, so it raises the same error on every use."""
+    The nef divisor's numbers (`nef`, at the sections `nef_numbers` picks),
+    the curve-pair sum (`pair_sum`) and the infinite family's pairings
+    (`pairings`) are derived on first use and kept on the object, not as
+    fields; a derivation that raises keeps nothing, so it raises the same
+    error on every use."""
     q: QuotientSingularity
     family: int
     ambient: tuple[int, ...]
@@ -389,6 +391,14 @@ class LocalModel:
     def nef(self) -> NefNumbers:
         """The nef divisor's numbers at the point's vertex (`nef_numbers`)."""
         return nef_numbers(self)
+
+    @cached_property
+    def pair_sum(self) -> Fraction:
+        """(B . x0 . x2), each section x_i lifted to (w_i, -(w_i mod r)/r):
+        the sum of the curve pair that x0 and x2 cut at family 50's half point."""
+        # the sections x0 and x2 that cut the pair: cited from the paper; ROADMAP item 9 derives them
+        k, b = self.at_vertex().weights, (1, Fraction(-1, self.q.r))
+        return triple(self.ring, b, *[(self.ambient[i], Fraction(-k[i], self.q.r)) for i in (0, 2)])
 
     @cached_property
     def pairings(self) -> tuple[Fraction, Fraction]:
@@ -520,28 +530,37 @@ def nef_numbers(model: LocalModel) -> NefNumbers:
     """The nef divisor's numbers at `model`'s point, which `LocalModel.nef`
     keeps: of the 3-subsets S of the coordinates other than the vertex whose
     locus {x_S = 0} on the member is finite, the first in `combinations`
-    order of least c (`nef_bound_check`); a section lifts at its Kawamata
-    weight, w at `w_order`.  UncoveredCaseError where the point moves to no
-    vertex or no S is finite, ValueError for an invalid lift of a finite S."""
+    order of least c, with the lifts of x_S (x_i at its Kawamata weight, w at
+    `w_order`), c and whether it is certified (`nef_bound_check`), and
+    (M . B^2).  UncoveredCaseError where the point moves to no vertex or no
+    S is finite, ValueError for an invalid lift of a finite S."""
     model = model.at_vertex()
     q, w, others = model.q, model.ambient, [i for i in range(5) if i != model.vertex]
-    lift = {i: SectionLift.of(w[i], model.w_order if i == 4 else Fraction(model.weights[i], q.r), q.r) for i in others}
-    # {x_S = 0} lies on the line of the vertex and the coordinate S leaves out: finite where a monomial is free of S
-    present = {tuple(map(bool, m)) for m in model.support.monomials}  # which coordinates each monomial has
-    finite = [s for s in itertools.combinations(others, 3) if any(not any(p[i] for i in s) for p in present)]
+    # {x_S = 0} lies on the line of the vertex and the coordinate S leaves
+    # out, so it is finite where some monomial of the support is free of S
+    absent = {frozenset([i for i in others if not m[i]]) for m in model.support.monomials}
+    finite = [s for s in itertools.combinations(others, 3) if any(a.issuperset(s) for a in absent)]
     if not finite:
         raise UncoveredCaseError(f"family {model.family} {q.locus}: no three sections with a finite locus on X")
-    found = [(nef_bound_check(lifts, q), lifts) for lifts in [tuple([lift[i] for i in s]) for s in finite]]
-    (c, certified), lifts = min(found, key=lambda f: f[0][0])
-    # M, the lift that attains c (the first on a tie), is class_b (B + cE), so (M . B^2) has the nef
-    # divisor's sign; in the (A, E) basis, where B = A - E/r, the class d B + e E is (d, e - d/r)
-    m, b = max(lifts, key=lambda l: l.class_e / l.class_b), (1, Fraction(-1, q.r))
-    return NefNumbers(lifts, c, certified, triple(model.ring, (m.class_b, m.class_e - Fraction(m.class_b, q.r)), b, b))
+    order = {i: model.w_order if i == 4 else Fraction(model.weights[i], q.r) for i in others}
+    lift = {i: SectionLift.of(w[i], o, q.r) for i, o in order.items()}
+    found = [(nef_bound_check([lift[i] for i in s], q), s) for s in finite]
+    (c, certified), s = min(found, key=lambda f: f[0][0])
+    # M is the lift that attains c = max(class_e / class_b), the first on a tie
+    # (class_e = c class_b, compared as one integer cross-product): its
+    # class class_b B + class_e E = class_b (B + cE) is a positive multiple of the
+    # divisor that nef_bound_check certifies nef, so (M . B^2) has that divisor's sign;
+    # in the (A, E) basis, where B = A - E/r, d B + (d/r - order) E is (d, -order)
+    m = next(i for i in s
+             if lift[i].class_e.numerator * c.denominator == c.numerator * lift[i].class_e.denominator * w[i])
+    b = (1, Fraction(-1, q.r))
+    return NefNumbers(tuple([lift[i] for i in s]), c, certified, triple(model.ring, (w[m], -order[m]), b, b))
 
 
 def _nef_divisor(member: Member, center: Center, branch: LinkRow) -> NefDivisor:
-    lifts, c, certified, m_b2 = member.local[center.quotient.locus].nef
-    return NefDivisor(lifts=lifts, q=center.quotient, m_b2=m_b2, c=c, certified=certified)
+    q = center.quotient
+    lifts, c, certified, m_b2 = member.local[q.locus].nef
+    return NefDivisor(lifts=lifts, q=q, m_b2=m_b2, c=c, certified=certified)
 
 
 def _negdef_matrix(member: Member, center: Center, branch: LinkRow) -> NegDefMatrix:
@@ -551,9 +570,9 @@ def _negdef_matrix(member: Member, center: Center, branch: LinkRow) -> NegDefMat
     if q.locus == "p1p4":
         # half point: the residual curve misses the exceptional divisor and is
         # cut on the coordinate plane (x = z = 0) by the degree-(d - b) slot,
-        # so it pairs with -K by bare degree; the pair sums to (M . B^2)
+        # so it pairs with -K by bare degree; the pair sums to (B . x0 . x2)
         alpha = Fraction(member.gprime.degrees[0] - w[4], w[1] * w[3] * w[4])
-        return NegDefMatrix(alpha=alpha, beta=member.local[q.locus].nef.m_b2 - alpha, parameter_floor=Fraction(1))
+        return NegDefMatrix(alpha=alpha, beta=member.local[q.locus].pair_sum - alpha, parameter_floor=Fraction(1))
     # third point: (B . Gamma) via the ambient Kawamata blowup of the
     # 4-space at the point's vertex, where B = (1, -1/r) and a section x_i
     # lifts to (w_i, -(w_i mod r)/r); the companion entry is pinned golden data

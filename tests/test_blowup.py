@@ -189,8 +189,9 @@ def triples_of_one_verify_tables(catalog):
 def test_triple_matches_fraction_sums(empty_load_cache):
     # ranks 1 to 3; coefficients zero, negative, plain ints, and fractions
     # whose products are not in lowest terms before the sum; the catalog is
-    # loaded afresh, so its Members derive the nef-divisor numbers and the
-    # pairings that they keep, with their triple products, in this run
+    # loaded afresh, so its Members derive the nef-divisor numbers, the
+    # pairings and family 50's curve-pair sum (`LocalModel.pair_sum`) that
+    # they keep, with their triple products, in this run
     rng = random.Random(19)
     points = [HALF, THIRD, QUARTER, QuotientSingularity(5, 2)]
 
@@ -204,7 +205,7 @@ def test_triple_matches_fraction_sums(empty_load_cache):
         classes = [tuple(coefficient() for _ in ring.powers) for _ in range(3)]
         cases.append((ring, *classes))
     triples, nefs = triples_of_one_verify_tables(load_catalog())
-    assert len(triples) == 10
+    assert len(triples) == 11
     for args in cases + triples:
         got = triple(*args)
         assert type(got) is Fraction and got == fraction_triple(*args)

@@ -8,6 +8,7 @@ import json
 import operator
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -252,8 +253,8 @@ def test_each_member_plans_its_centers_once(empty_load_cache):
 def test_each_local_model_derives_its_nef_numbers_and_pairings_once(empty_load_cache):
     # the first verify-tables on a text derives the nef numbers at the three
     # nef-divisor points (family 50's negdef-matrix branch at its half point
-    # reads the kept (M . B^2)) and the pairings at the four infinite-curves
-    # points, and a later one derives none
+    # reads its own kept curve-pair sum, `LocalModel.pair_sum`) and the
+    # pairings at the four infinite-curves points, and a later one derives none
     first, second = verify_tables_twice({"nef_numbers": exclusion.nef_numbers,
                                          "curve_pairings": exclusion.curve_pairings})
     assert first == {"nef_numbers": 3, "curve_pairings": 4}
@@ -295,14 +296,18 @@ def test_a_derivation_that_raises_raises_on_every_report(catalog):
     assert "nef" not in vars(member.local["p1p4"])
 
 
-def test_negdef_matrix_reuses_the_nef_divisor():
+def test_negdef_matrix_builds_no_nef_divisor():
     # family 50's half point has a nef-divisor branch and a negdef-matrix
-    # branch resting on the same (M . B^2)
+    # branch; the negdef branch reads its own curve-pair sum (B . x0 . x2),
+    # which on the general member is the nef divisor's (M . B^2), since x0
+    # lifts to B and x2 to M there
     catalog = load_catalog()
     calls, report = count_calls({"nef": exclusion._nef_divisor}, lambda: build_report(catalog.member(50)))
     half = next(cr for cr in report.centers if cr.center.describe().startswith("p1p4"))
     assert [br.verdict.method for br in half.branches] == ["nef-divisor", "negdef-matrix"]
     assert calls == {"nef": 1}
+    model = catalog.member(50).local["p1p4"]
+    assert model.pair_sum == model.nef.m_b2 == Fraction(-3, 20)
 
 
 def test_links_derives_the_member_like_every_command(empty_load_cache, capsys):

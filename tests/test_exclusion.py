@@ -187,6 +187,25 @@ def test_one_rule_reads_the_three_wci_conditions(catalog):
     assert ([lift.class_b for lift in nef.lifts], nef.c, nef.m_b2) == ([1, 3, 5], F(2, 5), F(1, 12))
 
 
+def test_family_50_negdef_matrix_reads_its_own_sections_where_the_wci_curve_lies_in_x(catalog):
+    # on the stratum without x1^2 x3^2 the curve {x0 = x2 = w = 0} lies in X
+    # (`exists-wci(1,3,4)`), so the nef divisor's sections move off (x0, x2,
+    # w) and its branch excludes nothing; the negdef-matrix branch, the
+    # paper's argument there, reads the curve pair cut by x0 and x2, whose
+    # sum (B . x0 . x2) is the same -3/20, and still excludes the point
+    general = catalog.member(50)
+    for member, nef in ((general, (True, F(-3, 20))), (stratum(general, (0, 2, 0, 2, 0)), (False, F(1, 12)))):
+        half = next(cr for cr in build_report(member).centers if cr.center.describe().startswith("p1p4"))
+        nef_branch, negdef = half.branches
+        assert (nef_branch.row.condition, nef_branch.verdict.excluded, nef_branch.verdict.witness) == (
+            "not-exists-wci(1,3,4)", *nef)
+        assert negdef.row.condition == "exists-wci(1,3,4)"
+        assert negdef.certificate == NegDefMatrix(alpha=F(1, 4), beta=F(-2, 5), parameter_floor=F(1))
+        assert negdef.verdict.excluded and negdef.verdict.witness == F(1, 20)
+        assert member.local["p1p4"].pair_sum == F(-3, 20)
+    assert half.uncovered == ("p1p4 = 1/2(1,1,1) [not-exists-wci(1,3,4)]",)
+
+
 def nef_outcomes(catalog) -> Counter:
     """Over the 14 general members and their quasi-smooth one-monomial
     strata, by (member, point) pair: whether an involution row untwists the
