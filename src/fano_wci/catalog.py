@@ -1,9 +1,7 @@
 """Catalog of the 14 codimension-2 families, their hypersurface counterparts,
-and the golden classification data (degrees, baskets, per-point link tags).
-
-The catalog ships as a JSON file (see data/catalog.json); the same schema is
-accepted from a user-supplied path so perturbed data can be fed to
-`verify-tables`.
+the golden classification data (degrees, baskets, per-point link tags) and
+the constants the paper cites (`CITED`).  It ships as data/catalog.json; a
+file of the same schema may be given, so perturbed data can be verified.
 """
 
 from __future__ import annotations
@@ -31,10 +29,9 @@ class CatalogError(ValueError):
 
 @record
 class FamilyRecord:
-    """One record of the catalog file.  Its (-K)^3, which the weights and
-    degrees fix, is derived on the first `a_cube()` call and kept on the
-    object, not as a field; a record of the wrong Fano index keeps nothing
-    and raises on every call."""
+    """One record of the catalog file.  Its (-K)^3 is derived on the first
+    `a_cube()` call and kept, not as a field; a record of the wrong Fano
+    index keeps nothing and raises on every call."""
 
     id: int
     kind: str  # "G" | "Gprime"
@@ -50,14 +47,14 @@ class FamilyRecord:
 
 
 class LinkRow(NamedTuple):
-    """A links entry, the paper's per-point table: at `point`, under
-    `condition` ("" when unconditional), `method` excludes the point or
-    untwists it with the link or involution `tag`; `exclusion.dispatch` runs
-    it as a branch."""
+    """A links entry, the paper's per-point table, which `exclusion.dispatch`
+    runs as a branch: at `point`, under `condition` ("" if none), `method`
+    excludes or untwists (link or involution `tag`) with the `cited` constants."""
     point: str
     tag: str
     condition: str
     method: str
+    cited: frozenset | None = None
 
 
 @record
@@ -65,14 +62,11 @@ class GoldenRow:
     subfamily: str  # stated alike for both records: "I'" or "I''", then b
     a_cube: Fraction  # stated for the Gprime record
     g_a_cube: Fraction  # stated for the G record
-    # the Gprime record's rows in file order, fields in BASKET_KEYS/LINK_KEYS
-    # order: basket (type, count, locus) as ("1/2(1,1,1)", 3, "p2p4") or
-    # ("cAx/2", 1, "p4"); link_column LinkRow (point, tag, condition,
-    # method) with tag one of LINK_TAGS, method one of LINK_METHODS and, at
-    # each point, either one row with condition "" or two rows whose
-    # conditions are P and its negation
+    # the Gprime record's rows in file order: basket (type, count, locus), as ("cAx/2",
+    # 1, "p4"), and `LinkRow`s, at each point one with condition "" or two, P and not-P
     basket: tuple[tuple[str, int, str], ...]
     link_column: tuple[LinkRow, ...]
+    cited: frozenset | None = None  # the record's `cited` constants (`CITED`), None where it states none
 
 
 @record
@@ -86,17 +80,11 @@ class FamilyPair:
 class Member(FamilyPair):
     """A family pair with the algebra derived from it: the hypersurface
     member's (-K)^3, standard form, monomial support and singular locus
-    (quotient points, and the cAx point with its extractions), which every
-    layer reads, its basket as golden rows (`basket`), and what the
-    certificates read of it: its center plan (`plan`, with the isolation
-    bound and limit), each quotient point's local model (`local`, which in
-    turn keeps its nef-divisor numbers and infinite-curves pairings once
-    first asked for) and the restriction curve's support (`gamma`).  Those
-    four are derived on first use and kept on the object, not as fields, so
-    each `Member` built derives its own, and equality and hashing read the
-    fields alone; a derivation that raises keeps nothing.  The
-    certificates, verdicts, reports and golden diffs read off a member are
-    built anew by every caller.
+    (quotient points, and the cAx point with its extractions); and its
+    basket as golden rows (`basket`), center plan (`plan`), each quotient
+    point's local model (`local`) and restriction curve's support (`gamma`),
+    derived on first use and kept, not as fields, so equality and hashing
+    read the fields alone (a derivation that raises keeps nothing).
     `Catalog.member` builds the general member once per family, text and
     strictness in a process; a stratum (some monomials struck) is built
     from `singular_locus` and this constructor, uncached."""
@@ -137,9 +125,9 @@ class Member(FamilyPair):
 
 def derive_member(pair: FamilyPair) -> Member:
     """Solve each record once and derive the rest from the Gprime record's
-    form; a record whose form is not of the stated subfamily, or a Gprime
-    record that is not its G record's counterpart, raises CatalogError.  The
-    G record's form serves only that counterpart check."""
+    form (the G record's serves only the counterpart check); a form of
+    another subfamily, or a Gprime record that is not its G record's
+    counterpart, raises CatalogError."""
     # imported here because both modules import this one
     from . import links, singularities
 
@@ -154,9 +142,8 @@ def derive_member(pair: FamilyPair) -> Member:
 
 class Catalog:
     """All 14 family pairs, indexed by id; immutable after load apart from
-    the Members it derives on demand.  `load_catalog` hands the same Catalog
-    to every load of one text and strictness, so callers share it and its
-    Members."""
+    the Members it derives on demand, which every load of one text and
+    strictness shares (`load_catalog`)."""
 
     def __init__(self, pairs: list[FamilyPair]):
         self.pairs = tuple(sorted(pairs, key=lambda p: p.g.id))
@@ -175,12 +162,10 @@ class Catalog:
     def member(self, family_id: int) -> Member:
         """The family's Member, derived on first request and kept as long as
         this catalog, which every later load of the same text and strictness
-        returns: a family is derived at most once per text and strictness in
-        a process.  A failed derivation keeps nothing.  A record
-        that admits no derivation (no standard shape or one of another
-        subfamily, a missing weight, wrong Fano index, a Gprime record that
-        is not its G record's counterpart) raises CatalogError with the
-        derivation's message."""
+        returns.  A failed derivation keeps nothing: a record that admits
+        none (no standard shape or one of another subfamily, a missing
+        weight, wrong Fano index, a Gprime record that is not its G record's
+        counterpart) raises CatalogError with the derivation's message."""
         member = self._members.get(family_id)
         if member is None:
             try:
@@ -195,7 +180,8 @@ def default_catalog_path() -> str:
     return _DEFAULT_PATH
 
 
-# the JSON type of each key of a basket or links entry
+# the keys of a record and the JSON type of each key of a basket or links entry; Gprime and links may add `cited`
+RECORD_KEYS = ("id", "kind", "weights", "degrees", "subfamily", "a_cube", "basket", "links")
 BASKET_KEYS = {"type": str, "count": int, "locus": str}
 LINK_KEYS = {"point": str, "tag": str, "condition": str, "method": str}
 # the tags of a links entry: "none" where no link starts, else what starts it
@@ -205,6 +191,60 @@ LINK_METHODS = ("surface-pair", "nef-divisor", "negdef-matrix", "infinite-curves
 # the head of the negation of each condition "head(argument)" that a point's pair of rows may state
 NEGATED = {"exists-wci": "not-exists-wci", "not-exists-wci": "exists-wci",
            "monomial-present": "monomial-absent", "monomial-absent": "monomial-present"}
+
+
+P_Q, INT, INDEX, INDICES, FLAG = '"p/q" in lowest terms', "an int", "an index 0-4", "2 or 3 distinct indices", "a flag"
+# the keys of a `cited` object (the builders say what each is), by the Gprime record or the
+# method of the links entry that states it, with the kind of value the file must state (`_read`)
+CITED = {
+    "Gprime": {"gamma_sq": P_Q, "cycle": (P_Q, P_Q), "isolation_vertex": INDEX, "gamma_normalized": FLAG},
+    "negdef-matrix": {"sections": INDICES, "beta": P_Q, "floor": P_Q},
+    "infinite-curves": {"T": (INT, P_Q), "residual": FLAG, "curve": (P_Q, P_Q)},
+}
+_ABSENT = object()  # the `cited` of an entry that states none
+
+
+def _read(value, kind):
+    """`value` read as `kind`: a list as a tuple, a fraction in lowest terms
+    (so `rat_str` writes it back as stated) as a Fraction; else ValueError."""
+    if kind == INDICES and type(value) is list and len(value) in (2, 3):
+        read = tuple([_read(v, INDEX) for v in value])
+        if len(set(read)) == len(read):
+            return read
+    elif type(kind) is tuple and type(value) is list and len(value) == len(kind):
+        return tuple(map(_read, value, kind))
+    elif kind == P_Q and type(value) is str:
+        x = rat(value.removeprefix("-")) * (-1 if value.startswith("-") else 1)
+        if rat_str(x) == value:
+            return x
+    elif type(value) is (bool if kind == FLAG else int) and (kind in (FLAG, INT) or kind == INDEX and 0 <= value <= 4):
+        return value
+    raise ValueError
+
+
+def _cited(raw, keys: dict, where: str) -> frozenset | None:
+    """`raw`, a `cited` object of keys among `keys`, as the frozenset (it keeps
+    its hash) of its (key, value) pairs, each value `_read`; None for `_ABSENT`."""
+    if raw is _ABSENT:
+        return None
+    if type(raw) is not dict:
+        raise CatalogError(f"{where}: 'cited' must be an object, got {raw!r}")
+    _known_keys(raw, keys, where, "cited key")
+    pairs = []
+    for key, value in raw.items():
+        try:
+            pairs.append((key, _read(value, keys[key])))
+        except (ValueError, ZeroDivisionError):
+            kind = keys[key] if type(keys[key]) is str else f"[{', '.join(keys[key])}]"
+            raise CatalogError(f"{where}: cited {key!r} must be {kind}, got {value!r}") from None
+    return frozenset(pairs)
+
+
+def _known_keys(obj: dict, allowed, where: str, what: str = "key") -> None:
+    """A key of `obj` outside `allowed` is an error that names it."""
+    for key in obj:
+        if key not in allowed:
+            raise CatalogError(f"{where}: unknown {what} {key!r}")
 
 
 # the largest weight or degree a record may state: far above the shipped
@@ -229,30 +269,32 @@ def _weights_and_degrees(obj: dict, where: str) -> tuple[tuple[int, ...], tuple[
 
 def _entries(obj: dict, field: str, keys: dict[str, type], where: str) -> tuple[tuple, ...]:
     """The objects of a basket or links array as rows of their values in
-    `keys` order, each object checked to hold every key of `keys` with a
-    value of that key's type."""
+    `keys` order, each holding every key of `keys` with a value of its type
+    and no other key but a links object's `cited` (`_ABSENT` if none), last."""
     value = obj[field]
     kinds = [*keys.values()]
     if type(value) is list:
         out = []
-        for entry in value:
+        for k, entry in enumerate(value):
             fields = [*map(entry.get, keys)] if type(entry) is dict else None
             if fields is None or [*map(type, fields)] != kinds:
                 break
-            out.append(tuple(fields))
+            _known_keys(entry, (*keys, "cited") if field == "links" else keys, f"{where}: '{field}' entry #{k}")
+            out.append((*fields, entry.get("cited", _ABSENT)) if field == "links" else tuple(fields))
         else:
             return tuple(out)
     schema = ", ".join(f"{key} ({kind.__name__})" for key, kind in keys.items())
     raise CatalogError(f"{where}: '{field}' must be a list of objects with {schema}, got {value!r}")
 
 
-def _check_links(links: tuple[LinkRow, ...], fid: int, where: str) -> None:
-    """Each row's tag and method are known and meet the two tag rules that
-    read the row alone: the link tag exactly at the cAx point p4, and a tag
-    other than "none" exactly on an untwist (so a p4 row is a link untwist).
-    Each point has one unconditional row or two: a condition and its negation."""
-    conditions: dict[str, list[str]] = {}
-    for point, tag, condition, method in links:
+def _link_rows(entries: tuple[tuple, ...], fid: int, where: str) -> tuple[LinkRow, ...]:
+    """The links entries as rows, each with a known tag and method meeting
+    the two tag rules that read the row alone (the link tag exactly at the
+    cAx point p4, a tag other than "none" exactly on an untwist) and the
+    `cited` keys its method reads.  Each point has one unconditional row or
+    two: a condition and its negation."""
+    rows, conditions = [], {}
+    for k, (point, tag, condition, method, cited) in enumerate(entries):
         if tag not in LINK_TAGS:
             raise CatalogError(f"{where}: bad link tag {tag!r} for family {fid}")
         if method not in LINK_METHODS:
@@ -263,6 +305,8 @@ def _check_links(links: tuple[LinkRow, ...], fid: int, where: str) -> None:
         if (method == "untwist") != (tag != "none"):
             raise CatalogError(f"{where}: a row untwists exactly when its tag is not 'none', "
                                f"got method {method!r} with tag {tag!r} at {point} for family {fid}")
+        cited = _cited(cited, CITED.get(method, {}), f"{where}: 'links' entry #{k} ({method})")
+        rows.append(LinkRow(point, tag, condition, method, cited))
         conditions.setdefault(point, []).append(condition)
     for point, stated in conditions.items():
         head, _, argument = stated[0].partition("(")
@@ -270,18 +314,20 @@ def _check_links(links: tuple[LinkRow, ...], fid: int, where: str) -> None:
         if stated != [""] and (len(stated) != 2 or stated[1] != negation):
             raise CatalogError(f"{where}: the link rows of family {fid} at {point} must be one unconditional "
                                f"row or a condition and its negation, got conditions {stated!r}")
+    return tuple(rows)
 
 
 def _parse_record(obj: dict, where: str) -> FamilyRecord:
     if type(obj) is not dict:
         raise CatalogError(f"{where}: must be a JSON object")
-    for field in ("id", "kind", "weights", "degrees", "subfamily", "a_cube", "basket", "links"):
+    for field in RECORD_KEYS:
         if field not in obj:
             raise CatalogError(f"{where}: missing field '{field}'")
     fid = obj["id"]
     kind = obj["kind"]
     if kind not in ("G", "Gprime"):
         raise CatalogError(f"{where}: kind must be 'G' or 'Gprime', got {kind!r}")
+    _known_keys(obj, (*RECORD_KEYS, "cited") if kind == "Gprime" else RECORD_KEYS, where)
     if type(fid) is not int or fid not in FAMILY_IDS:
         raise CatalogError(f"{where}: id {fid} is not one of the 14 catalog families")
     if type(obj["subfamily"]) is not str:
@@ -297,13 +343,13 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
 
 
 # strict -> (bytes, catalog) of the last load of that strictness that passed
-# every check: one slot per value, since the commands alternate non-strict
-# verify-tables with strict loads of the same file
+# every check: the commands alternate non-strict verify-tables with strict loads
 _PARSED: dict[bool, tuple[bytes, Catalog]] = {}
 
 
 def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
-    """Load and validate the catalog; any failure aborts the whole load.
+    """Load and validate the catalog; any failure, a key outside the schema
+    (`CITED` among it) too, aborts the whole load.
 
     With strict=True (the default for programmatic use) the weights of every
     record must be in the documented order (ascending for G, ascending
@@ -313,16 +359,12 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
 
     The file is read on every call, in one unbuffered read.  If its bytes
     equal those of the last load of the same strictness that passed every
-    check, that load's `Catalog` is returned again, nothing decoded or
-    checked, since the pairs and every `Member` derived from them depend on
-    nothing but the bytes and `strict`; otherwise the bytes are decoded as a
+    check, that load's `Catalog`, with the `Member`s derived so far, is
+    returned again, nothing decoded or checked, since they depend on nothing
+    but the bytes and `strict`; otherwise the bytes are decoded as a
     text-mode read decodes them, every check runs, and the bytes and a new
     `Catalog` are kept only once all pass, so a failing file raises the same
-    error on every load.  The shared `Catalog` holds immutable records
-    (`wps.record`), each with the (-K)^3 it has derived, and the `Member`s
-    derived so far, each with its basket, plan, local models (and their
-    nef-divisor numbers and pairings) and restriction support; certificates,
-    verdicts, reports and golden diffs are built anew by every caller.
+    error on every load.
     """
     path = path or _DEFAULT_PATH
     try:
@@ -348,7 +390,7 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     gprime_records: dict[int, FamilyRecord] = {}
     stated_a_cube: dict[tuple[str, int], Fraction] = {}
     stated_subfamily: dict[int, str] = {}
-    golden_columns: dict[int, tuple[tuple[tuple, ...], tuple[tuple, ...]]] = {}
+    golden_columns: dict[int, tuple[tuple[tuple, ...], tuple[LinkRow, ...], frozenset | None]] = {}
     for k, obj in enumerate(raw):
         where = f"catalog entry #{k}"
         rec = _parse_record(obj, where)
@@ -382,12 +424,12 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
         stated_a_cube[rec.kind, rec.id] = a_cube
         if rec.kind == "Gprime":
             basket = _entries(obj, "basket", BASKET_KEYS, where)
-            links = tuple(map(LinkRow._make, _entries(obj, "links", LINK_KEYS, where)))
+            links = _entries(obj, "links", LINK_KEYS, where)
             for _, count, _ in basket:
                 if count < 1:
                     raise CatalogError(f"{where}: basket count must be >= 1 for family {rec.id}")
-            _check_links(links, rec.id, where)
-            golden_columns[rec.id] = basket, links
+            golden_columns[rec.id] = (basket, _link_rows(links, rec.id, where),
+                                      _cited(obj.get("cited", _ABSENT), CITED["Gprime"], where))
         else:  # the golden columns belong to the Gprime record
             for field in ("basket", "links"):
                 if obj[field] != []:

@@ -1,28 +1,22 @@
 """Per-center certificates: the numerical tests that exclude a center as a
 maximal center, or tag the birational involution / link that untwists it.
 
-A point center's branches are the member's link rows at its locus
-(`GoldenRow.link_column`: point, tag, condition, method), the paper's table
-stated once in the catalog; a curve and the nonsingular point have one
-branch each (`SINGLE_BRANCH`).  `dispatch` runs the one branch it is handed
-at a center of a `Member`: it builds the certificate with the method's
-builder in `BUILDERS`, and the certificate judges itself (`verdict()`) by
-the sign of its witness's numerator, or by one integer cross-product, never
-by a `Fraction` comparison.  Conditions are strings such as
-"exists-wci(1,1,2)" or "monomial-absent(y^2 z)"; "" marks an unconditional
-branch.  The loader ties each row's tag to its point and method
-(`catalog._check_links`); the one tag rule that needs the member, QI exactly
-where `qi_eligible` holds, is checked here by the untwist builder.
+A point center's branches are the member's link rows at its locus, the
+paper's table stated once in the catalog; a curve and the nonsingular point
+have one branch each (`SINGLE_BRANCH`).  `dispatch` builds a branch's
+certificate with its method's builder (`BUILDERS`), and the certificate
+judges itself (`verdict()`) by the sign of an integer numerator or
+cross-product, never by a `Fraction` comparison.  The loader ties each row's
+tag to its point and method (`catalog._link_rows`); the untwist builder
+checks the one tag rule that needs the member, QI exactly where
+`qi_eligible` holds.  No builder reads the family id: the constants the
+paper cites are the catalog's `cited` objects (`catalog.CITED`), and a
+member without them is uncovered where a builder reads them.
 
 A quotient point's Kawamata blowup, as the builders read it, is its
-`LocalModel`: member algebra, which each `Member` derives once
-(`Member.local`) with its plan and restriction support (`Member.gamma`).
-A model also keeps, once first asked for, its nef divisor's numbers
-(`LocalModel.nef`), its curve-pair sum (`LocalModel.pair_sum`) and its
-infinite family's pairings (`LocalModel.pairings`), so the nef-divisor,
-negdef-matrix and infinite-curves builders do no blowup arithmetic after a
-point's first use; every certificate and verdict is still built anew by
-each `dispatch`.
+`LocalModel`, which each `Member` derives once (`Member.local`) and which
+keeps what the builders derive from it on first use; every certificate and
+verdict is built anew by each `dispatch`.
 """
 
 from __future__ import annotations
@@ -289,34 +283,23 @@ def _json_value(value):
     return value
 
 
-# ---------------------------------------------------------------------------
-# Shared computations
-# ---------------------------------------------------------------------------
-
 def gamma_polynomial(member: Member) -> MonomialSupport:
     """Support of the defining polynomial restricted to the two heaviest
     x-coordinates and w (the curve cut by the two lightest coordinate
-    hyperplanes), as exponent triples (e2, e3, e_w).
-
-    Family 23 is stated in the normalized coordinates that put its edge point
-    at the x2 vertex, which strikes the pure x2 power from the restriction.
-    """
+    hyperplanes), as exponent triples (e2, e3, e_w); where the member cites
+    `gamma_normalized` (family 23), with its edge point moved to the x2
+    vertex, which strikes the pure x2 power."""
     support = member.support
-    if member.g.id in GAMMA_NORMALIZED:
+    if dict(member.golden.cited or ()).get("gamma_normalized"):
         support = support_with_point_at_vertex(support, vertex=2, weight=member.gprime.weights[2])
     restricted = frozenset([(m[2], m[3], m[4]) for m in support.monomials if not m[0] and not m[1]])
     return MonomialSupport(degree=support.degree, monomials=restricted)
 
 
-# cited from the paper; ROADMAP item 8 derives it
-GAMMA_NORMALIZED = frozenset({23})
-
-
 def point_vertex(weights: tuple[int, ...], locus: str) -> int:
     """The vertex at which the local data of the quotient point at `locus`
-    (a quadratic involution, a nef divisor's sections) are read: a vertex
-    point's own vertex; for an edge point pIpJ, the end whose weight is the
-    edge's stabilizer order gcd(w_I, w_J), to which the point moves."""
+    are read: a vertex point's own; for an edge point pIpJ, the end whose
+    weight is the edge's stabilizer order gcd(w_I, w_J), where it moves."""
     if locus.count("p") == 1:
         return int(locus[1:])
     i, j = int(locus[1]), int(locus[3])
@@ -328,18 +311,16 @@ def point_vertex(weights: tuple[int, ...], locus: str) -> int:
 
 
 def _kawamata_weights(weights: tuple[int, ...], vertex: int, r: int) -> tuple[int, ...]:
-    """r times the Kawamata blowup's weight of each coordinate at a 1/r point
-    moved to `vertex` (`point_vertex`): w_i mod r, and 0 at the vertex.  The
-    weights are (u w_i mod r)/r for the unit u that `normalize_quotient`
-    picks, and u is 1 at every catalog point that reaches a vertex."""
+    """r times the Kawamata weight of each coordinate at a 1/r point moved to
+    `vertex`: w_i mod r, 0 at the vertex.  The weights are (u w_i mod r)/r for
+    the unit u of `normalize_quotient`, 1 at every catalog point at a vertex."""
     return tuple([0 if i == vertex else x % r for i, x in enumerate(weights)])
 
 
 def qi_eligible(member: Member, locus: str) -> bool:
     """Structural eligibility for a quadratic involution at the quotient
-    point at `locus`: at its vertex v (`point_vertex`) the defining polynomial
-    contains x_v^2 x_j for some other coordinate j, a tangent monomial with
-    k = 2."""
+    point at `locus`: at its vertex v (`point_vertex`) the defining
+    polynomial contains a tangent monomial x_v^2 x_j, j != v."""
     w = member.gprime.weights
     return any(k == 2 for k, _ in tangent_monomials(member.support, w, point_vertex(w, locus)))
 
@@ -355,19 +336,14 @@ class NefNumbers(NamedTuple):
 @record
 class LocalModel:
     """The Kawamata blowup of a quotient point `q` of the member of family
-    `family` with weights `ambient`, as the certificates read it: its ring
-    and B^3 (`b_cubed`) and, where `point_vertex` moves the point to a
-    vertex, that vertex, the support with the point there, r times the
-    Kawamata weights (`_kawamata_weights`), whether an involution there is
-    quadratic (`qi_eligible`) and the order of w on the exceptional divisor
-    (`vanishing_order` with w eliminated).  At a point that moves to no
-    vertex those are None, and `unreached` is `point_vertex`'s reason.
-
-    The nef divisor's numbers (`nef`, at the sections `nef_numbers` picks),
-    the curve-pair sum (`pair_sum`) and the infinite family's pairings
-    (`pairings`) are derived on first use and kept on the object, not as
-    fields; a derivation that raises keeps nothing, so it raises the same
-    error on every use."""
+    `family` with weights `ambient`: its ring and B^3 (`b_cubed`) and, where
+    `point_vertex` moves the point to a vertex, that vertex, the support with
+    the point there, r times the Kawamata weights (`_kawamata_weights`),
+    whether an involution there is quadratic (`qi_eligible`) and w's order on
+    E (`vanishing_order` with w eliminated); elsewhere those are None and
+    `unreached` is `point_vertex`'s reason.  Its nef numbers (`nef`), curve-
+    pair sums (`pair_sum`) and pairings (`pairings`) are derived on first use
+    and kept, not as fields; a derivation that raises keeps nothing."""
     q: QuotientSingularity
     family: int
     ambient: tuple[int, ...]
@@ -381,8 +357,7 @@ class LocalModel:
     w_order: Fraction | None = None
 
     def at_vertex(self) -> "LocalModel":
-        """This model, for a builder that reads the point at its vertex;
-        UncoveredCaseError where the point moves to no vertex."""
+        """This model, or UncoveredCaseError where the point moves to no vertex."""
         if self.unreached:
             raise UncoveredCaseError(self.unreached)
         return self
@@ -392,23 +367,23 @@ class LocalModel:
         """The nef divisor's numbers at the point's vertex (`nef_numbers`)."""
         return nef_numbers(self)
 
-    @cached_property
-    def pair_sum(self) -> Fraction:
-        """(B . x0 . x2), each section x_i lifted to (w_i, -(w_i mod r)/r):
-        the sum of the curve pair that x0 and x2 cut at family 50's half point."""
-        # the sections x0 and x2 that cut the pair: cited from the paper; ROADMAP item 9 derives them
-        k, b = self.at_vertex().weights, (1, Fraction(-1, self.q.r))
-        return triple(self.ring, b, *[(self.ambient[i], Fraction(-k[i], self.q.r)) for i in (0, 2)])
+    def pair_sum(self, sections: tuple[int, int]) -> Fraction:
+        """(B . x_i . x_j), the sum of the curve pair that two sections cut (`_pair_sum`)."""
+        return self._kept("pair_sum", _pair_sum, sections)
 
-    @cached_property
-    def pairings(self) -> tuple[Fraction, Fraction]:
-        """(B . C) and (E . C) of the point's infinite family of curves C (`curve_pairings`)."""
-        return curve_pairings(self)
+    def pairings(self, row: LinkRow) -> tuple[Fraction, Fraction]:
+        """(B . C) and (E . C) of the curves C that `row` cites (`curve_pairings`)."""
+        return self._kept("pairings", curve_pairings, row)
+
+    def _kept(self, name: str, derive, key):
+        kept = self.__dict__.setdefault("_derived", {})  # derive(self, key) by (name, key)
+        if (name, key) not in kept:
+            kept[name, key] = derive(self, key)
+        return kept[name, key]
 
 
 def local_models(member: Member) -> dict[str, LocalModel]:
-    """The local model of each quotient point of `member`, by locus, which
-    `Member.local` keeps."""
+    """The local model of each quotient point of `member`, by locus (`Member.local`)."""
     w, a_cube, fid = member.gprime.weights, member.a_cube, member.g.id
     models = {}
     for q in member.quotients:
@@ -426,24 +401,6 @@ def local_models(member: Member) -> dict[str, LocalModel]:
     return models
 
 
-# ---------------------------------------------------------------------------
-# Per-family dispatch data
-# ---------------------------------------------------------------------------
-
-# the isolation vertex of families 23 and 30, where each vertex off the
-# member leaves the bound 12 > 48/5: this p_k lies on X, where f = x_k^2 g +
-# x_k h + j, and the paper treats the points on the fibres over g = h = j = 0
-# apart; cited from the paper; ROADMAP item 19 states why
-ISOLATION_DROP = {23: 4, 30: 3}
-
-# self-intersection bounds of the exceptional curves on their cutting surfaces
-# cited from the paper; ROADMAP item 8 derives it
-CURVE_GAMMA_SQ = {19: Fraction(-3, 2), 23: Fraction(-1)}
-
-# worst-case (Gamma . Delta) and deg Delta of the residual curve pair, family 17
-# cited from the paper; ROADMAP item 8 derives it
-CURVE_CYCLE_DATA = {17: (Fraction(1), Fraction(1, 2))}
-
 # the one branch of a curve and of the nonsingular point, unconditional and untagged
 SINGLE_BRANCH = {"curve": (LinkRow("", "", "", "curve"),), "smooth-point": (LinkRow("", "", "", "isolation"),)}
 
@@ -451,12 +408,14 @@ SINGLE_BRANCH = {"curve": (LinkRow("", "", "", "curve"),), "smooth-point": (Link
 def isolating_vertex(member: Member) -> tuple[int, int] | None:
     """The vertex p_k whose projection isolates the nonsingular points
     (Corti, Pukhlikov and Reid (2000), section 5) and its bound, the max
-    pairwise lcm of the other weights: the `ISOLATION_DROP` vertex, else of
-    the x-vertices the member misses (`misses_vertex`) the one of least
-    bound, heaviest weight, lowest index; None where there is none."""
+    pairwise lcm of the other weights: the cited `isolation_vertex` (23 and
+    30, where every vertex off X leaves 12 > 48/5: p_k lies on X, f = x_k^2 g
+    + x_k h + j, and the paper treats the fibres over g = h = j = 0 apart),
+    else the x-vertex off X (`misses_vertex`) of least bound, heaviest
+    weight, lowest index; None where there is none."""
     w = member.gprime.weights
-    cited = ISOLATION_DROP.get(member.g.id)
-    vertices = [cited] if cited is not None else [k for k in range(4) if misses_vertex(member.support, w, k)]
+    stated = dict(member.golden.cited or ()).get("isolation_vertex")
+    vertices = [stated] if stated is not None else [k for k in range(4) if misses_vertex(member.support, w, k)]
     if not vertices:
         return None
     bound, _, vertex = min([(max_pair_lcm(w, [i for i in range(5) if i != k]), -w[k], k) for k in vertices])
@@ -475,13 +434,11 @@ class Plan:
 def centers(member: Member) -> Plan:
     """The member's plan: every center (the least curve, the special curve
     where one exists, the nonsingular point, the quotient points, p4) with
-    its branches.  A curve through the cAx/b point has degree in (1/b) Z,
+    its branches: a point's link rows at its locus in row order (none at a
+    center the family lacks), a curve's or the nonsingular point's
+    `SINGLE_BRANCH`.  A curve through the cAx/b point has degree in (1/b) Z,
     and one of degree 1/b below (-K)^3 is special and leaves 2/b to the
-    least curve.  A point center's branches are the member's link rows at
-    its locus in row order; a point without rows has none, and is a center
-    the family lacks.  A curve's or the nonsingular point's is its
-    `SINGLE_BRANCH`.  The nonsingular point's isolation keeps the limit
-    4/(-K)^3 that its bound must not exceed."""
+    least curve.  The isolation keeps the limit 4/(-K)^3 of its bound."""
     rows: dict[str, list[LinkRow]] = {}
     for row in member.golden.link_column:
         rows.setdefault(row.point, []).append(row)
@@ -503,13 +460,14 @@ def centers(member: Member) -> Plan:
 # ---------------------------------------------------------------------------
 
 def _curve(member: Member, center: Center, branch: LinkRow) -> Certificate:
-    # the degree's certificate, uncovered below (-K)^3, where no cited table holds a special curve's data
-    fid, deg, special = member.g.id, center.degree, member.plan.special_curve
+    # the degree's certificate, uncovered below (-K)^3, where the member cites no special curve's data
+    deg, special = center.degree, member.plan.special_curve
     if special is not None and deg == special:
-        if fid in CURVE_GAMMA_SQ:
-            return CurveGamma(a_cube=member.a_cube, deg=deg, gamma_sq=CURVE_GAMMA_SQ[fid])
-        if fid in CURVE_CYCLE_DATA:
-            return CurveCycle(*CURVE_CYCLE_DATA[fid])
+        cited = dict(member.golden.cited or ())
+        if "gamma_sq" in cited:
+            return CurveGamma(a_cube=member.a_cube, deg=deg, gamma_sq=cited["gamma_sq"])
+        if "cycle" in cited:
+            return CurveCycle(*cited["cycle"])
     return CurveDegree(deg=deg, a_cube=member.a_cube)
 
 
@@ -527,13 +485,13 @@ def _surface_pair(member: Member, center: Center, branch: LinkRow) -> SurfacePai
 
 
 def nef_numbers(model: LocalModel) -> NefNumbers:
-    """The nef divisor's numbers at `model`'s point, which `LocalModel.nef`
-    keeps: of the 3-subsets S of the coordinates other than the vertex whose
-    locus {x_S = 0} on the member is finite, the first in `combinations`
-    order of least c, with the lifts of x_S (x_i at its Kawamata weight, w at
-    `w_order`), c and whether it is certified (`nef_bound_check`), and
-    (M . B^2).  UncoveredCaseError where the point moves to no vertex or no
-    S is finite, ValueError for an invalid lift of a finite S."""
+    """The nef divisor's numbers at `model`'s point (`LocalModel.nef`): of
+    the 3-subsets S of the coordinates but the vertex with {x_S = 0} finite
+    on X, the first in `combinations` order of least c, with the lifts of x_S
+    (x_i at its Kawamata weight, w at `w_order`), c, `certified`
+    (`nef_bound_check`) and (M . B^2).
+    UncoveredCaseError where the point moves to no vertex or no S is finite,
+    ValueError for an invalid lift of a finite S."""
     model = model.at_vertex()
     q, w, others = model.q, model.ambient, [i for i in range(5) if i != model.vertex]
     # {x_S = 0} lies on the line of the vertex and the coordinate S leaves
@@ -546,11 +504,10 @@ def nef_numbers(model: LocalModel) -> NefNumbers:
     lift = {i: SectionLift.of(w[i], o, q.r) for i, o in order.items()}
     found = [(nef_bound_check([lift[i] for i in s], q), s) for s in finite]
     (c, certified), s = min(found, key=lambda f: f[0][0])
-    # M is the lift that attains c = max(class_e / class_b), the first on a tie
-    # (class_e = c class_b, compared as one integer cross-product): its
-    # class class_b B + class_e E = class_b (B + cE) is a positive multiple of the
-    # divisor that nef_bound_check certifies nef, so (M . B^2) has that divisor's sign;
-    # in the (A, E) basis, where B = A - E/r, d B + (d/r - order) E is (d, -order)
+    # M, the first lift that attains c (class_e = c class_b as one integer
+    # cross-product), is class_b (B + cE), a positive multiple of the divisor
+    # nef_bound_check certifies, so (M . B^2) has its sign; in the (A, E)
+    # basis, where B = A - E/r, d B + (d/r - order) E is (d, -order)
     m = next(i for i in s
              if lift[i].class_e.numerator * c.denominator == c.numerator * lift[i].class_e.denominator * w[i])
     b = (1, Fraction(-1, q.r))
@@ -564,53 +521,63 @@ def _nef_divisor(member: Member, center: Center, branch: LinkRow) -> NefDivisor:
 
 
 def _negdef_matrix(member: Member, center: Center, branch: LinkRow) -> NegDefMatrix:
+    # two cited sections x_i, x_j cut a curve pair summing to (B . x_i . x_j),
+    # whose residual curve misses E and is cut on {x_i = x_j = 0} by the
+    # degree-(d - b) slot, so pairs with -K by bare degree.  Three cut its
+    # curve Gamma: (B . Gamma) on the ambient Kawamata blowup of the 4-space
+    # at the vertex, x_i lifted to (w_i, -(w_i mod r)/r), and beta is cited
     w, q = member.gprime.weights, center.quotient
-    if member.g.id != 50:
+    sections, beta, floor = map(dict(branch.cited or ()).get, ("sections", "beta", "floor"))
+    if sections is None or floor is None or (len(sections) == 3) != (beta is not None):
         raise UncoveredCaseError(f"no curve-pair matrix data for family {member.g.id} at {q.locus}")
-    if q.locus == "p1p4":
-        # half point: the residual curve misses the exceptional divisor and is
-        # cut on the coordinate plane (x = z = 0) by the degree-(d - b) slot,
-        # so it pairs with -K by bare degree; the pair sums to (B . x0 . x2)
-        alpha = Fraction(member.gprime.degrees[0] - w[4], w[1] * w[3] * w[4])
-        return NegDefMatrix(alpha=alpha, beta=member.local[q.locus].pair_sum - alpha, parameter_floor=Fraction(1))
-    # third point: (B . Gamma) via the ambient Kawamata blowup of the
-    # 4-space at the point's vertex, where B = (1, -1/r) and a section x_i
-    # lifts to (w_i, -(w_i mod r)/r); the companion entry is pinned golden data
     model = member.local[q.locus].at_vertex()
+    if beta is None:
+        alpha = Fraction(member.gprime.degrees[0] - w[4], math.prod([w[i] for i in range(5) if i not in sections]))
+        return NegDefMatrix(alpha=alpha, beta=model.pair_sum(sections) - alpha, parameter_floor=floor)
     vertex, k = model.vertex, model.weights
-    # the sections x0, x1 and w that cut Gamma: cited from the paper; ROADMAP item 9 derives them
-    sections = [(w[i], Fraction(-k[i], q.r)) for i in (0, 1, 4)]
-    alpha = ambient_quadruple(w, q.r, k[:vertex] + k[vertex + 1:], [(1, Fraction(-1, q.r)), *sections])
-    # beta = 1/60: cited from the paper; ROADMAP item 3 derives it
-    return NegDefMatrix(alpha=alpha, beta=Fraction(1, 60), parameter_floor=Fraction(1, 2))
+    alpha = ambient_quadruple(w, q.r, k[:vertex] + k[vertex + 1:],
+                              [(1, Fraction(-1, q.r)), *[(w[i], Fraction(-k[i], q.r)) for i in sections]])
+    return NegDefMatrix(alpha=alpha, beta=beta, parameter_floor=floor)
 
 
-def curve_pairings(model: LocalModel) -> tuple[Fraction, Fraction]:
-    """(B . C) and (E . C) of the infinite family of curves C through
-    `model`'s point, which `LocalModel.pairings` keeps: read from the cited
-    class of T on the point's ring, or cited outright.  UncoveredCaseError
-    for a family with no cited data."""
-    q, ring, fid = model.q, model.ring, model.family
-    r = q.r  # the blowup's discrepancy is 1/r
+def _pair_sum(model: LocalModel, sections: tuple[int, int]) -> Fraction:
+    """(B . x_i . x_j) at `model`'s point, which `LocalModel.pair_sum` keeps."""
+    k, b = model.at_vertex().weights, (1, Fraction(-1, model.q.r))
+    return triple(model.ring, b, *[(model.ambient[i], Fraction(-k[i], model.q.r)) for i in sections])
+
+
+def wci_degrees(condition: str) -> tuple[int, ...]:
+    """The degrees (a, b, c) of the WCI curve that "exists-wci(a,b,c)" or
+    its negation names; UncoveredCaseError for any other condition."""
+    head, _, rest = condition.partition("(")
+    degrees = rest.removesuffix(")").split(",")
+    if head not in ("exists-wci", "not-exists-wci") or len(degrees) != 3 or not all(map(str.isdigit, degrees)):
+        raise UncoveredCaseError(f"condition {condition!r} names no WCI curve")
+    return tuple(map(int, degrees))
+
+
+def curve_pairings(model: LocalModel, row: LinkRow) -> tuple[Fraction, Fraction]:
+    """(B . C) and (E . C) of the curves C through `model`'s point that `row`
+    cites (`LocalModel.pairings`): those of S . T, S = B and T of the cited
+    class, less where `residual` is cited those of the row's WCI curve, which
+    meets E once; or of the cited (A . C) and (E . C); else UncoveredCaseError."""
+    r = model.q.r  # the blowup's discrepancy is 1/r
     b, e = (1, Fraction(-1, r)), (0, 1)
-    if fid == 23:
-        # S . T splits off the WCI curve through the point, which meets -K in
-        # 1/6 - 1/r; the residual pencil meets -K trivially
-        # the curve's 1/6: cited from the paper; ROADMAP item 2 derives it
-        s, t = b, (4, Fraction(-4, r))  # T = 4B
-        return triple(ring, b, s, t) - Fraction(r - 6, 6 * r), triple(ring, e, s, t) - 1
-    if fid == 30:
-        # both pairings: cited from the paper; ROADMAP item 2 derives them
-        return Fraction(2 * r - 6, 3 * r), Fraction(2)  # 2/3 - 2/r
-    if fid in (55, 69):
-        # T's class, a coordinate section's (degree, -order): cited from the paper; ROADMAP item 9 derives it
-        s, t = b, {55: (2, Fraction(-3, 2)), 69: (2, Fraction(-12, 5))}[fid]
-        return triple(ring, b, s, t), triple(ring, e, s, t)
-    raise UncoveredCaseError(f"no infinite-curves data for family {fid} at {q.locus}")
+    cited = dict(row.cited or ())
+    if "T" in cited:
+        pairings = triple(model.ring, b, b, cited["T"]), triple(model.ring, e, b, cited["T"])
+        if not cited.get("residual"):
+            return pairings
+        degree = Fraction(math.prod(wci_degrees(row.condition)), math.prod(model.ambient))
+        return pairings[0] - degree + Fraction(1, r), pairings[1] - 1
+    if "curve" in cited:
+        a_dot, e_dot = cited["curve"]
+        return a_dot - e_dot / r, e_dot
+    raise UncoveredCaseError(f"no infinite-curves data for family {model.family} at {model.q.locus}")
 
 
 def _infinite_curves(member: Member, center: Center, branch: LinkRow) -> InfiniteCurves:
-    b_dot, e_dot = member.local[center.quotient.locus].pairings
+    b_dot, e_dot = member.local[center.quotient.locus].pairings(branch)
     return InfiniteCurves(b_dot_c=b_dot, e_dot_c=e_dot)
 
 
@@ -633,19 +600,12 @@ BUILDERS = {"curve": _curve, "isolation": _isolation, "surface-pair": _surface_p
             "nef-divisor": _nef_divisor, "negdef-matrix": _negdef_matrix,
             "infinite-curves": _infinite_curves, "untwist": _untwist}
 
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
 def dispatch(member: Member, center: Center, row: LinkRow) -> tuple[Certificate, Verdict]:
     """Build and judge the certificate of one branch of a center of `member`,
-    a family's general member (`Catalog.member`) or a stratum of it.  `row`
-    is the branch, run as given: a curve's or the nonsingular point's
-    `SINGLE_BRANCH` row, or one of the member's link rows at a point center's
-    locus, whose tag the loader has checked against its point and method.
-    An involution whose tag disagrees with `qi_eligible` (QI exactly where
-    it holds) is uncovered."""
+    a family's general member (`Catalog.member`) or a stratum of it: `row`,
+    run as given, is a `SINGLE_BRANCH` row or one of the member's link rows
+    at the point center's locus.  An involution whose tag disagrees with
+    `qi_eligible` (QI exactly where it holds) is uncovered."""
     cert = BUILDERS[row.method](member, center, row)
     verdict = cert.verdict()
     if cert.method == "curve-degree" and not verdict.excluded:

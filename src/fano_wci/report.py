@@ -3,10 +3,8 @@
 `GOLDEN` maps each table of classification numbers (blowup signs, family
 19's blowup tower, certificate witnesses, restriction-curve supports,
 isolation bounds) to its entries, and `WITNESSES` names the table of each
-certificate method's witness; the degrees, baskets and link rows are the
-catalog's.  `verify_tables` recomputes every entry from weights and degrees
-alone and reports any difference; it is the machine-checkable regression
-for the whole catalog.
+certificate method's witness.  `verify_tables` recomputes every entry from
+weights and degrees alone and reports any difference.
 """
 
 from __future__ import annotations
@@ -90,14 +88,10 @@ class Report:
 
 def build_report(member: Member) -> Report:
     """Every center of `member`, a family's general member or a stratum of
-    it, with one result per branch, each run with its condition and tag:
-    the centers and branches of `Member.plan` (`exclusion.centers`), which
-    the member derives once.  A point without rows is a center the family
+    it, with one result per branch of its plan (`Member.plan`), each run
+    with its condition and tag.  A point without rows is a center the family
     lacks, and each locus of link rows where the member has no point is
-    uncovered once.  The numbers the certificates rest on are the member's
-    (its plan, local models with their nef-divisor numbers and pairings, and
-    restriction support, each derived on first use and kept); every
-    certificate, verdict, branch result and report is built anew."""
+    uncovered once.  Every certificate, verdict and result is built anew."""
     plan = member.plan
     centers: list[CenterReport] = []
     for center, branches in plan.centers:
@@ -168,8 +162,9 @@ def render_markdown(report: Report) -> str:
 
 
 def _golden_record_json(pair: FamilyPair) -> dict:
+    """The Gprime record as the catalog file states it, `cited` objects too."""
     gp, golden = pair.gprime, pair.golden
-    return {
+    return _with_cited({
         "id": gp.id,
         "kind": "Gprime",
         "weights": list(gp.weights),
@@ -177,8 +172,14 @@ def _golden_record_json(pair: FamilyPair) -> dict:
         "subfamily": golden.subfamily,
         "a_cube": rat_str(golden.a_cube),
         "basket": [dict(zip(BASKET_KEYS, row)) for row in golden.basket],
-        "links": [dict(zip(LINK_KEYS, row)) for row in golden.link_column],
-    }
+        "links": [_with_cited(dict(zip(LINK_KEYS, row)), row.cited) for row in golden.link_column],
+    }, golden.cited)
+
+
+def _with_cited(blob: dict, cited: frozenset | None) -> dict:
+    if cited is not None:
+        blob["cited"] = {key: exclusion._json_value(value) for key, value in cited}
+    return blob
 
 
 def render_json(report: Report) -> dict:
@@ -315,10 +316,9 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
             elif _differ(tower, want):
                 diff(f"tower (-K)^3 = {rat_str(tower)} != {rat_str(want)}")
 
-        # link construction and round trip: deriving the Member checks that
-        # both records solve to the stated subfamily and that the Gprime
-        # record is the G record's counterpart; the Gprime record's form must
-        # give back the G record
+        # link construction and round trip: deriving the Member checks both
+        # records' subfamily and the counterpart, and the Gprime record's form
+        # must give back the G record
         member = catalog.member(family_id)
         back_weights, back_degrees = links.counterpart_inverse(member.shape)
         if back_weights != g.weights or back_degrees != g.degrees:
@@ -337,10 +337,9 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
                 if _sign(val := member.local[q.locus].b_cube) != sign:
                     diff(f"B^3 at {q.locus} computed {rat_str(val)}, table sign says {sign}")
 
-        # every center and link row of the report resolves, every link row
-        # ran, each quotient point where an exclusion ran has a sign entry,
-        # and each witness entry of the family is taken by the first
-        # certificate of its method that reaches it
+        # every center and link row resolves, every link row ran, each point
+        # where an exclusion ran has a sign entry, and the first certificate
+        # of a method takes each witness entry of the family it reaches
         report = build_report(member)
         got = links.involution_inventory(report)
         want = [row[:3] for row in pair.golden.link_column]
@@ -375,9 +374,8 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
                 elif _differ(got, want):
                     diff(f"{label} {_witness_str(got)} != table {_witness_str(want)}")
     except (ValueError, LookupError) as exc:
-        # corrupt golden data can break a precondition mid-computation; that
-        # is a verification failure, not a crash, and the mismatches found
-        # before it stand
+        # corrupt golden data can break a precondition mid-computation: a
+        # verification failure, not a crash, and earlier mismatches stand
         diff(str(exc))
         why = dict.fromkeys(GOLDEN, "the checks stopped at the error above")
     for table, key in golden:
@@ -387,9 +385,8 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
 
 def verify_tables(catalog: Catalog) -> list[str]:
     # GOLDEN grouped afresh into one flat dict (table, key) -> value per
-    # family, in table, then key order: a key is its family or (family,
-    # locus).  Each catalog family checks its own entries, and an entry of
-    # any other family is a mismatch line after theirs
+    # family, in table, then key order; each catalog family checks its own
+    # entries, and an entry of any other family is a line after theirs
     golden: dict[int, dict] = {family_id: {} for family_id in catalog.ids()}
     outside: list[str] = []
     for table, entries in GOLDEN.items():

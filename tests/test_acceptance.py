@@ -4,6 +4,7 @@ pass lines."""
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -128,12 +129,16 @@ def test_09_tower_numerics(catalog):
     # pairing of -K with the half-point curve on the blown-up hypersurface side
     lat = blowup.BlowupRing.kawamata_tower(catalog.pair(19).gprime.a_cube(), [half])
     b = (1, F(-1, 2))
-    # the 1/6 is cited from the paper; ROADMAP item 2 derives it
-    curve_pairing = F(1, 6) - F(1, 2) * 1
+    # the curve's degree 1/6 = 1 * 1 * 2 / (1 * 1 * 2 * 3 * 2), read off the
+    # row condition exists-wci(1,1,2) that names it
+    member = catalog.member(19)
+    (condition,) = [row.condition for row in member.golden.link_column if row.condition.startswith("exists-wci")]
+    degree = F(math.prod(exclusion.wci_degrees(condition)), math.prod(member.gprime.weights))
+    curve_pairing = degree - F(1, 2) * 1
     assert curve_pairing == F(-1, 3)
     # consistency: the residual pencil balances 2B^3 = (B . Gamma) + (B . C)
     assert 2 * blowup.triple(lat, b, b, b) == curve_pairing + F(2, 3)
-    ok(9, "tower (-K)^3 = -1/12 and the 2B^3 balance, via triple products, with the cited "
+    ok(9, "tower (-K)^3 = -1/12 and the 2B^3 balance, via triple products, with the "
           "half-point curve pairing -1/3")
 
 

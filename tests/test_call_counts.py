@@ -274,7 +274,8 @@ def test_a_derivation_that_raises_raises_on_every_report(catalog):
         assert calls == {"nef_numbers": 1, "curve_pairings": 1}
         assert report.uncovered == ("edge p2p3 point cannot be moved to a vertex",
                                     "no infinite-curves data for family 77 at p2p4")
-    assert [vars(model).keys() & {"nef", "pairings"} for model in member.local.values()] == [set(), set()]
+    assert [("nef" in vars(model), vars(model).get("_derived", {})) for model in member.local.values()] == [
+        (False, {}), (False, {})]
 
     # family 50 without the monomials free of w whose order at the half
     # point is at most 2 = 4/r, w's degree over r: w's order is 3, its
@@ -307,7 +308,7 @@ def test_negdef_matrix_builds_no_nef_divisor():
     assert [br.verdict.method for br in half.branches] == ["nef-divisor", "negdef-matrix"]
     assert calls == {"nef": 1}
     model = catalog.member(50).local["p1p4"]
-    assert model.pair_sum == model.nef.m_b2 == Fraction(-3, 20)
+    assert model.pair_sum((0, 2)) == model.nef.m_b2 == Fraction(-3, 20)
 
 
 def test_links_derives_the_member_like_every_command(empty_load_cache, capsys):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fano_wci import cli
+from fano_wci import cli, report
 from fano_wci.catalog import FAMILY_IDS, CatalogError, default_catalog_path, load_catalog
 from fano_wci.report import verify_tables
 from fano_wci.singularities import equation_shape
@@ -52,13 +52,16 @@ def test_golden_a_cube_matches_record(catalog):
 
 
 def test_golden_columns_are_the_files_rows(catalog):
+    # the rows in file order, and the record with every `cited` object
+    # written back as the file states it
     with open(default_catalog_path(), encoding="utf-8") as fh:
         entries = {obj["id"]: obj for obj in json.load(fh) if obj["kind"] == "Gprime"}
     for fid in catalog.ids():
-        golden, entry = catalog.pair(fid).golden, entries[fid]
-        assert golden.basket == tuple((b["type"], b["count"], b["locus"]) for b in entry["basket"])
-        assert golden.link_column == tuple((l["point"], l["tag"], l["condition"], l["method"])
-                                           for l in entry["links"])
+        pair, entry = catalog.pair(fid), entries[fid]
+        assert pair.golden.basket == tuple((b["type"], b["count"], b["locus"]) for b in entry["basket"])
+        assert [row[:4] for row in pair.golden.link_column] == [
+            (l["point"], l["tag"], l["condition"], l["method"]) for l in entry["links"]]
+        assert report._golden_record_json(pair) == entry
 
 
 @pytest.mark.parametrize("content", [
@@ -227,6 +230,71 @@ def test_load_rejects_a_tag_that_its_point_or_method_rules_out(tmp_path, entry, 
     with pytest.raises(CatalogError) as exc:
         load_catalog(_tamper(tmp_path, mutate), strict=False)
     assert str(exc.value) == f"catalog entry #{entry}: " + rule.format(tag=tag, point=point, method=method, fid=fid)
+
+
+def gprime(raw: list[dict], fid: int) -> dict:
+    return next(obj for obj in raw if obj["id"] == fid and obj["kind"] == "Gprime")
+
+
+# (what gains the key, where the error names it): a key outside the schema
+# is a load error, so a misspelt `cited` is no silent edit
+UNKNOWN_KEYS = [
+    (lambda raw: gprime(raw, 50)["links"][3], "catalog entry #17: 'links' entry #3: unknown key 'citd'"),
+    (lambda raw: gprime(raw, 50)["basket"][0], "catalog entry #17: 'basket' entry #0: unknown key 'citd'"),
+    (lambda raw: gprime(raw, 50), "catalog entry #17: unknown key 'citd'"),
+    (lambda raw: raw[16], "catalog entry #16: unknown key 'citd'"),
+    (lambda raw: gprime(raw, 50)["links"][3]["cited"], "catalog entry #17: 'links' entry #3 (negdef-matrix): "
+                                                       "unknown cited key 'citd'"),
+    (lambda raw: gprime(raw, 23)["cited"], "catalog entry #5: unknown cited key 'citd'"),
+]
+
+
+@pytest.mark.parametrize("where, line", UNKNOWN_KEYS, ids=["link", "basket", "gprime", "g", "link-cited", "cited"])
+def test_an_unknown_key_is_a_load_error_that_names_it(tmp_path, capsys, where, line):
+    def mutate(raw):
+        where(raw)["citd"] = {"sections": [0, 2]}
+    path = _tamper(tmp_path, mutate)
+    assert cli.main(["--catalog", path, "verify-tables"]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+# (what states the `cited` object, its edited key and value, the error)
+BAD_CITED = [
+    (lambda raw: gprime(raw, 19), "gamma_sq", "-6/4",
+     "catalog entry #3: cited 'gamma_sq' must be \"p/q\" in lowest terms, got '-6/4'"),
+    (lambda raw: gprime(raw, 19), "gamma_sq", -1.5,
+     "catalog entry #3: cited 'gamma_sq' must be \"p/q\" in lowest terms, got -1.5"),
+    (lambda raw: gprime(raw, 23), "isolation_vertex", 5,
+     "catalog entry #5: cited 'isolation_vertex' must be an index 0-4, got 5"),
+    (lambda raw: gprime(raw, 23), "gamma_normalized", 1,
+     "catalog entry #5: cited 'gamma_normalized' must be a flag, got 1"),
+    (lambda raw: gprime(raw, 50)["links"][1], "sections", [0, 0],
+     "catalog entry #17: 'links' entry #1 (negdef-matrix): cited 'sections' must be 2 or 3 distinct "
+     "indices, got [0, 0]"),
+    (lambda raw: gprime(raw, 55)["links"][0], "T", ["2", "-3/2"],
+     "catalog entry #19: 'links' entry #0 (infinite-curves): cited 'T' must be [an int, \"p/q\" in lowest "
+     "terms], got ['2', '-3/2']"),
+    (lambda raw: gprime(raw, 29)["links"][0], "T", [2, "-3/2"],
+     "catalog entry #7: 'links' entry #0 (surface-pair): unknown cited key 'T'"),
+    (lambda raw: gprime(raw, 29), "cited", None, "catalog entry #7: 'cited' must be an object, got None"),
+]
+
+
+@pytest.mark.parametrize("where, key, value, line", BAD_CITED, ids=[
+    "fraction-not-lowest", "fraction-float", "vertex", "flag", "sections", "class", "method", "object"])
+def test_each_cited_value_is_read_by_its_keys_reader(tmp_path, where, key, value, line):
+    # each key of a `cited` object has one reader, picked by the record or
+    # the row's method; a fraction must be in lowest terms, so that the
+    # analyze report writes it back as the file states it
+    def mutate(raw):
+        stated = where(raw)
+        if key == "cited":
+            stated["cited"] = value
+        else:
+            stated.setdefault("cited", {})[key] = value
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(_tamper(tmp_path, mutate), strict=False)
+    assert str(exc.value) == line
 
 
 def test_load_rejects_missing_record(tmp_path):

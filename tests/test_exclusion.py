@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from fano_wci import exclusion
 from fano_wci.blowup import BlowupRing, SectionLift, ambient_quadruple, b_cubed, triple, vanishing_order
-from fano_wci.catalog import LINK_METHODS, Catalog
+from fano_wci.catalog import LINK_METHODS
 from fano_wci.exclusion import (BUILDERS, Center, CurveCycle, CurveDegree, CurveGamma,
                                 InfiniteCurves, Isolation, LocalModel, NefDivisor, NegDefMatrix, SurfacePair,
                                 UncoveredCaseError, Untwist, _kawamata_weights, certificate_json, dispatch,
@@ -17,7 +18,7 @@ from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, mi
                                     support_with_point_at_vertex, tangent_coordinate)
 from fano_wci.wps import MonomialSupport
 from test_reference_equivalence import reference_negdef2
-from test_strata import dispatch_branch, stratum, with_rows
+from test_strata import dispatch_branch, stratum, with_golden, with_rows
 
 F = Fraction
 HALF = QuotientSingularity(2, 1)
@@ -50,8 +51,8 @@ def test_curve_cycle():
 
 def test_isolation_examples(catalog):
     # the vertex dropped and the bound of every family: 23 and 30 read
-    # theirs off ISOLATION_DROP, the other 12 derive the same ones the table
-    # held for them (`isolating_vertex`)
+    # their cited `isolation_vertex`, the other 12 derive theirs
+    # (`isolating_vertex`)
     cases = {17: (3, 2, F(4)), 19: (2, 6, F(6)), 23: (4, 6, F(48, 5)), 29: (3, 2, F(8)), 30: (3, 6, F(48, 5)),
              41: (3, 6, F(12)), 42: (2, 10, F(40, 3)), 49: (3, 4, F(16)), 50: (1, 20, F(240, 7)),
              55: (3, 4, F(16)), 69: (3, 10, F(20)), 74: (3, 12, F(48)), 77: (3, 6, F(24)), 82: (3, 20, F(80))}
@@ -63,17 +64,23 @@ def test_isolation_examples(catalog):
         assert verdict.excluded
 
 
-def test_the_cited_isolation_vertices_are_those_no_vertex_off_the_member_serves(catalog, monkeypatch):
+def isolation_vertices(catalog) -> dict[int, int]:
+    """The `isolation_vertex` that a family's member cites, by family."""
+    return {fid: vertex for fid in catalog.ids()
+            if (vertex := dict(catalog.pair(fid).golden.cited or ()).get("isolation_vertex")) is not None}
+
+
+def test_the_cited_isolation_vertices_are_those_no_vertex_off_the_member_serves(catalog):
     # the cited vertex of families 23 and 30 lies on the member; without it,
     # the least bound from a vertex the member misses is 12 > 48/5, so the
     # rule excludes nothing
-    cited = dict(exclusion.ISOLATION_DROP)
+    cited = isolation_vertices(catalog)
     assert cited == {23: 4, 30: 3}
-    monkeypatch.setattr(exclusion, "ISOLATION_DROP", {})
-    fresh = Catalog(catalog.pairs)
     for fid, vertex in ((23, 2), (30, 0)):
-        member = fresh.member(fid)
+        member = catalog.member(fid)
         assert not misses_vertex(member.support, member.gprime.weights, cited[fid])
+        member = with_golden(member, cited=frozenset([(key, value) for key, value in member.golden.cited
+                                                      if key != "isolation_vertex"]))
         cert, verdict = dispatch_branch(member, Center.smooth_point())
         assert (cert.dropped_vertex, cert.bound, cert.limit) == (vertex, 12, F(48, 5))
         assert not verdict.excluded
@@ -100,7 +107,7 @@ def test_the_isolating_vertex_of_every_stratum_keeps_its_bound(catalog):
     # without x2^4 and family 50 without x1^7 drop p0 instead
     moved, strata = {}, 0
     for fid in catalog.ids():
-        if fid in exclusion.ISOLATION_DROP:
+        if fid in isolation_vertices(catalog):
             continue
         member = catalog.member(fid)
         general = dispatch_branch(member, Center.smooth_point())[0]
@@ -146,14 +153,14 @@ def test_gamma_rows_are_the_surface_pair_families(catalog):
     # the golden gamma_rows check reads the support off a surface-pair
     # certificate, so its entries are the nine surface-pair families
     surface_pair = {fid for fid in catalog.ids()
-                    if any(method == "surface-pair" for *_, method in catalog.pair(fid).golden.link_column)}
+                    if any(row.method == "surface-pair" for row in catalog.pair(fid).golden.link_column)}
     assert surface_pair == set(GOLDEN["gamma_rows"]) == {23, 29, 42, 49, 50, 55, 74, 77, 82}
 
 
 def test_nef_divisor_points_move_to_vertex_1(catalog):
     # the half points p1p4 of the nef-divisor families sit at the weight-2 end
     nef = [fid for fid in catalog.ids()
-           if any(method == "nef-divisor" for *_, method in catalog.pair(fid).golden.link_column)]
+           if any(row.method == "nef-divisor" for row in catalog.pair(fid).golden.link_column)]
     assert nef == [50, 74, 82]
     assert [point_vertex(catalog.pair(fid).gprime.weights, "p1p4") for fid in nef] == [1, 1, 1]
 
@@ -187,6 +194,28 @@ def test_one_rule_reads_the_three_wci_conditions(catalog):
     assert ([lift.class_b for lift in nef.lifts], nef.c, nef.m_b2) == ([1, 3, 5], F(2, 5), F(1, 12))
 
 
+def test_each_wci_condition_names_a_curve_of_its_degrees(catalog):
+    # exists-wci(a,b,c) and its negation name the WCI curve of degrees
+    # (a, b, c), of degree a b c / (w0 ... w4): 1/6 at families 19 and 23,
+    # 1/10 at family 50.  Family 23's infinite-curves row takes that curve,
+    # through its 1/2 point and meeting E once, off S . T, so its pairings
+    # are those of S . T less (1/6 - 1/2, 1)
+    for (fid, locus), degree in zip(WCI_CONDITIONS, (F(1, 6), F(1, 6), F(1, 10))):
+        member = catalog.member(fid)
+        for row in [row for row in member.golden.link_column if row.point == locus]:
+            a, b, c = exclusion.wci_degrees(row.condition)
+            assert F(a * b * c, math.prod(member.gprime.weights)) == degree
+    for condition in ("", "monomial-absent(y^2 z)", "exists-wci(1,1)", "exists-wci(1,x,4)"):
+        with pytest.raises(UncoveredCaseError, match="names no WCI curve"):
+            exclusion.wci_degrees(condition)
+    member = catalog.member(23)
+    row = next(row for row in member.golden.link_column if row.method == "infinite-curves")
+    assert row.cited == {("T", (4, F(-2))), ("residual", True)}
+    whole = row._replace(cited=row.cited - {("residual", True)})
+    residual, whole = (member.local["p2p4"].pairings(edited) for edited in (row, whole))
+    assert residual == (F(0), F(3)) and (whole[0] - residual[0], whole[1] - residual[1]) == (F(1, 6) - F(1, 2), 1)
+
+
 def test_family_50_negdef_matrix_reads_its_own_sections_where_the_wci_curve_lies_in_x(catalog):
     # on the stratum without x1^2 x3^2 the curve {x0 = x2 = w = 0} lies in X
     # (`exists-wci(1,3,4)`), so the nef divisor's sections move off (x0, x2,
@@ -202,7 +231,7 @@ def test_family_50_negdef_matrix_reads_its_own_sections_where_the_wci_curve_lies
         assert negdef.row.condition == "exists-wci(1,3,4)"
         assert negdef.certificate == NegDefMatrix(alpha=F(1, 4), beta=F(-2, 5), parameter_floor=F(1))
         assert negdef.verdict.excluded and negdef.verdict.witness == F(1, 20)
-        assert member.local["p1p4"].pair_sum == F(-3, 20)
+        assert member.local["p1p4"].pair_sum((0, 2)) == F(-3, 20)
     assert half.uncovered == ("p1p4 = 1/2(1,1,1) [not-exists-wci(1,3,4)]",)
 
 
@@ -324,7 +353,8 @@ def per_call_nef_numbers(member, q) -> tuple:
 
 def per_call_pairings(member, q) -> tuple:
     """The infinite-curves builder's arithmetic as it ran on every call
-    before the local model kept its pairings: ((B . C), (E . C))."""
+    before the local model kept its pairings, with the constants it cited by
+    family id before the catalog's rows held them: ((B . C), (E . C))."""
     r, fid = q.r, member.g.id
     ring = BlowupRing.kawamata_tower(member.a_cube, [q])
     b, e = (1, F(-1, r)), (0, 1)
@@ -353,12 +383,11 @@ def test_each_local_model_is_the_per_call_derivation(catalog):
     # restriction support (`Member.gamma`) is gamma_polynomial's.  A point
     # that point_vertex moves to no vertex keeps its reason word for word;
     # every point it moves, also to the cAx vertex p4, has w's order.  The
-    # kept nef numbers and pairings (`LocalModel.nef`, `LocalModel.pairings`),
-    # or the error each raises, are the builders' per-call arithmetic, and so
-    # is each certificate `dispatch` builds from them where a nef-divisor or
-    # infinite-curves row runs.  The nef numbers raise at the 110 points that
-    # move to no vertex, the pairings at the 1,366 points of the 10 families
-    # without cited infinite-curves data
+    # kept nef numbers (`LocalModel.nef`), or the error they raise, and the
+    # pairings kept for each infinite-curves row (`LocalModel.pairings`) are
+    # the builders' per-call arithmetic, and so is each certificate
+    # `dispatch` builds from them where a nef-divisor or infinite-curves row
+    # runs.  The nef numbers raise at the 110 points that move to no vertex
     members = general_and_strata(catalog)
     points, unreached, runs, errors = 0, 0, {"nef-divisor": 0, "infinite-curves": 0}, Counter()
     for member in members:
@@ -368,9 +397,10 @@ def test_each_local_model_is_the_per_call_derivation(catalog):
         for q in member.quotients:
             points += 1
             model = member.local[q.locus]
-            nef, pairings = outcome_of(per_call_nef_numbers, member, q), outcome_of(per_call_pairings, member, q)
-            assert outcome_of(lambda: model.nef) == nef and outcome_of(lambda: model.pairings) == pairings
-            errors.update(want[1].split(" ")[0] for want in (nef, pairings) if type(want[0]) is type)
+            nef = outcome_of(per_call_nef_numbers, member, q)
+            assert outcome_of(lambda: model.nef) == nef
+            if type(nef[0]) is type:
+                errors[nef[1].split(" ")[0]] += 1
             for row in member.golden.link_column:
                 if row.point == q.locus and row.method in runs:
                     runs[row.method] += 1
@@ -379,7 +409,8 @@ def test_each_local_model_is_the_per_call_derivation(catalog):
                         lifts, c, certified, m_b2 = nef
                         assert cert == NefDivisor(lifts=lifts, q=q, m_b2=m_b2, c=c, certified=certified)
                     else:
-                        assert cert == InfiniteCurves(*pairings)
+                        pairings = per_call_pairings(member, q)
+                        assert model.pairings(row) == pairings and cert == InfiniteCurves(*pairings)
             ring, b_cube = BlowupRing.kawamata_tower(a_cube, [q]), b_cubed(a_cube, q)
             try:
                 vertex = point_vertex(w, q.locus)
@@ -397,7 +428,7 @@ def test_each_local_model_is_the_per_call_derivation(catalog):
                                                    w_order=order)
     assert (len(members), points, unreached) == (1_282, 1_987, 110)
     assert runs == {"nef-divisor": 229, "infinite-curves": 361}
-    assert errors == {"edge": 110, "no": 1_366}
+    assert errors == {"edge": 110}
 
 
 def test_negdef2_examples():

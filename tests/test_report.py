@@ -12,11 +12,13 @@ import pytest
 
 from fano_wci import exclusion, links, report
 from fano_wci.blowup import BlowupRing, triple
-from fano_wci.catalog import (LINK_TAGS, Catalog, CatalogError, FamilyRecord, Member, default_catalog_path,
-                              load_catalog)
+from fano_wci.catalog import (LINK_TAGS, CatalogError, FamilyPair, FamilyRecord, Member, default_catalog_path,
+                              derive_member, load_catalog)
+from fano_wci.exclusion import Untwist
 from fano_wci.report import GOLDEN, build_report, render_markdown, verify_tables
 from fano_wci.singularities import QuotientSingularity
-from test_strata import stratum, with_rows
+from fano_wci.wps import rat_str
+from test_strata import stratum, with_golden, with_rows
 
 F = Fraction
 
@@ -148,22 +150,39 @@ def test_verification_leaves_the_golden_tables_untouched(catalog, monkeypatch):
 
 
 def under_id(member: Member, family_id: int) -> Member:
-    """`member` with both records under `family_id`."""
+    """`member`'s family pair with both records under `family_id`, derived
+    anew; its rows and cited constants travel with it."""
     g, gprime = member.g, member.gprime
-    return Member(g=FamilyRecord(family_id, "G", g.weights, g.degrees),
-                  gprime=FamilyRecord(family_id, "Gprime", gprime.weights, gprime.degrees), golden=member.golden,
-                  a_cube=member.a_cube, shape=member.shape, support=member.support, quotients=member.quotients,
-                  cax=member.cax)
+    return derive_member(FamilyPair(g=FamilyRecord(family_id, "G", g.weights, g.degrees),
+                                    gprime=FamilyRecord(family_id, "Gprime", gprime.weights, gprime.degrees),
+                                    golden=member.golden))
 
 
-def test_a_member_of_a_family_without_rules_is_reported_uncovered(catalog):
-    # family 50's member under id 7, which no per-id table knows: its link
-    # rows travel with it and run, and each builder that reads a table keyed
-    # by family id is uncovered rather than a KeyError; without its rows,
-    # each point is a center the family lacks.  Its isolating vertex is
-    # derived from the support, not read by id
+def certificates(report) -> list:
+    return [(br.certificate, br.verdict) for cr in report.centers for br in cr.branches]
+
+
+def test_a_member_under_another_id_has_the_certificates_of_its_own(catalog):
+    # no builder reads the family id: each of the 14 members, its pair
+    # rebuilt under id 7, runs every branch to the same certificate and
+    # verdict, but the link untwist, which names its counterpart by id.
+    # Every member hashes, `cited` objects and all
+    for fid in catalog.ids():
+        member, moved = catalog.member(fid), under_id(catalog.member(fid), 7)
+        hash(member), hash(moved)  # a record hashes its fields, `cited` objects among them
+        assert build_report(moved).uncovered == ()
+        want = [(Untwist(c.tag, c.point, c.condition, 7, c.eligible) if c.method == "untwist" and c.tag == "link"
+                 else c, v) for c, v in certificates(build_report(member))]
+        assert certificates(build_report(moved)) == want, fid
+
+
+def test_a_member_without_cited_constants_is_reported_uncovered(catalog):
+    # family 50's member under id 7 without the cited sections, beta and
+    # floors of its rows: each negdef-matrix row is uncovered rather than a
+    # KeyError; without its rows, each point is a center the family lacks.
+    # Its isolating vertex is derived from the support, not cited
     member = under_id(catalog.member(50), 7)
-    assert build_report(member).uncovered == (
+    assert build_report(with_rows(member, [row[:4] for row in member.golden.link_column])).uncovered == (
         "no curve-pair matrix data for family 7 at p1p4", "no curve-pair matrix data for family 7 at p2")
     assert build_report(with_rows(member, ())).uncovered == (
         "family 7 has no center at p1p4", "family 7 has no center at p2", "family 7 has no center at p3",
@@ -171,10 +190,11 @@ def test_a_member_of_a_family_without_rules_is_reported_uncovered(catalog):
 
 
 def test_a_special_curve_without_cited_data_is_an_uncovered_center(catalog):
-    # family 17's member under id 7 has its special curve of degree 1/2 below
-    # (-K)^3 = 1 but no cited curve data: the curve is uncovered by name,
-    # not a KeyError, and the report's other centers still run
-    report = build_report(under_id(catalog.member(17), 7))
+    # family 17's member under id 7 without its cited cycle has its special
+    # curve of degree 1/2 below (-K)^3 = 1 but no curve data: the curve is
+    # uncovered by name, not a KeyError, and the report's other centers
+    # still run
+    report = build_report(with_golden(under_id(catalog.member(17), 7), cited=None))
     assert report.uncovered == ("family 7: curve of degree 1/2 is below (-K)^3 and matches no special certificate",)
     assert [cr.center.describe() for cr in report.centers if cr.uncovered] == ["curve of degree 1/2"]
 
@@ -246,9 +266,9 @@ def test_an_exclusion_turned_into_an_untagged_untwist_is_a_load_error(tmp_path, 
 
 
 # ---------------------------------------------------------------------------
-# Dispatch-edit census: a single edit of the dispatch data (the cited
-# tables of `exclusion` and the catalog's link rows) must print a mismatch
-# line or fail to load, unless it is pinned below with the reason it cannot
+# Dispatch-edit census: a single edit of the dispatch data (the catalog's
+# link rows and `cited` objects) must print a mismatch line or fail to load,
+# unless it is pinned below with the reason it cannot
 # ---------------------------------------------------------------------------
 
 CENSUS_METHODS = ("surface-pair", "infinite-curves", "nef-divisor", "untwist")
@@ -256,69 +276,81 @@ CENSUS_METHODS = ("surface-pair", "infinite-curves", "nef-divisor", "untwist")
 CONDITIONS = sorted({row["condition"] for e in SHIPPED for row in e["links"]})
 
 
-def row_edits(field: str, values) -> list[tuple[str, int, int, str, object]]:
+def row_edits(field: str, values) -> list[tuple[str, int, tuple, object]]:
     """Every edit of `field` of one catalog link row to each other one of
-    `values`, as (name, family, row index, field, value)."""
-    return [(f"{e['id']} {row['point']} [{row['condition']}] {row[field]}->{value}", e["id"], i, field, value)
-            for e in SHIPPED for i, row in enumerate(e["links"]) for value in values if value != row[field]]
+    `values`, as (name, family, path of the field in the family's Gprime
+    entry, value)."""
+    return [(f"{e['id']} {row['point']} [{row['condition']}] {row[field]}->{value}", e["id"], ("links", i, field),
+             value) for e in SHIPPED for i, row in enumerate(e["links"]) for value in values if value != row[field]]
 
 
-def dispatch_edits() -> list[tuple[str, int, int | None, str, object]]:
-    """Each cited isolation vertex (`ISOLATION_DROP`) set to each other
-    vertex, and each link row's method set to each other one of
-    `CENSUS_METHODS`."""
-    drops = [(f"{fid} isolation drop {drop}->{v}", fid, None, "ISOLATION_DROP", {**exclusion.ISOLATION_DROP, fid: v})
-             for fid, drop in exclusion.ISOLATION_DROP.items() for v in range(5) if v != drop]
+def dispatch_edits() -> list[tuple[str, int, tuple, object]]:
+    """Each cited isolation vertex set to each other vertex, and each link
+    row's method set to each other one of `CENSUS_METHODS`."""
+    drops = [(f"{e['id']} isolation drop {drop}->{v}", e["id"], ("cited", "isolation_vertex"), v)
+             for e in SHIPPED if (drop := e.get("cited", {}).get("isolation_vertex")) is not None
+             for v in range(5) if v != drop]
     return drops + row_edits("method", CENSUS_METHODS)
 
 
-def table_edits() -> list[tuple[str, int, None, str, object]]:
-    """One edit per entry of each other cited table of `exclusion`: a
-    `CURVE_GAMMA_SQ` value or a `CURVE_CYCLE_DATA[17]` number doubled,
-    family 23 dropped from `GAMMA_NORMALIZED`."""
-    gamma, cycle = exclusion.CURVE_GAMMA_SQ, exclusion.CURVE_CYCLE_DATA[17]
-    return [*[(f"CURVE_GAMMA_SQ[{fid}] doubled", fid, None, "CURVE_GAMMA_SQ", {**gamma, fid: 2 * value})
-              for fid, value in gamma.items()],
-            *[(f"CURVE_CYCLE_DATA[17][{i}] doubled", 17, None, "CURVE_CYCLE_DATA",
-               {17: tuple(2 * x if j == i else x for j, x in enumerate(cycle))}) for i in range(2)],
-            ("GAMMA_NORMALIZED without 23", 23, None, "GAMMA_NORMALIZED", exclusion.GAMMA_NORMALIZED - {23})]
+def doubled(value):
+    """An int or a "p/q" string doubled, as the file states it."""
+    return 2 * value if type(value) is int else rat_str(2 * F(value))
 
 
-def tag_edits() -> list[tuple[str, int, int, str, object]]:
+def cited_edits() -> list[tuple[str, int, tuple, object]]:
+    """One edit per value of each `cited` object of the catalog but the
+    isolation vertex (`dispatch_edits`): a flag negated, a section set to
+    each coordinate the sections lack, each other number doubled."""
+    edits = []
+    for e in SHIPPED:
+        stated = [(str(e["id"]), ("cited",), e.get("cited", {})),
+                  *[(f"{e['id']} {row['point']} [{row['condition']}]", ("links", i, "cited"), row.get("cited", {}))
+                    for i, row in enumerate(e["links"])]]
+        for where, path, cited in stated:
+            for key, value in cited.items():
+                if type(value) is bool:
+                    edits.append((f"{where} cited {key} negated", e["id"], (*path, key), not value))
+                elif key == "sections":
+                    edits += [(f"{where} cited {key}[{i}] {x}->{y}", e["id"], (*path, key, i), y)
+                              for i, x in enumerate(value) for y in range(5) if y not in value]
+                elif type(value) is list:
+                    edits += [(f"{where} cited {key}[{i}] doubled", e["id"], (*path, key, i), doubled(x))
+                              for i, x in enumerate(value)]
+                elif key != "isolation_vertex":
+                    edits.append((f"{where} cited {key} doubled", e["id"], (*path, key), doubled(value)))
+    return edits
+
+
+def tag_edits() -> list[tuple[str, int, tuple, object]]:
     """Each link row's tag set to each other one of `LINK_TAGS`."""
     return row_edits("tag", LINK_TAGS)
 
 
-def condition_edits() -> list[tuple[str, int, int, str, object]]:
+def condition_edits() -> list[tuple[str, int, tuple, object]]:
     """Each link row's condition set to each other one of `CONDITIONS`."""
     return row_edits("condition", CONDITIONS)
 
 
 def outcomes(edits) -> dict[str, str]:
-    """What verify-tables does after each edit, applied alone, by the edit's
-    name: "load error" (it exits 2), "mismatch" (it prints a line) or
-    "silent" (it passes).  A row edit edits the catalog file; an edit
-    without a row index sets the cited table of `exclusion` that its field
-    names, and runs on a new `Catalog` of the loaded pairs, whose members
-    derive their plans anew."""
+    """What verify-tables does after each edit of the catalog file, applied
+    alone, by the edit's name: "load error" (it exits 2), "mismatch" (it
+    prints a line) or "silent" (it passes)."""
     got = {}
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "edited.json")
-        for name, family, index, field, value in edits:
+        for name, family, (*parents, last), value in edits:
             entries = copy.deepcopy(SHIPPED)
-            with pytest.MonkeyPatch.context() as mp:
-                if index is None:
-                    mp.setattr(exclusion, field, value)
-                else:
-                    link_rows(entries, family)[index][field] = value
-                try:
-                    catalog = load_entries(path, entries)
-                except CatalogError:
-                    got[name] = "load error"
-                    continue
-                if index is None:
-                    catalog = Catalog(catalog.pairs)
-                got[name] = "mismatch" if verify_tables(catalog) else "silent"
+            stated = next(e for e in entries if e["id"] == family and e["kind"] == "Gprime")
+            for key in parents:
+                stated = stated[key]
+            stated[last] = value
+            try:
+                catalog = load_entries(path, entries)
+            except CatalogError:
+                got[name] = "load error"
+                continue
+            got[name] = "mismatch" if verify_tables(catalog) else "silent"
     return got
 
 
@@ -361,13 +393,13 @@ def test_every_condition_edit_is_a_load_error_or_a_mismatch():
 
 
 # no golden table holds a curve-cycle witness; family 17's certificate still excludes
-SILENT_TABLE_EDITS = {"CURVE_CYCLE_DATA[17][0] doubled", "CURVE_CYCLE_DATA[17][1] doubled"}
+SILENT_CITED_EDITS = {"17 cited cycle[0] doubled", "17 cited cycle[1] doubled"}
 
 
-def test_every_cited_table_edit_but_the_pinned_ones_prints_a_mismatch():
-    edits = table_edits()
-    assert len(edits) == 5 and len({name for name, *_ in edits}) == 5
-    assert set(census(edits)) == SILENT_TABLE_EDITS
+def test_every_cited_edit_but_the_pinned_ones_prints_a_mismatch():
+    edits = cited_edits()
+    assert len(edits) == 29 and len({name for name, *_ in edits}) == 29
+    assert set(census(edits)) == SILENT_CITED_EDITS
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,16 @@ def stratum(member: Member, monomial) -> Member:
                   shape=member.shape, support=support, quotients=tuple(quotients), cax=cax)
 
 
-def with_rows(member: Member, rows) -> Member:
-    """The member with its link rows (point, tag, condition, method) replaced by `rows`."""
-    golden = GoldenRow(*[tuple(map(LinkRow._make, rows)) if name == "link_column" else getattr(member.golden, name)
-                         for name in GoldenRow.__record_fields__])
+def with_golden(member: Member, **fields) -> Member:
+    """The member with `fields` of its golden row replaced."""
+    golden = GoldenRow(*[fields.get(name, getattr(member.golden, name)) for name in GoldenRow.__record_fields__])
     return Member(*[golden if name == "golden" else getattr(member, name) for name in Member.__record_fields__])
+
+
+def with_rows(member: Member, rows) -> Member:
+    """The member with its link rows (point, tag, condition, method and
+    optionally cited) replaced by `rows`."""
+    return with_golden(member, link_column=tuple([LinkRow(*row) for row in rows]))
 
 
 def dispatch_branch(member: Member, center: Center, condition: str = ""):
