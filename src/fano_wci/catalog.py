@@ -37,6 +37,7 @@ class FamilyRecord:
     kind: str  # "G" | "Gprime"
     weights: tuple[int, ...]
     degrees: tuple[int, ...]
+    cited: frozenset | None = None  # the record's `cited` constants (`CITED`), None where it states none
 
     def a_cube(self) -> Fraction:
         return self._a_cube
@@ -66,7 +67,6 @@ class GoldenRow:
     # 1, "p4"), and `LinkRow`s, at each point one with condition "" or two, P and not-P
     basket: tuple[tuple[str, int, str], ...]
     link_column: tuple[LinkRow, ...]
-    cited: frozenset | None = None  # the record's `cited` constants (`CITED`), None where it states none
 
 
 @record
@@ -180,7 +180,7 @@ def default_catalog_path() -> str:
     return _DEFAULT_PATH
 
 
-# the keys of a record and the JSON type of each key of a basket or links entry; Gprime and links may add `cited`
+# the keys of a record and the JSON type of each key of a basket or links entry; a record or links entry may add `cited`
 RECORD_KEYS = ("id", "kind", "weights", "degrees", "subfamily", "a_cube", "basket", "links")
 BASKET_KEYS = {"type": str, "count": int, "locus": str}
 LINK_KEYS = {"point": str, "tag": str, "condition": str, "method": str}
@@ -194,9 +194,10 @@ NEGATED = {"exists-wci": "not-exists-wci", "not-exists-wci": "exists-wci",
 
 
 P_Q, INT, INDEX, INDICES, FLAG = '"p/q" in lowest terms', "an int", "an index 0-4", "2 or 3 distinct indices", "a flag"
-# the keys of a `cited` object (the builders say what each is), by the Gprime record or the
+# the keys of a `cited` object (its readers say what each is), by the kind of the record or the
 # method of the links entry that states it, with the kind of value the file must state (`_read`)
 CITED = {
+    "G": {"tower": ((INT, INT), (INT, INT))},
     "Gprime": {"gamma_sq": P_Q, "cycle": (P_Q, P_Q), "isolation_vertex": INDEX, "gamma_normalized": FLAG},
     "negdef-matrix": {"sections": INDICES, "beta": P_Q, "floor": P_Q},
     "infinite-curves": {"T": (INT, P_Q), "residual": FLAG, "curve": (P_Q, P_Q)},
@@ -235,9 +236,12 @@ def _cited(raw, keys: dict, where: str) -> frozenset | None:
         try:
             pairs.append((key, _read(value, keys[key])))
         except (ValueError, ZeroDivisionError):
-            kind = keys[key] if type(keys[key]) is str else f"[{', '.join(keys[key])}]"
-            raise CatalogError(f"{where}: cited {key!r} must be {kind}, got {value!r}") from None
+            raise CatalogError(f"{where}: cited {key!r} must be {_kind_str(keys[key])}, got {value!r}") from None
     return frozenset(pairs)
+
+
+def _kind_str(kind) -> str:
+    return kind if type(kind) is str else f"[{', '.join(map(_kind_str, kind))}]"
 
 
 def _known_keys(obj: dict, allowed, where: str, what: str = "key") -> None:
@@ -327,7 +331,7 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
     kind = obj["kind"]
     if kind not in ("G", "Gprime"):
         raise CatalogError(f"{where}: kind must be 'G' or 'Gprime', got {kind!r}")
-    _known_keys(obj, (*RECORD_KEYS, "cited") if kind == "Gprime" else RECORD_KEYS, where)
+    _known_keys(obj, (*RECORD_KEYS, "cited"), where)
     if type(fid) is not int or fid not in FAMILY_IDS:
         raise CatalogError(f"{where}: id {fid} is not one of the 14 catalog families")
     if type(obj["subfamily"]) is not str:
@@ -390,14 +394,13 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     gprime_records: dict[int, FamilyRecord] = {}
     stated_a_cube: dict[tuple[str, int], Fraction] = {}
     stated_subfamily: dict[int, str] = {}
-    golden_columns: dict[int, tuple[tuple[tuple, ...], tuple[LinkRow, ...], frozenset | None]] = {}
+    golden_columns: dict[int, tuple[tuple[tuple, ...], tuple[LinkRow, ...]]] = {}
     for k, obj in enumerate(raw):
         where = f"catalog entry #{k}"
         rec = _parse_record(obj, where)
         bucket = g_records if rec.kind == "G" else gprime_records
         if rec.id in bucket:
             raise CatalogError(f"{where}: duplicate {rec.kind} record for id {rec.id}")
-        bucket[rec.id] = rec
         subfamily = stated_subfamily.setdefault(rec.id, obj["subfamily"])
         if obj["subfamily"] != subfamily:
             raise CatalogError(f"{where}: subfamily {obj['subfamily']!r} of family {rec.id} ({rec.kind}) "
@@ -428,12 +431,13 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
             for _, count, _ in basket:
                 if count < 1:
                     raise CatalogError(f"{where}: basket count must be >= 1 for family {rec.id}")
-            golden_columns[rec.id] = (basket, _link_rows(links, rec.id, where),
-                                      _cited(obj.get("cited", _ABSENT), CITED["Gprime"], where))
+            golden_columns[rec.id] = basket, _link_rows(links, rec.id, where)
         else:  # the golden columns belong to the Gprime record
             for field in ("basket", "links"):
                 if obj[field] != []:
                     raise CatalogError(f"{where}: '{field}' of a G record must be [], got {obj[field]!r}")
+        cited = _cited(obj.get("cited", _ABSENT), CITED[rec.kind], where)
+        bucket[rec.id] = FamilyRecord(rec.id, rec.kind, rec.weights, rec.degrees, cited)
 
     # every id is one of FAMILY_IDS and none repeats, so a full count is a full catalog
     if len(g_records) + len(gprime_records) != 2 * len(FAMILY_IDS):

@@ -290,7 +290,7 @@ def gamma_polynomial(member: Member) -> MonomialSupport:
     `gamma_normalized` (family 23), with its edge point moved to the x2
     vertex, which strikes the pure x2 power."""
     support = member.support
-    if dict(member.golden.cited or ()).get("gamma_normalized"):
+    if dict(member.gprime.cited or ()).get("gamma_normalized"):
         support = support_with_point_at_vertex(support, vertex=2, weight=member.gprime.weights[2])
     restricted = frozenset([(m[2], m[3], m[4]) for m in support.monomials if not m[0] and not m[1]])
     return MonomialSupport(degree=support.degree, monomials=restricted)
@@ -414,7 +414,7 @@ def isolating_vertex(member: Member) -> tuple[int, int] | None:
     else the x-vertex off X (`misses_vertex`) of least bound, heaviest
     weight, lowest index; None where there is none."""
     w = member.gprime.weights
-    stated = dict(member.golden.cited or ()).get("isolation_vertex")
+    stated = dict(member.gprime.cited or ()).get("isolation_vertex")
     vertices = [stated] if stated is not None else [k for k in range(4) if misses_vertex(member.support, w, k)]
     if not vertices:
         return None
@@ -463,7 +463,7 @@ def _curve(member: Member, center: Center, branch: LinkRow) -> Certificate:
     # the degree's certificate, uncovered below (-K)^3, where the member cites no special curve's data
     deg, special = center.degree, member.plan.special_curve
     if special is not None and deg == special:
-        cited = dict(member.golden.cited or ())
+        cited = dict(member.gprime.cited or ())
         if "gamma_sq" in cited:
             return CurveGamma(a_cube=member.a_cube, deg=deg, gamma_sq=cited["gamma_sq"])
         if "cycle" in cited:

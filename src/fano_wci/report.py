@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import blowup, exclusion, links, singularities
-from .catalog import BASKET_KEYS, LINK_KEYS, Catalog, FamilyPair, LinkRow, Member
+from .catalog import BASKET_KEYS, LINK_KEYS, Catalog, FamilyPair, FamilyRecord, LinkRow, Member
 from .exclusion import Center, Certificate, Verdict
 from .wps import rat_str, record, wps_str
 
@@ -39,6 +39,7 @@ GOLDEN = {
     },
     "isolation": {42: (10, F(40, 3)), 19: (6, F(6)), 50: (20, F(240, 7)), 23: (6, F(48, 5))},
     "curve_witness": {19: F(-1, 2), 23: F(-1, 4)},
+    "cycle_witness": {17: F(1, 2)},
     "gamma_rows": {
         23: frozenset({(3, 0, 1), (0, 2, 1), (2, 2, 0)}),
         29: frozenset({(2, 0, 3), (3, 0, 2), (4, 0, 1), (5, 0, 0), (0, 2, 0)}),
@@ -173,7 +174,7 @@ def _golden_record_json(pair: FamilyPair) -> dict:
         "a_cube": rat_str(golden.a_cube),
         "basket": [dict(zip(BASKET_KEYS, row)) for row in golden.basket],
         "links": [_with_cited(dict(zip(LINK_KEYS, row)), row.cited) for row in golden.link_column],
-    }, golden.cited)
+    }, gp.cited)
 
 
 def _with_cited(blob: dict, cited: frozenset | None) -> dict:
@@ -253,6 +254,7 @@ WITNESSES = {
                         lambda cert, v: (cert.b_dot_c, cert.e_dot_c)),
     "isolation": ("isolation", False, "isolation", lambda cert, v: (cert.bound, cert.limit)),
     "curve-gamma": ("curve_witness", False, "curve witness", lambda cert, v: v.witness),
+    "curve-cycle": ("cycle_witness", False, "cycle witness", lambda cert, v: v.witness),
     "surface-pair": ("gamma_rows", False, "restriction curve support",
                      lambda cert, v: cert.gamma_support.monomials),
 }
@@ -273,18 +275,14 @@ def _witness_str(value) -> str:
     return rat_str(value)
 
 
-# family 19's G points of the blowup tower, 1/2 and 1/4, and -K on the
-# tower, (1, -1/2, -1/4): cited from the paper; ROADMAP item 11 derives them
-TOWER_POINTS = (singularities.QuotientSingularity(2, 1), singularities.QuotientSingularity(4, 1))
-TOWER_K = (1, *[F(-1, q.r) for q in TOWER_POINTS])
-
-
-def _tower_cube(family_id: int, g_a_cube: Fraction) -> Fraction | None:
-    """(-K)^3 on the blowup tower over family 19's G model at its
-    `TOWER_POINTS`, None for any other family."""
-    if family_id != 19:
+def _tower_cube(g: FamilyRecord) -> Fraction | None:
+    """(-K)^3 on the blowup tower over the G model at the points 1/r(1, a, r-a) that
+    its record cites as `tower` [r, a] pairs (-K is (1, -1/r_1, -1/r_2)), else None."""
+    points = [singularities.QuotientSingularity(r, a) for r, a in dict(g.cited or ()).get("tower", ())]
+    if not points:
         return None
-    return blowup.triple(blowup.BlowupRing.kawamata_tower(g_a_cube, TOWER_POINTS), TOWER_K, TOWER_K, TOWER_K)
+    k = (1, *[F(-1, q.r) for q in points])
+    return blowup.triple(blowup.BlowupRing.kawamata_tower(g.a_cube(), points), k, k, k)
 
 
 def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
@@ -307,8 +305,8 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
             diff(f"catalog a_cube {rat_str(pair.golden.a_cube)} != computed {rat_str(a_cube)}")
         if _differ(g_a_cube := g.a_cube(), pair.golden.g_a_cube):
             diff(f"catalog G a_cube {rat_str(pair.golden.g_a_cube)} != computed {rat_str(g_a_cube)}")
-        # family 19's blowup tower, from its G model's (-K)^3
-        tower = _tower_cube(family_id, g_a_cube)
+        # the blowup tower over the G model, where its record cites one (family 19)
+        tower = _tower_cube(g)
         if tower is not None:
             want = golden.pop(("tower_cube", family_id), None)
             if want is None:

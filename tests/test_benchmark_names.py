@@ -82,9 +82,10 @@ def test_every_listed_name_has_a_span_in_the_first_round_of_each_family():
 
 
 def test_the_binding_check_sees_every_call_through_a_wrapper():
-    # CI's "span wrappers see every call" step: it raises on a call that the
-    # profiler sees and no wrapper does, and returns the verify-tables op's
-    # family_support calls, one per family
+    # the benchmark's binding check, which every tier-1 run (each CI matrix
+    # leg) runs here: it raises on a call that the profiler sees and no
+    # wrapper does, and returns the verify-tables op's family_support calls,
+    # one per family
     done = run_python("-c", "import sys; sys.path.insert(0, 'perfbench'); import run; "
                             "run.fresh_import(); print(run.binding_check())")
     assert (done.returncode, done.stdout) == (0, "14\n"), done.stderr

@@ -88,7 +88,7 @@ def test_a_record_of_the_wrong_index_keeps_no_a_cube():
         calls, _ = count_calls({"anticanonical_cube": wps.anticanonical_cube},
                                lambda: pytest.raises(ValueError, rec.a_cube))
         assert calls == {"anticanonical_cube": 1}
-    assert vars(rec) == {"id": 17, "kind": "Gprime", "weights": (1, 1, 1, 4, 2), "degrees": (9,)}
+    assert vars(rec) == {"id": 17, "kind": "Gprime", "weights": (1, 1, 1, 4, 2), "degrees": (9,), "cited": None}
 
 
 def test_verify_tables_checks_each_quadratic_involution_once(empty_load_cache):
@@ -214,9 +214,10 @@ def test_a_failed_derivation_keeps_no_member(empty_load_cache, tmp_path):
     path.write_text(json.dumps(entries), encoding="utf-8")
     line = ("family 17: No.17: no standard form (I' shape: degree 8 and b=4 admit no lift to six weights; "
             "I'' shape: degree 8 and b=4 admit no lift to six weights)")
+    unchecked = "family 17: table cycle_witness[17] unchecked: the checks stopped at the error above"
     for _ in range(2):
         catalog = load_catalog(str(path), strict=False)
-        assert verify_tables(catalog) == [line]
+        assert verify_tables(catalog) == [line, unchecked]
         assert sorted(catalog._members) == [i for i in FAMILY_IDS if i != 17]
 
 

@@ -246,10 +246,12 @@ UNKNOWN_KEYS = [
     (lambda raw: gprime(raw, 50)["links"][3]["cited"], "catalog entry #17: 'links' entry #3 (negdef-matrix): "
                                                        "unknown cited key 'citd'"),
     (lambda raw: gprime(raw, 23)["cited"], "catalog entry #5: unknown cited key 'citd'"),
+    (lambda raw: raw[2]["cited"], "catalog entry #2: unknown cited key 'citd'"),
 ]
 
 
-@pytest.mark.parametrize("where, line", UNKNOWN_KEYS, ids=["link", "basket", "gprime", "g", "link-cited", "cited"])
+@pytest.mark.parametrize("where, line", UNKNOWN_KEYS,
+                         ids=["link", "basket", "gprime", "g", "link-cited", "cited", "g-cited"])
 def test_an_unknown_key_is_a_load_error_that_names_it(tmp_path, capsys, where, line):
     def mutate(raw):
         where(raw)["citd"] = {"sections": [0, 2]}
@@ -277,11 +279,18 @@ BAD_CITED = [
     (lambda raw: gprime(raw, 29)["links"][0], "T", [2, "-3/2"],
      "catalog entry #7: 'links' entry #0 (surface-pair): unknown cited key 'T'"),
     (lambda raw: gprime(raw, 29), "cited", None, "catalog entry #7: 'cited' must be an object, got None"),
+    (lambda raw: raw[2], "tower", [[2, 1]],
+     "catalog entry #2: cited 'tower' must be [[an int, an int], [an int, an int]], got [[2, 1]]"),
+    (lambda raw: raw[2], "tower", [[2, 1], [4, "1"]],
+     "catalog entry #2: cited 'tower' must be [[an int, an int], [an int, an int]], got [[2, 1], [4, '1']]"),
+    (lambda raw: raw[2], "gamma_sq", "-3/2", "catalog entry #2: unknown cited key 'gamma_sq'"),
+    (lambda raw: gprime(raw, 19), "tower", [[2, 1], [4, 1]], "catalog entry #3: unknown cited key 'tower'"),
 ]
 
 
 @pytest.mark.parametrize("where, key, value, line", BAD_CITED, ids=[
-    "fraction-not-lowest", "fraction-float", "vertex", "flag", "sections", "class", "method", "object"])
+    "fraction-not-lowest", "fraction-float", "vertex", "flag", "sections", "class", "method", "object",
+    "tower-length", "tower-string", "g-gamma-sq", "gprime-tower"])
 def test_each_cited_value_is_read_by_its_keys_reader(tmp_path, where, key, value, line):
     # each key of a `cited` object has one reader, picked by the record or
     # the row's method; a fraction must be in lowest terms, so that the
@@ -295,6 +304,27 @@ def test_each_cited_value_is_read_by_its_keys_reader(tmp_path, where, key, value
     with pytest.raises(CatalogError) as exc:
         load_catalog(_tamper(tmp_path, mutate), strict=False)
     assert str(exc.value) == line
+
+
+# a tower of two [r, a] pairs that loads but names no terminal point
+# 1/r(1, a, r-a), and the line verify-tables prints for it
+BAD_TOWER_POINTS = [
+    ([[0, 1], [4, 1]], "family 19: not a normalized type: 1/0(1,1,-1)"),
+    ([[2, 1], [4, 2]], "family 19: 1/4(1,2,2) is not terminal"),
+    ([[2, 1], [-4, 1]], "family 19: not a normalized type: 1/-4(1,1,-5)"),
+]
+
+
+@pytest.mark.parametrize("tower, line", BAD_TOWER_POINTS, ids=["r-zero", "not-terminal", "r-negative"])
+def test_a_tower_point_of_no_terminal_type_is_a_mismatch(tmp_path, capsys, tower, line):
+    # the G record's cited tower is read as ints at load; its points are
+    # built where the tower runs, and one that is not 1/r(1, a, r-a) stops
+    # the family's checks with its line, no traceback
+    def mutate(raw):
+        raw[2]["cited"]["tower"] = tower
+    assert cli.main(["--catalog", _tamper(tmp_path, mutate), "verify-tables"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == line and err == ""
 
 
 def test_load_rejects_missing_record(tmp_path):

@@ -422,7 +422,8 @@ UNDERIVABLE = {
                      *_stopped(29, "b_cube_signs[(29, 'p2p4')]", "gamma_rows[29]")]),
     "no-standard-shape": (_swap_weights_0_4_of_17, 17,
                           ["family 17: No.17: no standard form (I' shape: degrees d1, d2 = 7, 8 are not "
-                           "both even; I'' shape: degree 8 and b=1 admit no lift to six weights)"]),
+                           "both even; I'' shape: degree 8 and b=1 admit no lift to six weights)",
+                           *_stopped(17, "cycle_witness[17]")]),
     "swap-odd-degrees": (_gprime_weights(19, [1, 1, 2, 2, 3]), 19,
                          ["family 19: No.19: no standard form (I' shape: degrees d1, d2 = 5, 8 are not "
                           "both even; I'' shape: degree 8 and b=3 admit no lift to six weights)",
@@ -586,7 +587,8 @@ def test_verify_tables_keeps_the_mismatches_found_before_a_later_step_raises(cap
     assert out.splitlines() == [
         "family 17: catalog a_cube 2 != computed 1",
         "family 17: record No.17/G: not anticanonically embedded of index 1 (sum weights - sum degrees = 0)",
-        "verify-tables: 2 mismatch(es)"]
+        *_stopped(17, "cycle_witness[17]"),
+        "verify-tables: 3 mismatch(es)"]
 
 
 def _swap_first_unequal_g_weight(raw, family):

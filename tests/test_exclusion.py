@@ -18,7 +18,7 @@ from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, mi
                                     support_with_point_at_vertex, tangent_coordinate)
 from fano_wci.wps import MonomialSupport
 from test_reference_equivalence import reference_negdef2
-from test_strata import dispatch_branch, stratum, with_golden, with_rows
+from test_strata import dispatch_branch, stratum, with_cited, with_rows
 
 F = Fraction
 HALF = QuotientSingularity(2, 1)
@@ -67,7 +67,7 @@ def test_isolation_examples(catalog):
 def isolation_vertices(catalog) -> dict[int, int]:
     """The `isolation_vertex` that a family's member cites, by family."""
     return {fid: vertex for fid in catalog.ids()
-            if (vertex := dict(catalog.pair(fid).golden.cited or ()).get("isolation_vertex")) is not None}
+            if (vertex := dict(catalog.pair(fid).gprime.cited or ()).get("isolation_vertex")) is not None}
 
 
 def test_the_cited_isolation_vertices_are_those_no_vertex_off_the_member_serves(catalog):
@@ -79,8 +79,8 @@ def test_the_cited_isolation_vertices_are_those_no_vertex_off_the_member_serves(
     for fid, vertex in ((23, 2), (30, 0)):
         member = catalog.member(fid)
         assert not misses_vertex(member.support, member.gprime.weights, cited[fid])
-        member = with_golden(member, cited=frozenset([(key, value) for key, value in member.golden.cited
-                                                      if key != "isolation_vertex"]))
+        member = with_cited(member, frozenset([(key, value) for key, value in member.gprime.cited
+                                               if key != "isolation_vertex"]))
         cert, verdict = dispatch_branch(member, Center.smooth_point())
         assert (cert.dropped_vertex, cert.bound, cert.limit) == (vertex, 12, F(48, 5))
         assert not verdict.excluded

@@ -18,7 +18,7 @@ from fano_wci.exclusion import Untwist
 from fano_wci.report import GOLDEN, build_report, render_markdown, verify_tables
 from fano_wci.singularities import QuotientSingularity
 from fano_wci.wps import rat_str
-from test_strata import stratum, with_golden, with_rows
+from test_strata import stratum, with_cited, with_rows
 
 F = Fraction
 
@@ -45,6 +45,8 @@ FAULTS = [
     ("infinite_curves", (23, "p2p4"), (F(1), F(3)), "family 23: infinite-curves data (0, 3) != table (1, 3)"),
     ("isolation", 42, (11, F(40, 3)), "family 42: isolation (10, 40/3) != table (11, 40/3)"),
     ("curve_witness", 19, F(-1, 3), "family 19: curve witness -1/2 != table -1/3"),
+    ("cycle_witness", 17, F(1, 3), "family 17: cycle witness 1/2 != table 1/3"),
+    ("cycle_witness", 19, F(1, 2), "family 19: table cycle_witness[19] unchecked: no curve-cycle certificate ran"),
     ("gamma_rows", 29, frozenset({(2, 0, 3), (0, 2, 0)}),
      "family 29: restriction curve support [(0, 2, 0), (2, 0, 3), (3, 0, 2), (4, 0, 1), (5, 0, 0)] "
      "!= table [(0, 2, 0), (2, 0, 3)]"),
@@ -72,11 +74,14 @@ FAULTS = [
 
 def test_family_19_tower_class_is_minus_k_over_its_cited_points(catalog):
     # -K on the tower over the G model's cited 1/2 and 1/4 points is
-    # (1, -1/2, -1/4): the tower cube is that class cubed
-    g_a_cube = catalog.pair(19).g.a_cube()
-    tower = BlowupRing.kawamata_tower(g_a_cube, [QuotientSingularity(2, 1), QuotientSingularity(4, 1)])
+    # (1, -1/2, -1/4): the tower cube is that class cubed.  Only family 19's
+    # G record cites a tower
+    g = catalog.pair(19).g
+    assert g.cited == {("tower", ((2, 1), (4, 1)))}
+    tower = BlowupRing.kawamata_tower(g.a_cube(), [QuotientSingularity(2, 1), QuotientSingularity(4, 1)])
     k = (1, F(-1, 2), F(-1, 4))
-    assert report._tower_cube(19, g_a_cube) == triple(tower, k, k, k) == F(-1, 12)
+    assert report._tower_cube(g) == triple(tower, k, k, k) == F(-1, 12)
+    assert [fid for fid in catalog.ids() if report._tower_cube(catalog.pair(fid).g) is not None] == [19]
 
 
 def test_every_golden_table_has_a_consumer():
@@ -101,6 +106,7 @@ DELETIONS = [
     ("infinite_curves", (55, "p2"),
      "family 55: infinite-curves data at p2 computed (0, 2), table infinite_curves has no entry"),
     ("curve_witness", 23, "family 23: curve witness computed -1/4, table curve_witness has no entry"),
+    ("cycle_witness", 17, "family 17: cycle witness computed 1/2, table cycle_witness has no entry"),
     ("gamma_rows", 77, "family 77: restriction curve support computed [(0, 2, 0), (2, 0, 3), (3, 0, 0)], "
      "table gamma_rows has no entry"),
 ]
@@ -137,6 +143,19 @@ def test_a_family_without_a_tower_cube_entry_is_still_checked(catalog, monkeypat
     assert verify_tables(catalog) == ["family 19: tower (-K)^3 computed -1/12, table tower_cube has no entry"]
 
 
+def test_the_tower_is_checked_where_the_g_record_cites_it(tmp_path):
+    # with the ids of families 19 and 29 traded in the file, the tower runs
+    # on 19's G model under id 29, which has no tower_cube entry, and the
+    # entry of id 19 is left: no G record under that id cites a tower
+    entries = copy.deepcopy(SHIPPED)
+    for entry in entries:
+        entry["id"] = {19: 29, 29: 19}.get(entry["id"], entry["id"])
+    lines = verify_tables(load_entries(str(tmp_path / "traded.json"), entries))
+    assert "family 29: tower (-K)^3 computed -1/12, table tower_cube has no entry" in lines
+    assert "family 19: table tower_cube[19] unchecked: no cited G points" in lines
+    assert not [line for line in lines if "tower (-K)^3 =" in line]
+
+
 def test_verification_leaves_the_golden_tables_untouched(catalog, monkeypatch):
     # each call checks entries out of its own grouping of the tables, never
     # out of GOLDEN, so a second call sees every entry again
@@ -151,10 +170,11 @@ def test_verification_leaves_the_golden_tables_untouched(catalog, monkeypatch):
 
 def under_id(member: Member, family_id: int) -> Member:
     """`member`'s family pair with both records under `family_id`, derived
-    anew; its rows and cited constants travel with it."""
+    anew; its rows and each record's cited constants travel with it."""
     g, gprime = member.g, member.gprime
-    return derive_member(FamilyPair(g=FamilyRecord(family_id, "G", g.weights, g.degrees),
-                                    gprime=FamilyRecord(family_id, "Gprime", gprime.weights, gprime.degrees),
+    return derive_member(FamilyPair(g=FamilyRecord(family_id, "G", g.weights, g.degrees, g.cited),
+                                    gprime=FamilyRecord(family_id, "Gprime", gprime.weights, gprime.degrees,
+                                                        gprime.cited),
                                     golden=member.golden))
 
 
@@ -194,7 +214,7 @@ def test_a_special_curve_without_cited_data_is_an_uncovered_center(catalog):
     # curve of degree 1/2 below (-K)^3 = 1 but no curve data: the curve is
     # uncovered by name, not a KeyError, and the report's other centers
     # still run
-    report = build_report(with_golden(under_id(catalog.member(17), 7), cited=None))
+    report = build_report(with_cited(under_id(catalog.member(17), 7), None))
     assert report.uncovered == ("family 7: curve of degree 1/2 is below (-K)^3 and matches no special certificate",)
     assert [cr.center.describe() for cr in report.centers if cr.uncovered] == ["curve of degree 1/2"]
 
@@ -268,7 +288,8 @@ def test_an_exclusion_turned_into_an_untagged_untwist_is_a_load_error(tmp_path, 
 # ---------------------------------------------------------------------------
 # Dispatch-edit census: a single edit of the dispatch data (the catalog's
 # link rows and `cited` objects) must print a mismatch line or fail to load,
-# unless it is pinned below with the reason it cannot
+# unless it is pinned below with the reason it cannot.  An edit is (name,
+# index of the edited entry in the file, path of the field in it, value)
 # ---------------------------------------------------------------------------
 
 CENSUS_METHODS = ("surface-pair", "infinite-curves", "nef-divisor", "untwist")
@@ -277,18 +298,17 @@ CONDITIONS = sorted({row["condition"] for e in SHIPPED for row in e["links"]})
 
 
 def row_edits(field: str, values) -> list[tuple[str, int, tuple, object]]:
-    """Every edit of `field` of one catalog link row to each other one of
-    `values`, as (name, family, path of the field in the family's Gprime
-    entry, value)."""
-    return [(f"{e['id']} {row['point']} [{row['condition']}] {row[field]}->{value}", e["id"], ("links", i, field),
-             value) for e in SHIPPED for i, row in enumerate(e["links"]) for value in values if value != row[field]]
+    """Every edit of `field` of one catalog link row to each other one of `values`."""
+    return [(f"{e['id']} {row['point']} [{row['condition']}] {row[field]}->{value}", k, ("links", i, field), value)
+            for k, e in enumerate(SHIPPED) for i, row in enumerate(e["links"]) for value in values
+            if value != row[field]]
 
 
 def dispatch_edits() -> list[tuple[str, int, tuple, object]]:
     """Each cited isolation vertex set to each other vertex, and each link
     row's method set to each other one of `CENSUS_METHODS`."""
-    drops = [(f"{e['id']} isolation drop {drop}->{v}", e["id"], ("cited", "isolation_vertex"), v)
-             for e in SHIPPED if (drop := e.get("cited", {}).get("isolation_vertex")) is not None
+    drops = [(f"{e['id']} isolation drop {drop}->{v}", k, ("cited", "isolation_vertex"), v)
+             for k, e in enumerate(SHIPPED) if (drop := e.get("cited", {}).get("isolation_vertex")) is not None
              for v in range(5) if v != drop]
     return drops + row_edits("method", CENSUS_METHODS)
 
@@ -301,24 +321,29 @@ def doubled(value):
 def cited_edits() -> list[tuple[str, int, tuple, object]]:
     """One edit per value of each `cited` object of the catalog but the
     isolation vertex (`dispatch_edits`): a flag negated, a section set to
-    each coordinate the sections lack, each other number doubled."""
+    each coordinate the sections lack, each other number doubled, each
+    number of a tower point too.  A swap of the two tower points is no edit:
+    the tower's cube is symmetric in them."""
     edits = []
-    for e in SHIPPED:
-        stated = [(str(e["id"]), ("cited",), e.get("cited", {})),
+    for k, e in enumerate(SHIPPED):
+        stated = [(f"{e['id']} {e['kind']}", ("cited",), e.get("cited", {})),
                   *[(f"{e['id']} {row['point']} [{row['condition']}]", ("links", i, "cited"), row.get("cited", {}))
                     for i, row in enumerate(e["links"])]]
         for where, path, cited in stated:
             for key, value in cited.items():
                 if type(value) is bool:
-                    edits.append((f"{where} cited {key} negated", e["id"], (*path, key), not value))
+                    edits.append((f"{where} cited {key} negated", k, (*path, key), not value))
                 elif key == "sections":
-                    edits += [(f"{where} cited {key}[{i}] {x}->{y}", e["id"], (*path, key, i), y)
+                    edits += [(f"{where} cited {key}[{i}] {x}->{y}", k, (*path, key, i), y)
                               for i, x in enumerate(value) for y in range(5) if y not in value]
+                elif key == "tower":
+                    edits += [(f"{where} cited {key}[{i}][{j}] doubled", k, (*path, key, i, j), doubled(x))
+                              for i, point in enumerate(value) for j, x in enumerate(point)]
                 elif type(value) is list:
-                    edits += [(f"{where} cited {key}[{i}] doubled", e["id"], (*path, key, i), doubled(x))
+                    edits += [(f"{where} cited {key}[{i}] doubled", k, (*path, key, i), doubled(x))
                               for i, x in enumerate(value)]
                 elif key != "isolation_vertex":
-                    edits.append((f"{where} cited {key} doubled", e["id"], (*path, key), doubled(value)))
+                    edits.append((f"{where} cited {key} doubled", k, (*path, key), doubled(value)))
     return edits
 
 
@@ -339,9 +364,9 @@ def outcomes(edits) -> dict[str, str]:
     got = {}
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "edited.json")
-        for name, family, (*parents, last), value in edits:
+        for name, index, (*parents, last), value in edits:
             entries = copy.deepcopy(SHIPPED)
-            stated = next(e for e in entries if e["id"] == family and e["kind"] == "Gprime")
+            stated = entries[index]
             for key in parents:
                 stated = stated[key]
             stated[last] = value
@@ -392,14 +417,15 @@ def test_every_condition_edit_is_a_load_error_or_a_mismatch():
     assert census(edits) == []
 
 
-# no golden table holds a curve-cycle witness; family 17's certificate still excludes
-SILENT_CITED_EDITS = {"17 cited cycle[0] doubled", "17 cited cycle[1] doubled"}
-
-
-def test_every_cited_edit_but_the_pinned_ones_prints_a_mismatch():
+def test_every_cited_edit_prints_a_mismatch():
+    # family 17's cycle has its golden witness, and family 19's tower points
+    # their tower cube: no cited value is left without a check
     edits = cited_edits()
-    assert len(edits) == 29 and len({name for name, *_ in edits}) == 29
-    assert set(census(edits)) == SILENT_CITED_EDITS
+    assert len(edits) == 33 and len({name for name, *_ in edits}) == 33
+    assert [name for name, *_ in edits if "tower" in name] == [
+        "19 G cited tower[0][0] doubled", "19 G cited tower[0][1] doubled",
+        "19 G cited tower[1][0] doubled", "19 G cited tower[1][1] doubled"]
+    assert census(edits) == []
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +457,7 @@ SILENT_DELETIONS = {"isolation[42]", "isolation[19]", "isolation[50]", "isolatio
 
 def test_every_golden_deletion_but_the_pinned_ones_prints_a_mismatch():
     deletions = golden_deletions()
-    assert len(deletions) == 41 and len({name for name, *_ in deletions}) == 41
+    assert len(deletions) == 42 and len({name for name, *_ in deletions}) == 42
     silent = deletion_census(load_catalog(strict=False))
     assert set(silent) == SILENT_DELETIONS
     assert len(silent) == 4

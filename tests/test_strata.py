@@ -6,7 +6,7 @@ as on any family's general member."""
 import math
 from collections import Counter
 
-from fano_wci.catalog import GoldenRow, LinkRow, Member
+from fano_wci.catalog import FamilyRecord, GoldenRow, LinkRow, Member
 from fano_wci.exclusion import SINGLE_BRANCH, Center, dispatch
 from fano_wci.report import build_report
 from fano_wci.singularities import NotQuasismoothError, singular_locus
@@ -25,6 +25,13 @@ def with_golden(member: Member, **fields) -> Member:
     """The member with `fields` of its golden row replaced."""
     golden = GoldenRow(*[fields.get(name, getattr(member.golden, name)) for name in GoldenRow.__record_fields__])
     return Member(*[golden if name == "golden" else getattr(member, name) for name in Member.__record_fields__])
+
+
+def with_cited(member: Member, cited: frozenset | None) -> Member:
+    """The member with its Gprime record's `cited` constants replaced by `cited`."""
+    gp = member.gprime
+    gprime = FamilyRecord(gp.id, gp.kind, gp.weights, gp.degrees, cited)
+    return Member(*[gprime if name == "gprime" else getattr(member, name) for name in Member.__record_fields__])
 
 
 def with_rows(member: Member, rows) -> Member:
