@@ -9,15 +9,11 @@ from __future__ import annotations
 import io
 import json
 import os
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
 
 from .wps import MonomialSupport, anticanonical_cube, rat, rat_str, record
-
-if TYPE_CHECKING:
-    from .exclusion import LocalModel, Plan
-    from .singularities import CAxPoint, QuotientSingularity, StandardForm
 
 FAMILY_IDS = (17, 19, 23, 29, 30, 41, 42, 49, 50, 55, 69, 74, 77, 82)
 _DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
@@ -47,15 +43,10 @@ class FamilyRecord:
         return anticanonical_cube(self.weights, self.degrees, label=f"No.{self.id}/{self.kind}")
 
 
-class LinkRow(NamedTuple):
-    """A links entry, the paper's per-point table, which `exclusion.dispatch`
-    runs as a branch: at `point`, under `condition` ("" if none), `method`
-    excludes or untwists (link or involution `tag`) with the `cited` constants."""
-    point: str
-    tag: str
-    condition: str
-    method: str
-    cited: frozenset | None = None
+LinkRow = namedtuple("LinkRow", "point tag condition method cited", defaults=(None,))
+LinkRow.__doc__ = """A links entry, the paper's per-point table, which `exclusion.dispatch`
+runs as a branch: at `point`, under `condition` ("" if none), `method` excludes or
+untwists (link or involution `tag`) with the `cited` constants (None if none)."""
 
 
 @record
@@ -89,6 +80,7 @@ class Member(FamilyPair):
     strictness in a process; a stratum (some monomials struck) is built
     from `singular_locus` and this constructor, uncached."""
 
+    # annotations that name classes of modules importing this one stay unevaluated strings
     a_cube: Fraction
     shape: StandardForm
     support: MonomialSupport

@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: it parses the command line and dispatches to
+one `cmd_*` per command, which loads the catalog and prints a `report` view.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or load error,
 141 (128 + SIGPIPE) when the reader of stdout has gone.
@@ -11,76 +12,21 @@ from __future__ import annotations
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
+from . import report
 from .catalog import CatalogError, load_catalog
-from .report import build_report, render_json, render_markdown, verify_tables
-from .wps import rat_str, wps_str
 
 
 def cmd_analyze(args) -> int:
-    report = build_report(load_catalog(args.catalog).member(args.family))
-    if args.format == "json":
-        print(_json_text(render_json(report)))
-    else:
-        print(render_markdown(report))
+    built = report.build_report(load_catalog(args.catalog).member(args.family))
+    print(report.json_text(report.render_json(built)) if args.format == "json" else report.render_markdown(built))
     return 0
-
-
-def _json_text(value) -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)` for the values that
-    `render_json` builds: str, int, bool, None, lists, and dicts with str
-    keys.  TypeError on a value of any other type, a subclass of these
-    included, so a new field type fails instead of printing other bytes.
-    On Python 3.11 `json.dumps` leaves its C encoder whenever `indent` is
-    set; `_quote` is the C string encoder it keeps."""
-    out: list[str] = []
-    _write_json(value, out, "\n")
-    return "".join(out)
-
-
-def _write_json(value, out: list[str], pad: str) -> None:
-    """Append the text of `value` to `out`; `pad` is the newline and indent
-    before the value's closing bracket."""
-    cls = value.__class__
-    if cls is str:
-        out.append(_quote(value))
-    elif cls is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for key in sorted(value):  # TypeError on keys of mixed types; _quote's on a key not a str
-            out.append(sep + _quote(key) + ": ")
-            _write_json(value[key], out, inner)
-            sep = "," + inner
-        out.append(pad + "}")
-    elif cls is list:
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write_json(item, out, inner)
-            sep = "," + inner
-        out.append(pad + "]")
-    elif cls is int:
-        out.append(int.__repr__(value))
-    elif cls is bool:
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    else:
-        raise TypeError(f"Object of type {cls.__name__} is not written as JSON")
 
 
 def cmd_verify_tables(args) -> int:
     catalog = load_catalog(args.catalog, strict=False)
-    diffs = verify_tables(catalog)
+    diffs = report.verify_tables(catalog)
     if diffs:
         for line in diffs:
             print(line)
@@ -91,26 +37,12 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_links(args) -> int:
-    member = load_catalog(args.catalog).member(args.family)
-    g, gp, shape = member.g, member.gprime, member.shape
-    d1, d2 = g.degrees
-    print(f"No.{args.family}: X_{{{d1},{d2}}} in {wps_str(g.weights)}")
-    # the Gprime record is the G record's counterpart and its form the G
-    # record's form, as in report.render_markdown
-    print(f"standard form (a0..a5) = {shape.role_weights}, b = {shape.b}")
-    print(f"counterpart: X'_{gp.degrees[0]} in {wps_str(gp.weights)} [{shape.shape_name}]")
-    print(f"midpoint hypersurface degree: {shape.z_degree}")
+    print(report.render_links(load_catalog(args.catalog).member(args.family)))
     return 0
 
 
 def cmd_basket(args) -> int:
-    member = load_catalog(args.catalog).member(args.family)
-    gp = member.gprime
-    print(f"No.{args.family}: X'_{gp.degrees[0]} in {wps_str(gp.weights)}, "
-          f"A^3 = {rat_str(member.a_cube)}")
-    for type_str, count, locus in member.basket:
-        prefix = f"{count} x " if count > 1 else ""
-        print(f"  {locus} = {prefix}{type_str}")
+    print(report.render_basket(load_catalog(args.catalog).member(args.family)))
     return 0
 
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from .blowup import (BlowupRing, SectionLift, ambient_quadruple, b_cubed, nef_bound_check, triple,
                      vanishing_order)
@@ -254,35 +254,6 @@ Certificate = (CurveDegree | CurveGamma | CurveCycle | Isolation | SurfacePair
                | NefDivisor | NegDefMatrix | InfiniteCurves | Untwist)
 
 
-def certificate_json(cert: Certificate) -> dict:
-    """A certificate as a JSON object: its method as "paper_method" and one
-    key per record field; a NegDefMatrix adds its entries at the parameter
-    floor."""
-    blob = {"paper_method": cert.method}
-    for name in cert.__record_fields__:
-        blob[name] = _json_value(getattr(cert, name))
-    if isinstance(cert, NegDefMatrix):
-        blob["entries"] = _json_value(cert.entries_at(cert.parameter_floor))
-    return blob
-
-
-def _json_value(value):
-    """Fractions as "p/q", a support as its sorted exponent lists, a quotient
-    point as its type, a section lift as [class_b, class_e], sequences
-    element-wise; ints, flags, strings and None as they are."""
-    if isinstance(value, Fraction):
-        return rat_str(value)
-    if isinstance(value, (tuple, list)):
-        return [_json_value(v) for v in value]
-    if isinstance(value, MonomialSupport):
-        return [list(m) for m in value.sorted()]
-    if isinstance(value, QuotientSingularity):
-        return value.type_str()
-    if isinstance(value, SectionLift):
-        return [value.class_b, rat_str(value.class_e)]
-    return value
-
-
 def gamma_polynomial(member: Member) -> MonomialSupport:
     """Support of the defining polynomial restricted to the two heaviest
     x-coordinates and w (the curve cut by the two lightest coordinate
@@ -325,12 +296,11 @@ def qi_eligible(member: Member, locus: str) -> bool:
     return any(k == 2 for k, _ in tangent_monomials(member.support, w, point_vertex(w, locus)))
 
 
-class NefNumbers(NamedTuple):
-    """A nef divisor's numbers at a quotient point (`LocalModel.nef`)."""
-    lifts: tuple[SectionLift, ...]  # the lifts of the chosen sections x_S
-    c: Fraction  # -K + cE is the divisor, c = max(class_e / class_b)
-    certified: bool  # c <= 1/r, the nef hypothesis on curves in E (`nef_bound_check`)
-    m_b2: Fraction  # (M . B^2) for the lift M that attains c
+NefNumbers = namedtuple("NefNumbers", "lifts c certified m_b2")
+NefNumbers.__doc__ = """A nef divisor's numbers at a quotient point (`LocalModel.nef`): the
+lifts of the chosen sections x_S; c = max(class_e / class_b), where -K + cE is
+the divisor; `certified`, c <= 1/r, the nef hypothesis on curves in E
+(`nef_bound_check`); and (M . B^2) for the lift M that attains c."""
 
 
 @record

@@ -1,4 +1,6 @@
-"""Per-family analysis reports and the golden-table verification engine.
+"""Per-family analysis reports, every per-family view that the CLI prints
+(markdown, the JSON object and its text, links, basket), and the
+golden-table verification engine.
 
 `GOLDEN` maps each table of classification numbers (blowup signs, family
 19's blowup tower, certificate witnesses, restriction-curve supports,
@@ -10,11 +12,12 @@ weights and degrees alone and reports any difference.
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import blowup, exclusion, links, singularities
 from .catalog import BASKET_KEYS, LINK_KEYS, Catalog, FamilyPair, FamilyRecord, LinkRow, Member
-from .exclusion import Center, Certificate, Verdict
-from .wps import rat_str, record, wps_str
+from .exclusion import Center, Certificate, NegDefMatrix, Verdict
+from .wps import MonomialSupport, rat_str, record, wps_str
 
 F = Fraction
 
@@ -162,6 +165,55 @@ def render_markdown(report: Report) -> str:
     return "\n".join(lines)
 
 
+def render_links(member: Member) -> str:
+    """The `links` view: the G model, the standard form and the counterpart."""
+    g, gp, shape = member.g, member.gprime, member.shape
+    d1, d2 = g.degrees
+    return "\n".join([f"No.{g.id}: X_{{{d1},{d2}}} in {wps_str(g.weights)}",
+                      f"standard form (a0..a5) = {shape.role_weights}, b = {shape.b}",
+                      f"counterpart: X'_{gp.degrees[0]} in {wps_str(gp.weights)} [{shape.shape_name}]",
+                      f"midpoint hypersurface degree: {shape.z_degree}"])
+
+
+def render_basket(member: Member) -> str:
+    """The `basket` view: the hypersurface member, its (-K)^3 and one line per basket row."""
+    gp = member.gprime
+    lines = [f"No.{member.g.id}: X'_{gp.degrees[0]} in {wps_str(gp.weights)}, A^3 = {rat_str(member.a_cube)}"]
+    for type_str, count, locus in member.basket:
+        prefix = f"{count} x " if count > 1 else ""
+        lines.append(f"  {locus} = {prefix}{type_str}")
+    return "\n".join(lines)
+
+
+def certificate_json(cert: Certificate) -> dict:
+    """A certificate as a JSON object: its method as "paper_method" and one
+    key per record field; a NegDefMatrix adds its entries at the parameter
+    floor."""
+    blob = {"paper_method": cert.method}
+    for name in cert.__record_fields__:
+        blob[name] = _json_value(getattr(cert, name))
+    if isinstance(cert, NegDefMatrix):
+        blob["entries"] = _json_value(cert.entries_at(cert.parameter_floor))
+    return blob
+
+
+def _json_value(value):
+    """Fractions as "p/q", a support as its sorted exponent lists, a quotient
+    point as its type, a section lift as [class_b, class_e], sequences
+    element-wise; ints, flags, strings and None as they are."""
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, MonomialSupport):
+        return [list(m) for m in value.sorted()]
+    if isinstance(value, singularities.QuotientSingularity):
+        return value.type_str()
+    if isinstance(value, blowup.SectionLift):
+        return [value.class_b, rat_str(value.class_e)]
+    return value
+
+
 def _golden_record_json(pair: FamilyPair) -> dict:
     """The Gprime record as the catalog file states it, `cited` objects too."""
     gp, golden = pair.gprime, pair.golden
@@ -179,7 +231,7 @@ def _golden_record_json(pair: FamilyPair) -> dict:
 
 def _with_cited(blob: dict, cited: frozenset | None) -> dict:
     if cited is not None:
-        blob["cited"] = {key: exclusion._json_value(value) for key, value in cited}
+        blob["cited"] = {key: _json_value(value) for key, value in cited}
     return blob
 
 
@@ -211,7 +263,7 @@ def render_json(report: Report) -> dict:
                         "excluded": br.verdict.excluded,
                         "method": br.verdict.method,
                         "witness": None if br.verdict.witness is None else rat_str(br.verdict.witness),
-                        "certificate": exclusion.certificate_json(br.certificate),
+                        "certificate": certificate_json(br.certificate),
                     }
                     for br in cr.branches
                 ],
@@ -221,6 +273,56 @@ def render_json(report: Report) -> dict:
         "birigid_summary": report.birigid_summary,
         "golden_record": _golden_record_json(member),
     }
+
+
+def json_text(value) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for the values that
+    `render_json` builds: str, int, bool, None, lists, and dicts with str
+    keys.  TypeError on a value of any other type, a subclass of these
+    included, so a new field type fails instead of printing other bytes.
+    On Python 3.11 `json.dumps` leaves its C encoder whenever `indent` is
+    set; `_quote` is the C string encoder it keeps."""
+    out: list[str] = []
+    _write_json(value, out, "\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list[str], pad: str) -> None:
+    """Append the text of `value` to `out`; `pad` is the newline and indent
+    before the value's closing bracket."""
+    cls = value.__class__
+    if cls is str:
+        out.append(_quote(value))
+    elif cls is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):  # TypeError on keys of mixed types; _quote's on a key not a str
+            out.append(sep + _quote(key) + ": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif cls is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif cls is int:
+        out.append(int.__repr__(value))
+    elif cls is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not written as JSON")
 
 
 # ---------------------------------------------------------------------------

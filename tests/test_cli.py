@@ -17,10 +17,7 @@ from hypothesis import strategies as st
 from fano_wci import cli
 from fano_wci.catalog import FAMILY_IDS, CatalogError, default_catalog_path, load_catalog
 from fano_wci.cli import main
-from fano_wci.report import build_report, render_json
-from fano_wci.singularities import NotQuasismoothError
 from fano_wci.wps import rat_str
-from test_strata import stratum
 
 
 def run(capsys, *argv):
@@ -315,13 +312,24 @@ def test_help_names_every_command_its_options_and_its_help_line(capsys):
         assert lines[k + 1] == f"      {cli.COMMANDS[command][0]}"
 
 
-def test_cli_import_loads_no_argument_parser():
+def loaded_by_cli_import(*names: str) -> str:
+    """Which of the modules `names` `import fano_wci.cli` loads, as a sorted
+    list's repr; -S: no site-packages .pth hooks, which can import them themselves."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import fano_wci.cli, sys; print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
-    # -S: no site-packages .pth hooks, which can import these themselves
+    code = f"import fano_wci.cli, sys; print(sorted({set(names)!r} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_argument_parser():
+    assert loaded_by_cli_import("argparse", "gettext", "locale") == "[]"
+
+
+def test_cli_import_loads_no_typing():
+    # the package's two tuple types are collections.namedtuple types, and no
+    # module imports typing for its annotations
+    assert loaded_by_cli_import("typing") == "[]"
 
 
 def test_main_dispatches_through_the_module_bindings(capsys, monkeypatch):
@@ -743,53 +751,3 @@ def test_a_link_row_at_a_point_the_member_lacks_is_a_mismatch(capsys, tmp_path):
             f"family {family}: link column computed {ran} != catalog {stated}",
             f"family {family}: uncovered centers: {uncovered}",
             "verify-tables: 2 mismatch(es)"])
-
-
-def stdlib_json(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True)
-
-
-def test_the_json_writer_is_the_stdlib_on_every_report(catalog):
-    # every family's general member, then each quasi-smooth one-monomial stratum
-    checked = 0
-    for fid in catalog.ids():
-        member = catalog.member(fid)
-        members = [member]
-        for monomial in member.support.sorted():
-            try:
-                members.append(stratum(member, monomial))
-            except NotQuasismoothError:
-                continue
-        for m in members:
-            value = render_json(build_report(m))
-            assert cli._json_text(value) == stdlib_json(value), (fid, m.support)
-            checked += 1
-    assert checked == 14 + 1_268
-
-
-# str, int, bool and None leaves in nested lists and str-keyed dicts, empty
-# containers included; the strings lean on what JSON escapes
-WRITER_TEXT = st.text() | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028 aé☃\U0001f600'))
-WRITER_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80) | WRITER_TEXT,
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(WRITER_TEXT, inner, max_size=5),
-    max_leaves=25)
-
-
-@settings(max_examples=300, deadline=None)
-@example(value=[[], {}, {"": [{}]}, -2**64 - 1, 2**64, True, None, '"\\\x00é'])
-@given(value=WRITER_VALUES)
-def test_the_json_writer_is_the_stdlib_on_any_nested_value(value):
-    assert cli._json_text(value) == stdlib_json(value)
-
-
-class Text(str):
-    pass
-
-
-@pytest.mark.parametrize("value", [1.5, ("a",), Fraction(1, 2), Text("a"), {1: "a"}, {"a": 1, 2: "b"},
-                                   [{"a": [0.0]}]],
-                         ids=["float", "tuple", "Fraction", "str subclass", "int key", "mixed keys", "nested float"])
-def test_the_json_writer_raises_on_any_other_value(value):
-    with pytest.raises(TypeError):
-        cli._json_text(value)

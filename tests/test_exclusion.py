@@ -11,7 +11,7 @@ from fano_wci.blowup import BlowupRing, SectionLift, ambient_quadruple, b_cubed,
 from fano_wci.catalog import LINK_METHODS
 from fano_wci.exclusion import (BUILDERS, Center, CurveCycle, CurveDegree, CurveGamma,
                                 InfiniteCurves, Isolation, LocalModel, NefDivisor, NegDefMatrix, SurfacePair,
-                                UncoveredCaseError, Untwist, _kawamata_weights, certificate_json, dispatch,
+                                UncoveredCaseError, Untwist, _kawamata_weights, dispatch,
                                 gamma_polynomial, point_vertex, qi_eligible)
 from fano_wci.report import GOLDEN, build_report
 from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, misses_vertex,
@@ -596,11 +596,3 @@ def test_all_excluded_witnesses_reverify(catalog):
                     assert v.witness == cert.b_dot_c
                 if v.excluded:
                     assert v.witness is not None
-
-
-def test_certificates_serialize(catalog):
-    q = QuotientSingularity(2, 1, locus="p1p4")
-    for condition in ("not-exists-wci(1,3,4)", "exists-wci(1,3,4)"):
-        cert, _ = dispatch_branch(catalog.member(50), Center.quotient_point(q), condition)
-        blob = certificate_json(cert)
-        assert blob["paper_method"] == cert.method

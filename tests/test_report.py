@@ -1,24 +1,28 @@
 """The verifier compares every witness entry of the golden tables with a
 certificate of its method, reports an entry that no such certificate
-reaches instead of skipping it, and reports a check that finds no entry."""
+reaches instead of skipping it, and reports a check that finds no entry.
+A report's certificates and its JSON text render as `analyze` prints them."""
 
 import copy
+import itertools
 import json
 import os
 import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fano_wci import exclusion, links, report
 from fano_wci.blowup import BlowupRing, triple
 from fano_wci.catalog import (LINK_TAGS, CatalogError, FamilyPair, FamilyRecord, Member, default_catalog_path,
                               derive_member, load_catalog)
-from fano_wci.exclusion import Untwist
-from fano_wci.report import GOLDEN, build_report, render_markdown, verify_tables
-from fano_wci.singularities import QuotientSingularity
+from fano_wci.exclusion import Center, Untwist
+from fano_wci.report import GOLDEN, build_report, certificate_json, render_json, render_markdown, verify_tables
+from fano_wci.singularities import NotQuasismoothError, QuotientSingularity
 from fano_wci.wps import rat_str
-from test_strata import stratum, with_cited, with_rows
+from test_strata import dispatch_branch, stratum, with_cited, with_rows
 
 F = Fraction
 
@@ -357,10 +361,19 @@ def condition_edits() -> list[tuple[str, int, tuple, object]]:
     return row_edits("condition", CONDITIONS)
 
 
+def outcome(path: str, entries: list[dict]) -> str:
+    """What verify-tables does on the catalog `entries`, written to `path`:
+    "load error" (it exits 2), "mismatch" (it prints a line) or "silent" (it
+    passes)."""
+    try:
+        catalog = load_entries(path, entries)
+    except CatalogError:
+        return "load error"
+    return "mismatch" if verify_tables(catalog) else "silent"
+
+
 def outcomes(edits) -> dict[str, str]:
-    """What verify-tables does after each edit of the catalog file, applied
-    alone, by the edit's name: "load error" (it exits 2), "mismatch" (it
-    prints a line) or "silent" (it passes)."""
+    """The `outcome` of each edit of the catalog file, applied alone, by the edit's name."""
     got = {}
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "edited.json")
@@ -370,12 +383,7 @@ def outcomes(edits) -> dict[str, str]:
             for key in parents:
                 stated = stated[key]
             stated[last] = value
-            try:
-                catalog = load_entries(path, entries)
-            except CatalogError:
-                got[name] = "load error"
-                continue
-            got[name] = "mismatch" if verify_tables(catalog) else "silent"
+            got[name] = outcome(path, entries)
     return got
 
 
@@ -429,6 +437,38 @@ def test_every_cited_edit_prints_a_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# Id-trade census: the golden tables are keyed by family id, the verifier's
+# one binding of an id to a record, so trading the ids of two families in the
+# file must print a mismatch, unless it is pinned below with the reason it
+# cannot
+# ---------------------------------------------------------------------------
+
+def trade_outcomes() -> dict[str, str]:
+    """The `outcome` of the shipped catalog with the ids of two families
+    traded, both records of each, by "a<->b", for every pair of families."""
+    ids = sorted({e["id"] for e in SHIPPED})
+    got = {}
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "traded.json")
+        for a, b in itertools.combinations(ids, 2):
+            entries = [{**e, "id": {a: b, b: a}.get(e["id"], e["id"])} for e in SHIPPED]
+            got[f"{a}<->{b}"] = outcome(path, entries)
+    return got
+
+
+# the trades that print no line, each with its reason: the golden entries of
+# 30 and 69 coincide, both a b_cube_signs +1 and an infinite_curves (0, 2) at p2
+SILENT_TRADES = {"30<->69"}
+
+
+def test_every_id_trade_but_the_pinned_one_prints_a_mismatch():
+    got = trade_outcomes()
+    assert len(got) == 91
+    assert {name for name, result in got.items() if result == "silent"} == SILENT_TRADES
+    assert list(got.values()).count("mismatch") == 90
+
+
+# ---------------------------------------------------------------------------
 # Golden-deletion census: deleting a single golden entry must print a
 # mismatch line, unless it is pinned below with the reason it cannot
 # ---------------------------------------------------------------------------
@@ -461,3 +501,65 @@ def test_every_golden_deletion_but_the_pinned_ones_prints_a_mismatch():
     silent = deletion_census(load_catalog(strict=False))
     assert set(silent) == SILENT_DELETIONS
     assert len(silent) == 4
+
+
+# ---------------------------------------------------------------------------
+# Rendering: a certificate's JSON object, and the JSON text of a report
+# ---------------------------------------------------------------------------
+
+def test_certificates_serialize(catalog):
+    q = QuotientSingularity(2, 1, locus="p1p4")
+    for condition in ("not-exists-wci(1,3,4)", "exists-wci(1,3,4)"):
+        cert, _ = dispatch_branch(catalog.member(50), Center.quotient_point(q), condition)
+        blob = certificate_json(cert)
+        assert blob["paper_method"] == cert.method
+
+
+def stdlib_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_the_json_writer_is_the_stdlib_on_every_report(catalog):
+    # every family's general member, then each quasi-smooth one-monomial stratum
+    checked = 0
+    for fid in catalog.ids():
+        member = catalog.member(fid)
+        members = [member]
+        for monomial in member.support.sorted():
+            try:
+                members.append(stratum(member, monomial))
+            except NotQuasismoothError:
+                continue
+        for m in members:
+            value = render_json(build_report(m))
+            assert report.json_text(value) == stdlib_json(value), (fid, m.support)
+            checked += 1
+    assert checked == 14 + 1_268
+
+
+# str, int, bool and None leaves in nested lists and str-keyed dicts, empty
+# containers included; the strings lean on what JSON escapes
+WRITER_TEXT = st.text() | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028 aé☃\U0001f600'))
+WRITER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80) | WRITER_TEXT,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(WRITER_TEXT, inner, max_size=5),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@example(value=[[], {}, {"": [{}]}, -2**64 - 1, 2**64, True, None, '"\\\x00é'])
+@given(value=WRITER_VALUES)
+def test_the_json_writer_is_the_stdlib_on_any_nested_value(value):
+    assert report.json_text(value) == stdlib_json(value)
+
+
+class Text(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [1.5, ("a",), Fraction(1, 2), Text("a"), {1: "a"}, {"a": 1, 2: "b"},
+                                   [{"a": [0.0]}]],
+                         ids=["float", "tuple", "Fraction", "str subclass", "int key", "mixed keys", "nested float"])
+def test_the_json_writer_raises_on_any_other_value(value):
+    with pytest.raises(TypeError):
+        report.json_text(value)
