@@ -1,7 +1,8 @@
 """Catalog of the 14 codimension-2 families, their hypersurface counterparts,
-the golden classification data (degrees, baskets, per-point link tags) and
-the constants the paper cites (`CITED`).  It ships as data/catalog.json; a
-file of the same schema may be given, so perturbed data can be verified.
+the golden classification data (degrees, baskets, per-point link tags), the
+constants the paper cites (`CITED`) and the certificate methods (`METHODS`,
+which the builders and the verifier read too).  It ships as data/catalog.json;
+a file of the same schema may be given, so perturbed data can be verified.
 """
 
 from __future__ import annotations
@@ -178,37 +179,51 @@ BASKET_KEYS = {"type": str, "count": int, "locus": str}
 LINK_KEYS = {"point": str, "tag": str, "condition": str, "method": str}
 # the tags of a links entry: "none" where no link starts, else what starts it
 LINK_TAGS = ("none", "QI", "EI", "II", "link")
-# the methods of a links entry: the exclusions of a quotient point, and the untwist
-LINK_METHODS = ("surface-pair", "nef-divisor", "negdef-matrix", "infinite-curves", "untwist")
 # the head of the negation of each condition "head(argument)" that a point's pair of rows may state
 NEGATED = {"exists-wci": "not-exists-wci", "not-exists-wci": "exists-wci",
            "monomial-present": "monomial-absent", "monomial-absent": "monomial-present"}
 
 
-P_Q, INT, INDEX, INDICES, FLAG = '"p/q" in lowest terms', "an int", "an index 0-4", "2 or 3 distinct indices", "a flag"
-# the keys of a `cited` object (its readers say what each is), by the kind of the record or the
-# method of the links entry that states it, with the kind of value the file must state (`_read`)
-CITED = {
-    "G": {"tower": ((INT, INT), (INT, INT))},
-    "Gprime": {"gamma_sq": P_Q, "cycle": (P_Q, P_Q), "isolation_vertex": INDEX, "gamma_normalized": FLAG},
-    "negdef-matrix": {"sections": INDICES, "beta": P_Q, "floor": P_Q},
-    "infinite-curves": {"T": (INT, P_Q), "residual": FLAG, "curve": (P_Q, P_Q)},
+P_Q, NEGATIVE = '"p/q" in lowest terms', 'a negative "p/q" in lowest terms'
+INT, INDEX, INDICES, FLAG = "an int", "an index 0-4", "2 or 3 distinct indices", "a flag"
+# One row per certificate method, the `method` of its certificate and verdict: the kind of center whose one branch
+# builds it, "" where a links entry names it; whether it untwists; why the center is uncovered where it does not
+# exclude; the `cited` keys it reads off its links entry, else the Gprime record, with their kinds (`_read`); its
+# `report.GOLDEN` table, keyed by (family, locus) or by family, and mismatch label; whether a family may lack an entry
+Method = namedtuple("Method", "center untwists uncovered cited golden optional",
+                    defaults=("", False, "", {}, None, False))
+METHODS = {
+    "curve-degree": Method("curve", uncovered="is below (-K)^3 and matches no special certificate"),
+    "curve-gamma": Method("curve", cited={"gamma_sq": NEGATIVE}, golden=("curve_witness", False, "curve witness")),
+    "curve-cycle": Method("curve", cited={"cycle": (P_Q, P_Q)}, golden=("cycle_witness", False, "cycle witness")),
+    "isolation": Method("smooth-point", cited={"isolation_vertex": INDEX}, golden=("isolation", False, "isolation"),
+                        optional=True),  # it runs in every family, and the paper bounds it in four
+    "surface-pair": Method(golden=("gamma_rows", False, "restriction curve support")),
+    "nef-divisor": Method(golden=("nef_witness", False, "nef witness")),
+    "negdef-matrix": Method(cited={"sections": INDICES, "beta": P_Q, "floor": P_Q},
+                            golden=("matrices", True, "matrix data")),
+    "infinite-curves": Method(cited={"T": (INT, P_Q), "residual": FLAG, "curve": (P_Q, P_Q)},
+                              golden=("infinite_curves", True, "infinite-curves data")),
+    "untwist": Method(untwists=True),
 }
+# a record's `cited` keys by kind: the G model's tower; the restriction curve's flag and the single-branch methods'
+CITED = {"G": {"tower": ((INT, INT), (INT, INT))}, "Gprime": {"gamma_normalized": FLAG, **{
+    key: kind for method in METHODS.values() if method.center for key, kind in method.cited.items()}}}
 _ABSENT = object()  # the `cited` of an entry that states none
 
 
 def _read(value, kind):
-    """`value` read as `kind`: a list as a tuple, a fraction in lowest terms
-    (so `rat_str` writes it back as stated) as a Fraction; else ValueError."""
+    """`value` read as `kind`: a list as a tuple, a fraction in lowest terms (so `rat_str`
+    writes it back as stated), negative where `kind` says so, as a Fraction; else ValueError."""
     if kind == INDICES and type(value) is list and len(value) in (2, 3):
         read = tuple([_read(v, INDEX) for v in value])
         if len(set(read)) == len(read):
             return read
     elif type(kind) is tuple and type(value) is list and len(value) == len(kind):
         return tuple(map(_read, value, kind))
-    elif kind == P_Q and type(value) is str:
+    elif kind in (P_Q, NEGATIVE) and type(value) is str:
         x = rat(value.removeprefix("-")) * (-1 if value.startswith("-") else 1)
-        if rat_str(x) == value:
+        if rat_str(x) == value and (kind == P_Q or x.numerator < 0):
             return x
     elif type(value) is (bool if kind == FLAG else int) and (kind in (FLAG, INT) or kind == INDEX and 0 <= value <= 4):
         return value
@@ -284,24 +299,25 @@ def _entries(obj: dict, field: str, keys: dict[str, type], where: str) -> tuple[
 
 
 def _link_rows(entries: tuple[tuple, ...], fid: int, where: str) -> tuple[LinkRow, ...]:
-    """The links entries as rows, each with a known tag and method meeting
-    the two tag rules that read the row alone (the link tag exactly at the
-    cAx point p4, a tag other than "none" exactly on an untwist) and the
-    `cited` keys its method reads.  Each point has one unconditional row or
-    two: a condition and its negation."""
+    """The links entries as rows, each with a known tag and a method a links
+    entry may name (`METHODS`), meeting the two tag rules that read the row
+    alone (the link tag exactly at the cAx point p4, a tag other than "none"
+    exactly on a method that untwists) and the `cited` keys its method reads.
+    Each point has one unconditional row or two: a condition and its negation."""
     rows, conditions = [], {}
     for k, (point, tag, condition, method, cited) in enumerate(entries):
         if tag not in LINK_TAGS:
             raise CatalogError(f"{where}: bad link tag {tag!r} for family {fid}")
-        if method not in LINK_METHODS:
+        spec = METHODS.get(method)
+        if spec is None or spec.center:
             raise CatalogError(f"{where}: bad link method {method!r} for family {fid}")
         if (tag == "link") != (point == "p4"):
             raise CatalogError(f"{where}: the link tag belongs to the cAx point p4 and only to it, "
                                f"got tag {tag!r} at {point} for family {fid}")
-        if (method == "untwist") != (tag != "none"):
+        if spec.untwists != (tag != "none"):
             raise CatalogError(f"{where}: a row untwists exactly when its tag is not 'none', "
                                f"got method {method!r} with tag {tag!r} at {point} for family {fid}")
-        cited = _cited(cited, CITED.get(method, {}), f"{where}: 'links' entry #{k} ({method})")
+        cited = _cited(cited, spec.cited, f"{where}: 'links' entry #{k} ({method})")
         rows.append(LinkRow(point, tag, condition, method, cited))
         conditions.setdefault(point, []).append(condition)
     for point, stated in conditions.items():
@@ -345,7 +361,7 @@ _PARSED: dict[bool, tuple[bytes, Catalog]] = {}
 
 def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     """Load and validate the catalog; any failure, a key outside the schema
-    (`CITED` among it) too, aborts the whole load.
+    (`CITED` and `METHODS` among it) too, aborts the whole load.
 
     With strict=True (the default for programmatic use) the weights of every
     record must be in the documented order (ascending for G, ascending

@@ -3,15 +3,12 @@ maximal center, or tag the birational involution / link that untwists it.
 
 A point center's branches are the member's link rows at its locus, the
 paper's table stated once in the catalog; a curve and the nonsingular point
-have one branch each (`SINGLE_BRANCH`).  `dispatch` builds a branch's
-certificate with its method's builder (`BUILDERS`), and the certificate
-judges itself (`verdict()`) by the sign of an integer numerator or
-cross-product, never by a `Fraction` comparison.  The loader ties each row's
-tag to its point and method (`catalog._link_rows`); the untwist builder
-checks the one tag rule that needs the member, QI exactly where
-`qi_eligible` holds.  No builder reads the family id: the constants the
-paper cites are the catalog's `cited` objects (`catalog.CITED`), and a
-member without them is uncovered where a builder reads them.
+have one branch each, whose method is the center's kind.  `dispatch` builds
+a branch's certificate with its method's builder, and the certificate judges
+itself (`verdict()`) by the sign of an integer numerator or cross-product,
+never by a `Fraction` comparison; `catalog.METHODS` states the rest of each
+certificate method.  No builder reads the family id, only the catalog's
+`cited` objects; a member without them is uncovered where a builder reads them.
 
 A quotient point's Kawamata blowup, as the builders read it, is its
 `LocalModel`, which each `Member` derives once (`Member.local`) and which
@@ -29,7 +26,7 @@ from functools import cached_property
 
 from .blowup import (BlowupRing, SectionLift, ambient_quadruple, b_cubed, nef_bound_check, triple,
                      vanishing_order)
-from .catalog import LinkRow, Member
+from .catalog import METHODS, LinkRow, Member
 from .singularities import (CAxPoint, QuotientSingularity, misses_vertex, support_with_point_at_vertex,
                             tangent_monomials)
 from .wps import MonomialSupport, max_pair_lcm, rat_str, record
@@ -95,7 +92,7 @@ class Verdict:
 
     @property
     def resolved(self) -> bool:
-        return self.excluded or self.method == "untwist"
+        return self.excluded or METHODS[self.method].untwists
 
 
 @record
@@ -371,10 +368,6 @@ def local_models(member: Member) -> dict[str, LocalModel]:
     return models
 
 
-# the one branch of a curve and of the nonsingular point, unconditional and untagged
-SINGLE_BRANCH = {"curve": (LinkRow("", "", "", "curve"),), "smooth-point": (LinkRow("", "", "", "isolation"),)}
-
-
 def isolating_vertex(member: Member) -> tuple[int, int] | None:
     """The vertex p_k whose projection isolates the nonsingular points
     (Corti, Pukhlikov and Reid (2000), section 5) and its bound, the max
@@ -405,10 +398,11 @@ def centers(member: Member) -> Plan:
     """The member's plan: every center (the least curve, the special curve
     where one exists, the nonsingular point, the quotient points, p4) with
     its branches: a point's link rows at its locus in row order (none at a
-    center the family lacks), a curve's or the nonsingular point's
-    `SINGLE_BRANCH`.  A curve through the cAx/b point has degree in (1/b) Z,
-    and one of degree 1/b below (-K)^3 is special and leaves 2/b to the
-    least curve.  The isolation keeps the limit 4/(-K)^3 of its bound."""
+    center the family lacks), a curve's or the nonsingular point's one
+    branch, unconditional and untagged, whose method is the center's kind.
+    A curve through the cAx/b point has degree in (1/b) Z, and one of degree
+    1/b below (-K)^3 is special and leaves 2/b to the least curve.  The
+    isolation keeps the limit 4/(-K)^3 of its bound."""
     rows: dict[str, list[LinkRow]] = {}
     for row in member.golden.link_column:
         rows.setdefault(row.point, []).append(row)
@@ -416,8 +410,8 @@ def centers(member: Member) -> Plan:
     special = step if step < member.a_cube else None
     found = [Center.curve(step)] if special is None else [Center.curve(2 * step), Center.curve(special)]
     found += [Center.smooth_point(), *map(Center.quotient_point, member.quotients), Center.cax_point(member.cax)]
-    planned = tuple([(center, tuple(rows.pop(center.locus, ())) if center.is_point else SINGLE_BRANCH[center.kind])
-                     for center in found])
+    planned = tuple([(center, tuple(rows.pop(center.locus, ())) if center.is_point
+                      else (LinkRow("", "", "", center.kind),)) for center in found])
     isolation = isolating_vertex(member)
     if isolation is not None:
         a_cube = member.a_cube
@@ -441,7 +435,7 @@ def _curve(member: Member, center: Center, branch: LinkRow) -> Certificate:
     return CurveDegree(deg=deg, a_cube=member.a_cube)
 
 
-def _isolation(member: Member, center: Center, branch: LinkRow) -> Isolation:
+def _smooth_point(member: Member, center: Center, branch: LinkRow) -> Isolation:
     isolation = member.plan.isolation
     if isolation is None:
         raise UncoveredCaseError(f"family {member.g.id}: no x-vertex off the member to drop for isolation")
@@ -565,21 +559,19 @@ def _untwist(member: Member, center: Center, branch: LinkRow) -> Untwist:
                    counterpart_id=fid if tag == "link" else None, eligible=True if tag == "QI" else None)
 
 
-# the builder of each branch method, private so that no call through the table bypasses a public binding
-BUILDERS = {"curve": _curve, "isolation": _isolation, "surface-pair": _surface_pair,
-            "nef-divisor": _nef_divisor, "negdef-matrix": _negdef_matrix,
-            "infinite-curves": _infinite_curves, "untwist": _untwist}
+# each branch method's builder, the private function named after it, so no call bypasses a public binding
+_BUILDER = {branch: globals()["_" + branch.replace("-", "_")]
+            for branch in {method.center or name for name, method in METHODS.items()}}
+
 
 def dispatch(member: Member, center: Center, row: LinkRow) -> tuple[Certificate, Verdict]:
     """Build and judge the certificate of one branch of a center of `member`,
     a family's general member (`Catalog.member`) or a stratum of it: `row`,
-    run as given, is a `SINGLE_BRANCH` row or one of the member's link rows
-    at the point center's locus.  An involution whose tag disagrees with
-    `qi_eligible` (QI exactly where it holds) is uncovered."""
-    cert = BUILDERS[row.method](member, center, row)
+    run as given, is a center's one branch or a link row at its locus.  An
+    involution whose tag disagrees with `qi_eligible` (QI exactly where it
+    holds) is uncovered, as is a center whose method row says why."""
+    cert = _BUILDER[row.method](member, center, row)
     verdict = cert.verdict()
-    if cert.method == "curve-degree" and not verdict.excluded:
-        raise UncoveredCaseError(
-            f"family {member.g.id}: curve of degree {rat_str(center.degree)} is below (-K)^3 "
-            f"and matches no special certificate")
+    if not verdict.excluded and (why := METHODS[cert.method].uncovered):
+        raise UncoveredCaseError(f"family {member.g.id}: {center.describe()} {why}")
     return cert, verdict

@@ -4,9 +4,9 @@ golden-table verification engine.
 
 `GOLDEN` maps each table of classification numbers (blowup signs, family
 19's blowup tower, certificate witnesses, restriction-curve supports,
-isolation bounds) to its entries, and `WITNESSES` names the table of each
-certificate method's witness.  `verify_tables` recomputes every entry from
-weights and degrees alone and reports any difference.
+isolation bounds) to its entries, a witness table to those of the method
+whose row of `catalog.METHODS` names it.  `verify_tables` recomputes every
+entry from weights and degrees alone and reports any difference.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import blowup, exclusion, links, singularities
-from .catalog import BASKET_KEYS, LINK_KEYS, Catalog, FamilyPair, FamilyRecord, LinkRow, Member
+from .catalog import BASKET_KEYS, LINK_KEYS, METHODS, Catalog, FamilyPair, FamilyRecord, LinkRow, Member
 from .exclusion import Center, Certificate, NegDefMatrix, Verdict
 from .wps import MonomialSupport, rat_str, record, wps_str
 
@@ -63,7 +63,7 @@ GOLDEN = {
 
 @record
 class BranchResult:
-    row: LinkRow  # the branch that ran: a link row, or a curve's or the nonsingular point's SINGLE_BRANCH row
+    row: LinkRow  # the branch that ran: a link row, or a curve's or the nonsingular point's one branch
     certificate: Certificate
     verdict: Verdict
 
@@ -345,26 +345,16 @@ def _differ(got, want) -> bool:
     return got.as_integer_ratio() != want.as_integer_ratio()
 
 
-# one row per certificate method with a golden witness: its table, whether
-# that table is keyed by (family, locus) rather than by family, the label of
-# its mismatch line, and the value computed from (certificate, verdict)
-WITNESSES = {
-    "nef-divisor": ("nef_witness", False, "nef witness", lambda cert, v: v.witness),
-    "negdef-matrix": ("matrices", True, "matrix data",
-                      lambda cert, v: (cert.alpha, cert.beta, cert.parameter_floor)),
-    "infinite-curves": ("infinite_curves", True, "infinite-curves data",
-                        lambda cert, v: (cert.b_dot_c, cert.e_dot_c)),
-    "isolation": ("isolation", False, "isolation", lambda cert, v: (cert.bound, cert.limit)),
-    "curve-gamma": ("curve_witness", False, "curve witness", lambda cert, v: v.witness),
-    "curve-cycle": ("cycle_witness", False, "cycle witness", lambda cert, v: v.witness),
-    "surface-pair": ("gamma_rows", False, "restriction curve support",
-                     lambda cert, v: cert.gamma_support.monomials),
+# the value that each witness table of a method's row (`METHODS`) holds, from (certificate, verdict)
+_WITNESS = {
+    "nef_witness": lambda cert, v: v.witness,
+    "matrices": lambda cert, v: (cert.alpha, cert.beta, cert.parameter_floor),
+    "infinite_curves": lambda cert, v: (cert.b_dot_c, cert.e_dot_c),
+    "isolation": lambda cert, v: (cert.bound, cert.limit),
+    "curve_witness": lambda cert, v: v.witness,
+    "cycle_witness": lambda cert, v: v.witness,
+    "gamma_rows": lambda cert, v: cert.gamma_support.monomials,
 }
-
-
-# why an entry that no check took is left, by table, when no check stopped at an error
-UNTAKEN = {**{table: f"no {method} certificate ran" for method, (table, *_) in WITNESSES.items()},
-           "b_cube_signs": "no computed point", "tower_cube": "no cited G points"}
 
 
 def _witness_str(value) -> str:
@@ -397,7 +387,7 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
     def diff(msg: str) -> None:
         diffs.append(f"family {family_id}: {msg}")
 
-    why = UNTAKEN
+    why = None  # why each entry that no check took is left, by table
     try:
         pair = catalog.pair(family_id)
         g, gp = pair.g, pair.gprime
@@ -452,23 +442,21 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
             q = cr.center.quotient
             no_sign = q is not None and q.locus not in signed  # named at the first branch that is no untwist
             for br in cr.branches:
-                method = br.verdict.method
-                if no_sign and method != "untwist":
+                method = METHODS[br.verdict.method]
+                if no_sign and not method.untwists:
                     no_sign = False
                     diff(f"B^3 at {q.locus} computed {rat_str(member.local[q.locus].b_cube)}, "
                          "table b_cube_signs has no entry")
-                if method not in WITNESSES:
+                if method.golden is None:
                     continue
-                table, by_locus, label, value_of = WITNESSES[method]
+                table, by_locus, label = method.golden
                 entry = table, ((family_id, cr.center.locus) if by_locus else family_id)
                 if entry in taken:
                     continue
                 taken.add(entry)
-                got, want = value_of(br.certificate, br.verdict), golden.pop(entry, None)
+                got, want = _WITNESS[table](br.certificate, br.verdict), golden.pop(entry, None)
                 if want is None:
-                    # the isolation certificate runs in every family, and
-                    # the paper bounds it in four
-                    if table != "isolation":
+                    if not method.optional:
                         where = f" at {cr.center.locus}" if by_locus else ""
                         diff(f"{label}{where} computed {_witness_str(got)}, table {table} has no entry")
                 elif _differ(got, want):
@@ -478,6 +466,9 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
         # verification failure, not a crash, and earlier mismatches stand
         diff(str(exc))
         why = dict.fromkeys(GOLDEN, "the checks stopped at the error above")
+    if golden and why is None:  # no error stopped the checks: by table, why none took the entry
+        why = {"b_cube_signs": "no computed point", "tower_cube": "no cited G points",
+               **{method.golden[0]: f"no {name} certificate ran" for name, method in METHODS.items() if method.golden}}
     for table, key in golden:
         diff(f"table {table}[{key!r}] unchecked: {why[table]}")
     return diffs

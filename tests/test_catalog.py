@@ -263,9 +263,13 @@ def test_an_unknown_key_is_a_load_error_that_names_it(tmp_path, capsys, where, l
 # (what states the `cited` object, its edited key and value, the error)
 BAD_CITED = [
     (lambda raw: gprime(raw, 19), "gamma_sq", "-6/4",
-     "catalog entry #3: cited 'gamma_sq' must be \"p/q\" in lowest terms, got '-6/4'"),
+     "catalog entry #3: cited 'gamma_sq' must be a negative \"p/q\" in lowest terms, got '-6/4'"),
     (lambda raw: gprime(raw, 19), "gamma_sq", -1.5,
-     "catalog entry #3: cited 'gamma_sq' must be \"p/q\" in lowest terms, got -1.5"),
+     "catalog entry #3: cited 'gamma_sq' must be a negative \"p/q\" in lowest terms, got -1.5"),
+    (lambda raw: gprime(raw, 19), "gamma_sq", "0",
+     "catalog entry #3: cited 'gamma_sq' must be a negative \"p/q\" in lowest terms, got '0'"),
+    (lambda raw: gprime(raw, 23), "gamma_sq", "1/2",
+     "catalog entry #5: cited 'gamma_sq' must be a negative \"p/q\" in lowest terms, got '1/2'"),
     (lambda raw: gprime(raw, 23), "isolation_vertex", 5,
      "catalog entry #5: cited 'isolation_vertex' must be an index 0-4, got 5"),
     (lambda raw: gprime(raw, 23), "gamma_normalized", 1,
@@ -289,8 +293,8 @@ BAD_CITED = [
 
 
 @pytest.mark.parametrize("where, key, value, line", BAD_CITED, ids=[
-    "fraction-not-lowest", "fraction-float", "vertex", "flag", "sections", "class", "method", "object",
-    "tower-length", "tower-string", "g-gamma-sq", "gprime-tower"])
+    "fraction-not-lowest", "fraction-float", "gamma-sq-zero", "gamma-sq-positive", "vertex", "flag", "sections",
+    "class", "method", "object", "tower-length", "tower-string", "g-gamma-sq", "gprime-tower"])
 def test_each_cited_value_is_read_by_its_keys_reader(tmp_path, where, key, value, line):
     # each key of a `cited` object has one reader, picked by the record or
     # the row's method; a fraction must be in lowest terms, so that the

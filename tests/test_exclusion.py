@@ -8,8 +8,7 @@ import pytest
 
 from fano_wci import exclusion
 from fano_wci.blowup import BlowupRing, SectionLift, ambient_quadruple, b_cubed, triple, vanishing_order
-from fano_wci.catalog import LINK_METHODS
-from fano_wci.exclusion import (BUILDERS, Center, CurveCycle, CurveDegree, CurveGamma,
+from fano_wci.exclusion import (Center, CurveCycle, CurveDegree, CurveGamma,
                                 InfiniteCurves, Isolation, LocalModel, NefDivisor, NegDefMatrix, SurfacePair,
                                 UncoveredCaseError, Untwist, _kawamata_weights, dispatch,
                                 gamma_polynomial, point_vertex, qi_eligible)
@@ -473,6 +472,49 @@ def test_infinite_curves_examples():
     assert not InfiniteCurves(F(0), F(0)).verdict().excluded
 
 
+# Each verdict at the boundary of its inequality: where the lemma's inequality
+# is not strict, equality excludes; where it is strict, equality does not.
+
+def test_curve_gamma_excludes_at_equality():
+    # excluded when 3 (-K)^3 - 2 deg + Gamma^2 <= 0: here 3/2 - 1 - 1/2 = 0
+    verdict = CurveGamma(a_cube=F(1, 2), deg=F(1, 2), gamma_sq=F(-1, 2)).verdict()
+    assert verdict.excluded and verdict.witness == 0
+
+
+def test_curve_cycle_at_its_two_boundaries():
+    # excluded when (Gamma . Delta) >= (A . Delta) > 0: equality on the left
+    # excludes, (A . Delta) = 0 on the right does not, whatever Gamma . Delta is
+    assert CurveCycle(gamma_dot_delta=F(1, 3), a_dot_delta=F(1, 3)).verdict().excluded
+    assert not CurveCycle(gamma_dot_delta=F(1), a_dot_delta=F(0)).verdict().excluded
+    assert not CurveCycle(gamma_dot_delta=F(0), a_dot_delta=F(0)).verdict().excluded
+
+
+def test_isolation_excludes_at_its_limit():
+    # excluded when the bound stays within 4 / (-K)^3: bound <= limit
+    assert Isolation(bound=6, limit=F(6), dropped_vertex=0).verdict().excluded
+    assert Isolation(bound=10, limit=F(10), dropped_vertex=2).verdict().excluded
+    assert not Isolation(bound=7, limit=F(20, 3), dropped_vertex=0).verdict().excluded
+
+
+def test_nef_divisor_at_zero_excludes_only_when_certified():
+    # excluded when M is nef (`certified`, c <= 1/r) and (M . B^2) <= 0
+    assert NefDivisor(lifts=(), q=HALF, m_b2=F(0), c=F(1, 2), certified=True).verdict().excluded
+    assert not NefDivisor(lifts=(), q=HALF, m_b2=F(0), c=F(1, 2), certified=False).verdict().excluded
+
+
+def test_negdef_matrix_is_not_excluded_at_a_zero_determinant():
+    # negative definite for every m >= floor when, at the floor, alpha - m < 0
+    # and det = alpha beta - m (alpha + beta) > 0 (strict: at det = 0 the
+    # matrix is only semidefinite), and the slope -(alpha + beta) is >= 0.
+    # alpha = beta = -1: det = 1 + 2m is 0 at the floor -1/2, positive above
+    at_zero = NegDefMatrix(alpha=F(-1), beta=F(-1), parameter_floor=F(-1, 2)).verdict()
+    assert not at_zero.excluded and at_zero.witness == 0
+    assert NegDefMatrix(alpha=F(-1), beta=F(-1), parameter_floor=F(-1, 3)).verdict().excluded
+    # The other two boundaries admit no excluded matrix, so no test pins them:
+    # alpha + beta = 0 makes det = -alpha^2 <= 0, and alpha - m = 0 at the
+    # floor makes det = -m^2 <= 0.
+
+
 def test_qi_eligibility(catalog):
     assert qi_eligible(catalog.member(19), "p3")
     assert qi_eligible(catalog.member(30), "p2")  # y^2 z in the generic member
@@ -506,12 +548,6 @@ def test_dispatch_curve_special(catalog):
 def test_dispatch_uncovered_cases(catalog):
     with pytest.raises(UncoveredCaseError, match="below"):
         dispatch_branch(catalog.member(17), Center.curve(F(1, 4)))
-
-
-def test_every_link_method_has_a_point_builder():
-    # a catalog row names a builder of BUILDERS; the curve and isolation
-    # builders serve the single-branch centers only
-    assert set(LINK_METHODS) == set(BUILDERS) - {"curve", "isolation"}
 
 
 def edit_row(member, point, condition, **fields):

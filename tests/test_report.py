@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fano_wci import exclusion, links, report
 from fano_wci.blowup import BlowupRing, triple
-from fano_wci.catalog import (LINK_TAGS, CatalogError, FamilyPair, FamilyRecord, Member, default_catalog_path,
+from fano_wci.catalog import (LINK_TAGS, METHODS, CatalogError, FamilyPair, FamilyRecord, Member, default_catalog_path,
                               derive_member, load_catalog)
 from fano_wci.exclusion import Center, Untwist
 from fano_wci.report import GOLDEN, build_report, certificate_json, render_json, render_markdown, verify_tables
@@ -88,10 +88,31 @@ def test_family_19_tower_class_is_minus_k_over_its_cited_points(catalog):
     assert [fid for fid in catalog.ids() if report._tower_cube(catalog.pair(fid).g) is not None] == [19]
 
 
-def test_every_golden_table_has_a_consumer():
-    # a table is checked by verify_family directly or through a certificate
-    # method's WITNESSES row, so a table added without a check fails here
-    assert set(GOLDEN) == {"b_cube_signs", "tower_cube"} | {row[0] for row in report.WITNESSES.values()}
+def test_the_method_table_is_complete(tmp_path, catalog):
+    # each row of METHODS is a certificate class's method with a builder,
+    # and its witness table, if any, a GOLDEN table with its extractor; the
+    # other two tables verify_family checks directly
+    assert {cls.method for cls in exclusion.Certificate.__args__} == set(METHODS)
+    assert set(exclusion._BUILDER) == {method.center or name for name, method in METHODS.items()}
+    tables = {method.golden[0] for method in METHODS.values() if method.golden is not None}
+    assert tables == set(report._WITNESS) and set(GOLDEN) == tables | {"b_cube_signs", "tower_cube"}
+    # a links entry may name exactly the rows built by no single branch
+    accepted = set()
+    for name in [*METHODS, "curve", "smooth-point"]:
+        entries = copy.deepcopy(SHIPPED)
+        link_rows(entries, 29)[0]["method"] = name  # its p2p4 row, tagged none
+        try:
+            load_entries(os.path.join(tmp_path, "edited.json"), entries)
+        except CatalogError as exc:
+            if "bad link method" in str(exc):
+                continue
+        accepted.add(name)
+    assert accepted == {name for name, method in METHODS.items() if not method.center}
+    assert len(accepted) == 5
+    # the shipped reports' verdicts are of every method of the table
+    ran = {br.verdict.method for fid in catalog.ids() for cr in build_report(catalog.member(fid)).centers
+           for br in cr.branches}
+    assert ran == set(METHODS) and len(ran) == 9
 
 
 @pytest.mark.parametrize("table, key, value, line", FAULTS, ids=[f"{t}[{k!r}]" for t, k, _, _ in FAULTS])
@@ -123,7 +144,7 @@ def test_each_golden_deletion_prints_its_exact_mismatch_line(catalog, monkeypatc
 
 
 def test_several_golden_faults_print_their_lines_in_family_order(catalog, monkeypatch):
-    # two unreached entries of one catalog family come in WITNESSES order;
+    # two unreached entries of one catalog family come in GOLDEN's table order;
     # the entries of families outside the catalog follow, in table order
     tables = GOLDEN
     for table, key, value in (("nef_witness", 17, F(-1, 4)), ("curve_witness", 17, F(-1, 2)),

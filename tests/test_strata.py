@@ -7,7 +7,7 @@ import math
 from collections import Counter
 
 from fano_wci.catalog import FamilyRecord, GoldenRow, LinkRow, Member
-from fano_wci.exclusion import SINGLE_BRANCH, Center, dispatch
+from fano_wci.exclusion import Center, dispatch
 from fano_wci.report import build_report
 from fano_wci.singularities import NotQuasismoothError, singular_locus
 from fano_wci.wps import MonomialSupport
@@ -47,7 +47,7 @@ def dispatch_branch(member: Member, center: Center, condition: str = ""):
     if center.is_point:
         rows = [row for row in member.golden.link_column if row.point == center.locus]
     else:
-        rows = SINGLE_BRANCH[center.kind]
+        rows = [LinkRow("", "", "", center.kind)]
     [row] = [row for row in rows if row.condition == condition]
     return dispatch(member, center, row)
 
