@@ -24,16 +24,28 @@ class CatalogError(ValueError):
     """Raised when the catalog file fails to parse or violates an invariant."""
 
 
+LinkRow = namedtuple("LinkRow", "point tag condition method cited", defaults=(None,))
+LinkRow.__doc__ = """A links entry, the paper's per-point table, which `exclusion.dispatch`
+runs as a branch: at `point`, under `condition` ("" if none), `method` excludes or
+untwists (link or involution `tag`) with the `cited` constants (None if none)."""
+
+
 @record
 class FamilyRecord:
-    """One record of the catalog file.  Its (-K)^3 is derived on the first
-    `a_cube()` call and kept, not as a field; a record of the wrong Fano
-    index keeps nothing and raises on every call."""
+    """One record of the catalog file, with everything it states.  Its
+    (-K)^3 is derived on the first `a_cube()` call and kept, not as a field;
+    a record of the wrong Fano index keeps nothing and raises on every call."""
 
     id: int
     kind: str  # "G" | "Gprime"
     weights: tuple[int, ...]
     degrees: tuple[int, ...]
+    subfamily: str = ""  # stated alike for both records: "I'" or "I''", then b
+    stated_a_cube: Fraction | None = None  # the file's `a_cube`
+    # the rows in file order, empty on a G record: basket (type, count, locus), as ("cAx/2",
+    # 1, "p4"), and `LinkRow`s, at each point one with condition "" or two, P and not-P
+    basket: tuple[tuple[str, int, str], ...] = ()
+    links: tuple[LinkRow, ...] = ()
     cited: frozenset | None = None  # the record's `cited` constants (`CITED`), None where it states none
 
     def a_cube(self) -> Fraction:
@@ -44,28 +56,10 @@ class FamilyRecord:
         return anticanonical_cube(self.weights, self.degrees, label=f"No.{self.id}/{self.kind}")
 
 
-LinkRow = namedtuple("LinkRow", "point tag condition method cited", defaults=(None,))
-LinkRow.__doc__ = """A links entry, the paper's per-point table, which `exclusion.dispatch`
-runs as a branch: at `point`, under `condition` ("" if none), `method` excludes or
-untwists (link or involution `tag`) with the `cited` constants (None if none)."""
-
-
-@record
-class GoldenRow:
-    subfamily: str  # stated alike for both records: "I'" or "I''", then b
-    a_cube: Fraction  # stated for the Gprime record
-    g_a_cube: Fraction  # stated for the G record
-    # the Gprime record's rows in file order: basket (type, count, locus), as ("cAx/2",
-    # 1, "p4"), and `LinkRow`s, at each point one with condition "" or two, P and not-P
-    basket: tuple[tuple[str, int, str], ...]
-    link_column: tuple[LinkRow, ...]
-
-
 @record
 class FamilyPair:
     g: FamilyRecord
     gprime: FamilyRecord
-    golden: GoldenRow
 
 
 @record
@@ -124,12 +118,12 @@ def derive_member(pair: FamilyPair) -> Member:
     # imported here because both modules import this one
     from . import links, singularities
 
-    g_form = links.to_standard_form(pair.g, pair.golden.subfamily)
-    shape = links.to_standard_form(pair.gprime, pair.golden.subfamily)
+    g_form = links.to_standard_form(pair.g, pair.g.subfamily)
+    shape = links.to_standard_form(pair.gprime, pair.gprime.subfamily)
     links.check_counterpart(pair.gprime, g_form)
     support = singularities.family_support(pair.gprime, shape)
     quotients, cax = singularities.singular_locus(pair.gprime, shape, support)
-    return Member(g=pair.g, gprime=pair.gprime, golden=pair.golden, a_cube=pair.gprime.a_cube(),
+    return Member(g=pair.g, gprime=pair.gprime, a_cube=pair.gprime.a_cube(),
                   shape=shape, support=support, quotients=tuple(quotients), cax=cax)
 
 
@@ -189,15 +183,13 @@ INT, INDEX, INDICES, FLAG = "an int", "an index 0-4", "2 or 3 distinct indices",
 # One row per certificate method, the `method` of its certificate and verdict: the kind of center whose one branch
 # builds it, "" where a links entry names it; whether it untwists; why the center is uncovered where it does not
 # exclude; the `cited` keys it reads off its links entry, else the Gprime record, with their kinds (`_read`); its
-# `report.GOLDEN` table, keyed by (family, locus) or by family, and mismatch label; whether a family may lack an entry
-Method = namedtuple("Method", "center untwists uncovered cited golden optional",
-                    defaults=("", False, "", {}, None, False))
+# `report.GOLDEN` table, keyed by (family, locus) or by family, and mismatch label
+Method = namedtuple("Method", "center untwists uncovered cited golden", defaults=("", False, "", {}, None))
 METHODS = {
     "curve-degree": Method("curve", uncovered="is below (-K)^3 and matches no special certificate"),
     "curve-gamma": Method("curve", cited={"gamma_sq": NEGATIVE}, golden=("curve_witness", False, "curve witness")),
     "curve-cycle": Method("curve", cited={"cycle": (P_Q, P_Q)}, golden=("cycle_witness", False, "cycle witness")),
-    "isolation": Method("smooth-point", cited={"isolation_vertex": INDEX}, golden=("isolation", False, "isolation"),
-                        optional=True),  # it runs in every family, and the paper bounds it in four
+    "isolation": Method("smooth-point", cited={"isolation_vertex": INDEX}, golden=("isolation", False, "isolation")),
     "surface-pair": Method(golden=("gamma_rows", False, "restriction curve support")),
     "nef-divisor": Method(golden=("nef_witness", False, "nef witness")),
     "negdef-matrix": Method(cited={"sections": INDICES, "beta": P_Q, "floor": P_Q},
@@ -351,7 +343,7 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
         raise CatalogError(f"{where}: G records need 6 weights and 2 degrees")
     if kind == "Gprime" and (len(weights) != 5 or len(degrees) != 1):
         raise CatalogError(f"{where}: Gprime records need 5 weights and 1 degree")
-    return FamilyRecord(fid, kind, weights, degrees)
+    return FamilyRecord(fid, kind, weights, degrees, obj["subfamily"])
 
 
 # strict -> (bytes, catalog) of the last load of that strictness that passed
@@ -400,19 +392,16 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
 
     g_records: dict[int, FamilyRecord] = {}
     gprime_records: dict[int, FamilyRecord] = {}
-    stated_a_cube: dict[tuple[str, int], Fraction] = {}
-    stated_subfamily: dict[int, str] = {}
-    golden_columns: dict[int, tuple[tuple[tuple, ...], tuple[LinkRow, ...]]] = {}
     for k, obj in enumerate(raw):
         where = f"catalog entry #{k}"
         rec = _parse_record(obj, where)
-        bucket = g_records if rec.kind == "G" else gprime_records
+        bucket, others = (g_records, gprime_records) if rec.kind == "G" else (gprime_records, g_records)
         if rec.id in bucket:
             raise CatalogError(f"{where}: duplicate {rec.kind} record for id {rec.id}")
-        subfamily = stated_subfamily.setdefault(rec.id, obj["subfamily"])
-        if obj["subfamily"] != subfamily:
-            raise CatalogError(f"{where}: subfamily {obj['subfamily']!r} of family {rec.id} ({rec.kind}) "
-                               f"differs from {subfamily!r}, stated by its other record")
+        other = others.get(rec.id, rec)
+        if rec.subfamily != other.subfamily:
+            raise CatalogError(f"{where}: subfamily {rec.subfamily!r} of family {rec.id} ({rec.kind}) "
+                               f"differs from {other.subfamily!r}, stated by its other record")
         try:
             a_cube = rat(obj["a_cube"])
         except (ValueError, ZeroDivisionError) as exc:
@@ -432,30 +421,28 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
                     f"{where}: a_cube mismatch for family {rec.id} ({rec.kind}): "
                     f"file says {obj['a_cube']}, weights/degrees give {rat_str(computed)}"
                 )
-        stated_a_cube[rec.kind, rec.id] = a_cube
         if rec.kind == "Gprime":
             basket = _entries(obj, "basket", BASKET_KEYS, where)
             links = _entries(obj, "links", LINK_KEYS, where)
             for _, count, _ in basket:
                 if count < 1:
                     raise CatalogError(f"{where}: basket count must be >= 1 for family {rec.id}")
-            golden_columns[rec.id] = basket, _link_rows(links, rec.id, where)
-        else:  # the golden columns belong to the Gprime record
+            links = _link_rows(links, rec.id, where)
+        else:  # the basket and links belong to the Gprime record
             for field in ("basket", "links"):
                 if obj[field] != []:
                     raise CatalogError(f"{where}: '{field}' of a G record must be [], got {obj[field]!r}")
+            basket = links = ()
         cited = _cited(obj.get("cited", _ABSENT), CITED[rec.kind], where)
-        bucket[rec.id] = FamilyRecord(rec.id, rec.kind, rec.weights, rec.degrees, cited)
+        bucket[rec.id] = FamilyRecord(rec.id, rec.kind, rec.weights, rec.degrees, rec.subfamily, a_cube,
+                                      basket, links, cited)
 
     # every id is one of FAMILY_IDS and none repeats, so a full count is a full catalog
     if len(g_records) + len(gprime_records) != 2 * len(FAMILY_IDS):
         raise CatalogError(f"catalog incomplete: missing G records {sorted(set(FAMILY_IDS) - set(g_records))}, "
                            f"Gprime records {sorted(set(FAMILY_IDS) - set(gprime_records))}")
 
-    pairs = [FamilyPair(g_records[i], gprime_records[i],
-                        GoldenRow(stated_subfamily[i], stated_a_cube["Gprime", i], stated_a_cube["G", i],
-                                  *golden_columns[i]))
-             for i in FAMILY_IDS]
+    pairs = [FamilyPair(g_records[i], gprime_records[i]) for i in FAMILY_IDS]
     catalog = Catalog(pairs)
     _PARSED[strict] = data, catalog
     return catalog

@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .blowup import (BlowupRing, SectionLift, ambient_quadruple, b_cubed, nef_bound_check, triple,
                      vanishing_order)
-from .catalog import METHODS, LinkRow, Member
+from .catalog import MAX_WEIGHT, METHODS, LinkRow, Member
 from .singularities import (CAxPoint, QuotientSingularity, misses_vertex, support_with_point_at_vertex,
                             tangent_monomials)
 from .wps import MonomialSupport, max_pair_lcm, rat_str, record
@@ -404,7 +404,7 @@ def centers(member: Member) -> Plan:
     1/b below (-K)^3 is special and leaves 2/b to the least curve.  The
     isolation keeps the limit 4/(-K)^3 of its bound."""
     rows: dict[str, list[LinkRow]] = {}
-    for row in member.golden.link_column:
+    for row in member.gprime.links:
         rows.setdefault(row.point, []).append(row)
     step = Fraction(1, member.cax.modulus)
     special = step if step < member.a_cube else None
@@ -512,12 +512,17 @@ def _pair_sum(model: LocalModel, sections: tuple[int, int]) -> Fraction:
 
 def wci_degrees(condition: str) -> tuple[int, ...]:
     """The degrees (a, b, c) of the WCI curve that "exists-wci(a,b,c)" or
-    its negation names; UncoveredCaseError for any other condition."""
+    its negation names, each in ASCII digits (as `wps.rat` reads them) and
+    at most MAX_WEIGHT, the largest degree a record states, so each converts
+    and their products print; UncoveredCaseError for any other condition."""
     head, _, rest = condition.partition("(")
     degrees = rest.removesuffix(")").split(",")
-    if head not in ("exists-wci", "not-exists-wci") or len(degrees) != 3 or not all(map(str.isdigit, degrees)):
-        raise UncoveredCaseError(f"condition {condition!r} names no WCI curve")
-    return tuple(map(int, degrees))
+    if (head in ("exists-wci", "not-exists-wci") and len(degrees) == 3 and rest.isascii()
+            and all(map(str.isdigit, degrees)) and max(map(len, degrees)) <= len(str(MAX_WEIGHT))):
+        read = tuple(map(int, degrees))
+        if max(read) <= MAX_WEIGHT:
+            return read
+    raise UncoveredCaseError(f"condition {condition!r} names no WCI curve")
 
 
 def curve_pairings(model: LocalModel, row: LinkRow) -> tuple[Fraction, Fraction]:

@@ -88,7 +88,8 @@ def test_a_record_of_the_wrong_index_keeps_no_a_cube():
         calls, _ = count_calls({"anticanonical_cube": wps.anticanonical_cube},
                                lambda: pytest.raises(ValueError, rec.a_cube))
         assert calls == {"anticanonical_cube": 1}
-    assert vars(rec) == {"id": 17, "kind": "Gprime", "weights": (1, 1, 1, 4, 2), "degrees": (9,), "cited": None}
+    assert vars(rec) == {"id": 17, "kind": "Gprime", "weights": (1, 1, 1, 4, 2), "degrees": (9,), "subfamily": "",
+                         "stated_a_cube": None, "basket": (), "links": (), "cited": None}
 
 
 def test_verify_tables_checks_each_quadratic_involution_once(empty_load_cache):
@@ -105,8 +106,8 @@ def test_verify_tables_checks_each_quadratic_involution_once(empty_load_cache):
     assert second == {}
     # family 19's three involution rows sit at two loci, p2p4 (EI and II)
     # and p3 (QI): one check per locus, on a member that derives its own models
-    member = with_rows(catalog.member(19), catalog.member(19).golden.link_column)
-    rows = [row.point for row in member.golden.link_column if row.tag in ("QI", "EI", "II")]
+    member = with_rows(catalog.member(19), catalog.member(19).gprime.links)
+    rows = [row.point for row in member.gprime.links if row.tag in ("QI", "EI", "II")]
     assert rows == ["p2p4", "p2p4", "p3"]
     for expected in (2, 0):
         calls, report = count_calls({"qi_eligible": exclusion.qi_eligible}, lambda: build_report(member))
@@ -158,7 +159,7 @@ def test_a_non_strict_load_does_not_pass_the_strict_checks(tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(entries), encoding="utf-8")
     for _ in range(2):
-        assert load_catalog(str(path), strict=False).pair(19).golden.a_cube == 1 / 2
+        assert load_catalog(str(path), strict=False).pair(19).gprime.stated_a_cube == 1 / 2
         with pytest.raises(CatalogError, match="a_cube mismatch for family 19 \\(Gprime\\)"):
             load_catalog(str(path))
 
@@ -201,7 +202,7 @@ def test_no_member_outlives_its_text(empty_load_cache, tmp_path):
     for path in (shipped, traded):
         catalog_module._PARSED.clear()
         expected[path] = verify(path)
-    assert expected[shipped] == [] and len(expected[traded]) == 4
+    assert expected[shipped] == [] and len(expected[traded]) == 6
     catalog_module._PARSED.clear()
     for path in (shipped, traded, shipped):
         assert verify(path) == expected[path]
@@ -214,10 +215,11 @@ def test_a_failed_derivation_keeps_no_member(empty_load_cache, tmp_path):
     path.write_text(json.dumps(entries), encoding="utf-8")
     line = ("family 17: No.17: no standard form (I' shape: degree 8 and b=4 admit no lift to six weights; "
             "I'' shape: degree 8 and b=4 admit no lift to six weights)")
-    unchecked = "family 17: table cycle_witness[17] unchecked: the checks stopped at the error above"
+    unchecked = [f"family 17: table {entry} unchecked: the checks stopped at the error above"
+                 for entry in ("isolation[17]", "cycle_witness[17]")]
     for _ in range(2):
         catalog = load_catalog(str(path), strict=False)
-        assert verify_tables(catalog) == [line, unchecked]
+        assert verify_tables(catalog) == [line, *unchecked]
         assert sorted(catalog._members) == [i for i in FAMILY_IDS if i != 17]
 
 
@@ -243,7 +245,7 @@ def test_each_member_plans_its_centers_once(empty_load_cache):
     # edited rows, and a stratum names the locus it lost once per report
     member = load_catalog().member(29)
     assert build_report(member).uncovered == ()
-    edited = with_rows(member, [*member.golden.link_column[1:], ("p1", "none", "", "surface-pair")])
+    edited = with_rows(member, [*member.gprime.links[1:], ("p1", "none", "", "surface-pair")])
     assert build_report(edited).uncovered == ("family 29 has no center at p2p4",
                                               "family 29 link row at p1: the member has no point there")
     lost = stratum(load_catalog().member(23), (0, 0, 5, 0, 0))

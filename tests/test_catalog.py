@@ -27,12 +27,12 @@ def test_record_74(catalog):
     g = catalog.pair(74).g
     assert g.weights == (1, 2, 3, 7, 9, 11)
     assert g.degrees == (14, 18)
-    assert catalog.pair(74).golden.subfamily == "I''4"
+    assert catalog.pair(74).g.subfamily == "I''4"
 
 
 def test_derived_subfamily_is_the_stated_tag(catalog):
     for fid in catalog.ids():
-        stated = catalog.pair(fid).golden.subfamily
+        stated = catalog.pair(fid).gprime.subfamily
         assert catalog.member(fid).shape.subfamily == stated, f"family {fid}"
         assert equation_shape(catalog.pair(fid).g).subfamily == stated, f"family {fid}"
 
@@ -48,7 +48,8 @@ def test_derived_subfamilies_are_the_papers_split(catalog):
 def test_golden_a_cube_matches_record(catalog):
     for fid in catalog.ids():
         pair = catalog.pair(fid)
-        assert pair.golden.a_cube == pair.gprime.a_cube()
+        assert pair.gprime.stated_a_cube == pair.gprime.a_cube()
+        assert pair.g.stated_a_cube == pair.g.a_cube()
 
 
 def test_golden_columns_are_the_files_rows(catalog):
@@ -58,10 +59,10 @@ def test_golden_columns_are_the_files_rows(catalog):
         entries = {obj["id"]: obj for obj in json.load(fh) if obj["kind"] == "Gprime"}
     for fid in catalog.ids():
         pair, entry = catalog.pair(fid), entries[fid]
-        assert pair.golden.basket == tuple((b["type"], b["count"], b["locus"]) for b in entry["basket"])
-        assert [row[:4] for row in pair.golden.link_column] == [
+        assert pair.gprime.basket == tuple((b["type"], b["count"], b["locus"]) for b in entry["basket"])
+        assert [row[:4] for row in pair.gprime.links] == [
             (l["point"], l["tag"], l["condition"], l["method"]) for l in entry["links"]]
-        assert report._golden_record_json(pair) == entry
+        assert report._golden_record_json(pair.gprime) == entry
 
 
 @pytest.mark.parametrize("content", [
@@ -145,7 +146,7 @@ def test_strict_load_rejects_wrong_a_cube(tmp_path):
         load_catalog(path)
     # non-strict load defers the mismatch to verification
     cat = load_catalog(path, strict=False)
-    assert cat.pair(19).golden.a_cube != cat.pair(19).gprime.a_cube()
+    assert cat.pair(19).gprime.stated_a_cube != cat.pair(19).gprime.a_cube()
 
 
 def test_strict_load_rejects_a_record_of_the_wrong_fano_index(tmp_path):

@@ -17,7 +17,7 @@ from fano_wci.singularities import (NotQuasismoothError, QuotientSingularity, mi
                                     support_with_point_at_vertex, tangent_coordinate)
 from fano_wci.wps import MonomialSupport
 from test_reference_equivalence import reference_negdef2
-from test_strata import dispatch_branch, stratum, with_cited, with_rows
+from test_strata import dispatch_branch, stratum, with_gprime, with_rows
 
 F = Fraction
 HALF = QuotientSingularity(2, 1)
@@ -78,8 +78,8 @@ def test_the_cited_isolation_vertices_are_those_no_vertex_off_the_member_serves(
     for fid, vertex in ((23, 2), (30, 0)):
         member = catalog.member(fid)
         assert not misses_vertex(member.support, member.gprime.weights, cited[fid])
-        member = with_cited(member, frozenset([(key, value) for key, value in member.gprime.cited
-                                               if key != "isolation_vertex"]))
+        member = with_gprime(member, cited=frozenset([(key, value) for key, value in member.gprime.cited
+                                                      if key != "isolation_vertex"]))
         cert, verdict = dispatch_branch(member, Center.smooth_point())
         assert (cert.dropped_vertex, cert.bound, cert.limit) == (vertex, 12, F(48, 5))
         assert not verdict.excluded
@@ -152,14 +152,14 @@ def test_gamma_rows_are_the_surface_pair_families(catalog):
     # the golden gamma_rows check reads the support off a surface-pair
     # certificate, so its entries are the nine surface-pair families
     surface_pair = {fid for fid in catalog.ids()
-                    if any(row.method == "surface-pair" for row in catalog.pair(fid).golden.link_column)}
+                    if any(row.method == "surface-pair" for row in catalog.pair(fid).gprime.links)}
     assert surface_pair == set(GOLDEN["gamma_rows"]) == {23, 29, 42, 49, 50, 55, 74, 77, 82}
 
 
 def test_nef_divisor_points_move_to_vertex_1(catalog):
     # the half points p1p4 of the nef-divisor families sit at the weight-2 end
     nef = [fid for fid in catalog.ids()
-           if any(row.method == "nef-divisor" for row in catalog.pair(fid).golden.link_column)]
+           if any(row.method == "nef-divisor" for row in catalog.pair(fid).gprime.links)]
     assert nef == [50, 74, 82]
     assert [point_vertex(catalog.pair(fid).gprime.weights, "p1p4") for fid in nef] == [1, 1, 1]
 
@@ -181,7 +181,7 @@ def test_one_rule_reads_the_three_wci_conditions(catalog):
     for (fid, locus), (vertex, s, monomial) in WCI_CONDITIONS.items():
         member = catalog.member(fid)
         degrees = ",".join(map(str, sorted(member.gprime.weights[i] for i in s)))
-        assert [row.condition for row in member.golden.link_column if row.point == locus] == [
+        assert [row.condition for row in member.gprime.links if row.point == locus] == [
             f"not-exists-wci({degrees})", f"exists-wci({degrees})"]
         dropped = stratum(member, monomial)
         assert dropped.basket == member.basket
@@ -201,14 +201,17 @@ def test_each_wci_condition_names_a_curve_of_its_degrees(catalog):
     # are those of S . T less (1/6 - 1/2, 1)
     for (fid, locus), degree in zip(WCI_CONDITIONS, (F(1, 6), F(1, 6), F(1, 10))):
         member = catalog.member(fid)
-        for row in [row for row in member.golden.link_column if row.point == locus]:
+        for row in [row for row in member.gprime.links if row.point == locus]:
             a, b, c = exclusion.wci_degrees(row.condition)
             assert F(a * b * c, math.prod(member.gprime.weights)) == degree
-    for condition in ("", "monomial-absent(y^2 z)", "exists-wci(1,1)", "exists-wci(1,x,4)"):
+    # a degree in other than ASCII digits, or above MAX_WEIGHT, names no curve
+    assert exclusion.wci_degrees("exists-wci(1,1,10000)") == (1, 1, 10_000)
+    for condition in ("", "monomial-absent(y^2 z)", "exists-wci(1,1)", "exists-wci(1,x,4)", "exists-wci(1,1,\u00b2)",
+                      "exists-wci(1,1,10001)"):
         with pytest.raises(UncoveredCaseError, match="names no WCI curve"):
             exclusion.wci_degrees(condition)
     member = catalog.member(23)
-    row = next(row for row in member.golden.link_column if row.method == "infinite-curves")
+    row = next(row for row in member.gprime.links if row.method == "infinite-curves")
     assert row.cited == {("T", (4, F(-2))), ("residual", True)}
     whole = row._replace(cited=row.cited - {("residual", True)})
     residual, whole = (member.local["p2p4"].pairings(edited) for edited in (row, whole))
@@ -243,7 +246,7 @@ def nef_outcomes(catalog) -> Counter:
     for member in general_and_strata(catalog):
         for q in member.quotients:
             untwisted = any(row.point == q.locus and row.method == "untwist" and row.tag != "link"
-                            for row in member.golden.link_column)
+                            for row in member.gprime.links)
             try:
                 lifts, c, certified, m_b2 = member.local[q.locus].nef
             except UncoveredCaseError:
@@ -400,7 +403,7 @@ def test_each_local_model_is_the_per_call_derivation(catalog):
             assert outcome_of(lambda: model.nef) == nef
             if type(nef[0]) is type:
                 errors[nef[1].split(" ")[0]] += 1
-            for row in member.golden.link_column:
+            for row in member.gprime.links:
                 if row.point == q.locus and row.method in runs:
                     runs[row.method] += 1
                     cert, _ = dispatch(member, Center.quotient_point(q), row)
@@ -553,7 +556,7 @@ def test_dispatch_uncovered_cases(catalog):
 def edit_row(member, point, condition, **fields):
     """The member with the link row at (point, condition) given new `fields`."""
     return with_rows(member, [row._replace(**fields) if (row.point, row.condition) == (point, condition) else row
-                              for row in member.golden.link_column])
+                              for row in member.gprime.links])
 
 
 def quotient_center(member, locus):

@@ -13,7 +13,7 @@ NO_TERMS = MonomialSupport(0, frozenset())
 
 def form(catalog, fid):
     """The standard form of family `fid`'s G record."""
-    return to_standard_form(catalog.pair(fid).g, catalog.pair(fid).golden.subfamily)
+    return to_standard_form(catalog.pair(fid).g, catalog.pair(fid).gprime.subfamily)
 
 
 def test_standard_forms(catalog):
@@ -86,7 +86,7 @@ def test_counterparts_match_catalog(catalog):
 
 def test_b_matches_subfamily(catalog):
     for fid in catalog.ids():
-        assert str(form(catalog, fid).b) == catalog.pair(fid).golden.subfamily.lstrip("I'")
+        assert str(form(catalog, fid).b) == catalog.pair(fid).gprime.subfamily.lstrip("I'")
 
 
 def test_z_degree_identities(catalog):
@@ -131,4 +131,4 @@ def test_inventory_matches_golden(catalog):
     for fid in catalog.ids():
         got = involution_inventory(build_report(catalog.member(fid)))
         # every row ran: its point, tag and condition, in row order
-        assert got == [row[:3] for row in catalog.pair(fid).golden.link_column], f"family {fid}"
+        assert got == [row[:3] for row in catalog.pair(fid).gprime.links], f"family {fid}"

@@ -3,26 +3,29 @@ certificate of its method, reports an entry that no such certificate
 reaches instead of skipping it, and reports a check that finds no entry.
 A report's certificates and its JSON text render as `analyze` prints them."""
 
+import contextlib
 import copy
+import io
 import itertools
 import json
 import os
 import tempfile
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fano_wci import exclusion, links, report
+from fano_wci import cli, exclusion, links, report
 from fano_wci.blowup import BlowupRing, triple
-from fano_wci.catalog import (LINK_TAGS, METHODS, CatalogError, FamilyPair, FamilyRecord, Member, default_catalog_path,
+from fano_wci.catalog import (LINK_TAGS, METHODS, CatalogError, FamilyPair, Member, default_catalog_path,
                               derive_member, load_catalog)
 from fano_wci.exclusion import Center, Untwist
 from fano_wci.report import GOLDEN, build_report, certificate_json, render_json, render_markdown, verify_tables
 from fano_wci.singularities import NotQuasismoothError, QuotientSingularity
 from fano_wci.wps import rat_str
-from test_strata import dispatch_branch, stratum, with_cited, with_rows
+from test_strata import dispatch_branch, replaced, stratum, with_gprime, with_rows
 
 F = Fraction
 
@@ -195,12 +198,8 @@ def test_verification_leaves_the_golden_tables_untouched(catalog, monkeypatch):
 
 def under_id(member: Member, family_id: int) -> Member:
     """`member`'s family pair with both records under `family_id`, derived
-    anew; its rows and each record's cited constants travel with it."""
-    g, gprime = member.g, member.gprime
-    return derive_member(FamilyPair(g=FamilyRecord(family_id, "G", g.weights, g.degrees, g.cited),
-                                    gprime=FamilyRecord(family_id, "Gprime", gprime.weights, gprime.degrees,
-                                                        gprime.cited),
-                                    golden=member.golden))
+    anew; everything else each record states travels with it."""
+    return derive_member(FamilyPair(replaced(member.g, id=family_id), replaced(member.gprime, id=family_id)))
 
 
 def certificates(report) -> list:
@@ -227,7 +226,7 @@ def test_a_member_without_cited_constants_is_reported_uncovered(catalog):
     # KeyError; without its rows, each point is a center the family lacks.
     # Its isolating vertex is derived from the support, not cited
     member = under_id(catalog.member(50), 7)
-    assert build_report(with_rows(member, [row[:4] for row in member.golden.link_column])).uncovered == (
+    assert build_report(with_rows(member, [row[:4] for row in member.gprime.links])).uncovered == (
         "no curve-pair matrix data for family 7 at p1p4", "no curve-pair matrix data for family 7 at p2")
     assert build_report(with_rows(member, ())).uncovered == (
         "family 7 has no center at p1p4", "family 7 has no center at p2", "family 7 has no center at p3",
@@ -239,7 +238,7 @@ def test_a_special_curve_without_cited_data_is_an_uncovered_center(catalog):
     # curve of degree 1/2 below (-K)^3 = 1 but no curve data: the curve is
     # uncovered by name, not a KeyError, and the report's other centers
     # still run
-    report = build_report(with_cited(under_id(catalog.member(17), 7), None))
+    report = build_report(with_gprime(under_id(catalog.member(17), 7), cited=None))
     assert report.uncovered == ("family 7: curve of degree 1/2 is below (-K)^3 and matches no special certificate",)
     assert [cr.center.describe() for cr in report.centers if cr.uncovered] == ["curve of degree 1/2"]
 
@@ -266,7 +265,7 @@ def test_a_quadratic_involution_without_its_monomial_is_uncovered(catalog):
     assert member.basket == catalog.member(41).basket
     report = build_report(member)
     assert report.uncovered == ("family 41 p2p3: no x^2 y tangent monomial, quadratic involution not available",)
-    assert [row[:3] for row in member.golden.link_column] == [("p2p3", "QI", ""), ("p4", "link", "")]
+    assert [row[:3] for row in member.gprime.links] == [("p2p3", "QI", ""), ("p4", "link", "")]
     assert links.involution_inventory(report) == [("p4", "link", "")]
     rows = [line for line in render_markdown(report).splitlines() if line.startswith("| p2p3 = ")]
     assert rows == ["| p2p3 = 1/3(1,1,2) | uncovered: family 41 p2p3: no x^2 y tangent monomial, "
@@ -382,6 +381,55 @@ def condition_edits() -> list[tuple[str, int, tuple, object]]:
     return row_edits("condition", CONDITIONS)
 
 
+# the argument that `paired_condition_edits` gives both conditions of a pair,
+# by name: each names no WCI curve, and no monomial of the member
+PAIRED_ARGUMENTS = {"non-ASCII digit": "1,1,\u00b2", "5,000-digit degree": "1,1," + "9" * 5_000,
+                    "three 2,000-digit degrees": ",".join(["9" * 2_000] * 3), "two degrees": "1,1", "empty": "",
+                    "letter": "1,1,a"}
+
+
+def paired_condition_edits() -> list[tuple[str, int, list[dict]]]:
+    """Each point's condition and its negation, with the argument of both set
+    alike to each of `PAIRED_ARGUMENTS`, so the pair still loads: as (name,
+    family, the edited catalog entries)."""
+    edits = []
+    for k, e in enumerate(SHIPPED):
+        for point in dict.fromkeys(row["point"] for row in e["links"] if row["condition"]):
+            for name, argument in PAIRED_ARGUMENTS.items():
+                entries = copy.deepcopy(SHIPPED)
+                for row in entries[k]["links"]:
+                    if row["point"] == point:
+                        row["condition"] = f"{row['condition'].partition('(')[0]}({argument})"
+                edits.append((f"{e['id']} {point} {name}", e["id"], entries))
+    return edits
+
+
+def cli_outcome(path: str, family: int) -> str:
+    """What `verify-tables` and `analyze --family <family> --format json` do
+    on the catalog at `path`: "traceback" if either raises, else what
+    verify-tables does, "load error" (it exits 2), "mismatch" (1) or "silent" (0)."""
+    codes = []
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for command in (["verify-tables"], ["analyze", "--family", str(family), "--format", "json"]):
+            try:
+                codes.append(cli.main(["--catalog", path, *command]))
+            except Exception:
+                return "traceback"
+    return {2: "load error", 1: "mismatch", 0: "silent"}[codes[0]]
+
+
+def paired_condition_census() -> Counter:
+    """The count of each `cli_outcome` over `paired_condition_edits`."""
+    got = Counter()
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "edited.json")
+        for name, family, entries in paired_condition_edits():
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(entries, fh)
+            got[cli_outcome(path, family)] += 1
+    return got
+
+
 def outcome(path: str, entries: list[dict]) -> str:
     """What verify-tables does on the catalog `entries`, written to `path`:
     "load error" (it exits 2), "mismatch" (it prints a line) or "silent" (it
@@ -414,24 +462,17 @@ def census(edits) -> list[str]:
     return [name for name, outcome in outcomes(edits).items() if outcome == "silent"]
 
 
-# the edits that print no line, by group; each group's comment is the reason
-SILENT_EDITS = {
-    # no golden isolation entry: the bound changes but stays within the limit
-    "no isolation entry": {"30 isolation drop 3->2"},
-}
-
 # no number tells EI from II; ROADMAP items 13 and 18
 SILENT_TAG_EDITS = {"19 p2p4 [not-exists-wci(1,1,2)] EI->II", "19 p2p4 [exists-wci(1,1,2)] II->EI"}
 
 
-def test_every_dispatch_edit_but_the_pinned_ones_prints_a_mismatch():
-    # each edit runs verify_tables without raising; an edit that stays
-    # silent and is not pinned, or a pinned one that turns loud, fails here
+def test_every_dispatch_edit_prints_a_mismatch():
+    # each edit runs verify_tables without raising; family 30's isolation
+    # vertex moved to 2 keeps its bound within the limit, and its golden
+    # isolation entry reads the changed bound
     edits = dispatch_edits()
     assert len(edits) == 136 and len({name for name, *_ in edits}) == 136
-    silent = census(edits)
-    assert set(silent) == set().union(*SILENT_EDITS.values())
-    assert len(silent) == 1
+    assert census(edits) == []
 
 
 def test_every_tag_edit_but_the_pinned_ones_prints_a_mismatch():
@@ -444,6 +485,16 @@ def test_every_condition_edit_is_a_load_error_or_a_mismatch():
     edits = condition_edits()
     assert len(edits) == 420 and len({name for name, *_ in edits}) == 420
     assert census(edits) == []
+
+
+def test_no_paired_condition_edit_prints_a_traceback():
+    # a condition's argument is read only where family 23's p2p4 row
+    # subtracts the WCI curve it names (`exclusion.wci_degrees`), and there
+    # each edit names no curve and leaves the row uncovered; elsewhere the
+    # pair is read as a pair of labels, so editing both alike passes
+    edits = paired_condition_edits()
+    assert len(edits) == 30 and len({name for name, *_ in edits}) == 30
+    assert paired_condition_census() == {"mismatch": 6, "silent": 24}
 
 
 def test_every_cited_edit_prints_a_mismatch():
@@ -460,8 +511,7 @@ def test_every_cited_edit_prints_a_mismatch():
 # ---------------------------------------------------------------------------
 # Id-trade census: the golden tables are keyed by family id, the verifier's
 # one binding of an id to a record, so trading the ids of two families in the
-# file must print a mismatch, unless it is pinned below with the reason it
-# cannot
+# file must print a mismatch
 # ---------------------------------------------------------------------------
 
 def trade_outcomes() -> dict[str, str]:
@@ -477,21 +527,17 @@ def trade_outcomes() -> dict[str, str]:
     return got
 
 
-# the trades that print no line, each with its reason: the golden entries of
-# 30 and 69 coincide, both a b_cube_signs +1 and an infinite_curves (0, 2) at p2
-SILENT_TRADES = {"30<->69"}
-
-
-def test_every_id_trade_but_the_pinned_one_prints_a_mismatch():
+def test_every_id_trade_prints_a_mismatch():
+    # the b_cube_signs and infinite_curves entries of 30 and 69 coincide;
+    # their isolation entries tell them apart
     got = trade_outcomes()
     assert len(got) == 91
-    assert {name for name, result in got.items() if result == "silent"} == SILENT_TRADES
-    assert list(got.values()).count("mismatch") == 90
+    assert list(got.values()).count("mismatch") == 91
 
 
 # ---------------------------------------------------------------------------
 # Golden-deletion census: deleting a single golden entry must print a
-# mismatch line, unless it is pinned below with the reason it cannot
+# mismatch line
 # ---------------------------------------------------------------------------
 
 def golden_deletions() -> list[tuple[str, str, object]]:
@@ -511,17 +557,11 @@ def deletion_census(catalog) -> list[str]:
     return silent
 
 
-# the isolation certificate runs in all 14 families and the paper bounds it
-# in four, so a family without an isolation entry is no mismatch
-SILENT_DELETIONS = {"isolation[42]", "isolation[19]", "isolation[50]", "isolation[23]"}
-
-
-def test_every_golden_deletion_but_the_pinned_ones_prints_a_mismatch():
+def test_every_golden_deletion_prints_a_mismatch():
+    # the isolation certificate runs in all 14 families, and each has its entry
     deletions = golden_deletions()
-    assert len(deletions) == 42 and len({name for name, *_ in deletions}) == 42
-    silent = deletion_census(load_catalog(strict=False))
-    assert set(silent) == SILENT_DELETIONS
-    assert len(silent) == 4
+    assert len(deletions) == 52 and len({name for name, *_ in deletions}) == 52
+    assert deletion_census(load_catalog(strict=False)) == []
 
 
 # ---------------------------------------------------------------------------

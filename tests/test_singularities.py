@@ -10,7 +10,7 @@ from fano_wci.singularities import (ClassificationError, NotQuasismoothError,
                                     NonIsolatedSingularityError, QuotientSingularity,
                                     cax_classify, edge_root_count, equation_shape, family_support,
                                     normalize_quotient, singular_locus, support_with_point_at_vertex,
-                                    tangent_coordinate)
+                                    tangent_coordinate, tangent_monomials)
 from fano_wci.wps import MonomialSupport, monomials_of_degree
 
 
@@ -102,7 +102,7 @@ def test_baskets_match_golden(catalog):
         member = catalog.member(fid)
         quotients, cax = singular_locus(member.gprime, member.shape, member.support)
         computed = [(q.type_str(), q.count, q.locus) for q in quotients] + [(cax.type_str(), 1, "p4")]
-        assert computed == list(catalog.pair(fid).golden.basket), f"family {fid}"
+        assert computed == list(catalog.pair(fid).gprime.basket), f"family {fid}"
 
 
 def dropped(member, *monomials):
@@ -170,7 +170,7 @@ def test_family_support_has_capped_w_powers(catalog):
     for fid in catalog.ids():
         member = catalog.member(fid)
         record, support = member.gprime, family_support(member.gprime, member.shape)
-        cap = 3 if "''" in member.golden.subfamily else 2  # I'' is the triple-cover shape
+        cap = 3 if "''" in member.gprime.subfamily else 2  # I'' is the triple-cover shape
         assert max(m[4] for m in support.monomials) == cap
         assert all(sum(e * a for e, a in zip(m, record.weights)) == support.degree
                    for m in support.monomials)
@@ -181,6 +181,14 @@ def test_tangent_coordinate_error():
     bare = MonomialSupport(degree=8, monomials=frozenset({(8, 0, 0, 0, 0)}))
     with pytest.raises(NotQuasismoothError):
         tangent_coordinate(bare, w, 3)
+
+
+def test_a_coordinate_of_the_full_degree_is_no_tangent_monomial():
+    # x2 has weight 3, the degree, so x0^0 x2 is no tangent monomial at the
+    # x0 vertex; x0^2 x1 is
+    w = (1, 1, 3)
+    support = MonomialSupport(degree=3, monomials=frozenset({(0, 0, 1), (2, 1, 0)}))
+    assert tangent_monomials(support, w, 0) == [(2, 1)]
 
 
 def test_edge_inside_member_error():

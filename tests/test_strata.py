@@ -6,7 +6,7 @@ as on any family's general member."""
 import math
 from collections import Counter
 
-from fano_wci.catalog import FamilyRecord, GoldenRow, LinkRow, Member
+from fano_wci.catalog import LinkRow, Member
 from fano_wci.exclusion import Center, dispatch
 from fano_wci.report import build_report
 from fano_wci.singularities import NotQuasismoothError, singular_locus
@@ -17,27 +17,23 @@ def stratum(member: Member, monomial) -> Member:
     """The member whose support is the general member's without `monomial`."""
     support = MonomialSupport(member.support.degree, member.support.monomials - {monomial})
     quotients, cax = singular_locus(member.gprime, member.shape, support)
-    return Member(g=member.g, gprime=member.gprime, golden=member.golden, a_cube=member.a_cube,
-                  shape=member.shape, support=support, quotients=tuple(quotients), cax=cax)
+    return replaced(member, support=support, quotients=tuple(quotients), cax=cax)
 
 
-def with_golden(member: Member, **fields) -> Member:
-    """The member with `fields` of its golden row replaced."""
-    golden = GoldenRow(*[fields.get(name, getattr(member.golden, name)) for name in GoldenRow.__record_fields__])
-    return Member(*[golden if name == "golden" else getattr(member, name) for name in Member.__record_fields__])
+def replaced(rec, **fields):
+    """The record `rec` with `fields` replaced, built anew."""
+    return rec.__class__(*[fields.get(name, getattr(rec, name)) for name in rec.__record_fields__])
 
 
-def with_cited(member: Member, cited: frozenset | None) -> Member:
-    """The member with its Gprime record's `cited` constants replaced by `cited`."""
-    gp = member.gprime
-    gprime = FamilyRecord(gp.id, gp.kind, gp.weights, gp.degrees, cited)
-    return Member(*[gprime if name == "gprime" else getattr(member, name) for name in Member.__record_fields__])
+def with_gprime(member: Member, **fields) -> Member:
+    """The member with `fields` of its Gprime record replaced."""
+    return replaced(member, gprime=replaced(member.gprime, **fields))
 
 
 def with_rows(member: Member, rows) -> Member:
     """The member with its link rows (point, tag, condition, method and
     optionally cited) replaced by `rows`."""
-    return with_golden(member, link_column=tuple([LinkRow(*row) for row in rows]))
+    return with_gprime(member, links=tuple([LinkRow(*row) for row in rows]))
 
 
 def dispatch_branch(member: Member, center: Center, condition: str = ""):
@@ -45,7 +41,7 @@ def dispatch_branch(member: Member, center: Center, condition: str = ""):
     link row at a point center's locus, or a curve's or the nonsingular
     point's single branch."""
     if center.is_point:
-        rows = [row for row in member.golden.link_column if row.point == center.locus]
+        rows = [row for row in member.gprime.links if row.point == center.locus]
     else:
         rows = [LinkRow("", "", "", center.kind)]
     [row] = [row for row in rows if row.condition == condition]

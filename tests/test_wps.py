@@ -190,7 +190,7 @@ def test_max_pair_lcm_examples():
 
 
 def test_max_pair_lcm_needs_two_indices():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least two indices"):
         max_pair_lcm(W5, (2,))
 
 
