@@ -33,8 +33,8 @@ untwists (link or involution `tag`) with the `cited` constants (None if none).""
 @record
 class FamilyRecord:
     """One record of the catalog file, with everything it states.  Its
-    (-K)^3 is derived on the first `a_cube()` call and kept, not as a field;
-    a record of the wrong Fano index keeps nothing and raises on every call."""
+    (-K)^3, `a_cube`, is derived on first read and kept, not as a field; a
+    record of the wrong Fano index keeps nothing and raises on every read."""
 
     id: int
     kind: str  # "G" | "Gprime"
@@ -48,11 +48,8 @@ class FamilyRecord:
     links: tuple[LinkRow, ...] = ()
     cited: frozenset | None = None  # the record's `cited` constants (`CITED`), None where it states none
 
-    def a_cube(self) -> Fraction:
-        return self._a_cube
-
     @cached_property
-    def _a_cube(self) -> Fraction:
+    def a_cube(self) -> Fraction:
         return anticanonical_cube(self.weights, self.degrees, label=f"No.{self.id}/{self.kind}")
 
 
@@ -65,22 +62,26 @@ class FamilyPair:
 @record
 class Member(FamilyPair):
     """A family pair with the algebra derived from it: the hypersurface
-    member's (-K)^3, standard form, monomial support and singular locus
-    (quotient points, and the cAx point with its extractions); and its
-    basket as golden rows (`basket`), center plan (`plan`), each quotient
-    point's local model (`local`) and restriction curve's support (`gamma`),
-    derived on first use and kept, not as fields, so equality and hashing
-    read the fields alone (a derivation that raises keeps nothing).
+    member's standard form, monomial support and singular locus (quotient
+    points, and the cAx point with its extractions); its (-K)^3, read off
+    the Gprime record (`a_cube`); and its basket as golden rows (`basket`),
+    center plan (`plan`), each quotient point's local model (`local`) and
+    restriction curve's support (`gamma`), derived on first use and kept,
+    not as fields, so equality and hashing read the fields alone (a
+    derivation that raises keeps nothing).
     `Catalog.member` builds the general member once per family, text and
     strictness in a process; a stratum (some monomials struck) is built
     from `singular_locus` and this constructor, uncached."""
 
     # annotations that name classes of modules importing this one stay unevaluated strings
-    a_cube: Fraction
     shape: StandardForm
     support: MonomialSupport
     quotients: tuple[QuotientSingularity, ...]
     cax: CAxPoint
+
+    @property
+    def a_cube(self) -> Fraction:
+        return self.gprime.a_cube
 
     @cached_property
     def basket(self) -> tuple[tuple[str, int, str], ...]:
@@ -123,8 +124,7 @@ def derive_member(pair: FamilyPair) -> Member:
     links.check_counterpart(pair.gprime, g_form)
     support = singularities.family_support(pair.gprime, shape)
     quotients, cax = singularities.singular_locus(pair.gprime, shape, support)
-    return Member(g=pair.g, gprime=pair.gprime, a_cube=pair.gprime.a_cube(),
-                  shape=shape, support=support, quotients=tuple(quotients), cax=cax)
+    return Member(pair.g, pair.gprime, shape, support, tuple(quotients), cax)
 
 
 class Catalog:
@@ -321,7 +321,9 @@ def _link_rows(entries: tuple[tuple, ...], fid: int, where: str) -> tuple[LinkRo
     return tuple(rows)
 
 
-def _parse_record(obj: dict, where: str) -> FamilyRecord:
+def _parse_record(obj: dict, where: str, strict: bool, records: dict[str, dict[int, FamilyRecord]]) -> FamilyRecord:
+    """The catalog entry `obj` as its one record, checked alone, against `records`,
+    the records read so far by kind, and, with `strict`, as `load_catalog` says."""
     if type(obj) is not dict:
         raise CatalogError(f"{where}: must be a JSON object")
     for field in RECORD_KEYS:
@@ -343,7 +345,42 @@ def _parse_record(obj: dict, where: str) -> FamilyRecord:
         raise CatalogError(f"{where}: G records need 6 weights and 2 degrees")
     if kind == "Gprime" and (len(weights) != 5 or len(degrees) != 1):
         raise CatalogError(f"{where}: Gprime records need 5 weights and 1 degree")
-    return FamilyRecord(fid, kind, weights, degrees, obj["subfamily"])
+    if fid in records[kind]:
+        raise CatalogError(f"{where}: duplicate {kind} record for id {fid}")
+    other = records["Gprime" if kind == "G" else "G"].get(fid)
+    if other is not None and obj["subfamily"] != other.subfamily:
+        raise CatalogError(f"{where}: subfamily {obj['subfamily']!r} of family {fid} ({kind}) "
+                           f"differs from {other.subfamily!r}, stated by its other record")
+    try:
+        a_cube = rat(obj["a_cube"])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CatalogError(f"{where}: bad a_cube {obj['a_cube']!r}: {exc}") from exc
+    if strict:
+        ordered = weights if kind == "G" else weights[:4]
+        if list(ordered) != sorted(ordered):
+            order = "ascending" if kind == "G" else "ascending x-weights, then the distinguished weight"
+            raise CatalogError(f"{where}: 'weights' of family {fid} ({kind}) must be {order}, got {list(weights)}")
+        try:
+            computed = anticanonical_cube(weights, degrees, label=f"No.{fid}/{kind}")
+        except ValueError as exc:  # weights and degrees of the wrong Fano index
+            raise CatalogError(f"{where}: {exc}") from exc
+        if computed != a_cube:
+            raise CatalogError(f"{where}: a_cube mismatch for family {fid} ({kind}): "
+                               f"file says {obj['a_cube']}, weights/degrees give {rat_str(computed)}")
+    if kind == "Gprime":
+        basket = _entries(obj, "basket", BASKET_KEYS, where)
+        links = _entries(obj, "links", LINK_KEYS, where)
+        for _, count, _ in basket:
+            if count < 1:
+                raise CatalogError(f"{where}: basket count must be >= 1 for family {fid}")
+        links = _link_rows(links, fid, where)
+    else:  # the basket and links belong to the Gprime record
+        for field in ("basket", "links"):
+            if obj[field] != []:
+                raise CatalogError(f"{where}: '{field}' of a G record must be [], got {obj[field]!r}")
+        basket = links = ()
+    cited = _cited(obj.get("cited", _ABSENT), CITED[kind], where)
+    return FamilyRecord(fid, kind, weights, degrees, obj["subfamily"], a_cube, basket, links, cited)
 
 
 # strict -> (bytes, catalog) of the last load of that strictness that passed
@@ -390,54 +427,13 @@ def load_catalog(path: str | None = None, strict: bool = True) -> Catalog:
     if not isinstance(raw, list):
         raise CatalogError(f"catalog {path}: top level must be a JSON array")
 
-    g_records: dict[int, FamilyRecord] = {}
-    gprime_records: dict[int, FamilyRecord] = {}
+    records: dict[str, dict[int, FamilyRecord]] = {"G": {}, "Gprime": {}}
     for k, obj in enumerate(raw):
-        where = f"catalog entry #{k}"
-        rec = _parse_record(obj, where)
-        bucket, others = (g_records, gprime_records) if rec.kind == "G" else (gprime_records, g_records)
-        if rec.id in bucket:
-            raise CatalogError(f"{where}: duplicate {rec.kind} record for id {rec.id}")
-        other = others.get(rec.id, rec)
-        if rec.subfamily != other.subfamily:
-            raise CatalogError(f"{where}: subfamily {rec.subfamily!r} of family {rec.id} ({rec.kind}) "
-                               f"differs from {other.subfamily!r}, stated by its other record")
-        try:
-            a_cube = rat(obj["a_cube"])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CatalogError(f"{where}: bad a_cube {obj['a_cube']!r}: {exc}") from exc
-        if strict:
-            ordered = rec.weights if rec.kind == "G" else rec.weights[:4]
-            if list(ordered) != sorted(ordered):
-                order = "ascending" if rec.kind == "G" else "ascending x-weights, then the distinguished weight"
-                raise CatalogError(f"{where}: 'weights' of family {rec.id} ({rec.kind}) must be {order}, "
-                                   f"got {list(rec.weights)}")
-            try:
-                computed = rec.a_cube()
-            except ValueError as exc:  # weights and degrees of the wrong Fano index
-                raise CatalogError(f"{where}: {exc}") from exc
-            if computed != a_cube:
-                raise CatalogError(
-                    f"{where}: a_cube mismatch for family {rec.id} ({rec.kind}): "
-                    f"file says {obj['a_cube']}, weights/degrees give {rat_str(computed)}"
-                )
-        if rec.kind == "Gprime":
-            basket = _entries(obj, "basket", BASKET_KEYS, where)
-            links = _entries(obj, "links", LINK_KEYS, where)
-            for _, count, _ in basket:
-                if count < 1:
-                    raise CatalogError(f"{where}: basket count must be >= 1 for family {rec.id}")
-            links = _link_rows(links, rec.id, where)
-        else:  # the basket and links belong to the Gprime record
-            for field in ("basket", "links"):
-                if obj[field] != []:
-                    raise CatalogError(f"{where}: '{field}' of a G record must be [], got {obj[field]!r}")
-            basket = links = ()
-        cited = _cited(obj.get("cited", _ABSENT), CITED[rec.kind], where)
-        bucket[rec.id] = FamilyRecord(rec.id, rec.kind, rec.weights, rec.degrees, rec.subfamily, a_cube,
-                                      basket, links, cited)
+        rec = _parse_record(obj, f"catalog entry #{k}", strict, records)
+        records[rec.kind][rec.id] = rec
 
     # every id is one of FAMILY_IDS and none repeats, so a full count is a full catalog
+    g_records, gprime_records = records["G"], records["Gprime"]
     if len(g_records) + len(gprime_records) != 2 * len(FAMILY_IDS):
         raise CatalogError(f"catalog incomplete: missing G records {sorted(set(FAMILY_IDS) - set(g_records))}, "
                            f"Gprime records {sorted(set(FAMILY_IDS) - set(gprime_records))}")

@@ -376,7 +376,7 @@ def _tower_cube(g: FamilyRecord) -> Fraction | None:
     if not points:
         return None
     k = (1, *[F(-1, q.r) for q in points])
-    return blowup.triple(blowup.BlowupRing.kawamata_tower(g.a_cube(), points), k, k, k)
+    return blowup.triple(blowup.BlowupRing.kawamata_tower(g.a_cube, points), k, k, k)
 
 
 def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
@@ -395,9 +395,9 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
         g, gp = pair.g, pair.gprime
 
         # degrees of the anticanonical models
-        if _differ(a_cube := gp.a_cube(), gp.stated_a_cube):
+        if _differ(a_cube := gp.a_cube, gp.stated_a_cube):
             diff(f"catalog a_cube {rat_str(gp.stated_a_cube)} != computed {rat_str(a_cube)}")
-        if _differ(g_a_cube := g.a_cube(), g.stated_a_cube):
+        if _differ(g_a_cube := g.a_cube, g.stated_a_cube):
             diff(f"catalog G a_cube {rat_str(g.stated_a_cube)} != computed {rat_str(g_a_cube)}")
         # the blowup tower over the G model, where its record cites one (family 19)
         tower = _tower_cube(g)
@@ -415,6 +415,9 @@ def verify_family(catalog: Catalog, family_id: int, golden: dict) -> list[str]:
         back_weights, back_degrees = links.counterpart_inverse(member.shape)
         if back_weights != g.weights or back_degrees != g.degrees:
             diff(f"round trip gave {back_weights} {back_degrees}, catalog has {g.weights} {g.degrees}")
+        shape = member.shape  # the link's midpoint Z_z in P(a0, ..., a4) has the record's index 1
+        if (index := sum(shape.role_weights[:5]) - shape.z_degree) != 1:
+            diff(f"midpoint Z_{shape.z_degree} in {wps_str(shape.role_weights[:5])} has index {index}, not 1")
 
         # basket, in singular-locus order with the cAx point last
         if member.basket != gp.basket:

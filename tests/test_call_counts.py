@@ -81,12 +81,12 @@ def test_verify_tables_derives_each_records_a_cube_once(empty_load_cache):
 
 
 def test_a_record_of_the_wrong_index_keeps_no_a_cube():
-    # a failed derivation keeps nothing: every call derives again and raises
+    # a failed derivation keeps nothing: every read derives again and raises
     # the same error
     rec = FamilyRecord(17, "Gprime", (1, 1, 1, 4, 2), (9,))
     for _ in range(2):
         calls, _ = count_calls({"anticanonical_cube": wps.anticanonical_cube},
-                               lambda: pytest.raises(ValueError, rec.a_cube))
+                               lambda: pytest.raises(ValueError, lambda: rec.a_cube))
         assert calls == {"anticanonical_cube": 1}
     assert vars(rec) == {"id": 17, "kind": "Gprime", "weights": (1, 1, 1, 4, 2), "degrees": (9,), "subfamily": "",
                          "stated_a_cube": None, "basket": (), "links": (), "cited": None}
@@ -328,6 +328,30 @@ def test_links_derives_the_member_like_every_command(empty_load_cache, capsys):
         counts.append(calls)
     assert counts == [{"load_catalog": 1, "equation_shape": 2, "family_support": 1, "singular_locus": 1},
                       {"load_catalog": 1}]
+
+
+def test_a_first_load_builds_one_record_per_entry(empty_load_cache):
+    # each catalog entry is checked and read into its one record on the
+    # text's first load of either strictness, and a later load builds none
+    for strict in (True, False):
+        counts = [count_calls({"FamilyRecord": FamilyRecord.__init__}, lambda: load_catalog(strict=strict))[0]
+                  for _ in range(2)]
+        assert counts == [{"FamilyRecord": 2 * len(FAMILY_IDS)}, {}]
+
+
+@pytest.mark.parametrize("command, cubes", [("links --family 50", 28), ("basket --family 50", 29),
+                                            ("analyze --family 50", 29), ("verify-tables", 28)])
+def test_each_command_derives_the_a_cube_it_reads_once(empty_load_cache, capsys, command, cubes):
+    # on the text's first load a strict load checks each record's stated
+    # (-K)^3, keeping none; basket and analyze then read the member's, which
+    # its Gprime record keeps, and links reads none.  verify-tables loads
+    # non-strictly and reads each record's.  The next op derives none
+    counts = []
+    for _ in range(2):
+        calls, code = count_calls({"anticanonical_cube": wps.anticanonical_cube}, lambda: cli.main(command.split()))
+        assert code == 0 and capsys.readouterr().out
+        counts.append(calls)
+    assert counts == [{"anticanonical_cube": cubes}, {}]
 
 
 def listed_functions() -> dict:

@@ -48,8 +48,9 @@ def test_derived_subfamilies_are_the_papers_split(catalog):
 def test_golden_a_cube_matches_record(catalog):
     for fid in catalog.ids():
         pair = catalog.pair(fid)
-        assert pair.gprime.stated_a_cube == pair.gprime.a_cube()
-        assert pair.g.stated_a_cube == pair.g.a_cube()
+        assert pair.gprime.stated_a_cube == pair.gprime.a_cube
+        assert pair.g.stated_a_cube == pair.g.a_cube
+        assert catalog.member(fid).a_cube is pair.gprime.a_cube
 
 
 def test_golden_columns_are_the_files_rows(catalog):
@@ -146,7 +147,7 @@ def test_strict_load_rejects_wrong_a_cube(tmp_path):
         load_catalog(path)
     # non-strict load defers the mismatch to verification
     cat = load_catalog(path, strict=False)
-    assert cat.pair(19).gprime.stated_a_cube != cat.pair(19).gprime.a_cube()
+    assert cat.pair(19).gprime.stated_a_cube != cat.pair(19).gprime.a_cube
 
 
 def test_strict_load_rejects_a_record_of_the_wrong_fano_index(tmp_path):

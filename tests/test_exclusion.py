@@ -59,7 +59,7 @@ def test_isolation_examples(catalog):
     for fid, (drop, bound, limit) in cases.items():
         cert, verdict = dispatch_branch(catalog.member(fid), Center.smooth_point())
         assert cert == Isolation(bound=bound, limit=limit, dropped_vertex=drop)
-        assert F(4) / catalog.pair(fid).gprime.a_cube() == limit
+        assert F(4) / catalog.pair(fid).gprime.a_cube == limit
         assert verdict.excluded
 
 
@@ -607,7 +607,7 @@ def test_all_excluded_witnesses_reverify(catalog):
 
     for fid in catalog.ids():
         report = build_report(catalog.member(fid))
-        a_cube = catalog.pair(fid).gprime.a_cube()
+        a_cube = catalog.pair(fid).gprime.a_cube
         for cr in report.centers:
             for br in cr.branches:
                 cert, v = br.certificate, br.verdict

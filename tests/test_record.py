@@ -141,7 +141,7 @@ def test_a_cached_property_on_a_record_caches_and_stays_out_of_equality():
         kept.total = 4
     # the package's kept values: a record's (-K)^3
     rec = FamilyRecord(17, "Gprime", (1, 1, 1, 2, 4), (8,))
-    assert rec.a_cube() is rec.a_cube() and rec == FamilyRecord(17, "Gprime", (1, 1, 1, 2, 4), (8,))
+    assert rec.a_cube is rec.a_cube and rec == FamilyRecord(17, "Gprime", (1, 1, 1, 2, 4), (8,))
 
 
 def test_record_defaults_and_missing_arguments():
@@ -180,6 +180,8 @@ def test_member_fields_follow_its_family_pair_fields():
     assert FamilyPair.__record_fields__ == ("g", "gprime")
     assert Member.__record_fields__ == FamilyPair.__record_fields__ + tuple(Member.__annotations__)
     assert list(inspect.signature(Member).parameters) == list(Member.__record_fields__)
+    # the member's (-K)^3 is its Gprime record's, read, not held
+    assert Member.__record_fields__ == ("g", "gprime", "shape", "support", "quotients", "cax")
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

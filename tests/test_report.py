@@ -23,8 +23,8 @@ from fano_wci.catalog import (LINK_TAGS, METHODS, CatalogError, FamilyPair, Memb
                               derive_member, load_catalog)
 from fano_wci.exclusion import Center, Untwist
 from fano_wci.report import GOLDEN, build_report, certificate_json, render_json, render_markdown, verify_tables
-from fano_wci.singularities import NotQuasismoothError, QuotientSingularity
-from fano_wci.wps import rat_str
+from fano_wci.singularities import NotQuasismoothError, QuotientSingularity, StandardForm
+from fano_wci.wps import rat_str, wps_str
 from test_strata import dispatch_branch, replaced, stratum, with_gprime, with_rows
 
 F = Fraction
@@ -85,7 +85,7 @@ def test_family_19_tower_class_is_minus_k_over_its_cited_points(catalog):
     # G record cites a tower
     g = catalog.pair(19).g
     assert g.cited == {("tower", ((2, 1), (4, 1)))}
-    tower = BlowupRing.kawamata_tower(g.a_cube(), [QuotientSingularity(2, 1), QuotientSingularity(4, 1)])
+    tower = BlowupRing.kawamata_tower(g.a_cube, [QuotientSingularity(2, 1), QuotientSingularity(4, 1)])
     k = (1, F(-1, 2), F(-1, 4))
     assert report._tower_cube(g) == triple(tower, k, k, k) == F(-1, 12)
     assert [fid for fid in catalog.ids() if report._tower_cube(catalog.pair(fid).g) is not None] == [19]
@@ -194,6 +194,18 @@ def test_verification_leaves_the_golden_tables_untouched(catalog, monkeypatch):
     assert verify_tables(catalog) == [line]
     assert verify_tables(catalog) == [line]
     assert tables == snapshot
+
+
+def test_a_midpoint_of_another_index_is_a_mismatch(catalog, monkeypatch):
+    # the link's midpoint Z_z in P(a0, ..., a4), z = d1 + d2 - a5, has index
+    # sum(a0..a4) - z = 1, its record's, in every family; a degree one too
+    # high is one line per family, printed after the round trip
+    z_degree = StandardForm.z_degree
+    monkeypatch.setattr(StandardForm, "z_degree", property(lambda form: z_degree.fget(form) + 1))
+    lines = verify_tables(catalog)
+    assert lines[0] == "family 17: midpoint Z_10 in P(1,4,1,1,3) has index 0, not 1"
+    assert lines == [f"family {fid}: midpoint Z_{shape.z_degree} in {wps_str(shape.role_weights[:5])} "
+                     "has index 0, not 1" for fid in catalog.ids() for shape in [catalog.member(fid).shape]]
 
 
 def under_id(member: Member, family_id: int) -> Member:
